@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke vector-smoke serve-smoke mc-smoke clean
+.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke vector-smoke serve-smoke mc-smoke ledger-smoke clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -202,6 +202,14 @@ mc-smoke:
 		--out $(MC_SMOKE_DIR) || status=$$?; test "$$status" -eq 1
 	REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src python -m repro replay \
 		--repro $(MC_SMOKE_DIR)/mc-witness-00.json
+
+# The end-to-end benchmark checks itself (< 30 s, shrunk workloads):
+# every workload and metric BENCHMARK.json declares is reported, all 18
+# tracer binding sites in ledger/trace.py:SITES still resolve — so a
+# rename on the result path cannot silently blind the tracer — spans
+# nest, and a wrong reference digest fails every operation.
+ledger-smoke:
+	python ledger/selftest.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

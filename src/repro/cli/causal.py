@@ -106,7 +106,7 @@ def _print_trace_report(events, args: argparse.Namespace) -> int:
 def _print_rundir_report(path: Path, args: argparse.Namespace) -> int:
     from repro.obs.artifacts import RunDir
     from repro.obs.report import find_run_dir
-    from repro.runtime.request import ExecutionResult
+    from repro.runtime.cache import ResultCache
 
     try:
         run_dir = RunDir.load(find_run_dir(path))
@@ -115,22 +115,21 @@ def _print_rundir_report(path: Path, args: argparse.Namespace) -> int:
         return 2
     cells: list[dict] = []
     anomalies = 0
-    for entry in sorted(run_dir.results_dir.glob("*.json")):
-        if entry.name.startswith(".tmp-"):
-            continue
-        try:
-            result = ExecutionResult.from_dict(
-                json.loads(entry.read_text(encoding="utf-8"))
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: {entry.name}: {exc}", file=sys.stderr)
-            return 2
+    store = ResultCache(run_dir.results_dir)
+    for result in store.results():
         if not result.events:
             continue
         summary = causal_summary(result.events)
         summary["cell"] = result.name
         anomalies += len(summary["anomalies"])
         cells.append(summary)
+    if store.stats.corrupt_evictions:
+        print(
+            f"error: {store.stats.corrupt_evictions} unreadable record(s) "
+            f"under {run_dir.results_dir}",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         print(json.dumps(cells, indent=2, sort_keys=True, default=repr))
         return 1 if anomalies else 0

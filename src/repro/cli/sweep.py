@@ -17,10 +17,11 @@ import argparse
 import sys
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir, identity_for_requests
+from repro.obs.artifacts import RunDir
 from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_sweep
 from repro.runtime import ResultCache, SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime.request import batch_cache_keys
 from repro.runtime.space import vectorized_space
 from repro.vector import backend_name
 
@@ -53,12 +54,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = args.cache_dir
     if args.run_dir is not None:
         requests = list(space.requests)
+        # One hash per request: everything downstream — the run id, the
+        # manifest, the store lookups, the summary — reads the memo.
+        keys = batch_cache_keys(requests)
         run_dir = RunDir.open(
             args.run_dir,
             kind="sweep",
             name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
+            identity=sorted(keys),
+            cells=[(r.name, key) for r, key in zip(requests, keys)],
             config={
                 "space": args.space,
                 "count": args.count,
@@ -67,8 +71,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "engine": args.engine,
             },
         )
-        completed_before = run_dir.completed_keys()
         cache = ResultCache(run_dir.results_dir)
+        completed_before = cache.completed_keys()
         reporter = ProgressReporter(
             total=len(requests),
             path=run_dir.progress_path,

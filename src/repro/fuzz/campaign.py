@@ -361,8 +361,8 @@ def run_campaign(
                 "frontier": frontier,
             },
         )
-        completed_before = run_dir.completed_keys()
         sweep_cache = ResultCache(run_dir.results_dir)
+        completed_before = sweep_cache.completed_keys()
         reporter = ProgressReporter(
             total=len(requests),
             path=run_dir.progress_path,

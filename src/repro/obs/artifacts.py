@@ -14,10 +14,13 @@ Layout of one run directory::
 
     runs/<run_id>/
         manifest.json     identity, provenance, planned cells, status
-        results/          one ExecutionResult JSON per completed cell,
-                          named by request cache key (a ResultCache)
-        metrics.jsonl     one line per completed cell, appended as the
-                          campaign progresses (audit log across legs)
+        results/          the completed cells' results: one packed
+                          shard-*.jsonl per writing leg, template and
+                          cell records (a ResultCache, which owns the
+                          format)
+        metrics.jsonl     one line per completed cell, appended (and
+                          flushed) as the campaign progresses — the
+                          audit log across legs
         progress.jsonl    ProgressReporter heartbeats
         summary.json      coverage, cache stats, span aggregates, SLO
                           verdicts — written when a leg finishes
@@ -35,7 +38,7 @@ import json
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from repro.inject import active_injection
 
@@ -224,6 +227,9 @@ class RunDir:
 
     path: Path
     manifest: dict[str, Any] = field(default_factory=dict)
+    #: This leg's append handle on ``metrics.jsonl``: opened by the
+    #: first record, closed when the leg ends.
+    _metrics: TextIO | None = field(default=None, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
 
@@ -320,12 +326,17 @@ class RunDir:
     # -- the facts side ------------------------------------------------------
 
     def completed_keys(self) -> set[str]:
-        """Request keys whose results are already on disk (prior legs)."""
-        return {
-            entry.stem
-            for entry in self.results_dir.glob("*.json")
-            if not entry.name.startswith(".tmp-")
-        }
+        """Request keys whose results are already on disk (prior legs).
+
+        A leg that is about to use the store should ask its own
+        :class:`~repro.runtime.cache.ResultCache` instead — the same
+        answer from the index it needs anyway.
+        """
+        # The store's format belongs to the runtime's cache module;
+        # imported here because obs is otherwise below the runtime.
+        from repro.runtime.cache import ResultCache
+
+        return ResultCache(self.results_dir).completed_keys()
 
     def record_cell(
         self,
@@ -361,12 +372,23 @@ class RunDir:
             "duration_s": duration_s,
             "ok": ok,
         }
-        self._append_jsonl(METRICS_NAME, record)
+        self.record_line(record)
 
     def record_line(self, record: Mapping[str, Any]) -> None:
         """Append an arbitrary record to ``metrics.jsonl`` (live sessions,
-        span rollups — anything worth auditing that is not a cell)."""
-        self._append_jsonl(METRICS_NAME, dict(record))
+        span rollups — anything worth auditing that is not a cell).
+
+        Flushed per record: a leg killed at any point leaves every
+        record it reported on disk.
+        """
+        if self._metrics is None:
+            self._metrics = open(
+                self.path / METRICS_NAME, "a", encoding="utf-8"
+            )
+        self._metrics.write(
+            json.dumps(record, sort_keys=True, default=repr) + "\n"
+        )
+        self._metrics.flush()
 
     def metrics_records(self) -> list[dict[str, Any]]:
         return self._read_jsonl(METRICS_NAME)
@@ -393,12 +415,12 @@ class RunDir:
             encoding="utf-8",
         )
         self.manifest["status"] = status
-        self._write_manifest()
+        self._end_leg()
 
     def mark_interrupted(self) -> None:
         """Record that this leg died mid-campaign (resume will finish it)."""
         self.manifest["status"] = "interrupted"
-        self._write_manifest()
+        self._end_leg()
 
     def summary(self) -> dict[str, Any] | None:
         try:
@@ -417,10 +439,11 @@ class RunDir:
             encoding="utf-8",
         )
 
-    def _append_jsonl(self, name: str, record: Mapping[str, Any]) -> None:
-        with open(self.path / name, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True, default=repr))
-            handle.write("\n")
+    def _end_leg(self) -> None:
+        if self._metrics is not None:
+            self._metrics.close()
+            self._metrics = None
+        self._write_manifest()
 
     def _read_jsonl(self, name: str) -> list[dict[str, Any]]:
         try:

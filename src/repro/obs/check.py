@@ -560,9 +560,44 @@ def check_events(
     model: Any = None,
     initial_values: Sequence[Any] | None = None,
 ) -> CheckReport:
-    """Run the default oracle suite over an event sequence."""
-    return run_checkers(
-        events, default_checkers(model=model, initial_values=initial_values)
+    """Run the default oracle suite over an event sequence.
+
+    Every checker but ``consensus`` ignores event values, so for a
+    :class:`~repro.obs.template.TemplateEvents` trace they run once per
+    template and model (remembered in the template's memo); per cell
+    only the consensus checker runs, over the trace's crash events and
+    the cell's own decide events.  The report is field-identical to
+    checking the materialized events.
+    """
+    checkers = default_checkers(model=model, initial_values=initial_values)
+    template = getattr(events, "template", None)
+    if template is None:
+        return run_checkers(events, checkers)
+    consensus = next(c for c in checkers if c.name == ConsensusChecker.name)
+    value_free = [c for c in checkers if c is not consensus]
+    violations, crashes = template.remember(
+        # The synchrony checker's name tells the models apart.
+        ("check", *(checker.name for checker in value_free)),
+        lambda: (
+            run_checkers(template.events, value_free).violations,
+            [
+                (index, event)
+                for index, event in enumerate(template.events)
+                if event.kind == "crash"
+            ],
+        ),
+    )
+    decides = zip(template.positions, events.decides())
+    for index, event in sorted([*crashes, *decides], key=lambda pair: pair[0]):
+        consensus.feed(index, event)
+    consensus.finish(len(events))
+    return CheckReport(
+        checkers=tuple(checker.name for checker in checkers),
+        num_events=len(events),
+        violations=sorted(
+            [*violations, *consensus.violations],
+            key=lambda v: (v.index, v.checker),
+        ),
     )
 
 

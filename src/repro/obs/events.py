@@ -91,6 +91,30 @@ class Event:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), default=repr, sort_keys=True)
 
+    def json_parts(self) -> tuple[str, str]:
+        """:meth:`to_json` split around the timestamp.
+
+        ``prefix + float.__repr__(ts) + suffix`` is byte-for-byte
+        ``dataclasses.replace(self, ts=ts).to_json()`` for any finite
+        ``ts``.  The split is structural — the keys sorting before and
+        after ``"ts"`` are dumped separately — so a value that happens
+        to contain the text ``"ts": 0.0`` cannot move it.  Lets a
+        merged trace re-stamp a shared event without re-serializing it.
+        """
+        fields = self.to_dict()
+        del fields["ts"]
+        before = {key: val for key, val in fields.items() if key < "ts"}
+        after = {key: val for key, val in fields.items() if key > "ts"}
+        # ``before`` always holds "kind", so its dump ends in the one
+        # closing brace that the remaining keys must stay inside.
+        prefix = json.dumps(before, default=repr, sort_keys=True)[:-1]
+        suffix = (
+            ", " + json.dumps(after, default=repr, sort_keys=True)[1:]
+            if after
+            else "}"
+        )
+        return prefix + ', "ts": ', suffix
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Event":
         """Rebuild an event from a decoded JSONL object.

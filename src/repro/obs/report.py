@@ -91,30 +91,28 @@ def causal_cells(
     flags a clock mix — cells stamped by the logical counter are not
     wall-comparable with live-replayed ones, so cross-cell timestamp
     comparisons would be meaningless.
-    """
-    from repro.obs.critical import causal_summary
-    from repro.obs.events import clock_kind
 
+    None of the kept facts depends on a decided value, so cells whose
+    events cite a :class:`~repro.obs.template.TraceTemplate` are
+    analyzed once per template.
+    """
     cells: list[dict[str, Any]] = []
     clocks: set[str] = set()
     anomaly_cells: list[str] = []
     for name, events in named_events:
         if not events:
             continue
-        summary = causal_summary(events)
-        clocks.add(clock_kind(events))
-        entry: dict[str, Any] = {
-            "cell": name,
-            "max_path_length": summary["max_path_length"],
-            "anomalies": summary["anomalies"],
-        }
-        if "slowest_decision" in summary:
-            entry["retransmit_share"] = summary["slowest_decision"][
-                "retransmit_share"
-            ]
-        if summary["anomalies"]:
+        template = getattr(events, "template", None)
+        if template is None:
+            facts, clock = _causal_facts(events)
+        else:
+            facts, clock = template.remember(
+                "causal", lambda: _causal_facts(template.events)
+            )
+        clocks.add(clock)
+        if facts["anomalies"]:
             anomaly_cells.append(name)
-        cells.append(entry)
+        cells.append({"cell": name, **facts})
     if not cells:
         return None
     block: dict[str, Any] = {
@@ -128,6 +126,23 @@ def causal_cells(
             "not comparable across cells"
         )
     return block
+
+
+def _causal_facts(events: Sequence[Any]) -> tuple[dict[str, Any], str]:
+    """The value-free slice of one trace's causal summary, and its clock."""
+    from repro.obs.critical import causal_summary
+    from repro.obs.events import clock_kind
+
+    summary = causal_summary(events)
+    facts: dict[str, Any] = {
+        "max_path_length": summary["max_path_length"],
+        "anomalies": summary["anomalies"],
+    }
+    if "slowest_decision" in summary:
+        facts["retransmit_share"] = summary["slowest_decision"][
+            "retransmit_share"
+        ]
+    return facts, clock_kind(events)
 
 
 def coverage_over_cells(
@@ -185,7 +200,9 @@ def summarize_sweep(
     }
     planned = [(request.name, key) for request, key in zip(requests, keys)]
     engines_by_key = {key: request.engine for request, key in zip(requests, keys)}
-    completed_now = run.completed_keys() | set(keys)
+    # The leg holds a result for every planned cell, so coverage needs
+    # no second listing of the store.
+    completed_now = set(keys)
 
     summary: dict[str, Any] = {
         "schema": RUN_SCHEMA,

@@ -1,0 +1,172 @@
+"""Trace templates: one shared trace per batch group, decide values as holes.
+
+In the RS/RWS round models the message pattern of a run is fixed by
+the failure scenario alone; the inputs only choose which *values* get
+decided.  Every cell of a vector-engine group therefore has the same
+trace up to the ``value`` field of its ``decide`` events.  A
+:class:`TraceTemplate` is that shared trace, content-digested; a
+:class:`TemplateEvents` is one cell's view of it — the template plus
+the cell's decide values — that behaves like the cell's event list but
+only builds it when somebody reads an event.
+
+The pair is what the result path carries from the engine to disk: the
+trace oracle, the causal summary, the merged-trace writer and the
+result store each do their value-free work once per template
+(:meth:`TraceTemplate.remember`) and touch only the holes per cell.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections.abc import Sequence
+from typing import Any, Callable, Iterator, Mapping
+
+from repro.obs.events import Event
+
+
+class TraceTemplate:
+    """The value-free part of every cell in one batch group.
+
+    Attributes:
+        events: The group's trace with ``None`` in every decide value.
+        positions: Indices of the ``decide`` events, in slot order.
+        metrics: The metrics-registry state of any cell of the group
+            (no metric depends on a decided value).
+        digest: Content hash of the three fields above; how stored
+            cells cite their template.
+        memo: Per-template results of value-free analyses, keyed by
+            the consumer (see :meth:`remember`).  Never serialized or
+            pickled.
+    """
+
+    __slots__ = ("events", "positions", "metrics", "digest", "memo")
+
+    def __init__(
+        self,
+        events: Sequence[Event],
+        positions: Sequence[int],
+        metrics: Mapping[str, Any],
+        digest: str | None = None,
+    ) -> None:
+        self.events = tuple(events)
+        self.positions = tuple(positions)
+        self.metrics = metrics
+        self.digest = digest or hashlib.sha256(
+            json.dumps(self.body(), sort_keys=True, default=repr).encode("utf-8")
+        ).hexdigest()
+        self.memo: dict[Any, Any] = {}
+
+    def body(self) -> dict[str, Any]:
+        """The JSON-ready content; inverse of :meth:`from_body`."""
+        return {
+            "events": [event.to_dict() for event in self.events],
+            "positions": list(self.positions),
+            "metrics": self.metrics,
+        }
+
+    @classmethod
+    def from_body(cls, body: Mapping[str, Any], digest: str) -> "TraceTemplate":
+        return cls(
+            [Event.from_dict(entry) for entry in body["events"]],
+            body["positions"],
+            body["metrics"],
+            digest,
+        )
+
+    def remember(self, key: Any, compute: Callable[[], Any]) -> Any:
+        """``memo[key]``, computed on first use: how a consumer does its
+        value-free work once per template instead of once per cell."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = compute()
+            return value
+
+    def fill(self, holes: Sequence[Any]) -> "TemplateEvents":
+        """One cell's trace: this template with ``holes`` decided."""
+        if len(holes) != len(self.positions):
+            raise ValueError(
+                f"template has {len(self.positions)} decide events, "
+                f"got {len(holes)} values"
+            )
+        return TemplateEvents(self, tuple(holes))
+
+    def copy_metrics(self) -> dict[str, Any]:
+        """A per-cell copy of :attr:`metrics` (callers may mutate theirs)."""
+        return {
+            "counters": dict(self.metrics["counters"]),
+            "gauges": dict(self.metrics["gauges"]),
+            "histograms": {
+                name: list(values)
+                for name, values in self.metrics["histograms"].items()
+            },
+        }
+
+    def __reduce__(self):
+        return TraceTemplate, (self.events, self.positions, self.metrics, self.digest)
+
+
+class TemplateEvents(Sequence):
+    """A cell's event list, materialized from its template on first read.
+
+    ``len()`` and :meth:`decides` never build the list, so telemetry
+    and the per-template consumers stay O(holes) per cell.
+    """
+
+    __slots__ = ("template", "holes", "_filled")
+
+    def __init__(self, template: TraceTemplate, holes: tuple[Any, ...]) -> None:
+        self.template = template
+        self.holes = holes
+        self._filled: list[Event] | None = None
+
+    def decides(self) -> list[Event]:
+        """The cell's own ``decide`` events, aligned with ``template.positions``."""
+        events = self.template.events
+        return [
+            _with_value(events[position], value)
+            for position, value in zip(self.template.positions, self.holes)
+        ]
+
+    def _materialize(self) -> list[Event]:
+        if self._filled is None:
+            filled = list(self.template.events)
+            for position, event in zip(self.template.positions, self.decides()):
+                filled[position] = event
+            self._filled = filled
+        return self._filled
+
+    def __len__(self) -> int:
+        return len(self.template.events)
+
+    def __getitem__(self, index):
+        return self._materialize()[index]
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self._materialize())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, TemplateEvents)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TemplateEvents({self.template.digest[:12]}, holes={self.holes!r})"
+
+    def __reduce__(self):
+        return TemplateEvents, (self.template, self.holes)
+
+
+def _with_value(event: Event, value: Any) -> Event:
+    # Shallow-clone through __dict__ instead of dataclasses.replace or
+    # copy.copy: decide events are rebuilt thousands of times per
+    # batch, replace() re-runs the full field-by-field constructor and
+    # copy() goes through __reduce_ex__.  Event is a frozen non-slots
+    # dataclass, so its state is exactly __dict__.
+    clone = Event.__new__(Event)
+    clone.__dict__.update(event.__dict__)
+    clone.__dict__["value"] = value
+    return clone

@@ -1,35 +1,63 @@
-"""On-disk result cache for sweep cells.
+"""On-disk result store for sweep cells: packed, append-only shards.
 
-One JSON file per executed cell, named by the request's stable
-:meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  Repeated
-sweeps (CI re-runs, ``make bench-report``, iterating on an analysis)
-skip every cell whose request hash they have seen before — the second
-run of an unchanged sweep executes zero scenarios.
+Every writer instance appends to one ``shard-*.jsonl`` file of its own;
+readers take the union of all shards in the directory.  Repeated
+sweeps (CI re-runs, resumed run directories, iterating on an analysis)
+skip every cell whose request hash is already stored — the second run
+of an unchanged sweep executes zero scenarios.
 
-Corrupt or unreadable entries are treated as misses, never as errors: a
-cache must only ever make things faster.  A corrupt entry is also
-*evicted* on read — leaving it on disk would let ``__len__`` (and the
-cache directory's size) count entries that can never serve a hit.
+A shard holds two kinds of JSON lines, told apart by their first key:
 
-Every cache keeps a :class:`CacheStats` tally (hits, misses, stores,
-corrupt evictions).  Silent eviction was the right behavior for the
-cache itself, but it is exactly the kind of fact a campaign summary
-must surface: a nonzero ``corrupt_evictions`` on a healthy disk means
-a writer was killed mid-``put`` or something else is scribbling over
-the cache directory — so the counts flow into ``summary.json`` and the
-``repro sweep`` output.
+``{"key": K, "name": ..., "template": D, "holes": [...], "decisions": ..., "latency": ..., "num_rounds": ..., "extra": ...}``
+    One cell.  ``K`` is the request's
+    :meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  A cell
+    whose result cites a :class:`~repro.obs.template.TraceTemplate`
+    stores only the template's digest ``D`` and its decide values; a
+    cell without one carries ``"events"`` and ``"metrics"`` inline in
+    their place.
+
+``{"template": D, "events": [...], "positions": [...], "metrics": {...}}``
+    One template, written to a shard once, before the first cell in it
+    that cites ``D`` — so every shard can be read on its own.
+
+A writer flushes after every cell, so a killed campaign keeps every
+completed cell.  Shard names sort by creation time and a later record
+of a key wins, which is how a re-executed cell replaces a damaged one.
+
+This module is the only one that knows the format.  Corrupt or
+unreadable records — a line torn by a dying writer, foreign junk, a
+cell citing a template that is nowhere in the directory — are served
+as misses, never as errors: a cache must only ever make things faster.
+Records are never rewritten, so each is also counted in
+:attr:`CacheStats.corrupt_evictions` by every instance that reads past
+it; a nonzero count on a healthy disk means a writer was killed
+mid-``put`` or something else is scribbling over the directory, which
+is why the counts flow into ``summary.json`` and the ``repro sweep``
+output.  Entries of the per-cell ``<key>.json`` format this store
+replaced are not read (:data:`~repro.runtime.request.CACHE_SCHEMA_VERSION`
+3 keys would not match them anyway).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import BinaryIO, Iterator
 
+from repro.obs.template import TraceTemplate
 from repro.runtime.request import ExecutionRequest, ExecutionResult
+
+#: The leading bytes of a well-formed record: which kind, whose.  The
+#: writer puts the identifying key first, so a scan can index a shard
+#: without parsing the (much longer) rest of each line.
+_HEADER = re.compile(rb'\{"(key|template)": "([0-9a-f]{64})", ')
+
+#: Where a record lives: (shard, byte offset, byte length).
+_Where = tuple[Path, int, int]
 
 
 @dataclass
@@ -51,75 +79,170 @@ class CacheStats:
 
 
 class ResultCache:
-    """A directory of ``<cache_key>.json`` execution results."""
+    """A directory of packed ``shard-*.jsonl`` execution results."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
+        # Read side: built by the first lookup, extended by own puts.
+        self._cells: dict[str, _Where] | None = None
+        self._template_records: dict[str, _Where] = {}
+        self._templates: dict[str, TraceTemplate] = {}
+        self._readers: dict[Path, BinaryIO] = {}
+        # Write side: this instance's own shard, opened by the first put.
+        self._shard: BinaryIO | None = None
+        self._shard_path = Path()
+        self._shard_pid = 0
+        self._shard_size = 0
+        self._shard_templates: set[str] = set()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    # -- reading ------------------------------------------------------------
 
     def get(self, request: ExecutionRequest) -> ExecutionResult | None:
-        """The cached result for ``request``, or ``None`` on a miss.
+        """The stored result for ``request``, or ``None`` on a miss.
 
-        A present-but-unreadable entry (truncated write, foreign junk,
-        stale schema) is deleted before reporting the miss: the slot is
-        about to be re-written anyway, and keeping the corpse would make
-        ``len(cache)`` overcount.  The eviction is tallied in
-        :attr:`stats` so campaign summaries can report it.
+        A present-but-unreadable record is a miss too, tallied in
+        :attr:`stats` so campaign summaries can report it, and dropped
+        from this instance's view of the store.
         """
-        path = self._path(request.cache_key())
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            result = ExecutionResult.from_dict(data)
-        except OSError:
+        result = self._load(request.cache_key())
+        if result is None:
             self.stats.misses += 1
-            return None
-        except (ValueError, KeyError, TypeError):
-            self.stats.corrupt_evictions += 1
-            self.stats.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
             return None
         self.stats.hits += 1
         result.cached = True
         return result
 
-    def put(self, request: ExecutionRequest, result: ExecutionResult) -> None:
-        """Store ``result`` under ``request``'s key (atomic replace)."""
-        path = self._path(request.cache_key())
-        payload = json.dumps(result.to_dict(), sort_keys=True, default=repr)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.stats.stores += 1
-
     def completed_keys(self) -> set[str]:
-        """The request keys with a (well-named) entry on disk."""
-        return {
-            entry.stem
-            for entry in self.directory.glob("*.json")
-            if not entry.name.startswith(".tmp-")
-        }
+        """The request keys with a record in the store."""
+        return set(self._index())
 
     def __len__(self) -> int:
-        return sum(
-            1
-            for entry in self.directory.glob("*.json")
-            if not entry.name.startswith(".tmp-")
-        )
+        return len(self._index())
+
+    def results(self) -> Iterator[ExecutionResult]:
+        """Every readable stored result, in key order."""
+        for key in sorted(self._index()):
+            result = self._load(key)
+            if result is not None:
+                yield result
+
+    def _index(self) -> dict[str, _Where]:
+        if self._cells is None:
+            self._cells = {}
+            for path in sorted(self.directory.glob("shard-*.jsonl")):
+                offset = 0
+                with open(path, "rb") as handle:
+                    for line in handle:
+                        header = _HEADER.match(line)
+                        if header is not None and line.endswith(b"}\n"):
+                            table = (
+                                self._cells
+                                if header[1] == b"key"
+                                else self._template_records
+                            )
+                            table[header[2].decode("ascii")] = (
+                                path, offset, len(line)
+                            )
+                        elif line.strip():
+                            self.stats.corrupt_evictions += 1
+                        offset += len(line)
+        return self._cells
+
+    def _read(self, where: _Where) -> dict:
+        path, offset, length = where
+        reader = self._readers.get(path)
+        if reader is None:
+            reader = self._readers[path] = open(path, "rb")
+        reader.seek(offset)
+        return json.loads(reader.read(length))
+
+    def _load(self, key: str) -> ExecutionResult | None:
+        cells = self._index()
+        where = cells.get(key)
+        if where is None:
+            return None
+        try:
+            record = self._read(where)
+            result = ExecutionResult.from_dict(
+                {"request_key": record["key"], "events": (), **record}
+            )
+            if "template" in record:
+                template = self._template(record["template"])
+                result.events = template.fill(record["holes"])
+                result.metrics = template.copy_metrics()
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            self.stats.corrupt_evictions += 1
+            del cells[key]
+            return None
+        return result
+
+    def _template(self, digest: str) -> TraceTemplate:
+        """The template ``digest`` names; ``KeyError`` when no shard has it."""
+        template = self._templates.get(digest)
+        if template is None:
+            body = self._read(self._template_records[digest])
+            template = self._templates[digest] = TraceTemplate.from_body(
+                body, digest
+            )
+        return template
+
+    # -- writing ------------------------------------------------------------
+
+    def put(self, request: ExecutionRequest, result: ExecutionResult) -> None:
+        """Append ``result`` under ``request``'s key and flush it."""
+        key = request.cache_key()
+        shard = self._writer()
+        record: dict = {"key": key, "name": result.name}
+        #: (index the record belongs in, its id, its line), in write order.
+        pending: list[tuple[dict[str, _Where] | None, str, bytes]] = []
+        template = result.template
+        if template is None:
+            record["events"] = [event.to_dict() for event in result.events]
+            record["metrics"] = result.metrics
+        else:
+            if template.digest not in self._shard_templates:
+                pending.append((
+                    self._template_records,
+                    template.digest,
+                    _line({"template": template.digest, **template.body()}),
+                ))
+            record["template"] = template.digest
+            record["holes"] = list(result.holes)
+        record.update(result.outcome_dict())
+        pending.append((self._cells, key, _line(record)))
+        try:
+            shard.write(b"".join(line for _, _, line in pending))
+            shard.flush()
+        except BaseException:
+            # Whatever part of the write landed is a torn tail; never
+            # append after it.
+            self._shard = None
+            raise
+        for table, name, line in pending:
+            if table is not None:  # the cell index may not be built yet
+                table[name] = (self._shard_path, self._shard_size, len(line))
+            self._shard_size += len(line)
+        if template is not None:
+            self._shard_templates.add(template.digest)
+            self._templates.setdefault(template.digest, template)
+        self.stats.stores += 1
+
+    def _writer(self) -> BinaryIO:
+        """This instance's shard, created on first use — and again in a
+        forked child, which must not append through its parent's handle."""
+        if self._shard is None or self._shard_pid != os.getpid():
+            self._shard_pid = os.getpid()
+            self._shard_path = self.directory / (
+                f"shard-{time.time_ns():016x}-{self._shard_pid}-"
+                f"{os.urandom(4).hex()}.jsonl"
+            )
+            self._shard = open(self._shard_path, "xb")
+            self._shard_size = 0
+            self._shard_templates = set()
+        return self._shard
+
+
+def _line(record: dict) -> bytes:
+    return json.dumps(record, default=repr).encode("ascii") + b"\n"

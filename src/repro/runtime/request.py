@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
 from repro.inject import active_injection
 from repro.obs.events import Event
+from repro.obs.template import TraceTemplate
 from repro.rounds.scenario import FailureScenario
 from repro.serialize import (
     pattern_from_dict,
@@ -40,7 +41,9 @@ from repro.serialize import (
 #: part of every cache key, so stale cache entries miss instead of
 #: resurfacing under a new schema.
 #: v2: results carry ``extra`` (the emulations' induced round scenario).
-CACHE_SCHEMA_VERSION = 2
+#: v3: the result store is packed ``shard-*.jsonl`` template⊕holes
+#: records (:mod:`repro.runtime.cache`); v2 ``<key>.json`` files miss.
+CACHE_SCHEMA_VERSION = 3
 
 #: The engines a request may target.  ``"vector"`` runs the same RS/RWS
 #: round semantics as ``"rounds"`` on the columnar batch kernel
@@ -191,16 +194,32 @@ class ExecutionRequest:
         byte-identical results, and a semantic change to any engine
         must bump :data:`CACHE_SCHEMA_VERSION` to invalidate old
         entries wholesale.
+
+        The hash is memoized on the (frozen) instance together with
+        the bug injection it was computed under, so a changed
+        ``REPRO_INJECT_BUG`` recomputes; the memo is not a dataclass
+        field, so ``dataclasses.replace`` copies start without it.
         """
-        payload = {"v": CACHE_SCHEMA_VERSION, "request": self.to_dict()}
         # A mutated engine (REPRO_INJECT_BUG) computes different results
         # for the same request; keep its entries apart from the real
         # code's so mutation-testing runs never poison the cache.
         injected = active_injection()
+        key = _memoized_key(self, injected)
+        if key is not None:
+            return key
+        payload = {"v": CACHE_SCHEMA_VERSION, "request": self.to_dict()}
         if injected is not None:
             payload["injected_bug"] = injected
         canonical = json.dumps(payload, sort_keys=True, default=repr)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_key_memo", (injected, key))
+        return key
+
+
+def _memoized_key(request: "ExecutionRequest", injected: str | None) -> str | None:
+    """The key ``request`` remembers, if it was hashed under ``injected``."""
+    memo = request.__dict__.get("_key_memo")
+    return memo[1] if memo is not None and memo[0] == injected else None
 
 
 def _dumps(value: Any) -> str:
@@ -244,14 +263,16 @@ def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
     payload layout) falls back to the reference path for that shape.
     A thousand-cell batch over one adversary hashes the adversary once
     instead of a thousand times, which is what keeps the columnar
-    engine's per-cell overhead flat.
+    engine's per-cell overhead flat.  Each key is left memoized on its
+    request, and requests that already carry one are not hashed again.
     """
     keys: list[str] = [""] * len(requests)
     fragments: dict[tuple, tuple[str, ...] | None] = {}
     injected = active_injection()
     for index, request in enumerate(requests):
-        if injected is not None:
-            keys[index] = request.cache_key()
+        key = _memoized_key(request, injected)
+        if key is not None or injected is not None:
+            keys[index] = key if key is not None else request.cache_key()
             continue
         # Identity-keyed on the adversary objects: spaces share one
         # scenario instance across a group's cells, and id-keying
@@ -317,6 +338,9 @@ def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
             keys[index] = hashlib.sha256(
                 canonical.encode("utf-8")
             ).hexdigest()
+            # Seed the per-request memo: every later cache_key() on
+            # this instance is a lookup, not a second hash.
+            object.__setattr__(request, "_key_memo", (None, keys[index]))
     return keys
 
 
@@ -351,7 +375,13 @@ class ExecutionResult:
         request_key: The producing request's :meth:`cache_key`.
         events: The structured trace, recorded under the deterministic
             logical clock (timestamps restart at 1.0 per cell, so the
-            trace is independent of which worker ran it).
+            trace is independent of which worker ran it).  A plain list
+            for most engines; vector-kernel cells (and store hits that
+            cite a template) hold a
+            :class:`~repro.obs.template.TemplateEvents` instead — the
+            group's shared :attr:`template` plus this cell's decide
+            values (:attr:`holes`) — which builds the list only when an
+            event is read.
         metrics: The raw :meth:`~repro.obs.MetricsRegistry.state` of
             the cell's metrics registry.
         decisions: ``pid -> (round, value)`` for deciding processes.
@@ -370,7 +400,7 @@ class ExecutionResult:
 
     name: str
     request_key: str
-    events: list[Event] = field(default_factory=list)
+    events: Sequence[Event] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
     decisions: dict[int, tuple[int, Any]] = field(default_factory=dict)
     latency: int | None = None
@@ -378,12 +408,19 @@ class ExecutionResult:
     extra: dict[str, Any] = field(default_factory=dict)
     cached: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
+    @property
+    def template(self) -> TraceTemplate | None:
+        """The shared trace template, ``None`` for inline events."""
+        return getattr(self.events, "template", None)
+
+    @property
+    def holes(self) -> tuple[Any, ...]:
+        """This cell's decide values (empty without a template)."""
+        return getattr(self.events, "holes", ())
+
+    def outcome_dict(self) -> dict[str, Any]:
+        """The JSON-ready fields besides identity, trace and metrics."""
         return {
-            "name": self.name,
-            "request_key": self.request_key,
-            "events": [event.to_dict() for event in self.events],
-            "metrics": self.metrics,
             "decisions": {
                 str(pid): [entry[0], entry[1]]
                 for pid, entry in sorted(self.decisions.items())
@@ -391,6 +428,16 @@ class ExecutionResult:
             "latency": self.latency,
             "num_rounds": self.num_rounds,
             "extra": self.extra,
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        """The wire form: always inline events, whatever :attr:`template`."""
+        return {
+            "name": self.name,
+            "request_key": self.request_key,
+            "events": [event.to_dict() for event in self.events],
+            "metrics": self.metrics,
+            **self.outcome_dict(),
         }
 
     @classmethod

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs.check import check_events
 from repro.obs.events import Event
@@ -231,7 +231,8 @@ class SweepResult:
         Concatenation follows space order and timestamps are assigned
         after the fact, so the merged trace is byte-identical no matter
         how many workers executed the cells (or how many came from the
-        cache).
+        cache).  The reference :meth:`merged_jsonl_lines` is tested
+        against.
         """
         merged: list[Event] = []
         tick = 0
@@ -242,15 +243,24 @@ class SweepResult:
         return merged
 
     def merged_jsonl_lines(self) -> Iterable[str]:
-        for event in self.merged_events():
-            yield event.to_json()
+        """:meth:`merged_events` as JSONL, without building the events.
+
+        Every event is serialized once around its timestamp
+        (:meth:`~repro.obs.events.Event.json_parts`) and the global
+        tick spliced in; a template's events are serialized once per
+        template, so a cell that cites one costs only its decide lines.
+        """
+        tick = 0
+        for result in self.results:
+            for prefix, suffix in _json_parts(result.events):
+                tick += 1
+                yield prefix + float.__repr__(float(tick)) + suffix
 
     def write_merged_jsonl(self, path: str) -> int:
         count = 0
         with open(path, "w", encoding="utf-8") as handle:
             for line in self.merged_jsonl_lines():
-                handle.write(line)
-                handle.write("\n")
+                handle.write(line + "\n")
                 count += 1
         return count
 
@@ -304,6 +314,22 @@ class SweepResult:
             )
             lines.extend(check.describe() for check in failed)
         return "\n".join(lines)
+
+
+def _json_parts(events: Sequence[Event]) -> list[tuple[str, str]]:
+    """``Event.json_parts()`` of every event of one cell's trace."""
+    template = getattr(events, "template", None)
+    if template is None:
+        return [event.json_parts() for event in events]
+    parts = list(
+        template.remember(
+            "json_parts",
+            lambda: [event.json_parts() for event in template.events],
+        )
+    )
+    for position, event in zip(template.positions, events.decides()):
+        parts[position] = event.json_parts()
+    return parts
 
 
 class SweepRunner:

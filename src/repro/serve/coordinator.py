@@ -119,7 +119,7 @@ class Coordinator:
         )
         self.cache = ResultCache(self.run_dir.results_dir)
 
-        on_disk = self.run_dir.completed_keys()
+        on_disk = self.cache.completed_keys()
         #: Planned keys already completed when this leg started.
         self.completed_before: set[str] = set(self.keys) & on_disk
         #: Every planned key with a result on disk (grows as legs merge).

@@ -13,10 +13,12 @@ Execution of a batch group splits into three phases:
    ``uint64`` columns when available, plain ``int`` lists otherwise),
    and ``min(W)`` is a lowest-set-bit read.  A1 needs no arrays at all:
    its decisions are initial values picked by plan-determined indices.
-3. **Materialize** — every cell's typed event log and metrics state
-   are the group's shared template with the decide values substituted,
-   so the trace is *byte-identical* to the object engine's (the decide
-   ``value`` field is the only value-dependent byte in a round trace).
+3. **Template** — every cell's result references the group's shared
+   :class:`~repro.obs.template.TraceTemplate` (event log and metrics
+   state) together with its own decide values; the per-cell event list
+   is materialized only if a consumer reads it, and is then
+   *byte-identical* to the object engine's (the decide ``value`` field
+   is the only value-dependent byte in a round trace).
 
 Cells the kernel cannot take — unregistered algorithms, value domains
 with ``None``/NaN/cross-type-equal members, rejected scenarios, unknown
@@ -34,13 +36,13 @@ from typing import Any, Sequence
 from repro.obs.causal import round_msg_id
 from repro.obs.events import (
     CompositeObserver,
-    Event,
     EventLog,
     Observer,
     logical_clock,
 )
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
 from repro.obs.profile import profiled
+from repro.obs.template import TraceTemplate
 from repro.rounds.executor import RoundModel
 from repro.rounds.executor import execute as execute_rounds
 from repro.runtime.request import (
@@ -60,9 +62,9 @@ MAX_NUMPY_DOMAIN = 64
 #: the object executor (which raises on genuinely unknown keywords).
 _PLAN_PARAMS = frozenset({"validate", "run_all_rounds"})
 
-#: Event/metrics templates per plan (plans are memoized upstream, so
-#: identity keying is stable within a cache generation).
-_TEMPLATE_CACHE: dict[int, tuple[GroupPlan, list[Event], list[int], dict]] = {}
+#: Trace templates per plan (plans are memoized upstream, so identity
+#: keying is stable within a cache generation).
+_TEMPLATE_CACHE: dict[int, tuple[GroupPlan, TraceTemplate]] = {}
 _TEMPLATE_CACHE_MAX = 512
 
 
@@ -343,39 +345,31 @@ def replay_plan(
             observer.halt(pid, round_index)
 
 
-def _templates_for(
-    plan: GroupPlan,
-) -> tuple[list[Event], list[int], dict]:
-    """The group's shared event list, decide positions, metrics state."""
+def template_for(plan: GroupPlan) -> TraceTemplate:
+    """The group's shared trace template (events, decide positions,
+    metrics state), built by replaying the plan once with no values."""
     cached = _TEMPLATE_CACHE.get(id(plan))
     if cached is not None and cached[0] is plan:
-        return cached[1], cached[2], cached[3]
+        return cached[1]
     log = EventLog(clock=logical_clock())
     registry = MetricsRegistry()
     placeholder = [None] * len(plan.decide_slots)
     replay_plan(
         plan, CompositeObserver(log, MetricsObserver(registry)), placeholder
     )
-    events = list(log.events)
-    positions = [
-        idx for idx, event in enumerate(events) if event.kind == "decide"
-    ]
-    state = registry.state()
+    template = TraceTemplate(
+        log.events,
+        [
+            idx
+            for idx, event in enumerate(log.events)
+            if event.kind == "decide"
+        ],
+        registry.state(),
+    )
     if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
         _TEMPLATE_CACHE.clear()
-    _TEMPLATE_CACHE[id(plan)] = (plan, events, positions, state)
-    return events, positions, state
-
-
-def _copy_metrics_state(state: dict) -> dict:
-    return {
-        "counters": dict(state["counters"]),
-        "gauges": dict(state["gauges"]),
-        "histograms": {
-            name: list(values)
-            for name, values in state["histograms"].items()
-        },
-    }
+    _TEMPLATE_CACHE[id(plan)] = (plan, template)
+    return template
 
 
 def _decisions_of(
@@ -387,37 +381,20 @@ def _decisions_of(
     }
 
 
-def _substitute_decide(event: Event, value: Any) -> Event:
-    # Shallow-clone through __dict__ instead of dataclasses.replace or
-    # copy.copy: the template decide event is rebuilt thousands of
-    # times per batch, replace() re-runs the full field-by-field
-    # constructor and copy() goes through __reduce_ex__.  Event is a
-    # frozen non-slots dataclass, so its state is exactly __dict__.
-    substituted = Event.__new__(Event)
-    substituted.__dict__.update(event.__dict__)
-    substituted.__dict__["value"] = value
-    return substituted
-
-
-def _materialize_result(
+def _template_result(
     request: ExecutionRequest,
     plan: GroupPlan,
     decide_values: tuple[Any, ...],
-    request_key: str | None = None,
+    request_key: str,
 ) -> ExecutionResult:
-    events, positions, metrics_state = _templates_for(plan)
-    cell_events = list(events)
-    for position, value in zip(positions, decide_values):
-        cell_events[position] = _substitute_decide(
-            cell_events[position], value
-        )
+    """A kernel cell: the group template plus this cell's decide values.
+    No per-cell event is built until a consumer reads one."""
+    template = template_for(plan)
     return ExecutionResult(
         name=request.name,
-        request_key=(
-            request_key if request_key is not None else request.cache_key()
-        ),
-        events=cell_events,
-        metrics=_copy_metrics_state(metrics_state),
+        request_key=request_key,
+        events=template.fill(decide_values),
+        metrics=template.copy_metrics(),
         decisions=_decisions_of(plan, decide_values),
         latency=plan.latency,
         num_rounds=plan.num_rounds,
@@ -561,7 +538,7 @@ def execute_vector_batch(
             )
             decided = run_value_kernel(plan, values_list, group_domains)
             for index, decide_values in zip(members, decided):
-                results[index] = _materialize_result(
+                results[index] = _template_result(
                     requests[index], plan, decide_values, keys[index]
                 )
     final = [result for result in results if result is not None]

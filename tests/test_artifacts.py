@@ -321,8 +321,9 @@ class TestCacheStats:
         space = _space(2)
         cache = ResultCache(tmp_path / "cache")
         SweepRunner(cache=cache).run(space)
-        victim = next((tmp_path / "cache").glob("*.json"))
-        victim.write_text("{ not json", encoding="utf-8")
+        (shard,) = (tmp_path / "cache").glob("shard-*.jsonl")
+        # Tear the last record, as a writer killed mid-put would.
+        shard.write_bytes(shard.read_bytes()[:-40])
         retry = ResultCache(tmp_path / "cache")
         result = SweepRunner(cache=retry).run(space)
         assert retry.stats.corrupt_evictions == 1

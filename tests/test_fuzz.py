@@ -131,9 +131,9 @@ class TestSeedGoldens:
             "p2@r3(sent=[0, 1, 3]+trans)",
         ]
         assert [r.cache_key() for r in space.requests] == [
-            "05ed7891d6da97f9054a96600f08d9bfacd80d906f432b27d9cecb620808eef8",
-            "fe8e061c8bdddd787555e0492bdf2e2ad59833ba189193b975eb0f79fdf991cf",
-            "f1a46b2c3191beb9b83630d8c510cfcaf0fe542995af3a92f30c69ee0b0911e7",
+            "b3a5c66bb42305fdb5be9a5151e4779c1896cf33b95a788a6962caa97586d341",
+            "52d77edddab7c17bca85318d5ae6b5e5ca26a27e8a298cbd175ce3911c5d8264",
+            "3238b172e16bb2940873c8abc9249ee41fb1c7e97b5bcbb189323f6dcbb747e3",
         ]
 
     def test_fuzz_case_golden(self):
@@ -143,7 +143,7 @@ class TestSeedGoldens:
         assert request.t == 2
         assert request.scenario.describe() == "p0@r2(sent=[1])"
         assert request.cache_key() == (
-            "5d1d733f45c7288319ec8905f3df79d970102cfa3f093951e4244729c94eb886"
+            "f709f35a37592a7375a6b498bdb456b1434d42a3bc8f96a914b1098224cd90b2"
         )
 
     def test_injection_changes_cache_key(self, monkeypatch):
@@ -154,50 +154,64 @@ class TestSeedGoldens:
 
 
 # ---------------------------------------------------------------------------
-# Result cache: corrupt entries are evicted on read
+# Result cache: corrupt records are misses, re-stored cells win
 # ---------------------------------------------------------------------------
 
 
 class TestCacheEviction:
+    """Each damaged store is read by a fresh cache, as a resumed leg's
+    would be (a writer never reads back a shard it is appending to)."""
+
     def _request(self) -> ExecutionRequest:
         return generate_case(0, seed=9, engine="rounds-rs")
 
-    def test_truncated_entry_is_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def _stored(self, tmp_path):
         request = self._request()
-        cache.put(request, execute_request(request))
+        result = execute_request(request)
+        cache = ResultCache(tmp_path)
+        cache.put(request, result)
         assert len(cache) == 1
-        path = cache._path(request.cache_key())
+        (shard,) = tmp_path.glob("shard-*.jsonl")
+        return request, result, shard
+
+    def test_truncated_entry_is_evicted(self, tmp_path):
+        request, _, shard = self._stored(tmp_path)
         # Truncate mid-JSON, as an interrupted writer (or torn disk)
         # would leave it.
-        path.write_text(path.read_text()[: 40], encoding="utf-8")
+        shard.write_bytes(shard.read_bytes()[:140])
+        cache = ResultCache(tmp_path)
         assert cache.get(request) is None
         assert len(cache) == 0
-        assert not path.exists()
+        assert cache.stats.corrupt_evictions == 1
 
     def test_wrong_schema_entry_is_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path)
         request = self._request()
-        path = cache._path(request.cache_key())
-        path.write_text(json.dumps({"foreign": True}), encoding="utf-8")
-        assert cache.get(request) is None
-        assert not path.exists()
+        (tmp_path / "shard-0-foreign.jsonl").write_text(
+            json.dumps({"key": request.cache_key(), "foreign": True}) + "\n",
+            encoding="utf-8",
+        )
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 1  # well-framed, so indexed...
+        assert cache.get(request) is None  # ...but it does not parse as a cell
+        assert len(cache) == 0
+        assert cache.stats.corrupt_evictions == 1
 
     def test_missing_entry_is_a_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get(self._request()) is None
+        assert cache.stats.corrupt_evictions == 0
 
     def test_evicted_slot_is_rewritten(self, tmp_path):
+        request, result, shard = self._stored(tmp_path)
+        shard.write_text("{", encoding="utf-8")
         cache = ResultCache(tmp_path)
-        request = self._request()
-        result = execute_request(request)
-        cache.put(request, result)
-        cache._path(request.cache_key()).write_text("{", encoding="utf-8")
         assert cache.get(request) is None
         cache.put(request, result)
         hit = cache.get(request)
         assert hit is not None and hit.cached
         assert hit.decisions == result.decisions
+        # The next leg reads the re-stored cell, not the damaged one.
+        assert ResultCache(tmp_path).get(request) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,507 @@
+"""The template⊕holes result path, checked against the per-cell reference.
+
+A vector-kernel cell travels from the engine to disk as *(trace
+template, decide values)*; the oracle, the causal summary, the merged
+trace and the result store each do their value-free work once per
+template.  Everything here pins one of those shortcuts to the plain
+per-cell computation it replaced — on materialized events, byte for
+byte — or feeds the packed store the damage a killed writer, a foreign
+process or an old schema would leave behind.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from repro.inject import INJECT_ENV
+from repro.obs import artifacts
+from repro.obs.artifacts import RunDir
+from repro.obs.events import EVENT_KINDS, Event
+from repro.obs.report import causal_cells, summarize_sweep, summary_problems
+from repro.runtime import (
+    ExecutionRequest,
+    ResultCache,
+    SweepRunner,
+    check_cell,
+    run_space,
+    space_by_name,
+)
+from repro.runtime.request import batch_cache_keys
+from repro.runtime.space import vectorized_space
+
+#: Every registered space whose round cells the vector engine can take.
+ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
+
+
+def _space(name, engine="vector", **kwargs):
+    space = space_by_name(name, **kwargs)
+    return vectorized_space(space) if engine == "vector" else space
+
+
+# ---------------------------------------------------------------------------
+# The merged trace: spliced lines vs re-stamped, re-serialized events
+# ---------------------------------------------------------------------------
+
+
+class TestMergedTraceParity:
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    @pytest.mark.parametrize("name", ROUND_SPACES)
+    def test_spliced_lines_equal_the_reference(self, name, engine, tmp_path):
+        space = _space(name, engine)
+        store = str(tmp_path / "store")
+        cold = SweepRunner(cache=store).run(space)
+        served = SweepRunner(cache=store).run(space)
+        assert (cold.executed, served.executed) == (len(space.requests), 0)
+        for sweep in (cold, served):
+            assert list(sweep.merged_jsonl_lines()) == [
+                event.to_json() for event in sweep.merged_events()
+            ]
+        assert list(cold.merged_jsonl_lines()) == list(
+            served.merged_jsonl_lines()
+        )
+
+    def test_write_counts_the_lines_it_wrote(self, tmp_path):
+        sweep = run_space(_space("e10-lambda"))
+        path = tmp_path / "merged.jsonl"
+        count = sweep.write_merged_jsonl(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert count == len(lines) == sum(len(r.events) for r in sweep.results)
+        assert lines == list(sweep.merged_jsonl_lines())
+
+
+class _Opaque:
+    """Not JSON-serializable: reaches the trace through ``default=repr``."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f'<opaque {self.tag} "ts": 0.0>'
+
+
+def _assert_splice(event: Event, ts: float) -> None:
+    prefix, suffix = event.json_parts()
+    assert prefix + float.__repr__(ts) + suffix == replace(event, ts=ts).to_json()
+
+
+def _seeded_value(rng: random.Random, depth: int = 0):
+    choice = rng.randrange(10 if depth < 2 else 7)
+    if choice == 0:
+        return None
+    if choice == 1:
+        return rng.choice([True, False, 0, 1, 1.0, -0.0, 2**70])
+    if choice == 2:
+        return rng.uniform(-1e9, 1e9)
+    if choice == 3:
+        return rng.choice(['"ts": 0.0', '{"ts": 0.0}', "é\n\\", ', "ts": '])
+    if choice == 4:
+        return _Opaque(rng.randrange(5))
+    if choice == 5:
+        return rng.choice([float("inf"), float("nan"), 1e-320])
+    if choice == 6:
+        return rng.randrange(-5, 5)
+    if choice == 7:
+        return [_seeded_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    if choice == 8:
+        return tuple(_seeded_value(rng, depth + 1) for _ in range(rng.randrange(3)))
+    return {
+        rng.choice(["ts", "kind", "a", '"ts": 0.0', "z"]): _seeded_value(rng, depth + 1)
+        for _ in range(rng.randrange(3))
+    }
+
+
+def _seeded_event(rng: random.Random) -> Event:
+    def maybe_int():
+        return rng.choice([None, rng.randrange(0, 9)])
+
+    extra = rng.choice([None, None, {"msg_id": "r1:0>1", "wall_s": rng.random()},
+                        {"ts": 0.0, "nested": {"ts": 0.0}}])
+    return Event(
+        kind=rng.choice(sorted(EVENT_KINDS)),
+        ts=rng.random(),
+        round=maybe_int(),
+        time=maybe_int(),
+        pid=maybe_int(),
+        peer=maybe_int(),
+        value=_seeded_value(rng),
+        extra=extra,
+    )
+
+
+class TestJsonParts:
+    def test_seeded_events_splice_exactly(self):
+        rng = random.Random(20260929)
+        for _ in range(600):
+            event = _seeded_event(rng)
+            for ts in (1.0, float(rng.randrange(1, 10**7)), rng.uniform(0, 1e6)):
+                _assert_splice(event, ts)
+
+    def test_minimal_and_value_only_events(self):
+        _assert_splice(Event(kind="halt", ts=0.0), 3.0)
+        _assert_splice(Event(kind="decide", ts=0.0, value='"ts": 0.0'), 3.0)
+        _assert_splice(Event(kind="decide", ts=0.0, value=0.0, extra={}), 1e22)
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - CI installs hypothesis
+    HAVE_HYPOTHESIS = False
+
+
+if HAVE_HYPOTHESIS:
+    _scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),  # NaN and infinities included: json emits them too
+        st.text(),
+        st.sampled_from(['"ts": 0.0', ', "ts": 1.0}', "ts"]),
+        st.builds(_Opaque, st.integers(0, 3)),
+    )
+    _values = st.recursive(
+        _scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.tuples(inner, inner),
+            st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        ),
+        max_leaves=8,
+    )
+    _small = st.one_of(st.none(), st.integers(0, 12))
+    _events = st.builds(
+        Event,
+        kind=st.sampled_from(sorted(EVENT_KINDS)),
+        ts=st.floats(allow_nan=False),
+        round=_small,
+        time=_small,
+        pid=_small,
+        peer=_small,
+        value=_values,
+        extra=st.one_of(st.none(), st.dictionaries(st.text(max_size=6), _values, max_size=3)),
+    )
+
+    class TestJsonPartsProperty:
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(event=_events, ts=st.floats(allow_nan=False, allow_infinity=False))
+        def test_splice_equals_replace_then_to_json(self, event, ts):
+            _assert_splice(event, ts)
+
+
+# ---------------------------------------------------------------------------
+# The oracle and the causal block: per template vs per cell
+# ---------------------------------------------------------------------------
+
+
+def _assert_template_parity(name: str) -> int:
+    """Check ``name``'s vector sweep both ways; returns the template count."""
+    sweep = run_space(_space(name))
+    plain_events = []
+    templates = set()
+    for request, result in zip(sweep.requests, sweep.results):
+        plain = replace(result, events=list(result.events))
+        assert plain.template is None
+        plain_events.append((request.name, plain.events))
+        if result.template is not None:
+            templates.add(result.template.digest)
+        assert check_cell(request, result) == check_cell(request, plain), request.name
+        assert causal_cells([(request.name, result.events)]) == causal_cells(
+            [(request.name, plain.events)]
+        ), request.name
+    assert causal_cells(
+        (request.name, result.events)
+        for request, result in zip(sweep.requests, sweep.results)
+    ) == causal_cells(plain_events)
+    if name == "oracle-sweep":
+        assert any(
+            request.expect_disagreement and result.template is not None
+            for request, result in zip(sweep.requests, sweep.results)
+        ), "the documented-disagreement cells must ride a template too"
+    return len(templates)
+
+
+class TestPerTemplateAnalyses:
+    @pytest.mark.parametrize("name", ROUND_SPACES)
+    def test_cell_checks_and_causal_block_match_per_cell(self, name):
+        assert _assert_template_parity(name) > 0
+
+    def test_parity_holds_under_a_planted_bug(self, monkeypatch):
+        monkeypatch.setenv(INJECT_ENV, "ss-drop-received")
+        assert _assert_template_parity("oracle-sweep") > 0
+
+    def test_one_causal_summary_per_template(self, monkeypatch):
+        from repro.obs import critical
+
+        calls = []
+        original = critical.causal_summary
+
+        def counting(events, **kwargs):
+            calls.append(len(events))
+            return original(events, **kwargs)
+
+        monkeypatch.setattr(critical, "causal_summary", counting)
+        sweep = run_space(_space("random-rs", count=60, seed=7))
+        for result in sweep.results:  # templates outlive tests; start cold
+            result.template.memo.clear()
+        block = causal_cells(
+            (request.name, result.events)
+            for request, result in zip(sweep.requests, sweep.results)
+        )
+        templates = {id(result.template) for result in sweep.results}
+        assert None not in {result.template for result in sweep.results}
+        assert len(block["cells"]) == 60
+        assert len(calls) == len(templates) < 60
+
+    def test_template_results_hold_no_events_until_read(self):
+        sweep = run_space(_space("random-rs", count=20, seed=7), check=True)
+        assert sweep.checks_ok
+        list(sweep.merged_jsonl_lines())
+        assert all(result.events._filled is None for result in sweep.results)
+        assert sum(len(result.events) for result in sweep.results) == len(
+            sweep.merged_events()
+        )
+
+
+# ---------------------------------------------------------------------------
+# Keys: one hash per request
+# ---------------------------------------------------------------------------
+
+
+class TestKeyMemo:
+    def test_run_dir_sweep_serializes_each_request_at_most_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli.main import main
+
+        calls: Counter = Counter()
+        original = ExecutionRequest.to_dict
+
+        def counting(self):
+            calls[self] += 1
+            return original(self)
+
+        monkeypatch.setattr(ExecutionRequest, "to_dict", counting)
+        argv = ["sweep", "random-rs", "--count", "40", "--seed", "3", "--check",
+                "--engine", "vector", "--run-dir", str(tmp_path / "runs")]
+        assert main(argv) == 0
+        assert "executed 40, cached 0" in capsys.readouterr().out
+        # Only the per-shape splice verification serializes a request.
+        assert 0 < sum(calls.values()) <= 40
+        assert max(calls.values()) == 1
+
+    def test_memo_follows_the_active_injection(self, monkeypatch):
+        request = space_by_name("random-rs", count=1, seed=1).requests[0]
+        clean = request.cache_key()
+        monkeypatch.setenv(INJECT_ENV, "ss-drop-received")
+        injected = request.cache_key()
+        assert injected != clean
+        assert replace(request).cache_key() == injected
+        monkeypatch.delenv(INJECT_ENV)
+        assert request.cache_key() == clean
+
+    def test_batch_keys_seed_the_memo_and_replace_drops_it(self):
+        requests = list(space_by_name("random-rs", count=5, seed=2).requests)
+        keys = batch_cache_keys(requests)
+        assert all("_key_memo" in vars(request) for request in requests)
+        assert keys == [request.cache_key() for request in requests]
+        copy = replace(requests[0], engine="vector")
+        assert "_key_memo" not in vars(copy)
+        assert copy.cache_key() != keys[0]
+        assert copy == replace(requests[0], engine="vector")
+
+
+# ---------------------------------------------------------------------------
+# The packed store under hostile conditions
+# ---------------------------------------------------------------------------
+
+
+def _shards(directory):
+    return sorted(directory.glob("shard-*.jsonl"))
+
+
+class TestPackedStore:
+    def _populated(self, tmp_path, count=5):
+        """A run dir holding one shard; returns (run, space, shard bytes,
+        reference trace)."""
+        space = _space("random-rs", count=count, seed=11)
+        run = RunDir.open(
+            tmp_path / "runs", kind="sweep", name=space.name,
+            identity=sorted(batch_cache_keys(space.requests)),
+        )
+        sweep = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
+        (shard,) = _shards(run.results_dir)
+        return run, space, shard.read_bytes(), list(sweep.merged_jsonl_lines())
+
+    def _resume(self, run, space, data):
+        """One resumed leg over a store holding exactly ``data``."""
+        for shard in _shards(run.results_dir):
+            shard.unlink()
+        (run.results_dir / "shard-0000000000000000-1-damaged.jsonl").write_bytes(data)
+        cache = ResultCache(run.results_dir)
+        before = cache.completed_keys()
+        sweep = SweepRunner(cache=cache).run(space)
+        summary = summarize_sweep(run, sweep, completed_before=before)
+        assert summary_problems(summary) == []
+        return sweep, summary
+
+    def test_cells_cite_their_template_and_stay_small(self, tmp_path):
+        run, space, data, _ = self._populated(tmp_path, count=40)
+        records = [json.loads(line) for line in data.splitlines()]
+        templates = [r for r in records if "key" not in r]
+        cells = [r for r in records if "key" in r]
+        assert len(cells) == 40 and 0 < len(templates) < 40
+        assert all("events" not in cell and "metrics" not in cell for cell in cells)
+        digests = [template["template"] for template in templates]
+        assert len(set(digests)) == len(digests)
+        seen = set()
+        for record in records:  # a template precedes every cell that cites it
+            if "key" in record:
+                assert record["template"] in seen
+            else:
+                seen.add(record["template"])
+        sizes = sorted(
+            len(line) for line in data.splitlines() if line.startswith(b'{"key": ')
+        )
+        assert sizes[len(sizes) // 2] < 500  # the run-wide mean is the ledger's
+
+    def test_inline_events_round_trip_without_a_template(self, tmp_path):
+        space = _space("random-rs", "rounds", count=3, seed=11)
+        cold = SweepRunner(cache=str(tmp_path)).run(space)
+        (shard,) = _shards(tmp_path)
+        records = [json.loads(line) for line in shard.read_text().splitlines()]
+        assert all("events" in r and "template" not in r for r in records)
+        served = SweepRunner(cache=str(tmp_path)).run(space)
+        assert served.executed == 0
+        assert all(result.template is None for result in served.results)
+        assert [r.to_dict() for r in served.results] == [
+            json.loads(json.dumps(r.to_dict(), default=repr)) for r in cold.results
+        ]
+
+    def test_truncation_inside_the_last_cell_record(self, tmp_path):
+        run, space, data, reference = self._populated(tmp_path)
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        assert data[last_start:].startswith(b'{"key": ')
+        for cut in range(last_start, len(data)):
+            sweep, summary = self._resume(run, space, data[:cut])
+            torn = int(cut > last_start)  # cut == start removes it whole
+            assert summary["cache"]["corrupt_evictions"] == torn, cut
+            assert summary["resume"] == {
+                "completed_before": len(space.requests) - 1,
+                "executed": 1,
+                "cached": len(space.requests) - 1,
+                "re_executed": 0,
+            }, cut
+            assert list(sweep.merged_jsonl_lines()) == reference
+
+    def test_truncation_inside_a_template_record(self, tmp_path):
+        run, space, data, reference = self._populated(tmp_path, count=12)
+        lines = data.splitlines(keepends=True)
+        victim = max(
+            index for index, line in enumerate(lines)
+            if line.startswith(b'{"template": ')
+        )
+        assert victim > 0, "need intact cells ahead of the torn template"
+        start = sum(len(line) for line in lines[:victim])
+        intact = sum(line.startswith(b'{"key": ') for line in lines[:victim])
+        for cut in range(start + 1, start + len(lines[victim]), 37):
+            sweep, summary = self._resume(run, space, data[:cut])
+            assert summary["cache"]["corrupt_evictions"] == 1
+            assert summary["resume"]["completed_before"] == intact
+            assert summary["resume"]["cached"] == intact
+            assert summary["resume"]["executed"] == len(space.requests) - intact
+            assert summary["resume"]["re_executed"] == 0
+            assert list(sweep.merged_jsonl_lines()) == reference
+
+    def test_cell_citing_a_missing_template_is_a_miss(self, tmp_path):
+        run, space, data, reference = self._populated(tmp_path)
+        cells_only = b"".join(
+            line for line in data.splitlines(keepends=True)
+            if line.startswith(b'{"key": ')
+        )
+        sweep, summary = self._resume(run, space, cells_only)
+        assert sweep.executed == len(space.requests)
+        assert summary["cache"]["corrupt_evictions"] == len(space.requests)
+        assert list(sweep.merged_jsonl_lines()) == reference
+        # The re-executed cells now sit in a newer shard, with templates.
+        again = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
+        assert again.executed == 0
+        assert list(again.merged_jsonl_lines()) == reference
+
+    def test_junk_lines_are_counted_and_skipped(self, tmp_path):
+        run, space, data, reference = self._populated(tmp_path)
+        junk = b'not json\n{"foreign": true}\n\n[1, 2]\n'
+        sweep, summary = self._resume(run, space, junk + data)
+        assert sweep.executed == 0
+        assert summary["cache"]["corrupt_evictions"] == 3  # blank lines are fine
+        assert list(sweep.merged_jsonl_lines()) == reference
+
+    def test_schema_2_directory_reads_as_empty(self, tmp_path):
+        space = _space("random-rs", count=3, seed=11)
+        results = run_space(space).results
+        for request, result in zip(space.requests, results):
+            (tmp_path / f"{request.cache_key()}.json").write_text(
+                json.dumps(result.to_dict(), sort_keys=True), encoding="utf-8"
+            )
+        cache = ResultCache(tmp_path)
+        assert len(cache) == 0 and cache.completed_keys() == set()
+        assert all(cache.get(request) is None for request in space.requests)
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 3, "stores": 0, "corrupt_evictions": 0,
+        }
+        assert list(cache.results()) == []
+
+    def test_a_leg_that_stores_nothing_writes_nothing(self, tmp_path):
+        run, space, _, _ = self._populated(tmp_path)
+        before = {path: path.stat().st_size for path in _shards(run.results_dir)}
+        warm = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
+        assert warm.executed == 0
+        assert {path: path.stat().st_size for path in _shards(run.results_dir)} == before
+
+    def test_results_lists_the_store_in_key_order(self, tmp_path):
+        run, space, _, _ = self._populated(tmp_path)
+        store = ResultCache(run.results_dir)
+        listed = list(store.results())
+        assert [r.request_key for r in listed] == sorted(store.completed_keys())
+        assert run.completed_keys() == store.completed_keys() == set(
+            batch_cache_keys(space.requests)
+        )
+        assert {r.name for r in listed} == {r.name for r in space.requests}
+
+
+# ---------------------------------------------------------------------------
+# The audit log: one handle per leg, flushed per record
+# ---------------------------------------------------------------------------
+
+
+class TestMetricsHandle:
+    def test_one_open_per_leg_and_every_record_is_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+        real_open = open
+
+        def counting_open(path, mode="r", **kwargs):
+            if mode == "a":
+                opened.append(str(path))
+            return real_open(path, mode, **kwargs)
+
+        run = RunDir.open(tmp_path, kind="sweep", name="audit", identity=["x"])
+        monkeypatch.setattr(artifacts, "open", counting_open, raising=False)
+        for index in range(5):
+            run.record_cell(name=f"cell-{index}", key=f"k{index}", cached=False)
+            # A leg killed right here must have left the record behind.
+            assert len(RunDir.load(run.path).metrics_records()) == index + 1
+        assert opened == [str(run.path / "metrics.jsonl")]
+        run.finalize({"coverage": {}})
+        assert run._metrics is None
+        run.record_line({"t": "late"})  # a later leg-less record reopens
+        run.mark_interrupted()
+        assert run._metrics is None
+        assert len(run.metrics_records()) == 6

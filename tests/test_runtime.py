@@ -386,8 +386,9 @@ def _hammer_same_key(arg):
         decisions={0: (1, 1)},
         latency=1,
         num_rounds=1,
-        # Big enough that a torn (non-atomic) write would truncate
-        # mid-payload and fail to parse on read-back.
+        # Big enough that writers sharing a file (or a reader seeing a
+        # half-written record) would interleave mid-payload and fail to
+        # parse on read-back.
         extra={"writer": tag, "pad": "x" * 200_000},
     )
     ResultCache(str(directory)).put(request, result)
@@ -404,8 +405,10 @@ class TestResultCacheConcurrency:
         )
         cache = ResultCache(str(directory))
         assert len(cache) == 1
-        # No stray temp files: every mkstemp either renamed or unlinked.
-        assert not list(directory.glob(".tmp-*"))
+        # Every writer appended to a shard of its own; nothing else.
+        assert len(list(directory.iterdir())) == len(
+            list(directory.glob("shard-*.jsonl"))
+        ) == 16
         entry = cache.get(_round_request())
         assert entry is not None, "the winning write must parse whole"
         assert entry.extra["writer"] in range(16)
@@ -414,35 +417,35 @@ class TestResultCacheConcurrency:
         assert cache.stats.hits == 1
 
     def test_torn_entry_eviction_surfaces_in_stats(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
+        directory = tmp_path / "cache"
         request = _round_request()
         result = execute_request(request)
-        cache.put(request, result)
-        path = cache._path(request.cache_key())
-        # Simulate a writer killed mid-write: truncate the entry.
-        path.write_text(
-            path.read_text(encoding="utf-8")[:50], encoding="utf-8"
-        )
+        ResultCache(str(directory)).put(request, result)
+        (shard,) = directory.glob("shard-*.jsonl")
+        # Simulate a writer killed mid-write: truncate the record.
+        shard.write_bytes(shard.read_bytes()[:150])
+        cache = ResultCache(str(directory))
         assert cache.get(request) is None
         assert cache.stats.corrupt_evictions == 1
-        assert not path.exists(), "the corpse is evicted, not kept"
-        # The slot re-fills and the tally sticks.
+        assert len(cache) == 0, "the corpse is not counted as an entry"
+        # The slot re-fills (in this leg's own shard) and the tally sticks.
         cache.put(request, result)
         assert cache.get(request) is not None
         assert cache.stats.as_dict() == {
             "hits": 1,
             "misses": 1,
-            "stores": 2,
+            "stores": 1,
             "corrupt_evictions": 1,
         }
+        assert len(list(directory.glob("shard-*.jsonl"))) == 2
 
     def test_eviction_counts_flow_into_sweep_summary(self, tmp_path):
         space = ScenarioSpace.explicit("tiny", [_round_request()])
         cache_dir = str(tmp_path / "cache")
         first = SweepRunner(cache=cache_dir).run(space)
         assert first.cache_stats["corrupt_evictions"] == 0
-        for entry in (tmp_path / "cache").glob("*.json"):
-            entry.write_text("{torn", encoding="utf-8")
+        for shard in (tmp_path / "cache").glob("shard-*.jsonl"):
+            shard.write_text("{torn", encoding="utf-8")
         second = SweepRunner(cache=cache_dir).run(space)
         assert second.cache_stats["corrupt_evictions"] == 1
         assert second.executed == 1  # served as a miss and re-executed
