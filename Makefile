@@ -184,9 +184,10 @@ MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 # The model checker's acceptance gauntlet: exhaustive agreement for A1
 # (the CLI must clamp --t 2 to the algorithm's t=1) with reduced and
 # unreduced frontiers agreeing, the machine-checked Λ(A1) = 1 verdict,
-# the n=4 t=2 FloodSet frontier, and a planted emulation bug the grid
-# checker must refute with a witness that replays (exit 0) under the
-# same injection.
+# the n=4 t=2 and n=5 t=2 FloodSet frontiers, the Section 5.1 witness
+# (EagerFloodSetWS: consensus HOLDS, uniform consensus REFUTED in RWS),
+# and a planted emulation bug the grid checker must refute with a
+# witness that replays (exit 0) under the same injection.
 mc-smoke:
 	rm -rf $(MC_SMOKE_DIR) && mkdir -p $(MC_SMOKE_DIR)
 	PYTHONPATH=src python -m repro mc agreement --algorithm A1 --n 3 --t 2 | \
@@ -197,6 +198,13 @@ mc-smoke:
 		tee /dev/stderr | grep -q "lambda: 1"
 	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 4 \
 		--t 2 --horizon 4 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 5 \
+		--t 2 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc agreement --algorithm eager-floodset-ws \
+		--model RWS | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc uniform-agreement --no-shrink \
+		--algorithm eager-floodset-ws --model RWS | tee /dev/stderr | \
+		grep -q "REFUTED"
 	status=0; REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src \
 		python -m repro mc agreement --algorithm floodset --engine rs_on_ss \
 		--out $(MC_SMOKE_DIR) || status=$$?; test "$$status" -eq 1

@@ -3,7 +3,7 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_PR10.json] [METRICS.jsonl]
+    PYTHONPATH=src python scripts/bench_report.py [-o BENCH_PR13.json] [METRICS.jsonl]
 
 Reads the per-span profiler breakdown the benchmark suite emits (one
 JSON object per span: count/total/mean/max/p95, newer runs also carry
@@ -40,7 +40,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_METRICS = REPO_ROOT / "benchmarks" / "metrics.jsonl"
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
+DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR13.json"
 
 #: Per-span fields copied into the report (missing ones become null).
 FIELDS = ("count", "total_s", "mean_s", "p50_s", "p95_s", "max_s")
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         "-o",
         "--output",
         default=str(DEFAULT_OUTPUT),
-        help="where to write the summary (default: BENCH_PR8.json)",
+        help="where to write the summary (default: BENCH_PR13.json)",
     )
     parser.add_argument(
         "--no-trajectory",

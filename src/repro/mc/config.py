@@ -72,6 +72,25 @@ def value_sort_key(value: Any) -> str:
     return json.dumps(encode_value(value), sort_keys=True)
 
 
+def state_token(
+    state: Any, pid_field: str | None = None
+) -> tuple[str, tuple[int, ...]]:
+    """Encode one process slot as ``(skeleton, pids)``.
+
+    ``skeleton`` is the canonical serialization of the state (``null``
+    for a crashed slot) with its ``pid_field`` — the one field holding
+    a set of process ids, if the state type has one — emptied; ``pids``
+    is that set, sorted.  A pid relabeling moves the skeleton unchanged
+    and rewrites only the hole, so symmetry reduction orders slots by
+    skeleton instead of re-encoding states under every permutation.
+    """
+    if state is None or pid_field is None:
+        return value_sort_key(state), ()
+    pids = tuple(sorted(getattr(state, pid_field)))
+    emptied = dataclasses.replace(state, **{pid_field: frozenset()})
+    return value_sort_key(emptied), pids
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One reachable point of the bounded exploration.

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
-from repro.mc.config import Configuration, canonical_form, value_sort_key
-from repro.mc.symmetry import TRIVIAL, orbit_canonical, symmetry_for
+from repro.mc.config import Configuration, value_sort_key
+from repro.mc.symmetry import orbit_canonical, symmetry_for
 from repro.rounds.scenario import CrashEvent, FailureScenario, PendingMessage
 from repro.runtime.registry import make_algorithm
 
@@ -157,17 +157,12 @@ def explore(
     if horizon < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
     algorithm = make_algorithm(algorithm_key)
-    spec = symmetry_for(algorithm_key) if reduce else TRIVIAL
+    spec = symmetry_for(algorithm_key)
     allow_pending = model == "RWS"
     stats = ExploreStats()
-    visited: set[str] = set()
+    visited: set[tuple] = set()
     leaves: list[Leaf] = []
-
-    def canonical(config: Configuration) -> str:
-        if reduce:
-            form, _rep = orbit_canonical(config, spec)
-            return form
-        return canonical_form(config)
+    tokens: dict = {}
 
     # -- roots ---------------------------------------------------------------
     frontier: list[_Node] = []
@@ -185,7 +180,7 @@ def explore(
             obligations=(),
         )
         if reduce:
-            form = canonical(config)
+            form = orbit_canonical(config, spec, tokens)
             if form in visited:
                 stats.revisit_pruned += 1
                 continue
@@ -214,7 +209,7 @@ def explore(
             ):
                 stats.states_generated += 1
                 if reduce:
-                    form = canonical(successor.config)
+                    form = orbit_canonical(successor.config, spec, tokens)
                     if form in visited:
                         stats.revisit_pruned += 1
                         continue

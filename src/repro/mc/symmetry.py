@@ -1,20 +1,35 @@
-"""Symmetry reduction: orbit-canonical configuration representatives.
+"""Symmetry reduction: orbit-canonical configuration forms.
 
 Two configurations related by a process-id permutation (for algorithms
 whose code is the same at every process) or by a value-domain bijection
 (for algorithms that transport values opaquely) have isomorphic
 futures, and every property the checker evaluates — agreement, uniform
 agreement, validity, termination, latency — is invariant under the
-relabeling.  The checker therefore stores only the *orbit-canonical*
-representative: the lexicographically least canonical form over the
-algorithm's declared symmetry group.
+relabeling.  The checker therefore identifies a configuration with its
+*orbit-canonical form*: the least encoding over the algorithm's
+declared symmetry group, equal for two configurations iff they share
+an orbit.
+
+A pid permutation only moves *slots* — a process's state and its open
+obligation deadline — so each slot is encoded once
+(:func:`repro.mc.config.state_token`) and the form is ``(header,
+skeletons, holes)``, one skeleton and one pid tuple per position, fixed
+pids in place.  A permutation rearranges the movable entries, and the
+lexicographically least arrangement of a sequence is the sorted one: for
+states that name no pids the representative is the movable skeletons
+*sorted*, and no permutation is ever built.  A state that carries a pid
+set (``halt``) splits into a pid-free skeleton plus the pids as a hole.
+Skeletons compare first, so the least form still has them sorted, which
+fixes the permutation up to the order *within* each class of equal
+skeletons; only those ∏|class|! relabelings are enumerated, judged by
+their relabeled holes alone.  Value bijections are an outer loop over
+the |domain|! re-tokenisations.
 
 Soundness is per-algorithm and declared explicitly here:
 
 * The FloodSet family (plain, WS, C_Opt, F_Opt, eager) runs identical
-  code at every process, so the full symmetric group applies; states
-  that name pids (``halt`` / ``last_senders`` sets) are relabeled
-  through the permutation.
+  code at every process, so the full symmetric group applies; the WS
+  variants' ``halt`` sets are relabeled through the permutation.
 * A1 gives p0 and p1 fixed roles, so only pids ``>= 2`` are
   interchangeable.  Its transitions never *order* values (`w` and the
   report payloads are opaque), so A1 is additionally value-symmetric.
@@ -25,43 +40,17 @@ Soundness is per-algorithm and declared explicitly here:
 Algorithms not registered here get the trivial group: canonical state
 hashing still deduplicates exact revisits, only the quotient is
 coarser.  The ``--no-reduce`` twin mode skips this module entirely;
-its verdicts must agree with the reduced run (tested), which is the
-executable soundness argument for every declaration above.
+its verdicts must agree with the reduced run (tested for every entry),
+which is the executable soundness argument for every declaration above.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.mc.config import Configuration, canonical_form, value_sort_key
-
-
-def _identity_state(state: Any, perm: Sequence[int]) -> Any:
-    return state
-
-
-def _relabel_pid_set(state: Any, perm: Sequence[int], field: str) -> Any:
-    pids = getattr(state, field)
-    return replace(state, **{field: frozenset(perm[pid] for pid in pids)})
-
-
-def _halt_relabel(state: Any, perm: Sequence[int]) -> Any:
-    return _relabel_pid_set(state, perm, "halt")
-
-
-def _early_relabel(state: Any, perm: Sequence[int]) -> Any:
-    return _relabel_pid_set(state, perm, "last_senders")
-
-
-def _a1_value_relabel(state: Any, vmap: Mapping[Any, Any]) -> Any:
-    decision = state.decision
-    if decision is not None:
-        decision = vmap.get(decision, decision)
-    return replace(
-        state, w=vmap.get(state.w, state.w), decision=decision
-    )
+from repro.mc.config import Configuration, state_token, value_sort_key
 
 
 @dataclass(frozen=True)
@@ -71,19 +60,17 @@ class SymmetrySpec:
     Attributes:
         movable: Given ``n``, the pids that are interchangeable (they
             are permuted among themselves; every other pid is fixed).
-        relabel_state: Push a pid permutation through one state
-            (``perm[old_pid] -> new_pid``); identity for states that
+        pid_field: The state field holding a frozenset of pids, which a
+            pid permutation must relabel; ``None`` for states that
             never name pids.
-        value_symmetric: Whether arbitrary bijections of the value
-            domain commute with the algorithm.
-        relabel_values: Push a value bijection through one state
-            (required when ``value_symmetric``).
+        value_fields: The state fields holding one opaque value each,
+            for algorithms that commute with every bijection of the
+            value domain; empty when values are ordered or inspected.
     """
 
     movable: Callable[[int], tuple[int, ...]]
-    relabel_state: Callable[[Any, Sequence[int]], Any] = _identity_state
-    value_symmetric: bool = False
-    relabel_values: Callable[[Any, Mapping[Any, Any]], Any] | None = None
+    pid_field: str | None = None
+    value_fields: tuple[str, ...] = ()
 
 
 def _all_pids(n: int) -> tuple[int, ...]:
@@ -97,20 +84,14 @@ def _non_role_pids(n: int) -> tuple[int, ...]:
 #: Algorithm registry key -> declared symmetry.
 SYMMETRIES: dict[str, SymmetrySpec] = {
     "floodset": SymmetrySpec(movable=_all_pids),
-    "floodset-ws": SymmetrySpec(
-        movable=_all_pids, relabel_state=_halt_relabel
-    ),
+    "floodset-ws": SymmetrySpec(movable=_all_pids, pid_field="halt"),
     "c-opt": SymmetrySpec(movable=_all_pids),
-    "c-opt-ws": SymmetrySpec(movable=_all_pids, relabel_state=_halt_relabel),
+    "c-opt-ws": SymmetrySpec(movable=_all_pids, pid_field="halt"),
     "f-opt": SymmetrySpec(movable=_all_pids),
-    "f-opt-ws": SymmetrySpec(movable=_all_pids, relabel_state=_halt_relabel),
-    "eager-floodset-ws": SymmetrySpec(
-        movable=_all_pids, relabel_state=_early_relabel
-    ),
+    "f-opt-ws": SymmetrySpec(movable=_all_pids, pid_field="halt"),
+    "eager-floodset-ws": SymmetrySpec(movable=_all_pids, pid_field="halt"),
     "a1": SymmetrySpec(
-        movable=_non_role_pids,
-        value_symmetric=True,
-        relabel_values=_a1_value_relabel,
+        movable=_non_role_pids, value_fields=("w", "decision")
     ),
 }
 
@@ -123,90 +104,94 @@ def symmetry_for(algorithm_key: str) -> SymmetrySpec:
     return SYMMETRIES.get(algorithm_key, TRIVIAL)
 
 
-def _permutations(spec: SymmetrySpec, n: int):
-    """All pid maps ``perm[old] = new`` of the declared group."""
-    movable = list(spec.movable(n))
-    if len(movable) < 2:
-        yield tuple(range(n))
-        return
-    for images in itertools.permutations(movable):
-        perm = list(range(n))
-        for old, new in zip(movable, images):
-            perm[old] = new
-        yield tuple(perm)
-
-
-def _value_maps(spec: SymmetrySpec, config: Configuration):
-    """All value bijections of the observed domain (identity-first)."""
-    if not spec.value_symmetric:
-        yield None
-        return
+def _value_maps(spec: SymmetrySpec, config: Configuration) -> list:
+    """All value bijections of the observed domain (``None``: no group)."""
+    if not spec.value_fields:
+        return [None]
     domain = sorted(set(config.initial_values), key=value_sort_key)
-    for images in itertools.permutations(domain):
-        yield dict(zip(domain, images))
+    return [
+        dict(zip(domain, images)) for images in itertools.permutations(domain)
+    ]
 
 
-def _apply(
+def _relabeled_holes(
+    skeletons: Sequence[str],
+    holes: Sequence[tuple[int, ...]],
+    movable: Sequence[int],
+    order: Sequence[int],
+) -> Iterator[list[tuple[int, ...]]]:
+    """The holes under every relabeling that leaves the skeletons sorted.
+
+    ``order`` lists the movable pids by skeleton; pids with equal
+    skeletons form a class that fills a fixed block of positions, so
+    the relabelings are exactly the orders within each class.
+    """
+    classes = [
+        tuple(group)
+        for _, group in itertools.groupby(order, key=skeletons.__getitem__)
+    ]
+    for blocks in itertools.product(*map(itertools.permutations, classes)):
+        perm = list(range(len(holes)))
+        for new, old in zip(movable, itertools.chain.from_iterable(blocks)):
+            perm[old] = new
+        relabeled: list[tuple[int, ...]] = [()] * len(holes)
+        for old, pids in enumerate(holes):
+            relabeled[perm[old]] = tuple(sorted([perm[pid] for pid in pids]))
+        yield relabeled
+
+
+def _slot_form(
     config: Configuration,
     spec: SymmetrySpec,
-    perm: Sequence[int],
     vmap: Mapping[Any, Any] | None,
-) -> Configuration:
-    n = config.n
-    states: list[Any] = [None] * n
-    for old in range(n):
-        state = config.states[old]
-        if state is None:
-            continue
-        state = spec.relabel_state(state, perm)
-        if vmap is not None:
-            assert spec.relabel_values is not None
-            state = spec.relabel_values(state, vmap)
-        states[perm[old]] = state
-    decided = config.decided
-    initial_values = config.initial_values
+    tokens: dict,
+) -> tuple:
+    """The least form over the pid permutations, under one value map."""
+    due = {pid: f"@{deadline}" for pid, deadline in config.obligations}
+    skeletons: list[str] = []
+    holes: list[tuple[int, ...]] = []
+    for pid, state in enumerate(config.states):
+        if vmap is not None and state is not None:
+            held = {name: getattr(state, name) for name in spec.value_fields}
+            state = replace(
+                state, **{name: vmap.get(v, v) for name, v in held.items()}
+            )
+        token = tokens.get(state)
+        if token is None:
+            token = tokens[state] = state_token(state, spec.pid_field)
+        skeletons.append(token[0] + due.get(pid, ""))
+        holes.append(token[1])
+
+    movable = spec.movable(config.n)
+    order = sorted(movable, key=skeletons.__getitem__)
+    if any(holes) and len(movable) > 1:
+        holes = min(_relabeled_holes(skeletons, holes, movable, order))
+    arranged = list(skeletons)
+    for new, old in zip(movable, order):
+        arranged[new] = skeletons[old]
+    decided, initial_values = config.decided, config.initial_values
     if vmap is not None:
-        decided = tuple(
-            sorted(
-                (vmap.get(value, value) for value in decided),
-                key=value_sort_key,
-            )
+        decided, initial_values = (
+            sorted((vmap.get(v, v) for v in values), key=value_sort_key)
+            for values in (decided, initial_values)
         )
-        initial_values = tuple(
-            sorted(
-                (vmap.get(value, value) for value in initial_values),
-                key=value_sort_key,
-            )
-        )
-    obligations = tuple(
-        sorted((perm[pid], deadline) for pid, deadline in config.obligations)
-    )
-    return Configuration(
-        round=config.round,
-        states=tuple(states),
-        decided=decided,
-        initial_values=initial_values,
-        obligations=obligations,
-    )
+    header = value_sort_key((config.round, decided, initial_values))
+    return header, tuple(arranged), tuple(holes)
 
 
 def orbit_canonical(
-    config: Configuration, spec: SymmetrySpec
-) -> tuple[str, Configuration]:
-    """``(canonical form, representative)`` over the declared group.
+    config: Configuration, spec: SymmetrySpec, tokens: dict | None = None
+) -> tuple:
+    """The configuration's canonical form over the declared group.
 
-    The representative is the configuration whose canonical JSON form
-    is lexicographically least across every (pid permutation × value
-    bijection) of the group — a deterministic orbit invariant.
+    A complete orbit invariant: two configurations get equal forms iff
+    some (pid permutation × value bijection) of the group maps one to
+    the other.  ``tokens`` memoises state → slot token; pass one dict
+    for the lifetime of an exploration (one spec), or nothing.
     """
-    best_form: str | None = None
-    best_config = config
-    for vmap in _value_maps(spec, config):
-        for perm in _permutations(spec, config.n):
-            candidate = _apply(config, spec, perm, vmap)
-            form = canonical_form(candidate)
-            if best_form is None or form < best_form:
-                best_form = form
-                best_config = candidate
-    assert best_form is not None
-    return best_form, best_config
+    if tokens is None:
+        tokens = {}
+    return min(
+        _slot_form(config, spec, vmap, tokens)
+        for vmap in _value_maps(spec, config)
+    )

@@ -47,9 +47,9 @@ class TestCanonicalization:
         # pid relabeling of an initial configuration lands in the same
         # orbit.
         spec = symmetry_for("floodset")
-        form_a, _ = orbit_canonical(_initial_config("floodset", (0, 1, 1)), spec)
-        form_b, _ = orbit_canonical(_initial_config("floodset", (1, 0, 1)), spec)
-        form_c, _ = orbit_canonical(_initial_config("floodset", (0, 0, 1)), spec)
+        form_a = orbit_canonical(_initial_config("floodset", (0, 1, 1)), spec)
+        form_b = orbit_canonical(_initial_config("floodset", (1, 0, 1)), spec)
+        form_c = orbit_canonical(_initial_config("floodset", (0, 0, 1)), spec)
         assert form_a == form_b
         assert form_a != form_c
 
@@ -58,16 +58,16 @@ class TestCanonicalization:
         # NOT a symmetry, so the assignments (0,1,1) and (1,0,0) — pid
         # relabelings aside — must stay in distinct orbits.
         spec = symmetry_for("floodset")
-        form_a, _ = orbit_canonical(_initial_config("floodset", (0, 1, 1)), spec)
-        form_b, _ = orbit_canonical(_initial_config("floodset", (1, 0, 0)), spec)
+        form_a = orbit_canonical(_initial_config("floodset", (0, 1, 1)), spec)
+        form_b = orbit_canonical(_initial_config("floodset", (1, 0, 0)), spec)
         assert form_a != form_b
 
     def test_a1_is_value_symmetric(self):
         # A1 forwards whatever value pid 0 proposes, so the 0<->1 value
         # flip IS a symmetry and the flipped assignment collapses.
         spec = symmetry_for("a1")
-        form_a, _ = orbit_canonical(_initial_config("a1", (0, 1, 1)), spec)
-        form_b, _ = orbit_canonical(_initial_config("a1", (1, 0, 0)), spec)
+        form_a = orbit_canonical(_initial_config("a1", (0, 1, 1)), spec)
+        form_b = orbit_canonical(_initial_config("a1", (1, 0, 0)), spec)
         assert form_a == form_b
 
     def test_a1_pids_0_and_1_are_fixed(self):
@@ -75,8 +75,8 @@ class TestCanonicalization:
         # are interchangeable, so moving the distinguished value onto
         # pid 1 must NOT collapse with it sitting on pid 2.
         spec = symmetry_for("a1")
-        form_a, _ = orbit_canonical(_initial_config("a1", (0, 1, 0)), spec)
-        form_b, _ = orbit_canonical(_initial_config("a1", (0, 0, 1)), spec)
+        form_a = orbit_canonical(_initial_config("a1", (0, 1, 0)), spec)
+        form_b = orbit_canonical(_initial_config("a1", (0, 0, 1)), spec)
         assert form_a != form_b
 
 
