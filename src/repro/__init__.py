@@ -27,49 +27,52 @@ See ``examples/`` for complete walkthroughs and ``python -m repro
 experiments`` for the full reproduction suite.
 """
 
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    ScheduleError,
-    SynchronyViolation,
-    DetectorViolation,
-    ScenarioError,
-    SpecificationViolation,
-    ExecutionError,
-)
-from repro.failures import FailurePattern, PerfectDetector
-from repro.models import AsynchronousModel, PerfectFDModel, SynchronousModel
-from repro.rounds import (
-    CrashEvent,
-    FailureScenario,
-    PendingMessage,
-    RoundAlgorithm,
-    RoundModel,
-    RoundRun,
-    run_rs,
-    run_rws,
-)
-from repro.consensus import (
-    A1,
-    COptFloodSet,
-    COptFloodSetWS,
-    FloodSet,
-    FloodSetWS,
-    FOptFloodSet,
-    FOptFloodSetWS,
-    check_consensus_run,
-    check_uniform_consensus_run,
-)
-from repro.analysis import (
-    LatencyProfile,
-    latency_profile,
-    verify_algorithm,
-)
-from repro.core import (
-    EXPERIMENTS,
-    ExperimentResult,
-    run_all_experiments,
-    run_experiment,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "errors": (
+            "ReproError",
+            "ConfigurationError",
+            "ScheduleError",
+            "SynchronyViolation",
+            "DetectorViolation",
+            "ScenarioError",
+            "SpecificationViolation",
+            "ExecutionError",
+        ),
+        "failures": ("FailurePattern", "PerfectDetector"),
+        "models": ("AsynchronousModel", "PerfectFDModel", "SynchronousModel"),
+        "rounds": (
+            "CrashEvent",
+            "FailureScenario",
+            "PendingMessage",
+            "RoundAlgorithm",
+            "RoundModel",
+            "RoundRun",
+            "run_rs",
+            "run_rws",
+        ),
+        "consensus": (
+            "A1",
+            "COptFloodSet",
+            "COptFloodSetWS",
+            "FloodSet",
+            "FloodSetWS",
+            "FOptFloodSet",
+            "FOptFloodSetWS",
+            "check_consensus_run",
+            "check_uniform_consensus_run",
+        ),
+        "analysis": ("LatencyProfile", "latency_profile", "verify_algorithm"),
+        "core": (
+            "EXPERIMENTS",
+            "ExperimentResult",
+            "run_all_experiments",
+            "run_experiment",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

@@ -16,30 +16,37 @@ rounds are bounded, so every quantity is computed exactly by exhaustive
 enumeration; randomized exploration covers larger systems.
 """
 
-from repro.analysis.latency import (
-    LatencyProfile,
-    explore_runs,
-    latency_profile,
-    profile_and_verify,
-    verify_algorithm,
-    VerificationReport,
-)
-from repro.analysis.lowerbound import (
-    RoundOneVerdict,
-    refute_round_one_decision,
-    round_one_survey,
-)
-from repro.analysis.summary import SummaryRow, latency_summary_table, format_table
-from repro.analysis.indistinguishability import (
-    Observation,
-    observations,
-    indistinguishable,
-    first_divergence,
-)
-from repro.analysis.timefree import (
-    check_time_free_execution,
-    random_linear_extension,
-    reexecute_with_projections,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "latency": (
+            "LatencyProfile",
+            "explore_runs",
+            "latency_profile",
+            "profile_and_verify",
+            "verify_algorithm",
+            "VerificationReport",
+        ),
+        "lowerbound": (
+            "RoundOneVerdict",
+            "refute_round_one_decision",
+            "round_one_survey",
+        ),
+        "summary": ("SummaryRow", "latency_summary_table", "format_table"),
+        "indistinguishability": (
+            "Observation",
+            "observations",
+            "indistinguishable",
+            "first_divergence",
+        ),
+        "timefree": (
+            "check_time_free_execution",
+            "random_linear_extension",
+            "reexecute_with_projections",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,15 +23,19 @@ which the test suite demonstrates at the broadcast level: a pending
 batch can split the *delivery sequences* of two correct processes.
 """
 
-from repro.broadcast.algorithm import (
-    AtomicBroadcast,
-    AtomicBroadcastWS,
-    BroadcastState,
-    delivered_sequence,
-)
-from repro.broadcast.spec import (
-    BroadcastViolation,
-    check_atomic_broadcast_run,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "algorithm": (
+            "AtomicBroadcast",
+            "AtomicBroadcastWS",
+            "BroadcastState",
+            "delivered_sequence",
+        ),
+        "spec": ("BroadcastViolation", "check_atomic_broadcast_run"),
+    },
 )
 
 __all__ = [

@@ -31,32 +31,64 @@ module under :mod:`repro.cli` and registers itself via ``register``:
 from __future__ import annotations
 
 import argparse
+import os
+import sys
+from importlib import import_module
 from typing import Sequence
 
-from repro.cli import causal as _causal
-from repro.cli import check as _check
-from repro.cli import experiments as _experiments
-from repro.cli import fuzz as _fuzz
-from repro.cli import live as _live
-from repro.cli import mc as _mc
-from repro.cli import report as _report
-from repro.cli import serve as _serve
-from repro.cli import show as _show
-from repro.cli import sweep as _sweep
-from repro.cli import trace as _trace
+from repro._lazy import lazy_exports
 
 # Backward-compatible re-exports: the shared CLI vocabulary moved to
 # repro.cli.common, but callers (and tests) import it from here.
-from repro.cli.common import (  # noqa: F401
-    ALGORITHMS,
-    EXPECTED_DISAGREEMENT,
-    NON_CONSENSUS_VALUES,
-    SCENARIO_ALIASES,
-    SCENARIOS,
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "common": (
+            "ALGORITHMS",
+            "EXPECTED_DISAGREEMENT",
+            "NON_CONSENSUS_VALUES",
+            "SCENARIO_ALIASES",
+            "SCENARIOS",
+        ),
+    },
 )
 
+#: Every command and the ``repro.cli`` module that owns it, in ``--help``
+#: order.  Start-up stays proportional to the command because only the
+#: owner of ``argv[0]`` is imported; the command modules themselves keep
+#: their imports at module level (the benchmark tracer binds to them).
+COMMANDS = {
+    "experiments": "experiments",
+    "summary": "experiments",
+    "sdd": "experiments",
+    "commit": "experiments",
+    "latency": "experiments",
+    "show": "show",
+    "trace": "trace",
+    "metrics": "trace",
+    "check": "check",
+    "replay": "check",
+    "diff": "check",
+    "sweep": "sweep",
+    "serve": "serve",
+    "work": "serve",
+    "fuzz": "fuzz",
+    "mc": "mc",
+    "live": "live",
+    "report": "report",
+    "top": "report",
+    "causal": "causal",
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with ``command``'s owner module registered.
+
+    Without a known ``command`` every module registers, so ``--help``
+    and the ``invalid choice`` error describe all twenty.  With one,
+    the others are bare name-only parsers: usage and error lines read
+    the same as with every module loaded.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -65,25 +97,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in (
-        _experiments,
-        _show,
-        _trace,
-        _check,
-        _sweep,
-        _serve,
-        _fuzz,
-        _mc,
-        _live,
-        _report,
-        _causal,
-    ):
-        module.register(sub)
+    owner = COMMANDS.get(command)
+    for name, module in COMMANDS.items():
+        if owner not in (None, module):
+            sub.add_parser(name)
+        elif name not in sub.choices:
+            import_module(f"repro.cli.{module}").register(sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head -1``).  Point
+        # stdout at devnull so the interpreter's exit-time flush cannot
+        # raise a second time, and exit non-zero quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

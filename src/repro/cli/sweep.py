@@ -23,7 +23,6 @@ from repro.obs.report import summarize_sweep
 from repro.runtime import ResultCache, SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime.request import batch_cache_keys
 from repro.runtime.space import vectorized_space
-from repro.vector import backend_name
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -44,6 +43,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.engine == "vector":
+        # Imported here: naming the backend loads numpy, which a rounds
+        # sweep never needs.
+        from repro.vector.backend import backend_name
+
         space = vectorized_space(space)
         print(f"vector engine: {backend_name()} backend")
 

@@ -29,19 +29,26 @@ Algorithms:
 * :class:`TwoPhaseCommit` — the classical blocking baseline.
 """
 
-from repro.commit.spec import (
-    COMMIT,
-    ABORT,
-    check_nbac_run,
-    check_commit_obligation,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "spec": (
+            "COMMIT",
+            "ABORT",
+            "check_nbac_run",
+            "check_commit_obligation",
+        ),
+        "algorithms": (
+            "SynchronousCommit",
+            "PerfectFDCommit",
+            "OptimisticFDCommit",
+            "TwoPhaseCommit",
+        ),
+        "rates": ("CommitRateReport", "commit_rate", "compare_commit_rates"),
+    },
 )
-from repro.commit.algorithms import (
-    SynchronousCommit,
-    PerfectFDCommit,
-    OptimisticFDCommit,
-    TwoPhaseCommit,
-)
-from repro.commit.rates import CommitRateReport, commit_rate, compare_commit_rates
 
 __all__ = [
     "COMMIT",

@@ -18,26 +18,33 @@ Contents map directly onto the paper's figures:
   consensus gap (Section 5.1's remark).
 """
 
-from repro.consensus.spec import (
-    SpecViolation,
-    check_consensus_run,
-    check_uniform_consensus_run,
-    check_many,
-)
-from repro.consensus.floodset import FloodSet, FloodSetWS
-from repro.consensus.opt import COptFloodSet, COptFloodSetWS
-from repro.consensus.fopt import FOptFloodSet, FOptFloodSetWS
-from repro.consensus.a1 import A1
-from repro.consensus.early import (
-    EarlyDecidingConsensus,
-    EarlyDecidingUniformFloodSet,
-    EagerFloodSetWS,
-)
-from repro.consensus.interactive import (
-    InteractiveConsistency,
-    InteractiveConsistencyWS,
-    check_interactive_consistency_run,
-    consensus_from_vector,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "spec": (
+            "SpecViolation",
+            "check_consensus_run",
+            "check_uniform_consensus_run",
+            "check_many",
+        ),
+        "floodset": ("FloodSet", "FloodSetWS"),
+        "opt": ("COptFloodSet", "COptFloodSetWS"),
+        "fopt": ("FOptFloodSet", "FOptFloodSetWS"),
+        "a1": ("A1",),
+        "early": (
+            "EarlyDecidingConsensus",
+            "EarlyDecidingUniformFloodSet",
+            "EagerFloodSetWS",
+        ),
+        "interactive": (
+            "InteractiveConsistency",
+            "InteractiveConsistencyWS",
+            "check_interactive_consistency_run",
+            "consensus_from_vector",
+        ),
+    },
 )
 
 __all__ = [

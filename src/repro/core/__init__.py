@@ -8,18 +8,21 @@ interface (``python -m repro``), the benchmark suite and EXPERIMENTS.md
 all draw from this single source.
 """
 
-from repro.core.experiments import (
-    ExperimentResult,
-    EXPERIMENTS,
-    run_experiment,
-    run_all_experiments,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "experiments": (
+            "ExperimentResult",
+            "EXPERIMENTS",
+            "run_experiment",
+            "run_all_experiments",
+        ),
+        "extensions": ("EXTENSIONS", "run_extension", "run_all_extensions"),
+        "report": ("generate_report", "write_report"),
+    },
 )
-from repro.core.extensions import (
-    EXTENSIONS,
-    run_extension,
-    run_all_extensions,
-)
-from repro.core.report import generate_report, write_report
 
 __all__ = [
     "ExperimentResult",

@@ -16,20 +16,27 @@ emulations on the step kernel, making the tie executable:
   synchrony* (Lemma 4.1).
 """
 
-from repro.emulation.rs_on_ss import (
-    RoundOnSSAutomaton,
-    round_deadlines,
-    emulate_rs_on_ss,
-    EmulatedRoundTrace,
-    check_emulated_round_synchrony,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "rs_on_ss": (
+            "RoundOnSSAutomaton",
+            "round_deadlines",
+            "emulate_rs_on_ss",
+            "EmulatedRoundTrace",
+            "check_emulated_round_synchrony",
+        ),
+        "rws_on_sp": (
+            "RoundOnSPAutomaton",
+            "emulate_rws_on_sp",
+            "check_emulated_weak_round_synchrony",
+            "count_pending_messages",
+        ),
+        "induce": ("induced_scenario",),
+    },
 )
-from repro.emulation.rws_on_sp import (
-    RoundOnSPAutomaton,
-    emulate_rws_on_sp,
-    check_emulated_weak_round_synchrony,
-    count_pending_messages,
-)
-from repro.emulation.induce import induced_scenario
 
 __all__ = [
     "RoundOnSSAutomaton",

@@ -9,51 +9,58 @@ defines the SP model.  Also provides the timeout-based implementation of
 paper's Section 3).
 """
 
-from repro.failures.pattern import FailurePattern
-from repro.failures.history import (
-    FailureDetectorHistory,
-    TableHistory,
-    FunctionHistory,
-    ConstantHistory,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "pattern": ("FailurePattern",),
+        "history": (
+            "FailureDetectorHistory",
+            "TableHistory",
+            "FunctionHistory",
+            "ConstantHistory",
+        ),
+        "detectors": (
+            "FailureDetector",
+            "PerfectDetector",
+            "EventuallyPerfectDetector",
+            "StrongDetector",
+            "EventuallyStrongDetector",
+            "WeakDetector",
+            "EventuallyWeakDetector",
+            "QuasiDetector",
+            "EventuallyQuasiDetector",
+            "DETECTOR_CLASSES",
+        ),
+        "properties": (
+            "check_strong_completeness",
+            "check_weak_completeness",
+            "check_strong_accuracy",
+            "check_weak_accuracy",
+            "check_eventual_strong_accuracy",
+            "check_eventual_weak_accuracy",
+            "classify_history",
+            "PropertyReport",
+        ),
+        "generators": (
+            "crash_free",
+            "initially_dead",
+            "single_crash",
+            "random_pattern",
+            "all_patterns",
+        ),
+        "timeout_p": (
+            "TimeoutDetectorState",
+            "TimeoutPerfectDetector",
+            "detection_threshold",
+            "history_from_run",
+            "detection_delays",
+        ),
+        "reduction": ("CompletenessReduction", "ReductionState"),
+        "timeout_ep": ("AdaptiveDetectorState", "AdaptiveTimeoutDetector"),
+    },
 )
-from repro.failures.detectors import (
-    FailureDetector,
-    PerfectDetector,
-    EventuallyPerfectDetector,
-    StrongDetector,
-    EventuallyStrongDetector,
-    WeakDetector,
-    EventuallyWeakDetector,
-    QuasiDetector,
-    EventuallyQuasiDetector,
-    DETECTOR_CLASSES,
-)
-from repro.failures.properties import (
-    check_strong_completeness,
-    check_weak_completeness,
-    check_strong_accuracy,
-    check_weak_accuracy,
-    check_eventual_strong_accuracy,
-    check_eventual_weak_accuracy,
-    classify_history,
-    PropertyReport,
-)
-from repro.failures.generators import (
-    crash_free,
-    initially_dead,
-    single_crash,
-    random_pattern,
-    all_patterns,
-)
-from repro.failures.timeout_p import (
-    TimeoutDetectorState,
-    TimeoutPerfectDetector,
-    detection_threshold,
-    history_from_run,
-    detection_delays,
-)
-from repro.failures.reduction import CompletenessReduction, ReductionState
-from repro.failures.timeout_ep import AdaptiveDetectorState, AdaptiveTimeoutDetector
 
 __all__ = [
     "FailurePattern",

@@ -18,34 +18,45 @@ central claim is that these agree.  This package makes that claim a
   and replayable counterexample JSON.
 """
 
-from repro.fuzz.campaign import (
-    Counterexample,
-    FuzzReport,
-    generate_cases,
-    load_counterexample,
-    resolve_engines,
-    run_campaign,
-)
-from repro.fuzz.oracles import (
-    OracleFailure,
-    case_failures,
-    check_oracle,
-    replay_oracle,
-    run_case,
-    twin_oracle,
-    twin_request,
-)
-from repro.fuzz.shrink import ShrinkResult, shrink, shrink_moves
-from repro.fuzz.strategies import (
-    FUZZ_ENGINES,
-    LIVE_FUZZ_ENGINE,
-    SAFE_ALGORITHMS,
-    VECTOR_FUZZ_ENGINES,
-    case_rng,
-    generate_case,
-    generate_pattern,
-    generate_scenario,
-    generate_values,
+from repro._lazy import lazy_exports
+
+# Bound eagerly: the submodule of the same name would shadow a lazy
+# ``shrink`` as soon as anything imported it (see repro._lazy).
+from repro.fuzz.shrink import shrink
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "campaign": (
+            "Counterexample",
+            "FuzzReport",
+            "generate_cases",
+            "load_counterexample",
+            "resolve_engines",
+            "run_campaign",
+        ),
+        "oracles": (
+            "OracleFailure",
+            "case_failures",
+            "check_oracle",
+            "replay_oracle",
+            "run_case",
+            "twin_oracle",
+            "twin_request",
+        ),
+        "shrink": ("ShrinkResult", "shrink_moves"),
+        "strategies": (
+            "FUZZ_ENGINES",
+            "LIVE_FUZZ_ENGINE",
+            "SAFE_ALGORITHMS",
+            "VECTOR_FUZZ_ENGINES",
+            "case_rng",
+            "generate_case",
+            "generate_pattern",
+            "generate_scenario",
+            "generate_values",
+        ),
+    },
 )
 
 __all__ = [

@@ -53,11 +53,7 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, SweepRunner
-from repro.serialize import scenario_from_dict
-
-#: File format marker of emitted counterexamples.
-REPRO_KIND = "fuzz-counterexample"
-REPRO_SCHEMA = 1
+from repro.serialize import REPRO_KIND, REPRO_SCHEMA, scenario_from_dict
 
 #: Cells sampled for the batch parity oracles (kept small: every cell
 #: in the sample is re-executed twice more).

@@ -20,20 +20,31 @@ directories, the vector engine's batching, and the ``repro serve``
 shard fabric.
 """
 
-from repro.mc.checker import McOutcome, McTask, check, still_fails_for
-from repro.mc.config import Configuration, canonical_form, canonical_key
-from repro.mc.explore import ExploreStats, Exploration, Leaf, explore
-from repro.mc.fixtures import classify_sdd_quadruple, sdd_fixture_names
-from repro.mc.properties import PROPERTIES, evaluate_property
-from repro.mc.space import (
-    frontier_space,
-    load_frontier,
-    mc_space_from_spec,
-    save_frontier,
-    spec_for_task,
+from repro._lazy import lazy_exports
+
+# Bound eagerly: the submodule of the same name would shadow a lazy
+# ``explore`` as soon as anything imported it (see repro._lazy).
+from repro.mc.explore import explore
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "checker": ("McOutcome", "McTask", "check", "still_fails_for"),
+        "config": ("Configuration", "canonical_form", "canonical_key"),
+        "explore": ("ExploreStats", "Exploration", "Leaf"),
+        "fixtures": ("classify_sdd_quadruple", "sdd_fixture_names"),
+        "properties": ("PROPERTIES", "evaluate_property"),
+        "space": (
+            "frontier_space",
+            "load_frontier",
+            "mc_space_from_spec",
+            "save_frontier",
+            "spec_for_task",
+        ),
+        "symmetry": ("SYMMETRIES", "symmetry_for"),
+        "verdict": ("Verdict", "witness_document"),
+    },
 )
-from repro.mc.symmetry import SYMMETRIES, symmetry_for
-from repro.mc.verdict import Verdict, witness_document
 
 __all__ = [
     "Configuration",

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-from repro.fuzz.campaign import REPRO_KIND, REPRO_SCHEMA
 from repro.inject import active_injection
 from repro.runtime.request import ExecutionRequest
+from repro.serialize import REPRO_KIND, REPRO_SCHEMA
 
 #: Verdict file format marker.
 VERDICT_KIND = "mc-verdict"

@@ -14,20 +14,27 @@ synchrony (Δ) — are stated purely on schedule indices, exactly as in
 the paper (after Dolev–Dwork–Stockmeyer), never on wall-clock time.
 """
 
-from repro.models.base import SystemModel
-from repro.models.asynchronous import AsynchronousModel, check_admissible_prefix
-from repro.models.ss import (
-    SynchronousModel,
-    SSScheduler,
-    check_process_synchrony,
-    check_message_synchrony,
-    validate_ss_run,
-)
-from repro.models.sp import PerfectFDModel, validate_sp_run
-from repro.models.partial_synchrony import (
-    PartiallySynchronousModel,
-    GSTScheduler,
-    validate_post_gst,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "base": ("SystemModel",),
+        "asynchronous": ("AsynchronousModel", "check_admissible_prefix"),
+        "ss": (
+            "SynchronousModel",
+            "SSScheduler",
+            "check_process_synchrony",
+            "check_message_synchrony",
+            "validate_ss_run",
+        ),
+        "sp": ("PerfectFDModel", "validate_sp_run"),
+        "partial_synchrony": (
+            "PartiallySynchronousModel",
+            "GSTScheduler",
+            "validate_post_gst",
+        ),
+    },
 )
 
 __all__ = [

@@ -46,103 +46,105 @@ catalogue, and a worked example mapping a trace back to the paper's
 run notation.
 """
 
-from repro.obs.artifacts import (
-    RUN_SCHEMA,
-    RunDir,
-    SLOConfig,
-    compute_run_id,
-    evaluate_slos,
-    git_provenance,
-    identity_for_requests,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "artifacts": (
+            "RUN_SCHEMA",
+            "RunDir",
+            "SLOConfig",
+            "compute_run_id",
+            "evaluate_slos",
+            "git_provenance",
+            "identity_for_requests",
+        ),
+        "causal": (
+            "CausalEdge",
+            "CausalGraph",
+            "CausalObserver",
+            "annotate",
+            "cone_signature",
+            "cones_indistinguishable",
+            "round_msg_id",
+        ),
+        "critical": (
+            "DecisionPath",
+            "Leg",
+            "SuspicionReport",
+            "attribute_decision",
+            "causal_summary",
+            "critical_paths",
+            "is_round_trace",
+            "suspicion_forensics",
+            "verify_round_paths",
+        ),
+        "events": (
+            "EVENT_KINDS",
+            "CompositeObserver",
+            "Event",
+            "EventLog",
+            "Observer",
+            "clock_kind",
+            "events_from_jsonl_lines",
+            "logical_clock",
+        ),
+        "check": (
+            "CheckReport",
+            "ConsensusChecker",
+            "DetectorAccuracyChecker",
+            "DetectorCompletenessChecker",
+            "OrderingChecker",
+            "RoundSynchronyChecker",
+            "TraceChecker",
+            "Violation",
+            "WeakRoundSynchronyChecker",
+            "check_events",
+            "default_checkers",
+            "ordering_problems",
+            "run_checkers",
+        ),
+        "diff": (
+            "Divergence",
+            "TraceDiff",
+            "diff_traces",
+            "first_divergence",
+            "indistinguishable",
+            "local_view",
+            "view_divergence",
+        ),
+        "metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsObserver",
+            "MetricsRegistry",
+        ),
+        "profile": ("Profiler", "get_profiler", "profiled", "set_profiler"),
+        "progress": ("ProgressReporter", "latest_progress"),
+        "report": (
+            "causal_cells",
+            "find_run_dir",
+            "merge_span_snapshots",
+            "percentile_summary",
+            "render_report",
+            "render_top",
+            "report_json",
+            "summarize_fuzz",
+            "summarize_live",
+            "summarize_sweep",
+            "summary_problems",
+        ),
+        "replay": (
+            "ReplayReport",
+            "infer_model",
+            "reconstruct_scenario",
+            "replay_events",
+        ),
+        "schema": ("validate_event_dict", "validate_jsonl_lines"),
+    },
 )
-from repro.obs.causal import (
-    CausalEdge,
-    CausalGraph,
-    CausalObserver,
-    annotate,
-    cone_signature,
-    cones_indistinguishable,
-    round_msg_id,
-)
-from repro.obs.critical import (
-    DecisionPath,
-    Leg,
-    SuspicionReport,
-    attribute_decision,
-    causal_summary,
-    critical_paths,
-    is_round_trace,
-    suspicion_forensics,
-    verify_round_paths,
-)
-from repro.obs.events import (
-    EVENT_KINDS,
-    CompositeObserver,
-    Event,
-    EventLog,
-    Observer,
-    clock_kind,
-    events_from_jsonl_lines,
-    logical_clock,
-)
-from repro.obs.check import (
-    CheckReport,
-    ConsensusChecker,
-    DetectorAccuracyChecker,
-    DetectorCompletenessChecker,
-    OrderingChecker,
-    RoundSynchronyChecker,
-    TraceChecker,
-    Violation,
-    WeakRoundSynchronyChecker,
-    check_events,
-    default_checkers,
-    ordering_problems,
-    run_checkers,
-)
-from repro.obs.diff import (
-    Divergence,
-    TraceDiff,
-    diff_traces,
-    first_divergence,
-    indistinguishable,
-    local_view,
-    view_divergence,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsObserver,
-    MetricsRegistry,
-)
-from repro.obs.profile import (
-    Profiler,
-    get_profiler,
-    profiled,
-    set_profiler,
-)
-from repro.obs.progress import ProgressReporter, latest_progress
-from repro.obs.report import (
-    causal_cells,
-    find_run_dir,
-    merge_span_snapshots,
-    percentile_summary,
-    render_report,
-    render_top,
-    report_json,
-    summarize_fuzz,
-    summarize_live,
-    summarize_sweep,
-    summary_problems,
-)
-from repro.obs.replay import (
-    ReplayReport,
-    infer_model,
-    reconstruct_scenario,
-    replay_events,
-)
-from repro.obs.schema import validate_event_dict, validate_jsonl_lines
 
 __all__ = [
     "RUN_SCHEMA",

@@ -21,33 +21,37 @@ exhaustive exploration — and hence mechanical reproduction of the
 paper's latency claims — possible.
 """
 
-from repro.rounds.algorithm import RoundAlgorithm, broadcast
-from repro.rounds.scenario import (
-    CrashEvent,
-    FailureScenario,
-    PendingMessage,
-    validate_scenario,
-)
-from repro.rounds.executor import (
-    RoundModel,
-    RoundRecord,
-    RoundRun,
-    execute,
-    run_rs,
-    run_rws,
-)
-from repro.rounds.validators import (
-    check_round_synchrony,
-    check_weak_round_synchrony,
-)
-from repro.rounds.enumeration import (
-    all_crash_events,
-    all_scenarios,
-    all_value_assignments,
-    canonical_scenarios,
-    expected_scenario_count,
-    random_scenario,
-    relabel_scenario,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "algorithm": ("RoundAlgorithm", "broadcast"),
+        "scenario": (
+            "CrashEvent",
+            "FailureScenario",
+            "PendingMessage",
+            "validate_scenario",
+        ),
+        "executor": (
+            "RoundModel",
+            "RoundRecord",
+            "RoundRun",
+            "execute",
+            "run_rs",
+            "run_rws",
+        ),
+        "validators": ("check_round_synchrony", "check_weak_round_synchrony"),
+        "enumeration": (
+            "all_crash_events",
+            "all_scenarios",
+            "all_value_assignments",
+            "canonical_scenarios",
+            "expected_scenario_count",
+            "random_scenario",
+            "relabel_scenario",
+        ),
+    },
 )
 
 __all__ = [

@@ -29,47 +29,54 @@ the harness protocol and inherits sweeps, caching, merging and
 checking for free.
 """
 
-from repro.runtime.cache import CacheStats, ResultCache
-from repro.runtime.harness import (
-    HARNESSES,
-    Harness,
-    RoundHarness,
-    SPEmulationHarness,
-    SSEmulationHarness,
-    VectorHarness,
-    execute_batch,
-    execute_request,
-    harness_for,
-)
-from repro.runtime.pool import default_jobs, parallel_map
-from repro.runtime.registry import (
-    ALGORITHM_FACTORIES,
-    VECTOR_KERNELS,
-    has_vector_kernel,
-    make_algorithm,
-)
-from repro.runtime.request import (
-    CACHE_SCHEMA_VERSION,
-    ENGINES,
-    ExecutionRequest,
-    ExecutionResult,
-)
-from repro.runtime.space import (
-    SCENARIO_BUILDERS,
-    SPACE_FACTORIES,
-    ScenarioSpace,
-    derived_seed,
-    e10_lambda_space,
-    oracle_sweep_space,
-    random_space,
-    space_by_name,
-)
-from repro.runtime.sweep import (
-    CellCheck,
-    SweepResult,
-    SweepRunner,
-    check_cell,
-    run_space,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cache": ("CacheStats", "ResultCache"),
+        "harness": (
+            "HARNESSES",
+            "Harness",
+            "RoundHarness",
+            "SPEmulationHarness",
+            "SSEmulationHarness",
+            "VectorHarness",
+            "execute_batch",
+            "execute_request",
+            "harness_for",
+        ),
+        "pool": ("default_jobs", "parallel_map"),
+        "registry": (
+            "ALGORITHM_FACTORIES",
+            "VECTOR_KERNELS",
+            "has_vector_kernel",
+            "make_algorithm",
+        ),
+        "request": (
+            "CACHE_SCHEMA_VERSION",
+            "ENGINES",
+            "ExecutionRequest",
+            "ExecutionResult",
+        ),
+        "space": (
+            "SCENARIO_BUILDERS",
+            "SPACE_FACTORIES",
+            "ScenarioSpace",
+            "derived_seed",
+            "e10_lambda_space",
+            "oracle_sweep_space",
+            "random_space",
+            "space_by_name",
+        ),
+        "sweep": (
+            "CellCheck",
+            "SweepResult",
+            "SweepRunner",
+            "check_cell",
+            "run_space",
+        ),
+    },
 )
 
 __all__ = [

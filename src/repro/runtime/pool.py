@@ -9,9 +9,11 @@ in outputs, only in wall-clock time.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    import multiprocessing.context
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -24,6 +26,9 @@ def default_jobs() -> int:
 
 def _context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (cheap, inherits imports); fall back otherwise."""
+    # Imported here: the serial path (``jobs=1``) never needs a pool.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else None

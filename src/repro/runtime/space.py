@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -87,12 +88,11 @@ class ScenarioSpace:
     requests: tuple[ExecutionRequest, ...]
 
     def __post_init__(self) -> None:
-        names = [request.name for request in self.requests]
-        duplicates = {n for n in names if names.count(n) > 1}
-        if duplicates:
+        counts = Counter(request.name for request in self.requests)
+        if len(counts) < len(self.requests):
+            duplicates = sorted(n for n, c in counts.items() if c > 1)
             raise ConfigurationError(
-                f"space {self.name!r} has duplicate cell names: "
-                f"{sorted(duplicates)}"
+                f"space {self.name!r} has duplicate cell names: {duplicates}"
             )
 
     def __len__(self) -> int:

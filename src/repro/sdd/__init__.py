@@ -16,17 +16,24 @@ mechanised as a run-quadruple refuter in
 :mod:`repro.sdd.impossibility`).
 """
 
-from repro.sdd.spec import SDDVerdict, check_sdd_run, sdd_decision
-from repro.sdd.ss_algorithm import SDDSender, SDDReceiverSS, solve_sdd_ss
-from repro.sdd.impossibility import (
-    QUADRUPLE,
-    SDDRefutation,
-    refute_sdd_candidate,
-    sdd_quadruple_traces,
-    TimeoutReceiverSP,
-    SuspicionReceiverSP,
-    PatientReceiverSP,
-    SP_CANDIDATE_FACTORIES,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "spec": ("SDDVerdict", "check_sdd_run", "sdd_decision"),
+        "ss_algorithm": ("SDDSender", "SDDReceiverSS", "solve_sdd_ss"),
+        "impossibility": (
+            "QUADRUPLE",
+            "SDDRefutation",
+            "refute_sdd_candidate",
+            "sdd_quadruple_traces",
+            "TimeoutReceiverSP",
+            "SuspicionReceiverSP",
+            "PatientReceiverSP",
+            "SP_CANDIDATE_FACTORIES",
+        ),
+    },
 )
 
 __all__ = [

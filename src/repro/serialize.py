@@ -1,8 +1,11 @@
-"""JSON round-trips for the library's report and adversary objects.
+"""JSON round-trips for the library's adversary objects.
 
-Experiments produce scenarios, latency profiles and experiment results
-that users want to archive, diff across versions, or feed to plotting
-tools; this module gives them stable JSON forms.
+Scenarios and failure patterns travel inside execution requests, cache
+records and counterexample files, so every engine imports this module:
+it is a leaf over the scenario and pattern types.  The codecs for the
+*report* objects (latency profiles, experiment results, commit rates)
+live with the reports in :mod:`repro.core.report` and are still served
+from here by name.
 
 Only *data* objects are serialised.  Runs and histories are deliberately
 excluded: they embed arbitrary application payloads and (for histories)
@@ -15,12 +18,28 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.analysis.latency import LatencyProfile
-from repro.commit.rates import CommitRateReport
-from repro.core.experiments import ExperimentResult
+from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
 from repro.rounds.scenario import CrashEvent, FailureScenario, PendingMessage
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "core.report": (
+            "profile_to_dict",
+            "profile_from_dict",
+            "result_to_dict",
+            "result_from_dict",
+            "commit_report_to_dict",
+        ),
+    },
+)
+
+#: Format marker of a replayable counterexample file: what ``repro fuzz
+#: --out`` and ``repro mc --out`` write and ``repro replay --repro`` reads.
+REPRO_KIND = "fuzz-counterexample"
+REPRO_SCHEMA = 1
 
 
 # -- failure scenarios --------------------------------------------------------
@@ -116,94 +135,3 @@ def pattern_from_dict(data: dict[str, Any]) -> FailurePattern:
         raise ConfigurationError(
             f"pattern dict is missing the {missing} field"
         ) from None
-
-
-# -- latency profiles ----------------------------------------------------------
-
-
-def profile_to_dict(profile: LatencyProfile) -> dict[str, Any]:
-    """JSON-ready form of a latency profile.
-
-    Configuration keys (value tuples) become string keys, since JSON
-    objects cannot be keyed by arrays.
-    """
-    return {
-        "algorithm": profile.algorithm,
-        "model": profile.model,
-        "n": profile.n,
-        "t": profile.t,
-        "lat": profile.lat,
-        "Lat": profile.Lat,
-        "Lambda": profile.Lambda,
-        "Lat_by_failures": {
-            str(f): v for f, v in sorted(profile.Lat_by_failures.items())
-        },
-        "lat_by_config": {
-            json.dumps(list(config)): latency
-            for config, latency in sorted(profile.lat_by_config.items())
-        },
-        "runs_explored": profile.runs_explored,
-    }
-
-
-def profile_from_dict(data: dict[str, Any]) -> LatencyProfile:
-    return LatencyProfile(
-        algorithm=data["algorithm"],
-        model=data["model"],
-        n=data["n"],
-        t=data["t"],
-        lat=data["lat"],
-        Lat=data["Lat"],
-        Lambda=data["Lambda"],
-        Lat_by_failures={
-            int(f): v for f, v in data["Lat_by_failures"].items()
-        },
-        lat_by_config={
-            tuple(json.loads(config)): latency
-            for config, latency in data["lat_by_config"].items()
-        },
-        runs_explored=data["runs_explored"],
-    )
-
-
-# -- experiment results ---------------------------------------------------------
-
-
-def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
-    return {
-        "exp_id": result.exp_id,
-        "title": result.title,
-        "paper_claim": result.paper_claim,
-        "measured": result.measured,
-        "ok": result.ok,
-        "details": list(result.details),
-    }
-
-
-def result_from_dict(data: dict[str, Any]) -> ExperimentResult:
-    return ExperimentResult(
-        exp_id=data["exp_id"],
-        title=data["title"],
-        paper_claim=data["paper_claim"],
-        measured=data["measured"],
-        ok=data["ok"],
-        details=list(data.get("details", ())),
-    )
-
-
-# -- commit-rate reports ---------------------------------------------------------
-
-
-def commit_report_to_dict(report: CommitRateReport) -> dict[str, Any]:
-    return {
-        "algorithm": report.algorithm,
-        "model": report.model,
-        "n": report.n,
-        "t": report.t,
-        "runs": report.runs,
-        "commits": report.commits,
-        "aborts": report.aborts,
-        "undecided": report.undecided,
-        "commit_rate": report.commit_rate,
-        "violations": [str(v) for v in report.violations],
-    }

@@ -15,19 +15,26 @@ restricting which schedules the :class:`~repro.simulation.executor.StepExecutor`
 is driven with (see :mod:`repro.models`).
 """
 
-from repro.simulation.message import Message
-from repro.simulation.automaton import StepAutomaton, StepContext, StepOutcome
-from repro.simulation.schedule import Step, Schedule
-from repro.simulation.run import Run
-from repro.simulation.schedulers import (
-    Scheduler,
-    SchedulerView,
-    StepChoice,
-    RoundRobinScheduler,
-    RandomScheduler,
-    ScriptedScheduler,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "message": ("Message",),
+        "automaton": ("StepAutomaton", "StepContext", "StepOutcome"),
+        "schedule": ("Step", "Schedule"),
+        "run": ("Run",),
+        "schedulers": (
+            "Scheduler",
+            "SchedulerView",
+            "StepChoice",
+            "RoundRobinScheduler",
+            "RandomScheduler",
+            "ScriptedScheduler",
+        ),
+        "executor": ("StepExecutor",),
+    },
 )
-from repro.simulation.executor import StepExecutor
 
 __all__ = [
     "Message",

@@ -22,19 +22,26 @@ Layering:
   points behind the ``engine="vector"`` harness.
 """
 
-from repro.vector.backend import BACKEND_ENV, HAS_NUMPY, backend_name
-from repro.vector.engine import (
-    MAX_NUMPY_DOMAIN,
-    VectorRun,
-    cell_domain,
-    execute_vector_batch,
-    execute_vector_request,
-    plan_for_request,
-    replay_plan,
-    run_value_kernel,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "backend": ("BACKEND_ENV", "HAS_NUMPY", "backend_name"),
+        "engine": (
+            "MAX_NUMPY_DOMAIN",
+            "VectorRun",
+            "cell_domain",
+            "execute_vector_batch",
+            "execute_vector_request",
+            "plan_for_request",
+            "replay_plan",
+            "run_value_kernel",
+        ),
+        "kernels": ("PLAN_KERNELS", "plan_kernel_for"),
+        "plan": ("GroupPlan", "build_plan"),
+    },
 )
-from repro.vector.kernels import PLAN_KERNELS, plan_kernel_for
-from repro.vector.plan import GroupPlan, build_plan
 
 __all__ = [
     "BACKEND_ENV",

@@ -1,0 +1,246 @@
+"""Start-up is proportional to the command: import sets, counted not timed.
+
+Each case runs ``repro.cli.main.main(argv)`` in a fresh interpreter and
+dumps the modules it added to ``sys.modules``.  A command must load
+only the layers it runs — a FloodSet agreement check has no business
+importing numpy, asyncio or the fuzz campaign — so a reintroduced
+eager import fails here by name, in seconds, instead of as a slower
+benchmark.  What else needs a fresh interpreter is pinned here too: the
+dispatcher's ``--help`` and error text, a quiet exit when stdout closes
+early, and the three re-exports that must stay eager.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+{body}
+sys.__stdout__.write(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_RUN_MAIN = """
+from repro.cli.main import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+assert code == 0, code
+"""
+
+MC = ["mc", "agreement", "--algorithm", "floodset", "--n", "3", "--t", "1"]
+SWEEP = ["sweep", "random-rs", "--count", "8", "--check", "--engine"]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src/`` importable and an 80-column terminal."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def _loaded(body: str) -> set[str]:
+    """Modules a fresh interpreter adds to ``sys.modules`` running ``body``."""
+    proc = _python("-c", _PROBE.format(body=body))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def _loaded_by(argv: list[str]) -> set[str]:
+    return _loaded(_RUN_MAIN.format(argv=argv))
+
+
+def _offenders(loaded: set[str], forbidden: tuple[str, ...]) -> list[str]:
+    """The loaded modules at or under any ``forbidden`` dotted name."""
+    return sorted(
+        module
+        for module in loaded
+        if any(module == f or module.startswith(f + ".") for f in forbidden)
+    )
+
+
+class TestImportSets:
+    def test_import_repro_loads_nothing_else_of_the_package(self):
+        ours = {m for m in _loaded("import repro") if m.split(".")[0] == "repro"}
+        assert ours == {"repro", "repro._lazy"}
+
+    def test_mc_loads_only_the_checker_layers(self):
+        loaded = _loaded_by(MC)
+        assert "repro.mc.explore" in loaded
+        assert not _offenders(
+            loaded,
+            (
+                "numpy",
+                "asyncio",
+                "http.server",
+                "multiprocessing",
+                "repro.live",
+                "repro.serve",
+                "repro.vector.engine",
+                "repro.core.experiments",
+                "repro.fuzz.campaign",
+            ),
+        )
+        # 397 at the parent commit, when every command module and every
+        # package re-export was imported up front.
+        assert len(loaded) < 200, sorted(loaded)
+
+    def test_rounds_sweep_loads_no_vector_fuzz_or_mc_layer(self):
+        loaded = _loaded_by(SWEEP + ["rounds"])
+        assert "repro.runtime.sweep" in loaded
+        assert not _offenders(
+            loaded,
+            (
+                "numpy",
+                "asyncio",
+                "multiprocessing",
+                "repro.live",
+                "repro.serve",
+                "repro.fuzz",
+                "repro.mc",
+                "repro.vector.engine",
+            ),
+        )
+
+    def test_vector_sweep_adds_the_kernel_and_nothing_else(self):
+        loaded = _loaded_by(SWEEP + ["vector"])
+        assert "repro.vector.engine" in loaded
+        assert not _offenders(
+            loaded,
+            ("asyncio", "repro.live", "repro.serve", "repro.fuzz", "repro.mc"),
+        )
+        if importlib.util.find_spec("numpy") is not None:
+            assert "numpy" in loaded
+
+
+# Copied from the parent commit's output (Python 3.11, COLUMNS=80).
+_CHOICES = (
+    "{experiments,summary,sdd,commit,latency,show,trace,metrics,check,"
+    "replay,diff,sweep,serve,work,fuzz,mc,live,report,top,causal}"
+)
+_UNKNOWN_COMMAND_ERROR = (
+    "repro: error: argument command: invalid choice: 'bogus' (choose from "
+    "'experiments', 'summary', 'sdd', 'commit', 'latency', 'show', 'trace', "
+    "'metrics', 'check', 'replay', 'diff', 'sweep', 'serve', 'work', 'fuzz', "
+    "'mc', 'live', 'report', 'top', 'causal')"
+)
+_USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
+_HELP_ROWS = """\
+    experiments         run the E1-E15 suite
+    summary             headline latency table
+    sdd                 the SDD story
+    commit              commit-rate comparison
+    latency             latency profile of an algorithm
+    show                render a named scenario
+    trace               export a scenario's structured event trace
+    metrics             print a scenario's metrics snapshot
+    check               run the trace oracle over a scenario or JSONL file
+    replay              re-execute an exported trace and assert event equality
+    diff                divergence diff of two traces (Theorem 3.1 lens)
+    sweep               execute a scenario space (parallel, cached, checked)
+"""
+
+
+def _repro(*argv: str) -> subprocess.CompletedProcess:
+    return _python("-m", "repro", *argv)
+
+
+class TestDispatcherText:
+    def test_help_lists_every_command(self):
+        proc = _repro("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(_USAGE)
+        assert f"positional arguments:\n  {_CHOICES}\n{_HELP_ROWS}" in proc.stdout
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11),
+        reason="argparse's choice quoting differs across Python versions",
+    )
+    def test_unknown_command_error_names_every_command(self):
+        proc = _repro("bogus")
+        assert proc.returncode == 2
+        assert proc.stderr == _USAGE + _UNKNOWN_COMMAND_ERROR + "\n"
+
+    def test_missing_command_error(self):
+        proc = _repro()
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            _USAGE
+            + "repro: error: the following arguments are required: command\n"
+        )
+
+    def test_root_usage_is_whole_when_one_module_registered(self):
+        # ``mc`` alone is imported, yet the root usage still spells out
+        # all twenty commands.
+        proc = _repro(*MC, "--no-such-flag")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            _USAGE + "repro: error: unrecognized arguments: --no-such-flag\n"
+        )
+
+
+class TestClosedStdout:
+    """``repro ... | head -1``: exit non-zero quietly, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "agreement", "--algorithm", "floodset", "--n", "4", "--t", "2"],
+            ["sweep", "--list"],
+        ],
+        ids=["mc", "sweep-list"],
+    )
+    def test_broken_pipe_is_not_a_traceback(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        # Close the read end before the child (still importing) writes:
+        # its first flush then hits EPIPE deterministically.
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert stderr == ""
+
+
+@pytest.mark.parametrize(
+    "package, name",
+    [("repro.mc", "explore"), ("repro.fuzz", "shrink"), ("repro.cli", "main")],
+)
+@pytest.mark.parametrize("first", ["package", "submodule"])
+def test_collision_names_stay_callables(package, name, first):
+    """A public name equal to its submodule's cannot be lazy (the
+    submodule would shadow it); bound eagerly, it survives either
+    import order."""
+    order = {
+        "package": f"import {package}; import {package}.{name}",
+        "submodule": f"import {package}.{name}; import {package}",
+    }[first]
+    proc = _python(
+        "-c",
+        f"{order}\n"
+        f"import sys, types\n"
+        f"value = sys.modules[{package!r}].{name}\n"
+        f"assert callable(value) and not isinstance(value, types.ModuleType)\n"
+        f"from {package} import {name} as again\n"
+        f"assert again is value\n"
+        f"assert value is sys.modules['{package}.{name}'].{name}\n",
+    )
+    assert proc.returncode == 0, proc.stderr
