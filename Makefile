@@ -186,8 +186,10 @@ MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 # unreduced frontiers agreeing, the machine-checked Λ(A1) = 1 verdict,
 # the n=4 t=2 and n=5 t=2 FloodSet frontiers, the Section 5.1 witness
 # (EagerFloodSetWS: consensus HOLDS, uniform consensus REFUTED in RWS),
-# and a planted emulation bug the grid checker must refute with a
-# witness that replays (exit 0) under the same injection.
+# a planted emulation bug the grid checker must refute with a witness
+# that replays (exit 0) under the same injection, and a run-directory
+# check run twice — the second leg must serve every cell from the
+# store — whose summary must pass the schema/SLO validator.
 mc-smoke:
 	rm -rf $(MC_SMOKE_DIR) && mkdir -p $(MC_SMOKE_DIR)
 	PYTHONPATH=src python -m repro mc agreement --algorithm A1 --n 3 --t 2 | \
@@ -210,6 +212,14 @@ mc-smoke:
 		--out $(MC_SMOKE_DIR) || status=$$?; test "$$status" -eq 1
 	REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src python -m repro replay \
 		--repro $(MC_SMOKE_DIR)/mc-witness-00.json
+	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 3 \
+		--t 1 --run-dir $(MC_SMOKE_DIR)/runs
+	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 3 \
+		--t 1 --run-dir $(MC_SMOKE_DIR)/runs
+	PYTHONPATH=src python -c "import glob,json; \
+		r=json.load(open(glob.glob('$(MC_SMOKE_DIR)/runs/*/summary.json')[0]))['resume']; \
+		assert r['executed'] == r['re_executed'] == 0 < r['cached'], r"
+	PYTHONPATH=src python scripts/check_summary.py $(MC_SMOKE_DIR)/runs
 
 # The end-to-end benchmark checks itself (< 30 s, shrunk workloads):
 # every workload and metric BENCHMARK.json declares is reported, all 18

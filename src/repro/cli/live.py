@@ -27,12 +27,12 @@ from repro.live import (
 )
 from repro.live.cluster import LIVE_ALGORITHMS
 from repro.obs import Profiler, get_profiler, set_profiler
-from repro.obs.artifacts import DEFAULT_LIVE_SLO, RunDir
+from repro.obs.artifacts import DEFAULT_LIVE_SLO
 from repro.obs.check import check_events
 from repro.obs.events import EventLog, logical_clock
 from repro.obs.profile import profiled
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_live
+from repro.runtime.campaign import CampaignLeg
 
 
 def _parse_values(args: argparse.Namespace) -> tuple[int, ...]:
@@ -83,17 +83,9 @@ def _cmd_live(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             timeout_s=args.timeout,
         )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    run_dir = None
-    reporter = None
-    on_session_done = None
-    if args.run_dir is not None:
         # Live runs are wall-clock: the identity is the configuration,
-        # not result hashes — re-invoking the same config re-attaches
-        # to the same run directory as a new leg.
+        # not result hashes — re-invoking the same config re-attaches to
+        # the same run directory as a new leg.
         identity = {
             "algorithm": config.algorithm,
             "values": list(config.values),
@@ -106,61 +98,36 @@ def _cmd_live(args: argparse.Namespace) -> int:
             "seed": config.seed,
             "sessions": config.sessions,
         }
-        run_dir = RunDir.open(
+        leg = CampaignLeg(
             args.run_dir,
             kind="live",
             name=f"live-{config.profile.name}-{config.algorithm}",
-            identity=identity,
-            cells=[
-                (f"session-{i}", f"session-{i}")
-                for i in range(config.sessions)
-            ],
             config=identity,
+            sessions=config.sessions,
             slo=DEFAULT_LIVE_SLO,
-        )
-        reporter = ProgressReporter(
-            total=config.sessions,
-            path=run_dir.progress_path,
-            stream=sys.stderr,
             label=f"live-{config.profile.name}",
-        ).start()
+            stream=sys.stderr,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with leg:
+        return _run_live(args, config, leg)
 
-        def on_session_done(session: int, wall_s: float, complete: bool) -> None:
-            run_dir.record_cell(
-                name=f"session-{session}",
-                key=f"session-{session}",
-                cached=False,
-                engine="live",
-                algorithm=config.algorithm,
-                latency=None,
-                num_rounds=None,
-                events=0,
-                duration_s=wall_s,
-                ok=complete,
-            )
-            reporter.advance(
-                verdict="complete" if complete else "incomplete"
-            )
 
+def _run_live(
+    args: argparse.Namespace, config: LiveConfig, leg: CampaignLeg
+) -> int:
+    """Run the cluster, report, and finalize ``leg``."""
     own_profiler = get_profiler() is None
     if own_profiler:
         set_profiler(Profiler())
     try:
         with profiled(f"live.cli.{config.profile.name}.{config.algorithm}"):
-            run = LiveCluster(config, on_session_done=on_session_done).run()
+            run = LiveCluster(config, on_session_done=leg.on_session).run()
     except ExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        return 2
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
+        return 2  # unfinalized: the leg closes as interrupted
     finally:
         profiler = get_profiler()
         if own_profiler:
@@ -209,7 +176,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     exit_code = 0
     oracle_failed = None
     log = None
-    if args.check or args.jsonl or run_dir is not None:
+    if args.check or args.jsonl or leg.path is not None:
         log = EventLog(clock=logical_clock())
         run.replay_into(log)
         if args.jsonl:
@@ -226,21 +193,19 @@ def _cmd_live(args: argparse.Namespace) -> int:
             if not report.ok:
                 exit_code = 1
 
-    if run_dir is not None:
-        summary = summarize_live(
+    summary = leg.finalize(
+        lambda run_dir: summarize_live(
             run_dir,
             stats,
             session_latencies_ms=run.session_latencies_ms(),
             detection_delays_ms=run.detection_delays_ms(),
             oracle_failed=oracle_failed,
             extra_spans=profiler.snapshot() if profiler is not None else None,
-            events=log.events if log is not None else None,
+            events=log.events,
         )
-        run_dir.finalize(summary)
-        reporter.stop()
-        print(
-            f"run artifacts: {run_dir.path} (inspect with `repro report`)"
-        )
+    )
+    if summary is not None:
+        print(f"run artifacts: {leg.path} (inspect with `repro report`)")
         if any(not v.get("ok") for v in summary.get("slo_verdicts", ())):
             exit_code = exit_code or 1
     return exit_code

@@ -25,7 +25,6 @@ import sys
 import time
 
 from repro.errors import ConfigurationError
-from repro.obs.progress import ProgressReporter
 from repro.runtime import SPACE_FACTORIES, space_by_name
 from repro.runtime.space import ScenarioSpace, vectorized_space
 from repro.serve.coordinator import Coordinator
@@ -61,63 +60,48 @@ def _build_space(args: argparse.Namespace) -> ScenarioSpace:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     try:
-        space = _build_space(args)
+        coordinator = Coordinator(
+            _build_space(args),
+            run_root=args.run_dir,
+            shard_size=args.shard_size,
+            lease_ttl=args.lease_ttl,
+            check=args.check,
+        )
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    space, run_dir = coordinator.space, coordinator.run_dir
+    coordinator.leg.reporter.stream = sys.stderr
 
-    coordinator = Coordinator(
-        space,
-        run_root=args.run_dir,
-        shard_size=args.shard_size,
-        lease_ttl=args.lease_ttl,
-        check=args.check,
-    )
-    reporter = ProgressReporter(
-        total=len(space.requests),
-        path=coordinator.run_dir.progress_path,
-        stream=sys.stderr,
-        label=f"serve:{space.name}",
-    ).start()
-    for _ in range(len(coordinator.completed_before)):
-        reporter.advance(cached=True)
-    coordinator.on_cell = lambda name, cached: reporter.advance(cached=cached)
-
-    server = CoordinatorServer(
-        coordinator, host=args.host, port=args.port
-    ).start()
-    endpoint = coordinator.run_dir.path / "serve.json"
-    endpoint.write_text(
-        json.dumps(
-            {
-                "url": server.url,
-                "run_id": coordinator.run_dir.run_id,
-                "space": space.name,
-            },
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    print(f"serving {space.name} at {server.url}", file=sys.stderr)
-    print(f"run artifacts: {coordinator.run_dir.path}", file=sys.stderr)
-
-    try:
-        while not coordinator.is_complete():
-            time.sleep(0.2)
-        result, _summary = coordinator.finalize()
-    except BaseException:
-        coordinator.mark_interrupted()
-        reporter.stop(status="interrupted")
-        server.shutdown()
-        raise
-    # Grace period: workers that were mid-claim when the last shard
-    # merged still get their clean {"done": true} answer.
-    time.sleep(args.linger_s)
-    server.shutdown()
-    reporter.stop()
+    with coordinator.leg:
+        server = CoordinatorServer(
+            coordinator, host=args.host, port=args.port
+        ).start()
+        try:
+            (run_dir.path / "serve.json").write_text(
+                json.dumps(
+                    {
+                        "url": server.url,
+                        "run_id": run_dir.run_id,
+                        "space": space.name,
+                    },
+                    sort_keys=True,
+                )
+                + "\n",
+                encoding="utf-8",
+            )
+            print(f"serving {space.name} at {server.url}", file=sys.stderr)
+            print(f"run artifacts: {run_dir.path}", file=sys.stderr)
+            while not coordinator.is_complete():
+                time.sleep(0.2)
+            result, _summary = coordinator.finalize()
+            # Grace period: workers that were mid-claim when the last
+            # shard merged still get their clean {"done": true} answer.
+            time.sleep(args.linger_s)
+        finally:
+            server.shutdown()
     print(result.describe())
-    print(f"run artifacts: {coordinator.run_dir.path} (inspect with `repro report`)")
+    print(f"run artifacts: {run_dir.path} (inspect with `repro report`)")
     if args.jsonl:
         count = result.write_merged_jsonl(args.jsonl)
         print(f"wrote {count} merged events to {args.jsonl}")

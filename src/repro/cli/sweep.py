@@ -17,11 +17,9 @@ import argparse
 import sys
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_sweep
-from repro.runtime import ResultCache, SPACE_FACTORIES, SweepRunner, space_by_name
-from repro.runtime.request import batch_cache_keys
+from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import vectorized_space
 
 
@@ -39,33 +37,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     try:
         space = space_by_name(args.space, count=args.count, seed=args.seed)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.engine == "vector":
-        # Imported here: naming the backend loads numpy, which a rounds
-        # sweep never needs.
-        from repro.vector.backend import backend_name
+        if args.engine == "vector":
+            # Imported here: naming the backend loads numpy, which a
+            # rounds sweep never needs.
+            from repro.vector.backend import backend_name
 
-        space = vectorized_space(space)
-        print(f"vector engine: {backend_name()} backend")
-
-    run_dir = None
-    reporter = None
-    completed_before: set[str] = set()
-    on_cell = None
-    cache = args.cache_dir
-    if args.run_dir is not None:
-        requests = list(space.requests)
-        # One hash per request: everything downstream — the run id, the
-        # manifest, the store lookups, the summary — reads the memo.
-        keys = batch_cache_keys(requests)
-        run_dir = RunDir.open(
+            space = vectorized_space(space)
+            print(f"vector engine: {backend_name()} backend")
+        leg = CampaignLeg(
             args.run_dir,
             kind="sweep",
             name=space.name,
-            identity=sorted(keys),
-            cells=[(r.name, key) for r, key in zip(requests, keys)],
+            requests=space.requests,
             config={
                 "space": args.space,
                 "count": args.count,
@@ -73,53 +56,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "check": bool(args.check),
                 "engine": args.engine,
             },
-        )
-        cache = ResultCache(run_dir.results_dir)
-        completed_before = cache.completed_keys()
-        reporter = ProgressReporter(
-            total=len(requests),
-            path=run_dir.progress_path,
             stream=sys.stderr,
-            label=space.name,
-        ).start()
-
-        def on_cell(request, result) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
+            cache_dir=args.cache_dir,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with leg:
+        result = SweepRunner(
+            jobs=args.jobs,
+            cache=leg.cache,
+            check=args.check,
+            on_cell=leg.on_cell,
+        ).run(space)
+        leg.finalize(
+            lambda run_dir: summarize_sweep(
+                run_dir, result, completed_before=leg.completed_before
             )
-            reporter.advance(cached=result.cached)
-
-    runner = SweepRunner(
-        jobs=args.jobs, cache=cache, check=args.check, on_cell=on_cell
-    )
-    try:
-        result = runner.run(space)
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
-    if run_dir is not None:
-        summary = summarize_sweep(
-            run_dir, result, completed_before=completed_before
         )
-        run_dir.finalize(summary)
-        reporter.stop()
     print(result.describe())
-    if run_dir is not None:
-        print(
-            f"run artifacts: {run_dir.path} (inspect with `repro report`)"
-        )
+    if leg.path is not None:
+        print(f"run artifacts: {leg.path} (inspect with `repro report`)")
     if args.jsonl:
         count = result.write_merged_jsonl(args.jsonl)
         print(f"wrote {count} merged events to {args.jsonl}")

@@ -38,12 +38,6 @@ __getattr__, __dir__ = lazy_exports(
             "EarlyDecidingUniformFloodSet",
             "EagerFloodSetWS",
         ),
-        "interactive": (
-            "InteractiveConsistency",
-            "InteractiveConsistencyWS",
-            "check_interactive_consistency_run",
-            "consensus_from_vector",
-        ),
     },
 )
 
@@ -62,8 +56,4 @@ __all__ = [
     "EarlyDecidingConsensus",
     "EarlyDecidingUniformFloodSet",
     "EagerFloodSetWS",
-    "InteractiveConsistency",
-    "InteractiveConsistencyWS",
-    "check_interactive_consistency_run",
-    "consensus_from_vector",
 ]

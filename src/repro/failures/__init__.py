@@ -57,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(
             "history_from_run",
             "detection_delays",
         ),
-        "reduction": ("CompletenessReduction", "ReductionState"),
         "timeout_ep": ("AdaptiveDetectorState", "AdaptiveTimeoutDetector"),
     },
 )
@@ -96,8 +95,6 @@ __all__ = [
     "detection_threshold",
     "history_from_run",
     "detection_delays",
-    "CompletenessReduction",
-    "ReductionState",
     "AdaptiveDetectorState",
     "AdaptiveTimeoutDetector",
 ]

@@ -36,8 +36,6 @@ from repro.fuzz.oracles import (
     run_case,
     twin_request,
 )
-from repro.obs.artifacts import RunDir, identity_for_requests
-from repro.obs.progress import ProgressReporter
 from repro.obs.report import summarize_fuzz
 from repro.fuzz.shrink import shrink
 from repro.fuzz.strategies import (
@@ -50,6 +48,7 @@ from repro.fuzz.strategies import (
 from repro.inject import active_injection
 from repro.rounds.scenario import validate_scenario
 from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import CampaignLeg
 from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, SweepRunner
@@ -163,7 +162,7 @@ class FuzzReport:
             lines.append("all per-case oracles ok")
         for path in self.repro_files:
             lines.append(f"wrote {path}")
-        if self.run_dir is not None:
+        if self.run_dir:
             lines.append(
                 f"run artifacts: {self.run_dir} (inspect with `repro report`)"
             )
@@ -337,150 +336,100 @@ def run_campaign(
         engine_list = resolve_engines(engines)
         requests = generate_cases(budget, seed, engine_list, max_n=max_n)
 
-    run_dir: RunDir | None = None
-    reporter: ProgressReporter | None = None
-    completed_before: set[str] = set()
-    on_cell = None
-    sweep_cache: Any = cache_dir
-    if run_root is not None:
-        run_dir = RunDir.open(
-            run_root,
-            kind="fuzz",
-            name=f"fuzz-{seed}",
-            identity=identity_for_requests(requests),
-            cells=[(request.name, request.cache_key()) for request in requests],
-            config={
-                "budget": budget,
-                "seed": seed,
-                "engines": list(engine_list),
-                "max_n": max_n,
-                "frontier": frontier,
-            },
-        )
-        sweep_cache = ResultCache(run_dir.results_dir)
-        completed_before = sweep_cache.completed_keys()
-        reporter = ProgressReporter(
-            total=len(requests),
-            path=run_dir.progress_path,
-            stream=progress_stream,
-            label=f"fuzz-{seed}",
-        ).start()
-
-        def on_cell(request: ExecutionRequest, result: ExecutionResult) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
-            )
-            reporter.advance(cached=result.cached)
-
-    runner = SweepRunner(jobs=jobs, cache=sweep_cache, check=False, on_cell=on_cell)
-    try:
-        sweep = runner.run(ScenarioSpace.explicit(f"fuzz-{seed}", requests))
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
-
-    # Twins share the run's result store (so a resumed campaign skips
-    # them too) but not the progress counter — the planned total is the
-    # case budget, and twins are derived work.
-    twin_on_cell = None
-    if run_dir is not None:
-
-        def twin_on_cell(request: ExecutionRequest, result: ExecutionResult) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
-            )
-
-    twin_runner = SweepRunner(
-        jobs=jobs, cache=sweep_cache, check=False, on_cell=twin_on_cell
+    leg = CampaignLeg(
+        run_root,
+        kind="fuzz",
+        name=f"fuzz-{seed}",
+        requests=requests,
+        config={
+            "budget": budget,
+            "seed": seed,
+            "engines": list(engine_list),
+            "max_n": max_n,
+            "frontier": frontier,
+        },
+        stream=progress_stream,
+        cache_dir=cache_dir,
     )
-    twin_by_case = _twin_results(twin_runner, requests, sweep.results)
+    with leg:
+        sweep = SweepRunner(
+            jobs=jobs, cache=leg.cache, check=False, on_cell=leg.on_cell
+        ).run(ScenarioSpace.explicit(f"fuzz-{seed}", requests))
 
-    counterexamples: list[Counterexample] = []
-    for request, result in zip(requests, sweep.results):
-        failures = case_failures(
-            request, result, twin_result=twin_by_case.get(request.name)
+        # Twins share the run's result store (so a resumed campaign skips
+        # them too) but not the progress counter — the planned total is
+        # the case budget, and twins are derived work.
+        twin_runner = SweepRunner(
+            jobs=jobs, cache=leg.cache, check=False, on_cell=leg.audit
         )
-        if not failures:
-            continue
-        if shrink_failures:
-            outcome = shrink(
-                request,
-                lambda mutant: bool(run_case(mutant)),
-                max_attempts=max_shrink_attempts,
-            )
-            shrunk = outcome.request
-            shrunk_failures = run_case(shrunk)
-            attempts = outcome.attempts
-        else:
-            shrunk, shrunk_failures, attempts = request, failures, 0
-        counterexamples.append(
-            Counterexample(
-                original=request,
-                failures=failures,
-                shrunk=shrunk,
-                shrunk_failures=shrunk_failures,
-                shrink_attempts=attempts,
-            )
-        )
+        twin_by_case = _twin_results(twin_runner, requests, sweep.results)
 
-    # Live cells never enter the parity sample: their traces are
-    # wall-clock nondeterministic, so byte-identity across schedulers
-    # (or cache warmth) is not a claim the engine makes.
-    parity_sample = [
-        r for r in requests if r.engine != LIVE_FUZZ_ENGINE
-    ][:PARITY_SAMPLE]
-    parity = _parity_problems(parity_sample, cache_dir)
-
-    report = FuzzReport(
-        budget=budget,
-        seed=seed,
-        engines=engine_list,
-        executed=sweep.executed,
-        cached=sweep.cached,
-        twins=len(twin_by_case),
-        parity_cells=len(parity_sample),
-        counterexamples=counterexamples,
-        parity_problems=parity,
-    )
-    if out_dir is not None and counterexamples:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for ce in counterexamples:
-            path = directory / f"{ce.original.name}.json"
-            path.write_text(
-                json.dumps(ce.to_dict(), indent=2, sort_keys=True, default=repr)
-                + "\n",
-                encoding="utf-8",
+        counterexamples: list[Counterexample] = []
+        for request, result in zip(requests, sweep.results):
+            failures = case_failures(
+                request, result, twin_result=twin_by_case.get(request.name)
             )
-            report.repro_files.append(str(path))
-    if run_dir is not None:
-        report.run_dir = str(run_dir.path)
-        summary = summarize_fuzz(
-            run_dir, report, sweep, completed_before=completed_before
+            if not failures:
+                continue
+            if shrink_failures:
+                outcome = shrink(
+                    request,
+                    lambda mutant: bool(run_case(mutant)),
+                    max_attempts=max_shrink_attempts,
+                )
+                shrunk = outcome.request
+                shrunk_failures = run_case(shrunk)
+                attempts = outcome.attempts
+            else:
+                shrunk, shrunk_failures, attempts = request, failures, 0
+            counterexamples.append(
+                Counterexample(
+                    original=request,
+                    failures=failures,
+                    shrunk=shrunk,
+                    shrunk_failures=shrunk_failures,
+                    shrink_attempts=attempts,
+                )
+            )
+
+        # Live cells never enter the parity sample: their traces are
+        # wall-clock nondeterministic, so byte-identity across schedulers
+        # (or cache warmth) is not a claim the engine makes.
+        parity_sample = [
+            r for r in requests if r.engine != LIVE_FUZZ_ENGINE
+        ][:PARITY_SAMPLE]
+        parity = _parity_problems(parity_sample, cache_dir)
+
+        report = FuzzReport(
+            budget=budget,
+            seed=seed,
+            engines=engine_list,
+            executed=sweep.executed,
+            cached=sweep.cached,
+            twins=len(twin_by_case),
+            parity_cells=len(parity_sample),
+            counterexamples=counterexamples,
+            parity_problems=parity,
+            run_dir=None if leg.path is None else str(leg.path),
         )
-        run_dir.finalize(summary)
-        reporter.stop()
+        if out_dir is not None and counterexamples:
+            directory = Path(out_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            for ce in counterexamples:
+                path = directory / f"{ce.original.name}.json"
+                path.write_text(
+                    json.dumps(
+                        ce.to_dict(), indent=2, sort_keys=True, default=repr
+                    )
+                    + "\n",
+                    encoding="utf-8",
+                )
+                report.repro_files.append(str(path))
+        leg.finalize(
+            lambda run_dir: summarize_fuzz(
+                run_dir, report, sweep, completed_before=leg.completed_before
+            )
+        )
     return report
 
 

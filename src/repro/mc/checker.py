@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Any, Callable
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.fuzz.shrink import shrink
 from repro.mc.explore import Exploration, explore
@@ -38,6 +39,7 @@ from repro.mc.properties import (
     cell_property_problems,
     default_lambda_bound,
     evaluate_property,
+    parse_bound,
 )
 from repro.mc.space import (
     GRID_ENGINES,
@@ -47,11 +49,9 @@ from repro.mc.space import (
     lambda_space,
 )
 from repro.mc.verdict import Verdict, witness_document
-from repro.obs.artifacts import RunDir, identity_for_requests
-from repro.obs.progress import ProgressReporter
-from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import CampaignLeg
 from repro.runtime.harness import execute_request
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import ExecutionRequest
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, SweepRunner
 
@@ -99,6 +99,8 @@ class McTask:
                 f"{self.algorithm} is defined for t={required_t} only "
                 f"(got t={self.t})"
             )
+        if self.bound is not None:
+            parse_bound(self.bound)
 
 
 @dataclass
@@ -258,134 +260,97 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
     task.validate()
     space, exploration, scope = _plan(task)
 
-    run_dir: RunDir | None = None
-    reporter: ProgressReporter | None = None
-    on_cell = None
-    cache: ResultCache | None = None
-    if task.run_root is not None:
-        run_dir = RunDir.open(
-            task.run_root,
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(space.requests),
-            cells=[(r.name, r.cache_key()) for r in space.requests],
-            config={
-                "space": space.name,
-                "mode": "mc",
-                "property": task.property_name,
-            },
+    leg = CampaignLeg(
+        task.run_root,
+        kind="sweep",
+        name=space.name,
+        requests=space.requests,
+        config={
+            "space": space.name,
+            "mode": "mc",
+            "property": task.property_name,
+        },
+        label=f"mc:{task.property_name}",
+        stream=progress_stream,
+    )
+    with leg:
+        sweep = SweepRunner(
+            jobs=task.jobs, cache=leg.cache, check=False, on_cell=leg.on_cell
+        ).run(space)
+        pairs = list(zip(space.requests, sweep.results))
+        divergences = _prediction_divergences(exploration, space, sweep)
+        bound = task.bound
+        if task.property_name == "lambda" and bound is None:
+            bound = default_lambda_bound(task.algorithm, task.model, task.t)
+        outcome = evaluate_property(
+            task.property_name,
+            pairs,
+            t=task.t,
+            horizon=task.horizon,
+            bound=bound,
+            by_round=task.by_round,
         )
-        cache = ResultCache(run_dir.results_dir)
-        reporter = ProgressReporter(
-            total=len(space.requests),
-            path=run_dir.progress_path,
-            stream=progress_stream,
-            label=f"mc:{task.property_name}",
-        ).start()
-
-        def on_cell(request: ExecutionRequest, result: ExecutionResult) -> None:
-            profile = result.extra.get("profile") or {}
-            run_dir.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-                duration_s=profile.get("duration_s"),
+        if divergences:
+            # The engine contradicts the round semantics the exploration
+            # stepped: the exhaustive claim is void, whatever the property
+            # said, and the diverging cells are the witnesses.
+            outcome = PropertyOutcome(
+                holds=False, violations=divergences, details=outcome.details
             )
-            reporter.advance(cached=result.cached)
 
-    runner = SweepRunner(
-        jobs=task.jobs, cache=cache, check=False, on_cell=on_cell
-    )
-    try:
-        sweep = runner.run(space)
-    except BaseException:
-        if run_dir is not None:
-            run_dir.mark_interrupted()
-        if reporter is not None:
-            reporter.stop(status="interrupted")
-        raise
+        # Verdict statistics are deterministic facts of the frontier — the
+        # executed/cached split varies with cache warmth and lives on the
+        # sweep, so a sharded serve run and a solo run agree byte-for-byte.
+        stats: dict[str, Any] = {"cells": len(space.requests)}
+        if exploration is not None:
+            stats.update(exploration.stats.to_dict())
 
-    pairs = list(zip(space.requests, sweep.results))
-    divergences = _prediction_divergences(exploration, space, sweep)
-    bound = task.bound
-    if task.property_name == "lambda" and bound is None:
-        bound = default_lambda_bound(task.algorithm, task.model, task.t)
-    outcome = evaluate_property(
-        task.property_name,
-        pairs,
-        t=task.t,
-        horizon=task.horizon,
-        bound=bound,
-        by_round=task.by_round,
-    )
-    if divergences:
-        # The engine contradicts the round semantics the exploration
-        # stepped: the exhaustive claim is void, whatever the property
-        # said, and the diverging cells are the witnesses.
-        outcome = PropertyOutcome(
-            holds=False, violations=divergences, details=outcome.details
+        documents: list[dict[str, Any]] = []
+        witness_requests: list[ExecutionRequest] = []
+        problems = [
+            problem
+            for violation in outcome.violations[:MAX_WITNESSES]
+            for problem in violation.problems
+        ]
+        overflow = len(outcome.violations) - MAX_WITNESSES
+        if overflow > 0:
+            problems.append(f"... and {overflow} more violating cell(s)")
+        if not outcome.holds:
+            documents, witness_requests = _witnesses(task, outcome)
+
+        verdict = Verdict(
+            property_name=task.property_name,
+            holds=outcome.holds,
+            scope=scope,
+            algorithm=task.algorithm,
+            n=task.n,
+            t=task.t,
+            model=task.model if task.engine in SCHEDULE_ENGINES else None,
+            horizon=task.horizon,
+            engine=task.engine,
+            reduce=task.reduce,
+            stats=stats,
+            details=outcome.details,
+            problems=problems,
+            witnesses=documents,
         )
 
-    # Verdict statistics are deterministic facts of the frontier — the
-    # executed/cached split varies with cache warmth and lives on the
-    # sweep, so a sharded serve run and a solo run agree byte-for-byte.
-    stats: dict[str, Any] = {"cells": len(space.requests)}
-    if exploration is not None:
-        stats.update(exploration.stats.to_dict())
-
-    documents: list[dict[str, Any]] = []
-    witness_requests: list[ExecutionRequest] = []
-    problems = [
-        problem
-        for violation in outcome.violations[:MAX_WITNESSES]
-        for problem in violation.problems
-    ]
-    overflow = len(outcome.violations) - MAX_WITNESSES
-    if overflow > 0:
-        problems.append(f"... and {overflow} more violating cell(s)")
-    if not outcome.holds:
-        documents, witness_requests = _witnesses(task, outcome)
-
-    verdict = Verdict(
-        property_name=task.property_name,
-        holds=outcome.holds,
-        scope=scope,
-        algorithm=task.algorithm,
-        n=task.n,
-        t=task.t,
-        model=task.model if task.engine in SCHEDULE_ENGINES else None,
-        horizon=task.horizon,
-        engine=task.engine,
-        reduce=task.reduce,
-        stats=stats,
-        details=outcome.details,
-        problems=problems,
-        witnesses=documents,
-    )
-
-    if run_dir is not None:
-        run_dir.finalize(
-            {
+        # A sweep summary plus the verdict; repro.obs loads the summariser
+        # on first use, so a check without a run directory never does.
+        leg.finalize(
+            lambda run_dir: {
+                **obs.summarize_sweep(
+                    run_dir, sweep, completed_before=leg.completed_before
+                ),
                 "mc": verdict.to_dict(),
-                "cells": {
-                    "total": sweep.total,
-                    "executed": sweep.executed,
-                    "cached": sweep.cached,
-                },
             }
         )
-        reporter.stop()
 
     return McOutcome(
         task=task,
         verdict=verdict,
         sweep=sweep,
         exploration=exploration,
-        run_dir=str(run_dir.path) if run_dir is not None else None,
+        run_dir=None if leg.path is None else str(leg.path),
         witness_requests=witness_requests,
     )

@@ -1,0 +1,204 @@
+"""One leg of a campaign: the run-directory lifecycle, written once.
+
+``sweep``, ``fuzz``, ``mc``, ``live`` and ``serve`` all run a campaign
+into a run directory the same way: open (or re-attach to) the
+content-addressed directory, use its ``results/`` store as the cache,
+append one audit line per completed cell, keep a heartbeat going, and
+end either with a ``summary.json`` or marked ``interrupted`` so the
+next invocation — the next *leg* — resumes.  :class:`CampaignLeg` owns
+that policy.
+
+The constructor opens the leg (a coordinator holds one for its whole
+life); ``with leg:`` runs the heartbeat thread and guarantees the
+ending: whatever leaves the block without :meth:`CampaignLeg.finalize`
+— an exception, ``KeyboardInterrupt``, ``SystemExit``, a plain return —
+leaves the manifest ``interrupted`` with a final ``interrupted``
+heartbeat, never ``running``.  Without a run root the leg is inert (no
+directory, audit methods that do nothing, a ``finalize`` that never
+calls the summariser), so call sites carry no ``if run_dir is not
+None`` ladder.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Mapping, Sequence
+
+from repro.errors import ConfigurationError
+from repro.obs.artifacts import RunDir, SLOConfig
+from repro.obs.progress import ProgressReporter
+from repro.runtime.cache import ResultCache
+from repro.runtime.request import (
+    ExecutionRequest,
+    ExecutionResult,
+    batch_cache_keys,
+)
+
+
+class CampaignLeg:
+    """One invocation's hold on a run directory; see the module docstring.
+
+    Args:
+        root: The runs root (``--run-dir``), or ``None`` for an inert leg.
+        kind, name, config, slo: Recorded in the manifest.
+        requests: The planned cells: the run id derives from their cache
+            keys (hashed once, as a batch) and ``results/`` becomes the
+            leg's cache.  ``None`` for ``sessions`` wall-clock sessions
+            identified by ``config``, with no result store (``live``).
+        label, stream: The heartbeat's tag (default ``name``) and the
+            stream its lines are mirrored to, if any.
+        cache_dir: The cache an inert leg hands to the runner.
+    """
+
+    def __init__(
+        self,
+        root: str | None,
+        *,
+        kind: str,
+        name: str,
+        config: Mapping[str, Any],
+        requests: Sequence[ExecutionRequest] | None = None,
+        sessions: int = 0,
+        slo: SLOConfig | None = None,
+        label: str | None = None,
+        stream: Any = None,
+        cache_dir: str | None = None,
+    ) -> None:
+        self.run_dir: RunDir | None = None
+        #: The run directory's path; ``None`` for an inert leg.
+        self.path: Any = None
+        self.cache: ResultCache | str | None = cache_dir
+        #: Planned keys whose results were on disk when this leg opened.
+        self.completed_before: set[str] = set()
+        self.reporter: ProgressReporter | None = None
+        self._closed = False
+        if root is None:
+            return
+        if requests is None:
+            keys = [f"session-{index}" for index in range(sessions)]
+            identity: Any = config
+            cells = list(zip(keys, keys))
+        else:
+            keys = batch_cache_keys(requests)
+            identity = sorted(keys)
+            cells = [(r.name, key) for r, key in zip(requests, keys)]
+        try:
+            self.run_dir = RunDir.open(
+                root,
+                kind=kind,
+                name=name,
+                identity=identity,
+                cells=cells,
+                config=config,
+                slo=slo,
+            )
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create run directory under {root}: "
+                f"{exc.strerror or exc}"
+            ) from exc
+        self.path = self.run_dir.path
+        self.reporter = ProgressReporter(
+            total=len(cells),
+            path=self.run_dir.progress_path,
+            stream=stream,
+            label=label or name,
+        )
+        if requests is not None:
+            try:
+                self.cache = ResultCache(self.run_dir.results_dir)
+                self.completed_before = self.cache.completed_keys() & set(keys)
+            except BaseException:
+                self.interrupt()
+                raise
+
+    # -- per cell ------------------------------------------------------------
+
+    def audit(
+        self, request: ExecutionRequest, result: ExecutionResult | None = None
+    ) -> None:
+        """Append the cell's line to ``metrics.jsonl``.
+
+        ``result=None`` audits a cell found complete in the store without
+        loading it (a coordinator's resumed cells): flagged ``cached``,
+        measurements null.
+        """
+        if self.run_dir is None:
+            return
+        measured: dict[str, Any] = {}
+        if result is not None:
+            profile = result.extra.get("profile") or {}
+            measured = {
+                "latency": result.latency,
+                "num_rounds": result.num_rounds,
+                "events": len(result.events),
+                "duration_s": profile.get("duration_s"),
+            }
+        self.run_dir.record_cell(
+            name=request.name,
+            key=request.cache_key() if result is None else result.request_key,
+            cached=result is None or result.cached,
+            engine=request.engine,
+            algorithm=request.algorithm,
+            **measured,
+        )
+
+    def on_cell(
+        self, request: ExecutionRequest, result: ExecutionResult | None = None
+    ) -> None:
+        """:meth:`audit` the cell and count it in the heartbeat — the
+        :class:`~repro.runtime.sweep.SweepRunner` ``on_cell`` seam."""
+        self.audit(request, result)
+        if self.reporter is not None:
+            self.reporter.advance(cached=result is None or result.cached)
+
+    def on_session(self, session: int, wall_s: float, complete: bool) -> None:
+        """Audit and count one session of a ``live`` leg (no stored result)."""
+        if self.run_dir is None:
+            return
+        self.run_dir.record_cell(
+            name=f"session-{session}",
+            key=f"session-{session}",
+            cached=False,
+            engine="live",
+            algorithm=self.run_dir.manifest["config"].get("algorithm"),
+            events=0,
+            duration_s=wall_s,
+            ok=complete,
+        )
+        self.reporter.advance(verdict="complete" if complete else "incomplete")
+
+    # -- the two endings -----------------------------------------------------
+
+    def finalize(
+        self, summarize: Callable[[RunDir], dict[str, Any]]
+    ) -> dict[str, Any] | None:
+        """Write ``summarize(run_dir)`` as ``summary.json`` and close the
+        leg ``complete``; returns the summary (``None`` when inert,
+        without calling ``summarize``)."""
+        if self._closed:
+            raise RuntimeError("this campaign leg is already closed")
+        if self.run_dir is None:
+            self._closed = True
+            return None
+        summary = summarize(self.run_dir)
+        self.run_dir.finalize(summary)
+        self._closed = True
+        self.reporter.stop()
+        return summary
+
+    def interrupt(self) -> None:
+        """Close the leg without a verdict: the next leg resumes it."""
+        if self._closed:
+            return
+        self._closed = True
+        if self.run_dir is not None:
+            self.run_dir.mark_interrupted()
+            self.reporter.stop(status="interrupted")
+
+    def __enter__(self) -> "CampaignLeg":
+        if self.reporter is not None:
+            self.reporter.start()
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.interrupt()

@@ -40,26 +40,27 @@ from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.runtime.space import ScenarioSpace
 
 
-def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
-    """Worker entry point: one cell, standard instrumentation.
+def _profiled_call(
+    fn: Callable[[Any], Any], argument: Any
+) -> tuple[Any, float, dict]:
+    """``fn(argument)`` under a worker-local profiler, timed.
 
-    Beyond :func:`execute_request`, the sweep path times the cell and
-    captures its engine spans under a worker-local profiler, attaching
-    both as ``extra["profile"]`` — wall-clock telemetry for campaign
-    summaries (slowest cells, per-engine span aggregates).  The figures
-    ride in ``extra`` precisely because the determinism contract covers
-    events and metrics, never extras: traces stay byte-identical across
-    schedulers while the telemetry varies with the hardware.  Samples
-    are also re-recorded into any profiler the caller had installed, so
-    ``jobs=1`` runs under ``repro metrics``-style profiling see exactly
-    the spans they always did.
+    Returns ``(value, wall seconds, span snapshot)``.  The sweep path
+    attaches the figures to results as ``extra["profile"]`` — wall-clock
+    telemetry for campaign summaries (slowest cells, per-engine span
+    aggregates).  They ride in ``extra`` precisely because the
+    determinism contract covers events and metrics, never extras: traces
+    stay byte-identical across schedulers while the telemetry varies
+    with the hardware.  Samples are also re-recorded into any profiler
+    the caller had installed, so ``jobs=1`` runs under ``repro
+    metrics``-style profiling see exactly the spans they always did.
     """
     outer = get_profiler()
     local = Profiler()
     set_profiler(local)
     started = perf_counter()
     try:
-        result = execute_request(request)
+        value = fn(argument)
     finally:
         set_profiler(outer)
     duration = perf_counter() - started
@@ -67,10 +68,13 @@ def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
         for name, samples in local.spans.items():
             for sample in samples:
                 outer.record(name, sample)
-    result.extra["profile"] = {
-        "duration_s": duration,
-        "spans": local.snapshot(),
-    }
+    return value, duration, local.snapshot()
+
+
+def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
+    """Worker entry point: one cell, timed with its engine spans."""
+    result, duration, spans = _profiled_call(execute_request, request)
+    result.extra["profile"] = {"duration_s": duration, "spans": spans}
     return result
 
 
@@ -88,21 +92,8 @@ def _execute_chunk(requests: list[ExecutionRequest]) -> list[ExecutionResult]:
     """
     if len(requests) == 1 and requests[0].engine != "vector":
         return [_execute_cell(requests[0])]
-    outer = get_profiler()
-    local = Profiler()
-    set_profiler(local)
-    started = perf_counter()
-    try:
-        batch = execute_batch(requests)
-    finally:
-        set_profiler(outer)
-    duration = perf_counter() - started
-    if outer is not None:
-        for name, samples in local.spans.items():
-            for sample in samples:
-                outer.record(name, sample)
+    batch, duration, spans = _profiled_call(execute_batch, requests)
     share = duration / len(batch) if batch else 0.0
-    spans = local.snapshot()
     for position, result in enumerate(batch):
         result.extra["profile"] = {
             "duration_s": share,
@@ -215,6 +206,46 @@ class SweepResult:
     #: The backing cache's lifetime telemetry (hits/misses/stores/
     #: corrupt evictions), ``None`` when the sweep ran uncached.
     cache_stats: dict[str, int] | None = None
+
+    @classmethod
+    def aggregate(
+        cls,
+        space_name: str,
+        requests: list[ExecutionRequest],
+        results: list[ExecutionResult],
+        *,
+        executed: int,
+        check: bool,
+        cache: ResultCache | None,
+    ) -> "SweepResult":
+        """Build the result of a finished sweep from its space-ordered
+        cells — the one aggregate phase, whoever executed them."""
+        # Fold metrics in space order so the result is schedule-independent.
+        registry = MetricsRegistry()
+        for result in results:
+            registry.merge_state(result.metrics)
+        # Only schedule-independent facts may enter the aggregate:
+        # executed/cached counts live on the SweepResult, not in the
+        # registry, so a cache-warm re-run aggregates identically.
+        registry.counter("sweep.cells.total").inc(len(results))
+
+        checks = None
+        if check:
+            with profiled("runtime.sweep.check"):
+                checks = [
+                    check_cell(request, result)
+                    for request, result in zip(requests, results)
+                ]
+        return cls(
+            space_name=space_name,
+            requests=requests,
+            results=results,
+            executed=executed,
+            cached=len(results) - executed,
+            metrics=registry,
+            checks=checks,
+            cache_stats=cache.stats.as_dict() if cache is not None else None,
+        )
 
     @property
     def total(self) -> int:
@@ -428,36 +459,13 @@ class SweepRunner:
 
         final: list[ExecutionResult] = [r for r in results if r is not None]
         assert len(final) == len(requests)
-
-        # Aggregate phase: fold metrics in space order so the result is
-        # schedule-independent.
-        registry = MetricsRegistry()
-        for result in final:
-            registry.merge_state(result.metrics)
-        # Only schedule-independent facts may enter the aggregate:
-        # executed/cached counts live on the SweepResult, not in the
-        # registry, so a cache-warm re-run aggregates identically.
-        registry.counter("sweep.cells.total").inc(len(final))
-
-        checks = None
-        if self.check:
-            with profiled("runtime.sweep.check"):
-                checks = [
-                    check_cell(request, result)
-                    for request, result in zip(requests, final)
-                ]
-
-        return SweepResult(
-            space_name=space.name,
-            requests=requests,
-            results=final,
+        return SweepResult.aggregate(
+            space.name,
+            requests,
+            final,
             executed=len(misses),
-            cached=len(final) - len(misses),
-            metrics=registry,
-            checks=checks,
-            cache_stats=(
-                self.cache.stats.as_dict() if self.cache is not None else None
-            ),
+            check=self.check,
+            cache=self.cache,
         )
 
 

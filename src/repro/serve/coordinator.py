@@ -36,16 +36,14 @@ import uuid
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir
-from repro.obs.metrics import MetricsRegistry
-from repro.runtime.cache import ResultCache
+from repro.runtime.campaign import CampaignLeg
 from repro.runtime.request import (
     ExecutionRequest,
     ExecutionResult,
     batch_cache_keys,
 )
 from repro.runtime.space import ScenarioSpace
-from repro.runtime.sweep import SweepResult, check_cell
+from repro.runtime.sweep import SweepResult
 from repro.serve.shards import (
     DEFAULT_SHARD_SIZE,
     DONE,
@@ -109,19 +107,20 @@ class Coordinator:
         self.on_cell = on_cell
         self._lock = threading.RLock()
 
-        self.run_dir = RunDir.open(
+        #: The leg on the run directory: ``repro serve`` runs it as a context
+        #: manager, others end it by :meth:`finalize`/:meth:`mark_interrupted`.
+        self.leg = CampaignLeg(
             run_root,
             kind="sweep",
             name=space.name,
-            identity=sorted(self.keys),
-            cells=[(r.name, k) for r, k in zip(self.requests, self.keys)],
+            requests=self.requests,
             config={"space": space.name, "mode": "serve", "check": check},
+            label=f"serve:{space.name}",
         )
-        self.cache = ResultCache(self.run_dir.results_dir)
-
-        on_disk = self.cache.completed_keys()
+        self.run_dir = self.leg.run_dir
+        self.cache = self.leg.cache
         #: Planned keys already completed when this leg started.
-        self.completed_before: set[str] = set(self.keys) & on_disk
+        self.completed_before = self.leg.completed_before
         #: Every planned key with a result on disk (grows as legs merge).
         self.merged: set[str] = set(self.completed_before)
         #: Keys whose results this leg stored (the leg's "executed").
@@ -146,15 +145,7 @@ class Coordinator:
         # Audit the resumed cells like a cache-warm sweep leg would.
         for request, key in zip(self.requests, self.keys):
             if key in self.completed_before:
-                self.run_dir.record_cell(
-                    name=request.name,
-                    key=key,
-                    cached=True,
-                    engine=request.engine,
-                    algorithm=request.algorithm,
-                )
-                if self.on_cell is not None:
-                    self.on_cell(request.name, True)
+                self._merged_cell(request)
 
     # -- lease side (worker-facing) ------------------------------------------
 
@@ -263,20 +254,7 @@ class Coordinator:
                 self.cache.put(self.requests[index], result)
                 self.merged.add(key)
                 self.stored_this_leg.add(key)
-                profile = result.extra.get("profile") or {}
-                self.run_dir.record_cell(
-                    name=result.name,
-                    key=key,
-                    cached=False,
-                    engine=self.requests[index].engine,
-                    algorithm=self.requests[index].algorithm,
-                    latency=result.latency,
-                    num_rounds=result.num_rounds,
-                    events=len(result.events),
-                    duration_s=profile.get("duration_s"),
-                )
-                if self.on_cell is not None:
-                    self.on_cell(result.name, False)
+                self._merged_cell(self.requests[index], result)
                 accepted += 1
             stats = self.workers.setdefault(
                 worker_id, {"claims": 0, "cells_merged": 0}
@@ -297,6 +275,14 @@ class Coordinator:
                 "stale": stale,
                 "done": self.is_complete(),
             }
+
+    def _merged_cell(
+        self, request: ExecutionRequest, result: ExecutionResult | None = None
+    ) -> None:
+        """Audit a cell merged from a worker or (no result) found stored."""
+        self.leg.on_cell(request, result)
+        if self.on_cell is not None:
+            self.on_cell(request.name, result is None)
 
     def _expire_leases(self) -> None:
         now = self.clock()
@@ -415,27 +401,13 @@ class Coordinator:
                 # the summary's resume arithmetic stays exact.
                 result.cached = key not in self.stored_this_leg
                 results.append(result)
-            registry = MetricsRegistry()
-            for result in results:
-                registry.merge_state(result.metrics)
-            registry.counter("sweep.cells.total").inc(len(results))
-            checks = (
-                [
-                    check_cell(request, result)
-                    for request, result in zip(self.requests, results)
-                ]
-                if self.check
-                else None
-            )
-            return SweepResult(
-                space_name=self.space.name,
-                requests=self.requests,
-                results=results,
+            return SweepResult.aggregate(
+                self.space.name,
+                self.requests,
+                results,
                 executed=len(self.stored_this_leg),
-                cached=len(results) - len(self.stored_this_leg),
-                metrics=registry,
-                checks=checks,
-                cache_stats=self.cache.stats.as_dict(),
+                check=self.check,
+                cache=self.cache,
             )
 
     def finalize(self) -> tuple[SweepResult, dict[str, Any]]:
@@ -449,18 +421,21 @@ class Coordinator:
                     "cells still missing"
                 )
             sweep_result = self.build_sweep_result()
-            summary = summarize_sweep(
-                self.run_dir,
-                sweep_result,
-                completed_before=self.completed_before,
+
+            self._finalized = self.leg.finalize(
+                lambda run_dir: {
+                    **summarize_sweep(
+                        run_dir,
+                        sweep_result,
+                        completed_before=self.completed_before,
+                    ),
+                    "serve": self.serve_stats(),
+                }
             )
-            summary["serve"] = self.serve_stats()
-            self.run_dir.finalize(summary)
-            self._finalized = summary
-            return sweep_result, summary
+            return sweep_result, self._finalized
 
     def mark_interrupted(self) -> None:
-        self.run_dir.mark_interrupted()
+        self.leg.interrupt()
 
     def summary_document(self) -> dict[str, Any]:
         """The finalized summary, or an ``in_progress`` status stub."""

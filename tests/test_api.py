@@ -54,7 +54,6 @@ SUBPACKAGES = [
     "repro.commit",
     "repro.broadcast",
     "repro.fdconsensus",
-    "repro.randomized",
     "repro.analysis",
     "repro.trace",
     "repro.workloads",

@@ -1,0 +1,442 @@
+"""The run-directory lifecycle, tested once: ``CampaignLeg``.
+
+``sweep``, ``fuzz``, ``mc``, ``live`` and ``serve`` all hold their run
+directory through one :class:`repro.runtime.campaign.CampaignLeg`, so
+the contract — what a leg writes, and that no way of leaving it strands
+the manifest at ``"running"`` — is pinned here against the class, with
+one regression per command for the bugs the five private copies had.
+The goldens at the bottom were captured at the parent commit: the
+rebuild may not change what lands on disk.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli.main import main
+from repro.errors import ConfigurationError
+from repro.fuzz import run_campaign
+from repro.mc import McTask, check
+from repro.obs.artifacts import RunDir
+from repro.obs.report import summarize_sweep, summary_problems
+from repro.runtime import (
+    ResultCache,
+    ScenarioSpace,
+    SweepRunner,
+    oracle_sweep_space,
+    space_by_name,
+)
+from repro.runtime.campaign import CampaignLeg
+from repro.serve import Coordinator, execute_shard
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _space(count=5):
+    return ScenarioSpace.explicit(
+        "leg-test", oracle_sweep_space().requests[:count]
+    )
+
+
+def _leg(root, space, **overrides):
+    options = dict(
+        kind="sweep",
+        name=space.name,
+        requests=space.requests,
+        config={"space": space.name},
+    )
+    options.update(overrides)
+    return CampaignLeg(None if root is None else str(root), **options)
+
+
+def _run(leg, space):
+    return SweepRunner(cache=leg.cache, on_cell=leg.on_cell).run(space)
+
+
+def _last_progress(run_dir):
+    return run_dir.progress_records()[-1]
+
+
+class TestInertLeg:
+    def test_no_root_creates_nothing_and_hands_back_the_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        space = _space()
+        cache_dir = str(tmp_path / "cache")
+        with _leg(None, space, cache_dir=cache_dir) as leg:
+            assert leg.run_dir is None and leg.path is None
+            assert leg.cache == cache_dir
+            assert leg.completed_before == set()
+            result = _run(leg, space)
+            leg.audit(space.requests[0], result.results[0])
+            leg.on_session(0, 0.1, True)
+            summarised = []
+            assert leg.finalize(summarised.append) is None
+            assert summarised == []  # the summariser never ran
+        assert result.executed == len(space.requests)
+        # Only the --cache-dir store exists: no run directory anywhere.
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    def test_no_root_no_cache(self):
+        assert _leg(None, _space()).cache is None
+
+
+class TestOpenLeg:
+    def test_manifest_plan_and_store(self, tmp_path):
+        space = _space()
+        with _leg(tmp_path, space) as leg:
+            manifest = json.loads((leg.path / "manifest.json").read_text())
+            assert manifest["status"] == "running"
+            assert manifest["legs"] == 1
+            assert manifest["planned"] == len(space.requests)
+            assert manifest["cells"] == [
+                {"name": r.name, "key": r.cache_key()} for r in space.requests
+            ]
+            assert isinstance(leg.cache, ResultCache)
+            assert leg.cache.directory == leg.run_dir.results_dir
+            assert leg.completed_before == set()
+
+    def test_one_metrics_line_per_on_cell_and_audit_counts_nothing(
+        self, tmp_path
+    ):
+        space = _space()
+        with _leg(tmp_path, space) as leg:
+            result = _run(leg, space)
+            run_dir = leg.run_dir
+            assert [r["cell"] for r in run_dir.metrics_records()] == [
+                r.name for r in space.requests
+            ]
+            # The audit-only variant writes its line but leaves the
+            # heartbeat's counter alone (fuzz twins are derived work).
+            leg.audit(space.requests[0], result.results[0])
+            assert len(run_dir.metrics_records()) == len(space.requests) + 1
+            assert leg.reporter.heartbeat()["done"] == len(space.requests)
+            # A cell found in the store and not loaded: cached, no figures.
+            leg.on_cell(space.requests[1])
+            line = run_dir.metrics_records()[-1]
+            assert line["cached"] is True and line["latency"] is None
+            assert line["key"] == space.requests[1].cache_key()
+            leg.finalize(lambda run: {})
+
+    def test_completed_before_is_the_store_restricted_to_the_plan(
+        self, tmp_path
+    ):
+        space = _space(5)
+        head = ScenarioSpace.explicit(space.name, space.requests[:2])
+        with _leg(tmp_path, space) as first:
+            _run(first, head)  # two planned cells land in the store...
+            stray = oracle_sweep_space().requests[7]
+            SweepRunner(cache=first.cache).run(
+                ScenarioSpace.explicit("stray", [stray])
+            )  # ...and one the plan does not name (a fuzz twin, say)
+        second = _leg(tmp_path, space)
+        assert second.path == first.path
+        assert second.run_dir.manifest["legs"] == 2
+        assert second.completed_before == {
+            r.cache_key() for r in space.requests[:2]
+        }
+        assert stray.cache_key() in second.cache.completed_keys()
+        second.interrupt()
+
+    def test_session_leg_has_no_store_and_audits_sessions(self, tmp_path):
+        config = {"algorithm": "floodset", "sessions": 3}
+        with CampaignLeg(
+            str(tmp_path), kind="live", name="live-x", config=config, sessions=3
+        ) as leg:
+            assert leg.cache is None
+            assert leg.run_dir.manifest["planned"] == 3
+            leg.on_session(1, 0.25, True)
+            (line,) = leg.run_dir.metrics_records()
+            assert line["cell"] == line["key"] == "session-1"
+            assert line["engine"] == "live" and line["algorithm"] == "floodset"
+            assert line["ok"] is True and line["duration_s"] == 0.25
+            assert leg.reporter.heartbeat()["verdicts"] == {"complete": 1}
+            leg.finalize(lambda run: {})
+        # Same config, same directory: the identity is the config.
+        again = CampaignLeg(
+            str(tmp_path), kind="live", name="live-x", config=config, sessions=3
+        )
+        assert again.path == leg.path
+        again.interrupt()
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestEndings:
+    @pytest.mark.parametrize(
+        "exception", [_Boom, KeyboardInterrupt, SystemExit], ids=lambda e: e.__name__
+    )
+    def test_any_exception_marks_the_leg_interrupted(self, tmp_path, exception):
+        space = _space()
+        with pytest.raises(exception):
+            with _leg(tmp_path, space) as leg:
+                _run(leg, space)
+                raise exception()
+        run_dir = RunDir.load(leg.path)
+        assert run_dir.manifest["status"] == "interrupted"
+        assert _last_progress(run_dir)["status"] == "interrupted"
+        assert _last_progress(run_dir)["done"] == len(space.requests)
+        assert leg.run_dir._metrics is None  # the audit handle is closed
+        assert run_dir.summary() is None
+
+    def test_leaving_without_a_verdict_is_interrupted_too(self, tmp_path):
+        with _leg(tmp_path, _space()) as leg:
+            pass
+        assert RunDir.load(leg.path).manifest["status"] == "interrupted"
+
+    def test_a_summariser_that_raises_interrupts_the_leg(self, tmp_path):
+        space = _space()
+
+        def summarize(run):
+            raise _Boom()
+
+        with pytest.raises(_Boom):
+            with _leg(tmp_path, space) as leg:
+                _run(leg, space)
+                leg.finalize(summarize)
+        assert RunDir.load(leg.path).manifest["status"] == "interrupted"
+        # ... and the next leg finishes it without re-executing anything.
+        with _leg(tmp_path, space) as second:
+            result = _run(second, space)
+            summary = second.finalize(
+                lambda run: summarize_sweep(
+                    run, result, completed_before=second.completed_before
+                )
+            )
+        assert second.run_dir.manifest["legs"] == 2
+        assert summary["resume"]["re_executed"] == 0
+        assert summary["resume"]["cached"] == len(space.requests)
+
+    def test_finalize_completes_the_leg(self, tmp_path):
+        space = _space()
+        with _leg(tmp_path, space) as leg:
+            result = _run(leg, space)
+            summary = leg.finalize(
+                lambda run: summarize_sweep(
+                    run, result, completed_before=leg.completed_before
+                )
+            )
+        run_dir = RunDir.load(leg.path)
+        assert run_dir.manifest["status"] == "complete"
+        assert _last_progress(run_dir)["status"] == "complete"
+        assert leg.run_dir._metrics is None
+        assert run_dir.summary() == json.loads(json.dumps(summary))
+        assert summary_problems(run_dir.summary()) == []
+
+    def test_finalize_twice_or_after_exit_is_an_error(self, tmp_path):
+        with _leg(tmp_path, _space()) as leg:
+            leg.finalize(lambda run: {"first": True})
+            with pytest.raises(RuntimeError, match="already closed"):
+                leg.finalize(lambda run: {"second": True})
+        with pytest.raises(RuntimeError, match="already closed"):
+            leg.finalize(lambda run: {"third": True})
+        assert leg.run_dir.summary()["first"] is True
+        assert leg.run_dir.manifest["status"] == "complete"
+
+        with _leg(tmp_path / "other", _space()) as left:
+            pass
+        with pytest.raises(RuntimeError, match="already closed"):
+            left.finalize(lambda run: {})
+        assert left.run_dir.summary() is None
+
+    def test_unwritable_root_is_a_configuration_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(ConfigurationError, match="cannot create run directory"):
+            _leg(blocker / "runs", _space())
+
+
+# ---------------------------------------------------------------------------
+# One regression per command for what the private copies got wrong
+# ---------------------------------------------------------------------------
+
+MC_TASK = dict(property_name="agreement", algorithm="floodset", n=3, t=1)
+
+
+def _only_run(root):
+    (path,) = Path(root).iterdir()
+    return RunDir.load(path)
+
+
+class TestFailureAfterTheSweep:
+    """The copies guarded ``runner.run`` alone; the leg guards the rest."""
+
+    def test_mc_property_evaluation_failure_interrupts_then_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.mc.checker as checker
+
+        def explode(*args, **kwargs):
+            raise _Boom()
+
+        root = str(tmp_path / "runs")
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "evaluate_property", explode)
+            with pytest.raises(_Boom):
+                check(McTask(**MC_TASK, run_root=root))
+        run_dir = _only_run(root)
+        assert run_dir.manifest["status"] == "interrupted"
+        assert _last_progress(run_dir)["status"] == "interrupted"
+
+        resumed = check(McTask(**MC_TASK, run_root=root))
+        run_dir = _only_run(root)
+        assert run_dir.manifest["status"] == "complete"
+        assert run_dir.manifest["legs"] == 2
+        assert run_dir.summary()["resume"]["re_executed"] == 0
+        assert resumed.sweep.executed == 0
+
+    def test_fuzz_summarisation_failure_interrupts_then_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.fuzz.campaign as campaign
+
+        def explode(*args, **kwargs):
+            raise _Boom()
+
+        root = str(tmp_path / "runs")
+        options = dict(budget=6, seed=0, engines=("rounds",), run_root=root)
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign, "summarize_fuzz", explode)
+            with pytest.raises(_Boom):
+                run_campaign(**options)
+        run_dir = _only_run(root)
+        assert run_dir.manifest["status"] == "interrupted"
+        assert _last_progress(run_dir)["status"] == "interrupted"
+
+        report = run_campaign(**options)
+        run_dir = _only_run(root)
+        assert run_dir.manifest["status"] == "complete"
+        assert run_dir.manifest["legs"] == 2
+        assert run_dir.summary()["resume"]["re_executed"] == 0
+        assert report.executed == 0
+
+    def test_malformed_bound_is_refused_before_anything_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.mc.checker as checker
+
+        def never(task):
+            raise AssertionError("planned (explored) before validating")
+
+        monkeypatch.setattr(checker, "_plan", never)
+        root = tmp_path / "runs"
+        with pytest.raises(ConfigurationError, match="malformed bound"):
+            check(
+                McTask(
+                    property_name="lambda",
+                    algorithm="a1",
+                    bound="garbage",
+                    run_root=str(root),
+                )
+            )
+        assert not root.exists()
+
+    def test_malformed_bound_on_the_cli(self, tmp_path, capsys):
+        root = tmp_path / "runs"
+        code = main(
+            ["mc", "lambda", "--algorithm", "a1", "--bound", "garbage",
+             "--run-dir", str(root)]
+        )
+        assert code == 2
+        assert "malformed bound 'garbage'" in capsys.readouterr().err
+        assert not root.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "e10-lambda"],
+        ["fuzz", "--budget", "4"],
+        ["mc", "agreement", "--algorithm", "floodset"],
+        ["live"],
+        ["serve", "e10-lambda"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_run_dir_is_one_error_line_not_a_traceback(argv, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--run-dir", str(blocker / "x")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert "cannot create run directory" in line
+
+
+# ---------------------------------------------------------------------------
+# Goldens captured at the parent commit (the five private copies)
+# ---------------------------------------------------------------------------
+
+_SWEEP_KEYS = [
+    "cache", "causal", "coverage", "kind", "latency_by_algorithm", "oracle",
+    "resume", "run_id", "schema", "slo_verdicts", "slowest_cells", "space",
+    "spans",
+]
+_MANIFEST_KEYS = [
+    "cells", "config", "git", "injection", "kind", "legs", "name", "planned",
+    "run_id", "schema", "slo", "status",
+]
+_CELL_LINE_KEYS = [
+    "algorithm", "cached", "cell", "duration_s", "engine", "events", "key",
+    "latency", "leg", "num_rounds", "ok", "t",
+]
+
+
+def _assert_layout(run_dir, run_id, summary_keys):
+    assert run_dir.run_id == run_dir.path.name == run_id
+    assert sorted(run_dir.summary()) == summary_keys
+    assert sorted(run_dir.manifest) == _MANIFEST_KEYS
+    assert run_dir.manifest["status"] == "complete"
+    for line in run_dir.metrics_records():
+        assert sorted(line) == _CELL_LINE_KEYS
+
+
+class TestSameBytesOnDisk:
+    def test_sweep_run_directory(self, tmp_path, capsys):
+        root = str(tmp_path / "runs")
+        argv = ["sweep", "oracle-sweep", "--check", "--run-dir", root]
+        assert main(argv) == 0
+        _assert_layout(_only_run(root), "0528f8299ac605b3", _SWEEP_KEYS)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "executed 0," in capsys.readouterr().out
+        assert _only_run(root).manifest["legs"] == 2
+
+    def test_fuzz_run_directory(self, tmp_path, capsys):
+        root = str(tmp_path / "runs")
+        argv = ["fuzz", "--budget", "24", "--seed", "0", "--run-dir", root]
+        assert main(argv) == 0
+        _assert_layout(
+            _only_run(root), "f71f439e7d0a92cd", sorted(_SWEEP_KEYS + ["fuzz"])
+        )
+
+    def test_coordinator_run_directory(self, tmp_path):
+        root = str(tmp_path / "runs")
+        coordinator = Coordinator(space_by_name("e10-lambda"), run_root=root)
+        while not (grant := coordinator.claim("w")).get("done"):
+            coordinator.submit(
+                {
+                    "shard_id": grant["shard_id"],
+                    "lease_id": grant["lease_id"],
+                    "worker_id": "w",
+                    "results": execute_shard(grant),
+                }
+            )
+        coordinator.finalize()
+        serve_keys = sorted(set(_SWEEP_KEYS) - {"oracle"} | {"serve"})
+        _assert_layout(_only_run(root), "2f26f643d2107805", serve_keys)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.mc import McTask, check, mc_space_from_spec, spec_for_task
 from repro.mc.space import parse_spec, space_for_params
+from repro.obs.artifacts import RunDir
+from repro.obs.report import render_report, summary_problems
 from repro.serve import Coordinator, execute_shard
 
 import pytest
@@ -89,3 +91,47 @@ class TestServeResumesSolo:
         second = check(McTask(**{**TASK.__dict__, "run_root": root}))
         assert second.sweep.executed == 0
         assert second.verdict.to_dict() == first.verdict.to_dict()
+
+
+class TestRunDirSummary:
+    """An ``mc`` run directory carries a summary its own validator accepts."""
+
+    def _summary(self, outcome, *, executed):
+        run_dir = RunDir.load(outcome.run_dir)
+        summary = run_dir.summary()
+        cells = len(outcome.sweep.results)
+        assert summary_problems(summary) == []
+        assert summary["mc"] == outcome.verdict.to_dict()
+        assert summary["coverage"]["planned"] == cells
+        assert summary["coverage"]["completed"] == cells
+        assert summary["resume"]["executed"] == executed
+        assert summary["resume"]["cached"] == cells - executed
+        assert summary["resume"]["re_executed"] == 0
+        assert all(verdict["ok"] for verdict in summary["slo_verdicts"])
+        assert f"coverage: {cells}/{cells} cells (100.0%)" in render_report(
+            run_dir
+        )
+        return summary
+
+    def test_solo_cold_then_resumed(self, tmp_path):
+        task = McTask(**{**TASK.__dict__, "run_root": str(tmp_path / "runs")})
+        cold = check(task)
+        cells = len(cold.sweep.results)
+        summary = self._summary(cold, executed=cells)
+        assert summary["resume"]["completed_before"] == 0
+
+        resumed = check(task)
+        summary = self._summary(resumed, executed=0)
+        assert summary["resume"]["completed_before"] == cells
+        assert resumed.verdict.to_json() == cold.verdict.to_json()
+
+    def test_serve_then_solo(self, tmp_path):
+        root = str(tmp_path / "runs")
+        space = mc_space_from_spec(spec_for_task(TASK))
+        TestServeResumesSolo()._drive(
+            Coordinator(space, run_root=root, shard_size=3)
+        )
+        solo = check(McTask(**{**TASK.__dict__, "run_root": root}))
+        summary = self._summary(solo, executed=0)
+        assert summary["resume"]["completed_before"] == len(space.requests)
+        assert RunDir.load(solo.run_dir).manifest["legs"] == 2
