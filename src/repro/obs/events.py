@@ -21,6 +21,12 @@ objects — or compute their fields — unless an observer actually wants
 them.  The base :class:`Observer` implements every hook as a no-op;
 engines additionally guard each call site with ``observer is not
 None``, which keeps the uninstrumented path free of any allocation.
+
+The round engines report a round's message traffic a phase at a time
+through two further hooks, :meth:`Observer.round_sends` and
+:meth:`Observer.round_deliveries`.  They add no event kind: their
+defaults replay the phase through the per-message hooks above, and the
+observers of this package build the same events in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence, TextIO
 
 #: The closed set of event kinds an :class:`EventLog` may contain.
 EVENT_KINDS: frozenset[str] = frozenset(
@@ -46,7 +52,7 @@ EVENT_KINDS: frozenset[str] = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One structured observation.
 
@@ -135,6 +141,17 @@ class Event:
         )
 
 
+def round_msg_id(round_index: int, sender: int, recipient: int) -> str:
+    """The canonical message id for round-model messages.
+
+    The round models permit at most one message per ordered
+    ``(sender, recipient)`` pair per round, so this key is unique and
+    both the engines and the post-hoc reconstruction can derive it
+    independently.
+    """
+    return f"r{round_index}:{sender}>{recipient}"
+
+
 def logical_clock() -> Callable[[], float]:
     """A deterministic timestamp source: 1.0, 2.0, 3.0, ...
 
@@ -203,12 +220,70 @@ class Observer:
       :attr:`Event.extra` (and therefore serializes).  Only the live
       runtime's post-hoc replay supplies it; live traces are outside
       the byte-parity oracles.
+
+    The round engines do not call the three message hooks directly:
+    they hand over a round's send phase and its receive phase whole
+    (:meth:`round_sends`, :meth:`round_deliveries`), and the defaults
+    here replay each phase through ``msg_sent`` / ``msg_delivered`` /
+    ``msg_withheld`` in emission order with the structural ``msg_id``.
+    An observer that only knows the per-message hooks therefore sees
+    exactly the calls it always did.  **Fallback rule:** a subclass
+    that overrides a per-message hook without overriding the matching
+    round hook *in the same class* gets that default back, even when a
+    base class batches natively — so an ``EventLog`` subclass with its
+    own ``msg_sent`` is still called once per message.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__
+        if "msg_sent" in own and "round_sends" not in own:
+            cls.round_sends = Observer.round_sends
+        if (
+            "msg_delivered" in own or "msg_withheld" in own
+        ) and "round_deliveries" not in own:
+            cls.round_deliveries = Observer.round_deliveries
+
     def round_start(self, round_index: int, alive: Sequence[int]) -> None:
         """Round ``round_index`` begins with ``alive`` processes."""
+
+    def round_sends(
+        self, round_index: int, pairs: Sequence[tuple[int, int]]
+    ) -> None:
+        """Round ``round_index``'s send phase: every ``(sender,
+        recipient)`` whose message reached the network, in send order."""
+        msg_sent = self.msg_sent
+        for sender, recipient in pairs:
+            msg_sent(
+                sender,
+                recipient,
+                round_index=round_index,
+                msg_id=round_msg_id(round_index, sender, recipient),
+            )
+
+    def round_deliveries(
+        self,
+        round_index: int,
+        pairs: Sequence[tuple[int, int]],
+        withheld: Collection[tuple[int, int]] = (),
+    ) -> None:
+        """Round ``round_index``'s receive phase over the ``pairs`` of
+        :meth:`round_sends`: a pair in ``withheld`` (a subset of
+        ``pairs``; RWS pending messages) was withheld from its
+        recipient, every other one was delivered."""
+        msg_delivered = self.msg_delivered
+        msg_withheld = self.msg_withheld
+        for pair in pairs:
+            sender, recipient = pair
+            msg_id = round_msg_id(round_index, sender, recipient)
+            if pair in withheld:
+                msg_withheld(sender, recipient, round_index, msg_id=msg_id)
+            else:
+                msg_delivered(
+                    sender, recipient, round_index=round_index, msg_id=msg_id
+                )
 
     def msg_sent(
         self,
@@ -327,6 +402,40 @@ class EventLog(Observer):
                 round=round_index,
                 value=sorted(alive),
             )
+        )
+
+    def round_sends(
+        self, round_index: int, pairs: Sequence[tuple[int, int]]
+    ) -> None:
+        clock = self._clock
+        self.events.extend(
+            [
+                Event("msg_sent", clock(), round_index, None, recipient, sender)
+                for sender, recipient in pairs
+            ]
+        )
+
+    def round_deliveries(
+        self,
+        round_index: int,
+        pairs: Sequence[tuple[int, int]],
+        withheld: Collection[tuple[int, int]] = (),
+    ) -> None:
+        clock = self._clock
+        self.events.extend(
+            [
+                Event(
+                    "msg_withheld"
+                    if withheld and (sender, recipient) in withheld
+                    else "msg_delivered",
+                    clock(),
+                    round_index,
+                    None,
+                    recipient,
+                    sender,
+                )
+                for sender, recipient in pairs
+            ]
         )
 
     def msg_sent(
@@ -504,6 +613,14 @@ class EventLog(Observer):
             return self.dump_jsonl(fp)
 
 
+#: Every hook of the protocol, for :class:`CompositeObserver`'s table.
+_HOOKS = tuple(
+    name
+    for name, member in vars(Observer).items()
+    if not name.startswith("_") and callable(member)
+)
+
+
 class CompositeObserver(Observer):
     """Fan one event stream out to several observers (log + metrics).
 
@@ -511,25 +628,56 @@ class CompositeObserver(Observer):
     observer must not starve its siblings: every hook dispatch is
     isolated, exceptions are collected in :attr:`errors` as
     ``(observer, hook name, exception)`` triples, and the remaining
-    observers still receive the event.  Callers that want loud failures
-    can assert ``not composite.errors`` after the run.
+    observers still receive the event.  A round hook is one dispatch
+    per observer: an observer that raises inside ``round_sends`` is
+    recorded once and its siblings still receive the whole round.
+    Callers that want loud failures can assert ``not composite.errors``
+    after the run.
     """
 
-    __slots__ = ("observers", "errors")
+    __slots__ = ("observers", "errors", "_bound")
 
     def __init__(self, *observers: Observer) -> None:
         self.observers = tuple(observers)
         self.errors: list[tuple[Observer, str, BaseException]] = []
+        # Every observer's hooks, bound once: a dispatch is a table
+        # lookup, not a getattr per observer per event.  A duck-typed
+        # observer that lacks a hook gets Observer's own — for the
+        # round hooks that is the per-message replay.
+        self._bound = {
+            hook: tuple(
+                (
+                    obs,
+                    getattr(obs, hook, None)
+                    or getattr(Observer, hook).__get__(obs),
+                )
+                for obs in self.observers
+            )
+            for hook in _HOOKS
+        }
 
     def _fanout(self, hook: str, *args: Any, **kwargs: Any) -> None:
-        for obs in self.observers:
+        for obs, call in self._bound[hook]:
             try:
-                getattr(obs, hook)(*args, **kwargs)
+                call(*args, **kwargs)
             except Exception as exc:
                 self.errors.append((obs, hook, exc))
 
     def round_start(self, round_index: int, alive: Sequence[int]) -> None:
         self._fanout("round_start", round_index, alive)
+
+    def round_sends(
+        self, round_index: int, pairs: Sequence[tuple[int, int]]
+    ) -> None:
+        self._fanout("round_sends", round_index, pairs)
+
+    def round_deliveries(
+        self,
+        round_index: int,
+        pairs: Sequence[tuple[int, int]],
+        withheld: Collection[tuple[int, int]] = (),
+    ) -> None:
+        self._fanout("round_deliveries", round_index, pairs, withheld)
 
     def msg_sent(
         self,

@@ -15,7 +15,7 @@ as the final segment (``messages.sent.round.2``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from repro.obs.events import Observer
 from repro.stats import percentile, summarize
@@ -202,6 +202,35 @@ class MetricsObserver(Observer):
         self.registry.counter("rounds.started").inc()
         self.registry.gauge("processes.alive").set(len(alive))
 
+    def _count(
+        self, name: str, round_index: int | None, amount: int = 1
+    ) -> None:
+        """``amount`` more ``name`` messages, in total and per round."""
+        # A round phase with no such message must not create the
+        # counters: message by message, nothing would have.
+        if amount:
+            self.registry.counter(name).inc(amount)
+            if round_index is not None:
+                self.registry.counter(
+                    f"{name}.round.{round_index}"
+                ).inc(amount)
+
+    def round_sends(
+        self, round_index: int, pairs: Sequence[tuple[int, int]]
+    ) -> None:
+        self._count("messages.sent", round_index, len(pairs))
+
+    def round_deliveries(
+        self,
+        round_index: int,
+        pairs: Sequence[tuple[int, int]],
+        withheld: Collection[tuple[int, int]] = (),
+    ) -> None:
+        self._count("messages.withheld", round_index, len(withheld))
+        self._count(
+            "messages.delivered", round_index, len(pairs) - len(withheld)
+        )
+
     def msg_sent(
         self,
         sender: int,
@@ -212,9 +241,7 @@ class MetricsObserver(Observer):
         msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        self.registry.counter("messages.sent").inc()
-        if round_index is not None:
-            self.registry.counter(f"messages.sent.round.{round_index}").inc()
+        self._count("messages.sent", round_index)
 
     def msg_withheld(
         self,
@@ -225,8 +252,7 @@ class MetricsObserver(Observer):
         msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        self.registry.counter("messages.withheld").inc()
-        self.registry.counter(f"messages.withheld.round.{round_index}").inc()
+        self._count("messages.withheld", round_index)
 
     def msg_delivered(
         self,
@@ -238,11 +264,7 @@ class MetricsObserver(Observer):
         msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
-        self.registry.counter("messages.delivered").inc()
-        if round_index is not None:
-            self.registry.counter(
-                f"messages.delivered.round.{round_index}"
-            ).inc()
+        self._count("messages.delivered", round_index)
 
     def crash(
         self,

@@ -161,12 +161,16 @@ class TemplateEvents(Sequence):
 
 
 def _with_value(event: Event, value: Any) -> Event:
-    # Shallow-clone through __dict__ instead of dataclasses.replace or
-    # copy.copy: decide events are rebuilt thousands of times per
-    # batch, replace() re-runs the full field-by-field constructor and
-    # copy() goes through __reduce_ex__.  Event is a frozen non-slots
-    # dataclass, so its state is exactly __dict__.
-    clone = Event.__new__(Event)
-    clone.__dict__.update(event.__dict__)
-    clone.__dict__["value"] = value
-    return clone
+    # The constructor, positionally — not dataclasses.replace, which
+    # walks fields() and builds a kwargs dict per call; decide events
+    # are rebuilt thousands of times per batch.
+    return Event(
+        event.kind,
+        event.ts,
+        event.round,
+        event.time,
+        event.pid,
+        event.peer,
+        value,
+        event.extra,
+    )

@@ -14,11 +14,10 @@ from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.obs.causal import round_msg_id
 from repro.obs.events import Observer
 from repro.obs.profile import profiled
 from repro.rounds.algorithm import RoundAlgorithm
-from repro.rounds.scenario import FailureScenario, validate_scenario
+from repro.rounds.scenario import CrashEvent, FailureScenario, validate_scenario
 
 
 class RoundModel(enum.Enum):
@@ -126,8 +125,11 @@ def execute(
             (``algorithm.halted``).  Set True to always execute exactly
             ``max_rounds`` rounds.
         observer: Optional :class:`~repro.obs.Observer` receiving the
-            run's structured events (``round_start``, ``msg_sent``,
-            ``msg_withheld``, ...).  ``None`` (default) costs nothing.
+            run's structured events (``round_start``, each round's
+            ``round_sends`` / ``round_deliveries`` — replayed as
+            ``msg_sent`` / ``msg_delivered`` / ``msg_withheld`` for
+            per-message observers — ``crash``, ``decide``, ``halt``).
+            ``None`` (default) costs nothing.
 
     Returns:
         The completed :class:`RoundRun`.
@@ -162,99 +164,109 @@ def execute(
         scenario=scenario,
     )
 
+    # The adversary's per-process facts, read once per run; asking the
+    # scenario per pid (and per message) dominated the round loop.
+    # First event wins, as in ``FailureScenario.crash_of``.
+    crash_of: dict[int, CrashEvent] = {}
+    for event in scenario.crashes:
+        crash_of.setdefault(event.pid, event)
+
     with profiled("rounds.execute"):
         for round_index in range(1, max_rounds + 1):
             record = _execute_round(
-                algorithm, states, scenario, round_index, run, observer
+                algorithm, states, scenario, crash_of, round_index, run, observer
             )
             run.rounds.append(record)
-            if not run_all_rounds and _quiescent(
-                algorithm, states, scenario, round_index
+            if not run_all_rounds and all(
+                algorithm.halted(pid, states[pid])
+                for pid in _starters(n, crash_of, round_index + 1)
             ):
                 break
 
     if observer is not None:
         final_round = len(run.rounds)
-        for pid in range(n):
-            if scenario.alive_at_start(
-                pid, final_round + 1
-            ) and algorithm.halted(pid, states[pid]):
+        for pid in _starters(n, crash_of, final_round + 1):
+            if algorithm.halted(pid, states[pid]):
                 observer.halt(pid, final_round)
 
     run.final_states = dict(states)
     return run
 
 
+def _starters(
+    n: int, crash_of: Mapping[int, CrashEvent], round_index: int
+) -> list[int]:
+    """The processes that begin ``round_index``, ascending
+    (``FailureScenario.alive_at_start`` over the run's crash map)."""
+    return [
+        pid
+        for pid in range(n)
+        if pid not in crash_of or crash_of[pid].round >= round_index
+    ]
+
+
 def _execute_round(
     algorithm: RoundAlgorithm,
     states: dict[int, Any],
     scenario: FailureScenario,
+    crash_of: Mapping[int, CrashEvent],
     round_index: int,
     run: RoundRun,
     observer: Observer | None = None,
 ) -> RoundRecord:
     n = scenario.n
-
+    starters = _starters(n, crash_of, round_index)
+    dying = {
+        pid: crash
+        for pid, crash in crash_of.items()
+        if crash.round == round_index
+    }
     if observer is not None:
-        observer.round_start(
-            round_index,
-            [
-                pid
-                for pid in range(n)
-                if scenario.alive_at_start(pid, round_index)
-            ],
-        )
+        observer.round_start(round_index, starters)
 
     # Send phase: every process beginning the round generates messages.
     sent: dict[tuple[int, int], Any] = {}
-    for pid in range(n):
-        if not scenario.alive_at_start(pid, round_index):
-            continue
+    for pid in starters:
         outgoing = algorithm.messages(pid, states[pid])
+        mid_broadcast = pid in dying
         for recipient, payload in outgoing.items():
             if not 0 <= recipient < n:
                 raise ConfigurationError(
                     f"{algorithm.name}: p{pid} addressed unknown process "
                     f"{recipient}"
                 )
-            if not scenario.sends_reach(pid, recipient, round_index):
+            if mid_broadcast and not scenario.sends_reach(
+                pid, recipient, round_index
+            ):
                 continue  # crashed mid-broadcast before this send
             sent[(pid, recipient)] = payload
-            if observer is not None:
-                observer.msg_sent(
-                    pid,
-                    recipient,
-                    round_index=round_index,
-                    msg_id=round_msg_id(round_index, pid, recipient),
-                )
 
     # Delivery phase: withhold pending messages (RWS only; validated).
+    pairs = list(sent)
+    withheld = (
+        frozenset(
+            pair for pair in pairs if scenario.withholds(*pair, round_index)
+        )
+        if scenario.pending
+        else frozenset()
+    )
     delivered: dict[int, dict[int, Any]] = {pid: {} for pid in range(n)}
-    for (sender, recipient), payload in sent.items():
-        if scenario.withholds(sender, recipient, round_index):
-            if observer is not None:
-                observer.msg_withheld(
-                    sender,
-                    recipient,
-                    round_index,
-                    msg_id=round_msg_id(round_index, sender, recipient),
-                )
-            continue
-        delivered[recipient][sender] = payload
-        if observer is not None:
-            observer.msg_delivered(
-                sender,
-                recipient,
-                round_index=round_index,
-                msg_id=round_msg_id(round_index, sender, recipient),
-            )
+    for pair, payload in sent.items():
+        if pair not in withheld:
+            sender, recipient = pair
+            delivered[recipient][sender] = payload
+    # A round's traffic is reported a phase at a time; observers that
+    # only know the per-message hooks get them replayed (obs.events).
+    if observer is not None:
+        observer.round_sends(round_index, pairs)
+        observer.round_deliveries(round_index, pairs, withheld)
 
     # Transition phase: processes completing the round apply trans.
     transitioned: set[int] = set()
     crashed_now: set[int] = set()
-    for pid in range(n):
-        crash = scenario.crash_of(pid)
-        if crash is not None and crash.round == round_index:
+    for pid in starters:
+        crash = dying.get(pid)
+        if crash is not None:
             crashed_now.add(pid)
             if observer is not None:
                 observer.crash(
@@ -262,10 +274,8 @@ def _execute_round(
                     round_index=round_index,
                     applies_transition=crash.applies_transition,
                 )
-        if not scenario.alive_at_end(pid, round_index):
-            continue
-        if not scenario.alive_at_start(pid, round_index):
-            continue
+            if not crash.applies_transition:
+                continue
         states[pid] = algorithm.transition(pid, states[pid], delivered[pid])
         transitioned.add(pid)
         decision = algorithm.decision_of(states[pid])
@@ -285,20 +295,6 @@ def _execute_round(
         ),
         transitioned=frozenset(transitioned),
         crashed=frozenset(crashed_now),
-    )
-
-
-def _quiescent(
-    algorithm: RoundAlgorithm,
-    states: dict[int, Any],
-    scenario: FailureScenario,
-    round_index: int,
-) -> bool:
-    """True when every process alive after this round is halted."""
-    return all(
-        algorithm.halted(pid, states[pid])
-        for pid in range(scenario.n)
-        if scenario.alive_at_start(pid, round_index + 1)
     )
 
 

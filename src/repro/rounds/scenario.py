@@ -164,10 +164,9 @@ class FailureScenario:
 
     def withholds(self, sender: int, recipient: int, round_index: int) -> bool:
         """Whether a sent message is withheld this round (RWS pending)."""
-        return (
-            sender != recipient
-            and PendingMessage(sender, recipient, round_index) in self.pending
-        )
+        if not self.pending or sender == recipient:
+            return False
+        return PendingMessage(sender, recipient, round_index) in self.pending
 
     def initially_dead(self) -> frozenset[int]:
         return frozenset(

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.obs.causal import round_msg_id
 from repro.obs.events import (
     CompositeObserver,
     EventLog,
@@ -299,36 +298,16 @@ def replay_plan(
 ) -> None:
     """Stream the plan's hook sequence into ``observer``.
 
-    Emits exactly the calls the object executor would make — message
-    hooks carry the same structural ``msg_id``, so causal observers
-    pair sends with deliveries identically on both engines.
+    Emits exactly the calls the object executor would make — a
+    round's traffic through the same two round hooks, so causal
+    observers pair sends with deliveries identically on both engines.
     """
     for hook in plan.hooks:
         kind = hook[0]
-        if kind == "msg_sent":
-            _, sender, recipient, round_index = hook
-            observer.msg_sent(
-                sender,
-                recipient,
-                round_index=round_index,
-                msg_id=round_msg_id(round_index, sender, recipient),
-            )
-        elif kind == "msg_delivered":
-            _, sender, recipient, round_index = hook
-            observer.msg_delivered(
-                sender,
-                recipient,
-                round_index=round_index,
-                msg_id=round_msg_id(round_index, sender, recipient),
-            )
-        elif kind == "msg_withheld":
-            _, sender, recipient, round_index = hook
-            observer.msg_withheld(
-                sender,
-                recipient,
-                round_index,
-                msg_id=round_msg_id(round_index, sender, recipient),
-            )
+        if kind == "round_msgs":
+            _, round_index, pairs, withheld = hook
+            observer.round_sends(round_index, pairs)
+            observer.round_deliveries(round_index, pairs, withheld)
         elif kind == "round_start":
             _, round_index, alive = hook
             observer.round_start(round_index, list(alive))

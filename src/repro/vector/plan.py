@@ -9,8 +9,10 @@ pending-message filter, transition loop with crash events, quiescence,
 trailing halts) against a plan kernel from
 :mod:`repro.vector.kernels`, producing:
 
-* ``hooks`` — the observer-call sequence, with decide events as
-  indexed slots awaiting per-cell values;
+* ``hooks`` — the observer-call sequence, a round's message traffic
+  as one ``round_msgs`` descriptor (the executor's ``round_sends`` +
+  ``round_deliveries`` pair) and decide events as indexed slots
+  awaiting per-cell values;
 * ``program`` — per executed round, the batched ``W``-union ops and
   decision-source ops the value kernel runs over the whole batch;
 * the template ``decisions`` rounds, ``latency`` and ``num_rounds``,
@@ -149,21 +151,18 @@ def build_plan(
             if not kernel.sends(pid, states[pid]):
                 continue
             for recipient in range(n):
-                if not scenario.sends_reach(pid, recipient, round_index):
-                    continue
-                sent.append((pid, recipient))
-                hooks.append(("msg_sent", pid, recipient, round_index))
+                if scenario.sends_reach(pid, recipient, round_index):
+                    sent.append((pid, recipient))
 
         # Delivery phase: send order, pending-message filter.
+        withheld = frozenset(
+            pair for pair in sent if scenario.withholds(*pair, round_index)
+        )
         recv: list[list[int]] = [[] for _ in range(n)]
         for sender, recipient in sent:
-            if scenario.withholds(sender, recipient, round_index):
-                hooks.append(
-                    ("msg_withheld", sender, recipient, round_index)
-                )
-                continue
-            recv[recipient].append(sender)
-            hooks.append(("msg_delivered", sender, recipient, round_index))
+            if (sender, recipient) not in withheld:
+                recv[recipient].append(sender)
+        hooks.append(("round_msgs", round_index, tuple(sent), withheld))
 
         # Transition phase: crash events, kernel transitions, decides.
         unions_ops: list[tuple[int, tuple[int, ...]]] = []

@@ -7,9 +7,10 @@ exhaustive enumerations nail down specific (n, t) instances completely.
 
 from __future__ import annotations
 
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.consensus import FloodSet, FloodSetWS, check_uniform_consensus_run
 from repro.failures import FailurePattern, PerfectDetector, classify_history
@@ -295,15 +296,47 @@ def test_batch_cache_keys_equal_reference_encoder(requests):
     ]
 
 
+def _cross_type_equal_cells():
+    """Two cells whose ``to_dict()`` compare equal in Python (``0 ==
+    False``) but whose canonical JSON — what the key hashes — differs."""
+    from repro.rounds import FailureScenario
+    from repro.runtime import ExecutionRequest
+
+    return [
+        ExecutionRequest(
+            name="0",
+            engine="rounds",
+            algorithm="floodset",
+            values=values,
+            t=1,
+            model="RS",
+            scenario=FailureScenario.failure_free(2),
+            max_rounds=1,
+        )
+        for values in ((0, 0), (0, False))
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(requests=st.lists(_request_strategy(), min_size=2, max_size=8))
+@example(requests=_cross_type_equal_cells())
 def test_batch_cache_keys_injective_over_canonical_content(requests):
     """Equal keys imply equal canonical request content (and vice
     versa) — the dedupe-by-key merge in the serve coordinator is only
-    sound if a key collision cannot span distinct cells."""
+    sound if a key collision cannot span distinct cells.
+
+    Canonical content is the JSON the key is defined over, not
+    ``to_dict()`` equality: ``(0, 0)`` and ``(0, False)`` are equal
+    tuples in Python and *two* cells (the engines can tell them apart),
+    so they must — and do — get two keys.
+    """
     from repro.runtime.request import batch_cache_keys
 
     keys = batch_cache_keys(requests)
-    for i, a in enumerate(requests):
-        for j, b in enumerate(requests):
-            assert (keys[i] == keys[j]) == (a.to_dict() == b.to_dict())
+    canonical = [
+        json.dumps(request.to_dict(), sort_keys=True, default=repr)
+        for request in requests
+    ]
+    for i in range(len(requests)):
+        for j in range(len(requests)):
+            assert (keys[i] == keys[j]) == (canonical[i] == canonical[j])
