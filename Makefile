@@ -123,10 +123,10 @@ VECTOR_SMOKE_DIR ?= /tmp/repro_vector_smoke
 
 # The columnar kernel's differential goldens: the vector engine's
 # merged sweep trace must be byte-identical (cmp) to the object
-# engine's on the Λ sweep and on the full oracle-sweep space — under
-# the numpy backend, the forced pure-Python backend, and a 2-worker
-# pool — then a vector fuzz stream, whose replay oracle re-executes
-# every case on the object engine (the built-in vector↔object twin).
+# engine's on the Λ sweep and on the full oracle-sweep space (the
+# latter through a 2-worker pool) — then a vector fuzz stream, whose
+# replay oracle re-executes every case on the object engine (the
+# built-in vector↔object twin).
 vector-smoke:
 	rm -rf $(VECTOR_SMOKE_DIR) && mkdir -p $(VECTOR_SMOKE_DIR)
 	PYTHONPATH=src python -m repro sweep e10-lambda --check \
@@ -134,9 +134,6 @@ vector-smoke:
 	PYTHONPATH=src python -m repro sweep e10-lambda --check --engine vector \
 		--jsonl $(VECTOR_SMOKE_DIR)/e10_vector.jsonl
 	cmp $(VECTOR_SMOKE_DIR)/e10_object.jsonl $(VECTOR_SMOKE_DIR)/e10_vector.jsonl
-	REPRO_VECTOR_BACKEND=python PYTHONPATH=src python -m repro sweep e10-lambda \
-		--check --engine vector --jsonl $(VECTOR_SMOKE_DIR)/e10_python.jsonl
-	cmp $(VECTOR_SMOKE_DIR)/e10_object.jsonl $(VECTOR_SMOKE_DIR)/e10_python.jsonl
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
 		--jsonl $(VECTOR_SMOKE_DIR)/oracle_object.jsonl
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check --engine vector \

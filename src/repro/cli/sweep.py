@@ -38,12 +38,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         space = space_by_name(args.space, count=args.count, seed=args.seed)
         if args.engine == "vector":
-            # Imported here: naming the backend loads numpy, which a
-            # rounds sweep never needs.
-            from repro.vector.backend import backend_name
-
             space = vectorized_space(space)
-            print(f"vector engine: {backend_name()} backend")
         leg = CampaignLeg(
             args.run_dir,
             kind="sweep",
@@ -116,8 +111,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         default="rounds",
         help=(
             "retarget the space's rounds cells: 'vector' runs them on "
-            "the columnar batch kernel (numpy-backed with the 'fast' "
-            "extra, pure-Python otherwise; byte-identical traces)"
+            "the columnar batch kernel (byte-identical traces)"
         ),
     )
     p_sweep.add_argument(

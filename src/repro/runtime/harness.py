@@ -173,12 +173,12 @@ class VectorHarness:
     """The columnar batch kernel behind the uniform interface.
 
     Runs the same RS/RWS round semantics as :class:`RoundHarness`, but
-    batched: per-process state lives in arrays and whole groups of
-    cells sharing a scenario execute in one vectorized call (see
-    :func:`execute_batch`).  Single-cell execution streams the same
-    observer hooks — same structural ``msg_id``s included — so traces
-    are byte-identical to the object engine's; cells the kernel cannot
-    take fall back to the object executor transparently.
+    batched: a group of cells sharing a scenario shares one value-free
+    executor run, and their values go through it as bitmasks in one
+    call (see :func:`execute_batch`).  Single-cell execution streams
+    the same observer hooks — same structural ``msg_id``s included —
+    so traces are byte-identical to the object engine's; cells the
+    kernel cannot take fall back to the object executor transparently.
     """
 
     engine = "vector"
@@ -288,7 +288,9 @@ def execute_batch(
     The batch seam behind :class:`~repro.runtime.sweep.SweepRunner`:
     ``engine="vector"`` cells are grouped by shared scenario and run
     through the columnar kernel in whole-batch calls; every other cell
-    goes through :func:`execute_request` one at a time.  Results come
+    — including a vector cell the kernel declined, which then falls
+    back inside :class:`VectorHarness` — goes through
+    :func:`execute_request` one at a time.  Results come
     back in input order and are byte-identical — events, metrics, cache
     keys — to executing each request individually, so result caching
     and the trace oracles are oblivious to the batching.

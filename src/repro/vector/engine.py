@@ -2,17 +2,17 @@
 
 Execution of a batch group splits into three phases:
 
-1. **Plan** (:mod:`repro.vector.plan`) — one value-free symbolic run
-   per distinct ``(algorithm, n, t, model, scenario, horizon)`` group,
-   yielding the exact observer-hook sequence and the batched value
-   program.  Memoized, so a thousand-cell value sweep over one
-   adversary plans once.
+1. **Plan** (:mod:`repro.vector.plan`) — one value-free run of the
+   round executor per distinct ``(algorithm, n, t, model, scenario,
+   horizon)`` group, yielding the exact observer-hook sequence and the
+   batched value program.  Memoized, so a thousand-cell value sweep
+   over one adversary plans once.
 2. **Value kernel** (this module) — the whole batch's decision values
    in one pass: initial values become bitmasks over each cell's sorted
-   value domain, ``W``-set unions are bitwise ORs (numpy ``(B, n)``
-   ``uint64`` columns when available, plain ``int`` lists otherwise),
-   and ``min(W)`` is a lowest-set-bit read.  A1 needs no arrays at all:
-   its decisions are initial values picked by plan-determined indices.
+   value domain (plain ``int``s, so a domain may be any width),
+   ``W``-set unions are bitwise ORs, and ``min(W)`` is a lowest-set-bit
+   read.  A1 needs no masks at all: its decisions are initial values
+   picked by plan-determined indices.
 3. **Template** — every cell's result references the group's shared
    :class:`~repro.obs.template.TraceTemplate` (event log and metrics
    state) together with its own decide values; the per-cell event list
@@ -33,38 +33,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.obs.events import (
-    CompositeObserver,
-    EventLog,
-    Observer,
-    logical_clock,
-)
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.events import Observer
 from repro.obs.profile import profiled
-from repro.obs.template import TraceTemplate
-from repro.rounds.executor import RoundModel
-from repro.rounds.executor import execute as execute_rounds
+from repro.runtime.harness import HARNESSES
 from repro.runtime.request import (
     ExecutionRequest,
     ExecutionResult,
     batch_cache_keys,
 )
-from repro.vector.backend import backend_name, numpy_module
-from repro.vector.kernels import DECIDE_MIN, DECIDE_VALUE
+from repro.vector.kernels import DECIDE_MIN, PLAN_KERNELS
 from repro.vector.plan import GroupPlan, build_plan
-
-#: Widest value domain the uint64 numpy columns can hold; wider groups
-#: run on the python backend's unbounded ints.
-MAX_NUMPY_DOMAIN = 64
 
 #: Engine params the planner understands; anything else falls back to
 #: the object executor (which raises on genuinely unknown keywords).
 _PLAN_PARAMS = frozenset({"validate", "run_all_rounds"})
-
-#: Trace templates per plan (plans are memoized upstream, so identity
-#: keying is stable within a cache generation).
-_TEMPLATE_CACHE: dict[int, tuple[GroupPlan, TraceTemplate]] = {}
-_TEMPLATE_CACHE_MAX = 512
 
 
 @dataclass
@@ -84,7 +66,9 @@ class FallbackRun:
     """An object-engine run where the kernel declined the cell, tagged
     with why.  Exposes the ``RoundRun`` summary surface, so harnesses
     treat it like any run; the reason becomes the per-cell
-    ``extra["vector_fallback"]`` telemetry campaign summaries report."""
+    ``extra["vector_fallback"]`` telemetry campaign summaries report —
+    deliberately outside the determinism contract (events and metrics
+    stay byte-identical to the object engine's)."""
 
     run: Any
     reason: str
@@ -106,17 +90,6 @@ FALLBACK_UNSUPPORTED = "unsupported-algorithm"
 FALLBACK_PARAMS = "unsupported-params"
 FALLBACK_PLAN = "plan-refused"
 FALLBACK_DOMAIN = "value-domain"
-
-
-def _plan_fallback_reason(request: ExecutionRequest) -> str:
-    """Why :func:`plan_for_request` returned ``None`` for this cell."""
-    from repro.runtime.registry import has_vector_kernel
-
-    if not has_vector_kernel(request.algorithm):
-        return FALLBACK_UNSUPPORTED
-    if set(request.param_dict()) - _PLAN_PARAMS:
-        return FALLBACK_PARAMS
-    return FALLBACK_PLAN
 
 
 # ---------------------------------------------------------------------------
@@ -166,47 +139,55 @@ def cell_domain(values: Sequence[Any]) -> list[Any] | None:
     return domain
 
 
-def _pick_values_ok(values: Sequence[Any]) -> bool:
-    """A1 decides initial values verbatim; only ``None`` (the object
-    engine's undecided marker) breaks decide-event parity."""
-    return not any(value is None for value in values)
+def admit(
+    request: ExecutionRequest,
+) -> tuple[GroupPlan, list[Any] | None] | str:
+    """The one admissibility decision: ``(plan, domain)`` when the
+    kernel takes the cell (``domain`` is ``None`` for a ``"pick"``
+    plan, which needs no masks), else the fallback reason."""
+    plan = plan_for_request(request)
+    if plan is None:
+        if request.algorithm not in PLAN_KERNELS:
+            return FALLBACK_UNSUPPORTED
+        if set(request.param_dict()) - _PLAN_PARAMS:
+            return FALLBACK_PARAMS
+        return FALLBACK_PLAN
+    if plan.kind == "pick":
+        # A1 decides initial values verbatim; only ``None`` (the object
+        # engine's undecided marker) breaks decide-event parity.
+        if any(value is None for value in request.values):
+            return FALLBACK_DOMAIN
+        return plan, None
+    domain = cell_domain(request.values)
+    if domain is None:
+        return FALLBACK_DOMAIN
+    return plan, domain
 
 
 # ---------------------------------------------------------------------------
-# Value kernels
+# Value kernel
 # ---------------------------------------------------------------------------
 
 
-def _pick_sources(plan: GroupPlan) -> list[int]:
-    """Per decide slot, the pid whose initial value is decided (A1)."""
-    sources = [0] * len(plan.decide_slots)
-    for _, decide_ops in plan.program:
-        for slot, _pid, op, src in decide_ops:
-            assert op == DECIDE_VALUE
-            sources[slot] = src
-    return sources
-
-
-def _run_pick_kernel(
-    plan: GroupPlan, values_list: Sequence[Sequence[Any]]
-) -> list[tuple[Any, ...]]:
-    sources = _pick_sources(plan)
-    return [
-        tuple(values[src] for src in sources) for values in values_list
-    ]
-
-
-def _run_set_kernel_python(
+def run_value_kernel(
     plan: GroupPlan,
     values_list: Sequence[Sequence[Any]],
-    domains: Sequence[list[Any]],
+    domains: Sequence[list[Any] | None],
 ) -> list[tuple[Any, ...]]:
+    """Decide values for every cell, one tuple per cell in slot order."""
+    if plan.kind == "pick":
+        # Per decide slot, the pid whose initial value is decided.
+        sources = [
+            src for _, decide_ops in plan.program for _, _, _, src in decide_ops
+        ]
+        return [
+            tuple(values[src] for src in sources) for values in values_list
+        ]
     out: list[tuple[Any, ...]] = []
-    n = plan.n
     for values, domain in zip(values_list, domains):
         index = {value: bit for bit, value in enumerate(domain)}
         W = [1 << index[value] for value in values]
-        dec: list[Any] = [None] * n
+        dec: list[Any] = [None] * plan.n
         for unions_ops, decide_ops in plan.program:
             if unions_ops:
                 new_W = W[:]
@@ -226,244 +207,29 @@ def _run_set_kernel_python(
     return out
 
 
-def _run_set_kernel_numpy(
-    plan: GroupPlan,
-    values_list: Sequence[Sequence[Any]],
-    domains: Sequence[list[Any]],
-    np,
-) -> list[tuple[Any, ...]]:
-    batch = len(values_list)
-    n = plan.n
-    rows = []
-    for values, domain in zip(values_list, domains):
-        index = {value: bit for bit, value in enumerate(domain)}
-        rows.append([1 << index[value] for value in values])
-    W = np.array(rows, dtype=np.uint64)
-    dec_idx = np.zeros((batch, n), dtype=np.int64)
-    zero = np.uint64(0)
-    one = np.uint64(1)
-    for unions_ops, decide_ops in plan.program:
-        if unions_ops:
-            new_W = W.copy()
-            for j, senders in unions_ops:
-                mask = W[:, j].copy()
-                for i in senders:
-                    mask |= W[:, i]
-                new_W[:, j] = mask
-            W = new_W
-        for _slot, j, op, src in decide_ops:
-            if op == DECIDE_MIN:
-                column = W[:, j]
-                lsb = column & (zero - column)
-                # popcount(lsb - 1) is the exact lowest-set-bit index.
-                dec_idx[:, j] = np.bitwise_count(lsb - one)
-            else:  # DECIDE_ADOPT
-                dec_idx[:, j] = dec_idx[:, src]
-    return [
-        tuple(
-            domains[b][int(dec_idx[b, pid])] for pid, _ in plan.decide_slots
-        )
-        for b in range(batch)
-    ]
-
-
-def run_value_kernel(
-    plan: GroupPlan,
-    values_list: Sequence[Sequence[Any]],
-    domains: Sequence[list[Any]] | None,
-) -> list[tuple[Any, ...]]:
-    """Decide values for every cell, one tuple per cell in slot order."""
-    if plan.kind == "pick":
-        return _run_pick_kernel(plan, values_list)
-    assert domains is not None
-    np = numpy_module()
-    if (
-        np is not None
-        and backend_name() == "numpy"
-        and all(len(domain) <= MAX_NUMPY_DOMAIN for domain in domains)
-    ):
-        return _run_set_kernel_numpy(plan, values_list, domains, np)
-    return _run_set_kernel_python(plan, values_list, domains)
-
-
-# ---------------------------------------------------------------------------
-# Trace materialization
-# ---------------------------------------------------------------------------
-
-
-def replay_plan(
-    plan: GroupPlan,
-    observer: Observer,
-    decide_values: Sequence[Any],
-) -> None:
-    """Stream the plan's hook sequence into ``observer``.
-
-    Emits exactly the calls the object executor would make — a
-    round's traffic through the same two round hooks, so causal
-    observers pair sends with deliveries identically on both engines.
-    """
-    for hook in plan.hooks:
-        kind = hook[0]
-        if kind == "round_msgs":
-            _, round_index, pairs, withheld = hook
-            observer.round_sends(round_index, pairs)
-            observer.round_deliveries(round_index, pairs, withheld)
-        elif kind == "round_start":
-            _, round_index, alive = hook
-            observer.round_start(round_index, list(alive))
-        elif kind == "decide":
-            _, slot, pid, round_index = hook
-            observer.decide(pid, decide_values[slot], round_index)
-        elif kind == "crash":
-            _, pid, round_index, applies = hook
-            observer.crash(
-                pid, round_index=round_index, applies_transition=applies
-            )
-        else:  # halt
-            _, pid, round_index = hook
-            observer.halt(pid, round_index)
-
-
-def template_for(plan: GroupPlan) -> TraceTemplate:
-    """The group's shared trace template (events, decide positions,
-    metrics state), built by replaying the plan once with no values."""
-    cached = _TEMPLATE_CACHE.get(id(plan))
-    if cached is not None and cached[0] is plan:
-        return cached[1]
-    log = EventLog(clock=logical_clock())
-    registry = MetricsRegistry()
-    placeholder = [None] * len(plan.decide_slots)
-    replay_plan(
-        plan, CompositeObserver(log, MetricsObserver(registry)), placeholder
-    )
-    template = TraceTemplate(
-        log.events,
-        [
-            idx
-            for idx, event in enumerate(log.events)
-            if event.kind == "decide"
-        ],
-        registry.state(),
-    )
-    if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_MAX:
-        _TEMPLATE_CACHE.clear()
-    _TEMPLATE_CACHE[id(plan)] = (plan, template)
-    return template
-
-
-def _decisions_of(
-    plan: GroupPlan, decide_values: Sequence[Any]
-) -> dict[int, tuple[int, Any]]:
-    return {
-        pid: (round_index, decide_values[slot])
-        for slot, (pid, round_index) in enumerate(plan.decide_slots)
-    }
-
-
-def _template_result(
-    request: ExecutionRequest,
-    plan: GroupPlan,
-    decide_values: tuple[Any, ...],
-    request_key: str,
-) -> ExecutionResult:
-    """A kernel cell: the group template plus this cell's decide values.
-    No per-cell event is built until a consumer reads one."""
-    template = template_for(plan)
-    return ExecutionResult(
-        name=request.name,
-        request_key=request_key,
-        events=template.fill(decide_values),
-        metrics=template.copy_metrics(),
-        decisions=_decisions_of(plan, decide_values),
-        latency=plan.latency,
-        num_rounds=plan.num_rounds,
-        extra={},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Execution entry points
 # ---------------------------------------------------------------------------
 
 
-def _execute_object(
-    request: ExecutionRequest, observer: Observer | None
-) -> Any:
-    """The object-engine twin of a vector cell (fallback + oracle)."""
-    # Imported here, not at module top: the registry registers the
-    # vector kernel table, so a module-level import would be circular.
-    from repro.runtime.registry import make_algorithm
-
-    return execute_rounds(
-        make_algorithm(request.algorithm),
-        request.values,
-        request.scenario,
-        t=request.t,
-        model=RoundModel(request.model),
-        max_rounds=request.max_rounds,
-        observer=observer,
-        **request.param_dict(),
-    )
-
-
-def _object_result(
-    request: ExecutionRequest, reason: str
-) -> ExecutionResult:
-    """A fallback cell under the standard instrumentation.
-
-    ``reason`` lands in ``extra["vector_fallback"]`` — per-cell
-    telemetry only, deliberately outside the determinism contract
-    (events and metrics stay byte-identical to the object engine's).
-    """
-    log = EventLog(clock=logical_clock())
-    registry = MetricsRegistry()
-    run = _execute_object(
-        request, CompositeObserver(log, MetricsObserver(registry))
-    )
-    return ExecutionResult(
-        name=request.name,
-        request_key=request.cache_key(),
-        events=list(log.events),
-        metrics=registry.state(),
-        decisions=dict(run.decisions),
-        latency=run.latency(),
-        num_rounds=run.num_rounds,
-        extra={"vector_fallback": reason},
-    )
-
-
 def execute_vector_request(
     request: ExecutionRequest, observer: Observer | None
-) -> Any:
-    """One cell on the vector engine, streaming events to ``observer``.
-
-    Returns a :class:`VectorRun` (or the fallback's ``RoundRun`` —
-    both expose ``decisions`` / ``latency()`` / ``num_rounds``).
-    """
-    plan = plan_for_request(request)
-    if plan is None:
+) -> VectorRun | FallbackRun:
+    """One cell on the vector engine, streaming events to ``observer``;
+    a declined cell runs on the object engine (the ``rounds`` harness)
+    instead.  Both returns expose ``decisions`` / ``latency()`` /
+    ``num_rounds``."""
+    admitted = admit(request)
+    if isinstance(admitted, str):
         return FallbackRun(
-            _execute_object(request, observer),
-            _plan_fallback_reason(request),
+            HARNESSES["rounds"].execute(request, observer), admitted
         )
-    if plan.kind == "pick":
-        if not _pick_values_ok(request.values):
-            return FallbackRun(
-                _execute_object(request, observer), FALLBACK_DOMAIN
-            )
-        domains = None
-    else:
-        domain = cell_domain(request.values)
-        if domain is None:
-            return FallbackRun(
-                _execute_object(request, observer), FALLBACK_DOMAIN
-            )
-        domains = [domain]
-    decide_values = run_value_kernel(plan, [request.values], domains)[0]
+    plan, domain = admitted
+    decide_values = run_value_kernel(plan, [request.values], [domain])[0]
     if observer is not None:
-        replay_plan(plan, observer, decide_values)
+        plan.replay(observer, decide_values)
     return VectorRun(
-        decisions=_decisions_of(plan, decide_values),
+        decisions=plan.decisions(decide_values),
         num_rounds=plan.num_rounds,
         latency_value=plan.latency,
     )
@@ -471,55 +237,43 @@ def execute_vector_request(
 
 def execute_vector_batch(
     requests: Sequence[ExecutionRequest],
-) -> list[ExecutionResult]:
+) -> list[ExecutionResult | None]:
     """Execute vector-engine cells batched by group, in input order.
 
     Cells sharing a group plan run through the value kernel in one
-    batched call; inadmissible cells fall back to the object engine
-    individually.  Results are byte-identical to
-    :func:`repro.runtime.harness.execute_request` on every cell.
+    batched call and get the group's template plus their own decide
+    values — no per-cell event is built until a consumer reads one.
+    A cell the kernel declines comes back ``None``: the caller
+    (:func:`repro.runtime.harness.execute_batch`) runs it through
+    ``execute_request``, whose vector harness falls back per cell.
+    Results are byte-identical to ``execute_request`` on every cell.
     """
     with profiled("vector.execute_batch"):
         results: list[ExecutionResult | None] = [None] * len(requests)
-        groups: dict[int, tuple[GroupPlan, list[int]]] = {}
-        domains: dict[int, list[Any] | None] = {}
+        groups: dict[int, tuple[GroupPlan, list[int], list[Any]]] = {}
         keys = batch_cache_keys(requests)
         for index, request in enumerate(requests):
-            plan = plan_for_request(request)
-            if plan is None:
-                results[index] = _object_result(
-                    request, _plan_fallback_reason(request)
-                )
+            admitted = admit(request)
+            if isinstance(admitted, str):
                 continue
-            if plan.kind == "pick":
-                if not _pick_values_ok(request.values):
-                    results[index] = _object_result(
-                        request, FALLBACK_DOMAIN
-                    )
-                    continue
-                domains[index] = None
-            else:
-                domain = cell_domain(request.values)
-                if domain is None:
-                    results[index] = _object_result(
-                        request, FALLBACK_DOMAIN
-                    )
-                    continue
-                domains[index] = domain
-            _, members = groups.setdefault(id(plan), (plan, []))
+            plan, domain = admitted
+            _, members, domains = groups.setdefault(id(plan), (plan, [], []))
             members.append(index)
-        for plan, members in groups.values():
-            values_list = [requests[index].values for index in members]
-            group_domains = (
-                None
-                if plan.kind == "pick"
-                else [domains[index] for index in members]
+            domains.append(domain)
+        for plan, members, domains in groups.values():
+            decided = run_value_kernel(
+                plan, [requests[index].values for index in members], domains
             )
-            decided = run_value_kernel(plan, values_list, group_domains)
+            template = plan.template
             for index, decide_values in zip(members, decided):
-                results[index] = _template_result(
-                    requests[index], plan, decide_values, keys[index]
+                results[index] = ExecutionResult(
+                    name=requests[index].name,
+                    request_key=keys[index],
+                    events=template.fill(decide_values),
+                    metrics=template.copy_metrics(),
+                    decisions=plan.decisions(decide_values),
+                    latency=plan.latency,
+                    num_rounds=plan.num_rounds,
+                    extra={},
                 )
-    final = [result for result in results if result is not None]
-    assert len(final) == len(requests)
-    return final
+    return results

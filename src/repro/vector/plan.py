@@ -1,13 +1,14 @@
-"""Group plans: one value-free symbolic execution shared by a batch.
+"""Group plans: one value-free executor run shared by a batch.
 
 A :class:`GroupPlan` is the complete control-flow trace of every cell
 sharing ``(algorithm, n, t, model, scenario, max_rounds, params)`` —
-the batch *group*.  It is built by replaying the round executor's exact
-per-round contract (round_start, send loop in pid/recipient order under
-the scenario's crash filter, delivery loop in send order under the
-pending-message filter, transition loop with crash events, quiescence,
-trailing halts) against a plan kernel from
-:mod:`repro.vector.kernels`, producing:
+the batch *group*.  :func:`build_plan` obtains it by handing the
+algorithm's plan kernel (:mod:`repro.vector.kernels`, the algorithm
+with its values erased) to the round executor itself, under a
+recording observer.  Scenario validation, the crash and pending-message
+filters, quiescence, ``run_all_rounds`` and the trailing halts are
+therefore the object engine's by construction, which is what keeps the
+two engines byte-identical.  A plan holds:
 
 * ``hooks`` — the observer-call sequence, a round's message traffic
   as one ``round_msgs`` descriptor (the executor's ``round_sends`` +
@@ -15,13 +16,10 @@ trailing halts) against a plan kernel from
   awaiting per-cell values;
 * ``program`` — per executed round, the batched ``W``-union ops and
   decision-source ops the value kernel runs over the whole batch;
-* the template ``decisions`` rounds, ``latency`` and ``num_rounds``,
-  which are value-independent and therefore shared by the group.
-
-The adversary predicates (``sends_reach``, ``withholds``) are the
-*same methods* of :class:`~repro.rounds.scenario.FailureScenario` the
-object executor uses — one source of truth for the crash/pending
-semantics, which is what keeps the two engines byte-identical.
+* ``decide_slots``, ``latency`` and ``num_rounds``, which are
+  value-independent and therefore shared by the group;
+* ``template`` — the group's :class:`~repro.obs.template.TraceTemplate`,
+  built on first use by replaying the hooks with no values.
 
 Plans are memoized per group key (scenarios are frozen and hashable),
 so sweeping a thousand value assignments over one adversary builds the
@@ -31,10 +29,16 @@ plan once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Collection, Sequence
 
-from repro.rounds.executor import RoundModel
-from repro.rounds.scenario import FailureScenario, validate_scenario
-from repro.vector.kernels import PlanState, plan_kernel_for
+from repro.errors import ConfigurationError, ScenarioError
+from repro.obs.events import CompositeObserver, EventLog, Observer, logical_clock
+from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.template import TraceTemplate
+from repro.rounds.executor import RoundModel, execute
+from repro.rounds.scenario import FailureScenario
+from repro.vector.kernels import plan_kernel_for
 
 #: Memoized plans; bounded so long fuzz campaigns cannot grow it
 #: without limit (plans are small, the cap is generous).
@@ -46,9 +50,7 @@ _PLAN_CACHE_MAX = 512
 class GroupPlan:
     """The shared control-flow trace of one batch group."""
 
-    algorithm: str
     n: int
-    t: int
     kind: str  # "set" (W-bitmask kernel) or "pick" (initial-value kernel)
     #: Observer-call descriptors in emission order.  Decide hooks carry
     #: their slot index instead of a value.
@@ -60,26 +62,103 @@ class GroupPlan:
     #: ``((slot, pid, op, src), ...)``.
     program: tuple[tuple[tuple, tuple], ...]
     num_rounds: int
-    #: ``pid -> round`` decision template (values vary per cell).
-    decision_rounds: tuple[tuple[int, int], ...]
     #: The group latency — value-independent, shared by every cell.
     latency: int | None
 
+    def decisions(self, decide_values: Sequence[Any]) -> dict[int, tuple[int, Any]]:
+        """One cell's ``pid -> (round, value)`` map from its slot values."""
+        return {
+            pid: (round_index, decide_values[slot])
+            for slot, (pid, round_index) in enumerate(self.decide_slots)
+        }
 
-def group_key(
-    algorithm: str,
-    n: int,
-    t: int,
-    model: str,
-    scenario: FailureScenario,
-    max_rounds: int,
-    run_all_rounds: bool,
-    validate: bool = True,
-) -> tuple:
-    # ``validate`` is part of the key: a plan built without validation
-    # for an invalid scenario must not be recalled by a validating
-    # caller (who expects ``None`` → object-engine rejection).
-    return (algorithm, n, t, model, scenario, max_rounds, run_all_rounds, validate)
+    def replay(self, observer: Observer, decide_values: Sequence[Any]) -> None:
+        """Stream the hook sequence into ``observer``: exactly the calls
+        the object executor makes — a round's traffic through the same
+        two round hooks, so causal observers pair sends with deliveries
+        identically on both engines."""
+        for hook in self.hooks:
+            kind = hook[0]
+            if kind == "round_msgs":
+                _, round_index, pairs, withheld = hook
+                observer.round_sends(round_index, pairs)
+                observer.round_deliveries(round_index, pairs, withheld)
+            elif kind == "round_start":
+                _, round_index, alive = hook
+                observer.round_start(round_index, list(alive))
+            elif kind == "decide":
+                _, slot, pid, round_index = hook
+                observer.decide(pid, decide_values[slot], round_index)
+            elif kind == "crash":
+                _, pid, round_index, applies = hook
+                observer.crash(
+                    pid, round_index=round_index, applies_transition=applies
+                )
+            else:  # halt
+                _, pid, round_index = hook
+                observer.halt(pid, round_index)
+
+    @cached_property
+    def template(self) -> TraceTemplate:
+        """The group's shared trace template (events, decide positions,
+        metrics state): one replay with every decide value ``None``."""
+        log = EventLog(clock=logical_clock())
+        registry = MetricsRegistry()
+        self.replay(
+            CompositeObserver(log, MetricsObserver(registry)),
+            [None] * len(self.decide_slots),
+        )
+        return TraceTemplate(
+            log.events,
+            [
+                index
+                for index, event in enumerate(log.events)
+                if event.kind == "decide"
+            ],
+            registry.state(),
+        )
+
+
+class _PlanRecorder(Observer):
+    """Turns the executor's observer calls on a plan kernel into hook
+    descriptors; a ``decide`` carries the kernel's decision *source*,
+    which becomes a slot plus one op of the round's value program."""
+
+    def __init__(self) -> None:
+        self.hooks: list[tuple] = []
+        self.slots: list[tuple[int, int]] = []
+        self.decides: list[list[tuple[int, int, str, int]]] = []
+
+    def round_start(self, round_index: int, alive: Sequence[int]) -> None:
+        self.hooks.append(("round_start", round_index, tuple(alive)))
+        self.decides.append([])
+
+    def round_sends(
+        self, round_index: int, pairs: Sequence[tuple[int, int]]
+    ) -> None:
+        """Recorded with the deliveries, as one ``round_msgs`` hook."""
+
+    def round_deliveries(
+        self,
+        round_index: int,
+        pairs: Sequence[tuple[int, int]],
+        withheld: Collection[tuple[int, int]] = (),
+    ) -> None:
+        self.hooks.append(
+            ("round_msgs", round_index, tuple(pairs), frozenset(withheld))
+        )
+
+    def crash(self, pid, *, round_index=None, applies_transition=None, **_) -> None:
+        self.hooks.append(("crash", pid, round_index, applies_transition))
+
+    def decide(self, pid, value, round_index=None, **_) -> None:
+        slot = len(self.slots)
+        self.slots.append((pid, round_index))
+        self.decides[-1].append((slot, pid, *value))
+        self.hooks.append(("decide", slot, pid, round_index))
+
+    def halt(self, pid, round_index=None, **_) -> None:
+        self.hooks.append(("halt", pid, round_index))
 
 
 def build_plan(
@@ -95,135 +174,56 @@ def build_plan(
 ) -> GroupPlan | None:
     """Build (or recall) the plan for one group.
 
-    Returns ``None`` whenever the group cannot be vectorized — unknown
-    or unsupported algorithm, mismatched ``n``, or a scenario the
-    validator rejects.  Callers fall back to the object engine, which
-    reproduces the exact error (and ``scenario_rejected`` observer
-    call) the caller would have seen anyway.
+    Returns ``None`` whenever the group cannot be vectorized — no plan
+    kernel for the algorithm or configuration, or an executor refusal
+    (mismatched ``n``, a scenario the validator rejects).  Callers fall
+    back to the object engine, which reproduces the exact error (and
+    ``scenario_rejected`` observer call) the caller would have seen
+    anyway.
     """
-    key = group_key(
-        algorithm, n, t, model, scenario, max_rounds, run_all_rounds, validate
-    )
+    # ``validate`` is part of the key: a plan built without validation
+    # for an invalid scenario must not be recalled by a validating
+    # caller (who expects ``None`` → object-engine rejection).
+    key = (algorithm, n, t, model, scenario, max_rounds, run_all_rounds, validate)
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         return cached
-    if n != scenario.n:
-        return None
     kernel = plan_kernel_for(algorithm, n, t)
     if kernel is None:
         return None
-    if validate:
-        problems = validate_scenario(
+    recorder = _PlanRecorder()
+    try:
+        run = execute(
+            kernel,
+            (None,) * n,
             scenario,
             t=t,
-            allow_pending=(RoundModel(model) is RoundModel.RWS),
-            horizon=max_rounds,
+            model=RoundModel(model),
+            max_rounds=max_rounds,
+            validate=validate,
+            run_all_rounds=run_all_rounds,
+            observer=recorder,
         )
-        if problems:
-            return None
-
-    states = [PlanState() for _ in range(n)]
-    hooks: list[tuple] = []
-    slots: list[tuple[int, int]] = []
-    program: list[tuple[tuple, tuple]] = []
-    decisions: dict[int, int] = {}
-    rounds_executed = 0
-
-    for round_index in range(1, max_rounds + 1):
-        hooks.append(
-            (
-                "round_start",
-                round_index,
-                tuple(
-                    pid
-                    for pid in range(n)
-                    if scenario.alive_at_start(pid, round_index)
-                ),
-            )
-        )
-
-        # Send phase: pid order, broadcast recipient order, crash filter.
-        sender_decided = [state.decided for state in states]
-        sent: list[tuple[int, int]] = []
-        for pid in range(n):
-            if not scenario.alive_at_start(pid, round_index):
-                continue
-            if not kernel.sends(pid, states[pid]):
-                continue
-            for recipient in range(n):
-                if scenario.sends_reach(pid, recipient, round_index):
-                    sent.append((pid, recipient))
-
-        # Delivery phase: send order, pending-message filter.
-        withheld = frozenset(
-            pair for pair in sent if scenario.withholds(*pair, round_index)
-        )
-        recv: list[list[int]] = [[] for _ in range(n)]
-        for sender, recipient in sent:
-            if (sender, recipient) not in withheld:
-                recv[recipient].append(sender)
-        hooks.append(("round_msgs", round_index, tuple(sent), withheld))
-
-        # Transition phase: crash events, kernel transitions, decides.
-        unions_ops: list[tuple[int, tuple[int, ...]]] = []
-        decide_ops: list[tuple[int, int, str, int]] = []
-        for pid in range(n):
-            crash = scenario.crash_of(pid)
-            if crash is not None and crash.round == round_index:
-                hooks.append(
-                    ("crash", pid, round_index, crash.applies_transition)
-                )
-            if not scenario.alive_at_end(pid, round_index):
-                continue
-            if not scenario.alive_at_start(pid, round_index):
-                continue
-            unions, decide = kernel.transition(
-                pid, states[pid], recv[pid], sender_decided
-            )
-            if unions:
-                unions_ops.append((pid, unions))
-            if decide is not None and pid not in decisions:
-                slot = len(slots)
-                slots.append((pid, round_index))
-                decisions[pid] = round_index
-                op, src = decide
-                decide_ops.append((slot, pid, op, src))
-                hooks.append(("decide", slot, pid, round_index))
-        program.append((tuple(unions_ops), tuple(decide_ops)))
-        rounds_executed = round_index
-
-        if not run_all_rounds and all(
-            kernel.halted(pid, states[pid])
-            for pid in range(n)
-            if scenario.alive_at_start(pid, round_index + 1)
-        ):
-            break
-
-    for pid in range(n):
-        if scenario.alive_at_start(pid, rounds_executed + 1) and kernel.halted(
-            pid, states[pid]
-        ):
-            hooks.append(("halt", pid, rounds_executed))
-
-    latency: int | None = 0
-    for pid in scenario.correct:
-        round_of = decisions.get(pid)
-        if round_of is None:
-            latency = None
-            break
-        latency = max(latency, round_of)
-
+    except (ConfigurationError, ScenarioError):
+        return None
     plan = GroupPlan(
-        algorithm=algorithm,
         n=n,
-        t=t,
         kind=kernel.kind,
-        hooks=tuple(hooks),
-        decide_slots=tuple(slots),
-        program=tuple(program),
-        num_rounds=rounds_executed,
-        decision_rounds=tuple(sorted(decisions.items())),
-        latency=latency,
+        hooks=tuple(recorder.hooks),
+        decide_slots=tuple(recorder.slots),
+        program=tuple(
+            (
+                tuple(
+                    (pid, state.unions[index])
+                    for pid, state in run.final_states.items()
+                    if len(state.unions) > index and state.unions[index]
+                ),
+                tuple(decides),
+            )
+            for index, decides in enumerate(recorder.decides)
+        ),
+        num_rounds=run.num_rounds,
+        latency=run.latency(),
     )
     if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
         _PLAN_CACHE.clear()

@@ -67,15 +67,22 @@ class TestReportFormatting:
         text = format_result(result)
         assert "```" in text and "line two" in text
 
+    @pytest.fixture
+    def suite_run_once(self, monkeypatch, quick_experiments):
+        """``generate_report`` renders the session's one suite run."""
+        monkeypatch.setattr(
+            "repro.core.report.run_all_experiments", quick_experiments.run_all
+        )
+
     @pytest.mark.slow
-    def test_generate_report_runs_everything(self):
+    def test_generate_report_runs_everything(self, suite_run_once):
         content = generate_report(quick=True)
         assert content.count("## E") == 15
         assert "15/15 experiments pass" in content
         assert "Notes and observed deviations" in content
 
     @pytest.mark.slow
-    def test_write_report_to_file(self, tmp_path):
+    def test_write_report_to_file(self, tmp_path, suite_run_once):
         path = tmp_path / "EXPERIMENTS.md"
         passed = write_report(str(path), quick=True)
         assert passed == 15

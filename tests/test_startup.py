@@ -12,7 +12,6 @@ early, and the three re-exports that must stay eager.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -121,10 +120,15 @@ class TestImportSets:
         assert "repro.vector.engine" in loaded
         assert not _offenders(
             loaded,
-            ("asyncio", "repro.live", "repro.serve", "repro.fuzz", "repro.mc"),
+            (
+                "numpy",
+                "asyncio",
+                "repro.live",
+                "repro.serve",
+                "repro.fuzz",
+                "repro.mc",
+            ),
         )
-        if importlib.util.find_spec("numpy") is not None:
-            assert "numpy" in loaded
 
 
 # Copied from the parent commit's output (Python 3.11, COLUMNS=80).

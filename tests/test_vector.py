@@ -3,11 +3,12 @@
 The engine's one promise is differential: every ``engine="vector"``
 cell must produce an event log, metrics state and decision map
 *byte-identical* to the object round executor's — whether the cell runs
-through the batched kernel or falls back per-cell — on both array
-backends.  These tests pin that promise over every registered sweep
-space, over the ``execute_batch`` seam, over the sweep's parallel and
-cached paths, and over a small fuzz campaign whose replay oracle
-re-executes every vector case on the object engine.
+through the batched kernel or falls back per-cell.  These tests pin
+that promise over every registered sweep space, exhaustively over small
+scenario spaces for each plan kernel, over the ``execute_batch`` seam,
+over the sweep's parallel and cached paths, and over a small fuzz
+campaign whose replay oracle re-executes every vector case on the
+object engine.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fuzz import VECTOR_FUZZ_ENGINES, run_campaign
 from repro.fuzz.campaign import resolve_engines
+from repro.rounds.enumeration import all_scenarios
 from repro.runtime import (
     ExecutionRequest,
     execute_batch,
@@ -27,27 +29,27 @@ from repro.runtime import (
     run_space,
 )
 from repro.runtime.space import space_by_name, vectorized_space
-from repro.vector import (
-    BACKEND_ENV,
-    HAS_NUMPY,
-    backend_name,
-    cell_domain,
-    plan_for_request,
-)
+from repro.vector import backend_name, cell_domain, plan_for_request
 from repro.workloads import crash_mid_broadcast, failure_free
-
-#: Both backends when the ``fast`` extra is installed, otherwise just
-#: the dependency-free reference implementation.
-BACKENDS = ("python", "numpy") if HAS_NUMPY else ("python",)
 
 #: Every registered space whose round cells the vector engine can take.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
 
+#: The plan kernels, each in the model its object twin is written for.
+KERNEL_ALGORITHMS = [
+    ("floodset", "RS"),
+    ("floodset-ws", "RWS"),
+    ("f-opt", "RS"),
+    ("f-opt-ws", "RWS"),
+    ("a1", "RS"),
+]
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
-    assert backend_name() == request.param
+
+@pytest.fixture(params=["python"])
+def backend(request):
+    """There is one value kernel, so one run per test.  The
+    single-valued parametrisation only keeps the ``[python]`` test ids
+    the recorded test floor names; drop it once ids may change."""
     return request.param
 
 
@@ -139,16 +141,7 @@ class TestBatchSeam:
             single = execute_request(request)
             assert result.to_dict() == single.to_dict()
 
-    @pytest.mark.parametrize(
-        "algorithm,model",
-        [
-            ("floodset", "RS"),
-            ("floodset-ws", "RWS"),
-            ("f-opt", "RS"),
-            ("f-opt-ws", "RWS"),
-            ("a1", "RS"),
-        ],
-    )
+    @pytest.mark.parametrize("algorithm,model", KERNEL_ALGORITHMS)
     def test_kernel_algorithms_match_object_twin(
         self, backend, algorithm, model
     ):
@@ -163,6 +156,97 @@ class TestBatchSeam:
                 execute_request(request),
                 execute_request(_object_twin(request)),
             )
+
+
+def _result_body(result):
+    """``to_dict()`` minus the request key (the engine name is part of
+    the request, so twins' keys differ by design)."""
+    body = result.to_dict()
+    del body["request_key"]
+    return body
+
+
+class TestExhaustiveTwinParity:
+    """Every cell of a small scenario space, on every plan kernel in
+    both models: the vector result equals its rounds twin's.  (3,1) is
+    crossed with all four ``validate`` x ``run_all_rounds`` settings;
+    the larger spaces deal the four settings out round-robin, and
+    their RWS legs are truncated (``max_pending_sets``, and a stride
+    for n=4) to keep the suite's wall time — (3,2) RWS alone has
+    26 227 scenarios."""
+
+    PARAMS = [
+        (("run_all_rounds", rar), ("validate", validate))
+        for rar in (False, True)
+        for validate in (True, False)
+    ]
+
+    @pytest.mark.parametrize("model", ["RS", "RWS"])
+    @pytest.mark.parametrize(
+        "n,t,max_pending_sets,stride",
+        [(3, 1, None, 1), (3, 2, 3, 1), (4, 2, 2, 9)],
+        ids=["n3t1", "n3t2", "n4t2"],
+    )
+    def test_every_cell_matches_its_rounds_twin(
+        self, n, t, max_pending_sets, stride, model
+    ):
+        scenarios = list(
+            all_scenarios(
+                n,
+                t,
+                max_round=t + 1,
+                allow_pending=(model == "RWS"),
+                max_pending_sets=max_pending_sets,
+            )
+        )[::stride]
+        values = [tuple((pid * 2 + 1) % n for pid in range(n)), (1,) * n]
+        cells = []
+        for index, scenario in enumerate(scenarios):
+            settings = (
+                self.PARAMS
+                if (n, t) == (3, 1)
+                else [self.PARAMS[index % len(self.PARAMS)]]
+            )
+            for algorithm, _ in KERNEL_ALGORITHMS:
+                if algorithm == "a1" and t != 1:
+                    continue  # A1 is a t=1 algorithm; see TestFallback
+                for params in settings:
+                    cells.append(
+                        _vector_request(
+                            f"x-{index}-{algorithm}",
+                            algorithm=algorithm,
+                            model=model,
+                            t=t,
+                            values=values[index % len(values)],
+                            scenario=scenario,
+                            max_rounds=t + 2,
+                            params=params,
+                        )
+                    )
+        results = execute_batch(cells)
+        assert not any("vector_fallback" in r.extra for r in results)
+        for cell, result in zip(cells, results):
+            twin = execute_request(_object_twin(cell))
+            assert _result_body(result) == _result_body(twin), cell
+
+    def test_value_domain_wider_than_a_machine_word(self):
+        # 65 distinct values: one more than fits a 64-bit mask, the one
+        # input the retired numpy kernel routed differently.  Python
+        # ints have no width, so the cell stays on the kernel.
+        request = _vector_request(
+            "wide",
+            algorithm="floodset",
+            model="RS",
+            values=tuple(range(64, -1, -1)),
+            scenario=crash_mid_broadcast(65, reached=(1, 7, 64)),
+            max_rounds=3,
+        )
+        (batched,) = execute_batch([request])
+        assert "vector_fallback" not in batched.extra
+        assert set(v for _, v in batched.decisions.values()) == {0}
+        twin = execute_request(_object_twin(request))
+        assert _result_body(batched) == _result_body(twin)
+        assert execute_request(request).to_dict() == batched.to_dict()
 
 
 class TestFallback:
@@ -256,19 +340,9 @@ class TestVectorFuzz:
         assert report.executed == 24
 
 
-class TestBackendSelection:
-    def test_forced_python_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert backend_name() == "python"
-
-    def test_auto_matches_availability(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert backend_name() == ("numpy" if HAS_NUMPY else "python")
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cuda")
-        with pytest.raises(ConfigurationError):
-            backend_name()
+def test_backend_name_is_python_for_the_ledger():
+    # ledger/run.py records it as host metadata; nothing else calls it.
+    assert backend_name() == "python"
 
 
 class TestFallbackTelemetry:
