@@ -14,7 +14,7 @@ test suite uses exactly this as a cross-validation of both engines.
 
 from __future__ import annotations
 
-from repro.emulation.rs_on_ss import EmulatedRoundTrace
+from repro.emulation.synchronizer import EmulatedRoundTrace
 from repro.rounds.scenario import CrashEvent, FailureScenario, PendingMessage
 
 
@@ -30,20 +30,15 @@ def induced_scenario(trace: EmulatedRoundTrace) -> FailureScenario:
     pattern = trace.run.pattern
     n = trace.n
 
-    # Index the sends: (sender, recipient, round) for every message that
-    # actually reached the network.
-    sent: dict[tuple[int, int], set[int]] = {}
-    for message in trace.run.messages.values():
-        message_round, _ = message.payload
-        sent.setdefault((message.sender, message_round), set()).add(
-            message.recipient
-        )
-
     crashes: list[CrashEvent] = []
     for pid in sorted(pattern.faulty):
         completed = trace.completed_rounds.get(pid, 0)
         crash_round = completed + 1
-        reached = frozenset(sent.get((pid, crash_round), set()) - {pid})
+        reached = frozenset(
+            recipient
+            for sender, recipient, round_index in trace.sent_index
+            if sender == pid and round_index == crash_round
+        )
         others = frozenset(q for q in range(n) if q != pid)
         if completed >= trace.num_rounds:
             # Crashed only after finishing every emulated round: at the
@@ -63,19 +58,10 @@ def induced_scenario(trace: EmulatedRoundTrace) -> FailureScenario:
             CrashEvent(pid=pid, round=crash_round, sent_to=reached)
         )
 
-    # Pending messages: sent at round r towards a process that completed
-    # round r without using them.
-    pending: set[PendingMessage] = set()
-    for recipient, per_round in trace.senders_used.items():
-        for round_index, senders_heard in per_round.items():
-            for sender in range(n):
-                if sender == recipient or sender in senders_heard:
-                    continue
-                if recipient in sent.get((sender, round_index), set()):
-                    pending.add(
-                        PendingMessage(sender, recipient, round_index)
-                    )
-
     return FailureScenario(
-        n=n, crashes=tuple(crashes), pending=frozenset(pending)
+        n=n,
+        crashes=tuple(crashes),
+        pending=frozenset(
+            PendingMessage(*triple) for triple in trace.pending_triples()
+        ),
     )

@@ -4,8 +4,10 @@ The exploration walks configurations level by level (one level per
 round).  Expanding a configuration enumerates every admissible
 adversary choice for the next round — which alive processes crash,
 with which completed-send sets and transition flags, and (RWS) which
-sent messages become pending — steps the algorithm through the choice,
-and canonicalizes the successor.  Three reductions keep the frontier
+sent messages become pending — hands the choice to the executor's round
+step (:func:`repro.rounds.executor.complete_round`, the one place a
+round's delivery and transition rules are written), and canonicalizes
+the successor.  Three reductions keep the frontier
 small, each with an explicit soundness argument:
 
 * **Canonical state hashing** (:mod:`repro.mc.config`): deterministic
@@ -43,6 +45,7 @@ from typing import Any, Iterator, Sequence
 from repro.errors import ConfigurationError
 from repro.mc.config import Configuration, value_sort_key
 from repro.mc.symmetry import orbit_canonical, symmetry_for
+from repro.rounds.executor import complete_round, round_messages
 from repro.rounds.scenario import CrashEvent, FailureScenario, PendingMessage
 from repro.runtime.registry import make_algorithm
 
@@ -55,9 +58,6 @@ class Leaf:
     scenario: FailureScenario
     decisions: dict[int, tuple[int, Any]]
     rounds: int
-
-    def key(self) -> tuple:
-        return (self.values, self.scenario)
 
 
 @dataclass
@@ -250,12 +250,10 @@ def _leaf(node: _Node, n: int) -> Leaf:
 
 
 def _quiescent(algorithm, config: Configuration) -> bool:
-    """Mirror of the executor's stop rule: every alive process halted."""
-    alive = config.alive
-    if not alive:
-        return True
+    """The executor's stop rule on a configuration: every alive process
+    halted."""
     return all(
-        algorithm.halted(pid, config.states[pid]) for pid in alive
+        algorithm.halted(pid, config.states[pid]) for pid in config.alive
     )
 
 
@@ -282,10 +280,7 @@ def _expand(
     spare = t - crashed_count - len(due)
     assert spare >= 0
 
-    msgs = {
-        pid: dict(algorithm.messages(pid, config.states[pid]))
-        for pid in alive
-    }
+    msgs = round_messages(algorithm, config.states, alive, n)
     candidates = [pid for pid in alive if pid not in due]
 
     for extra_size in range(0, spare + 1):
@@ -305,15 +300,11 @@ def _expand(
                 yield from _choices_for_crash_set(
                     node,
                     round_index,
-                    crashers=crashers,
                     flag_of=flag_of,
                     observers=observers,
                     algorithm=algorithm,
                     msgs=msgs,
-                    alive=alive,
-                    n=n,
-                    t=t,
-                    crashed_count=crashed_count,
+                    budget_left=spare - extra_size,
                     allow_pending=allow_pending,
                     reduce=reduce,
                     stats=stats,
@@ -324,15 +315,11 @@ def _choices_for_crash_set(
     node: _Node,
     round_index: int,
     *,
-    crashers: list[int],
     flag_of: dict[int, bool],
     observers: frozenset[int],
     algorithm,
-    msgs: dict[int, dict[int, Any]],
-    alive: list[int],
-    n: int,
-    t: int,
-    crashed_count: int,
+    msgs: dict[int, Any],
+    budget_left: int,
     allow_pending: bool,
     reduce: bool,
     stats: ExploreStats,
@@ -342,8 +329,9 @@ def _choices_for_crash_set(
     # round *and* that complete the round — everything else is
     # unobservable (see module docstring).  The full-set + transition
     # variant is forced by the admissibility rule.
+    n = len(node.config.states)
     sent_options: list[list[frozenset[int]]] = []
-    for pid in crashers:
+    for pid in flag_of:
         others = [q for q in range(n) if q != pid]
         if flag_of[pid]:
             sent_options.append([frozenset(others)])
@@ -358,31 +346,28 @@ def _choices_for_crash_set(
             sent_options.append(list(_subsets(others)))
 
     for sent_sets in itertools.product(*sent_options):
-        sent_of = dict(zip(crashers, sent_sets))
-        # Messages that reach the network this round.
-        sent_pairs = [
-            (pid, q)
-            for pid in alive
-            for q in sorted(msgs[pid])
-            if q != pid
-            and (pid not in sent_of or q in sent_of[pid])
-        ]
+        dying = {
+            pid: CrashEvent(
+                pid=pid,
+                round=round_index,
+                sent_to=sent_to,
+                applies_transition=flag_of[pid],
+            )
+            for pid, sent_to in zip(flag_of, sent_sets)
+        }
         if not allow_pending:
             stats.choices_explored += 1
             yield _apply_choice(
-                node,
-                round_index,
-                crashers=crashers,
-                flag_of=flag_of,
-                sent_of=sent_of,
-                withheld=frozenset(),
-                new_obligors=(),
-                algorithm=algorithm,
-                msgs=msgs,
-                alive=alive,
-                n=n,
+                node, round_index, dying, frozenset(), (), algorithm, msgs
             )
             continue
+        # Peer messages that reach the network this round.
+        sent_pairs = [
+            (pid, q)
+            for pid in msgs
+            for q in sorted(msgs[pid])
+            if q != pid and (pid not in dying or dying[pid].reaches(q))
+        ]
 
         # Withhold choices (RWS).  A withhold towards a process that
         # does not complete the round is unobservable (pruned when
@@ -396,7 +381,6 @@ def _choices_for_crash_set(
             stats.dominance_pruned += len(sent_pairs) - len(candidates)
         else:
             candidates = sent_pairs
-        budget_left = t - crashed_count - len(crashers)
         for withheld in _subsets(candidates):
             obligors = sorted(
                 {
@@ -411,77 +395,42 @@ def _choices_for_crash_set(
             yield _apply_choice(
                 node,
                 round_index,
-                crashers=crashers,
-                flag_of=flag_of,
-                sent_of=sent_of,
-                withheld=withheld,
-                new_obligors=tuple(obligors),
-                algorithm=algorithm,
-                msgs=msgs,
-                alive=alive,
-                n=n,
+                dying,
+                withheld,
+                tuple(obligors),
+                algorithm,
+                msgs,
             )
 
 
 def _apply_choice(
     node: _Node,
     round_index: int,
-    *,
-    crashers: list[int],
-    flag_of: dict[int, bool],
-    sent_of: dict[int, frozenset[int]],
+    dying: dict[int, CrashEvent],
     withheld: frozenset[tuple[int, int]],
     new_obligors: tuple[int, ...],
     algorithm,
-    msgs: dict[int, dict[int, Any]],
-    alive: list[int],
-    n: int,
+    msgs: dict[int, Any],
 ) -> _Node:
+    """The successor of ``node`` under one adversary choice — this
+    round's crash events and withheld pairs — by the executor's round
+    step."""
     config = node.config
-    # Delivery: mirrors the executor exactly, self-messages included
-    # (a crashing process receives its own broadcast only when it
-    # applies its transition).
-    delivered: dict[int, dict[int, Any]] = {q: {} for q in alive}
-    for pid in alive:
-        for q, payload in msgs[pid].items():
-            if q == pid:
-                if pid in flag_of and not flag_of[pid]:
-                    continue
-            elif pid in sent_of and q not in sent_of[pid]:
-                continue
-            elif (pid, q) in withheld:
-                continue
-            if q in delivered:
-                delivered[q][pid] = payload
+    step = complete_round(
+        algorithm, config.states, msgs, round_index, dying, withheld
+    )
 
+    # A crasher's state leaves the configuration even when it applied
+    # its transition; its decision, if any, stays.
     states = list(config.states)
+    for pid in msgs:
+        states[pid] = None if pid in dying else step.states[pid]
     decisions = dict(node.decisions)
     decided = set(config.decided)
-    for q in alive:
-        completes = q not in flag_of or flag_of[q]
-        if not completes:
-            states[q] = None
-            continue
-        new_state = algorithm.transition(q, config.states[q], delivered[q])
-        decision = algorithm.decision_of(new_state)
-        if decision is not None and q not in decisions:
-            decisions[q] = (round_index, decision)
-            decided.add(decision)
-        states[q] = None if q in flag_of else new_state
-
-    crashes = list(node.crashes)
-    for pid in crashers:
-        crashes.append(
-            CrashEvent(
-                pid=pid,
-                round=round_index,
-                sent_to=sent_of[pid],
-                applies_transition=flag_of[pid],
-            )
-        )
-    pending = set(node.pending)
-    for pid, q in withheld:
-        pending.add(PendingMessage(pid, q, round_index))
+    for pid, entry in step.decisions.items():
+        if pid not in decisions:
+            decisions[pid] = entry
+            decided.add(entry[1])
 
     successor = Configuration(
         round=round_index,
@@ -495,7 +444,8 @@ def _apply_choice(
     return _Node(
         successor,
         node.values,
-        tuple(crashes),
-        frozenset(pending),
+        node.crashes + tuple(dying.values()),
+        node.pending
+        | {PendingMessage(pid, q, round_index) for pid, q in withheld},
         decisions,
     )

@@ -4,6 +4,14 @@ One engine runs both models; the difference is whether the scenario may
 contain pending messages (validated up front) — precisely the paper's
 framing, where RS and RWS algorithms share the ``(states, msgs, trans)``
 interface and only the delivery guarantee differs.
+
+One round of that interface is the *round step*, two pure phases that
+touch no observer and mutate no argument: :func:`round_messages` (every
+starter's ``msgs_i``) and :func:`complete_round` (delivery and ``trans_i``
+under one adversary choice).  :func:`execute` folds the step over a
+:class:`FailureScenario` — the vector engine's plans are ``execute``
+runs — and :mod:`repro.mc.explore` calls ``round_messages`` once per
+configuration and ``complete_round`` once per adversary choice.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError, ScenarioError
 from repro.obs.events import Observer
@@ -170,131 +178,189 @@ def execute(
     crash_of: dict[int, CrashEvent] = {}
     for event in scenario.crashes:
         crash_of.setdefault(event.pid, event)
+    pending_in: dict[int, set[tuple[int, int]]] = {}
+    for pend in scenario.pending:
+        pending_in.setdefault(pend.round, set()).add(
+            (pend.sender, pend.recipient)
+        )
 
+    # Every process begins round 1; a round's starters minus its
+    # crashers begin the next.
+    starters = list(range(n))
     with profiled("rounds.execute"):
         for round_index in range(1, max_rounds + 1):
-            record = _execute_round(
-                algorithm, states, scenario, crash_of, round_index, run, observer
+            dying = {
+                pid: crash
+                for pid, crash in crash_of.items()
+                if crash.round == round_index
+            }
+            if observer is not None:
+                observer.round_start(round_index, starters)
+            step = complete_round(
+                algorithm,
+                states,
+                round_messages(algorithm, states, starters, n),
+                round_index,
+                dying,
+                pending_in.get(round_index, ()),
             )
-            run.rounds.append(record)
+            # A round's traffic is reported a phase at a time; observers
+            # that only know the per-message hooks get them replayed
+            # (obs.events).
+            if observer is not None:
+                pairs = list(step.sent)
+                observer.round_sends(round_index, pairs)
+                observer.round_deliveries(round_index, pairs, step.withheld)
+            states.update(step.states)
+            for pid in starters:
+                if observer is not None and pid in dying:
+                    observer.crash(
+                        pid,
+                        round_index=round_index,
+                        applies_transition=dying[pid].applies_transition,
+                    )
+                entry = step.decisions.get(pid)
+                if entry is not None and pid not in run.decisions:
+                    run.decisions[pid] = entry
+                    if observer is not None:
+                        observer.decide(pid, entry[1], round_index)
+            # The record exposes read-only views of the step's freshly
+            # built maps instead of copying them — nothing mutates them
+            # after this point, and MappingProxyType makes that a
+            # guarantee for consumers.
+            run.rounds.append(
+                RoundRecord(
+                    index=round_index,
+                    sent=MappingProxyType(step.sent),
+                    delivered=MappingProxyType(
+                        {
+                            pid: MappingProxyType(msgs)
+                            for pid, msgs in step.delivered.items()
+                        }
+                    ),
+                    transitioned=step.transitioned,
+                    crashed=step.crashed,
+                )
+            )
+            starters = [pid for pid in starters if pid not in dying]
             if not run_all_rounds and all(
-                algorithm.halted(pid, states[pid])
-                for pid in _starters(n, crash_of, round_index + 1)
+                algorithm.halted(pid, states[pid]) for pid in starters
             ):
                 break
 
     if observer is not None:
-        final_round = len(run.rounds)
-        for pid in _starters(n, crash_of, final_round + 1):
+        for pid in starters:
             if algorithm.halted(pid, states[pid]):
-                observer.halt(pid, final_round)
+                observer.halt(pid, len(run.rounds))
 
     run.final_states = dict(states)
     return run
 
 
-def _starters(
-    n: int, crash_of: Mapping[int, CrashEvent], round_index: int
-) -> list[int]:
-    """The processes that begin ``round_index``, ascending
-    (``FailureScenario.alive_at_start`` over the run's crash map)."""
-    return [
-        pid
-        for pid in range(n)
-        if pid not in crash_of or crash_of[pid].round >= round_index
-    ]
+class RoundStep(NamedTuple):
+    """Outcome of one round under one adversary choice.
+
+    Attributes:
+        sent: ``(sender, recipient) -> payload`` of every message that
+            reached the network, in send order.
+        withheld: The sent pairs that were withheld (RWS pending).
+        delivered: ``recipient -> {sender: payload}``, for every pid.
+        states: New state of each process that applied its transition.
+        transitioned: Processes that applied their transition.
+        crashed: Processes that crashed during the round.
+        decisions: ``pid -> (round_index, value)`` for every
+            transitioning process whose new state carries a decision
+            (whether or not it had decided before).
+    """
+
+    sent: dict[tuple[int, int], Any]
+    withheld: frozenset[tuple[int, int]]
+    delivered: dict[int, dict[int, Any]]
+    states: dict[int, Any]
+    transitioned: frozenset[int]
+    crashed: frozenset[int]
+    decisions: dict[int, tuple[int, Any]]
 
 
-def _execute_round(
+def round_messages(
     algorithm: RoundAlgorithm,
-    states: dict[int, Any],
-    scenario: FailureScenario,
-    crash_of: Mapping[int, CrashEvent],
-    round_index: int,
-    run: RoundRun,
-    observer: Observer | None = None,
-) -> RoundRecord:
-    n = scenario.n
-    starters = _starters(n, crash_of, round_index)
-    dying = {
-        pid: crash
-        for pid, crash in crash_of.items()
-        if crash.round == round_index
-    }
-    if observer is not None:
-        observer.round_start(round_index, starters)
-
-    # Send phase: every process beginning the round generates messages.
-    sent: dict[tuple[int, int], Any] = {}
+    states: Mapping[int, Any] | Sequence[Any],
+    starters: Iterable[int],
+    n: int,
+) -> dict[int, Mapping[int, Any]]:
+    """Send phase, before any adversary choice: ``msgs_i`` of every
+    process beginning the round, recipients range-checked."""
+    outgoing: dict[int, Mapping[int, Any]] = {}
     for pid in starters:
-        outgoing = algorithm.messages(pid, states[pid])
-        mid_broadcast = pid in dying
-        for recipient, payload in outgoing.items():
+        outgoing[pid] = messages = algorithm.messages(pid, states[pid])
+        for recipient in messages:
             if not 0 <= recipient < n:
                 raise ConfigurationError(
                     f"{algorithm.name}: p{pid} addressed unknown process "
                     f"{recipient}"
                 )
-            if mid_broadcast and not scenario.sends_reach(
-                pid, recipient, round_index
-            ):
-                continue  # crashed mid-broadcast before this send
-            sent[(pid, recipient)] = payload
+    return outgoing
 
-    # Delivery phase: withhold pending messages (RWS only; validated).
-    pairs = list(sent)
-    withheld = (
-        frozenset(
-            pair for pair in pairs if scenario.withholds(*pair, round_index)
-        )
-        if scenario.pending
+
+def complete_round(
+    algorithm: RoundAlgorithm,
+    states: Mapping[int, Any] | Sequence[Any],
+    outgoing: Mapping[int, Mapping[int, Any]],
+    round_index: int,
+    dying: Mapping[int, CrashEvent],
+    withheld: Collection[tuple[int, int]],
+) -> RoundStep:
+    """Delivery and transition phases under one adversary choice.
+
+    Args:
+        states: Current state of every process, indexed by pid
+            (``len(states)`` is ``n``).
+        outgoing: :func:`round_messages` of the round's starters.
+        dying: The :class:`CrashEvent` of each process crashing this
+            round (its sends are cut by :meth:`CrashEvent.reaches`).
+        withheld: ``(sender, recipient)`` pairs the adversary withholds
+            this round; pairs that were never sent are ignored.
+    """
+    sent: dict[tuple[int, int], Any] = {}
+    for pid, messages in outgoing.items():
+        crash = dying.get(pid)
+        for recipient, payload in messages.items():
+            if crash is None or crash.reaches(recipient):
+                sent[(pid, recipient)] = payload
+
+    held = (
+        frozenset(pair for pair in sent if pair in withheld)
+        if withheld
         else frozenset()
     )
-    delivered: dict[int, dict[int, Any]] = {pid: {} for pid in range(n)}
+    delivered: dict[int, dict[int, Any]] = {
+        pid: {} for pid in range(len(states))
+    }
     for pair, payload in sent.items():
-        if pair not in withheld:
+        if pair not in held:
             sender, recipient = pair
             delivered[recipient][sender] = payload
-    # A round's traffic is reported a phase at a time; observers that
-    # only know the per-message hooks get them replayed (obs.events).
-    if observer is not None:
-        observer.round_sends(round_index, pairs)
-        observer.round_deliveries(round_index, pairs, withheld)
 
-    # Transition phase: processes completing the round apply trans.
-    transitioned: set[int] = set()
-    crashed_now: set[int] = set()
-    for pid in starters:
+    new_states: dict[int, Any] = {}
+    decisions: dict[int, tuple[int, Any]] = {}
+    for pid in outgoing:
         crash = dying.get(pid)
-        if crash is not None:
-            crashed_now.add(pid)
-            if observer is not None:
-                observer.crash(
-                    pid,
-                    round_index=round_index,
-                    applies_transition=crash.applies_transition,
-                )
-            if not crash.applies_transition:
-                continue
-        states[pid] = algorithm.transition(pid, states[pid], delivered[pid])
-        transitioned.add(pid)
-        decision = algorithm.decision_of(states[pid])
-        if decision is not None and pid not in run.decisions:
-            run.decisions[pid] = (round_index, decision)
-            if observer is not None:
-                observer.decide(pid, decision, round_index)
-
-    # The record exposes read-only views of the freshly built delivery
-    # maps instead of copying them — nothing mutates them after this
-    # point, and MappingProxyType makes that a guarantee for consumers.
-    return RoundRecord(
-        index=round_index,
-        sent=MappingProxyType(sent),
-        delivered=MappingProxyType(
-            {pid: MappingProxyType(msgs) for pid, msgs in delivered.items()}
-        ),
-        transitioned=frozenset(transitioned),
-        crashed=frozenset(crashed_now),
+        if crash is not None and not crash.applies_transition:
+            continue
+        new_states[pid] = state = algorithm.transition(
+            pid, states[pid], delivered[pid]
+        )
+        decision = algorithm.decision_of(state)
+        if decision is not None:
+            decisions[pid] = (round_index, decision)
+    return RoundStep(
+        sent=sent,
+        withheld=held,
+        delivered=delivered,
+        states=new_states,
+        transitioned=frozenset(new_states),
+        crashed=frozenset(pid for pid in outgoing if pid in dying),
+        decisions=decisions,
     )
 
 

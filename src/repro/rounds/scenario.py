@@ -58,6 +58,15 @@ class CrashEvent:
                 f"sent_to of p{self.pid} must not contain itself"
             )
 
+    def reaches(self, recipient: int) -> bool:
+        """Whether the crash-round message to ``recipient`` reaches the
+        network: a process crashing mid-broadcast only reaches its
+        ``sent_to`` set, and its self-addressed message exists only if
+        it lives long enough to read it (``applies_transition``)."""
+        if recipient == self.pid:
+            return self.applies_transition
+        return recipient in self.sent_to
+
 
 @dataclass(frozen=True)
 class PendingMessage:
@@ -147,20 +156,16 @@ class FailureScenario:
 
     def sends_reach(self, sender: int, recipient: int, round_index: int) -> bool:
         """Whether a live ``sender``'s round-``round_index`` message to
-        ``recipient`` reaches the network.
-
-        Encodes the crash-mid-broadcast rule both executors share: a
-        process crashing this round only reaches the recipients in its
-        ``sent_to`` set, and its self-addressed message exists only if
-        it lives long enough to read it (``applies_transition``).  The
-        caller guarantees the sender is alive at the round's start.
+        ``recipient`` reaches the network (:meth:`CrashEvent.reaches`
+        when the sender crashes this round).  The caller guarantees the
+        sender is alive at the round's start.
         """
         crash = self.crash_of(sender)
-        if crash is None or crash.round != round_index:
-            return True
-        if recipient == sender:
-            return crash.applies_transition
-        return recipient in crash.sent_to
+        return (
+            crash is None
+            or crash.round != round_index
+            or crash.reaches(recipient)
+        )
 
     def withholds(self, sender: int, recipient: int, round_index: int) -> bool:
         """Whether a sent message is withheld this round (RWS pending)."""

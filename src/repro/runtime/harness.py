@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping, Protocol, Sequence
 
-from repro.emulation import emulate_rs_on_ss, emulate_rws_on_sp
 from repro.errors import ConfigurationError
 from repro.obs.events import (
     CompositeObserver,
@@ -117,56 +116,46 @@ def _emulation_summary(trace: Any) -> tuple[dict[int, tuple[int, Any]], int | No
     return decisions, latency, trace.num_rounds
 
 
-class SSEmulationHarness:
+class _EmulationHarness:
+    """A round model emulated on its step kernel (Section 4); the
+    engine name picks ``repro.emulation.emulate_<engine>``."""
+
+    engine: str
+
+    def execute(
+        self, request: ExecutionRequest, observer: Observer | None
+    ) -> Any:
+        import repro.emulation
+
+        emulate = getattr(repro.emulation, f"emulate_{self.engine}")
+        return emulate(
+            make_algorithm(request.algorithm),
+            request.values,
+            request.pattern,
+            t=request.t,
+            num_rounds=request.max_rounds,
+            rng=random.Random(request.seed),
+            observer=observer,
+            **request.param_dict(),
+        )
+
+    def summarize(self, trace: Any):
+        return _emulation_summary(trace)
+
+    def extras(self, trace: Any) -> dict[str, Any]:
+        return _emulation_extras(trace)
+
+
+class SSEmulationHarness(_EmulationHarness):
     """RS emulated on the SS step kernel (Section 4.1)."""
 
     engine = "rs_on_ss"
 
-    def execute(
-        self, request: ExecutionRequest, observer: Observer | None
-    ) -> Any:
-        return emulate_rs_on_ss(
-            make_algorithm(request.algorithm),
-            request.values,
-            request.pattern,
-            t=request.t,
-            num_rounds=request.max_rounds,
-            rng=random.Random(request.seed),
-            observer=observer,
-            **request.param_dict(),
-        )
 
-    def summarize(self, trace: Any):
-        return _emulation_summary(trace)
-
-    def extras(self, trace: Any) -> dict[str, Any]:
-        return _emulation_extras(trace)
-
-
-class SPEmulationHarness:
+class SPEmulationHarness(_EmulationHarness):
     """RWS emulated on the SP step kernel (Section 4.2)."""
 
     engine = "rws_on_sp"
-
-    def execute(
-        self, request: ExecutionRequest, observer: Observer | None
-    ) -> Any:
-        return emulate_rws_on_sp(
-            make_algorithm(request.algorithm),
-            request.values,
-            request.pattern,
-            t=request.t,
-            num_rounds=request.max_rounds,
-            rng=random.Random(request.seed),
-            observer=observer,
-            **request.param_dict(),
-        )
-
-    def summarize(self, trace: Any):
-        return _emulation_summary(trace)
-
-    def extras(self, trace: Any) -> dict[str, Any]:
-        return _emulation_extras(trace)
 
 
 class VectorHarness:

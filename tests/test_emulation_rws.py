@@ -87,7 +87,7 @@ class TestEmulatedExecution:
         step level: p0's round-1 broadcasts are delayed past the
         suspicion, p0 crashes between its two round-2 sends, and the
         one round-2 message it did send smuggles value 0 to p1 only."""
-        from repro.emulation.rws_on_sp import RoundOnSPAutomaton
+        from repro.emulation.synchronizer import RoundOnSPAutomaton
         from repro.failures import FailurePattern
         from repro.failures.history import FunctionHistory
         from repro.simulation import ScriptedScheduler, StepExecutor

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.consensus import FloodSet
-from repro.emulation.rs_on_ss import RoundOnSSAutomaton, round_deadlines
-from repro.emulation.rws_on_sp import RoundOnSPAutomaton
+from repro.emulation.synchronizer import (
+    RoundOnSPAutomaton,
+    RoundOnSSAutomaton,
+    round_deadlines,
+)
 from repro.errors import ConfigurationError
+from repro.failures import FailurePattern
+from repro.inject import INJECT_ENV
+from repro.runtime.harness import execute_request
+from repro.runtime.request import ExecutionRequest
 from repro.simulation.automaton import StepContext
 from repro.simulation.message import Message
 
@@ -175,3 +185,95 @@ class TestRoundOnSPInternals:
                 suspects=frozenset({2}))
         ).state
         assert 2 not in state.delivered_log[0][1]
+
+
+# -- trace parity pins --------------------------------------------------------
+
+_SP_PARAMS = (
+    ("delivery_prob", 0.15),
+    ("max_age", 80),
+    ("max_detection_delay", 2),
+)
+
+#: name -> (engine, crash times, seed, rounds, params, injected bug).
+PIN_CELLS = {
+    "ss-crash-free": ("rs_on_ss", {}, 3, 3, (), None),
+    "ss-mid-broadcast": ("rs_on_ss", {0: 2}, 3, 3, (), None),
+    "ss-drop-received": ("rs_on_ss", {0: 2}, 3, 3, (), "ss-drop-received"),
+    "sp-crash-free": ("rws_on_sp", {}, 11, 2, _SP_PARAMS, None),
+    "sp-pending": ("rws_on_sp", {0: 5}, 11, 2, _SP_PARAMS, None),
+}
+
+#: sha256 over each cell's JSONL trace followed by its serialized
+#: induced scenario, taken at the commit before the two emulations were
+#: merged into ``repro.emulation.synchronizer``.
+PARENT_TRACE_DIGESTS = {
+    "ss-crash-free": (
+        "dc645e33d07a024310c2b44a438c36cd1c3a0677ee8666eac4fa41a2cde34d6f"
+    ),
+    "ss-mid-broadcast": (
+        "c8fb537d19913e7aabe1968ddb6b9eb895b9d2a61f04695d8601e408535fdc77"
+    ),
+    "ss-drop-received": (
+        "461c58d0eb0a1db79d88a0be48c9aea8bd058326720977c2536378bb2bd7fec9"
+    ),
+    "sp-crash-free": (
+        "bd8abf51b714ac0520bf6451d6e7cd468d6f849a62326b0edb87dfe8c0ab6aaf"
+    ),
+    "sp-pending": (
+        "cf0a062c6839cfda5951ac3b652dda4c6a0067f8f507d9f50fd465db6fa4d953"
+    ),
+}
+
+
+def _pin_result(name, monkeypatch):
+    engine, crashes, seed, rounds, params, bug = PIN_CELLS[name]
+    if bug is None:
+        monkeypatch.delenv(INJECT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(INJECT_ENV, bug)
+    return execute_request(
+        ExecutionRequest(
+            name=f"pin-{name}",
+            engine=engine,
+            algorithm="floodset",
+            values=(0, 1, 2),
+            t=1,
+            pattern=FailurePattern.with_crashes(3, crashes),
+            max_rounds=rounds,
+            seed=seed,
+            params=params,
+            check_consensus=False,
+        )
+    )
+
+
+def _trace_digest(result):
+    digest = hashlib.sha256()
+    for event in result.events:
+        digest.update(event.to_json().encode() + b"\n")
+    digest.update(json.dumps(result.extra, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestTraceParityPins:
+    @pytest.mark.parametrize("name", sorted(PIN_CELLS))
+    def test_trace_is_byte_identical_to_the_parent(self, name, monkeypatch):
+        result = _pin_result(name, monkeypatch)
+        assert _trace_digest(result) == PARENT_TRACE_DIGESTS[name]
+
+    def test_the_pins_cover_what_they_claim(self, monkeypatch):
+        results = {name: _pin_result(name, monkeypatch) for name in PIN_CELLS}
+        induced = {
+            name: result.extra["induced_scenario"]
+            for name, result in results.items()
+        }
+        (crash,) = induced["ss-mid-broadcast"]["crashes"]
+        assert crash["sent_to"] == [1]  # a strict subset of the peers
+        assert induced["ss-mid-broadcast"]["pending"] == []
+        assert induced["ss-drop-received"]["pending"]  # the mutation fired
+        assert len(induced["sp-pending"]["pending"]) >= 1
+        assert any(
+            event.kind == "msg_withheld"
+            for event in results["sp-pending"].events
+        )

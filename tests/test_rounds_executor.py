@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from repro.consensus import FloodSet
 from repro.errors import ConfigurationError, ScenarioError
+from repro.fuzz.strategies import rounds_requests
+from repro.mc.explore import explore
 from repro.rounds import (
     CrashEvent,
     FailureScenario,
@@ -17,6 +22,8 @@ from repro.rounds import (
     run_rs,
     run_rws,
 )
+from repro.rounds.executor import complete_round, round_messages
+from repro.runtime.registry import ALGORITHM_FACTORIES, make_algorithm
 from repro.workloads import a1_rws_disagreement
 
 
@@ -171,3 +178,135 @@ class TestExecutorValidation:
     def test_decided_values_accessor(self):
         run = rs([0, 1, 1], FailureScenario.failure_free(3))
         assert run.decided_values() == {0}
+
+
+def fold_round_step(algorithm, values, scenario, *, t, max_rounds):
+    """``execute`` written out by hand over the two-phase round step."""
+    n = len(values)
+    states = [algorithm.initial_state(p, n, t, values[p]) for p in range(n)]
+    crash_of = {event.pid: event for event in scenario.crashes}
+    decisions, steps = {}, []
+    for index in range(1, max_rounds + 1):
+        starters = [p for p in range(n) if scenario.alive_at_start(p, index)]
+        step = complete_round(
+            algorithm,
+            states,
+            round_messages(algorithm, states, starters, n),
+            index,
+            {p: c for p, c in crash_of.items() if c.round == index},
+            {(m.sender, m.recipient) for m in scenario.pending if m.round == index},
+        )
+        steps.append(step)
+        for pid, state in step.states.items():
+            states[pid] = state
+        for pid, entry in step.decisions.items():
+            decisions.setdefault(pid, entry)
+        if all(
+            algorithm.halted(p, states[p])
+            for p in range(n)
+            if scenario.alive_at_start(p, index + 1)
+        ):
+            break
+    return steps, states, decisions
+
+
+class TestRoundStep:
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("model", ["RS", "RWS"])
+    def test_folding_the_step_by_hand_is_execute(self, model, t):
+        # A1 is defined for t = 1 only.
+        pool = sorted(set(ALGORITHM_FACTORIES) - ({"a1"} if t > 1 else set()))
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(request=rounds_requests(model=model, n=4, t=t, algorithms=pool))
+        def check(request):
+            values = request.values
+            if request.algorithm == "atomic-broadcast":  # proposes batches
+                values = tuple((value,) for value in values)
+            run = execute(
+                make_algorithm(request.algorithm),
+                values,
+                request.scenario,
+                t=request.t,
+                model=RoundModel(model),
+                max_rounds=request.max_rounds,
+            )
+            steps, states, decisions = fold_round_step(
+                make_algorithm(request.algorithm),
+                values,
+                request.scenario,
+                t=request.t,
+                max_rounds=request.max_rounds,
+            )
+            assert len(steps) == run.num_rounds
+            for record, step in zip(run.rounds, steps):
+                assert list(record.sent.items()) == list(step.sent.items())
+                assert record.delivered == step.delivered
+                assert record.transitioned == step.transitioned
+                assert record.crashed == step.crashed
+            assert run.final_states == dict(enumerate(states))
+            assert run.decisions == decisions
+
+        check()
+
+    def test_the_step_does_not_mutate_its_arguments(self):
+        algorithm = FloodSet()
+        states = tuple(algorithm.initial_state(p, 3, 1, p) for p in range(3))
+        outgoing = round_messages(algorithm, states, range(3), 3)
+        before = (states, {p: dict(m) for p, m in outgoing.items()})
+        crash = CrashEvent(pid=0, round=1, sent_to=frozenset({1}))
+        step = complete_round(algorithm, states, outgoing, 1, {0: crash}, {(1, 2)})
+        assert (states, {p: dict(m) for p, m in outgoing.items()}) == before
+        assert list(step.sent) == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+        assert step.withheld == {(1, 2)}
+        assert step.delivered[2] == {2: frozenset({2})}
+        assert (step.transitioned, step.crashed) == ({1, 2}, {0})
+
+    def test_three_drivers_of_a_round_algorithm(self):
+        """Who may call ``trans_i``: the round step, the round-on-steps
+        synchronizer and the asyncio P-synchronizer — see the table in
+        docs/architecture.md before adding a fourth."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        sites = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if path.parts[-2] != "consensus"
+            and path.relative_to(src) != Path("rounds/algorithm.py")
+            for line in path.read_text().splitlines()
+            if ".transition(" in line
+        )
+        assert sites == [
+            "emulation/synchronizer.py",
+            "live/rounds.py",
+            "rounds/executor.py",
+        ]
+
+
+class _StrayRecipient(FloodSet):
+    """FloodSet that also addresses the non-existent process ``n``."""
+
+    name = "stray-recipient"
+
+    def messages(self, pid, state):
+        outgoing = dict(super().messages(pid, state))
+        outgoing[len(outgoing)] = next(iter(outgoing.values()))
+        return outgoing
+
+
+class TestUnknownRecipient:
+    @pytest.mark.parametrize("model", ["RS", "RWS"])
+    def test_explore_and_execute_raise_the_same_error(self, model, monkeypatch):
+        monkeypatch.setitem(ALGORITHM_FACTORIES, "stray-recipient", _StrayRecipient)
+        with pytest.raises(ConfigurationError) as executed:
+            execute(
+                make_algorithm("stray-recipient"),
+                (0, 1, 1),
+                FailureScenario.failure_free(3),
+                t=1,
+                model=RoundModel(model),
+                max_rounds=2,
+            )
+        with pytest.raises(ConfigurationError) as explored:
+            explore("stray-recipient", n=3, t=1, model=model, horizon=2)
+        assert "addressed unknown process 3" in str(executed.value)
+        assert str(explored.value) == str(executed.value)

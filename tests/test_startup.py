@@ -38,6 +38,9 @@ assert code == 0, code
 
 MC = ["mc", "agreement", "--algorithm", "floodset", "--n", "3", "--t", "1"]
 SWEEP = ["sweep", "random-rs", "--count", "8", "--check", "--engine"]
+#: The step-kernel emulations and what only they import: a round-engine
+#: command (rounds/vector sweep, schedule-engine mc) runs none of it.
+STEP_KERNEL = ("repro.emulation", "repro.simulation", "repro.models")
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -92,6 +95,7 @@ class TestImportSets:
                 "repro.vector.engine",
                 "repro.core.experiments",
                 "repro.fuzz.campaign",
+                *STEP_KERNEL,
             ),
         )
         # 397 at the parent commit, when every command module and every
@@ -112,6 +116,7 @@ class TestImportSets:
                 "repro.fuzz",
                 "repro.mc",
                 "repro.vector.engine",
+                *STEP_KERNEL,
             ),
         )
 
@@ -127,6 +132,7 @@ class TestImportSets:
                 "repro.serve",
                 "repro.fuzz",
                 "repro.mc",
+                *STEP_KERNEL,
             ),
         )
 
