@@ -48,43 +48,39 @@ def explore_runs(
     allow_pending = model is RoundModel.RWS
 
     if sample is None:
-        for values in all_value_assignments(n, domain):
+        cells = (
+            (values, scenario)
+            for values in all_value_assignments(n, domain)
             for scenario in all_scenarios(
-                n,
-                t,
-                max_round=crash_bound,
-                allow_pending=allow_pending,
-            ):
-                yield execute(
-                    algorithm,
-                    values,
-                    scenario,
-                    t=t,
-                    model=model,
-                    max_rounds=run_horizon,
-                    validate=False,
-                )
+                n, t, max_round=crash_bound, allow_pending=allow_pending
+            )
+        )
     else:
         if rng is None:
             rng = random.Random(0)
-        for _ in range(sample):
-            values = tuple(rng.choice(list(domain)) for _ in range(n))
-            scenario = random_scenario(
-                n,
-                t,
-                max_round=crash_bound,
-                allow_pending=allow_pending,
-                rng=rng,
+        cells = (
+            (
+                tuple(rng.choice(list(domain)) for _ in range(n)),
+                random_scenario(
+                    n,
+                    t,
+                    max_round=crash_bound,
+                    allow_pending=allow_pending,
+                    rng=rng,
+                ),
             )
-            yield execute(
-                algorithm,
-                values,
-                scenario,
-                t=t,
-                model=model,
-                max_rounds=run_horizon,
-                validate=False,
-            )
+            for _ in range(sample)
+        )
+    for values, scenario in cells:
+        yield execute(
+            algorithm,
+            values,
+            scenario,
+            t=t,
+            model=model,
+            max_rounds=run_horizon,
+            validate=False,
+        )
 
 
 @dataclass
@@ -113,6 +109,47 @@ class LatencyProfile:
         )
 
 
+class _LatencyFold:
+    """The running ``lat`` / ``lat_by_config`` / ``Lat(·, f)`` over the
+    decided runs fed to it — Section 5.2's measures, folded once."""
+
+    def __init__(self, t: int) -> None:
+        self.t = t
+        self.lat: int | None = None
+        self.lat_by_config: dict[tuple, int] = {}
+        self.lat_by_failures: dict[int, int] = {}
+
+    def add(self, run: RoundRun, latency: int) -> None:
+        by_config, by_failures = self.lat_by_config, self.lat_by_failures
+        if run.values not in by_config or latency < by_config[run.values]:
+            by_config[run.values] = latency
+        if self.lat is None or latency < self.lat:
+            self.lat = latency
+        # A run with f crashes belongs to Run(A, S, f') for every
+        # f' >= f, so failure-free runs feed every Lat(A, f).
+        for f in range(run.scenario.num_failures(), self.t + 1):
+            if f not in by_failures or latency > by_failures[f]:
+                by_failures[f] = latency
+
+    def profile(
+        self, algorithm: RoundAlgorithm, model: RoundModel, n: int, runs: int
+    ) -> LatencyProfile:
+        if self.lat is None:
+            raise ExecutionError("no runs produced a complete decision")
+        return LatencyProfile(
+            algorithm=algorithm.name,
+            model=model.value,
+            n=n,
+            t=self.t,
+            lat=self.lat,
+            lat_by_config=self.lat_by_config,
+            Lat=max(self.lat_by_config.values()),
+            Lat_by_failures=self.lat_by_failures,
+            Lambda=self.lat_by_failures.get(0, 0),
+            runs_explored=runs,
+        )
+
+
 def latency_profile(
     algorithm: RoundAlgorithm,
     n: int,
@@ -129,11 +166,8 @@ def latency_profile(
     correct process undecided — a termination failure (or a horizon too
     short), which would make the latency measures meaningless.
     """
-    lat_by_config: dict[tuple, int] = {}
-    lat_overall: int | None = None
-    lat_by_failures: dict[int, int] = {}
+    fold = _LatencyFold(t)
     runs_explored = 0
-
     for run in explore_runs(
         algorithm,
         n,
@@ -151,34 +185,8 @@ def latency_profile(
                 f"undecided (values={run.values}, "
                 f"scenario={run.scenario.describe()})"
             )
-        config = run.values
-        if config not in lat_by_config or latency < lat_by_config[config]:
-            lat_by_config[config] = latency
-        if lat_overall is None or latency < lat_overall:
-            lat_overall = latency
-        failures = run.scenario.num_failures()
-        # A run with f crashes belongs to Run(A, S, f') for every f' >= f.
-        for f in range(failures, t + 1):
-            if f not in lat_by_failures or latency > lat_by_failures[f]:
-                lat_by_failures[f] = latency
-        # Failure-free runs feed every Lat(A, f) including f = 0 —
-        # handled by the loop above starting at `failures`.
-
-    if lat_overall is None:
-        raise ExecutionError("no runs were explored")
-
-    return LatencyProfile(
-        algorithm=algorithm.name,
-        model=model.value,
-        n=n,
-        t=t,
-        lat=lat_overall,
-        lat_by_config=lat_by_config,
-        Lat=max(lat_by_config.values()),
-        Lat_by_failures=lat_by_failures,
-        Lambda=lat_by_failures[0],
-        runs_explored=runs_explored,
-    )
+        fold.add(run, latency)
+    return fold.profile(algorithm, model, n, runs_explored)
 
 
 @dataclass
@@ -272,13 +280,10 @@ def profile_and_verify(
     raising (the profile then excludes the undecided run from latency
     minima/maxima).
     """
-    lat_by_config: dict[tuple, int] = {}
-    lat_overall: int | None = None
-    lat_by_failures: dict[int, int] = {}
+    fold = _LatencyFold(t)
     report = VerificationReport(
         algorithm=algorithm.name, model=model.value, n=n, t=t, runs_checked=0
     )
-
     for run in explore_runs(
         algorithm, n, t, model,
         domain=domain, max_round=max_round, horizon=horizon,
@@ -286,29 +291,6 @@ def profile_and_verify(
         report.runs_checked += 1
         report.violations.extend(checker(run))
         latency = run.latency()
-        if latency is None:
-            continue
-        config = run.values
-        if config not in lat_by_config or latency < lat_by_config[config]:
-            lat_by_config[config] = latency
-        if lat_overall is None or latency < lat_overall:
-            lat_overall = latency
-        for f in range(run.scenario.num_failures(), t + 1):
-            if f not in lat_by_failures or latency > lat_by_failures[f]:
-                lat_by_failures[f] = latency
-
-    if lat_overall is None:
-        raise ExecutionError("no runs produced a complete decision")
-    profile = LatencyProfile(
-        algorithm=algorithm.name,
-        model=model.value,
-        n=n,
-        t=t,
-        lat=lat_overall,
-        lat_by_config=lat_by_config,
-        Lat=max(lat_by_config.values()),
-        Lat_by_failures=lat_by_failures,
-        Lambda=lat_by_failures.get(0, 0),
-        runs_explored=report.runs_checked,
-    )
-    return profile, report
+        if latency is not None:
+            fold.add(run, latency)
+    return fold.profile(algorithm, model, n, report.runs_checked), report

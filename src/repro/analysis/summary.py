@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.analysis.latency import latency_profile, verify_algorithm
+from repro.analysis.latency import profile_and_verify
 from repro.rounds.algorithm import RoundAlgorithm
 from repro.rounds.executor import RoundModel
 
@@ -55,34 +55,21 @@ def latency_summary_table(
     rows: list[SummaryRow] = []
     for algorithm in algorithms:
         for model in models:
-            report = verify_algorithm(algorithm, n, t, model)
-            if report.ok:
-                profile = latency_profile(algorithm, n, t, model)
-                rows.append(
-                    SummaryRow(
-                        algorithm=algorithm.name,
-                        model=model.value,
-                        n=n,
-                        t=t,
-                        uniform_safe=True,
-                        lat=profile.lat,
-                        Lat=profile.Lat,
-                        Lambda=profile.Lambda,
-                    )
+            # One exploration yields both the verdict and the measures.
+            profile, report = profile_and_verify(algorithm, n, t, model)
+            safe = report.ok
+            rows.append(
+                SummaryRow(
+                    algorithm=algorithm.name,
+                    model=model.value,
+                    n=n,
+                    t=t,
+                    uniform_safe=safe,
+                    lat=profile.lat if safe else None,
+                    Lat=profile.Lat if safe else None,
+                    Lambda=profile.Lambda if safe else None,
                 )
-            else:
-                rows.append(
-                    SummaryRow(
-                        algorithm=algorithm.name,
-                        model=model.value,
-                        n=n,
-                        t=t,
-                        uniform_safe=False,
-                        lat=None,
-                        Lat=None,
-                        Lambda=None,
-                    )
-                )
+            )
     return rows
 
 

@@ -6,16 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import (
-    EXPECTED_DISAGREEMENT,
-    NON_CONSENSUS_VALUES,
-    SCENARIO_ALIASES,
-    SCENARIOS,
-    load_trace,
-    resolve_scenario,
-    run_scenario_trace,
-    unknown_scenario,
-)
+from repro.cli.common import SCENARIOS, load_trace, resolve_scenario
 from repro.obs import (
     check_events,
     clock_kind,
@@ -23,6 +14,9 @@ from repro.obs import (
     replay_events,
     view_divergence,
 )
+from repro.runtime.harness import execute_request
+from repro.runtime.registry import make_algorithm
+from repro.runtime.sweep import check_cell
 from repro.sdd import SP_CANDIDATE_FACTORIES, sdd_quadruple_traces
 from repro.sdd.spec import RECEIVER
 
@@ -54,42 +48,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    entry = resolve_scenario(args.scenario)
-    if entry is None:
-        return unknown_scenario(args.scenario)
-    canonical = SCENARIO_ALIASES.get(args.scenario, args.scenario)
-    blurb, build = entry
-    _, values, _, model, log = run_scenario_trace(build)
-    initial_values = None if canonical in NON_CONSENSUS_VALUES else values
-    report = check_events(
-        log.events, model=model.value, initial_values=initial_values
-    )
-    print(f"{args.scenario}: {blurb}")
-    print(report.describe())
-    consensus_errors = [
-        v for v in report.errors if v.checker == "consensus"
-    ]
-    model_errors = [v for v in report.errors if v.checker != "consensus"]
-    if model_errors:
-        print("FAIL: model invariants violated", file=sys.stderr)
+    cell = resolve_scenario(args.scenario)
+    if cell is None:
+        return 2
+    verdict = check_cell(cell.request, execute_request(cell.request))
+    print(f"{args.scenario}: {cell.blurb}")
+    print(verdict.report.describe())
+    if not verdict.ok:
+        for problem in verdict.problems():
+            print(f"FAIL: {problem}", file=sys.stderr)
         return 1
-    if canonical in EXPECTED_DISAGREEMENT:
-        if not consensus_errors:
-            print(
-                "FAIL: expected the documented disagreement but the trace "
-                "is clean",
-                file=sys.stderr,
-            )
-            return 1
+    if verdict.expected_disagreement:
         print(
             "ok: model invariants hold; the documented disagreement is "
-            f"reproduced ({len(consensus_errors)} consensus violation(s))"
+            f"reproduced ({verdict.consensus_violations} consensus "
+            "violation(s))"
         )
-        return 0
-    if consensus_errors:
-        print("FAIL: consensus violated", file=sys.stderr)
-        return 1
-    print("ok: all invariants hold")
+    else:
+        print("ok: all invariants hold")
     return 0
 
 
@@ -103,22 +79,25 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    entry = resolve_scenario(args.scenario)
-    if entry is None:
-        return unknown_scenario(args.scenario)
-    blurb, build = entry
-    algorithm, values, _, model = build()
+    cell = resolve_scenario(args.scenario)
+    if cell is None:
+        return 2
+    request = cell.request
     events = load_trace(args.trace)
     if events is None:
         return 2
     try:
         report = replay_events(
-            algorithm, values, events, t=1, model=model.value
+            make_algorithm(request.algorithm),
+            request.values,
+            events,
+            t=request.t,
+            model=request.model,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.scenario}: {blurb}")
+    print(f"{args.scenario}: {cell.blurb}")
     print(report.describe())
     return 0 if report.matches else 1
 

@@ -1,8 +1,10 @@
-"""Shared CLI vocabulary: named scenarios, algorithms, and helpers.
+"""Shared CLI helpers: named-run lookup and trace loading, each with
+the standard one-line ``error:`` on failure.
 
-Every subcommand module draws its scenario table, algorithm registry
-and error conventions from here, so the per-subcommand files stay pure
-command logic.
+The vocabulary itself lives in the runtime — the named runs in
+:data:`repro.runtime.space.NAMED_CELLS`, the algorithms in
+:mod:`repro.runtime.registry`; the names below are views of those
+tables, kept because callers and tests import them from here.
 """
 
 from __future__ import annotations
@@ -10,120 +12,30 @@ from __future__ import annotations
 import sys
 from typing import Any
 
-from repro.consensus import (
-    A1,
-    COptFloodSet,
-    COptFloodSetWS,
-    FloodSet,
-    FloodSetWS,
-    FOptFloodSet,
-    FOptFloodSetWS,
+from repro.errors import ConfigurationError
+from repro.obs import events_from_jsonl_lines
+from repro.runtime.registry import (
+    ALGORITHM_FACTORIES,
+    UNIFORM_CONSENSUS_ALGORITHMS,
 )
-from repro.obs import EventLog, events_from_jsonl_lines, logical_clock
-from repro.rounds import RoundModel, run_rs, run_rws
-from repro.workloads import (
-    a1_rws_disagreement,
-    adversarial_split,
-    floodset_rws_violation,
-    initially_dead_t,
-)
+from repro.runtime.space import CELL_ALIASES as SCENARIO_ALIASES
+from repro.runtime.space import NAMED_CELLS as SCENARIOS
+from repro.runtime.space import NamedCell, named_cell
 
 #: The algorithms ``repro latency`` (and friends) accept by name.
 ALGORITHMS = {
-    "floodset": FloodSet,
-    "floodset-ws": FloodSetWS,
-    "c-opt": COptFloodSet,
-    "c-opt-ws": COptFloodSetWS,
-    "f-opt": FOptFloodSet,
-    "f-opt-ws": FOptFloodSetWS,
-    "a1": A1,
+    key: ALGORITHM_FACTORIES[key] for key in UNIFORM_CONSENSUS_ALGORITHMS
 }
 
 
-def _broadcast_split_scenario():
-    from repro.broadcast import AtomicBroadcast
-
-    return (
-        AtomicBroadcast(),
-        (("x",), ("y",), ("z",)),
-        floodset_rws_violation(3),
-        RoundModel.RWS,
-    )
-
-
-SCENARIOS = {
-    "a1-rws": (
-        "the Section 5.3 disagreement: p1 decides on its own pending "
-        "broadcast",
-        lambda: (A1(), adversarial_split(3), a1_rws_disagreement(3), RoundModel.RWS),
-    ),
-    "floodset-rws": (
-        "plain FloodSet split by a pending value in the decision round",
-        lambda: (
-            FloodSet(),
-            adversarial_split(3),
-            floodset_rws_violation(3),
-            RoundModel.RWS,
-        ),
-    ),
-    "fopt-fast": (
-        "t initial crashes let F_OptFloodSet decide at round 1",
-        lambda: (
-            FOptFloodSet(),
-            adversarial_split(3),
-            initially_dead_t(3, 1),
-            RoundModel.RS,
-        ),
-    ),
-    "broadcast-split": (
-        "plain atomic broadcast loses total order under a pending batch",
-        lambda: _broadcast_split_scenario(),
-    ),
-}
-
-
-#: Long-form names accepted anywhere a scenario name is (docs and the
-#: paper's prose refer to the counterexamples by these).
-SCENARIO_ALIASES = {
-    "floodset-rws-violation": "floodset-rws",
-    "a1-rws-disagreement": "a1-rws",
-}
-
-
-#: Scenarios whose whole point is a consensus violation (the paper's
-#: counterexamples).  ``repro check`` treats them as reproduction
-#: oracles: the *model* invariants must hold and the documented
-#: disagreement must actually show up in the trace.
-EXPECTED_DISAGREEMENT = {"a1-rws", "floodset-rws", "broadcast-split"}
-
-#: Scenarios whose decide values are not drawn from the initial values
-#: (atomic broadcast decides delivery sequences), so validity cannot be
-#: checked against the inputs.
-NON_CONSENSUS_VALUES = {"broadcast-split"}
-
-
-def resolve_scenario(name: str) -> tuple[str, Any] | None:
-    """Look a scenario up by name or alias; ``None`` when unknown."""
-    return SCENARIOS.get(SCENARIO_ALIASES.get(name, name))
-
-
-def unknown_scenario(name: str) -> int:
-    """Print the standard unknown-scenario message; returns exit code 2."""
-    known = sorted(SCENARIOS) + sorted(SCENARIO_ALIASES)
-    print(
-        f"error: unknown scenario {name!r}; choose from {known}",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def run_scenario_trace(build: Any) -> tuple[Any, Any, Any, RoundModel, EventLog]:
-    """Execute a scenario under a deterministic event log."""
-    algorithm, values, scenario, model = build()
-    log = EventLog(clock=logical_clock())
-    runner = run_rws if model is RoundModel.RWS else run_rs
-    runner(algorithm, values, scenario, t=1, max_rounds=4, observer=log)
-    return algorithm, values, scenario, model, log
+def resolve_scenario(name: str) -> NamedCell | None:
+    """The named run ``name`` (or alias); prints the error and returns
+    None when unknown."""
+    try:
+        return named_cell(name)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def load_trace(path: str) -> list[Any] | None:

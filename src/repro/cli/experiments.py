@@ -14,20 +14,11 @@ import sys
 from repro.analysis import format_table, latency_profile, latency_summary_table
 from repro.cli.common import ALGORITHMS
 from repro.commit import compare_commit_rates
-from repro.consensus import (
-    A1,
-    COptFloodSet,
-    COptFloodSetWS,
-    FloodSet,
-    FloodSetWS,
-    FOptFloodSet,
-    FOptFloodSetWS,
-)
 from repro.core import (
+    EXPERIMENTS,
+    EXTENSIONS,
     run_all_experiments,
     run_all_extensions,
-    run_experiment,
-    run_extension,
     write_report,
 )
 from repro.failures import FailurePattern
@@ -36,16 +27,20 @@ from repro.sdd import SP_CANDIDATE_FACTORIES, refute_sdd_candidate, solve_sdd_ss
 from repro.trace import describe_run, step_diagram
 
 
-def _run_by_id(exp_id: str, quick: bool):
-    if exp_id.upper().startswith("X"):
-        return run_extension(exp_id, quick)
-    return run_experiment(exp_id, quick)
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     quick = not args.full
     if args.ids:
-        results = [_run_by_id(exp_id, quick) for exp_id in args.ids]
+        registry = {**EXPERIMENTS, **EXTENSIONS}
+        unknown = [i for i in args.ids if i.upper() not in registry]
+        if unknown:
+            known = sorted(registry, key=lambda key: (key[0], int(key[1:])))
+            print(
+                f"error: unknown experiment {unknown[0]!r}; choose from "
+                f"{known}",
+                file=sys.stderr,
+            )
+            return 2
+        results = [registry[exp_id.upper()](quick) for exp_id in args.ids]
     else:
         results = run_all_experiments(quick, jobs=args.jobs)
         if args.extensions:
@@ -66,15 +61,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
-    algorithms = [
-        FloodSet(),
-        FloodSetWS(),
-        COptFloodSet(),
-        COptFloodSetWS(),
-        FOptFloodSet(),
-        FOptFloodSetWS(),
-        A1(),
-    ]
+    algorithms = [factory() for factory in ALGORITHMS.values()]
     rows = latency_summary_table(algorithms, n=args.n, t=1)
     print(format_table(rows))
     return 0
@@ -100,15 +87,7 @@ def _cmd_commit(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
-    factory = ALGORITHMS.get(args.algorithm)
-    if factory is None:
-        print(
-            f"unknown algorithm {args.algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}",
-            file=sys.stderr,
-        )
-        return 2
-    algorithm = factory()
+    algorithm = ALGORITHMS[args.algorithm]()  # argparse `choices` vetted it
     for model in (RoundModel.RS, RoundModel.RWS):
         try:
             profile = latency_profile(algorithm, args.n, 1, model)
@@ -129,7 +108,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p_exp.add_argument(
         "--extensions",
         action="store_true",
-        help="also run the X1-X4 extension experiments",
+        help="also run the X1-X7 extension experiments",
     )
     p_exp.add_argument(
         "--jobs",

@@ -38,19 +38,12 @@ from typing import Sequence
 
 from repro._lazy import lazy_exports
 
-# Backward-compatible re-exports: the shared CLI vocabulary moved to
-# repro.cli.common, but callers (and tests) import it from here.
+# Backward-compatible re-exports: callers (and tests) import the CLI
+# vocabulary from here; repro.cli.common holds it as views of the
+# runtime's tables.
 __getattr__, __dir__ = lazy_exports(
     globals(),
-    {
-        "common": (
-            "ALGORITHMS",
-            "EXPECTED_DISAGREEMENT",
-            "NON_CONSENSUS_VALUES",
-            "SCENARIO_ALIASES",
-            "SCENARIOS",
-        ),
-    },
+    {"common": ("ALGORITHMS", "SCENARIO_ALIASES", "SCENARIOS")},
 )
 
 #: Every command and the ``repro.cli`` module that owns it, in ``--help``

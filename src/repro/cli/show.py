@@ -4,26 +4,27 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli.common import SCENARIOS, resolve_scenario, unknown_scenario
-from repro.rounds import RoundModel, run_rs, run_rws
+from repro.cli.common import SCENARIOS, resolve_scenario
+from repro.runtime.harness import harness_for
 from repro.trace import round_tableau
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    entry = resolve_scenario(args.scenario)
-    if entry is None:
-        return unknown_scenario(args.scenario)
-    blurb, build = entry
-    algorithm, values, scenario, model = build()
-    runner = run_rws if model is RoundModel.RWS else run_rs
-    run = runner(algorithm, values, scenario, t=1, max_rounds=4)
+    cell = resolve_scenario(args.scenario)
+    if cell is None:
+        return 2
+    request = cell.request
+    run = harness_for(request.engine).execute(request, None)
     if getattr(args, "dot", False):
         from repro.trace import round_run_to_dot
 
         print(round_run_to_dot(run))
         return 0
-    print(f"{args.scenario}: {blurb}")
-    print(f"algorithm={algorithm.name}, model={model.value}, values={values}")
+    print(f"{args.scenario}: {cell.blurb}")
+    print(
+        f"algorithm={run.algorithm_name}, model={request.model}, "
+        f"values={request.values}"
+    )
     print()
     print(round_tableau(run))
     return 0

@@ -7,34 +7,25 @@ import argparse
 import json
 import sys
 
-from repro.cli.common import SCENARIOS, resolve_scenario, unknown_scenario
-from repro.obs import (
-    CompositeObserver,
-    EventLog,
-    MetricsObserver,
-    MetricsRegistry,
-    Profiler,
-    logical_clock,
-    set_profiler,
-)
-from repro.rounds import RoundModel, run_rs, run_rws
+from repro.cli.common import SCENARIOS, resolve_scenario
+from repro.obs import EventLog, MetricsRegistry, Profiler, set_profiler
+from repro.runtime.harness import execute_request
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    entry = resolve_scenario(args.scenario)
-    if entry is None:
-        return unknown_scenario(args.scenario)
-    blurb, build = entry
-    algorithm, values, scenario, model = build()
-    # Logical (counter) timestamps by default so exported traces are
-    # deterministic and `repro replay` can match them byte-for-byte.
-    log = EventLog() if args.wall_ts else EventLog(clock=logical_clock())
-    registry = MetricsRegistry()
-    observer = CompositeObserver(log, MetricsObserver(registry))
-    runner = run_rws if model is RoundModel.RWS else run_rs
-    runner(
-        algorithm, values, scenario, t=1, max_rounds=4, observer=observer
+    cell = resolve_scenario(args.scenario)
+    if cell is None:
+        return 2
+    # The runtime stamps its own log with the logical (counter) clock,
+    # so exported traces are deterministic and `repro replay` can match
+    # them byte-for-byte; --wall-ts rides along as a second, wall-clock
+    # log and is exported instead.
+    log = EventLog()
+    result = execute_request(
+        cell.request, observer=log if args.wall_ts else None
     )
+    if not args.wall_ts:
+        log.events = list(result.events)
     if args.jsonl:
         count = log.write_jsonl(args.jsonl)
         print(f"wrote {count} events to {args.jsonl}")
@@ -45,37 +36,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for event in log:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
-    print(f"# {args.scenario}: {blurb}", file=sys.stderr)
+    print(f"# {args.scenario}: {cell.blurb}", file=sys.stderr)
     print(f"# events: {summary}", file=sys.stderr)
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    entry = resolve_scenario(args.scenario)
-    if entry is None:
-        return unknown_scenario(args.scenario)
-    blurb, build = entry
-    algorithm, values, scenario, model = build()
-    registry = MetricsRegistry()
+    cell = resolve_scenario(args.scenario)
+    if cell is None:
+        return 2
     profiler = Profiler()
     set_profiler(profiler)
     try:
-        runner = run_rws if model is RoundModel.RWS else run_rs
-        runner(
-            algorithm,
-            values,
-            scenario,
-            t=1,
-            max_rounds=4,
-            observer=MetricsObserver(registry),
-        )
+        result = execute_request(cell.request)
     finally:
         set_profiler(None)
+    registry = MetricsRegistry()
+    registry.merge_state(result.metrics)
     profiler.merge_into(registry)
     if args.json:
         print(json.dumps(registry.snapshot(), indent=2, sort_keys=True))
     else:
-        print(f"{args.scenario}: {blurb}")
+        print(f"{args.scenario}: {cell.blurb}")
         print(registry.render())
     return 0
 

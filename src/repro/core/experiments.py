@@ -59,14 +59,17 @@ from repro.failures import (
     random_pattern,
 )
 from repro.models import SynchronousModel
-from repro.rounds import RoundModel, run_rws
+from repro.rounds import RoundModel
+from repro.runtime.harness import harness_for
+from repro.runtime.registry import UNIFORM_CONSENSUS_ALGORITHMS, make_algorithm
+from repro.runtime.space import named_cell
 from repro.sdd import (
     SP_CANDIDATE_FACTORIES,
     check_sdd_run,
     refute_sdd_candidate,
     solve_sdd_ss,
 )
-from repro.workloads import a1_rws_disagreement, adversarial_split
+from repro.workloads import adversarial_split
 
 
 @dataclass
@@ -230,10 +233,8 @@ def experiment_e5(quick: bool = True) -> ExperimentResult:
 
 def experiment_e6(quick: bool = True) -> ExperimentResult:
     """lat(C_OptFloodSet) = lat(C_OptFloodSetWS) = 1."""
-    rs = latency_profile(COptFloodSet(), 3, 1, RoundModel.RS)
-    rws = latency_profile(COptFloodSetWS(), 3, 1, RoundModel.RWS)
-    safe_rs = verify_algorithm(COptFloodSet(), 3, 1, RoundModel.RS)
-    safe_rws = verify_algorithm(COptFloodSetWS(), 3, 1, RoundModel.RWS)
+    rs, safe_rs = profile_and_verify(COptFloodSet(), 3, 1, RoundModel.RS)
+    rws, safe_rws = profile_and_verify(COptFloodSetWS(), 3, 1, RoundModel.RWS)
     ok = (
         rs.lat == 1
         and rws.lat == 1
@@ -253,10 +254,8 @@ def experiment_e6(quick: bool = True) -> ExperimentResult:
 
 def experiment_e7(quick: bool = True) -> ExperimentResult:
     """Theorem 5.1 + Lat(F_Opt*) = 1 via t initial crashes."""
-    rs = latency_profile(FOptFloodSet(), 3, 1, RoundModel.RS)
-    rws = latency_profile(FOptFloodSetWS(), 3, 1, RoundModel.RWS)
-    safe_rs = verify_algorithm(FOptFloodSet(), 3, 1, RoundModel.RS)
-    safe_rws = verify_algorithm(FOptFloodSetWS(), 3, 1, RoundModel.RWS)
+    rs, safe_rs = profile_and_verify(FOptFloodSet(), 3, 1, RoundModel.RS)
+    rws, safe_rws = profile_and_verify(FOptFloodSetWS(), 3, 1, RoundModel.RWS)
     ok = (
         rs.Lat == 1
         and rws.Lat == 1
@@ -282,8 +281,7 @@ def experiment_e8(quick: bool = True) -> ExperimentResult:
     ok = True
     details = []
     for n in sweeps:
-        report = verify_algorithm(A1(), n, 1, RoundModel.RS)
-        profile = latency_profile(A1(), n, 1, RoundModel.RS)
+        profile, report = profile_and_verify(A1(), n, 1, RoundModel.RS)
         case_ok = report.ok and profile.Lambda == 1 and profile.Lat == 1
         ok = ok and case_ok
         details.append(
@@ -302,8 +300,8 @@ def experiment_e8(quick: bool = True) -> ExperimentResult:
 
 def experiment_e9(quick: bool = True) -> ExperimentResult:
     """The Section 5.3 disagreement scenario defeats A1 in RWS."""
-    values = adversarial_split(3)
-    run = run_rws(A1(), values, a1_rws_disagreement(3), t=1)
+    request = named_cell("a1-rws").request
+    run = harness_for(request.engine).execute(request, None)
     violations = check_uniform_consensus_run(run)
     named_ok = bool(violations)
     enumerated = verify_algorithm(A1(), 3, 1, RoundModel.RWS)
@@ -542,15 +540,7 @@ def experiment_e14(quick: bool = True) -> ExperimentResult:
 
 def experiment_e15(quick: bool = True) -> ExperimentResult:
     """The headline table: every algorithm × both models."""
-    algorithms = [
-        FloodSet(),
-        FloodSetWS(),
-        COptFloodSet(),
-        COptFloodSetWS(),
-        FOptFloodSet(),
-        FOptFloodSetWS(),
-        A1(),
-    ]
+    algorithms = [make_algorithm(key) for key in UNIFORM_CONSENSUS_ALGORITHMS]
     rows = latency_summary_table(algorithms, n=3, t=1)
     table = format_table(rows)
     by_key = {(row.algorithm, row.model): row for row in rows}

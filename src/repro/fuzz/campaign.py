@@ -307,7 +307,6 @@ def run_campaign(
     cache_dir: str | None = None,
     out_dir: str | None = None,
     shrink_failures: bool = True,
-    max_shrink_attempts: int = 400,
     max_n: int = 4,
     run_root: str | None = None,
     progress_stream: Any = None,
@@ -373,9 +372,7 @@ def run_campaign(
                 continue
             if shrink_failures:
                 outcome = shrink(
-                    request,
-                    lambda mutant: bool(run_case(mutant)),
-                    max_attempts=max_shrink_attempts,
+                    request, lambda mutant: bool(run_case(mutant))
                 )
                 shrunk = outcome.request
                 shrunk_failures = run_case(shrunk)

@@ -84,17 +84,7 @@ def check_oracle(
 ) -> list[str]:
     """The trace oracle over one cell (``trace-check``)."""
     verdict = check_cell(request, result)
-    if verdict.ok:
-        return []
-    problems = list(verdict.model_errors)
-    if verdict.expected_disagreement and not verdict.consensus_violations:
-        problems.append("expected disagreement did not appear")
-    if not verdict.expected_disagreement and verdict.consensus_violations:
-        problems.append(
-            f"{verdict.consensus_violations} unexpected consensus "
-            "violation(s)"
-        )
-    return problems
+    return [] if verdict.ok else verdict.problems()
 
 
 def twin_oracle(

@@ -334,25 +334,6 @@ def mc_frontier_cases(
     )
 
 
-def mc_frontier_space(
-    *,
-    budget: int,
-    seed: int,
-    frontier: Any,
-    extra_rounds: int = 2,
-    name: str | None = None,
-) -> "ScenarioSpace":
-    """The mc-frontier stream as a shardable scenario space."""
-    from repro.runtime.space import ScenarioSpace
-
-    return ScenarioSpace(
-        name=name or f"mc-frontier-{seed}",
-        requests=mc_frontier_cases(
-            budget, seed, frontier, extra_rounds=extra_rounds
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis strategies (optional dependency)
 # ---------------------------------------------------------------------------

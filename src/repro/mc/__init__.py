@@ -29,7 +29,13 @@ from repro.mc.explore import explore
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "checker": ("McOutcome", "McTask", "check", "still_fails_for"),
+        "checker": (
+            "McOutcome",
+            "McTask",
+            "check",
+            "mc_space_from_spec",
+            "still_fails_for",
+        ),
         "config": ("Configuration", "canonical_form", "canonical_key"),
         "explore": ("ExploreStats", "Exploration", "Leaf"),
         "fixtures": ("classify_sdd_quadruple", "sdd_fixture_names"),
@@ -37,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
         "space": (
             "frontier_space",
             "load_frontier",
-            "mc_space_from_spec",
             "save_frontier",
             "spec_for_task",
         ),

@@ -47,6 +47,7 @@ from repro.mc.space import (
     frontier_space,
     grid_space,
     lambda_space,
+    parse_spec,
 )
 from repro.mc.verdict import Verdict, witness_document
 from repro.runtime.campaign import CampaignLeg
@@ -80,7 +81,6 @@ class McTask:
     bound: str | None = None
     by_round: int | None = None
     shrink_witness: bool = True
-    max_shrink_attempts: int = 200
 
     def validate(self) -> None:
         if self.property_name not in PROPERTIES:
@@ -143,7 +143,8 @@ def still_fails_for(
 
 
 def _plan(task: McTask) -> tuple[ScenarioSpace, Exploration | None, str]:
-    """``(space, exploration, scope)`` for one task."""
+    """``(space, exploration, scope)`` for one task — the one frontier
+    dispatcher, for a solo :func:`check` and a served spec alike."""
     if task.engine in GRID_ENGINES:
         space = grid_space(
             task.algorithm,
@@ -172,6 +173,18 @@ def _plan(task: McTask) -> tuple[ScenarioSpace, Exploration | None, str]:
         reduce=task.reduce,
     )
     return frontier_space(exploration, engine=task.engine), exploration, "exhaustive"
+
+
+def mc_space_from_spec(spec: str) -> ScenarioSpace:
+    """Build the checking space an ``mc:...`` serve spec names.
+
+    The spec's task is validated and planned exactly as :func:`check`
+    does it, so a coordinator refuses what a solo run refuses and
+    otherwise rebuilds cell-for-cell the solo run's space.
+    """
+    task = McTask(**parse_spec(spec))
+    task.validate()
+    return _plan(task)[0]
 
 
 def _prediction_divergences(
@@ -227,9 +240,7 @@ def _witnesses(
         attempts = 0
         if index == 0 and shrinkable:
             reduction = shrink(
-                original,
-                still_fails_for(task),
-                max_attempts=task.max_shrink_attempts,
+                original, still_fails_for(task), max_attempts=200
             )
             shrunk = reduction.request
             attempts = reduction.attempts

@@ -166,8 +166,8 @@ def _bound_holds(op: str, value: int, limit: int) -> bool:
 
 
 #: Per-algorithm default Λ bounds, straight from the paper: A1 achieves
-#: ``Λ = 1`` in RS (Theorem 5.1); every safe RWS algorithm has
-#: ``Λ >= 2`` (Theorem 5.2); the FloodSet family decides in exactly
+#: ``Λ = 1`` in RS (Theorem 5.2); every safe RWS algorithm has
+#: ``Λ >= 2`` (Section 5.3, via [7]); the FloodSet family decides in exactly
 #: ``t + 1`` rounds, failure-free runs included.
 def default_lambda_bound(algorithm: str, model: str, t: int) -> str | None:
     if algorithm == "a1":
@@ -305,7 +305,7 @@ PROPERTIES: dict[str, Property] = {
             name="uniform-agreement",
             kind="cell",
             doc="no two processes decide differently, crashed included",
-            theorem="uniform consensus, Sec. 5 / Theorem 5.3",
+            theorem="uniform consensus, Sec. 5 (Theorems 5.1 and 5.2)",
             cell_evaluator=uniform_agreement_problems,
         ),
         Property(
@@ -326,7 +326,7 @@ PROPERTIES: dict[str, Property] = {
             name="lambda",
             kind="aggregate",
             doc="the failure-free worst-case latency Λ meets its bound",
-            theorem="Theorems 5.1 (Λ(A1)=1) and 5.2 (Λ_RWS >= 2)",
+            theorem="Theorem 5.2 (Λ(A1)=1) and Sec. 5.3 via [7] (Λ_RWS >= 2)",
         ),
         Property(
             name="indistinguishability",

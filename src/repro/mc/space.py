@@ -28,7 +28,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
-from repro.mc.explore import Exploration, ExploreStats, Leaf, explore
+from repro.mc.explore import Exploration, ExploreStats, Leaf
 from repro.rounds.enumeration import all_value_assignments
 from repro.rounds.scenario import FailureScenario
 from repro.runtime.request import ExecutionRequest
@@ -70,7 +70,6 @@ def frontier_space(
     exploration: Exploration,
     *,
     engine: str = "rounds",
-    name: str | None = None,
 ) -> ScenarioSpace:
     """The exploration's leaf schedules as an executable space.
 
@@ -101,7 +100,7 @@ def frontier_space(
         )
     )
     return ScenarioSpace(
-        name=name or f"mc-{exploration.algorithm}-{exploration.model.lower()}",
+        name=f"mc-{exploration.algorithm}-{exploration.model.lower()}",
         requests=requests,
     )
 
@@ -114,7 +113,6 @@ def lambda_space(
     model: str,
     horizon: int,
     engine: str = "rounds",
-    name: str | None = None,
 ) -> ScenarioSpace:
     """Every failure-free run: the exact domain of ``Λ(A) = Lat(A, 0)``.
 
@@ -123,10 +121,6 @@ def lambda_space(
     space *is* the full run set the paper's Λ quantifies over — one
     cell per initial configuration.
     """
-    if engine not in SCHEDULE_ENGINES:
-        raise ConfigurationError(
-            f"lambda frontiers run on {SCHEDULE_ENGINES}, not {engine!r}"
-        )
     scenario = failure_free(n)
     requests = tuple(
         ExecutionRequest(
@@ -143,7 +137,7 @@ def lambda_space(
         for values in all_value_assignments(n)
     )
     return ScenarioSpace(
-        name=name or f"mc-lambda-{algorithm}-{model.lower()}",
+        name=f"mc-lambda-{algorithm}-{model.lower()}",
         requests=requests,
     )
 
@@ -155,7 +149,6 @@ def grid_space(
     t: int,
     horizon: int,
     engine: str,
-    name: str | None = None,
 ) -> ScenarioSpace:
     """Emulation-engine checking grid: assignments × crash timings.
 
@@ -168,10 +161,6 @@ def grid_space(
     some grid cell, and the emitted witness replays through the fuzz
     oracles' emulation-twin differential.
     """
-    if engine not in GRID_ENGINES:
-        raise ConfigurationError(
-            f"grid frontiers run on {GRID_ENGINES}, not {engine!r}"
-        )
     patterns: list[FailurePattern] = [FailurePattern.crash_free(n)]
     if t >= 1:
         patterns.extend(
@@ -203,9 +192,7 @@ def grid_space(
         for values in all_value_assignments(n)
         for index, pattern in enumerate(patterns)
     )
-    return ScenarioSpace(
-        name=name or f"mc-grid-{algorithm}-{engine}", requests=requests
-    )
+    return ScenarioSpace(name=f"mc-grid-{algorithm}-{engine}", requests=requests)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +217,9 @@ def spec_for_task(task: Any) -> str:
 
 
 def parse_spec(spec: str) -> dict[str, Any]:
-    """Parse an ``mc:...`` spec into its task parameters."""
+    """Parse an ``mc:...`` spec into its task parameters — the keyword
+    arguments of the :class:`~repro.mc.checker.McTask` it names
+    (:func:`repro.mc.checker.mc_space_from_spec` plans that task)."""
     parts = spec.split(":")
     if len(parts) < 3 or parts[0] != "mc":
         raise ConfigurationError(
@@ -250,7 +239,13 @@ def parse_spec(spec: str) -> dict[str, Any]:
     for part in parts[3:]:
         key, _, value = part.partition("=")
         if key in ("n", "t", "horizon"):
-            params[key] = int(value)
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"mc spec field {key}={value!r} is not an integer "
+                    f"in {spec!r}"
+                ) from None
         elif key == "model":
             params[key] = value.upper()
         elif key == "engine":
@@ -260,41 +255,6 @@ def parse_spec(spec: str) -> dict[str, Any]:
         else:
             raise ConfigurationError(f"unknown mc spec field {key!r} in {spec!r}")
     return params
-
-
-def space_for_params(params: dict[str, Any]) -> ScenarioSpace:
-    """The executable space of one parameter set (see :func:`parse_spec`)."""
-    if params["engine"] in GRID_ENGINES:
-        return grid_space(
-            params["algorithm"],
-            n=params["n"],
-            t=params["t"],
-            horizon=params["horizon"],
-            engine=params["engine"],
-        )
-    if params["property_name"] == "lambda":
-        return lambda_space(
-            params["algorithm"],
-            n=params["n"],
-            t=params["t"],
-            model=params["model"],
-            horizon=params["horizon"],
-            engine=params["engine"],
-        )
-    exploration = explore(
-        params["algorithm"],
-        n=params["n"],
-        t=params["t"],
-        model=params["model"],
-        horizon=params["horizon"],
-        reduce=params["reduce"],
-    )
-    return frontier_space(exploration, engine=params["engine"])
-
-
-def mc_space_from_spec(spec: str) -> ScenarioSpace:
-    """Build the checking space an ``mc:...`` serve spec names."""
-    return space_for_params(parse_spec(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +307,30 @@ def load_frontier(path: str | Path) -> Exploration:
     for key, value in data.get("stats", {}).items():
         if hasattr(stats, key):
             setattr(stats, key, value)
-    leaves = [
-        Leaf(
-            values=tuple(entry["values"]),
-            scenario=scenario_from_dict(entry["scenario"]),
-            decisions={
-                int(pid): (record[0], record[1])
-                for pid, record in entry.get("decisions", {}).items()
-            },
-            rounds=entry.get("rounds", 0),
+    try:
+        leaves = [
+            Leaf(
+                values=tuple(entry["values"]),
+                scenario=scenario_from_dict(entry["scenario"]),
+                decisions={
+                    int(pid): (record[0], record[1])
+                    for pid, record in entry.get("decisions", {}).items()
+                },
+                rounds=entry.get("rounds", 0),
+            )
+            for entry in data.get("leaves", ())
+        ]
+        return Exploration(
+            algorithm=data["algorithm"],
+            n=data["n"],
+            t=data["t"],
+            model=data["model"],
+            horizon=data["horizon"],
+            reduce=data.get("reduce", True),
+            leaves=leaves,
+            stats=stats,
         )
-        for entry in data.get("leaves", ())
-    ]
-    return Exploration(
-        algorithm=data["algorithm"],
-        n=data["n"],
-        t=data["t"],
-        model=data["model"],
-        horizon=data["horizon"],
-        reduce=data.get("reduce", True),
-        leaves=leaves,
-        stats=stats,
-    )
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"frontier {path} lacks field {exc.args[0]!r}"
+        ) from exc

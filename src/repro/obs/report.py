@@ -30,7 +30,6 @@ from repro.obs.artifacts import (
     RUN_KINDS,
     RUN_SCHEMA,
     RunDir,
-    SLOConfig,
     evaluate_slos,
 )
 from repro.stats import percentile
@@ -180,8 +179,6 @@ def summarize_sweep(
     sweep_result: Any,
     *,
     completed_before: set[str],
-    extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
-    slo: SLOConfig | None = None,
 ) -> dict[str, Any]:
     """The ``summary.json`` document of one sweep (or fuzz-sweep) leg.
 
@@ -260,11 +257,8 @@ def summarize_sweep(
         }
 
     spans = merge_span_snapshots(
-        [
-            (result.extra.get("profile") or {}).get("spans")
-            for result in results
-        ]
-        + [dict(extra_spans) if extra_spans else None]
+        (result.extra.get("profile") or {}).get("spans")
+        for result in results
     )
     if spans:
         summary["spans"] = spans
@@ -289,7 +283,7 @@ def summarize_sweep(
     if causal is not None:
         summary["causal"] = causal
 
-    summary["slo_verdicts"] = evaluate_slos(slo or run.slo, summary)
+    summary["slo_verdicts"] = evaluate_slos(run.slo, summary)
     return summary
 
 
@@ -301,7 +295,6 @@ def summarize_live(
     detection_delays_ms: Sequence[float] = (),
     oracle_failed: int | None = None,
     extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
-    slo: SLOConfig | None = None,
     events: Sequence[Any] | None = None,
 ) -> dict[str, Any]:
     """The ``summary.json`` document of one live (cluster) run.
@@ -356,7 +349,7 @@ def summarize_live(
     spans = merge_span_snapshots([dict(extra_spans) if extra_spans else None])
     if spans:
         summary["spans"] = spans
-    summary["slo_verdicts"] = evaluate_slos(slo or run.slo, summary)
+    summary["slo_verdicts"] = evaluate_slos(run.slo, summary)
     return summary
 
 
@@ -366,16 +359,10 @@ def summarize_fuzz(
     sweep_result: Any,
     *,
     completed_before: set[str],
-    extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
-    slo: SLOConfig | None = None,
 ) -> dict[str, Any]:
     """The ``summary.json`` document of one fuzz campaign leg."""
     summary = summarize_sweep(
-        run,
-        sweep_result,
-        completed_before=completed_before,
-        extra_spans=extra_spans,
-        slo=slo,
+        run, sweep_result, completed_before=completed_before
     )
     summary["fuzz"] = {
         "budget": fuzz_report.budget,
@@ -396,7 +383,7 @@ def summarize_fuzz(
         "failed": failed,
         "failed_cells": [ce.original.name for ce in fuzz_report.counterexamples],
     }
-    summary["slo_verdicts"] = evaluate_slos(slo or run.slo, summary)
+    summary["slo_verdicts"] = evaluate_slos(run.slo, summary)
     return summary
 
 

@@ -257,13 +257,15 @@ def random_scenario(
     max_round: int,
     allow_pending: bool,
     rng: random.Random,
-    crash_prob: float = 0.7,
-    pending_prob: float = 0.5,
 ) -> FailureScenario:
-    """Draw one admissible scenario at random (for large spaces)."""
+    """Draw one admissible scenario at random (for large spaces).
+
+    Each of up to ``t`` victims crashes with probability 0.7; each
+    admissible pending message is withheld with probability 0.5.
+    """
     victims: list[int] = []
     for pid in rng.sample(range(n), k=min(t, n - 1)):
-        if rng.random() < crash_prob:
+        if rng.random() < 0.7:
             victims.append(pid)
     events: list[CrashEvent] = []
     for pid in victims:
@@ -282,7 +284,7 @@ def random_scenario(
     pending: set[PendingMessage] = set()
     if allow_pending:
         for candidate in _pending_candidates(n, events, max_round):
-            if rng.random() < pending_prob:
+            if rng.random() < 0.5:
                 pending.add(candidate)
     scenario = FailureScenario(
         n=n, crashes=tuple(events), pending=frozenset(pending)

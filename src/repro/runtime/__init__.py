@@ -17,7 +17,7 @@ plumbing with a single interface:
   kernel, reached wholesale via :func:`execute_batch`) behind
   :func:`execute_request`;
 * :class:`ScenarioSpace` — the canonical enumerator of run sets
-  (explicit lists, workload aliases, seeded random streams with
+  (explicit lists, the paper's named cells, seeded random streams with
   derived per-cell seeds);
 * :class:`SweepRunner` — serial or ``multiprocessing`` execution with
   byte-identical merged traces, order-independent metric aggregation,
@@ -49,6 +49,7 @@ __getattr__, __dir__ = lazy_exports(
         "pool": ("default_jobs", "parallel_map"),
         "registry": (
             "ALGORITHM_FACTORIES",
+            "UNIFORM_CONSENSUS_ALGORITHMS",
             "VECTOR_KERNELS",
             "has_vector_kernel",
             "make_algorithm",
@@ -60,11 +61,14 @@ __getattr__, __dir__ = lazy_exports(
             "ExecutionResult",
         ),
         "space": (
-            "SCENARIO_BUILDERS",
+            "CELL_ALIASES",
+            "NAMED_CELLS",
+            "NamedCell",
             "SPACE_FACTORIES",
             "ScenarioSpace",
             "derived_seed",
             "e10_lambda_space",
+            "named_cell",
             "oracle_sweep_space",
             "random_space",
             "space_by_name",
@@ -82,6 +86,7 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "ALGORITHM_FACTORIES",
     "CACHE_SCHEMA_VERSION",
+    "CELL_ALIASES",
     "CacheStats",
     "CellCheck",
     "ENGINES",
@@ -89,15 +94,17 @@ __all__ = [
     "ExecutionResult",
     "HARNESSES",
     "Harness",
+    "NAMED_CELLS",
+    "NamedCell",
     "ResultCache",
     "RoundHarness",
-    "SCENARIO_BUILDERS",
     "SPACE_FACTORIES",
     "SPEmulationHarness",
     "SSEmulationHarness",
     "ScenarioSpace",
     "SweepResult",
     "SweepRunner",
+    "UNIFORM_CONSENSUS_ALGORITHMS",
     "VECTOR_KERNELS",
     "VectorHarness",
     "check_cell",
@@ -109,6 +116,7 @@ __all__ = [
     "harness_for",
     "has_vector_kernel",
     "make_algorithm",
+    "named_cell",
     "oracle_sweep_space",
     "parallel_map",
     "random_space",

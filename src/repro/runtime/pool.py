@@ -10,7 +10,7 @@ in outputs, only in wall-clock time.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import multiprocessing.context
@@ -76,12 +76,3 @@ def parallel_map(
             results.append(result)
         return results
 
-
-def map_indexed(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    jobs: int = 1,
-) -> list[R]:
-    """:func:`parallel_map` over any iterable (materialised first)."""
-    return parallel_map(func, list(items), jobs=jobs)

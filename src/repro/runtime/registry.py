@@ -42,6 +42,20 @@ ALGORITHM_FACTORIES: dict[str, Callable[[], RoundAlgorithm]] = {
     "atomic-broadcast": AtomicBroadcast,
 }
 
+#: The paper's seven uniform-consensus algorithms (Figures 1-4 and their
+#: optimisations), in the headline table's row order: what ``repro
+#: latency`` / ``summary`` and E15 profile.  The other registry entries
+#: are witnesses (non-uniform, not consensus) with no latency profile.
+UNIFORM_CONSENSUS_ALGORITHMS = (
+    "floodset",
+    "floodset-ws",
+    "c-opt",
+    "c-opt-ws",
+    "f-opt",
+    "f-opt-ws",
+    "a1",
+)
+
 
 def has_vector_kernel(name: str, *, n: int | None = None, t: int | None = None) -> bool:
     """Whether ``engine="vector"`` can run ``name`` on its columnar kernel.

@@ -81,10 +81,12 @@ class ExecutionRequest:
         expect_disagreement: The documented outcome of this cell is a
             consensus violation (the paper's counterexamples); the
             ``--check`` oracle then *requires* the disagreement.
-        check_consensus: Whether the consensus checker's verdict is
-            meaningful for this cell (randomized RWS adversaries on
-            non-WS algorithms may legitimately disagree, so only the
-            model invariants are enforced there).
+        check_consensus: Whether the consensus checker's verdict
+            against the inputs is meaningful for this cell.  Off, the
+            oracle is not given the initial values and tolerates
+            violations: randomized RWS adversaries on non-WS algorithms
+            may legitimately disagree, and atomic broadcast decides
+            delivery sequences, which no input equals.
     """
 
     name: str

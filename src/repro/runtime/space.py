@@ -1,15 +1,17 @@
 """Canonical enumeration of scenario spaces.
 
 The paper's quantitative statements — ``lat``/``Lat``/``Λ`` and the
-Theorem 5.2 gap — quantify over *sets of runs*.  A
-:class:`ScenarioSpace` reifies such a set as an ordered tuple of
-:class:`~repro.runtime.request.ExecutionRequest` cells, built three
-ways:
+RS/RWS gap in ``Λ`` (Theorem 5.2 vs Section 5.3) — quantify over *sets
+of runs*.  A :class:`ScenarioSpace` reifies such a set as an ordered
+tuple of :class:`~repro.runtime.request.ExecutionRequest` cells, built
+three ways:
 
 * **explicit lists** — any caller-assembled requests;
-* **workload aliases** — the named scenarios of
-  :mod:`repro.workloads.scenarios` (plus the step-model emulation
-  cells), via :data:`SCENARIO_BUILDERS` and the registered spaces;
+* **named cells** — :data:`NAMED_CELLS`, the one table where the
+  paper's named runs (the scenarios of :mod:`repro.workloads.scenarios`
+  bound to an algorithm, inputs and a model) are written; the
+  registered spaces and the CLI's ``show`` / ``trace`` / ``metrics`` /
+  ``check`` / ``replay`` both draw from it;
 * **seeded random streams** — ``random_scenario`` draws where every
   cell gets a *derived* seed (a stable hash of the stream seed and the
   cell index), so a stream is reproducible cell-by-cell and
@@ -18,11 +20,12 @@ ways:
 Registered spaces (:func:`space_by_name`):
 
 * ``oracle-sweep`` — the chaos sweep behind ``tests/test_oracle_sweep``:
-  every named workload, randomized adversaries in both round models,
-  and both emulations.
+  every named consensus cell, randomized adversaries in both round
+  models, and both emulations.
 * ``e10-lambda`` — the E10 Λ sweep: every failure-free run (all binary
-  initial configurations) of the safe RWS algorithms and of A1 in RS;
-  the per-algorithm worst case over this space *is* ``Λ = Lat(A, 0)``.
+  initial configurations) of the safe RWS algorithms (``Λ >= 2`` there,
+  Section 5.3) and of A1 in RS (``Λ(A1) = 1``, Theorem 5.2); the
+  per-algorithm worst case over this space *is* ``Λ = Lat(A, 0)``.
 * ``live-smoke`` — the asyncio runtime's smoke matrix: FloodSet over
   every net profile with one crash, a failure-free WS cell, and
   Chandra–Toueg with its first coordinator crashed.
@@ -34,7 +37,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
@@ -51,19 +54,6 @@ from repro.workloads import (
     initially_dead_t,
     unanimous,
 )
-
-#: The workload scenario aliases a space (or CLI flag) may name,
-#: mirroring :mod:`repro.workloads.scenarios`.  Each builder takes
-#: ``n`` and returns a :class:`FailureScenario`.
-SCENARIO_BUILDERS: dict[str, Callable[[int], FailureScenario]] = {
-    "failure-free": failure_free,
-    "initially-dead-t": lambda n: initially_dead_t(n, 1),
-    "crash-mid-broadcast": crash_mid_broadcast,
-    "decide-then-crash": decide_then_crash_pending,
-    "floodset-rws-violation": floodset_rws_violation,
-    "a1-rws-disagreement": a1_rws_disagreement,
-}
-
 
 def derived_seed(base: int, index: int) -> int:
     """A deterministic per-cell seed from a stream seed and cell index.
@@ -164,40 +154,116 @@ class ScenarioSpace:
 # ---------------------------------------------------------------------------
 
 
-def _workload_cells() -> list[ExecutionRequest]:
-    """The named workload matrix (one cell per oracle-sweep workload)."""
+class NamedCell(NamedTuple):
+    """One of the paper's named runs: what it shows, and the cell."""
+
+    blurb: str
+    request: ExecutionRequest
+
+
+def _named_cells() -> dict[str, NamedCell]:
     n = 3
     split = adversarial_split(n)
-    cells = [
-        ("failure-free-rs", "floodset", split, failure_free(n), "RS", False),
-        ("failure-free-rws", "floodset", split, failure_free(n), "RWS", False),
-        ("initially-dead", "f-opt", split, initially_dead_t(n, 1), "RS", False),
-        ("mid-broadcast-rs", "floodset", split, crash_mid_broadcast(n), "RS", False),
-        ("mid-broadcast-copt", "c-opt", unanimous(n), crash_mid_broadcast(n), "RS", False),
-        ("floodset-rws", "floodset", split, floodset_rws_violation(n), "RWS", True),
-        ("a1-rws", "a1", split, a1_rws_disagreement(n), "RWS", True),
-        # FloodSetWS *repairs* the decide-then-crash run: the oracle
-        # must not require a disagreement, only tolerate one (the cell
-        # exercises the adversary move, not a documented violation).
-        ("decide-then-crash", "floodset-ws", split, decide_then_crash_pending(n), "RWS", False),
-    ]
-    return [
-        ExecutionRequest(
-            name=name,
-            engine="rounds",
-            algorithm=algorithm,
-            values=values,
-            t=1,
-            model=model,
-            scenario=scenario,
-            max_rounds=4,
-            expect_disagreement=requires_disagreement,
-            check_consensus=(
-                requires_disagreement or name != "decide-then-crash"
+    cells: dict[str, NamedCell] = {}
+
+    def cell(
+        name: str,
+        algorithm: str,
+        scenario: FailureScenario,
+        model: str,
+        blurb: str,
+        **overrides: Any,
+    ) -> None:
+        fields = {"values": split, "t": 1, "max_rounds": 4, **overrides}
+        cells[name] = NamedCell(
+            blurb,
+            ExecutionRequest(
+                name=name,
+                engine="rounds",
+                algorithm=algorithm,
+                model=model,
+                scenario=scenario,
+                **fields,
             ),
         )
-        for name, algorithm, values, scenario, model, requires_disagreement in cells
-    ]
+
+    cell(
+        "failure-free-rs", "floodset", failure_free(n), "RS",
+        "FloodSet with no failure in RS: everyone decides at round t+1",
+    )
+    cell(
+        "failure-free-rws", "floodset", failure_free(n), "RWS",
+        "the same failure-free run in RWS: nothing is pending",
+    )
+    cell(
+        "initially-dead", "f-opt", initially_dead_t(n, 1), "RS",
+        "t initial crashes let F_OptFloodSet decide at round 1",
+    )
+    cell(
+        "mid-broadcast-rs", "floodset", crash_mid_broadcast(n), "RS",
+        "p1 crashes mid-broadcast in round 1; FloodSet still agrees in RS",
+    )
+    cell(
+        "mid-broadcast-copt", "c-opt", crash_mid_broadcast(n), "RS",
+        "unanimous inputs: C_OptFloodSet decides at round 1 despite the "
+        "mid-broadcast crash",
+        values=unanimous(n),
+    )
+    cell(
+        "floodset-rws", "floodset", floodset_rws_violation(n), "RWS",
+        "plain FloodSet split by a pending value in the decision round",
+        expect_disagreement=True,
+    )
+    cell(
+        "a1-rws", "a1", a1_rws_disagreement(n), "RWS",
+        "the Section 5.3 disagreement: p1 decides on its own pending "
+        "broadcast",
+        expect_disagreement=True,
+    )
+    # FloodSetWS *repairs* the decide-then-crash run: the oracle must
+    # not require a disagreement, only tolerate one (the cell exercises
+    # the adversary move, not a documented violation).
+    cell(
+        "decide-then-crash", "floodset-ws", decide_then_crash_pending(n), "RWS",
+        "the Section 5.3 adversary move against FloodSetWS, whose halt "
+        "set repairs it",
+        check_consensus=False,
+    )
+    # Decide values are delivery sequences, not inputs: validity against
+    # the inputs is not checkable, the documented disagreement is.
+    cell(
+        "broadcast-split", "atomic-broadcast", floodset_rws_violation(n), "RWS",
+        "plain atomic broadcast loses total order under a pending batch",
+        values=(("x",), ("y",), ("z",)),
+        expect_disagreement=True,
+        check_consensus=False,
+    )
+    return cells
+
+
+#: The paper's named runs, each written once: the ``oracle-sweep``
+#: workload cells (in sweep order) plus ``broadcast-split``.
+NAMED_CELLS: dict[str, NamedCell] = _named_cells()
+
+#: Other names a cell answers to: the CLI's historical ``fopt-fast`` and
+#: the long forms the docs and the paper's prose use.
+CELL_ALIASES = {
+    "fopt-fast": "initially-dead",
+    "floodset-rws-violation": "floodset-rws",
+    "a1-rws-disagreement": "a1-rws",
+}
+
+
+def named_cell(name: str) -> NamedCell:
+    """Look a named run up by name or alias; unknown names raise with
+    the catalogue."""
+    cell = NAMED_CELLS.get(CELL_ALIASES.get(name, name))
+    if cell is None:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; choose from "
+            f"{sorted(NAMED_CELLS) + sorted(CELL_ALIASES)}"
+        )
+    return cell
 
 
 def _emulation_cells() -> list[ExecutionRequest]:
@@ -236,18 +302,15 @@ def _emulation_cells() -> list[ExecutionRequest]:
 
 def oracle_sweep_space(count: int = 10, seed: int = 42) -> ScenarioSpace:
     """The chaos sweep: workloads + random adversaries + emulations."""
-    requests = list(_workload_cells())
+    # The consensus cells only: atomic broadcast is not in this sweep
+    # (its run id is pinned on these eight cells).
+    requests = [
+        cell.request
+        for name, cell in NAMED_CELLS.items()
+        if name != "broadcast-split"
+    ]
     for model, stream_seed in (("RS", seed), ("RWS", seed + 1)):
-        stream = ScenarioSpace.random_rounds(
-            f"random-{model.lower()}",
-            algorithm="floodset",
-            model=model,
-            n=4,
-            count=count,
-            seed=stream_seed,
-            max_rounds=4,
-        )
-        requests.extend(stream.requests)
+        requests.extend(random_space(model, count, stream_seed).requests)
     requests.extend(_emulation_cells())
     return ScenarioSpace(name="oracle-sweep", requests=tuple(requests))
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.obs.check import check_events
+from repro.obs.check import CheckReport, check_events
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
@@ -132,6 +132,8 @@ class CellCheck:
     model_errors: list[str] = field(default_factory=list)
     consensus_violations: int = 0
     expected_disagreement: bool = False
+    #: The oracle's full report, for callers that print it.
+    report: CheckReport | None = field(default=None, repr=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -142,16 +144,21 @@ class CellCheck:
                 else ""
             )
             return f"{self.name}: ok{suffix}"
-        lines = [f"{self.name}: FAIL"]
-        lines.extend(f"  {problem}" for problem in self.model_errors)
+        return "\n".join(
+            [f"{self.name}: FAIL", *(f"  {p}" for p in self.problems())]
+        )
+
+    def problems(self) -> list[str]:
+        """What a failing verdict objects to, one line each."""
+        problems = list(self.model_errors)
         if self.expected_disagreement and not self.consensus_violations:
-            lines.append("  expected disagreement did not appear")
+            problems.append("expected disagreement did not appear")
         if not self.expected_disagreement and self.consensus_violations:
-            lines.append(
-                f"  {self.consensus_violations} unexpected consensus "
+            problems.append(
+                f"{self.consensus_violations} unexpected consensus "
                 "violation(s)"
             )
-        return "\n".join(lines)
+        return problems
 
 
 def check_cell(
@@ -177,18 +184,22 @@ def check_cell(
     consensus = sum(
         1 for violation in report.errors if violation.checker == "consensus"
     )
+    # A documented disagreement must show up even where validity cannot
+    # be judged against the inputs (check_consensus=False: atomic
+    # broadcast decides delivery sequences); otherwise an unjudged cell
+    # tolerates consensus violations and a judged one forbids them.
     ok = not model_errors
-    if request.check_consensus:
-        if request.expect_disagreement:
-            ok = ok and consensus > 0
-        else:
-            ok = ok and consensus == 0
+    if request.expect_disagreement:
+        ok = ok and consensus > 0
+    elif request.check_consensus:
+        ok = ok and consensus == 0
     return CellCheck(
         name=request.name,
         ok=ok,
         model_errors=model_errors,
         consensus_violations=consensus,
         expected_disagreement=request.expect_disagreement,
+        report=report,
     )
 
 

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli.main import ALGORITHMS, SCENARIOS, build_parser, main
+from repro.cli.main import (
+    ALGORITHMS,
+    SCENARIO_ALIASES,
+    SCENARIOS,
+    build_parser,
+    main,
+)
 
 
 class TestParser:
@@ -49,7 +55,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "lat=" in out
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize(
+        "name", sorted(SCENARIOS) + sorted(SCENARIO_ALIASES)
+    )
     def test_show_renders_every_scenario(self, name, capsys):
         assert main(["show", name]) == 0
         out = capsys.readouterr().out
@@ -60,9 +68,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "[E2]" in out and "PASS" in out
 
-    def test_experiments_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            main(["experiments", "--ids", "E99"])
+    @pytest.mark.parametrize("exp_id", ["E99", "X9"])
+    def test_experiments_unknown_id_exits_2(self, exp_id, capsys):
+        assert main(["experiments", "--ids", "E2", exp_id]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown experiment {exp_id!r}")
+        assert "'E15'" in captured.err and "'X7'" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestDotOutput:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli.main import main
 
 
@@ -115,6 +117,23 @@ class TestMcCommand:
         )
         assert rc == 2
         assert "frontier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["algorithm", "n", "horizon"])
+    def test_fuzz_frontier_lacking_a_field_is_a_config_error(
+        self, missing, tmp_path, capsys
+    ):
+        from repro.mc import explore, save_frontier
+
+        path = tmp_path / "frontier.json"
+        save_frontier(explore("floodset", n=3, t=1, model="RS", horizon=3), path)
+        document = json.loads(path.read_text())
+        del document[missing]
+        path.write_text(json.dumps(document))
+        rc = main(["fuzz", "--budget", "4", "--frontier", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and str(path) in err and missing in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCheckSddFixture:

@@ -36,7 +36,7 @@ class TestVerdicts:
         assert not verdict.witnesses
 
     def test_floodset_rws_agreement_is_refuted(self):
-        # Theorem 5.2's engine room: plain FloodSet run under RWS
+        # Figure 2's motivation (E5): plain FloodSet run under RWS
         # (crash-and-withhold) violates agreement within the bounded
         # frontier, and the checker produces a shrunk witness.
         outcome = _check("agreement", "floodset", model="RWS")

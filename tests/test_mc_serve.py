@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.mc import McTask, check, mc_space_from_spec, spec_for_task
-from repro.mc.space import parse_spec, space_for_params
+from repro.mc.space import parse_spec
 from repro.obs.artifacts import RunDir
 from repro.obs.report import render_report, summary_problems
 from repro.serve import Coordinator, execute_shard
@@ -37,13 +37,33 @@ class TestSpecRoundTrip:
         assert params["algorithm"] == "floodset"
         assert params["n"] == 3 and params["t"] == 1
         assert params["model"] == "RS"
-        assert space_for_params(params).name == mc_space_from_spec(
-            spec_for_task(TASK)
-        ).name
+        assert McTask(**params) == TASK
 
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(ConfigurationError):
             mc_space_from_spec("sweep:all:floodset")
+
+    def test_non_integer_field_is_one_error_line_exit_2(self, capsys):
+        from repro.cli.main import main
+
+        spec = "mc:agreement:floodset:n=x"
+        assert main(["serve", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and spec in err
+        assert len(err.splitlines()) == 1
+
+    def test_lambda_and_grid_specs_plan_as_the_solo_check_does(self):
+        for task in (
+            McTask(property_name="lambda", algorithm="a1"),
+            McTask(
+                property_name="agreement", algorithm="floodset", engine="rs_on_ss"
+            ),
+        ):
+            space = mc_space_from_spec(spec_for_task(task))
+            solo = check(task)
+            assert [r.cache_key() for r in space.requests] == [
+                r.request_key for r in solo.sweep.results
+            ]
 
 
 class TestServeResumesSolo:

@@ -120,6 +120,25 @@ class TestImportSets:
             ),
         )
 
+    @pytest.mark.parametrize("command", ["trace", "check"])
+    def test_a_named_run_loads_the_runtime_and_no_campaign_layer(self, command):
+        # The named cell goes through runtime.harness.execute_request
+        # (and runtime.sweep.check_cell): one in-process rounds cell.
+        loaded = _loaded_by([command, "floodset-rws"])
+        assert "repro.runtime.harness" in loaded
+        assert not _offenders(
+            loaded,
+            (
+                "asyncio",
+                "multiprocessing",
+                "repro.live",
+                "repro.serve",
+                "repro.emulation",
+                "repro.fuzz",
+                "repro.mc",
+            ),
+        )
+
     def test_vector_sweep_adds_the_kernel_and_nothing_else(self):
         loaded = _loaded_by(SWEEP + ["vector"])
         assert "repro.vector.engine" in loaded
