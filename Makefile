@@ -199,6 +199,13 @@ mc-smoke:
 		--t 2 --horizon 4 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 5 \
 		--t 2 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 6 \
+		--t 2 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc uniform-agreement --algorithm floodset-ws \
+		--n 5 --model RWS | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	PYTHONPATH=src python -m repro mc termination --algorithm floodset --n 4 \
+		--t 3 | tee /dev/stderr | \
+		grep -q "termination .* horizon=4 .*: HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm eager-floodset-ws \
 		--model RWS | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc uniform-agreement --no-shrink \

@@ -48,15 +48,17 @@ def test_explore_unreduced(benchmark):
     assert exploration.leaves
 
 
-def test_explore_reduced_n4_t2(once):
-    """The largest acceptance instance, explored once under timing."""
+def test_explore_reduced_n6_t2(once):
+    """Where the choice enumerator matters: 66 states behind 1976
+    generated successors (66 752 when choices were pid subsets),
+    explored once under timing."""
 
     def run():
-        with profiled("mc.bench.explore.n4t2"):
+        with profiled("mc.bench.explore.n6t2"):
             exploration = explore(
-                "floodset", n=4, t=2, model="RS", horizon=4, reduce=True
+                "floodset", n=6, t=2, model="RS", horizon=3, reduce=True
             )
-        _record_stats("n4t2", exploration.stats)
+        _record_stats("n6t2", exploration.stats)
         return exploration
 
     exploration = once(run)

@@ -141,7 +141,7 @@ def mc_derived(spans: dict[str, dict]) -> dict:
     derived: dict[str, dict] = {}
     rates: dict[str, float] = {}
     prunes: dict[str, dict[str, float]] = {}
-    for mode in ("reduced", "unreduced", "n4t2"):
+    for mode in ("reduced", "unreduced", "n6t2"):
         explore_span = spans.get(f"mc.bench.explore.{mode}")
         visited = _mc_counter(spans, mode, "states_visited")
         generated = _mc_counter(spans, mode, "states_generated")

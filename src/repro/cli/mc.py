@@ -190,7 +190,9 @@ def register(sub: argparse._SubParsersAction) -> None:
         help="round model for schedule frontiers (default RS)",
     )
     mc.add_argument(
-        "--horizon", type=int, default=3, help="round bound (default 3)"
+        "--horizon",
+        type=int,
+        help="round bound (default max(3, t+1))",
     )
     mc.add_argument(
         "--engine",

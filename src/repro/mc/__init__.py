@@ -5,7 +5,8 @@ small ``n`` it walks *every* admissible crash-and-withhold schedule of
 an algorithm up to a round horizon, prunes revisited configurations by
 canonical state hashing (:mod:`repro.mc.config`), quotients the search
 by declared process-id / value symmetries (:mod:`repro.mc.symmetry`)
-and by view-preserving scenario dominance (:mod:`repro.mc.explore`),
+and by view-preserving scenario dominance, enumerates the adversary's
+choices up to each configuration's stabiliser (:mod:`repro.mc.explore`),
 and evaluates the paper's properties over the reduced run set
 (:mod:`repro.mc.properties`), emitting machine-checked verdicts —
 ``HOLDS(exhaustive)`` with frontier statistics, or ``REFUTED`` with a

@@ -66,14 +66,20 @@ ALGORITHM_T_CONSTRAINTS: dict[str, int] = {"a1": 1}
 
 @dataclass(frozen=True)
 class McTask:
-    """One checking task: a property over a bounded parameter box."""
+    """One checking task: a property over a bounded parameter box.
+
+    An omitted ``horizon`` resolves here — for the CLI and for serve
+    specs alike — to ``max(3, t + 1)``: the algorithms under check
+    decide by round ``t + 1``, and a shorter bound would refute
+    termination, and vacuously uphold agreement, on runs it cut off.
+    """
 
     property_name: str
     algorithm: str
     n: int = 3
     t: int = 1
     model: str = "RS"
-    horizon: int = 3
+    horizon: int | None = None
     engine: str = "rounds"
     reduce: bool = True
     jobs: int = 1
@@ -81,6 +87,10 @@ class McTask:
     bound: str | None = None
     by_round: int | None = None
     shrink_witness: bool = True
+
+    def __post_init__(self) -> None:
+        if self.horizon is None:
+            object.__setattr__(self, "horizon", max(3, self.t + 1))
 
     def validate(self) -> None:
         if self.property_name not in PROPERTIES:

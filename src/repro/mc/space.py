@@ -219,7 +219,8 @@ def spec_for_task(task: Any) -> str:
 def parse_spec(spec: str) -> dict[str, Any]:
     """Parse an ``mc:...`` spec into its task parameters — the keyword
     arguments of the :class:`~repro.mc.checker.McTask` it names
-    (:func:`repro.mc.checker.mc_space_from_spec` plans that task)."""
+    (:func:`repro.mc.checker.mc_space_from_spec` plans that task; a
+    spec without ``horizon=`` leaves the default to the task)."""
     parts = spec.split(":")
     if len(parts) < 3 or parts[0] != "mc":
         raise ConfigurationError(
@@ -232,7 +233,6 @@ def parse_spec(spec: str) -> dict[str, Any]:
         "n": 3,
         "t": 1,
         "model": "RS",
-        "horizon": 3,
         "engine": "rounds",
         "reduce": True,
     }

@@ -37,6 +37,12 @@ Soundness is per-algorithm and declared explicitly here:
   rule — so a value permutation does **not** commute with them and is
   never applied.
 
+The same declarations drive the explorer's *choice* enumeration:
+:func:`stabiliser_classes` colours the pids of a configuration so that
+every permutation inside the colour classes maps the configuration to
+itself, and :mod:`repro.mc.explore` enumerates each adversary pick as a
+count per class instead of a subset.
+
 Algorithms not registered here get the trivial group: canonical state
 hashing still deduplicates exact revisits, only the quotient is
 coarser.  The ``--no-reduce`` twin mode skips this module entirely;
@@ -140,6 +146,14 @@ def _relabeled_holes(
         yield relabeled
 
 
+def _slot_token(state: Any, spec: SymmetrySpec, tokens: dict) -> tuple:
+    """``state``'s memoised ``(skeleton, pids)`` slot token."""
+    token = tokens.get(state)
+    if token is None:
+        token = tokens[state] = state_token(state, spec.pid_field)
+    return token
+
+
 def _slot_form(
     config: Configuration,
     spec: SymmetrySpec,
@@ -156,11 +170,9 @@ def _slot_form(
             state = replace(
                 state, **{name: vmap.get(v, v) for name, v in held.items()}
             )
-        token = tokens.get(state)
-        if token is None:
-            token = tokens[state] = state_token(state, spec.pid_field)
-        skeletons.append(token[0] + due.get(pid, ""))
-        holes.append(token[1])
+        skeleton, hole = _slot_token(state, spec, tokens)
+        skeletons.append(skeleton + due.get(pid, ""))
+        holes.append(hole)
 
     movable = spec.movable(config.n)
     order = sorted(movable, key=skeletons.__getitem__)
@@ -195,3 +207,58 @@ def orbit_canonical(
         _slot_form(config, spec, vmap, tokens)
         for vmap in _value_maps(spec, config)
     )
+
+
+def _swap_fixes_holes(
+    holes: Mapping[int, tuple[int, ...]], p: int, q: int
+) -> bool:
+    """Does the transposition ``(p q)`` map the pid sets onto themselves?"""
+    swap = {p: q, q: p}
+    return all(
+        {swap.get(pid, pid) for pid in pids}
+        == set(holes[swap.get(owner, owner)])
+        for owner, pids in holes.items()
+    )
+
+
+def stabiliser_classes(
+    config: Configuration, spec: SymmetrySpec, tokens: dict | None = None
+) -> list[tuple[int, ...]]:
+    """Colour the pids so that permuting within a colour fixes ``config``.
+
+    Two movable alive pids share a class iff their transposition —
+    slots swapped, obligation status included, the ``pid_field`` sets
+    of *every* slot relabeled — maps the configuration to itself.
+    Transposability is an equivalence (``(p r) = (p q)(q r)(p q)``, and
+    the maps fixing ``config`` form a group), and the transpositions of
+    a class generate its symmetric group, so every permutation inside
+    the classes is an automorphism of the configuration: the classes
+    span a subgroup of its stabiliser in the declared pid group.  Fixed
+    and crashed pids are singletons.  Value bijections are not used.
+
+    Classes come ordered by their least pid, members ascending.
+    ``tokens`` is :func:`orbit_canonical`'s state → slot token memo.
+    """
+    if tokens is None:
+        tokens = {}
+    due = dict(config.obligations)
+    movable = set(spec.movable(config.n))
+    keys: dict[int, tuple] = {}
+    holes: dict[int, tuple[int, ...]] = {}
+    for pid in config.alive:
+        skeleton, holes[pid] = _slot_token(config.states[pid], spec, tokens)
+        if pid in movable:
+            keys[pid] = (skeleton, due.get(pid))
+    named = any(holes.values())
+    classes: list[list[int]] = []
+    for pid in range(config.n):
+        key = keys.get(pid)
+        for members in classes if key is not None else ():
+            if keys.get(members[0]) == key and (
+                not named or _swap_fixes_holes(holes, members[0], pid)
+            ):
+                members.append(pid)
+                break
+        else:
+            classes.append([pid])
+    return [tuple(members) for members in classes]

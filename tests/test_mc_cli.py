@@ -55,6 +55,30 @@ class TestMcCommand:
         replay_out = capsys.readouterr().out
         assert "replay" in replay_out.lower() or replay_out
 
+    @pytest.mark.parametrize("property_name", ["termination", "agreement"])
+    def test_default_horizon_covers_the_decision_round(
+        self, property_name, capsys
+    ):
+        # FloodSet decides in round t+1 = 4.  With the horizon defaulting
+        # to 3 the runs were cut off before anyone decided: termination
+        # printed REFUTED ("p0 never decided") and agreement held
+        # vacuously.
+        argv = ["mc", property_name, "--algorithm", "floodset"]
+        rc = main(argv + ["--n", "4", "--t", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith(
+            f"{property_name} [floodset n=4 t=3 RS horizon=4 engine=rounds]: "
+            "HOLDS(exhaustive)"
+        )
+        assert ":t=3:model=RS:horizon=4:" in out
+
+    def test_default_horizon_is_three_up_to_t_two(self, capsys):
+        argv = ["mc", "agreement", "--algorithm", "floodset", "--n", "4"]
+        for t in ("1", "2"):
+            assert main(argv + ["--t", t]) == 0
+            assert f":t={t}:model=RS:horizon=3:" in capsys.readouterr().out
+
     def test_unknown_property_is_a_config_error(self, capsys):
         rc = main(["mc", "liveness"])
         assert rc == 2

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mc import McTask, check, explore
+from repro.mc import ExploreStats, McTask, check, explore
 from repro.mc.config import Configuration, canonical_form, canonical_key
 from repro.mc.symmetry import orbit_canonical, symmetry_for
 from repro.obs.causal import cone_signature
 from repro.rounds.scenario import CrashEvent, FailureScenario, validate_scenario
 from repro.runtime.harness import execute_request
 from repro.runtime.request import ExecutionRequest
+
+explore_module = importlib.import_module("repro.mc.explore")
 
 
 def _initial_config(algorithm_key, values, t=1):
@@ -152,6 +156,124 @@ class TestReduceNoReduceParity:
         assert reduced.holds is expected_holds
         assert reduced.label == full.label
         assert reduced.holds == full.holds
+
+
+class TestChoicesUpToTheStabiliser:
+    """Adversary choices as counts per stabiliser class (reduction 4)."""
+
+    @pytest.mark.parametrize(
+        "algorithm,n,t,model",
+        [
+            ("floodset", 4, 2, "RS"),
+            ("f-opt", 4, 2, "RS"),
+            ("floodset-ws", 4, 1, "RWS"),
+            ("c-opt-ws", 3, 1, "RWS"),
+            ("eager-floodset-ws", 3, 1, "RWS"),
+            ("a1", 4, 1, "RWS"),
+            ("a1", 4, 1, "RS"),
+        ],
+    )
+    def test_every_successor_orbit_of_the_subset_enumeration_is_reached(
+        self, monkeypatch, algorithm, n, t, model
+    ):
+        # At every configuration the reduced exploration expands, the
+        # class colouring must produce exactly the successor orbits the
+        # all-singletons colouring (the subset enumeration) produces.
+        spec = symmetry_for(algorithm)
+        singletons = [(pid,) for pid in range(n)]
+        real = explore_module._expand
+        generated = {"classes": 0, "subsets": 0}
+
+        def forms(node, round_index, colouring, counter, **kwargs):
+            kwargs["stats"] = ExploreStats()
+            successors = list(
+                real(node, round_index, colouring=colouring, **kwargs)
+            )
+            generated[counter] += len(successors)
+            return {orbit_canonical(s.config, spec) for s in successors}
+
+        def checked(node, round_index, *, colouring, **kwargs):
+            assert forms(
+                node, round_index, colouring, "classes", **kwargs
+            ) == forms(node, round_index, singletons, "subsets", **kwargs)
+            return real(node, round_index, colouring=colouring, **kwargs)
+
+        monkeypatch.setattr(explore_module, "_expand", checked)
+        stats = explore(algorithm, n=n, t=t, model=model, horizon=3).stats
+        assert generated["classes"] == stats.states_generated
+        assert generated["classes"] < generated["subsets"]
+
+    @pytest.mark.parametrize(
+        "algorithm,n,t,model,choices",
+        [
+            ("floodset", 3, 1, "RS", 376),
+            ("f-opt", 3, 2, "RS", 9048),
+            ("a1", 4, 1, "RS", 1760),
+            ("floodset-ws", 3, 1, "RWS", 8512),
+            ("c-opt-ws", 3, 1, "RWS", 8132),
+            ("a1", 3, 1, "RWS", 2760),
+        ],
+    )
+    def test_twin_mode_enumerates_the_full_admissible_space(
+        self, algorithm, n, t, model, choices
+    ):
+        # choices_explored of the subset enumerator this one replaced
+        # (which built all 2^|pairs| RWS withhold sets and rejected the
+        # over-budget ones): admissible-first must count the same.
+        stats = explore(
+            algorithm,
+            n=n,
+            t=t,
+            model=model,
+            horizon=3,
+            reduce=False,
+            max_states=10**6,
+        ).stats
+        assert stats.choices_explored == choices
+        assert stats.symmetry_pruned == stats.dominance_pruned == 0
+
+    def test_symmetry_pruned_is_a_statistic_not_a_headline(self):
+        verdict = check(
+            McTask(property_name="agreement", algorithm="floodset", n=4, t=2)
+        ).verdict
+        assert verdict.stats["symmetry_pruned"] > 0
+        assert verdict.stats["states_generated"] <= 600
+        assert (verdict.stats["states_visited"], verdict.stats["leaves"]) == (52, 13)
+        frontier_line = verdict.describe().splitlines()[1]
+        assert frontier_line == (
+            "  frontier: 52 states, 13 leaves/cells, 456 revisits pruned, "
+            "192 dominated choices pruned"
+        )
+
+
+class TestReach:
+    """Instances the subset enumeration kept minutes away (4 s, 151 s,
+    44 s) or, at n=5 in RWS, out of tier-1 altogether."""
+
+    @pytest.mark.parametrize(
+        "property_name,algorithm,n,t,model,holds",
+        [
+            ("agreement", "floodset", 6, 2, "RS", True),
+            ("uniform-agreement", "floodset-ws", 5, 1, "RWS", True),
+            ("uniform-agreement", "floodset", 5, 1, "RWS", False),
+            ("uniform-agreement", "a1", 5, 1, "RWS", False),
+        ],
+    )
+    def test_verdict(self, property_name, algorithm, n, t, model, holds):
+        verdict = check(
+            McTask(
+                property_name=property_name,
+                algorithm=algorithm,
+                n=n,
+                t=t,
+                model=model,
+                shrink_witness=False,
+            )
+        ).verdict
+        assert verdict.label == ("HOLDS(exhaustive)" if holds else "REFUTED")
+        if algorithm == "a1":
+            # ROADMAP's "a1 n=5 t=1 RWS exhaustive in < 3 s", as a count
+            assert verdict.stats["choices_explored"] <= 3500
 
 
 class TestDominanceJustification:

@@ -39,6 +39,15 @@ class TestSpecRoundTrip:
         assert params["model"] == "RS"
         assert McTask(**params) == TASK
 
+    def test_spec_without_horizon_takes_the_task_default(self):
+        # max(3, t + 1): one rule for the CLI and for serve specs
+        for spec, horizon in (
+            ("mc:agreement:floodset:n=4:t=2", 3),
+            ("mc:termination:floodset:n=4:t=3", 4),
+            ("mc:termination:floodset:n=4:t=3:horizon=2", 2),
+        ):
+            assert McTask(**parse_spec(spec)).horizon == horizon
+
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(ConfigurationError):
             mc_space_from_spec("sweep:all:floodset")
