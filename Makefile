@@ -52,13 +52,33 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 
 # Run a small checked sweep twice against a fresh cache: the first run
 # executes every cell, the second must serve all of them from the
-# cache ("executed 0").
+# cache ("executed 0").  Then the two usage errors a sweep must refuse
+# before it runs a cell (exit 2, one `error:` line, no traceback, no
+# run directory), and the merged-trace writer's two routes — template
+# cells on the vector engine, inline events on the rounds engine —
+# compared byte for byte.
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE) | tee /dev/stderr | grep -q "executed 0,"
+	@for refused in "--count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
+			"--count -3 --check"; do \
+		echo "repro sweep random-rs $$refused  # must be refused"; \
+		PYTHONPATH=src python -m repro sweep random-rs $$refused \
+			--run-dir $(SWEEP_SMOKE_CACHE)/refused 2> $(SWEEP_SMOKE_CACHE)/stderr; \
+		code=$$?; cat $(SWEEP_SMOKE_CACHE)/stderr; \
+		test $$code -eq 2 || { echo "exit $$code, expected 2"; exit 1; }; \
+		test "$$(grep -c '^error: ' $(SWEEP_SMOKE_CACHE)/stderr)" = 1 || exit 1; \
+		! grep -q Traceback $(SWEEP_SMOKE_CACHE)/stderr || exit 1; \
+		test ! -e $(SWEEP_SMOKE_CACHE)/refused || exit 1; \
+	done
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 --engine vector \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 
 FUZZ_SMOKE_CACHE ?= /tmp/repro_fuzz_smoke_cache
 

@@ -27,6 +27,7 @@ import time
 from repro.errors import ConfigurationError
 from repro.runtime import SPACE_FACTORIES, space_by_name
 from repro.runtime.space import ScenarioSpace, vectorized_space
+from repro.runtime.sweep import open_merged_sink
 from repro.serve.coordinator import Coordinator
 from repro.serve.api import CoordinatorServer
 from repro.serve.worker import run_worker
@@ -59,18 +60,24 @@ def _build_space(args: argparse.Namespace) -> ScenarioSpace:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    sink = None
     try:
+        space = _build_space(args)
+        if args.jsonl:
+            sink = open_merged_sink(args.jsonl)
         coordinator = Coordinator(
-            _build_space(args),
+            space,
             run_root=args.run_dir,
             shard_size=args.shard_size,
             lease_ttl=args.lease_ttl,
             check=args.check,
         )
     except ConfigurationError as exc:
+        if sink is not None:
+            sink.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    space, run_dir = coordinator.space, coordinator.run_dir
+    run_dir = coordinator.run_dir
     coordinator.leg.reporter.stream = sys.stderr
 
     with coordinator.leg:
@@ -102,8 +109,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server.shutdown()
     print(result.describe())
     print(f"run artifacts: {run_dir.path} (inspect with `repro report`)")
-    if args.jsonl:
-        count = result.write_merged_jsonl(args.jsonl)
+    if sink is not None:
+        count = result.write_merged_jsonl(sink)
         print(f"wrote {count} merged events to {args.jsonl}")
     if args.check and not result.checks_ok:
         return 1

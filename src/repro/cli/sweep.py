@@ -21,6 +21,7 @@ from repro.obs.report import summarize_sweep
 from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import vectorized_space
+from repro.runtime.sweep import open_merged_sink
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -35,10 +36,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    sink = None
     try:
         space = space_by_name(args.space, count=args.count, seed=args.seed)
         if args.engine == "vector":
             space = vectorized_space(space)
+        # Before the run directory exists and before any cell runs: a
+        # trace nobody can write is a usage error, not a late crash.
+        if args.jsonl:
+            sink = open_merged_sink(args.jsonl)
         leg = CampaignLeg(
             args.run_dir,
             kind="sweep",
@@ -55,6 +61,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
         )
     except ConfigurationError as exc:
+        if sink is not None:
+            sink.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with leg:
@@ -72,8 +80,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(result.describe())
     if leg.path is not None:
         print(f"run artifacts: {leg.path} (inspect with `repro report`)")
-    if args.jsonl:
-        count = result.write_merged_jsonl(args.jsonl)
+    if sink is not None:
+        count = result.write_merged_jsonl(sink)
         print(f"wrote {count} merged events to {args.jsonl}")
     if args.space == "e10-lambda":
         print("latency (best, worst) per algorithm over failure-free runs:")

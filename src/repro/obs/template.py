@@ -74,6 +74,14 @@ class TraceTemplate:
             digest,
         )
 
+    def fresh(self) -> "TraceTemplate":
+        """The same content under an empty memo: how a holder of a
+        long-lived template (a cached group plan) hands it to results
+        without the analyses of one batch outliving it."""
+        return TraceTemplate(
+            self.events, self.positions, self.metrics, self.digest
+        )
+
     def remember(self, key: Any, compute: Callable[[], Any]) -> Any:
         """``memo[key]``, computed on first use: how a consumer does its
         value-free work once per template instead of once per cell."""

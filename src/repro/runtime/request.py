@@ -276,10 +276,15 @@ def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
         if key is not None or injected is not None:
             keys[index] = key if key is not None else request.cache_key()
             continue
-        # Identity-keyed on the adversary objects: spaces share one
-        # scenario instance across a group's cells, and id-keying
-        # avoids re-hashing a large frozen scenario per cell.  Distinct
-        # but equal instances merely rebuild the fragments.
+        # Identity-keyed on the adversary objects.  Sharing is a
+        # contract the space builders keep, not a fact of the type:
+        # repro.runtime.space hands equal scenarios to its cells as one
+        # instance, and only then does a shape repeat.  Distinct but
+        # equal instances merely rebuild (and re-verify) the fragments,
+        # which costs more than cache_key() per cell.  Keying on the
+        # value instead would be wrong, not just slow: FailurePattern
+        # is unhashable, and scenarios that differ in 1 vs True are
+        # equal but serialize differently.
         shape = (
             request.engine,
             request.algorithm,

@@ -17,6 +17,15 @@ three ways:
   cell index), so a stream is reproducible cell-by-cell and
   independent of how cells are distributed over workers.
 
+**One adversary, one object.**  Every builder in this module hands
+equal scenarios (:class:`~repro.rounds.scenario.FailureScenario`) to
+its cells as a single instance (a dict local to the builder call,
+never a module table).  The result path keys on that identity —
+:func:`~repro.runtime.request.batch_cache_keys` serializes a scenario
+once per object — so a space that breaks the rule stays correct and
+merely pays per cell again; ``tests/test_identity_contract.py`` counts
+it for every registered space.
+
 Registered spaces (:func:`space_by_name`):
 
 * ``oracle-sweep`` — the chaos sweep behind ``tests/test_oracle_sweep``:
@@ -113,6 +122,7 @@ class ScenarioSpace:
         max_round: int = 3,
         max_rounds: int = 4,
         check_consensus: bool = False,
+        interned: dict[FailureScenario, FailureScenario] | None = None,
     ) -> "ScenarioSpace":
         """A seeded stream of ``count`` randomized round-model cells.
 
@@ -122,7 +132,15 @@ class ScenarioSpace:
         adversaries can legitimately break consensus for non-WS
         algorithms in RWS, so consensus checking is off by default and
         only the model invariants are enforced.
+
+        A stream draws few distinct adversaries (109 in 2000 cells at
+        ``n = 4``), and equal draws become *one* object: ``interned``
+        maps each scenario to the instance its cells share.  It is
+        local to this call unless a builder joining several streams
+        into one space passes its own.
         """
+        if interned is None:
+            interned = {}
         requests = []
         for index in range(count):
             rng = random.Random(derived_seed(seed, index))
@@ -133,6 +151,7 @@ class ScenarioSpace:
                 allow_pending=(model == "RWS"),
                 rng=rng,
             )
+            scenario = interned.setdefault(scenario, scenario)
             requests.append(
                 ExecutionRequest(
                     name=f"{name}-{index:03d}",
@@ -165,6 +184,7 @@ def _named_cells() -> dict[str, NamedCell]:
     n = 3
     split = adversarial_split(n)
     cells: dict[str, NamedCell] = {}
+    interned: dict[FailureScenario, FailureScenario] = {}
 
     def cell(
         name: str,
@@ -175,6 +195,7 @@ def _named_cells() -> dict[str, NamedCell]:
         **overrides: Any,
     ) -> None:
         fields = {"values": split, "t": 1, "max_rounds": 4, **overrides}
+        scenario = interned.setdefault(scenario, scenario)
         cells[name] = NamedCell(
             blurb,
             ExecutionRequest(
@@ -309,8 +330,13 @@ def oracle_sweep_space(count: int = 10, seed: int = 42) -> ScenarioSpace:
         for name, cell in NAMED_CELLS.items()
         if name != "broadcast-split"
     ]
+    # One table across the named cells and both streams: the RS and RWS
+    # draws overlap wherever the RWS adversary left nothing pending.
+    interned = {request.scenario: request.scenario for request in requests}
     for model, stream_seed in (("RS", seed), ("RWS", seed + 1)):
-        requests.extend(random_space(model, count, stream_seed).requests)
+        requests.extend(
+            random_space(model, count, stream_seed, interned).requests
+        )
     requests.extend(_emulation_cells())
     return ScenarioSpace(name="oracle-sweep", requests=tuple(requests))
 
@@ -324,6 +350,7 @@ def e10_lambda_space() -> ScenarioSpace:
     paper proves ``Λ >= 2``) and for A1 in RS (where ``Λ = 1``).
     """
     n = 3
+    scenario = failure_free(n)
     cells: list[ExecutionRequest] = []
     algorithms = (
         ("floodset-ws", "RWS"),
@@ -342,7 +369,7 @@ def e10_lambda_space() -> ScenarioSpace:
                     values=values,
                     t=1,
                     model=model,
-                    scenario=failure_free(n),
+                    scenario=scenario,
                     max_rounds=4,
                 )
             )
@@ -409,7 +436,10 @@ def live_smoke_space(seed: int = 42) -> ScenarioSpace:
 
 
 def random_space(
-    model: str, count: int = 25, seed: int = 42
+    model: str,
+    count: int = 25,
+    seed: int = 42,
+    interned: dict[FailureScenario, FailureScenario] | None = None,
 ) -> ScenarioSpace:
     """A pure random-adversary stream in one round model."""
     return ScenarioSpace.random_rounds(
@@ -419,6 +449,7 @@ def random_space(
         n=4,
         count=count,
         seed=seed,
+        interned=interned,
     )
 
 
@@ -455,12 +486,18 @@ SPACE_FACTORIES: dict[str, Callable[..., ScenarioSpace]] = {
 def space_by_name(
     name: str, *, count: int | None = None, seed: int | None = None
 ) -> ScenarioSpace:
-    """Build a registered space; unknown names raise with the catalogue."""
+    """Build a registered space; unknown names raise with the
+    catalogue, and so does a negative ``count`` (``range`` would read
+    it as an empty stream, and an empty space passes every check)."""
     factory = SPACE_FACTORIES.get(name)
     if factory is None:
         raise ConfigurationError(
             f"unknown scenario space {name!r}; choose from "
             f"{sorted(SPACE_FACTORIES)}"
+        )
+    if count is not None and count < 0:
+        raise ConfigurationError(
+            f"space {name!r}: count must be >= 0, got {count}"
         )
     kwargs = {}
     if count is not None:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterator, TextIO
 
+from repro.errors import ConfigurationError
 from repro.obs.check import CheckReport, check_events
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
@@ -273,8 +274,9 @@ class SweepResult:
         Concatenation follows space order and timestamps are assigned
         after the fact, so the merged trace is byte-identical no matter
         how many workers executed the cells (or how many came from the
-        cache).  The reference :meth:`merged_jsonl_lines` is tested
-        against.
+        cache).  The reference the serialized routes
+        (:meth:`merged_jsonl_lines`, :meth:`write_merged_jsonl`) are
+        tested against.
         """
         merged: list[Event] = []
         tick = 0
@@ -284,26 +286,60 @@ class SweepResult:
                 merged.append(replace(event, ts=float(tick)))
         return merged
 
-    def merged_jsonl_lines(self) -> Iterable[str]:
-        """:meth:`merged_events` as JSONL, without building the events.
+    def _merged_cells(self) -> Iterator[list[str]]:
+        """Each cell's lines of the merged trace, in space order.
 
-        Every event is serialized once around its timestamp
-        (:meth:`~repro.obs.events.Event.json_parts`) and the global
-        tick spliced in; a template's events are serialized once per
-        template, so a cell that cites one costs only its decide lines.
+        An event is serialized once around its timestamp
+        (:meth:`~repro.obs.events.Event.json_parts`) and the global tick
+        spliced in; a template's events are serialized once per
+        template.  What a template cell adds is its decide values, and
+        ``"value"`` is the one :class:`Event` key sorting after
+        ``"ts"``: a decide's line is the template's prefix, the tick,
+        and a suffix that depends on the value alone.
         """
         tick = 0
+        stamp = float.__repr__
+        suffixes: dict[tuple[type, Any], str] = {}
         for result in self.results:
-            for prefix, suffix in _json_parts(result.events):
-                tick += 1
-                yield prefix + float.__repr__(float(tick)) + suffix
+            template = result.template
+            if template is None:
+                parts = [event.json_parts() for event in result.events]
+            else:
+                parts = template.remember(
+                    "json_parts",
+                    lambda: [event.json_parts() for event in template.events],
+                )
+            lines = [
+                prefix + stamp(float(at)) + suffix
+                for at, (prefix, suffix) in enumerate(parts, tick + 1)
+            ]
+            if template is not None:
+                for position, value in zip(template.positions, result.holes):
+                    lines[position] = (
+                        parts[position][0]
+                        + stamp(float(tick + position + 1))
+                        + _decide_suffix(value, suffixes)
+                    )
+            tick += len(lines)
+            yield lines
 
-    def write_merged_jsonl(self, path: str) -> int:
+    def merged_jsonl_lines(self) -> Iterator[str]:
+        """:meth:`merged_events` as JSONL, without building the events."""
+        for lines in self._merged_cells():
+            yield from lines
+
+    def write_merged_jsonl(self, sink: str | TextIO) -> int:
+        """Write :meth:`merged_jsonl_lines` to ``sink`` — a path, or a
+        handle from :func:`open_merged_sink`, closed here either way —
+        one ``write`` per cell; returns the number of events."""
         count = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for line in self.merged_jsonl_lines():
-                handle.write(line + "\n")
-                count += 1
+        with (
+            open(sink, "w", encoding="utf-8") if isinstance(sink, str) else sink
+        ) as handle:
+            for lines in self._merged_cells():
+                if lines:
+                    handle.write("\n".join(lines) + "\n")
+                    count += len(lines)
         return count
 
     def latency_by_algorithm(self) -> dict[str, tuple[int | None, int | None]]:
@@ -358,20 +394,37 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _json_parts(events: Sequence[Event]) -> list[tuple[str, str]]:
-    """``Event.json_parts()`` of every event of one cell's trace."""
-    template = getattr(events, "template", None)
-    if template is None:
-        return [event.json_parts() for event in events]
-    parts = list(
-        template.remember(
-            "json_parts",
-            lambda: [event.json_parts() for event in template.events],
-        )
-    )
-    for position, event in zip(template.positions, events.decides()):
-        parts[position] = event.json_parts()
-    return parts
+def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
+    """What follows the timestamp on the line of a decide of ``value``.
+
+    Remembered for the exact scalar types whose equality implies equal
+    JSON.  Anything else is serialized every time: ``(0, 1)`` equals
+    ``(False, True)`` and ``0.0`` equals ``-0.0``, and neither pair
+    prints alike.
+    """
+    kind = type(value)
+    shared = kind is int or kind is str or kind is bool
+    suffix = memo.get((kind, value)) if shared else None
+    if suffix is None:
+        suffix = Event("decide", 0.0, value=value).json_parts()[1]
+        if shared:
+            memo[kind, value] = suffix
+    return suffix
+
+
+def open_merged_sink(path: str) -> TextIO:
+    """Open ``path`` for :meth:`SweepResult.write_merged_jsonl`.
+
+    For callers that learn the path before they run the campaign: an
+    unwritable one is a :class:`ConfigurationError` now, not an
+    ``OSError`` after the last cell.
+    """
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write merged trace to {path}: {exc.strerror or exc}"
+        ) from exc
 
 
 class SweepRunner:

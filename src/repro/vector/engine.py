@@ -35,6 +35,7 @@ from typing import Any, Sequence
 
 from repro.obs.events import Observer
 from repro.obs.profile import profiled
+from repro.obs.template import TraceTemplate
 from repro.runtime.harness import HARNESSES
 from repro.runtime.request import (
     ExecutionRequest,
@@ -243,6 +244,12 @@ def execute_vector_batch(
     Cells sharing a group plan run through the value kernel in one
     batched call and get the group's template plus their own decide
     values — no per-cell event is built until a consumer reads one.
+    Distinct adversaries often leave the same trace (a crash after the
+    last round anyone listens, say), so the results cite one
+    :class:`~repro.obs.template.TraceTemplate` per content *digest*,
+    not per plan, and every per-template analysis downstream runs once
+    per distinct trace.  The instances are this call's own: a
+    template's memo lives exactly as long as the results citing it.
     A cell the kernel declines comes back ``None``: the caller
     (:func:`repro.runtime.harness.execute_batch`) runs it through
     ``execute_request``, whose vector harness falls back per cell.
@@ -251,6 +258,7 @@ def execute_vector_batch(
     with profiled("vector.execute_batch"):
         results: list[ExecutionResult | None] = [None] * len(requests)
         groups: dict[int, tuple[GroupPlan, list[int], list[Any]]] = {}
+        templates: dict[str, TraceTemplate] = {}
         keys = batch_cache_keys(requests)
         for index, request in enumerate(requests):
             admitted = admit(request)
@@ -264,7 +272,10 @@ def execute_vector_batch(
             decided = run_value_kernel(
                 plan, [requests[index].values for index in members], domains
             )
-            template = plan.template
+            digest = plan.template.digest
+            template = templates.get(digest)
+            if template is None:
+                template = templates[digest] = plan.template.fresh()
             for index, decide_values in zip(members, decided):
                 results[index] = ExecutionResult(
                     name=requests[index].name,

@@ -19,7 +19,9 @@ two engines byte-identical.  A plan holds:
 * ``decide_slots``, ``latency`` and ``num_rounds``, which are
   value-independent and therefore shared by the group;
 * ``template`` — the group's :class:`~repro.obs.template.TraceTemplate`,
-  built on first use by replaying the hooks with no values.
+  built on first use by replaying the hooks with no values.  It lives
+  as long as the memoized plan, so the batch engine cites a
+  ``fresh()`` instance per call (and per digest) instead of this one.
 
 Plans are memoized per group key (scenarios are frozen and hashable),
 so sweeping a thousand value assignments over one adversary builds the

@@ -378,6 +378,51 @@ def test_unwritable_run_dir_is_one_error_line_not_a_traceback(argv, tmp_path):
     assert "cannot create run directory" in line
 
 
+@pytest.mark.parametrize("command", ["sweep", "serve"])
+class TestRefusedBeforeAnythingRuns:
+    """Usage errors of the two ``space_by_name`` callers: one ``error:``
+    line, exit 2, and no run directory left behind."""
+
+    def _refused(self, argv, capsys, root):
+        assert main(argv + ["--run-dir", str(root)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert captured.out == "" and not root.exists()
+        return line
+
+    def test_unwritable_merged_trace(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # No sweep may start before the sink is known to open.
+        monkeypatch.setattr(
+            SweepRunner, "run", lambda *a, **k: pytest.fail("the sweep ran")
+        )
+        path = tmp_path / "missing" / "merged.jsonl"
+        line = self._refused(
+            [command, "random-rs", "--count", "3", "--jsonl", str(path)],
+            capsys, tmp_path / "runs",
+        )
+        assert line == (
+            f"error: cannot write merged trace to {path}: "
+            "No such file or directory"
+        )
+
+    def test_negative_count(self, command, tmp_path, capsys):
+        line = self._refused(
+            [command, "random-rs", "--count", "-3", "--check"],
+            capsys, tmp_path / "runs",
+        )
+        assert "count must be >= 0, got -3" in line
+
+
+def test_count_zero_stays_a_legal_empty_space(capsys):
+    assert main(["sweep", "random-rs", "--count", "0", "--check"]) == 0
+    assert "0 scenarios" in capsys.readouterr().out
+    with pytest.raises(ConfigurationError, match="count must be >= 0"):
+        space_by_name("oracle-sweep", count=-1)
+
+
 # ---------------------------------------------------------------------------
 # Goldens captured at the parent commit (the five private copies)
 # ---------------------------------------------------------------------------

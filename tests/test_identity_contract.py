@@ -1,0 +1,131 @@
+"""Equal adversaries are one object — enforced by count, not by clock.
+
+The result path keys on identity in two places: ``batch_cache_keys``
+shares a shape's serialized fragments by ``id(request.scenario)``, and
+every per-template analysis (the oracle's value-free checkers, the
+causal summary, the merged-trace parts) is memoized on the
+``TraceTemplate`` *instance*.  Neither is correct only when objects are
+shared — both just get slow — so nothing fails loudly when a builder
+stops sharing.  These tests count the work instead.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.obs.artifacts import RunDir
+from repro.obs.report import summarize_sweep, summary_problems
+from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime import request as request_module
+from repro.runtime.request import batch_cache_keys
+from repro.runtime.space import vectorized_space
+from repro.vector.engine import execute_vector_batch
+
+#: The ledger's campaign space: 2000 cells, 109 adversaries, 73 traces.
+LEDGER_CELLS, LEDGER_ADVERSARIES, LEDGER_TEMPLATES = 2000, 109, 73
+
+
+def _ledger_space():
+    return vectorized_space(
+        space_by_name("random-rs", count=LEDGER_CELLS, seed=7)
+    )
+
+
+class TestSpacesInternTheirAdversaries:
+    @pytest.mark.parametrize("seed", (7, 23))
+    @pytest.mark.parametrize("name", sorted(SPACE_FACTORIES))
+    def test_one_instance_per_distinct_scenario(self, name, seed):
+        requests = space_by_name(name, count=200, seed=seed).requests
+        instances = {id(request.scenario) for request in requests}
+        assert len(instances) == len({request.scenario for request in requests})
+
+    def test_the_ledger_space_repeats_few_adversaries(self):
+        requests = _ledger_space().requests
+        assert len(requests) == LEDGER_CELLS
+        assert len({id(r.scenario) for r in requests}) == LEDGER_ADVERSARIES
+
+    def test_interning_is_local_to_the_builder_call(self):
+        first = space_by_name("random-rs", count=50, seed=7).requests
+        again = space_by_name("random-rs", count=50, seed=7).requests
+        assert [r.scenario for r in first] == [r.scenario for r in again]
+        assert not {id(r.scenario) for r in first} & {
+            id(r.scenario) for r in again
+        }
+
+
+class TestBatchKeysSerializeOncePerAdversary:
+    def test_scenario_dumps_are_bounded_by_the_distinct_count(self, monkeypatch):
+        calls = []
+        original = request_module.scenario_to_dict
+
+        def counting(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        requests = _ledger_space().requests
+        monkeypatch.setattr(request_module, "scenario_to_dict", counting)
+        keys = batch_cache_keys(requests)
+        # Per shape: once for the shared fragment, once inside the
+        # cache_key() the first splice is verified against.
+        assert 0 < len(calls) <= 2 * LEDGER_ADVERSARIES
+        monkeypatch.undo()
+        # replace() copies carry no key memo: the reference, per cell.
+        assert keys == [replace(request).cache_key() for request in requests]
+
+    def test_unshared_equal_scenarios_key_the_same(self):
+        requests = _ledger_space().requests
+        unshared = [
+            replace(request, scenario=replace(request.scenario))
+            for request in requests[:50]
+        ]
+        assert len({id(r.scenario) for r in unshared}) == 50
+        assert batch_cache_keys(unshared) == batch_cache_keys(requests[:50])
+
+
+class TestTemplatesAreInternedPerCallAndPerDigest:
+    def test_one_instance_per_digest_within_a_call(self):
+        results = execute_vector_batch(_ledger_space().requests)
+        assert None not in results
+        instances = {id(result.template) for result in results}
+        digests = {result.template.digest for result in results}
+        assert len(instances) == len(digests) == LEDGER_TEMPLATES
+
+    def test_two_calls_share_no_instance(self):
+        requests = _ledger_space().requests[:200]
+        first = execute_vector_batch(requests)
+        again = execute_vector_batch(requests)
+        assert [r.template.digest for r in first] == [
+            r.template.digest for r in again
+        ]
+        assert not {id(r.template) for r in first} & {
+            id(r.template) for r in again
+        }
+        # ... so one batch's analyses never reach the next one's results.
+        first[0].template.remember("probe", lambda: "first")
+        assert "probe" not in again[0].template.memo
+
+    def test_a_cold_summary_analyses_each_distinct_trace_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import critical
+
+        calls = []
+        original = critical.causal_summary
+
+        def counting(events, **kwargs):
+            calls.append(len(events))
+            return original(events, **kwargs)
+
+        monkeypatch.setattr(critical, "causal_summary", counting)
+        space = _ledger_space()
+        run = RunDir.open(
+            tmp_path / "runs", kind="sweep", name=space.name,
+            identity=sorted(batch_cache_keys(space.requests)),
+        )
+        sweep = SweepRunner().run(space)
+        assert sweep.executed == LEDGER_CELLS
+        summary = summarize_sweep(run, sweep, completed_before=set())
+        assert summary_problems(summary) == []
+        assert len(calls) == LEDGER_TEMPLATES

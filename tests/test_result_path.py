@@ -11,6 +11,7 @@ process or an old schema would leave behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.inject import INJECT_ENV
 from repro.obs import artifacts
 from repro.obs.artifacts import RunDir
@@ -32,7 +34,9 @@ from repro.runtime import (
     space_by_name,
 )
 from repro.runtime.request import batch_cache_keys
-from repro.runtime.space import vectorized_space
+from repro.runtime.space import ScenarioSpace, vectorized_space
+from repro.runtime.sweep import open_merged_sink
+from repro.workloads import failure_free
 
 #: Every registered space whose round cells the vector engine can take.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
@@ -46,6 +50,25 @@ def _space(name, engine="vector", **kwargs):
 # ---------------------------------------------------------------------------
 # The merged trace: spliced lines vs re-stamped, re-serialized events
 # ---------------------------------------------------------------------------
+
+
+#: (seed, sha256 of the 2000-cell ``random-rs`` merged trace, vector run id).
+LEDGER_PINS = [
+    (7, "2c6c39cbe4a13d3ff99e5f59e35775678f1ae50d8864d01e07352b0db6ae08fe",
+     "c86c36d837ffbe06"),
+    (23, "e133f6da2185cf944cf72c3f9c00fec57754a35d2a399eda170537433a745005",
+     "0079ec99e8c12481"),
+]
+
+
+class _Opaque:
+    """Not JSON-serializable: reaches the trace through ``default=repr``."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f'<opaque {self.tag} "ts": 0.0>'
 
 
 class TestMergedTraceParity:
@@ -73,15 +96,121 @@ class TestMergedTraceParity:
         assert count == len(lines) == sum(len(r.events) for r in sweep.results)
         assert lines == list(sweep.merged_jsonl_lines())
 
+    def test_the_writer_matches_the_reference_where_the_splice_can_go_wrong(
+        self, tmp_path
+    ):
+        space = _hostile_space()
+        store = str(tmp_path / "store")
+        cold = SweepRunner(cache=store).run(space)
+        served = SweepRunner(cache=store).run(space)
+        assert (cold.executed, served.executed) == (len(space.requests), 0)
+        kinds = Counter(
+            "template" if result.template is not None
+            else "fallback" if "vector_fallback" in result.extra
+            else request.engine
+            for request, result in zip(cold.requests, cold.results)
+        )
+        assert kinds["template"] >= 9 and kinds["fallback"] >= 2
+        assert kinds["rounds"] >= 1 and kinds["rs_on_ss"] == 1
+        # One adversary, one trace: the value cells differ in holes only.
+        assert len({
+            id(r.template) for r in cold.results if r.template is not None
+        }) == 2  # floodset's and a1's
+        for tag, sweep in (("cold", cold), ("served", served)):
+            path = tmp_path / f"{tag}.jsonl"
+            count = sweep.write_merged_jsonl(str(path))
+            reference = [event.to_json() for event in sweep.merged_events()]
+            assert count == len(reference)
+            assert path.read_bytes() == (
+                "\n".join(reference) + "\n"
+            ).encode("utf-8")
+            assert list(sweep.merged_jsonl_lines()) == reference
+        assert (tmp_path / "cold.jsonl").read_bytes() == (
+            tmp_path / "served.jsonl"
+        ).read_bytes()
 
-class _Opaque:
-    """Not JSON-serializable: reaches the trace through ``default=repr``."""
+    def test_cross_type_equal_decide_values_do_not_share_a_suffix(self):
+        sweep = run_space(_hostile_space())
+        decided = {}
+        for line in sweep.merged_jsonl_lines():
+            if '"kind": "decide"' in line:
+                decided.setdefault(line.split('"value": ')[1], None)
+        # Equal in Python, distinct on the wire — each must appear.
+        for text in ("0}", "false}", "0.0}", "-0.0}", '"0"}',
+                     "[0, 1]}", "[false, true]}"):
+            assert text in decided, (text, sorted(decided))
 
-    def __init__(self, tag):
-        self.tag = tag
+    def test_an_empty_space_writes_an_empty_trace(self, tmp_path):
+        sweep = run_space(ScenarioSpace.explicit("empty", []))
+        path = tmp_path / "empty.jsonl"
+        assert sweep.write_merged_jsonl(str(path)) == 0
+        assert path.read_bytes() == b""
+        assert list(sweep.merged_jsonl_lines()) == sweep.merged_events() == []
 
-    def __repr__(self):
-        return f'<opaque {self.tag} "ts": 0.0>'
+    def test_the_writer_closes_a_sink_it_was_handed(self, tmp_path):
+        sweep = run_space(_space("e10-lambda"))
+        path = tmp_path / "merged.jsonl"
+        sink = open_merged_sink(str(path))
+        assert sweep.write_merged_jsonl(sink) == len(sweep.merged_events())
+        assert sink.closed
+        assert path.read_text(encoding="utf-8").splitlines() == list(
+            sweep.merged_jsonl_lines()
+        )
+        with pytest.raises(ConfigurationError, match="cannot write merged trace"):
+            open_merged_sink(str(tmp_path / "missing" / "merged.jsonl"))
+
+    @pytest.mark.parametrize("seed, trace_sha256, run_id", LEDGER_PINS)
+    def test_ledger_space_bytes_are_the_parents(
+        self, seed, trace_sha256, run_id, tmp_path
+    ):
+        """Pinned at the parent of the PR that rebuilt the writer and
+        interned adversaries and templates."""
+        space = _space("random-rs", count=2000, seed=seed)
+        run = RunDir.open(
+            tmp_path / "runs", kind="sweep", name=space.name,
+            identity=sorted(batch_cache_keys(space.requests)),
+        )
+        assert run.run_id == run_id
+        path = tmp_path / "merged.jsonl"
+        run_space(space).write_merged_jsonl(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
+
+
+def _hostile_space() -> ScenarioSpace:
+    """Cells of every kind the merged-trace writer handles, with decide
+    values that are equal in Python and distinct in JSON spread over
+    the cells of one adversary."""
+    scenario = failure_free(3)
+    opaque = _Opaque(1)
+
+    def cell(name, values, engine="vector", algorithm="floodset-ws"):
+        return ExecutionRequest(
+            name=name, engine=engine, algorithm=algorithm, values=values,
+            t=1, model="RWS", scenario=scenario, max_rounds=4,
+            check_consensus=False,
+        )
+
+    uniform = {
+        "int": 0, "bool": False, "float": 0.0, "negzero": -0.0, "str": "0",
+        "pair": (0, 1), "boolpair": (False, True), "big": 2**70,
+    }
+    cells = [cell(f"v-{tag}", (value,) * 3) for tag, value in uniform.items()]
+    cells += [
+        # A1 decides initial values verbatim: any object is a hole.
+        cell("v-opaque", (opaque, 1, 2), algorithm="a1"),
+        cell("v-int-again", (0, 0, 0), algorithm="a1"),
+        # Declined by the kernel (cross-type-equal domain, None): inline.
+        cell("fallback-mixed", (0, False, 1)),
+        cell("fallback-none", (None, 1, 2), algorithm="a1"),
+        cell("rounds-int", (0, 0, 0), engine="rounds"),
+        cell("rounds-opaque", (opaque, opaque, opaque), engine="rounds"),
+    ]
+    cells += [
+        request
+        for request in space_by_name("oracle-sweep", count=1).requests
+        if request.engine == "rs_on_ss"
+    ]
+    return ScenarioSpace.explicit("hostile", cells)
 
 
 def _assert_splice(event: Event, ts: float) -> None:
@@ -248,8 +377,6 @@ class TestPerTemplateAnalyses:
 
         monkeypatch.setattr(critical, "causal_summary", counting)
         sweep = run_space(_space("random-rs", count=60, seed=7))
-        for result in sweep.results:  # templates outlive tests; start cold
-            result.template.memo.clear()
         block = causal_cells(
             (request.name, result.events)
             for request, result in zip(sweep.requests, sweep.results)
