@@ -20,7 +20,7 @@ Process indexing: the paper's ``p1`` is pid 0 and ``p2`` is pid 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
@@ -96,9 +96,7 @@ class A1(RoundAlgorithm):
                 decision = v2
                 decided = True
 
-        return replace(
-            state, rounds=rounds, w=w, decided=decided, decision=decision
-        )
+        return A1State(rounds, w, decided, decision, state.n)
 
     def decision_of(self, state: A1State) -> Any:
         return state.decision

@@ -19,7 +19,7 @@ next round, so nothing is lost by ignoring it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.rounds.algorithm import RoundAlgorithm, broadcast
@@ -62,7 +62,9 @@ class FloodSet(RoundAlgorithm):
         decision = state.decision
         if rounds == state.t + 1 and decision is None:
             decision = min(W)
-        return replace(state, rounds=rounds, W=W, decision=decision)
+        # Positionally, not dataclasses.replace: a transition runs once
+        # per process per round, replace walks fields() on every call.
+        return FloodSetState(rounds, W, decision, state.n, state.t)
 
     def decision_of(self, state: FloodSetState) -> Any:
         return state.decision
@@ -120,7 +122,7 @@ class FloodSetWS(RoundAlgorithm):
         decision = state.decision
         if rounds == state.t + 1 and decision is None:
             decision = min(W)
-        return replace(state, rounds=rounds, W=W, halt=halt, decision=decision)
+        return FloodSetWSState(rounds, W, halt, decision, state.n, state.t)
 
     def decision_of(self, state: FloodSetWSState) -> Any:
         return state.decision

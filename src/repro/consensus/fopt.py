@@ -19,7 +19,7 @@ and any process seeing a ``(D, v)`` adopts ``v``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.rounds.algorithm import RoundAlgorithm, broadcast
@@ -102,16 +102,21 @@ class FOptFloodSet(RoundAlgorithm):
             decision = min(W)
             decided = True
 
-        new_state = replace(
-            state, rounds=rounds, W=W, decided=decided, decision=decision
-        )
-        return self._after_transition(new_state, received)
+        return self._next_state(state, rounds, W, decided, decision, received)
 
-    def _after_transition(
-        self, state: FOptState, received: Mapping[int, Any]
+    def _next_state(
+        self,
+        state: FOptState,
+        rounds: int,
+        W: frozenset,
+        decided: bool,
+        decision: Any,
+        received: Mapping[int, Any],
     ) -> FOptState:
-        """Hook for the WS variant's ``halt`` bookkeeping."""
-        return state
+        """Hook for the WS variant's ``halt`` bookkeeping.  Built
+        positionally: ``dataclasses.replace`` walks ``fields()`` on
+        every call, and a transition runs per process per round."""
+        return FOptState(rounds, W, decided, decision, state.n, state.t)
 
     def decision_of(self, state: FOptState) -> Any:
         return state.decision
@@ -165,10 +170,16 @@ class FOptFloodSetWS(FOptFloodSet):
             if sender not in state.halt
         }
 
-    def _after_transition(
-        self, state: FOptWSState, received: Mapping[int, Any]
+    def _next_state(
+        self,
+        state: FOptWSState,
+        rounds: int,
+        W: frozenset,
+        decided: bool,
+        decision: Any,
+        received: Mapping[int, Any],
     ) -> FOptWSState:
         halt = state.halt | frozenset(
             q for q in range(state.n) if q not in received
         )
-        return replace(state, halt=halt)
+        return FOptWSState(rounds, W, decided, decision, state.n, state.t, halt)

@@ -13,7 +13,6 @@ separate RS from RWS.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Mapping
 
 from repro.consensus.floodset import (
@@ -48,7 +47,9 @@ class COptFloodSet(FloodSet):
         if new_state.rounds == 1 and new_state.decision is None:
             value = _unanimous_value(received, state.n)
             if value is not None:
-                new_state = replace(new_state, decision=value)
+                new_state = FloodSetState(
+                    new_state.rounds, new_state.W, value, state.n, state.t
+                )
         return new_state
 
 
@@ -70,5 +71,12 @@ class COptFloodSetWS(FloodSetWS):
         if new_state.rounds == 1 and new_state.decision is None:
             value = _unanimous_value(received, state.n)
             if value is not None:
-                new_state = replace(new_state, decision=value)
+                new_state = FloodSetWSState(
+                    new_state.rounds,
+                    new_state.W,
+                    new_state.halt,
+                    value,
+                    state.n,
+                    state.t,
+                )
         return new_state

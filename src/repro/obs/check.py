@@ -33,7 +33,7 @@ line of an exported JSONL trace (line = index + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs.events import Event
 
@@ -107,9 +107,18 @@ class CheckReport:
 
 
 class TraceChecker:
-    """Base class: feed events one by one, then finish."""
+    """Base class: feed events one by one, then finish.
+
+    Attributes:
+        kinds: The event kinds whose :meth:`feed` can have an effect,
+            or ``None`` for all of them.  A promise, not a filter:
+            ``feed`` on an event of any other kind must leave the
+            checker exactly as it was, which is what lets
+            :func:`run_checkers` skip the call.
+    """
 
     name = "checker"
+    kinds: frozenset[str] | None = None
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
@@ -141,63 +150,75 @@ class OrderingChecker(TraceChecker):
         self._halted: set[int] = set()
 
     def feed(self, index: int, event: Event) -> None:
-        if event.time is not None:
-            if self._last_time is not None and event.time < self._last_time:
+        kind = event.kind
+        time = event.time
+        if time is not None:
+            if self._last_time is not None and time < self._last_time:
                 self._flag(
                     index,
-                    f"time {event.time} after time {self._last_time} "
+                    f"time {time} after time {self._last_time} "
                     "(global step time must be monotone)",
                 )
             else:
-                self._last_time = event.time
+                self._last_time = time
 
-        if event.kind == "round_start":
+        if kind == "round_start":
             self._feed_round_start(index, event)
-        elif event.round is not None and self._round is not None:
-            if event.round != self._round:
-                self._flag(
-                    index,
-                    f"{event.kind} tagged round {event.round} inside "
-                    f"round {self._round}",
-                )
+            return
+        round_index = event.round
+        if (
+            round_index is not None
+            and self._round is not None
+            and round_index != self._round
+        ):
+            self._flag(
+                index,
+                f"{kind} tagged round {round_index} inside "
+                f"round {self._round}",
+            )
 
-        actor = self._actor_of(event)
-        if actor is not None and actor in self._halted:
-            self._flag(index, f"{event.kind} involving p{actor} after its halt")
+        # The process *acting* in this event: the sender of a message
+        # on its way out, otherwise the event's own process.
+        outgoing = kind == "msg_sent" or kind == "msg_withheld"
+        pid = event.pid
+        actor = event.peer if outgoing else pid
+        if self._halted and actor is not None and actor in self._halted:
+            self._flag(index, f"{kind} involving p{actor} after its halt")
 
-        if event.kind == "halt":
-            if event.pid in self._crash_round or event.pid in self._crash_time:
-                self._flag(index, f"halt of crashed process p{event.pid}")
-            self._halted.add(event.pid)
-        elif event.kind == "crash":
+        if outgoing:
+            if self._crash_round or self._crash_time:
+                self._check_sender_alive(index, actor, round_index, time)
+        elif kind == "halt":
+            if pid in self._crash_round or pid in self._crash_time:
+                self._flag(index, f"halt of crashed process p{pid}")
+            self._halted.add(pid)
+        elif kind == "crash":
             self._feed_crash(index, event)
-        elif event.kind in ("msg_sent", "msg_withheld"):
-            self._check_sender_alive(index, event)
-        elif event.kind == "decide":
-            crash = self._crash_round.get(event.pid)
+        elif kind == "decide":
+            crash = self._crash_round.get(pid)
             if (
                 crash is not None
-                and event.round is not None
-                and event.round > crash
+                and round_index is not None
+                and round_index > crash
             ):
                 self._flag(
                     index,
-                    f"p{event.pid} decides in round {event.round} after "
+                    f"p{pid} decides in round {round_index} after "
                     f"crashing in round {crash}",
                 )
-        elif event.kind in ("msg_delivered", "suspect"):
+        elif kind == "msg_delivered" or kind == "suspect":
             # Step-model actors stop stepping at their crash time;
             # round-model deliveries may target crashed recipients, so
             # only the time-tagged form is checked.
-            crash_time = self._crash_time.get(event.pid)
+            crash_time = self._crash_time.get(pid)
             if (
                 crash_time is not None
-                and event.time is not None
-                and event.time >= crash_time
+                and time is not None
+                and time >= crash_time
             ):
                 self._flag(
                     index,
-                    f"p{event.pid} {event.kind} at time {event.time} after "
+                    f"p{pid} {kind} at time {time} after "
                     f"crashing at time {crash_time}",
                 )
 
@@ -250,41 +271,34 @@ class OrderingChecker(TraceChecker):
         else:
             self._flag(index, f"crash of p{pid} carries neither round nor time")
 
-    def _check_sender_alive(self, index: int, event: Event) -> None:
-        sender = event.peer
+    def _check_sender_alive(
+        self,
+        index: int,
+        sender: int | None,
+        round_index: int | None,
+        time: int | None,
+    ) -> None:
         crash = self._crash_round.get(sender)
-        if crash is not None and event.round is not None and event.round > crash:
+        if crash is not None and round_index is not None and round_index > crash:
             self._flag(
                 index,
-                f"message from p{sender} in round {event.round} after its "
+                f"message from p{sender} in round {round_index} after its "
                 f"crash in round {crash}",
             )
         crash_time = self._crash_time.get(sender)
-        if (
-            crash_time is not None
-            and event.time is not None
-            and event.time >= crash_time
-        ):
+        if crash_time is not None and time is not None and time >= crash_time:
             self._flag(
                 index,
-                f"message from p{sender} at time {event.time} after its "
+                f"message from p{sender} at time {time} after its "
                 f"crash at time {crash_time}",
             )
-
-    @staticmethod
-    def _actor_of(event: Event) -> int | None:
-        """The process *acting* in this event (None for round_start)."""
-        if event.kind in ("msg_sent", "msg_withheld"):
-            return event.peer
-        if event.kind == "round_start":
-            return None
-        return event.pid
 
 
 class DetectorAccuracyChecker(TraceChecker):
     """P strong accuracy: no suspicion may precede the peer's crash."""
 
     name = "detector.accuracy"
+    kinds = frozenset({"crash", "suspect"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -356,6 +370,7 @@ class RoundSynchronyChecker(TraceChecker):
     """
 
     name = "synchrony.rs"
+    kinds = frozenset({"crash", "msg_withheld"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -453,6 +468,7 @@ class ConsensusChecker(TraceChecker):
     """
 
     name = "consensus"
+    kinds = frozenset({"crash", "decide"})
 
     def __init__(self, initial_values: Sequence[Any] | None = None) -> None:
         super().__init__()
@@ -536,12 +552,26 @@ def default_checkers(
 def run_checkers(
     events: Iterable[Event], checkers: Sequence[TraceChecker]
 ) -> CheckReport:
-    """Stream ``events`` through ``checkers`` and collect the report."""
-    count = 0
+    """Stream ``events`` through ``checkers`` and collect the report.
+
+    An event reaches the checkers that declared its kind
+    (:attr:`TraceChecker.kinds`), in suite order.
+    """
+    feeds: dict[str, tuple[Callable[[int, Event], None], ...]] = {}
+    index = -1
     for index, event in enumerate(events):
-        count = index + 1
-        for checker in checkers:
-            checker.feed(index, event)
+        kind = event.kind
+        try:
+            row = feeds[kind]
+        except KeyError:
+            row = feeds[kind] = tuple(
+                checker.feed
+                for checker in checkers
+                if checker.kinds is None or kind in checker.kinds
+            )
+        for feed in row:
+            feed(index, event)
+    count = index + 1
     violations: list[Violation] = []
     for checker in checkers:
         checker.finish(count)
@@ -565,9 +595,10 @@ def check_events(
     Every checker but ``consensus`` ignores event values, so for a
     :class:`~repro.obs.template.TemplateEvents` trace they run once per
     template and model (remembered in the template's memo); per cell
-    only the consensus checker runs, over the trace's crash events and
-    the cell's own decide events.  The report is field-identical to
-    checking the materialized events.
+    only the consensus checker runs, over the events of its
+    :attr:`~TraceChecker.kinds`: the template's own plus the cell's
+    decide events in the template's holes.  The report is
+    field-identical to checking the materialized events.
     """
     checkers = default_checkers(model=model, initial_values=initial_values)
     template = getattr(events, "template", None)
@@ -575,20 +606,25 @@ def check_events(
         return run_checkers(events, checkers)
     consensus = next(c for c in checkers if c.name == ConsensusChecker.name)
     value_free = [c for c in checkers if c is not consensus]
-    violations, crashes = template.remember(
-        # The synchrony checker's name tells the models apart.
-        ("check", *(checker.name for checker in value_free)),
-        lambda: (
+
+    def value_free_work() -> tuple[list[Violation], list[tuple[int, Event]]]:
+        holes = set(template.positions)
+        return (
             run_checkers(template.events, value_free).violations,
             [
                 (index, event)
                 for index, event in enumerate(template.events)
-                if event.kind == "crash"
+                if event.kind in consensus.kinds and index not in holes
             ],
-        ),
+        )
+
+    violations, shared = template.remember(
+        # The synchrony checker's name tells the models apart.
+        ("check", *(checker.name for checker in value_free)),
+        value_free_work,
     )
     decides = zip(template.positions, events.decides())
-    for index, event in sorted([*crashes, *decides], key=lambda pair: pair[0]):
+    for index, event in sorted([*shared, *decides], key=lambda pair: pair[0]):
         consensus.feed(index, event)
     consensus.finish(len(events))
     return CheckReport(

@@ -141,6 +141,41 @@ class Event:
         )
 
 
+class _EventBuilder:
+    """The recording hooks' constructor for :class:`Event`.
+
+    A frozen dataclass ``__init__`` is one ``object.__setattr__`` call
+    per field; this class shares ``Event``'s slot layout, stores the
+    fields as plain slot writes and then becomes an ``Event`` — so what
+    a hook appends *is* a frozen, slotted ``Event``
+    (``type(e) is Event``), at less than half the construction cost.
+    Fields are positional, in ``Event``'s declaration order.
+    """
+
+    __slots__ = Event.__slots__
+
+    def __init__(
+        self,
+        kind: str,
+        ts: float,
+        round: int | None = None,
+        time: int | None = None,
+        pid: int | None = None,
+        peer: int | None = None,
+        value: Any = None,
+        extra: Any = None,
+    ) -> None:
+        self.kind = kind
+        self.ts = ts
+        self.round = round
+        self.time = time
+        self.pid = pid
+        self.peer = peer
+        self.value = value
+        self.extra = extra
+        self.__class__ = Event
+
+
 def round_msg_id(round_index: int, sender: int, recipient: int) -> str:
     """The canonical message id for round-model messages.
 
@@ -396,11 +431,14 @@ class EventLog(Observer):
 
     def round_start(self, round_index: int, alive: Sequence[int]) -> None:
         self.events.append(
-            Event(
-                kind="round_start",
-                ts=self._clock(),
-                round=round_index,
-                value=sorted(alive),
+            _EventBuilder(
+                "round_start",
+                self._clock(),
+                round_index,
+                None,
+                None,
+                None,
+                sorted(alive),
             )
         )
 
@@ -410,7 +448,9 @@ class EventLog(Observer):
         clock = self._clock
         self.events.extend(
             [
-                Event("msg_sent", clock(), round_index, None, recipient, sender)
+                _EventBuilder(
+                    "msg_sent", clock(), round_index, None, recipient, sender
+                )
                 for sender, recipient in pairs
             ]
         )
@@ -424,7 +464,7 @@ class EventLog(Observer):
         clock = self._clock
         self.events.extend(
             [
-                Event(
+                _EventBuilder(
                     "msg_withheld"
                     if withheld and (sender, recipient) in withheld
                     else "msg_delivered",
@@ -449,14 +489,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="msg_sent",
-                ts=self._clock(),
-                round=round_index,
-                time=time,
-                pid=recipient,
-                peer=sender,
-                extra=extra,
+            _EventBuilder(
+                "msg_sent",
+                self._clock(),
+                round_index,
+                time,
+                recipient,
+                sender,
+                None,
+                extra,
             )
         )
 
@@ -470,13 +511,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="msg_withheld",
-                ts=self._clock(),
-                round=round_index,
-                pid=recipient,
-                peer=sender,
-                extra=extra,
+            _EventBuilder(
+                "msg_withheld",
+                self._clock(),
+                round_index,
+                None,
+                recipient,
+                sender,
+                None,
+                extra,
             )
         )
 
@@ -491,14 +534,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="msg_delivered",
-                ts=self._clock(),
-                round=round_index,
-                time=time,
-                pid=recipient,
-                peer=sender,
-                extra=extra,
+            _EventBuilder(
+                "msg_delivered",
+                self._clock(),
+                round_index,
+                time,
+                recipient,
+                sender,
+                None,
+                extra,
             )
         )
 
@@ -512,14 +556,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="crash",
-                ts=self._clock(),
-                round=round_index,
-                time=time,
-                pid=pid,
-                value=applies_transition,
-                extra=extra,
+            _EventBuilder(
+                "crash",
+                self._clock(),
+                round_index,
+                time,
+                pid,
+                None,
+                applies_transition,
+                extra,
             )
         )
 
@@ -533,14 +578,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="suspect",
-                ts=self._clock(),
-                time=time,
-                pid=pid,
-                peer=suspected,
-                value=delay,
-                extra=extra,
+            _EventBuilder(
+                "suspect",
+                self._clock(),
+                None,
+                time,
+                pid,
+                suspected,
+                delay,
+                extra,
             )
         )
 
@@ -553,13 +599,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="decide",
-                ts=self._clock(),
-                round=round_index,
-                pid=pid,
-                value=value,
-                extra=extra,
+            _EventBuilder(
+                "decide",
+                self._clock(),
+                round_index,
+                None,
+                pid,
+                None,
+                value,
+                extra,
             )
         )
 
@@ -571,12 +619,15 @@ class EventLog(Observer):
         extra: dict[str, Any] | None = None,
     ) -> None:
         self.events.append(
-            Event(
-                kind="halt",
-                ts=self._clock(),
-                round=round_index,
-                pid=pid,
-                extra=extra,
+            _EventBuilder(
+                "halt",
+                self._clock(),
+                round_index,
+                None,
+                pid,
+                None,
+                None,
+                extra,
             )
         )
 
@@ -613,14 +664,6 @@ class EventLog(Observer):
             return self.dump_jsonl(fp)
 
 
-#: Every hook of the protocol, for :class:`CompositeObserver`'s table.
-_HOOKS = tuple(
-    name
-    for name, member in vars(Observer).items()
-    if not name.startswith("_") and callable(member)
-)
-
-
 class CompositeObserver(Observer):
     """Fan one event stream out to several observers (log + metrics).
 
@@ -640,12 +683,19 @@ class CompositeObserver(Observer):
     def __init__(self, *observers: Observer) -> None:
         self.observers = tuple(observers)
         self.errors: list[tuple[Observer, str, BaseException]] = []
-        # Every observer's hooks, bound once: a dispatch is a table
-        # lookup, not a getattr per observer per event.  A duck-typed
-        # observer that lacks a hook gets Observer's own — for the
-        # round hooks that is the per-message replay.
-        self._bound = {
-            hook: tuple(
+        # hook name -> every observer's bound method, filled in on the
+        # hook's first dispatch: after that a dispatch is a table
+        # lookup, not a getattr per observer per event, and a run pays
+        # only for the hooks it fires.
+        self._bound: dict[str, tuple[tuple[Observer, Callable[..., None]], ...]] = {}
+
+    def _fanout(self, hook: str, *args: Any, **kwargs: Any) -> None:
+        try:
+            row = self._bound[hook]
+        except KeyError:
+            # A duck-typed observer that lacks a hook gets Observer's
+            # own — for the round hooks that is the per-message replay.
+            row = self._bound[hook] = tuple(
                 (
                     obs,
                     getattr(obs, hook, None)
@@ -653,11 +703,7 @@ class CompositeObserver(Observer):
                 )
                 for obs in self.observers
             )
-            for hook in _HOOKS
-        }
-
-    def _fanout(self, hook: str, *args: Any, **kwargs: Any) -> None:
-        for obs, call in self._bound[hook]:
+        for obs, call in row:
             try:
                 call(*args, **kwargs)
             except Exception as exc:

@@ -37,7 +37,11 @@ from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
 from repro.runtime.cache import ResultCache
 from repro.runtime.harness import execute_batch, execute_request
 from repro.runtime.pool import parallel_map
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import (
+    ExecutionRequest,
+    ExecutionResult,
+    batch_cache_keys,
+)
 from repro.runtime.space import ScenarioSpace
 
 
@@ -464,6 +468,11 @@ class SweepRunner:
         results: list[ExecutionResult | None] = [None] * len(requests)
 
         with profiled("runtime.sweep"):
+            # Key the space as a whole: equal adversaries are hashed
+            # once, and every later cache_key() — the cache's, a
+            # worker's, execute_request's — is a lookup on the request.
+            batch_cache_keys(requests)
+
             # Cache phase: resolve hits in the parent so workers only
             # ever see genuine work.
             misses: list[int] = []

@@ -437,3 +437,73 @@ class TestSlottedEvent:
                 assert decide == dataclasses.replace(
                     template.events[position], value=decide.value
                 )
+
+    # -- hook-built events: what EventLog records *is* an Event ---------------
+
+    @staticmethod
+    def _hook_built() -> list[tuple[Event, Event]]:
+        """Every EventLog hook's event beside its constructor-built twin."""
+        log = EventLog(clock=logical_clock())
+        extra = {"k": 1}
+        log.round_start(1, [2, 0, 1])
+        log.round_sends(1, [(0, 1), (2, 1)])
+        log.round_deliveries(1, [(0, 1), (2, 1)], {(2, 1)})
+        log.msg_sent(0, 1, round_index=1, time=4, msg_id="m", extra=extra)
+        log.msg_withheld(0, 1, 1, msg_id="m", extra=extra)
+        log.msg_delivered(0, 1, round_index=1, time=5, msg_id="m", extra=extra)
+        log.crash(2, round_index=1, time=6, applies_transition=False, extra=extra)
+        log.suspect(1, 2, time=7, delay=1, extra=extra)
+        log.decide(1, (0, "x"), 2, extra=extra)
+        log.halt(1, 2, extra=extra)
+        twins = [
+            Event("round_start", 1.0, round=1, value=[0, 1, 2]),
+            Event("msg_sent", 2.0, round=1, pid=1, peer=0),
+            Event("msg_sent", 3.0, round=1, pid=1, peer=2),
+            Event("msg_delivered", 4.0, round=1, pid=1, peer=0),
+            Event("msg_withheld", 5.0, round=1, pid=1, peer=2),
+            Event("msg_sent", 6.0, round=1, time=4, pid=1, peer=0, extra=extra),
+            Event("msg_withheld", 7.0, round=1, pid=1, peer=0, extra=extra),
+            Event("msg_delivered", 8.0, round=1, time=5, pid=1, peer=0, extra=extra),
+            Event("crash", 9.0, round=1, time=6, pid=2, value=False, extra=extra),
+            Event("suspect", 10.0, time=7, pid=1, peer=2, value=1, extra=extra),
+            Event("decide", 11.0, round=2, pid=1, value=(0, "x"), extra=extra),
+            Event("halt", 12.0, round=2, pid=1, extra=extra),
+        ]
+        assert len(log.events) == len(twins)
+        return list(zip(log.events, twins))
+
+    def test_hook_built_events_are_events(self):
+        for built, twin in self._hook_built():
+            assert type(built) is Event
+            assert not hasattr(built, "__dict__")
+            assert built == twin and twin == built
+            assert built.extra == twin.extra  # excluded from ==
+            assert repr(built) == repr(twin)
+            assert built.to_json() == twin.to_json()
+
+    def test_hook_built_events_hash_like_constructed_ones(self):
+        for built, twin in self._hook_built():
+            if built.kind == "round_start":
+                continue  # a list value: unhashable either way
+            assert hash(built) == hash(twin)
+            assert {built: 1}[twin] == 1
+
+    def test_hook_built_events_are_frozen(self):
+        for built, _ in self._hook_built():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.value = 9
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del built.ts
+            with pytest.raises((AttributeError, TypeError)):
+                built.colour = "red"
+
+    def test_hook_built_events_replace_and_pickle(self):
+        for built, twin in self._hook_built():
+            moved = dataclasses.replace(built, ts=99.0)
+            assert type(moved) is Event
+            assert moved == dataclasses.replace(twin, ts=99.0)
+            assert moved.extra == built.extra
+            clone = pickle.loads(pickle.dumps(built))
+            assert type(clone) is Event
+            assert clone == built and clone.extra == built.extra
+            assert Event.from_dict(built.to_dict()).to_dict() == twin.to_dict()
