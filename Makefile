@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke vector-smoke serve-smoke mc-smoke ledger-smoke clean
+.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke vector-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -64,7 +64,7 @@ sweep-smoke:
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE) | tee /dev/stderr | grep -q "executed 0,"
 	@for refused in "--count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
-			"--count -3 --check"; do \
+			"--count -3 --check" "--count 2 --jobs 0" "--count 2 --jobs -3"; do \
 		echo "repro sweep random-rs $$refused  # must be refused"; \
 		PYTHONPATH=src python -m repro sweep random-rs $$refused \
 			--run-dir $(SWEEP_SMOKE_CACHE)/refused 2> $(SWEEP_SMOKE_CACHE)/stderr; \
@@ -252,6 +252,12 @@ mc-smoke:
 # nest, and a wrong reference digest fails every operation.
 ledger-smoke:
 	python ledger/selftest.py
+
+# What each ledger command imports before it does any work: module and
+# repro.* counts, source lines, import self time, compile share.  The
+# counts repeat exactly; a start-up change is attributed with them.
+startup-report:
+	python scripts/import_report.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

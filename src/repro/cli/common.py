@@ -1,10 +1,12 @@
-"""Shared CLI helpers: named-run lookup and trace loading, each with
-the standard one-line ``error:`` on failure.
+"""Shared CLI helpers: named-run lookup, trace loading and ``--jobs``
+validation, each with the standard one-line ``error:`` on failure.
 
 The vocabulary itself lives in the runtime — the named runs in
-:data:`repro.runtime.space.NAMED_CELLS`, the algorithms in
-:mod:`repro.runtime.registry`; the names below are views of those
-tables, kept because callers and tests import them from here.
+:data:`repro.runtime.space.NAMED_CELLS`; the names below are views of
+that table, kept because callers and tests import them from here.
+(``ALGORITHMS`` lives with its one user, :mod:`repro.cli.experiments`:
+building it imports seven algorithm modules, and every campaign command
+imports this module.)
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.obs import events_from_jsonl_lines
-from repro.runtime.registry import (
-    ALGORITHM_FACTORIES,
-    UNIFORM_CONSENSUS_ALGORITHMS,
-)
 from repro.runtime.space import CELL_ALIASES as SCENARIO_ALIASES
 from repro.runtime.space import NAMED_CELLS as SCENARIOS
 from repro.runtime.space import NamedCell, named_cell
 
-#: The algorithms ``repro latency`` (and friends) accept by name.
-ALGORITHMS = {
-    key: ALGORITHM_FACTORIES[key] for key in UNIFORM_CONSENSUS_ALGORITHMS
-}
+
+def jobs_ok(jobs: int) -> bool:
+    """Whether ``--jobs`` names at least one worker process; prints the
+    error when it does not."""
+    if jobs >= 1:
+        return True
+    print(f"error: --jobs must be at least 1 (got {jobs})", file=sys.stderr)
+    return False
 
 
 def resolve_scenario(name: str) -> NamedCell | None:

@@ -12,7 +12,7 @@ import random
 import sys
 
 from repro.analysis import format_table, latency_profile, latency_summary_table
-from repro.cli.common import ALGORITHMS
+from repro.cli.common import jobs_ok
 from repro.commit import compare_commit_rates
 from repro.core import (
     EXPERIMENTS,
@@ -23,11 +23,22 @@ from repro.core import (
 )
 from repro.failures import FailurePattern
 from repro.rounds import RoundModel
+from repro.runtime.registry import (
+    ALGORITHM_FACTORIES,
+    UNIFORM_CONSENSUS_ALGORITHMS,
+)
 from repro.sdd import SP_CANDIDATE_FACTORIES, refute_sdd_candidate, solve_sdd_ss
 from repro.trace import describe_run, step_diagram
 
+#: The algorithms ``repro latency`` (and friends) accept by name.
+ALGORITHMS = {
+    key: ALGORITHM_FACTORIES[key] for key in UNIFORM_CONSENSUS_ALGORITHMS
+}
+
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    if not jobs_ok(args.jobs):
+        return 2
     quick = not args.full
     if args.ids:
         registry = {**EXPERIMENTS, **EXTENSIONS}

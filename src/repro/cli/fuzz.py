@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
 from repro.fuzz import (
     FUZZ_ENGINES,
@@ -29,6 +30,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"injection; choose from {sorted(KNOWN_INJECTIONS)}",
             file=sys.stderr,
         )
+        return 2
+    if not jobs_ok(args.jobs):
         return 2
     try:
         report = run_campaign(

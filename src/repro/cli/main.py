@@ -39,17 +39,22 @@ from typing import Sequence
 from repro._lazy import lazy_exports
 
 # Backward-compatible re-exports: callers (and tests) import the CLI
-# vocabulary from here; repro.cli.common holds it as views of the
-# runtime's tables.
+# vocabulary from here; repro.cli.common and repro.cli.experiments hold
+# it as views of the runtime's tables.
 __getattr__, __dir__ = lazy_exports(
     globals(),
-    {"common": ("ALGORITHMS", "SCENARIO_ALIASES", "SCENARIOS")},
+    {
+        "common": ("SCENARIO_ALIASES", "SCENARIOS"),
+        "experiments": ("ALGORITHMS",),
+    },
 )
 
 #: Every command and the ``repro.cli`` module that owns it, in ``--help``
 #: order.  Start-up stays proportional to the command because only the
-#: owner of ``argv[0]`` is imported; the command modules themselves keep
-#: their imports at module level (the benchmark tracer binds to them).
+#: owner of ``argv[0]`` is imported, and a command module imports an
+#: optional layer where the run switches it on ("Import rules" in
+#: docs/architecture.md); the names the benchmark tracer binds to stay
+#: module-level callables of the command modules.
 COMMANDS = {
     "experiments": "experiments",
     "summary": "experiments",

@@ -96,7 +96,11 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         )
         return 2
 
+    from repro.cli.common import jobs_ok
     from repro.mc import McTask, check, save_frontier, spec_for_task
+
+    if not jobs_ok(args.jobs):
+        return 2
 
     algorithm = args.algorithm.lower()
     task = McTask(

@@ -24,6 +24,7 @@ import json
 import sys
 import time
 
+from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
 from repro.runtime import SPACE_FACTORIES, space_by_name
 from repro.runtime.space import ScenarioSpace, vectorized_space
@@ -118,6 +119,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
+    if not jobs_ok(args.jobs):
+        return 2
     stats = run_worker(
         args.connect,
         worker_id=args.worker_id,

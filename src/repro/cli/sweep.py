@@ -15,13 +15,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING, Any
 
+from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
-from repro.obs.report import summarize_sweep
 from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import vectorized_space
 from repro.runtime.sweep import open_merged_sink
+
+if TYPE_CHECKING:
+    from repro.obs.artifacts import RunDir
+    from repro.runtime.sweep import SweepResult
+
+
+def summarize_sweep(
+    run_dir: RunDir, sweep: SweepResult, *, completed_before: set[str]
+) -> dict[str, Any]:
+    """:func:`repro.obs.report.summarize_sweep`, imported when a leg
+    finalises: a sweep without ``--run-dir`` never loads the report layer."""
+    from repro.obs.report import summarize_sweep as summarize
+
+    return summarize(run_dir, sweep, completed_before=completed_before)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -35,6 +50,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             " or --list",
             file=sys.stderr,
         )
+        return 2
+    if not jobs_ok(args.jobs):
         return 2
     sink = None
     try:

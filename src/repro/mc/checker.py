@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.fuzz.shrink import shrink
-from repro.mc.explore import Exploration, explore
+from repro.mc.explore import explore
 from repro.mc.properties import (
     PROPERTIES,
     PropertyOutcome,
@@ -52,9 +51,14 @@ from repro.mc.space import (
 from repro.mc.verdict import Verdict, witness_document
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.harness import execute_request
-from repro.runtime.request import ExecutionRequest
-from repro.runtime.space import ScenarioSpace
-from repro.runtime.sweep import SweepResult, SweepRunner
+from repro.runtime.registry import ALGORITHM_FACTORIES
+from repro.runtime.sweep import SweepRunner
+
+if TYPE_CHECKING:
+    from repro.mc.explore import Exploration
+    from repro.runtime.request import ExecutionRequest
+    from repro.runtime.space import ScenarioSpace
+    from repro.runtime.sweep import SweepResult
 
 #: Witnesses embedded per REFUTED verdict (the first is shrunk).
 MAX_WITNESSES = 3
@@ -62,6 +66,11 @@ MAX_WITNESSES = 3
 #: Algorithms defined only for specific ``t`` (the CLI clamps with a
 #: warning; the checker itself refuses, keeping verdicts honest).
 ALGORITHM_T_CONSTRAINTS: dict[str, int] = {"a1": 1}
+
+#: Registry entries the checker refuses: its properties are consensus
+#: properties over scalar proposals, and atomic broadcast decides
+#: delivery sequences over batches of messages.
+NON_CONSENSUS_ALGORITHMS = frozenset({"atomic-broadcast"})
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,13 @@ class McTask:
             raise ConfigurationError(
                 f"unknown mc engine {self.engine!r}; choose from "
                 f"{SCHEDULE_ENGINES + GRID_ENGINES}"
+            )
+        if self.algorithm in NON_CONSENSUS_ALGORITHMS:
+            accepted = sorted(set(ALGORITHM_FACTORIES) - NON_CONSENSUS_ALGORITHMS)
+            raise ConfigurationError(
+                f"{self.algorithm} is not a consensus algorithm (mc checks "
+                f"consensus properties over scalar proposals); choose from "
+                f"{accepted}"
             )
         required_t = ALGORITHM_T_CONSTRAINTS.get(self.algorithm)
         if required_t is not None and self.t != required_t:
@@ -249,6 +265,10 @@ def _witnesses(
         problems = list(violation.problems)
         attempts = 0
         if index == 0 and shrinkable:
+            # Only a REFUTED verdict gets here: a check that holds never
+            # imports the fuzz shrinker.
+            from repro.fuzz.shrink import shrink
+
             reduction = shrink(
                 original, still_fails_for(task), max_attempts=200
             )

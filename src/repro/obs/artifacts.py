@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TextIO
@@ -82,6 +81,9 @@ def git_provenance(repo_dir: str | Path | None = None) -> dict[str, Any]:
     commit is recorded as ``None`` — provenance is an audit aid, not a
     precondition for running campaigns.
     """
+    # Here, not at the top: only a run directory's first leg shells out.
+    import subprocess
+
     cwd = str(repo_dir) if repo_dir is not None else None
     try:
         commit = subprocess.run(

@@ -15,23 +15,24 @@ ending: whatever leaves the block without :meth:`CampaignLeg.finalize`
 leaves the manifest ``interrupted`` with a final ``interrupted``
 heartbeat, never ``running``.  Without a run root the leg is inert (no
 directory, audit methods that do nothing, a ``finalize`` that never
-calls the summariser), so call sites carry no ``if run_dir is not
-None`` ladder.
+calls the summariser, and none of the run-directory layers —
+:mod:`repro.obs.artifacts`, :mod:`repro.obs.progress`,
+:mod:`repro.runtime.cache` — imported), so call sites carry no ``if
+run_dir is not None`` ladder.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.artifacts import RunDir, SLOConfig
-from repro.obs.progress import ProgressReporter
-from repro.runtime.cache import ResultCache
-from repro.runtime.request import (
-    ExecutionRequest,
-    ExecutionResult,
-    batch_cache_keys,
-)
+from repro.runtime.request import batch_cache_keys
+
+if TYPE_CHECKING:
+    from repro.obs.artifacts import RunDir, SLOConfig
+    from repro.obs.progress import ProgressReporter
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.request import ExecutionRequest, ExecutionResult
 
 
 class CampaignLeg:
@@ -73,6 +74,11 @@ class CampaignLeg:
         self._closed = False
         if root is None:
             return
+        # The run-directory layers load with the first leg that has one.
+        from repro.obs.artifacts import RunDir
+        from repro.obs.progress import ProgressReporter
+        from repro.runtime.cache import ResultCache
+
         if requests is None:
             keys = [f"session-{index}" for index in range(sessions)]
             identity: Any = config

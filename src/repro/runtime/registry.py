@@ -9,38 +9,62 @@ plus the non-uniform witnesses used by the gap experiments.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable, Iterator, Mapping
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from repro.broadcast import AtomicBroadcast
-from repro.consensus import (
-    A1,
-    COptFloodSet,
-    COptFloodSetWS,
-    EagerFloodSetWS,
-    FloodSet,
-    FloodSetWS,
-    FOptFloodSet,
-    FOptFloodSetWS,
-)
 from repro.errors import ConfigurationError
-from repro.rounds.algorithm import RoundAlgorithm
-from repro.vector.kernels import PLAN_KERNELS as VECTOR_KERNELS
-from repro.vector.kernels import plan_kernel_for
+
+if TYPE_CHECKING:
+    from repro.rounds.algorithm import RoundAlgorithm
+
+
+class _Factories(Mapping):
+    """``name -> class`` over a ``name -> (module, class name)`` table.
+
+    Listing, ``len`` and ``in`` read the table; ``[name]`` imports the
+    algorithm's home module on first access and remembers the class, so
+    a run loads the algorithms it names and no others.
+    """
+
+    def __init__(self, homes: Mapping[str, tuple[str, str]]) -> None:
+        self._homes = homes
+        self._classes: dict[str, Callable[[], RoundAlgorithm]] = {}
+
+    def __getitem__(self, name: str) -> Callable[[], RoundAlgorithm]:
+        factory = self._classes.get(name)
+        if factory is None:
+            module, attribute = self._homes[name]
+            factory = getattr(import_module(module), attribute)
+            self._classes[name] = factory
+        return factory
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._homes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._homes)
+
+    def __len__(self) -> int:
+        return len(self._homes)
+
 
 #: Every round algorithm a request may name.  Zero-argument factories:
 #: the algorithms are stateless between runs, so a fresh instance per
 #: execution keeps workers independent.
-ALGORITHM_FACTORIES: dict[str, Callable[[], RoundAlgorithm]] = {
-    "floodset": FloodSet,
-    "floodset-ws": FloodSetWS,
-    "c-opt": COptFloodSet,
-    "c-opt-ws": COptFloodSetWS,
-    "f-opt": FOptFloodSet,
-    "f-opt-ws": FOptFloodSetWS,
-    "a1": A1,
-    "eager-floodset-ws": EagerFloodSetWS,
-    "atomic-broadcast": AtomicBroadcast,
-}
+ALGORITHM_FACTORIES: Mapping[str, Callable[[], RoundAlgorithm]] = _Factories(
+    {
+        "floodset": ("repro.consensus.floodset", "FloodSet"),
+        "floodset-ws": ("repro.consensus.floodset", "FloodSetWS"),
+        "c-opt": ("repro.consensus.opt", "COptFloodSet"),
+        "c-opt-ws": ("repro.consensus.opt", "COptFloodSetWS"),
+        "f-opt": ("repro.consensus.fopt", "FOptFloodSet"),
+        "f-opt-ws": ("repro.consensus.fopt", "FOptFloodSetWS"),
+        "a1": ("repro.consensus.a1", "A1"),
+        "eager-floodset-ws": ("repro.consensus.early", "EagerFloodSetWS"),
+        "atomic-broadcast": ("repro.broadcast.algorithm", "AtomicBroadcast"),
+    }
+)
 
 #: The paper's seven uniform-consensus algorithms (Figures 1-4 and their
 #: optimisations), in the headline table's row order: what ``repro
@@ -66,8 +90,10 @@ def has_vector_kernel(name: str, *, n: int | None = None, t: int | None = None) 
     are given — still execute under ``engine="vector"`` but fall back
     to the object executor cell by cell.
     """
+    from repro.vector.kernels import PLAN_KERNELS, plan_kernel_for
+
     if n is None or t is None:
-        return name in VECTOR_KERNELS
+        return name in PLAN_KERNELS
     return plan_kernel_for(name, n, t) is not None
 
 
@@ -77,10 +103,21 @@ def make_algorithm(name: str) -> RoundAlgorithm:
     Raises :class:`~repro.errors.ConfigurationError` for unknown keys,
     naming the known ones.
     """
-    factory = ALGORITHM_FACTORIES.get(name)
-    if factory is None:
+    try:
+        factory = ALGORITHM_FACTORIES[name]
+    except KeyError:
         raise ConfigurationError(
             f"unknown algorithm {name!r}; choose from "
             f"{sorted(ALGORITHM_FACTORIES)}"
-        )
+        ) from None
     return factory()
+
+
+def __getattr__(name: str) -> object:
+    """:data:`VECTOR_KERNELS` — the vector engine's kernel table, loaded
+    when somebody asks for it."""
+    if name == "VECTOR_KERNELS":
+        from repro.vector.kernels import PLAN_KERNELS
+
+        return PLAN_KERNELS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

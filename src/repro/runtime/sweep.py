@@ -25,24 +25,33 @@ cells documented to disagree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs.check import CheckReport, check_events
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
-from repro.runtime.cache import ResultCache
 from repro.runtime.harness import execute_batch, execute_request
-from repro.runtime.pool import parallel_map
-from repro.runtime.request import (
-    ExecutionRequest,
-    ExecutionResult,
-    batch_cache_keys,
-)
-from repro.runtime.space import ScenarioSpace
+from repro.runtime.request import batch_cache_keys
+
+if TYPE_CHECKING:
+    from repro.obs.check import CheckReport
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.request import ExecutionRequest, ExecutionResult
+    from repro.runtime.space import ScenarioSpace
+
+
+@functools.cache
+def _oracle() -> Callable[..., CheckReport]:
+    """:func:`repro.obs.check.check_events`, imported when the first cell
+    is checked: a sweep nobody checks never loads the trace oracle, and a
+    checked one runs the import once, not per cell."""
+    from repro.obs.check import check_events
+
+    return check_events
 
 
 def _profiled_call(
@@ -176,7 +185,7 @@ def check_cell(
         and request.check_consensus
         else None
     )
-    report = check_events(
+    report = _oracle()(
         result.events,
         model=check_model_for(request),
         initial_values=initial_values,
@@ -455,11 +464,11 @@ class SweepRunner:
         on_cell: Callable[[ExecutionRequest, ExecutionResult], None] | None = None,
     ) -> None:
         self.jobs = jobs
-        self.cache = (
-            ResultCache(cache)
-            if isinstance(cache, str)
-            else cache
-        )
+        if isinstance(cache, str):
+            from repro.runtime.cache import ResultCache
+
+            cache = ResultCache(cache)
+        self.cache = cache
         self.check = check
         self.on_cell = on_cell
 
@@ -519,16 +528,17 @@ class SweepRunner:
                     if self.on_cell is not None:
                         self.on_cell(requests[index], result)
 
+            work = [[requests[index] for index in chunk] for chunk in chunks]
             with profiled("runtime.sweep.execute"):
-                parallel_map(
-                    _execute_chunk,
-                    [
-                        [requests[index] for index in chunk]
-                        for chunk in chunks
-                    ],
-                    jobs=self.jobs,
-                    on_result=_arrived,
-                )
+                if self.jobs > 1:
+                    from repro.runtime.pool import parallel_map
+
+                    parallel_map(
+                        _execute_chunk, work, jobs=self.jobs, on_result=_arrived
+                    )
+                else:
+                    for batch in work:
+                        _arrived(_execute_chunk(batch))
 
         final: list[ExecutionResult] = [r for r in results if r is not None]
         assert len(final) == len(requests)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,6 +37,10 @@ class Summary:
 
 def summarize(values: Sequence[float] | Iterable[float]) -> Summary:
     """Compute the five-number-ish summary of a non-empty sample."""
+    # Here, not at the top: ``percentile`` is all a profiled cell needs,
+    # and ``statistics`` brings ``fractions`` and ``decimal`` with it.
+    import statistics
+
     data = list(values)
     if not data:
         raise ValueError("cannot summarize an empty sample")

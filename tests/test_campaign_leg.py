@@ -423,6 +423,31 @@ def test_count_zero_stays_a_legal_empty_space(capsys):
         space_by_name("oracle-sweep", count=-1)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "random-rs", "--count", "2"],
+        ["fuzz", "--budget", "2"],
+        ["mc", "agreement", "--algorithm", "floodset"],
+        ["work", "--connect", "127.0.0.1:1"],
+        ["experiments", "--ids", "E1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_below_one_is_refused_before_anything_runs(
+    argv, jobs, tmp_path, capsys
+):
+    # Used to be accepted silently and run serially (exit 0).
+    root = tmp_path / "runs"
+    takes_run_dir = argv[0] in ("sweep", "fuzz", "mc")
+    extra = ["--run-dir", str(root)] if takes_run_dir else []
+    assert main(argv + ["--jobs", jobs] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not root.exists()
+    assert captured.err == f"error: --jobs must be at least 1 (got {jobs})\n"
+
+
 # ---------------------------------------------------------------------------
 # Goldens captured at the parent commit (the five private copies)
 # ---------------------------------------------------------------------------

@@ -84,6 +84,28 @@ class TestMcCommand:
         assert rc == 2
         assert "unknown property" in capsys.readouterr().err
 
+    def test_a_non_consensus_registry_entry_is_refused(self, capsys):
+        # Atomic broadcast proposes batches, not scalars: the explorer
+        # used to die in its initial_state with a TypeError traceback.
+        rc = main(
+            ["mc", "agreement", "--algorithm", "atomic-broadcast", "--n", "3"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            "error: atomic-broadcast is not a consensus algorithm (mc checks "
+            "consensus properties over scalar proposals); choose from ['a1', "
+            "'c-opt', 'c-opt-ws', 'eager-floodset-ws', 'f-opt', 'f-opt-ws', "
+            "'floodset', 'floodset-ws']"
+        )
+        # The serve side validates the same task.
+        rc = main(["serve", "mc:agreement:atomic-broadcast:n=3:t=1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: atomic-broadcast is not a consensus")
+
     def test_no_property_and_no_fixture_is_an_error(self, capsys):
         rc = main(["mc"])
         assert rc == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -296,10 +297,16 @@ class _StrayRecipient(FloodSet):
 class TestUnknownRecipient:
     @pytest.mark.parametrize("model", ["RS", "RWS"])
     def test_explore_and_execute_raise_the_same_error(self, model, monkeypatch):
-        monkeypatch.setitem(ALGORITHM_FACTORIES, "stray-recipient", _StrayRecipient)
+        # The registry is read-only: hand the explorer the stray
+        # algorithm where it asks the registry for one.
+        monkeypatch.setattr(
+            sys.modules["repro.mc.explore"],
+            "make_algorithm",
+            lambda name: _StrayRecipient(),
+        )
         with pytest.raises(ConfigurationError) as executed:
             execute(
-                make_algorithm("stray-recipient"),
+                _StrayRecipient(),
                 (0, 1, 1),
                 FailureScenario.failure_free(3),
                 t=1,

@@ -12,6 +12,7 @@ early, and the three re-exports that must stay eager.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -33,7 +34,7 @@ _RUN_MAIN = """
 from repro.cli.main import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({argv!r})
-assert code == 0, code
+assert code == {code}, code
 """
 
 MC = ["mc", "agreement", "--algorithm", "floodset", "--n", "3", "--t", "1"]
@@ -41,6 +42,22 @@ SWEEP = ["sweep", "random-rs", "--count", "8", "--check", "--engine"]
 #: The step-kernel emulations and what only they import: a round-engine
 #: command (rounds/vector sweep, schedule-engine mc) runs none of it.
 STEP_KERNEL = ("repro.emulation", "repro.simulation", "repro.models")
+#: Every registered algorithm's home but FloodSet's: a run that names
+#: FloodSet resolves one registry entry.
+OTHER_ALGORITHMS = (
+    "repro.consensus.a1",
+    "repro.consensus.opt",
+    "repro.consensus.fopt",
+    "repro.consensus.early",
+    "repro.broadcast.algorithm",
+)
+#: What only a run directory switches on (``CampaignLeg`` with a root).
+RUN_DIR_LAYERS = (
+    "repro.obs.artifacts",
+    "repro.obs.progress",
+    "repro.obs.report",
+    "repro.runtime.cache",
+)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -62,8 +79,14 @@ def _loaded(body: str) -> set[str]:
     return set(json.loads(proc.stdout))
 
 
-def _loaded_by(argv: list[str]) -> set[str]:
-    return _loaded(_RUN_MAIN.format(argv=argv))
+def _loaded_by(argv: list[str], code: int = 0) -> set[str]:
+    return _loaded(_RUN_MAIN.format(argv=argv, code=code))
+
+
+def _ours(loaded: set[str]) -> list[str]:
+    """The ``repro.*`` part of an import set: the stdlib's share differs
+    between Python versions, ours does not."""
+    return sorted(m for m in loaded if m.split(".")[0] == "repro")
 
 
 def _offenders(loaded: set[str], forbidden: tuple[str, ...]) -> list[str]:
@@ -77,8 +100,15 @@ def _offenders(loaded: set[str], forbidden: tuple[str, ...]) -> list[str]:
 
 class TestImportSets:
     def test_import_repro_loads_nothing_else_of_the_package(self):
-        ours = {m for m in _loaded("import repro") if m.split(".")[0] == "repro"}
-        assert ours == {"repro", "repro._lazy"}
+        assert _ours(_loaded("import repro")) == ["repro", "repro._lazy"]
+
+    def test_import_repro_stats_loads_no_statistics(self):
+        # Profiler.snapshot() needs ``percentile`` per cell; only
+        # ``summarize()`` needs the stdlib module (and its fractions,
+        # decimal, numbers).
+        loaded = _loaded("import repro.stats")
+        assert "repro.stats.summary" in loaded
+        assert not _offenders(loaded, ("statistics", "fractions", "decimal"))
 
     def test_mc_loads_only_the_checker_layers(self):
         loaded = _loaded_by(MC)
@@ -92,15 +122,41 @@ class TestImportSets:
                 "multiprocessing",
                 "repro.live",
                 "repro.serve",
-                "repro.vector.engine",
+                "repro.vector",
                 "repro.core.experiments",
-                "repro.fuzz.campaign",
+                "repro.fuzz",
+                "repro.obs.check",
+                "subprocess",
+                *OTHER_ALGORITHMS,
+                *RUN_DIR_LAYERS,
                 *STEP_KERNEL,
             ),
         )
-        # 397 at the parent commit, when every command module and every
-        # package re-export was imported up front.
-        assert len(loaded) < 200, sorted(loaded)
+        # 397 when every command module and every package re-export was
+        # imported up front, 134 (57 of ours) when the layers under the
+        # CLI still imported every optional layer at module level.
+        assert len(loaded) < 125, sorted(loaded)
+        assert len(_ours(loaded)) <= 45, _ours(loaded)
+
+    def test_a_refuted_mc_run_loads_the_shrinker_and_shrinks_the_same(
+        self, tmp_path
+    ):
+        out = tmp_path / "out"
+        loaded = _loaded_by(
+            [
+                "mc", "uniform-agreement", "--algorithm", "floodset",
+                "--n", "3", "--t", "1", "--model", "RWS", "--out", str(out),
+            ],
+            code=1,
+        )
+        assert "repro.fuzz.shrink" in loaded
+        # The witness document, hashed before the shrinker's import
+        # moved behind the REFUTED verdict.
+        witness = (out / "mc-witness-00.json").read_bytes()
+        assert hashlib.sha256(witness).hexdigest() == (
+            "269bc6629b4e0ac93a2c6942b2a9b93d187ae1e3de6c1e9f18d071f65d24a02c"
+        )
+        assert json.loads(witness)["shrink_attempts"] == 6
 
     def test_rounds_sweep_loads_no_vector_fuzz_or_mc_layer(self):
         loaded = _loaded_by(SWEEP + ["rounds"])
@@ -115,10 +171,19 @@ class TestImportSets:
                 "repro.serve",
                 "repro.fuzz",
                 "repro.mc",
-                "repro.vector.engine",
+                "repro.vector",
+                "subprocess",
+                *OTHER_ALGORITHMS,
+                *RUN_DIR_LAYERS,
                 *STEP_KERNEL,
             ),
         )
+        assert len(_ours(loaded)) <= 38, _ours(loaded)  # 48 at the parent
+
+    def test_a_run_directory_switches_the_campaign_layers_on(self, tmp_path):
+        loaded = _loaded_by(SWEEP + ["rounds", "--run-dir", str(tmp_path / "runs")])
+        assert set(RUN_DIR_LAYERS) <= loaded
+        assert not _offenders(loaded, ("repro.vector", *OTHER_ALGORITHMS))
 
     @pytest.mark.parametrize("command", ["trace", "check"])
     def test_a_named_run_loads_the_runtime_and_no_campaign_layer(self, command):
