@@ -52,32 +52,47 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 
 # Run a small checked sweep twice against a fresh cache: the first run
 # executes every cell, the second must serve all of them from the
-# cache ("executed 0").  Then the two usage errors a sweep must refuse
-# before it runs a cell (exit 2, one `error:` line, no traceback, no
-# run directory), and the merged-trace writer's two routes — template
-# cells on the vector engine, inline events on the rounds engine —
-# compared byte for byte.
+# cache ("executed 0").  Then the usage errors a sweep, a coordinator
+# and a trace export must refuse before a cell runs (exit 2, one
+# `error:` line, no traceback, no run directory), the stderr line that
+# tells a user how many runs stood behind their cells, and the
+# merged-trace writer's routes — template cells on the vector engine,
+# inline events on the rounds engine, representatives shipped to a
+# pool — compared byte for byte.
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE) | tee /dev/stderr | grep -q "executed 0,"
-	@for refused in "--count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
-			"--count -3 --check" "--count 2 --jobs 0" "--count 2 --jobs -3"; do \
-		echo "repro sweep random-rs $$refused  # must be refused"; \
-		PYTHONPATH=src python -m repro sweep random-rs $$refused \
-			--run-dir $(SWEEP_SMOKE_CACHE)/refused 2> $(SWEEP_SMOKE_CACHE)/stderr; \
+	@for refused in \
+			"sweep random-rs --count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
+			"sweep random-rs --count -3 --check" \
+			"sweep random-rs --count 2 --jobs 0" \
+			"sweep random-rs --count 2 --jobs -3" \
+			"serve fuzz --count -3" \
+			"serve random-rs --shard-size 0" \
+			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl"; do \
+		echo "repro $$refused  # must be refused"; \
+		case "$$refused" in trace*) run_dir= ;; \
+			*) run_dir="--run-dir $(SWEEP_SMOKE_CACHE)/refused" ;; esac; \
+		PYTHONPATH=src python -m repro $$refused $$run_dir \
+			2> $(SWEEP_SMOKE_CACHE)/stderr; \
 		code=$$?; cat $(SWEEP_SMOKE_CACHE)/stderr; \
 		test $$code -eq 2 || { echo "exit $$code, expected 2"; exit 1; }; \
 		test "$$(grep -c '^error: ' $(SWEEP_SMOKE_CACHE)/stderr)" = 1 || exit 1; \
 		! grep -q Traceback $(SWEEP_SMOKE_CACHE)/stderr || exit 1; \
 		test ! -e $(SWEEP_SMOKE_CACHE)/refused || exit 1; \
 	done
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 2>&1 \
+		| tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 --jobs 2 \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --engine vector \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 
 FUZZ_SMOKE_CACHE ?= /tmp/repro_fuzz_smoke_cache

@@ -109,6 +109,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             server.shutdown()
     print(result.describe())
+    if (sharing := result.describe_sharing()) is not None:
+        print(sharing, file=sys.stderr)
     print(f"run artifacts: {run_dir.path} (inspect with `repro report`)")
     if sink is not None:
         count = result.write_merged_jsonl(sink)

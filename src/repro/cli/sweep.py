@@ -95,6 +95,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
     print(result.describe())
+    if (sharing := result.describe_sharing()) is not None:
+        print(sharing, file=sys.stderr)
     if leg.path is not None:
         print(f"run artifacts: {leg.path} (inspect with `repro report`)")
     if sink is not None:

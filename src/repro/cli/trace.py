@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from repro.cli.common import SCENARIOS, resolve_scenario
 from repro.obs import EventLog, MetricsRegistry, Profiler, set_profiler
@@ -21,17 +22,30 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # them byte-for-byte; --wall-ts rides along as a second, wall-clock
     # log and is exported instead.
     log = EventLog()
-    result = execute_request(
-        cell.request, observer=log if args.wall_ts else None
-    )
-    if not args.wall_ts:
-        log.events = list(result.events)
+    # Before the cell runs: a trace nobody can write is a usage error.
+    sink = nullcontext()
     if args.jsonl:
-        count = log.write_jsonl(args.jsonl)
-        print(f"wrote {count} events to {args.jsonl}")
-    else:
-        for line in log.jsonl_lines():
-            print(line)
+        try:
+            sink = open(args.jsonl, "w", encoding="utf-8")
+        except OSError as exc:
+            print(
+                f"error: cannot write trace to {args.jsonl}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
+    with sink as handle:
+        result = execute_request(
+            cell.request, observer=log if args.wall_ts else None
+        )
+        if not args.wall_ts:
+            log.events = list(result.events)
+        if handle is not None:
+            count = log.dump_jsonl(handle)
+            print(f"wrote {count} events to {args.jsonl}")
+        else:
+            for line in log.jsonl_lines():
+                print(line)
     kinds: dict[str, int] = {}
     for event in log:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1

@@ -250,6 +250,9 @@ def fuzz_stream_space(
     engines = tuple(engines)
     if not engines:
         raise ConfigurationError("fuzz_stream_space needs at least one engine")
+    if budget < 0:
+        # range() would read it as an empty stream, which passes every check.
+        raise ConfigurationError(f"fuzz budget must be >= 0, got {budget}")
     requests = tuple(
         generate_case(
             index,

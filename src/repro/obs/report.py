@@ -201,12 +201,17 @@ def summarize_sweep(
     # no second listing of the store.
     completed_now = set(keys)
 
+    coverage = coverage_over_cells(planned, completed_now, engines_by_key)
+    # How many runs stood behind the cells as this leg saw them: equal
+    # cells it executed are one, a cell it found stored counts itself.
+    coverage["distinct"] = getattr(sweep_result, "distinct", len(requests))
+
     summary: dict[str, Any] = {
         "schema": RUN_SCHEMA,
         "run_id": run.run_id,
         "kind": run.kind,
         "space": sweep_result.space_name,
-        "coverage": coverage_over_cells(planned, completed_now, engines_by_key),
+        "coverage": coverage,
         "resume": {
             "completed_before": len(completed_before),
             "executed": sweep_result.executed,
@@ -441,6 +446,16 @@ def summary_problems(summary: Any) -> list[str]:
             )
         if fraction is not None and not (0.0 <= float(fraction) <= 1.0):
             problems.append(f"coverage.fraction {fraction} outside [0, 1]")
+        distinct = coverage.get("distinct")
+        if distinct is not None and not (
+            isinstance(distinct, int)
+            and planned is not None
+            and 0 <= distinct <= planned
+        ):
+            problems.append(
+                f"coverage.distinct {distinct!r} is not a count within "
+                f"planned ({planned})"
+            )
 
     verdicts = require("slo_verdicts", list, summary)
     if verdicts is not None:
@@ -586,9 +601,15 @@ def render_report(
         return "\n".join(lines)
 
     coverage = summary.get("coverage", {})
+    distinct = coverage.get("distinct")
     lines.append(
         f"coverage: {coverage.get('completed')}/{coverage.get('planned')} "
         f"cells ({100 * float(coverage.get('fraction', 0)):.1f}%)"
+        + (
+            f", {distinct} distinct runs"
+            if distinct is not None and distinct != coverage.get("planned")
+            else ""
+        )
     )
     by_engine = coverage.get("by_engine") or {}
     if by_engine:

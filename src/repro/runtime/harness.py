@@ -41,6 +41,10 @@ class Harness(Protocol):
     """
 
     engine: str
+    #: Whether a run is a function of its request.  A sweep executes
+    #: equal cells of a deterministic harness once
+    #: (:func:`repro.runtime.sweep.execute_cells`); ``False`` opts out.
+    deterministic: bool
 
     def execute(
         self, request: ExecutionRequest, observer: Observer | None
@@ -61,6 +65,7 @@ class RoundHarness:
     """The RS/RWS round executor behind the uniform interface."""
 
     engine = "rounds"
+    deterministic = True
 
     def execute(
         self, request: ExecutionRequest, observer: Observer | None
@@ -121,6 +126,8 @@ class _EmulationHarness:
     engine name picks ``repro.emulation.emulate_<engine>``."""
 
     engine: str
+    #: The step schedulers draw from ``random.Random(request.seed)``.
+    deterministic = True
 
     def execute(
         self, request: ExecutionRequest, observer: Observer | None
@@ -171,6 +178,7 @@ class VectorHarness:
     """
 
     engine = "vector"
+    deterministic = True
 
     def execute(
         self, request: ExecutionRequest, observer: Observer | None
@@ -197,9 +205,12 @@ class LiveHarness:
     The run is wall-clock nondeterministic; its trace is serialized
     into logical order post-hoc and replayed into the observer, so the
     same oracle suite that checks the logical engines checks live runs.
+    Each run is a wall-clock sample, so equal cells are never folded
+    into one.
     """
 
     engine = "live"
+    deterministic = False
 
     def execute(
         self, request: ExecutionRequest, observer: Observer | None

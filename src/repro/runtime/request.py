@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
@@ -276,72 +276,11 @@ def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
         if key is not None or injected is not None:
             keys[index] = key if key is not None else request.cache_key()
             continue
-        # Identity-keyed on the adversary objects.  Sharing is a
-        # contract the space builders keep, not a fact of the type:
-        # repro.runtime.space hands equal scenarios to its cells as one
-        # instance, and only then does a shape repeat.  Distinct but
-        # equal instances merely rebuild (and re-verify) the fragments,
-        # which costs more than cache_key() per cell.  Keying on the
-        # value instead would be wrong, not just slow: FailurePattern
-        # is unhashable, and scenarios that differ in 1 vs True are
-        # equal but serialize differently.
-        shape = (
-            request.engine,
-            request.algorithm,
-            request.t,
-            request.model,
-            id(request.scenario),
-            id(request.pattern),
-            request.max_rounds,
-            request.params,
-        )
-        pieces = fragments.get(shape, _MISSING)
-        if pieces is _MISSING:
-            # json.dumps(sort_keys=True) fixes the request-dict key
-            # order, so the canonical string factors into static
-            # fragments around the five per-cell fields.
-            pieces = (
-                '{"request": {"algorithm": '
-                + _dumps(request.algorithm)
-                + ', "check_consensus": ',
-                ', "engine": '
-                + _dumps(request.engine)
-                + ', "expect_disagreement": ',
-                ', "max_rounds": '
-                + _dumps(request.max_rounds)
-                + ', "model": '
-                + _dumps(request.model)
-                + ', "name": ',
-                ', "params": '
-                + _dumps([list(pair) for pair in request.params])
-                + ', "pattern": '
-                + _dumps(
-                    pattern_to_dict(request.pattern)
-                    if request.pattern is not None
-                    else None
-                )
-                + ', "scenario": '
-                + _dumps(
-                    scenario_to_dict(request.scenario)
-                    if request.scenario is not None
-                    else None
-                )
-                + ', "seed": ',
-                ', "t": ' + _dumps(request.t) + ', "values": ',
-                '}, "v": ' + _dumps(CACHE_SCHEMA_VERSION) + "}",
-            )
-            if (
-                hashlib.sha256(
-                    _splice(pieces, request).encode("utf-8")
-                ).hexdigest()
-                != request.cache_key()
-            ):  # pragma: no cover - canonical-format drift guard
-                pieces = None
-            fragments[shape] = pieces
+        pieces = _shape_pieces(request, fragments)
         if pieces is None:
             keys[index] = request.cache_key()
         else:
-            canonical = _splice(pieces, request)
+            canonical = _splice(pieces, _dumps(request.name), request)
             keys[index] = hashlib.sha256(
                 canonical.encode("utf-8")
             ).hexdigest()
@@ -351,8 +290,115 @@ def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
     return keys
 
 
-def _splice(pieces: tuple[str, ...], request: "ExecutionRequest") -> str:
-    """Interleave a shape's static fragments with one cell's fields."""
+def work_keys(requests: Iterable["ExecutionRequest"]) -> Iterator[str]:
+    """What each request asks an engine to *do*: its identity but for
+    ``name``.
+
+    Two requests with equal work keys are the same run under two
+    labels — a deterministic engine produces the same trace, metrics
+    and decisions for both, and the oracle the same verdict — so a
+    sweep executes one of them (:func:`repro.runtime.sweep.execute_cells`).
+    The key is the canonical form :meth:`ExecutionRequest.cache_key`
+    hashes with the name left blank, spliced from the fragments
+    :func:`batch_cache_keys` builds, and therefore in the cache key's
+    JSON dialect, never Python equality: ``(0.0,)`` and ``(-0.0,)``,
+    ``1`` and ``True`` compare equal and are different runs on the
+    wire.  Equal scenarios held as distinct instances serialize alike
+    and do share a key.
+
+    A shape whose fragments fail verification against ``cache_key()``
+    (an active bug injection changes the payload layout) yields the
+    cache key itself, which no other cell of a space has: the cell
+    runs alone.  Lazy on purpose — a key is ~600 bytes and a caller
+    grouping a saturated stream keeps one per distinct run, not one
+    per request; nothing is memoized on the request.
+    """
+    fragments: dict[tuple, tuple[str, ...] | None] = {}
+    for request in requests:
+        pieces = _shape_pieces(request, fragments)
+        if pieces is None:
+            yield request.cache_key()
+        else:
+            yield _splice(pieces, "", request)
+
+
+def _shape_pieces(
+    request: "ExecutionRequest",
+    fragments: dict[tuple, tuple[str, ...] | None],
+) -> tuple[str, ...] | None:
+    """The static fragments of ``request``'s canonical form around its
+    five per-cell fields, built once per shape in ``fragments``;
+    ``None`` when they do not reproduce ``request.cache_key()``."""
+    # Identity-keyed on the adversary objects.  Sharing is a
+    # contract the space builders keep, not a fact of the type:
+    # repro.runtime.space hands equal scenarios to its cells as one
+    # instance, and only then does a shape repeat.  Distinct but
+    # equal instances merely rebuild (and re-verify) the fragments,
+    # which costs more than cache_key() per cell.  Keying on the
+    # value instead would be wrong, not just slow: FailurePattern
+    # is unhashable, and scenarios that differ in 1 vs True are
+    # equal but serialize differently.
+    shape = (
+        request.engine,
+        request.algorithm,
+        request.t,
+        request.model,
+        id(request.scenario),
+        id(request.pattern),
+        request.max_rounds,
+        request.params,
+    )
+    pieces = fragments.get(shape, _MISSING)
+    if pieces is _MISSING:
+        # json.dumps(sort_keys=True) fixes the request-dict key
+        # order, so the canonical string factors into static
+        # fragments around the five per-cell fields.
+        pieces = (
+            '{"request": {"algorithm": '
+            + _dumps(request.algorithm)
+            + ', "check_consensus": ',
+            ', "engine": '
+            + _dumps(request.engine)
+            + ', "expect_disagreement": ',
+            ', "max_rounds": '
+            + _dumps(request.max_rounds)
+            + ', "model": '
+            + _dumps(request.model)
+            + ', "name": ',
+            ', "params": '
+            + _dumps([list(pair) for pair in request.params])
+            + ', "pattern": '
+            + _dumps(
+                pattern_to_dict(request.pattern)
+                if request.pattern is not None
+                else None
+            )
+            + ', "scenario": '
+            + _dumps(
+                scenario_to_dict(request.scenario)
+                if request.scenario is not None
+                else None
+            )
+            + ', "seed": ',
+            ', "t": ' + _dumps(request.t) + ', "values": ',
+            '}, "v": ' + _dumps(CACHE_SCHEMA_VERSION) + "}",
+        )
+        if (
+            hashlib.sha256(
+                _splice(pieces, _dumps(request.name), request).encode("utf-8")
+            ).hexdigest()
+            != request.cache_key()
+        ):  # canonical-format drift guard; always taken under injection
+            pieces = None
+        fragments[shape] = pieces
+    return pieces
+
+
+def _splice(
+    pieces: tuple[str, ...], name: str, request: "ExecutionRequest"
+) -> str:
+    """Interleave a shape's static fragments with one cell's fields;
+    ``name`` is the name's fragment (empty for a work key)."""
     return "".join(
         (
             pieces[0],
@@ -360,7 +406,7 @@ def _splice(pieces: tuple[str, ...], request: "ExecutionRequest") -> str:
             pieces[1],
             _scalar_fragment(request.expect_disagreement),
             pieces[2],
-            _dumps(request.name),
+            name,
             pieces[3],
             _scalar_fragment(request.seed),
             pieces[4],

@@ -26,16 +26,18 @@ cells documented to disagree.
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
 from repro.errors import ConfigurationError
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
-from repro.runtime.harness import execute_batch, execute_request
-from repro.runtime.request import batch_cache_keys
+from repro.runtime.harness import execute_batch, execute_request, harness_for
+from repro.runtime.request import batch_cache_keys, work_keys
 
 if TYPE_CHECKING:
     from repro.obs.check import CheckReport
@@ -114,6 +116,102 @@ def _execute_chunk(requests: list[ExecutionRequest]) -> list[ExecutionResult]:
             "spans": spans if position == 0 else {},
         }
     return batch
+
+
+def _serve(
+    result: ExecutionResult, cells: Sequence[ExecutionRequest]
+) -> list[ExecutionResult]:
+    """One run's result, once per cell the run served.
+
+    ``result`` answers ``cells[0]``; every further cell gets it under
+    its own ``name`` and ``request_key``, *sharing* the trace object,
+    ``metrics`` and ``decisions`` (read-only from here on — identity of
+    the trace is what lets the oracle and the merged-trace writer work
+    once per run) and owning its ``extra``.  The run's wall is split
+    evenly over the cells, as a vector chunk's is over its batch, and
+    its span snapshot stays with the first.
+    """
+    profile = result.extra["profile"]
+    profile["duration_s"] /= len(cells)
+    served = [result]
+    for request in cells[1:]:
+        extra = {
+            key: deepcopy(value)
+            for key, value in result.extra.items()
+            if key != "profile"
+        }
+        extra["profile"] = {"duration_s": profile["duration_s"], "spans": {}}
+        served.append(
+            replace(
+                result,
+                name=request.name,
+                request_key=request.cache_key(),
+                extra=extra,
+            )
+        )
+    return served
+
+
+def execute_cells(
+    requests: Sequence[ExecutionRequest],
+    *,
+    jobs: int = 1,
+    on_arrival: Callable[[list[int], list[ExecutionResult]], None],
+) -> int:
+    """Execute ``requests`` — equal cells as one run — and return how
+    many runs that took.
+
+    Cells whose requests agree in everything but ``name``
+    (:func:`~repro.runtime.request.work_keys`) are one run of a
+    deterministic engine: the first of each group is executed and
+    :func:`_serve` hands its result to the rest.  A harness whose runs
+    are not a function of the request (``deterministic = False``: the
+    live cluster's are wall-clock samples) has every cell run on its
+    own.  The runs fan out as chunks: vector-engine runs coalesce into
+    batch chunks (split across the workers) so the columnar kernel
+    amortizes plans and trace templates; everything else is a singleton
+    chunk.  ``on_arrival(positions, results)`` is called in the parent,
+    once per finished chunk, with every cell the chunk served:
+    ascending positions into ``requests`` and their results.
+    """
+    groups: dict[str | int, list[int]] = {}
+    for position, key in enumerate(work_keys(requests)):
+        if not harness_for(requests[position].engine).deterministic:
+            key = position
+        groups.setdefault(key, []).append(position)
+    chunks: list[list[list[int]]] = []
+    vector_groups: list[list[int]] = []
+    for group in groups.values():
+        if requests[group[0]].engine == "vector":
+            vector_groups.append(group)
+        else:
+            chunks.append([group])
+    if vector_groups:
+        size = -(-len(vector_groups) // max(1, jobs))
+        chunks.extend(
+            vector_groups[start : start + size]
+            for start in range(0, len(vector_groups), size)
+        )
+    chunk_iter = iter(chunks)
+
+    def _arrived(batch: list[ExecutionResult]) -> None:
+        served: dict[int, ExecutionResult] = {}
+        for group, result in zip(next(chunk_iter), batch):
+            served.update(
+                zip(group, _serve(result, [requests[at] for at in group]))
+            )
+        positions = sorted(served)
+        on_arrival(positions, [served[at] for at in positions])
+
+    work = [[requests[group[0]] for group in chunk] for chunk in chunks]
+    if jobs > 1:
+        from repro.runtime.pool import parallel_map
+
+        parallel_map(_execute_chunk, work, jobs=jobs, on_result=_arrived)
+    else:
+        for batch in work:
+            _arrived(_execute_chunk(batch))
+    return len(groups)
 
 
 def check_model_for(request: ExecutionRequest) -> str | None:
@@ -226,6 +324,10 @@ class SweepResult:
     results: list[ExecutionResult]
     executed: int
     cached: int
+    #: Runs behind the cells: one per group of executed cells that were
+    #: the same request but for ``name``, one per cell served from a
+    #: store (equality is only established for cells that had to run).
+    distinct: int
     metrics: MetricsRegistry
     checks: list[CellCheck] | None = None
     #: The backing cache's lifetime telemetry (hits/misses/stores/
@@ -242,9 +344,19 @@ class SweepResult:
         executed: int,
         check: bool,
         cache: ResultCache | None,
+        distinct: int | None = None,
     ) -> "SweepResult":
         """Build the result of a finished sweep from its space-ordered
-        cells — the one aggregate phase, whoever executed them."""
+        cells — the one aggregate phase, whoever executed them.
+
+        Every cell gets its :class:`CellCheck`, but the oracle runs once
+        per *trace object*: results share their ``events`` only as the
+        cells of one run (:func:`execute_cells`), whose requests agree
+        in everything the verdict reads, so the later ones take the
+        first one's verdict under their own name.  Results loaded from a
+        store are separate objects and are judged cell by cell.
+        ``distinct`` defaults to one run per cell.
+        """
         # Fold metrics in space order so the result is schedule-independent.
         registry = MetricsRegistry()
         for result in results:
@@ -257,16 +369,23 @@ class SweepResult:
         checks = None
         if check:
             with profiled("runtime.sweep.check"):
-                checks = [
-                    check_cell(request, result)
-                    for request, result in zip(requests, results)
-                ]
+                checks = []
+                judged: dict[int, CellCheck] = {}
+                for request, result in zip(requests, results):
+                    verdict = judged.get(id(result.events))
+                    if verdict is None:
+                        verdict = check_cell(request, result)
+                        judged[id(result.events)] = verdict
+                    else:
+                        verdict = replace(verdict, name=request.name)
+                    checks.append(verdict)
         return cls(
             space_name=space_name,
             requests=requests,
             results=results,
             executed=executed,
             cached=len(results) - executed,
+            distinct=len(results) if distinct is None else distinct,
             metrics=registry,
             checks=checks,
             cache_stats=cache.stats.as_dict() if cache is not None else None,
@@ -305,18 +424,32 @@ class SweepResult:
         An event is serialized once around its timestamp
         (:meth:`~repro.obs.events.Event.json_parts`) and the global tick
         spliced in; a template's events are serialized once per
-        template.  What a template cell adds is its decide values, and
-        ``"value"`` is the one :class:`Event` key sorting after
-        ``"ts"``: a decide's line is the template's prefix, the tick,
-        and a suffix that depends on the value alone.
+        template, an inline trace once per list.  What a template cell
+        adds is its decide values, and ``"value"`` is the one
+        :class:`Event` key sorting after ``"ts"``: a decide's line is
+        the template's prefix, the tick, and a suffix that depends on
+        the value alone.
         """
         tick = 0
         stamp = float.__repr__
         suffixes: dict[tuple[type, Any], str] = {}
+        # Inline traces several cells share (one run, many names) are
+        # serialized once, like a template; the rest as they come, so a
+        # space of distinct runs retains nothing.
+        sharers = Counter(
+            id(result.events)
+            for result in self.results
+            if result.template is None
+        )
+        inline: dict[int, list[tuple[str, str]]] = {}
         for result in self.results:
             template = result.template
             if template is None:
-                parts = [event.json_parts() for event in result.events]
+                parts = inline.get(id(result.events))
+                if parts is None:
+                    parts = [event.json_parts() for event in result.events]
+                    if sharers[id(result.events)] > 1:
+                        inline[id(result.events)] = parts
             else:
                 parts = template.remember(
                     "json_parts",
@@ -405,6 +538,21 @@ class SweepResult:
             )
             lines.extend(check.describe() for check in failed)
         return "\n".join(lines)
+
+    def describe_sharing(self) -> str | None:
+        """How many runs stood behind the cells, for a user who asked
+        for 2000 and saw 109; ``None`` when every cell was its own run.
+
+        Its own line, which the CLI prints on stderr beside the
+        heartbeat: :meth:`describe` is a sweep's stdout, and stdout is
+        the whole measured artifact of a sweep without a run directory.
+        """
+        if self.distinct >= self.total:
+            return None
+        return (
+            f"space '{self.space_name}': {self.total} scenarios "
+            f"({self.distinct} distinct); equal cells shared a run"
+        )
 
 
 def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
@@ -497,48 +645,28 @@ class SweepRunner:
             else:
                 misses = list(range(len(requests)))
 
-            # Execute phase: fan the misses out as chunks.  Vector-engine
-            # cells coalesce into batch chunks (split across the workers)
-            # so the columnar kernel amortizes plans and trace templates;
-            # everything else stays a singleton chunk on the classic
-            # per-cell path.  Each chunk's results are cached (and
-            # reported) the moment they arrive, so a campaign killed
-            # mid-sweep keeps every completed cell — that is what makes
-            # run directories resumable.
-            chunks: list[list[int]] = []
-            vector_misses: list[int] = []
-            for index in misses:
-                if requests[index].engine == "vector":
-                    vector_misses.append(index)
-                else:
-                    chunks.append([index])
-            if vector_misses:
-                size = -(-len(vector_misses) // max(1, self.jobs))
-                chunks.extend(
-                    vector_misses[start : start + size]
-                    for start in range(0, len(vector_misses), size)
-                )
-            chunk_iter = iter(chunks)
-
-            def _arrived(batch: list[ExecutionResult]) -> None:
-                for index, result in zip(next(chunk_iter), batch):
+            # Execute phase: the misses, equal cells as one run.  Each
+            # chunk's cells are cached (and reported) the moment they
+            # arrive, so a campaign killed mid-sweep keeps every
+            # completed cell — that is what makes run directories
+            # resumable.
+            def _arrived(
+                positions: list[int], batch: list[ExecutionResult]
+            ) -> None:
+                for position, result in zip(positions, batch):
+                    index = misses[position]
                     results[index] = result
                     if self.cache is not None:
                         self.cache.put(requests[index], result)
                     if self.on_cell is not None:
                         self.on_cell(requests[index], result)
 
-            work = [[requests[index] for index in chunk] for chunk in chunks]
             with profiled("runtime.sweep.execute"):
-                if self.jobs > 1:
-                    from repro.runtime.pool import parallel_map
-
-                    parallel_map(
-                        _execute_chunk, work, jobs=self.jobs, on_result=_arrived
-                    )
-                else:
-                    for batch in work:
-                        _arrived(_execute_chunk(batch))
+                runs = execute_cells(
+                    [requests[index] for index in misses],
+                    jobs=self.jobs,
+                    on_arrival=_arrived,
+                )
 
         final: list[ExecutionResult] = [r for r in results if r is not None]
         assert len(final) == len(requests)
@@ -547,6 +675,7 @@ class SweepRunner:
             requests,
             final,
             executed=len(misses),
+            distinct=len(requests) - len(misses) + runs,
             check=self.check,
             cache=self.cache,
         )

@@ -92,6 +92,11 @@ class Coordinator:
         clock: Callable[[], float] = time.monotonic,
         on_cell: Callable[[str, bool], None] | None = None,
     ) -> None:
+        # Before the leg opens: a refused campaign leaves no directory.
+        if shard_size < 1:
+            raise ConfigurationError(
+                f"shard size must be >= 1, got {shard_size}"
+            )
         self.space = space
         self.requests: list[ExecutionRequest] = list(space.requests)
         self.keys: list[str] = batch_cache_keys(self.requests)

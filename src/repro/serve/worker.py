@@ -8,10 +8,10 @@ current lease; the coordinator re-queues the shard when the lease
 expires and another worker re-executes it, which the content-addressed
 merge dedupes exactly.
 
-Execution reuses the sweep path's worker entry point
-(:func:`repro.runtime.sweep._execute_chunk`), so ``--engine vector``
-cells batch through the columnar kernel and everything else takes the
-classic per-cell path — the produced events and metrics are
+Execution is the sweep path's own
+(:func:`repro.runtime.sweep.execute_cells`): equal cells of a shard are
+one run, ``--engine vector`` cells batch through the columnar kernel,
+everything else runs on its own — the produced events and metrics are
 byte-identical to a single-process ``repro sweep`` either way.  (Cell
 profiles ride in ``extra`` and may differ across hosts; the
 determinism contract covers events and metrics, never extras.  The
@@ -26,9 +26,8 @@ import socket
 import time
 from typing import Any, Callable
 
-from repro.runtime.pool import parallel_map
 from repro.runtime.request import ExecutionRequest
-from repro.runtime.sweep import _execute_chunk
+from repro.runtime.sweep import execute_cells
 from repro.serve.api import (
     CoordinatorUnreachable,
     ServeAPIError,
@@ -50,52 +49,25 @@ def execute_shard(
 ) -> list[dict[str, Any]]:
     """Execute one shard grant; returns serialized results in cell order.
 
-    Mirrors the sweep runner's chunking: vector-engine cells coalesce
-    into ``jobs``-sized batch chunks for the columnar kernel, everything
-    else runs as singleton chunks.  ``throttle_s`` sleeps between
-    chunks — the fault-injection seam that makes "kill the worker
-    mid-shard" deterministic in tests and smoke runs.
+    ``throttle_s`` sleeps between chunks — the fault-injection seam
+    that makes "kill the worker mid-shard" deterministic in tests and
+    smoke runs.
     """
     requests = [
         ExecutionRequest.from_dict(cell["request"])
         for cell in grant.get("cells", [])
     ]
-    chunks: list[list[int]] = []
-    vector_indices = [
-        i for i, request in enumerate(requests) if request.engine == "vector"
-    ]
-    chunks.extend(
-        [i] for i, request in enumerate(requests)
-        if request.engine != "vector"
-    )
-    if vector_indices:
-        size = -(-len(vector_indices) // max(1, jobs))
-        chunks.extend(
-            vector_indices[start : start + size]
-            for start in range(0, len(vector_indices), size)
-        )
-
     results: list[dict[str, Any] | None] = [None] * len(requests)
-    chunk_iter = iter(chunks)
 
-    def _arrived(batch: list[Any]) -> None:
-        for index, result in zip(next(chunk_iter), batch):
-            results[index] = result.to_dict()
+    def _arrived(positions: list[int], batch: list[Any]) -> None:
+        for position, result in zip(positions, batch):
+            results[position] = result.to_dict()
             if on_cell is not None:
                 on_cell(result.name)
         if throttle_s > 0:
             time.sleep(throttle_s)
 
-    if jobs > 1:
-        parallel_map(
-            _execute_chunk,
-            [[requests[i] for i in chunk] for chunk in chunks],
-            jobs=jobs,
-            on_result=_arrived,
-        )
-    else:
-        for chunk in chunks:
-            _arrived(_execute_chunk([requests[i] for i in chunk]))
+    execute_cells(requests, jobs=jobs, on_arrival=_arrived)
     return [entry for entry in results if entry is not None]
 
 

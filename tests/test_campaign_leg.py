@@ -416,6 +416,25 @@ class TestRefusedBeforeAnythingRuns:
         assert "count must be >= 0, got -3" in line
 
 
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["serve", "fuzz", "--count", "-3"], "fuzz budget must be >= 0, got -3"),
+        (["serve", "random-rs", "--shard-size", "0"],
+         "shard size must be >= 1, got 0"),
+    ],
+    ids=("fuzz-count", "shard-size"),
+)
+def test_serve_refuses_a_campaign_it_cannot_plan(
+    argv, complaint, tmp_path, capsys
+):
+    root = tmp_path / "runs"
+    assert main(argv + ["--run-dir", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {complaint}"]
+    assert captured.out == "" and not root.exists()
+
+
 def test_count_zero_stays_a_legal_empty_space(capsys):
     assert main(["sweep", "random-rs", "--count", "0", "--check"]) == 0
     assert "0 scenarios" in capsys.readouterr().out

@@ -103,6 +103,22 @@ class TestTraceCommand:
         assert main(["trace", "a1-rws-disagreement", "--jsonl", str(out)]) == 0
         assert out.exists()
 
+    def test_unwritable_jsonl_is_refused_before_the_cell_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.cli import trace
+
+        monkeypatch.setattr(
+            trace, "execute_request", lambda *a, **k: pytest.fail("the cell ran")
+        )
+        path = tmp_path / "missing" / "x.jsonl"
+        assert main(["trace", "floodset-rws", "--jsonl", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write trace to {path}: No such file or directory"
+        ]
+
     def test_trace_unknown_scenario_exits_2(self, capsys):
         assert main(["trace", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
