@@ -86,6 +86,8 @@ sweep-smoke:
 	done
 	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 2>&1 \
 		| tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
+	REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src python -m repro sweep random-rs \
+		--count 300 --seed 7 2>&1 | tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --jobs 2 \

@@ -11,9 +11,9 @@ shard fabric (the ``mc:...`` spec strings below are how a coordinator
 rebuilds a checking space without shipping objects).
 
 Scenario instances are *interned* across cells: leaves that realize an
-equal adversary share one ``FailureScenario`` object, which is what
-lets :func:`~repro.runtime.request.batch_cache_keys` splice fragments
-and the vector engine group cells into one columnar plan.
+equal adversary share one ``FailureScenario`` object, so its fragment of
+the requests' canonical form is serialized once (the memo lives on the
+instance) and the vector engine groups the cells into one columnar plan.
 
 Frontiers also save/load as JSON (``save_frontier``/``load_frontier``)
 so fuzz campaigns can seed from deep reachable states

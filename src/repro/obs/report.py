@@ -93,17 +93,24 @@ def causal_cells(
 
     None of the kept facts depends on a decided value, so cells whose
     events cite a :class:`~repro.obs.template.TraceTemplate` are
-    analyzed once per template.
+    analyzed once per template, and cells sharing one inline trace
+    object (the twins of one run) once per object.
     """
     cells: list[dict[str, Any]] = []
     clocks: set[str] = set()
     anomaly_cells: list[str] = []
+    # id -> (trace, analysis); holding the trace keeps its id unique
+    # for the whole call.
+    inline: dict[int, tuple[Sequence[Any], tuple[dict[str, Any], str]]] = {}
     for name, events in named_events:
         if not events:
             continue
         template = getattr(events, "template", None)
         if template is None:
-            facts, clock = _causal_facts(events)
+            known = inline.get(id(events))
+            if known is None:
+                known = inline[id(events)] = (events, _causal_facts(events))
+            facts, clock = known[1]
         else:
             facts, clock = template.remember(
                 "causal", lambda: _causal_facts(template.events)

@@ -154,25 +154,6 @@ class FailureScenario:
             return event.applies_transition
         return False
 
-    def sends_reach(self, sender: int, recipient: int, round_index: int) -> bool:
-        """Whether a live ``sender``'s round-``round_index`` message to
-        ``recipient`` reaches the network (:meth:`CrashEvent.reaches`
-        when the sender crashes this round).  The caller guarantees the
-        sender is alive at the round's start.
-        """
-        crash = self.crash_of(sender)
-        return (
-            crash is None
-            or crash.round != round_index
-            or crash.reaches(recipient)
-        )
-
-    def withholds(self, sender: int, recipient: int, round_index: int) -> bool:
-        """Whether a sent message is withheld this round (RWS pending)."""
-        if not self.pending or sender == recipient:
-            return False
-        return PendingMessage(sender, recipient, round_index) in self.pending
-
     def initially_dead(self) -> frozenset[int]:
         return frozenset(
             event.pid

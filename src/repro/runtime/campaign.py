@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.runtime.request import batch_cache_keys
 
 if TYPE_CHECKING:
     from repro.obs.artifacts import RunDir, SLOConfig
@@ -84,7 +83,7 @@ class CampaignLeg:
             identity: Any = config
             cells = list(zip(keys, keys))
         else:
-            keys = batch_cache_keys(requests)
+            keys = [r.cache_key() for r in requests]
             identity = sorted(keys)
             cells = [(r.name, key) for r, key in zip(requests, keys)]
         try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
@@ -195,7 +195,9 @@ class ExecutionRequest:
         cache schema version — two requests with equal keys produce
         byte-identical results, and a semantic change to any engine
         must bump :data:`CACHE_SCHEMA_VERSION` to invalidate old
-        entries wholesale.
+        entries wholesale.  What is hashed is the request's one
+        canonical form (:func:`_canonical_form`) with its name filled
+        in; :meth:`work_key` is the same form without it.
 
         The hash is memoized on the (frozen) instance together with
         the bug injection it was computed under, so a changed
@@ -203,36 +205,50 @@ class ExecutionRequest:
         field, so ``dataclasses.replace`` copies start without it.
         """
         # A mutated engine (REPRO_INJECT_BUG) computes different results
-        # for the same request; keep its entries apart from the real
-        # code's so mutation-testing runs never poison the cache.
+        # for the same request; the canonical form names the injection,
+        # so mutation-testing runs never poison the real code's cache.
         injected = active_injection()
-        key = _memoized_key(self, injected)
-        if key is not None:
-            return key
-        payload = {"v": CACHE_SCHEMA_VERSION, "request": self.to_dict()}
-        if injected is not None:
-            payload["injected_bug"] = injected
-        canonical = json.dumps(payload, sort_keys=True, default=repr)
+        memo = self.__dict__.get("_key_memo")
+        if memo is not None and memo[0] == injected:
+            return memo[1]
+        canonical = _canonical_form(self, _fragment(self.name), injected)
         key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_key_memo", (injected, key))
         return key
 
+    def work_key(self) -> str:
+        """What this request asks an engine to *do*: the canonical form
+        :meth:`cache_key` hashes, with the name slot left empty
+        (``"name": ""``).
 
-def _memoized_key(request: "ExecutionRequest", injected: str | None) -> str | None:
-    """The key ``request`` remembers, if it was hashed under ``injected``."""
-    memo = request.__dict__.get("_key_memo")
-    return memo[1] if memo is not None and memo[0] == injected else None
+        Two requests with equal work keys are the same run under two
+        labels — a deterministic engine produces the same trace,
+        metrics and decisions for both, and the oracle the same verdict
+        — so a sweep executes one of them
+        (:func:`repro.runtime.sweep.execute_cells`).  Being the cache
+        key's string, it speaks JSON, never Python equality: ``(0.0,)``
+        and ``(-0.0,)``, ``1`` and ``True`` compare equal and are
+        different runs on the wire, while equal scenarios held as
+        distinct instances serialize alike and share a key.  An active
+        bug injection is part of the form, so a mutant's equal cells
+        share a run too, and never one of the real code's.  Not
+        memoized: a key is ~600 bytes, and a caller grouping a
+        saturated stream keeps one per distinct run, not one per
+        request.
+        """
+        return _canonical_form(self, '""', active_injection())
 
 
-def _dumps(value: Any) -> str:
-    """One fragment of the canonical form, same dialect as the whole."""
-    return json.dumps(value, sort_keys=True, default=repr)
+#: ``json.dumps(value, sort_keys=True, default=repr)`` without building
+#: an encoder per call: the dialect of the canonical form and of every
+#: fragment of it.
+_encode = json.JSONEncoder(sort_keys=True, default=repr).encode
 
 
-def _scalar_fragment(value: Any) -> str:
-    """``_dumps`` with the fixed-output scalars short-circuited — the
-    per-cell fields are almost always bools/ints/None, and skipping the
-    encoder for them is most of :func:`batch_cache_keys`'s win."""
+def _fragment(value: Any) -> str:
+    """``value``'s fragment of the canonical form.  The per-cell fields
+    are almost always bools, ints or ``None``, whose JSON is fixed, so
+    they skip the encoder."""
     if value is True:
         return "true"
     if value is False:
@@ -241,182 +257,81 @@ def _scalar_fragment(value: Any) -> str:
         return "null"
     if type(value) is int:
         return str(value)
-    return _dumps(value)
+    return _encode(value)
 
 
-def _values_fragment(values: Sequence[Any]) -> str:
+def _values_fragment(values: tuple[Any, ...]) -> str:
     if all(type(value) is int for value in values):
-        # json.dumps's default list separator is ", ".
+        # The encoder's list separator is ", ".
         return "[" + ", ".join(map(str, values)) + "]"
-    return _dumps(list(values))
+    return _encode(values)
 
 
-def batch_cache_keys(requests: Sequence["ExecutionRequest"]) -> list[str]:
-    """:meth:`ExecutionRequest.cache_key` for many requests at once.
+def _scenario_fragment(scenario: FailureScenario) -> str:
+    """The scenario's fragment, memoized on the instance.
 
-    Identical output to calling ``cache_key()`` per request, but the
-    canonical JSON's *shared* fragments — dominated by the scenario —
-    are serialized once per distinct ``(engine, algorithm, t, model,
-    scenario, pattern, max_rounds, params)`` shape and only the
-    per-cell fields (name, values, seed, consensus flags) are dumped
-    and spliced per request.  The splice of each shape's first request
-    is verified byte-for-byte against the full computation; any
-    mismatch (or an active bug injection, whose marker changes the
-    payload layout) falls back to the reference path for that shape.
-    A thousand-cell batch over one adversary hashes the adversary once
-    instead of a thousand times, which is what keeps the columnar
-    engine's per-cell overhead flat.  Each key is left memoized on its
-    request, and requests that already carry one are not hashed again.
+    Correct however builders share instances — a scenario is frozen
+    and every field is a tuple or a frozenset of frozen events — so
+    sharing only decides how often it is serialized: once per instance.
     """
-    keys: list[str] = [""] * len(requests)
-    fragments: dict[tuple, tuple[str, ...] | None] = {}
-    injected = active_injection()
-    for index, request in enumerate(requests):
-        key = _memoized_key(request, injected)
-        if key is not None or injected is not None:
-            keys[index] = key if key is not None else request.cache_key()
-            continue
-        pieces = _shape_pieces(request, fragments)
-        if pieces is None:
-            keys[index] = request.cache_key()
-        else:
-            canonical = _splice(pieces, _dumps(request.name), request)
-            keys[index] = hashlib.sha256(
-                canonical.encode("utf-8")
-            ).hexdigest()
-            # Seed the per-request memo: every later cache_key() on
-            # this instance is a lookup, not a second hash.
-            object.__setattr__(request, "_key_memo", (None, keys[index]))
-    return keys
+    fragment = scenario.__dict__.get("_canonical_json")
+    if fragment is None:
+        fragment = _encode(scenario_to_dict(scenario))
+        object.__setattr__(scenario, "_canonical_json", fragment)
+    return fragment
 
 
-def work_keys(requests: Iterable["ExecutionRequest"]) -> Iterator[str]:
-    """What each request asks an engine to *do*: its identity but for
-    ``name``.
-
-    Two requests with equal work keys are the same run under two
-    labels — a deterministic engine produces the same trace, metrics
-    and decisions for both, and the oracle the same verdict — so a
-    sweep executes one of them (:func:`repro.runtime.sweep.execute_cells`).
-    The key is the canonical form :meth:`ExecutionRequest.cache_key`
-    hashes with the name left blank, spliced from the fragments
-    :func:`batch_cache_keys` builds, and therefore in the cache key's
-    JSON dialect, never Python equality: ``(0.0,)`` and ``(-0.0,)``,
-    ``1`` and ``True`` compare equal and are different runs on the
-    wire.  Equal scenarios held as distinct instances serialize alike
-    and do share a key.
-
-    A shape whose fragments fail verification against ``cache_key()``
-    (an active bug injection changes the payload layout) yields the
-    cache key itself, which no other cell of a space has: the cell
-    runs alone.  Lazy on purpose — a key is ~600 bytes and a caller
-    grouping a saturated stream keeps one per distinct run, not one
-    per request; nothing is memoized on the request.
-    """
-    fragments: dict[tuple, tuple[str, ...] | None] = {}
-    for request in requests:
-        pieces = _shape_pieces(request, fragments)
-        if pieces is None:
-            yield request.cache_key()
-        else:
-            yield _splice(pieces, "", request)
-
-
-def _shape_pieces(
-    request: "ExecutionRequest",
-    fragments: dict[tuple, tuple[str, ...] | None],
-) -> tuple[str, ...] | None:
-    """The static fragments of ``request``'s canonical form around its
-    five per-cell fields, built once per shape in ``fragments``;
-    ``None`` when they do not reproduce ``request.cache_key()``."""
-    # Identity-keyed on the adversary objects.  Sharing is a
-    # contract the space builders keep, not a fact of the type:
-    # repro.runtime.space hands equal scenarios to its cells as one
-    # instance, and only then does a shape repeat.  Distinct but
-    # equal instances merely rebuild (and re-verify) the fragments,
-    # which costs more than cache_key() per cell.  Keying on the
-    # value instead would be wrong, not just slow: FailurePattern
-    # is unhashable, and scenarios that differ in 1 vs True are
-    # equal but serialize differently.
-    shape = (
-        request.engine,
-        request.algorithm,
-        request.t,
-        request.model,
-        id(request.scenario),
-        id(request.pattern),
-        request.max_rounds,
-        request.params,
-    )
-    pieces = fragments.get(shape, _MISSING)
-    if pieces is _MISSING:
-        # json.dumps(sort_keys=True) fixes the request-dict key
-        # order, so the canonical string factors into static
-        # fragments around the five per-cell fields.
-        pieces = (
-            '{"request": {"algorithm": '
-            + _dumps(request.algorithm)
-            + ', "check_consensus": ',
-            ', "engine": '
-            + _dumps(request.engine)
-            + ', "expect_disagreement": ',
-            ', "max_rounds": '
-            + _dumps(request.max_rounds)
-            + ', "model": '
-            + _dumps(request.model)
-            + ', "name": ',
-            ', "params": '
-            + _dumps([list(pair) for pair in request.params])
-            + ', "pattern": '
-            + _dumps(
-                pattern_to_dict(request.pattern)
-                if request.pattern is not None
-                else None
-            )
-            + ', "scenario": '
-            + _dumps(
-                scenario_to_dict(request.scenario)
-                if request.scenario is not None
-                else None
-            )
-            + ', "seed": ',
-            ', "t": ' + _dumps(request.t) + ', "values": ',
-            '}, "v": ' + _dumps(CACHE_SCHEMA_VERSION) + "}",
-        )
-        if (
-            hashlib.sha256(
-                _splice(pieces, _dumps(request.name), request).encode("utf-8")
-            ).hexdigest()
-            != request.cache_key()
-        ):  # canonical-format drift guard; always taken under injection
-            pieces = None
-        fragments[shape] = pieces
-    return pieces
-
-
-def _splice(
-    pieces: tuple[str, ...], name: str, request: "ExecutionRequest"
+def _canonical_form(
+    request: ExecutionRequest, name: str, injected: str | None
 ) -> str:
-    """Interleave a shape's static fragments with one cell's fields;
-    ``name`` is the name's fragment (empty for a work key)."""
+    """The one definition of a request's canonical JSON, with ``name``
+    (already a JSON fragment) in the name slot.
+
+    Byte for byte ``json.dumps({"v": CACHE_SCHEMA_VERSION, "request":
+    request.to_dict()}, sort_keys=True, default=repr)``, plus an
+    ``"injected_bug"`` entry under an active injection.  ``sort_keys``
+    fixes where every key goes, so the string is the fixed keys
+    interleaved with one fragment per field (tuples encode as the
+    lists ``to_dict`` spells).  A :class:`FailurePattern` is encoded
+    per request: its ``crash_times`` is a plain dict.
+    """
+    scenario, pattern = request.scenario, request.pattern
     return "".join(
         (
-            pieces[0],
-            _scalar_fragment(request.check_consensus),
-            pieces[1],
-            _scalar_fragment(request.expect_disagreement),
-            pieces[2],
+            "{"
+            if injected is None
+            else '{"injected_bug": ' + _encode(injected) + ", ",
+            '"request": {"algorithm": ',
+            _fragment(request.algorithm),
+            ', "check_consensus": ',
+            _fragment(request.check_consensus),
+            ', "engine": ',
+            _fragment(request.engine),
+            ', "expect_disagreement": ',
+            _fragment(request.expect_disagreement),
+            ', "max_rounds": ',
+            _fragment(request.max_rounds),
+            ', "model": ',
+            _fragment(request.model),
+            ', "name": ',
             name,
-            pieces[3],
-            _scalar_fragment(request.seed),
-            pieces[4],
+            ', "params": ',
+            _encode(request.params) if request.params else "[]",
+            ', "pattern": ',
+            "null" if pattern is None else _encode(pattern_to_dict(pattern)),
+            ', "scenario": ',
+            "null" if scenario is None else _scenario_fragment(scenario),
+            ', "seed": ',
+            _fragment(request.seed),
+            ', "t": ',
+            _fragment(request.t),
+            ', "values": ',
             _values_fragment(request.values),
-            pieces[5],
+            '}, "v": ',
+            _fragment(CACHE_SCHEMA_VERSION),
+            "}",
         )
     )
-
-
-_MISSING = object()
 
 
 @dataclass

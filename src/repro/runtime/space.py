@@ -20,11 +20,13 @@ three ways:
 **One adversary, one object.**  Every builder in this module hands
 equal scenarios (:class:`~repro.rounds.scenario.FailureScenario`) to
 its cells as a single instance (a dict local to the builder call,
-never a module table).  The result path keys on that identity —
-:func:`~repro.runtime.request.batch_cache_keys` serializes a scenario
-once per object — so a space that breaks the rule stays correct and
-merely pays per cell again; ``tests/test_identity_contract.py`` counts
-it for every registered space.
+never a module table).  That is a speed property only: a request's
+canonical form memoizes the scenario's fragment on the instance
+(:meth:`~repro.runtime.request.ExecutionRequest.cache_key`), so a
+shared scenario is serialized once and a space that breaks the rule
+stays correct and merely serializes per cell;
+``tests/test_identity_contract.py`` counts it for every registered
+space.
 
 Registered spaces (:func:`space_by_name`):
 

@@ -37,7 +37,6 @@ from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
 from repro.runtime.harness import execute_batch, execute_request, harness_for
-from repro.runtime.request import batch_cache_keys, work_keys
 
 if TYPE_CHECKING:
     from repro.obs.check import CheckReport
@@ -162,7 +161,7 @@ def execute_cells(
     many runs that took.
 
     Cells whose requests agree in everything but ``name``
-    (:func:`~repro.runtime.request.work_keys`) are one run of a
+    (:meth:`~repro.runtime.request.ExecutionRequest.work_key`) are one run of a
     deterministic engine: the first of each group is executed and
     :func:`_serve` hands its result to the rest.  A harness whose runs
     are not a function of the request (``deterministic = False``: the
@@ -175,9 +174,12 @@ def execute_cells(
     ascending positions into ``requests`` and their results.
     """
     groups: dict[str | int, list[int]] = {}
-    for position, key in enumerate(work_keys(requests)):
-        if not harness_for(requests[position].engine).deterministic:
-            key = position
+    for position, request in enumerate(requests):
+        key = (
+            request.work_key()
+            if harness_for(request.engine).deterministic
+            else position
+        )
         groups.setdefault(key, []).append(position)
     chunks: list[list[list[int]]] = []
     vector_groups: list[list[int]] = []
@@ -625,11 +627,6 @@ class SweepRunner:
         results: list[ExecutionResult | None] = [None] * len(requests)
 
         with profiled("runtime.sweep"):
-            # Key the space as a whole: equal adversaries are hashed
-            # once, and every later cache_key() — the cache's, a
-            # worker's, execute_request's — is a lookup on the request.
-            batch_cache_keys(requests)
-
             # Cache phase: resolve hits in the parent so workers only
             # ever see genuine work.
             misses: list[int] = []

@@ -37,11 +37,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignLeg
-from repro.runtime.request import (
-    ExecutionRequest,
-    ExecutionResult,
-    batch_cache_keys,
-)
+from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult
 from repro.serve.shards import (
@@ -99,7 +95,7 @@ class Coordinator:
             )
         self.space = space
         self.requests: list[ExecutionRequest] = list(space.requests)
-        self.keys: list[str] = batch_cache_keys(self.requests)
+        self.keys: list[str] = [r.cache_key() for r in self.requests]
         if len(set(self.keys)) != len(self.keys):
             raise ConfigurationError(
                 f"space {space.name!r} has colliding request cache keys; "

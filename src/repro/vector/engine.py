@@ -37,11 +37,7 @@ from repro.obs.events import Observer
 from repro.obs.profile import profiled
 from repro.obs.template import TraceTemplate
 from repro.runtime.harness import HARNESSES
-from repro.runtime.request import (
-    ExecutionRequest,
-    ExecutionResult,
-    batch_cache_keys,
-)
+from repro.runtime.request import ExecutionRequest, ExecutionResult
 from repro.vector.kernels import DECIDE_MIN, PLAN_KERNELS
 from repro.vector.plan import GroupPlan, build_plan
 
@@ -259,7 +255,6 @@ def execute_vector_batch(
         results: list[ExecutionResult | None] = [None] * len(requests)
         groups: dict[int, tuple[GroupPlan, list[int], list[Any]]] = {}
         templates: dict[str, TraceTemplate] = {}
-        keys = batch_cache_keys(requests)
         for index, request in enumerate(requests):
             admitted = admit(request)
             if isinstance(admitted, str):
@@ -279,7 +274,7 @@ def execute_vector_batch(
             for index, decide_values in zip(members, decided):
                 results[index] = ExecutionResult(
                     name=requests[index].name,
-                    request_key=keys[index],
+                    request_key=requests[index].cache_key(),
                     events=template.fill(decide_values),
                     metrics=template.copy_metrics(),
                     decisions=plan.decisions(decide_values),

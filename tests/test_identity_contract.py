@@ -1,12 +1,13 @@
 """Equal adversaries are one object — enforced by count, not by clock.
 
-The result path keys on identity in two places: ``batch_cache_keys``
-shares a shape's serialized fragments by ``id(request.scenario)``, and
-every per-template analysis (the oracle's value-free checkers, the
-causal summary, the merged-trace parts) is memoized on the
-``TraceTemplate`` *instance*.  Neither is correct only when objects are
-shared — both just get slow — so nothing fails loudly when a builder
-stops sharing.  These tests count the work instead.
+The result path memoizes on instances in two places: a request's
+canonical form keeps the scenario's serialized fragment on the
+``FailureScenario`` instance, and every per-template analysis (the
+oracle's value-free checkers, the causal summary, the merged-trace
+parts) is memoized on the ``TraceTemplate`` *instance*.  Neither is
+correct only when objects are shared — both just get slow — so nothing
+fails loudly when a builder stops sharing.  These tests count the work
+instead.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from repro.obs.artifacts import RunDir
 from repro.obs.report import summarize_sweep, summary_problems
 from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime import request as request_module
-from repro.runtime.request import batch_cache_keys
 from repro.runtime.space import vectorized_space
 from repro.vector.engine import execute_vector_batch
+from tests.reference_keys import reference_cache_key
 
 #: The ledger's campaign space: 2000 cells, 109 adversaries, 73 traces.
 LEDGER_CELLS, LEDGER_ADVERSARIES, LEDGER_TEMPLATES = 2000, 109, 73
@@ -66,13 +67,13 @@ class TestBatchKeysSerializeOncePerAdversary:
 
         requests = _ledger_space().requests
         monkeypatch.setattr(request_module, "scenario_to_dict", counting)
-        keys = batch_cache_keys(requests)
-        # Per shape: once for the shared fragment, once inside the
-        # cache_key() the first splice is verified against.
-        assert 0 < len(calls) <= 2 * LEDGER_ADVERSARIES
+        keys = [request.cache_key() for request in requests]
+        work = {request.work_key() for request in requests}
+        # Once per scenario instance, whatever asks for the form.
+        assert 0 < len(calls) <= LEDGER_ADVERSARIES
+        assert len(work) == LEDGER_ADVERSARIES
         monkeypatch.undo()
-        # replace() copies carry no key memo: the reference, per cell.
-        assert keys == [replace(request).cache_key() for request in requests]
+        assert keys == [reference_cache_key(request) for request in requests]
 
     def test_unshared_equal_scenarios_key_the_same(self):
         requests = _ledger_space().requests
@@ -81,7 +82,9 @@ class TestBatchKeysSerializeOncePerAdversary:
             for request in requests[:50]
         ]
         assert len({id(r.scenario) for r in unshared}) == 50
-        assert batch_cache_keys(unshared) == batch_cache_keys(requests[:50])
+        assert [r.cache_key() for r in unshared] == [
+            r.cache_key() for r in requests[:50]
+        ]
 
 
 class TestTemplatesAreInternedPerCallAndPerDigest:
@@ -119,13 +122,21 @@ class TestTemplatesAreInternedPerCallAndPerDigest:
             return original(events, **kwargs)
 
         monkeypatch.setattr(critical, "causal_summary", counting)
-        space = _ledger_space()
-        run = RunDir.open(
-            tmp_path / "runs", kind="sweep", name=space.name,
-            identity=sorted(batch_cache_keys(space.requests)),
-        )
-        sweep = SweepRunner().run(space)
-        assert sweep.executed == LEDGER_CELLS
-        summary = summarize_sweep(run, sweep, completed_before=set())
-        assert summary_problems(summary) == []
-        assert len(calls) == LEDGER_TEMPLATES
+        # Vector cells cite one template per distinct trace; rounds
+        # cells of one run share one inline trace object.
+        rounds = space_by_name("random-rs", count=LEDGER_CELLS, seed=7)
+        for space, analyses in (
+            (_ledger_space(), LEDGER_TEMPLATES),
+            (rounds, LEDGER_ADVERSARIES),
+        ):
+            calls.clear()
+            run = RunDir.open(
+                tmp_path / "runs", kind="sweep", name=space.name,
+                identity=sorted(r.cache_key() for r in space.requests),
+            )
+            sweep = SweepRunner().run(space)
+            assert sweep.executed == LEDGER_CELLS
+            summary = summarize_sweep(run, sweep, completed_before=set())
+            assert summary_problems(summary) == []
+            assert len(summary["causal"]["cells"]) == LEDGER_CELLS
+            assert len(calls) == analyses

@@ -174,11 +174,10 @@ class TestParentPins:
         assert capture(name, tmp_path) == PINS[name]
 
     def test_oracle_sweep_cells_keep_their_keys_and_order(self):
-        from repro.runtime.request import batch_cache_keys
         from repro.runtime.space import NAMED_CELLS, oracle_sweep_space
 
         space = oracle_sweep_space()
-        keys = "\n".join(batch_cache_keys(space.requests))
+        keys = "\n".join(request.cache_key() for request in space.requests)
         assert hashlib.sha256(keys.encode()).hexdigest() == ORACLE_SWEEP_KEYS
         names = [request.name for request in space.requests]
         assert "broadcast-split" not in names

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -239,15 +240,17 @@ def test_latency_never_below_one(seed, n):
     assert latency is None or latency >= 1
 
 
-# -- batch cache-key invariants -------------------------------------------------
+# -- cache-key invariants -------------------------------------------------------
 #
 # The campaign fabric (repro serve) shards work on these keys and dedupes
 # merged submissions by them, so two invariants are load-bearing: the
-# fragment-spliced batch encoder must equal the per-request reference
-# encoder exactly, and keys must be injective over canonical content.
+# fragment-built canonical form must equal the whole-document reference
+# encoder (tests/reference_keys.py) exactly, and keys must be injective
+# over canonical content.
 
 
 def _request_strategy():
+    from repro.failures import FailurePattern
     from repro.runtime import ExecutionRequest
 
     value = st.one_of(
@@ -256,10 +259,41 @@ def _request_strategy():
         st.floats(allow_nan=False, allow_infinity=False, width=32),
         st.text(max_size=8),
     )
+    name = st.one_of(
+        st.text(min_size=1, max_size=12),
+        st.sampled_from(['", "name": ', 'x", "name": "y', '"}, "v": 3}']),
+    )
+    params = st.lists(
+        st.tuples(
+            st.sampled_from(["delivery_prob", "phi", "run_all_rounds"]),
+            st.one_of(st.floats(allow_nan=False, width=32), st.booleans()),
+        ),
+        max_size=2,
+        unique_by=lambda pair: pair[0],
+    ).map(tuple)
 
     @st.composite
     def build(draw):
         n = draw(st.integers(min_value=2, max_value=5))
+        values = tuple(draw(value) for _ in range(n))
+        common = dict(
+            name=draw(name),
+            algorithm=draw(st.sampled_from(["floodset", "floodset-ws"])),
+            values=values,
+            t=1,
+            max_rounds=draw(st.integers(min_value=1, max_value=6)),
+            seed=draw(st.one_of(st.none(), st.integers(0, 2**62))),
+            params=draw(params),
+            expect_disagreement=draw(st.booleans()),
+            check_consensus=draw(st.booleans()),
+        )
+        if draw(st.booleans()):
+            crash = draw(st.integers(min_value=0, max_value=20))
+            return ExecutionRequest(
+                engine=draw(st.sampled_from(["rs_on_ss", "rws_on_sp"])),
+                pattern=FailurePattern.with_crashes(n, {n - 1: crash}),
+                **common,
+            )
         scenario = random_scenario(
             n,
             1,
@@ -268,17 +302,10 @@ def _request_strategy():
             rng=random.Random(draw(st.integers(0, 10**6))),
         )
         return ExecutionRequest(
-            name=draw(st.text(min_size=1, max_size=12)),
             engine=draw(st.sampled_from(["rounds", "vector"])),
-            algorithm=draw(st.sampled_from(["floodset", "floodset-ws"])),
-            values=tuple(draw(value) for _ in range(n)),
-            t=1,
             model=draw(st.sampled_from(["RS", "RWS"])),
             scenario=scenario,
-            max_rounds=draw(st.integers(min_value=1, max_value=6)),
-            seed=draw(st.one_of(st.none(), st.integers(0, 2**62))),
-            expect_disagreement=draw(st.booleans()),
-            check_consensus=draw(st.booleans()),
+            **common,
         )
 
     return build()
@@ -287,13 +314,20 @@ def _request_strategy():
 @settings(max_examples=60, deadline=None)
 @given(requests=st.lists(_request_strategy(), min_size=1, max_size=8))
 def test_batch_cache_keys_equal_reference_encoder(requests):
-    """The fragment-spliced batch encoder is exactly the per-cell
-    ``cache_key()`` reference, for arbitrary value domains and knobs."""
-    from repro.runtime.request import batch_cache_keys
+    """Every request's ``cache_key()`` and ``work_key()`` are exactly
+    the whole-document reference encoder's, for arbitrary value domains,
+    names and knobs — and stay so when the scenario fragment is served
+    from its memo on the instance."""
+    from tests.reference_keys import reference_cache_key, reference_work_key
 
-    assert batch_cache_keys(requests) == [
-        request.cache_key() for request in requests
-    ]
+    for _ in range(2):
+        assert [request.cache_key() for request in requests] == [
+            reference_cache_key(request) for request in requests
+        ]
+        assert [request.work_key() for request in requests] == [
+            reference_work_key(request) for request in requests
+        ]
+        requests = [replace(request) for request in requests]
 
 
 def _cross_type_equal_cells():
@@ -330,9 +364,7 @@ def test_batch_cache_keys_injective_over_canonical_content(requests):
     tuples in Python and *two* cells (the engines can tell them apart),
     so they must — and do — get two keys.
     """
-    from repro.runtime.request import batch_cache_keys
-
-    keys = batch_cache_keys(requests)
+    keys = [request.cache_key() for request in requests]
     canonical = [
         json.dumps(request.to_dict(), sort_keys=True, default=repr)
         for request in requests

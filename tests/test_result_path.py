@@ -33,10 +33,10 @@ from repro.runtime import (
     run_space,
     space_by_name,
 )
-from repro.runtime.request import batch_cache_keys
 from repro.runtime.space import ScenarioSpace, vectorized_space
 from repro.runtime.sweep import open_merged_sink
 from repro.workloads import failure_free
+from tests.reference_keys import reference_cache_key
 
 #: Every registered space whose round cells the vector engine can take.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
@@ -168,7 +168,7 @@ class TestMergedTraceParity:
         space = _space("random-rs", count=2000, seed=seed)
         run = RunDir.open(
             tmp_path / "runs", kind="sweep", name=space.name,
-            identity=sorted(batch_cache_keys(space.requests)),
+            identity=sorted(r.cache_key() for r in space.requests),
         )
         assert run.run_id == run_id
         path = tmp_path / "merged.jsonl"
@@ -419,9 +419,9 @@ class TestKeyMemo:
                 "--engine", "vector", "--run-dir", str(tmp_path / "runs")]
         assert main(argv) == 0
         assert "executed 40, cached 0" in capsys.readouterr().out
-        # Only the per-shape splice verification serializes a request.
-        assert 0 < sum(calls.values()) <= 40
-        assert max(calls.values()) == 1
+        # Keys are built from per-field fragments: nothing on the path
+        # serializes a whole request.
+        assert not calls
 
     def test_memo_follows_the_active_injection(self, monkeypatch):
         request = space_by_name("random-rs", count=1, seed=1).requests[0]
@@ -435,9 +435,13 @@ class TestKeyMemo:
 
     def test_batch_keys_seed_the_memo_and_replace_drops_it(self):
         requests = list(space_by_name("random-rs", count=5, seed=2).requests)
-        keys = batch_cache_keys(requests)
+        keys = [request.cache_key() for request in requests]
         assert all("_key_memo" in vars(request) for request in requests)
-        assert keys == [request.cache_key() for request in requests]
+        assert keys == [reference_cache_key(request) for request in requests]
+        # A work key is built on demand and leaves no memo behind.
+        memos = [dict(vars(request)) for request in requests]
+        assert {request.work_key() for request in requests}
+        assert memos == [vars(request) for request in requests]
         copy = replace(requests[0], engine="vector")
         assert "_key_memo" not in vars(copy)
         assert copy.cache_key() != keys[0]
@@ -460,7 +464,7 @@ class TestPackedStore:
         space = _space("random-rs", count=count, seed=11)
         run = RunDir.open(
             tmp_path / "runs", kind="sweep", name=space.name,
-            identity=sorted(batch_cache_keys(space.requests)),
+            identity=sorted(r.cache_key() for r in space.requests),
         )
         sweep = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
         (shard,) = _shards(run.results_dir)
@@ -597,7 +601,7 @@ class TestPackedStore:
         listed = list(store.results())
         assert [r.request_key for r in listed] == sorted(store.completed_keys())
         assert run.completed_keys() == store.completed_keys() == set(
-            batch_cache_keys(space.requests)
+            r.cache_key() for r in space.requests
         )
         assert {r.name for r in listed} == {r.name for r in space.requests}
 

@@ -87,50 +87,6 @@ class TestScenarioQueries:
         )
         assert "pend(r1:0->1)" in s.describe()
 
-    def test_sends_reach_crash_mid_broadcast(self):
-        s = scenario(
-            crashes=[CrashEvent(pid=0, round=2, sent_to=frozenset({2}))]
-        )
-        assert all(s.sends_reach(0, q, 1) for q in range(3))  # not yet dying
-        assert [s.sends_reach(0, q, 2) for q in range(3)] == [False, False, True]
-        assert all(s.sends_reach(1, q, 2) for q in range(3))  # never crashes
-        completes = scenario(
-            crashes=[CrashEvent(0, 2, frozenset({1, 2}), applies_transition=True)]
-        )
-        assert completes.sends_reach(0, 0, 2)  # lives to read its self-send
-
-    def test_withholds_nothing_without_pending(self, monkeypatch):
-        """An RS scenario answers without building a PendingMessage —
-        not even for arguments one could not be built from."""
-        s = scenario(crashes=[CrashEvent(pid=0, round=1)])
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("withholds allocated a PendingMessage")
-
-        monkeypatch.setattr("repro.rounds.scenario.PendingMessage", forbidden)
-        assert not any(
-            s.withholds(p, q, r)
-            for p in range(3)
-            for q in range(3)
-            for r in (0, 1, 2)
-        )
-
-    def test_withholds_exactly_the_pending_set(self):
-        s = scenario(
-            n=4,
-            crashes=[CrashEvent(pid=0, round=2)],
-            pending=[PendingMessage(0, 1, 1), PendingMessage(0, 3, 1)],
-        )
-        withheld = {
-            (p, q, r)
-            for p in range(4)
-            for q in range(4)
-            for r in (1, 2)
-            if s.withholds(p, q, r)
-        }
-        assert withheld == {(0, 1, 1), (0, 3, 1)}
-        assert not s.withholds(0, 0, 1)  # a self-send is never pending
-
 
 class TestValidation:
     def check(self, s, *, t=1, allow_pending=True):

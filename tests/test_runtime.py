@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.failures import FailurePattern
-from repro.runtime.request import batch_cache_keys
 from repro.runtime import (
     ExecutionRequest,
     ExecutionResult,
@@ -34,6 +33,11 @@ from repro.runtime import (
     space_by_name,
 )
 from repro.workloads import adversarial_split, failure_free
+from tests.reference_keys import (
+    reference_cache_key,
+    reference_form,
+    reference_work_key,
+)
 
 
 def _round_request(name="cell", **overrides):
@@ -307,23 +311,28 @@ def _square(x):
 
 
 # ---------------------------------------------------------------------------
-# batch_cache_keys: seeded-fallback property tests (Hypothesis twin in
-# tests/test_properties.py).  The campaign fabric shards on these keys,
-# so "spliced == reference" and injectivity are load-bearing.
+# Cache and work keys of a batch of requests: seeded-fallback property tests
+# (Hypothesis twin in tests/test_properties.py).  The campaign fabric
+# shards on these keys, so "fragment-built == reference encoder" and
+# injectivity are load-bearing.
 # ---------------------------------------------------------------------------
 
 
 class TestBatchCacheKeys:
     def _assert_batch_matches_reference(self, requests):
-        keys = batch_cache_keys(requests)
-        assert keys == [request.cache_key() for request in requests]
+        keys = [request.cache_key() for request in requests]
+        assert keys == [reference_cache_key(request) for request in requests]
+        assert [request.work_key() for request in requests] == [
+            reference_work_key(request) for request in requests
+        ]
         # Injective across distinct cells: equal keys imply equal
         # canonical request content.
         by_key = {}
         for request, key in zip(requests, keys):
             if key in by_key:
-                assert by_key[key].to_dict() == request.to_dict()
+                assert reference_form(by_key[key]) == reference_form(request)
             by_key[key] = request
+        return keys
 
     def test_seeded_stream_across_every_engine(self):
         from repro.fuzz.strategies import (
@@ -340,55 +349,87 @@ class TestBatchCacheKeys:
                 )
                 for index in range(24)
             ]
-            self._assert_batch_matches_reference(requests)
-            assert len(set(batch_cache_keys(requests))) == len(requests)
+            keys = self._assert_batch_matches_reference(requests)
+            assert len(set(keys)) == len(requests)
 
     def test_awkward_per_cell_fields_still_splice_exactly(self):
-        # The spliced fragments cover name/values/seed/flags — exercise
-        # the encoder edge cases in exactly those fields: non-int value
-        # types (bool twins of ints, floats, strings with JSON
-        # metacharacters), unicode names, huge seeds.
-        base = _round_request()
+        # Every field is a fragment of the canonical form — exercise the
+        # encoder edge cases in the per-cell ones: non-int value types
+        # (bool twins of ints, floats and negative zero, strings with
+        # JSON metacharacters), names that spell the form's own
+        # separators, unicode names, float params, huge seeds, and
+        # pattern-based emulation requests.
         requests = [
             _round_request(name='quote"s\\and\nnewlines'),
+            _round_request(name='", "name": '),
+            _round_request(name='x", "params": [], "name": "y'),
             _round_request(name="unicode-Λ-λ-名前"),
-            _round_request(values=(0, False, 1)),
+            _round_request(values=(0, 0, 0)),
+            _round_request(values=(0, False, 0)),
             _round_request(values=(True, 1, 0)),
+            _round_request(values=(0.0, 1, 0)),
+            _round_request(values=(-0.0, 1, 0)),
             _round_request(values=(0.5, 1, "x")),
             _round_request(values=("a", "b", "a")),
+            _round_request(params=(("run_all_rounds", True),)),
             _round_request(expect_disagreement=True, check_consensus=False),
-            base,
+            _round_request(),
+            _emulation_request(),
+            _emulation_request("rws_on_sp"),
+            replace(_emulation_request(), seed=2**62, name="big-seed"),
+            replace(_emulation_request(), params=(("phi", 0.1 + 0.2),)),
         ]
-        emulation = _emulation_request()
-        requests.append(emulation)
-        import dataclasses
+        keys = self._assert_batch_matches_reference(requests)
+        assert len(set(keys)) == len(requests)
+        # Equal in Python, two cells on the wire.
+        assert requests[4] == replace(requests[5], name=requests[4].name)
+        assert requests[7] == replace(requests[8], name=requests[7].name)
+        assert len({request.work_key() for request in requests[4:9]}) == 5
 
-        requests.append(
-            dataclasses.replace(emulation, seed=2**62, name="big-seed")
-        )
-        self._assert_batch_matches_reference(requests)
+    def test_shared_scenario_instances_share_fragments(self, monkeypatch):
+        from repro.runtime import request as request_module
 
-    def test_shared_scenario_instances_share_fragments(self):
+        dumps = []
+        original = request_module.scenario_to_dict
+
+        def counting(scenario):
+            dumps.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(request_module, "scenario_to_dict", counting)
         scenario = failure_free(3)
         requests = [
             _round_request(name=f"cell-{index}", scenario=scenario)
             for index in range(50)
         ]
-        keys = batch_cache_keys(requests)
-        assert keys == [request.cache_key() for request in requests]
-        assert len(set(keys)) == len(requests)
+        keys = [request.cache_key() for request in requests]
+        work = {request.work_key() for request in requests}
+        assert dumps == [scenario]
+        monkeypatch.undo()
+        assert keys == [reference_cache_key(request) for request in requests]
+        assert len(set(keys)) == len(requests) and len(work) == 1
+        # An equal scenario held as another instance serializes alike.
+        other = _round_request(name="cell-0", scenario=failure_free(3))
+        assert other.cache_key() == keys[0]
 
     def test_active_injection_falls_back_to_reference(self, monkeypatch):
+        """Under an injection the form carries its name: keys still equal
+        the reference encoder's and are disjoint from the clean ones, and
+        equal cells still share a work key."""
         from repro.inject import INJECT_ENV, KNOWN_INJECTIONS
 
         name = next(iter(KNOWN_INJECTIONS))
         requests = [_round_request(name=f"cell-{i}") for i in range(4)]
-        clean = batch_cache_keys(requests)
+        clean = [request.cache_key() for request in requests]
+        clean_work = requests[0].work_key()
         monkeypatch.setenv(INJECT_ENV, name)
-        injected = batch_cache_keys(requests)
-        assert injected == [request.cache_key() for request in requests]
+        injected = self._assert_batch_matches_reference(requests)
         # The injected marker must change every key (separate cache).
         assert set(clean).isdisjoint(injected)
+        assert len({request.work_key() for request in requests}) == 1
+        assert requests[0].work_key() != clean_work
+        monkeypatch.delenv(INJECT_ENV)
+        assert [request.cache_key() for request in requests] == clean
 
 
 # ---------------------------------------------------------------------------

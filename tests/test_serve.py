@@ -21,7 +21,6 @@ import threading
 
 import pytest
 
-from repro.runtime.request import batch_cache_keys
 from repro.runtime.space import ScenarioSpace, e10_lambda_space, oracle_sweep_space
 from repro.runtime.sweep import run_space
 from repro.obs.report import summary_problems
@@ -257,7 +256,7 @@ class TestCoordinator:
             space, run_root=str(tmp_path / "runs"), shard_size=4
         )
         grant = coordinator.claim("w1")
-        keys = batch_cache_keys(list(space.requests))
+        keys = [request.cache_key() for request in space.requests]
         good = execute_shard(grant)
         bad_payloads = [
             "not even a dict",
@@ -414,7 +413,7 @@ class TestHTTPFabric:
         assert len(list(quarantine.glob("q-*.json"))) == 2
         # Quarantine lives *next to* results/, never inside it.
         assert coordinator.run_dir.completed_keys() == set(
-            batch_cache_keys(list(space.requests))
+            request.cache_key() for request in space.requests
         )
 
     def test_status_and_summary_endpoints(self, tmp_path):
@@ -487,9 +486,9 @@ class TestAcceptanceSpaces:
         assert summary["resume"]["re_executed"] == 0
         # The stream itself is stable: same (budget, seed) → same keys.
         again = fuzz_stream_space(budget=6, seed=7)
-        assert batch_cache_keys(list(again.requests)) == batch_cache_keys(
-            list(space.requests)
-        )
+        assert [r.cache_key() for r in again.requests] == [
+            r.cache_key() for r in space.requests
+        ]
 
 
 class TestServeCLI:

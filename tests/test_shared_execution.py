@@ -33,9 +33,9 @@ from repro.runtime import (
 )
 from repro.runtime import sweep as sweep_module
 from repro.runtime.campaign import CampaignLeg
-from repro.runtime.request import work_keys
 from repro.runtime.space import named_cell, vectorized_space
 from repro.workloads import failure_free
+from tests.reference_keys import reference_work_key
 
 #: Every registered space but ``live-smoke``: live runs are wall-clock
 #: samples, never reproduced by a second execution.
@@ -47,15 +47,8 @@ def _space(name, engine="rounds", **kwargs):
     return vectorized_space(space) if engine == "vector" else space
 
 
-def _reference_work_key(request: ExecutionRequest) -> str:
-    """The cache key's canonical JSON, by the long route, name blanked."""
-    return json.dumps(
-        {**request.to_dict(), "name": None}, sort_keys=True, default=repr
-    )
-
-
 def _distinct(requests) -> int:
-    return len({_reference_work_key(request) for request in requests})
+    return len({reference_work_key(request) for request in requests})
 
 
 @pytest.fixture
@@ -111,7 +104,7 @@ class TestGroupedCellsEqualThePerCellLoop:
         for seed in (7, 23):
             space = _space("random-rs", count=2000, seed=seed)
             assert _distinct(space.requests) == 109
-            assert len(set(work_keys(space.requests))) == 109
+            assert len({r.work_key() for r in space.requests}) == 109
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +256,7 @@ class TestHostileTwins:
             replace(base, name="t", t=2),
             replace(base, name="params", params=(("run_all_rounds", True),)),
         ]
-        keys = list(work_keys([base, *variants, replace(base, name="twin")]))
+        keys = [r.work_key() for r in (base, *variants, replace(base, name="twin"))]
         assert len(set(keys)) == len(variants) + 1
         assert keys[0] == keys[-1]
 
@@ -282,13 +275,39 @@ class TestHostileTwins:
             request.cache_key() for request in space.requests
         ]
 
-    def test_an_injected_bug_runs_every_cell_alone(self, monkeypatch, counted):
+    def test_an_injected_bug_shares_equal_cells(self, monkeypatch, counted):
+        """A mutant is deterministic too: its equal cells are one run,
+        as many runs as the real code's, and never one of the real
+        code's (the injection is part of the canonical form)."""
         from repro.inject import INJECT_ENV
 
-        monkeypatch.setenv(INJECT_ENV, "ss-drop-received")
         space = _space("random-rs", count=40, seed=7)
-        sweep = run_space(space)
-        assert counted["execute_request"] == sweep.distinct == 40
+        clean = run_space(space)
+        clean_runs = counted["execute_request"]
+        clean_keys = {r.cache_key() for r in space.requests}
+        clean_work = {r.work_key() for r in space.requests}
+        assert clean_runs == clean.distinct < 40
+
+        monkeypatch.setenv(INJECT_ENV, "ss-drop-received")
+        counted.clear()
+        sweep = run_space(space, check=True)
+        assert counted["execute_request"] == sweep.distinct == clean_runs
+        assert counted["check_cell"] == clean_runs
+        assert sweep.distinct == _distinct(space.requests)
+        for request, result, verdict in zip(
+            space.requests, sweep.results, sweep.checks
+        ):
+            fresh = execute_request(request)
+            assert result.name == fresh.name == request.name
+            assert result.request_key == fresh.request_key
+            assert list(result.events) == list(fresh.events), request.name
+            assert (result.metrics, result.decisions) == (
+                fresh.metrics, fresh.decisions
+            )
+            assert verdict == check_cell(request, fresh), request.name
+        injected_keys = {r.cache_key() for r in space.requests}
+        assert injected_keys.isdisjoint(clean_keys)
+        assert {r.work_key() for r in space.requests}.isdisjoint(clean_work)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +438,7 @@ class TestSharingContract:
             live, replace(live, name="live-again"),
             rounds, replace(rounds, name="rounds-again"),
         ])
-        assert len(set(work_keys(space.requests[:2]))) == 1
+        assert len({r.work_key() for r in space.requests[:2]}) == 1
         sweep = run_space(space)
         assert ran == [live.name, "live-again", rounds.name]
         assert sweep.distinct == 3
