@@ -54,11 +54,13 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # executes every cell, the second must serve all of them from the
 # cache ("executed 0").  Then the usage errors a sweep, a coordinator
 # and a trace export must refuse before a cell runs (exit 2, one
-# `error:` line, no traceback, no run directory), the stderr line that
+# `error:` line, no traceback, no run directory) and an engine that
+# cannot finish a run under `mc` (same refusal), the stderr line that
 # tells a user how many runs stood behind their cells, and the
-# merged-trace writer's routes — template cells on the vector engine,
-# inline events on the rounds engine, representatives shipped to a
-# pool — compared byte for byte.
+# merged-trace writer's routes — the rounds engine's own templates,
+# the vector engine's shared ones, representatives shipped to a pool,
+# and a rounds-engine run directory cold and resumed — compared byte
+# for byte.
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
@@ -72,9 +74,10 @@ sweep-smoke:
 			"sweep random-rs --count 2 --jobs -3" \
 			"serve fuzz --count -3" \
 			"serve random-rs --shard-size 0" \
-			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl"; do \
+			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl" \
+			"mc agreement --algorithm a1 --n 3 --t 1 --model RWS --engine rws_on_sp"; do \
 		echo "repro $$refused  # must be refused"; \
-		case "$$refused" in trace*) run_dir= ;; \
+		case "$$refused" in trace*|mc*) run_dir= ;; \
 			*) run_dir="--run-dir $(SWEEP_SMOKE_CACHE)/refused" ;; esac; \
 		PYTHONPATH=src python -m repro $$refused $$run_dir \
 			2> $(SWEEP_SMOKE_CACHE)/stderr; \
@@ -94,8 +97,17 @@ sweep-smoke:
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --engine vector \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rws_runs --jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rws_runs --jsonl $(SWEEP_SMOKE_CACHE)/rws_warm.jsonl \
+		> $(SWEEP_SMOKE_CACHE)/rws_warm.out
+	cat $(SWEEP_SMOKE_CACHE)/rws_warm.out
+	grep -q "executed 0," $(SWEEP_SMOKE_CACHE)/rws_warm.out
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_warm.jsonl
 
 FUZZ_SMOKE_CACHE ?= /tmp/repro_fuzz_smoke_cache
 

@@ -28,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExecutionError
 
 #: CLI engine choices: schedule engines exhaust the frontier, grid
 #: engines sample crash timings (scope "grid").
@@ -123,7 +123,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             task,
             progress_stream=sys.stderr if args.run_dir is not None else None,
         )
-    except ConfigurationError as exc:
+    except (ConfigurationError, ExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.obs.artifacts import (
     RUN_KINDS,
@@ -33,6 +33,9 @@ from repro.obs.artifacts import (
     evaluate_slos,
 )
 from repro.stats import percentile
+
+if TYPE_CHECKING:
+    from repro.obs.template import TemplateEvents
 
 #: Span-aggregate fields that fold exactly across snapshots.
 _FOLDABLE = ("count", "total_s", "max_s")
@@ -80,7 +83,7 @@ def merge_span_snapshots(
 
 
 def causal_cells(
-    named_events: Iterable[tuple[str, Sequence[Any]]],
+    named_events: Iterable[tuple[str, TemplateEvents]],
 ) -> dict[str, Any] | None:
     """Fold per-cell causal analyses into one summary block.
 
@@ -91,30 +94,20 @@ def causal_cells(
     wall-comparable with live-replayed ones, so cross-cell timestamp
     comparisons would be meaningless.
 
-    None of the kept facts depends on a decided value, so cells whose
-    events cite a :class:`~repro.obs.template.TraceTemplate` are
-    analyzed once per template, and cells sharing one inline trace
-    object (the twins of one run) once per object.
+    None of the kept facts depends on a decided value, so each cell's
+    trace (a result's :class:`~repro.obs.template.TemplateEvents`) is
+    analyzed once per :class:`~repro.obs.template.TraceTemplate`.
     """
     cells: list[dict[str, Any]] = []
     clocks: set[str] = set()
     anomaly_cells: list[str] = []
-    # id -> (trace, analysis); holding the trace keeps its id unique
-    # for the whole call.
-    inline: dict[int, tuple[Sequence[Any], tuple[dict[str, Any], str]]] = {}
     for name, events in named_events:
         if not events:
             continue
-        template = getattr(events, "template", None)
-        if template is None:
-            known = inline.get(id(events))
-            if known is None:
-                known = inline[id(events)] = (events, _causal_facts(events))
-            facts, clock = known[1]
-        else:
-            facts, clock = template.remember(
-                "causal", lambda: _causal_facts(template.events)
-            )
+        template = events.template
+        facts, clock = template.remember(
+            "causal", lambda: _causal_facts(template.events)
+        )
         clocks.add(clock)
         if facts["anomalies"]:
             anomaly_cells.append(name)

@@ -1,16 +1,16 @@
-"""Trace templates: one shared trace per batch group, decide values as holes.
+"""Trace templates: a value-free trace shared by cells, decide values as holes.
 
 In the RS/RWS round models the message pattern of a run is fixed by
 the failure scenario alone; the inputs only choose which *values* get
-decided.  Every cell of a vector-engine group therefore has the same
-trace up to the ``value`` field of its ``decide`` events.  A
-:class:`TraceTemplate` is that shared trace, content-digested; a
+decided, so every trace splits into a value-free part and its decide
+values.  A :class:`TraceTemplate` is that part, content-digested; a
 :class:`TemplateEvents` is one cell's view of it — the template plus
 the cell's decide values — that behaves like the cell's event list but
-only builds it when somebody reads an event.
+only builds it when somebody reads an event.  :func:`factor` splits a
+recorded trace; a vector-engine batch group shares one template.
 
-The pair is what the result path carries from the engine to disk: the
-trace oracle, the causal summary, the merged-trace writer and the
+The pair is the one form every result carries from the engine to disk:
+the trace oracle, the causal summary, the merged-trace writer and the
 result store each do their value-free work once per template
 (:meth:`TraceTemplate.remember`) and touch only the holes per cell.
 """
@@ -26,21 +26,21 @@ from repro.obs.events import Event
 
 
 class TraceTemplate:
-    """The value-free part of every cell in one batch group.
+    """The value-free part of every cell that shares one trace.
 
     Attributes:
-        events: The group's trace with ``None`` in every decide value.
+        events: The trace with ``None`` in every decide value.
         positions: Indices of the ``decide`` events, in slot order.
-        metrics: The metrics-registry state of any cell of the group
-            (no metric depends on a decided value).
-        digest: Content hash of the three fields above; how stored
-            cells cite their template.
+        metrics: The metrics-registry state of any cell citing the
+            template (no metric depends on a decided value).
+        digest: Content hash of the three fields above, computed on
+            first read; how stored cells cite their template.
         memo: Per-template results of value-free analyses, keyed by
             the consumer (see :meth:`remember`).  Never serialized or
             pickled.
     """
 
-    __slots__ = ("events", "positions", "metrics", "digest", "memo")
+    __slots__ = ("events", "positions", "metrics", "_digest", "memo")
 
     def __init__(
         self,
@@ -52,10 +52,16 @@ class TraceTemplate:
         self.events = tuple(events)
         self.positions = tuple(positions)
         self.metrics = metrics
-        self.digest = digest or hashlib.sha256(
-            json.dumps(self.body(), sort_keys=True, default=repr).encode("utf-8")
-        ).hexdigest()
+        self._digest = digest
         self.memo: dict[Any, Any] = {}
+
+    @property
+    def digest(self) -> str:
+        # Lazy: a sweep without a result store never hashes a trace.
+        if self._digest is None:
+            body = json.dumps(self.body(), sort_keys=True, default=repr)
+            self._digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return self._digest
 
     def body(self) -> dict[str, Any]:
         """The JSON-ready content; inverse of :meth:`from_body`."""
@@ -79,7 +85,7 @@ class TraceTemplate:
         long-lived template (a cached group plan) hands it to results
         without the analyses of one batch outliving it."""
         return TraceTemplate(
-            self.events, self.positions, self.metrics, self.digest
+            self.events, self.positions, self.metrics, self._digest
         )
 
     def remember(self, key: Any, compute: Callable[[], Any]) -> Any:
@@ -103,16 +109,16 @@ class TraceTemplate:
     def copy_metrics(self) -> dict[str, Any]:
         """A per-cell copy of :attr:`metrics` (callers may mutate theirs)."""
         return {
-            "counters": dict(self.metrics["counters"]),
-            "gauges": dict(self.metrics["gauges"]),
-            "histograms": {
-                name: list(values)
-                for name, values in self.metrics["histograms"].items()
-            },
+            section: (
+                {name: list(values) for name, values in entries.items()}
+                if section == "histograms"
+                else dict(entries)
+            )
+            for section, entries in self.metrics.items()
         }
 
     def __reduce__(self):
-        return TraceTemplate, (self.events, self.positions, self.metrics, self.digest)
+        return TraceTemplate, (self.events, self.positions, self.metrics, self._digest)
 
 
 class TemplateEvents(Sequence):
@@ -166,6 +172,20 @@ class TemplateEvents(Sequence):
 
     def __reduce__(self):
         return TemplateEvents, (self.template, self.holes)
+
+
+def factor(events: Sequence[Event], metrics: Mapping[str, Any]) -> TemplateEvents:
+    """Split a plain trace into a template of its own and its holes:
+    every ``decide`` value becomes a hole (``None`` in the template);
+    everything else, each event's ``extra`` included, is the template's."""
+    shared = list(events)
+    positions = [
+        index for index, event in enumerate(shared) if event.kind == "decide"
+    ]
+    holes = tuple(shared[position].value for position in positions)
+    for position in positions:
+        shared[position] = _with_value(shared[position], None)
+    return TemplateEvents(TraceTemplate(shared, positions, metrics), holes)
 
 
 def _with_value(event: Event, value: Any) -> Event:

@@ -10,11 +10,11 @@ A shard holds two kinds of JSON lines, told apart by their first key:
 
 ``{"key": K, "name": ..., "template": D, "holes": [...], "decisions": ..., "latency": ..., "num_rounds": ..., "extra": ...}``
     One cell.  ``K`` is the request's
-    :meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  A cell
-    whose result cites a :class:`~repro.obs.template.TraceTemplate`
-    stores only the template's digest ``D`` and its decide values; a
-    cell without one carries ``"events"`` and ``"metrics"`` inline in
-    their place.
+    :meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  Every
+    result cites a :class:`~repro.obs.template.TraceTemplate`, so a
+    cell stores only its digest ``D`` and the cell's decide values.
+    An older writer's cell carrying ``"events"`` and ``"metrics"``
+    inline instead is still read (factored), never written.
 
 ``{"template": D, "events": [...], "positions": [...], "metrics": {...}}``
     One template, written to a shard once, before the first cell in it
@@ -165,6 +165,7 @@ class ResultCache:
             return None
         try:
             record = self._read(where)
+            # An older writer's inline cell brings its own events.
             result = ExecutionResult.from_dict(
                 {"request_key": record["key"], "events": (), **record}
             )
@@ -180,13 +181,10 @@ class ResultCache:
 
     def _template(self, digest: str) -> TraceTemplate:
         """The template ``digest`` names; ``KeyError`` when no shard has it."""
-        template = self._templates.get(digest)
-        if template is None:
+        if digest not in self._templates:
             body = self._read(self._template_records[digest])
-            template = self._templates[digest] = TraceTemplate.from_body(
-                body, digest
-            )
-        return template
+            self._templates[digest] = TraceTemplate.from_body(body, digest)
+        return self._templates[digest]
 
     # -- writing ------------------------------------------------------------
 
@@ -194,23 +192,22 @@ class ResultCache:
         """Append ``result`` under ``request``'s key and flush it."""
         key = request.cache_key()
         shard = self._writer()
-        record: dict = {"key": key, "name": result.name}
+        template = result.template
         #: (index the record belongs in, its id, its line), in write order.
         pending: list[tuple[dict[str, _Where] | None, str, bytes]] = []
-        template = result.template
-        if template is None:
-            record["events"] = [event.to_dict() for event in result.events]
-            record["metrics"] = result.metrics
-        else:
-            if template.digest not in self._shard_templates:
-                pending.append((
-                    self._template_records,
-                    template.digest,
-                    _line({"template": template.digest, **template.body()}),
-                ))
-            record["template"] = template.digest
-            record["holes"] = list(result.holes)
-        record.update(result.outcome_dict())
+        if template.digest not in self._shard_templates:
+            pending.append((
+                self._template_records,
+                template.digest,
+                _line({"template": template.digest, **template.body()}),
+            ))
+        record = {
+            "key": key,
+            "name": result.name,
+            "template": template.digest,
+            "holes": list(result.holes),
+            **result.outcome_dict(),
+        }
         pending.append((self._cells, key, _line(record)))
         try:
             shard.write(b"".join(line for _, _, line in pending))
@@ -224,9 +221,8 @@ class ResultCache:
             if table is not None:  # the cell index may not be built yet
                 table[name] = (self._shard_path, self._shard_size, len(line))
             self._shard_size += len(line)
-        if template is not None:
-            self._shard_templates.add(template.digest)
-            self._templates.setdefault(template.digest, template)
+        self._shard_templates.add(template.digest)
+        self._templates.setdefault(template.digest, template)
         self.stats.stores += 1
 
     def _writer(self) -> BinaryIO:

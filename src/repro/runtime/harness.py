@@ -271,7 +271,7 @@ def execute_request(
     return ExecutionResult(
         name=request.name,
         request_key=request.cache_key(),
-        events=list(log.events),
+        events=log.events,
         metrics=registry.state(),
         decisions=decisions,
         latency=latency,

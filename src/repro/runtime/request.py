@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
 from repro.inject import active_injection
 from repro.obs.events import Event
-from repro.obs.template import TraceTemplate
+from repro.obs.template import TemplateEvents, TraceTemplate, factor
 from repro.rounds.scenario import FailureScenario
 from repro.serialize import (
     pattern_from_dict,
@@ -343,13 +343,11 @@ class ExecutionResult:
         request_key: The producing request's :meth:`cache_key`.
         events: The structured trace, recorded under the deterministic
             logical clock (timestamps restart at 1.0 per cell, so the
-            trace is independent of which worker ran it).  A plain list
-            for most engines; vector-kernel cells (and store hits that
-            cite a template) hold a
-            :class:`~repro.obs.template.TemplateEvents` instead — the
-            group's shared :attr:`template` plus this cell's decide
-            values (:attr:`holes`) — which builds the list only when an
-            event is read.
+            trace is independent of which worker ran it).  Always a
+            :class:`~repro.obs.template.TemplateEvents` — a value-free
+            :attr:`template` plus this cell's decide values
+            (:attr:`holes`), built into a list only when an event is
+            read; a plain sequence is factored on construction.
         metrics: The raw :meth:`~repro.obs.MetricsRegistry.state` of
             the cell's metrics registry.
         decisions: ``pid -> (round, value)`` for deciding processes.
@@ -376,15 +374,19 @@ class ExecutionResult:
     extra: dict[str, Any] = field(default_factory=dict)
     cached: bool = False
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.events, TemplateEvents):
+            self.events = factor(self.events, self.metrics)
+
     @property
-    def template(self) -> TraceTemplate | None:
-        """The shared trace template, ``None`` for inline events."""
-        return getattr(self.events, "template", None)
+    def template(self) -> TraceTemplate:
+        """The value-free part of the trace (never ``None``)."""
+        return self.events.template
 
     @property
     def holes(self) -> tuple[Any, ...]:
-        """This cell's decide values (empty without a template)."""
-        return getattr(self.events, "holes", ())
+        """This cell's decide values, aligned with ``template.positions``."""
+        return self.events.holes
 
     def outcome_dict(self) -> dict[str, Any]:
         """The JSON-ready fields besides identity, trace and metrics."""
@@ -399,7 +401,7 @@ class ExecutionResult:
         }
 
     def to_dict(self) -> dict[str, Any]:
-        """The wire form: always inline events, whatever :attr:`template`."""
+        """The wire form: inline events, whatever :attr:`template`."""
         return {
             "name": self.name,
             "request_key": self.request_key,

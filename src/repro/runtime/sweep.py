@@ -26,7 +26,6 @@ cells documented to disagree.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from time import perf_counter
@@ -426,48 +425,31 @@ class SweepResult:
         An event is serialized once around its timestamp
         (:meth:`~repro.obs.events.Event.json_parts`) and the global tick
         spliced in; a template's events are serialized once per
-        template, an inline trace once per list.  What a template cell
-        adds is its decide values, and ``"value"`` is the one
-        :class:`Event` key sorting after ``"ts"``: a decide's line is
-        the template's prefix, the tick, and a suffix that depends on
-        the value alone.
+        template, so the cells of one run (which share it) and the
+        cells of one trace cost one serialization.  What a cell adds is
+        its decide values, and ``"value"`` is the one :class:`Event`
+        key sorting after ``"ts"``: a decide's line is the template's
+        prefix, the tick, and a suffix that depends on the value alone.
         """
         tick = 0
         stamp = float.__repr__
         suffixes: dict[tuple[type, Any], str] = {}
-        # Inline traces several cells share (one run, many names) are
-        # serialized once, like a template; the rest as they come, so a
-        # space of distinct runs retains nothing.
-        sharers = Counter(
-            id(result.events)
-            for result in self.results
-            if result.template is None
-        )
-        inline: dict[int, list[tuple[str, str]]] = {}
         for result in self.results:
             template = result.template
-            if template is None:
-                parts = inline.get(id(result.events))
-                if parts is None:
-                    parts = [event.json_parts() for event in result.events]
-                    if sharers[id(result.events)] > 1:
-                        inline[id(result.events)] = parts
-            else:
-                parts = template.remember(
-                    "json_parts",
-                    lambda: [event.json_parts() for event in template.events],
-                )
+            parts = template.remember(
+                "json_parts",
+                lambda: [event.json_parts() for event in template.events],
+            )
             lines = [
                 prefix + stamp(float(at)) + suffix
                 for at, (prefix, suffix) in enumerate(parts, tick + 1)
             ]
-            if template is not None:
-                for position, value in zip(template.positions, result.holes):
-                    lines[position] = (
-                        parts[position][0]
-                        + stamp(float(tick + position + 1))
-                        + _decide_suffix(value, suffixes)
-                    )
+            for position, value in zip(template.positions, result.holes):
+                lines[position] = (
+                    parts[position][0]
+                    + stamp(float(tick + position + 1))
+                    + _decide_suffix(value, suffixes)
+                )
             tick += len(lines)
             yield lines
 

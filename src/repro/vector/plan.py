@@ -37,7 +37,7 @@ from typing import Any, Collection, Sequence
 from repro.errors import ConfigurationError, ScenarioError
 from repro.obs.events import CompositeObserver, EventLog, Observer, logical_clock
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
-from repro.obs.template import TraceTemplate
+from repro.obs.template import TraceTemplate, factor
 from repro.rounds.executor import RoundModel, execute
 from repro.rounds.scenario import FailureScenario
 from repro.vector.kernels import plan_kernel_for
@@ -102,23 +102,15 @@ class GroupPlan:
 
     @cached_property
     def template(self) -> TraceTemplate:
-        """The group's shared trace template (events, decide positions,
-        metrics state): one replay with every decide value ``None``."""
+        """The group's shared trace template: one replay with every
+        decide value ``None``, factored like any recorded trace."""
         log = EventLog(clock=logical_clock())
         registry = MetricsRegistry()
         self.replay(
             CompositeObserver(log, MetricsObserver(registry)),
             [None] * len(self.decide_slots),
         )
-        return TraceTemplate(
-            log.events,
-            [
-                index
-                for index, event in enumerate(log.events)
-                if event.kind == "decide"
-            ],
-            registry.state(),
-        )
+        return factor(log.events, registry.state()).template
 
 
 class _PlanRecorder(Observer):

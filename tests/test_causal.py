@@ -133,7 +133,10 @@ class TestOracleSweep:
             for i, event in enumerate(result.events)
         ]
         summary = causal_cells(
-            [("logical-cell", result.events), ("wall-cell", walled)]
+            [
+                ("logical-cell", result.events),
+                ("wall-cell", dataclasses.replace(result, events=walled).events),
+            ]
         )
         assert sorted(summary["clocks"]) == ["logical", "wall"]
         assert "warning" in summary

@@ -123,7 +123,7 @@ class TestTemplatesAreInternedPerCallAndPerDigest:
 
         monkeypatch.setattr(critical, "causal_summary", counting)
         # Vector cells cite one template per distinct trace; rounds
-        # cells of one run share one inline trace object.
+        # cells of one run share the template their run factored.
         rounds = space_by_name("random-rs", count=LEDGER_CELLS, seed=7)
         for space, analyses in (
             (_ledger_space(), LEDGER_TEMPLATES),

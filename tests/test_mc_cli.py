@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli.main import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestMcCommand:
@@ -15,6 +21,23 @@ class TestMcCommand:
         out = capsys.readouterr().out
         for name in ("agreement", "lambda", "indistinguishability"):
             assert name in out
+
+    def test_an_engine_that_cannot_finish_is_one_error_line(self):
+        """The SP emulation sends no null messages, so A1's round 1
+        (only p0 sends) never completes: exit 2, not a traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mc", "agreement", "--algorithm",
+             "a1", "--n", "3", "--t", "1", "--model", "RWS",
+             "--engine", "rws_on_sp"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (line,) = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+        assert "did not finish" in line
 
     def test_a1_clamps_t_with_a_note(self, capsys):
         rc = main(

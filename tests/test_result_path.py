@@ -1,12 +1,13 @@
 """The template⊕holes result path, checked against the per-cell reference.
 
-A vector-kernel cell travels from the engine to disk as *(trace
-template, decide values)*; the oracle, the causal summary, the merged
-trace and the result store each do their value-free work once per
-template.  Everything here pins one of those shortcuts to the plain
-per-cell computation it replaced — on materialized events, byte for
-byte — or feeds the packed store the damage a killed writer, a foreign
-process or an old schema would leave behind.
+Every result travels from the engine to disk as *(trace template,
+decide values)*, whichever engine produced it; the oracle, the causal
+summary, the merged trace and the result store each do their
+value-free work once per template.  Everything here pins one of those
+shortcuts to the plain per-cell computation it replaced — on
+materialized events, byte for byte — or feeds the packed store the
+damage a killed writer, a foreign process or an old schema would leave
+behind.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,12 @@ from repro.inject import INJECT_ENV
 from repro.obs import artifacts
 from repro.obs.artifacts import RunDir
 from repro.obs.events import EVENT_KINDS, Event
-from repro.obs.report import causal_cells, summarize_sweep, summary_problems
+from repro.obs.report import (
+    _causal_facts,
+    causal_cells,
+    summarize_sweep,
+    summary_problems,
+)
 from repro.runtime import (
     ExecutionRequest,
     ResultCache,
@@ -105,16 +112,19 @@ class TestMergedTraceParity:
         served = SweepRunner(cache=store).run(space)
         assert (cold.executed, served.executed) == (len(space.requests), 0)
         kinds = Counter(
-            "template" if result.template is not None
-            else "fallback" if "vector_fallback" in result.extra
-            else request.engine
+            (request.engine, result.extra.get("vector_fallback"))
             for request, result in zip(cold.requests, cold.results)
         )
-        assert kinds["template"] >= 9 and kinds["fallback"] >= 2
-        assert kinds["rounds"] >= 1 and kinds["rs_on_ss"] == 1
-        # One adversary, one trace: the value cells differ in holes only.
+        fallbacks = sum(
+            count for (_, reason), count in kinds.items() if reason is not None
+        )
+        assert kinds["vector", None] >= 9 and fallbacks >= 2
+        assert kinds["rounds", None] >= 1 and kinds["rs_on_ss", None] == 1
+        # One adversary, one trace: the kernel's cells differ in holes only.
         assert len({
-            id(r.template) for r in cold.results if r.template is not None
+            id(result.template)
+            for request, result in zip(cold.requests, cold.results)
+            if request.engine == "vector" and "vector_fallback" not in result.extra
         }) == 2  # floodset's and a1's
         for tag, sweep in (("cold", cold), ("served", served)):
             path = tmp_path / f"{tag}.jsonl"
@@ -329,37 +339,61 @@ if HAVE_HYPOTHESIS:
 # ---------------------------------------------------------------------------
 
 
-def _assert_template_parity(name: str) -> int:
-    """Check ``name``'s vector sweep both ways; returns the template count."""
-    sweep = run_space(_space(name))
+def _reference_causal_block(named_plain):
+    """:func:`causal_cells`' block, folded from one plain causal
+    analysis per cell: no template, no memo."""
+    cells, anomaly_cells, clocks = [], [], set()
+    for name, events in named_plain:
+        if not events:
+            continue
+        facts, clock = _causal_facts(events)
+        clocks.add(clock)
+        if facts["anomalies"]:
+            anomaly_cells.append(name)
+        cells.append({"cell": name, **facts})
+    if not cells:
+        return None
+    return {"cells": cells, "anomaly_cells": anomaly_cells, "clocks": sorted(clocks)}
+
+
+def _assert_template_parity(name: str, engine: str = "vector") -> int:
+    """Check ``name``'s sweep on ``engine`` both ways; returns the
+    template count.
+
+    The reference side is the materialized event list, handed straight
+    to the oracle's plain path and to the causal analysis — never a
+    result, which would factor it again.
+    """
+    sweep = run_space(_space(name, engine))
     plain_events = []
     templates = set()
     for request, result in zip(sweep.requests, sweep.results):
-        plain = replace(result, events=list(result.events))
-        assert plain.template is None
-        plain_events.append((request.name, plain.events))
-        if result.template is not None:
-            templates.add(result.template.digest)
-        assert check_cell(request, result) == check_cell(request, plain), request.name
-        assert causal_cells([(request.name, result.events)]) == causal_cells(
-            [(request.name, plain.events)]
-        ), request.name
+        plain = list(result.events)
+        plain_events.append((request.name, plain))
+        templates.add(result.template.digest)
+        # check_cell reads nothing of a result but its events.
+        reference = check_cell(request, SimpleNamespace(events=plain))
+        assert check_cell(request, result) == reference, request.name
+        assert causal_cells(
+            [(request.name, result.events)]
+        ) == _reference_causal_block([(request.name, plain)]), request.name
     assert causal_cells(
         (request.name, result.events)
         for request, result in zip(sweep.requests, sweep.results)
-    ) == causal_cells(plain_events)
-    if name == "oracle-sweep":
+    ) == _reference_causal_block(plain_events)
+    if name == "oracle-sweep" and engine == "vector":
         assert any(
-            request.expect_disagreement and result.template is not None
+            request.expect_disagreement and "vector_fallback" not in result.extra
             for request, result in zip(sweep.requests, sweep.results)
-        ), "the documented-disagreement cells must ride a template too"
+        ), "the documented-disagreement cells must reach the kernel too"
     return len(templates)
 
 
 class TestPerTemplateAnalyses:
+    @pytest.mark.parametrize("engine", ("vector", "rounds"))
     @pytest.mark.parametrize("name", ROUND_SPACES)
-    def test_cell_checks_and_causal_block_match_per_cell(self, name):
-        assert _assert_template_parity(name) > 0
+    def test_cell_checks_and_causal_block_match_per_cell(self, name, engine):
+        assert _assert_template_parity(name, engine) > 0
 
     def test_parity_holds_under_a_planted_bug(self, monkeypatch):
         monkeypatch.setenv(INJECT_ENV, "ss-drop-received")
@@ -382,7 +416,6 @@ class TestPerTemplateAnalyses:
             for request, result in zip(sweep.requests, sweep.results)
         )
         templates = {id(result.template) for result in sweep.results}
-        assert None not in {result.template for result in sweep.results}
         assert len(block["cells"]) == 60
         assert len(calls) == len(templates) < 60
 
@@ -458,10 +491,10 @@ def _shards(directory):
 
 
 class TestPackedStore:
-    def _populated(self, tmp_path, count=5):
+    def _populated(self, tmp_path, count=5, engine="vector"):
         """A run dir holding one shard; returns (run, space, shard bytes,
         reference trace)."""
-        space = _space("random-rs", count=count, seed=11)
+        space = _space("random-rs", engine, count=count, seed=11)
         run = RunDir.open(
             tmp_path / "runs", kind="sweep", name=space.name,
             identity=sorted(r.cache_key() for r in space.requests),
@@ -482,8 +515,9 @@ class TestPackedStore:
         assert summary_problems(summary) == []
         return sweep, summary
 
-    def test_cells_cite_their_template_and_stay_small(self, tmp_path):
-        run, space, data, _ = self._populated(tmp_path, count=40)
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    def test_cells_cite_their_template_and_stay_small(self, tmp_path, engine):
+        run, space, data, _ = self._populated(tmp_path, count=40, engine=engine)
         records = [json.loads(line) for line in data.splitlines()]
         templates = [r for r in records if "key" not in r]
         cells = [r for r in records if "key" in r]
@@ -497,23 +531,55 @@ class TestPackedStore:
                 assert record["template"] in seen
             else:
                 seen.add(record["template"])
+        # Without ``extra``: its profile telemetry is a span snapshot per
+        # executed run on the rounds engine, one per batch on vector.
         sizes = sorted(
-            len(line) for line in data.splitlines() if line.startswith(b'{"key": ')
+            len(json.dumps({key: value for key, value in cell.items() if key != "extra"}))
+            for cell in cells
         )
-        assert sizes[len(sizes) // 2] < 500  # the run-wide mean is the ledger's
+        assert sizes[-1] < 400  # the run-wide mean is the ledger's
 
     def test_inline_events_round_trip_without_a_template(self, tmp_path):
+        """An older writer's cell carries its events and metrics inline:
+        it is still served, factored on the way in, and never rewritten."""
         space = _space("random-rs", "rounds", count=3, seed=11)
-        cold = SweepRunner(cache=str(tmp_path)).run(space)
-        (shard,) = _shards(tmp_path)
-        records = [json.loads(line) for line in shard.read_text().splitlines()]
-        assert all("events" in r and "template" not in r for r in records)
+        cold = run_space(space)
+        shard = tmp_path / "shard-0000000000000000-1-inline.jsonl"
+        shard.write_text("".join(
+            json.dumps({
+                "key": request.cache_key(),
+                "name": result.name,
+                "events": [event.to_dict() for event in result.events],
+                "metrics": result.metrics,
+                **result.outcome_dict(),
+            }, default=repr) + "\n"
+            for request, result in zip(space.requests, cold.results)
+        ), encoding="ascii")
         served = SweepRunner(cache=str(tmp_path)).run(space)
         assert served.executed == 0
-        assert all(result.template is None for result in served.results)
+        assert _shards(tmp_path) == [shard]
+        assert [r.template.digest for r in served.results] == [
+            r.template.digest for r in cold.results
+        ]
         assert [r.to_dict() for r in served.results] == [
             json.loads(json.dumps(r.to_dict(), default=repr)) for r in cold.results
         ]
+
+    def test_both_engines_store_the_same_templates(self, tmp_path):
+        digests = {}
+        for engine in ("rounds", "vector"):
+            store = tmp_path / engine
+            SweepRunner(cache=str(store)).run(
+                _space("random-rs", engine, count=300, seed=7)
+            )
+            digests[engine] = {
+                json.loads(line)["template"]
+                for shard in _shards(store)
+                for line in shard.read_bytes().splitlines()
+                if line.startswith(b'{"template": ')
+            }
+        assert digests["rounds"] == digests["vector"]
+        assert len(digests["rounds"]) > 1
 
     def test_truncation_inside_the_last_cell_record(self, tmp_path):
         run, space, data, reference = self._populated(tmp_path)
