@@ -44,9 +44,28 @@ trace-smoke:
 	PYTHONPATH=src python -m repro trace floodset-rws-violation --jsonl $(TRACE_SMOKE_OUT)
 	PYTHONPATH=src python scripts/check_trace.py $(TRACE_SMOKE_OUT)
 
+# The trace oracle on one RS and one RWS scenario, then three files
+# that are not traces (an unknown kind, mistyped fields, an empty file):
+# `check --jsonl` must refuse each with exit 2, one `error:` line and
+# no traceback.
+CHECK_SMOKE_DIR ?= /tmp/repro_check_smoke
+
 check-smoke:
 	PYTHONPATH=src python -m repro check fopt-fast
 	PYTHONPATH=src python -m repro check floodset-rws
+	rm -rf $(CHECK_SMOKE_DIR) && mkdir -p $(CHECK_SMOKE_DIR)
+	echo '{"kind":"teleport","ts":1.0}' > $(CHECK_SMOKE_DIR)/teleport.jsonl
+	echo '{"kind":"msg_sent","ts":"x","pid":"a"}' > $(CHECK_SMOKE_DIR)/bad-types.jsonl
+	: > $(CHECK_SMOKE_DIR)/empty.jsonl
+	@for bad in teleport bad-types empty; do \
+		echo "repro check --jsonl $$bad.jsonl  # must be refused"; \
+		PYTHONPATH=src python -m repro check --jsonl $(CHECK_SMOKE_DIR)/$$bad.jsonl \
+			2> $(CHECK_SMOKE_DIR)/stderr; \
+		code=$$?; cat $(CHECK_SMOKE_DIR)/stderr; \
+		test $$code -eq 2 || { echo "exit $$code, expected 2"; exit 1; }; \
+		test "$$(grep -c '^error: ' $(CHECK_SMOKE_DIR)/stderr)" = 1 || exit 1; \
+		! grep -q Traceback $(CHECK_SMOKE_DIR)/stderr || exit 1; \
+	done
 
 SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 

@@ -11,7 +11,7 @@ import random
 from repro.consensus import FloodSet
 from repro.failures import FailurePattern
 from repro.models import SSScheduler, SynchronousModel
-from repro.obs import CompositeObserver, EventLog, MetricsObserver
+from repro.obs import EventLog, metrics_of
 from repro.rounds import FailureScenario, RoundModel, all_scenarios, run_rs
 from repro.rounds.executor import execute
 from repro.simulation import RoundRobinScheduler, StepExecutor
@@ -66,11 +66,13 @@ def bench_single_round_run_observed(benchmark):
     scenario = FailureScenario.failure_free(3)
 
     def run_observed():
-        observer = CompositeObserver(EventLog(), MetricsObserver())
-        return run_rs(FloodSet(), [0, 1, 1], scenario, t=1, observer=observer)
+        log = EventLog()
+        run = run_rs(FloodSet(), [0, 1, 1], scenario, t=1, observer=log)
+        return run, metrics_of(log.events)
 
-    run = benchmark(run_observed)
+    run, metrics = benchmark(run_observed)
     assert run.latency() == 2
+    assert metrics["counters"]["rounds.started"] == 2
 
 
 def bench_step_executor_observed(benchmark):

@@ -162,15 +162,9 @@ def _cmd_causal(args: argparse.Namespace) -> int:
     return _print_trace_report(events, args)
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_causal = sub.add_parser(
-        "causal",
-        help=(
-            "happens-before analysis: critical paths, latency legs, "
-            "suspicion forensics"
-        ),
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_causal = parsers["causal"]
     p_causal.add_argument(
         "target",
         help="a JSONL trace file, or a run directory with results/",

@@ -211,11 +211,9 @@ def _diff_sdd(candidate: str) -> int:
     return 0 if all_indistinguishable else 1
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_check = sub.add_parser(
-        "check", help="run the trace oracle over a scenario or JSONL file"
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_check = parsers["check"]
     p_check.add_argument(
         "scenario",
         nargs="?",
@@ -245,10 +243,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p_check.set_defaults(func=_cmd_check)
 
-    p_replay = sub.add_parser(
-        "replay",
-        help="re-execute an exported trace and assert event equality",
-    )
+    p_replay = parsers["replay"]
     p_replay.add_argument(
         "scenario", nargs="?", help=f"one of {sorted(SCENARIOS)}"
     )
@@ -268,9 +263,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p_replay.set_defaults(func=_cmd_replay)
 
-    p_diff = sub.add_parser(
-        "diff", help="divergence diff of two traces (Theorem 3.1 lens)"
-    )
+    p_diff = parsers["diff"]
     p_diff.add_argument(
         "trace_a", nargs="?", metavar="A.jsonl", help="first trace"
     )

@@ -41,13 +41,20 @@ def resolve_scenario(name: str) -> NamedCell | None:
 
 
 def load_trace(path: str) -> list[Any] | None:
-    """Parse a JSONL trace file; prints the error and returns None on failure."""
+    """Parse a JSONL trace file; prints the error and returns None on
+    failure — unreadable, or not a trace (an empty file, an unknown
+    event kind, a field of the wrong type: the JSONL schema's first
+    problem)."""
+    from repro.obs.schema import validate_jsonl_lines
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return events_from_jsonl_lines(handle)
-    except OSError as exc:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
-    except ValueError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    problems = validate_jsonl_lines(lines)
+    if problems:
+        print(f"error: {path}: {problems[0]}", file=sys.stderr)
         return None
+    return events_from_jsonl_lines(lines)

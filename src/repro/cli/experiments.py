@@ -109,9 +109,9 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_exp = sub.add_parser("experiments", help="run the E1-E15 suite")
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_exp = parsers["experiments"]
     p_exp.add_argument("--ids", nargs="*", help="experiment ids (default all)")
     p_exp.add_argument(
         "--full", action="store_true", help="larger sweeps (slower)"
@@ -130,19 +130,19 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p_exp.set_defaults(func=_cmd_experiments)
 
-    p_summary = sub.add_parser("summary", help="headline latency table")
+    p_summary = parsers["summary"]
     p_summary.add_argument("--n", type=int, default=3)
     p_summary.set_defaults(func=_cmd_summary)
 
-    p_sdd = sub.add_parser("sdd", help="the SDD story")
+    p_sdd = parsers["sdd"]
     p_sdd.add_argument("--seed", type=int, default=7)
     p_sdd.set_defaults(func=_cmd_sdd)
 
-    p_commit = sub.add_parser("commit", help="commit-rate comparison")
+    p_commit = parsers["commit"]
     p_commit.add_argument("--n", type=int, default=3)
     p_commit.set_defaults(func=_cmd_commit)
 
-    p_lat = sub.add_parser("latency", help="latency profile of an algorithm")
+    p_lat = parsers["latency"]
     p_lat.add_argument("algorithm", choices=sorted(ALGORITHMS))
     p_lat.add_argument("--n", type=int, default=3)
     p_lat.set_defaults(func=_cmd_latency)

@@ -54,12 +54,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing across the engines, with shrinking",
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_fuzz = parsers["fuzz"]
     p_fuzz.add_argument(
         "--budget",
         type=int,

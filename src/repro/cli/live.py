@@ -211,12 +211,9 @@ def _run_live(
     return exit_code
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_live = sub.add_parser(
-        "live",
-        help="run a real asyncio cluster (heartbeat P, fault injection)",
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_live = parsers["live"]
     p_live.add_argument(
         "--algorithm",
         choices=LIVE_ALGORITHMS,

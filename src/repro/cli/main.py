@@ -49,43 +49,66 @@ __getattr__, __dir__ = lazy_exports(
     },
 )
 
-#: Every command and the ``repro.cli`` module that owns it, in ``--help``
-#: order.  Start-up stays proportional to the command because only the
-#: owner of ``argv[0]`` is imported, and a command module imports an
-#: optional layer where the run switches it on ("Import rules" in
-#: docs/architecture.md); the names the benchmark tracer binds to stay
-#: module-level callables of the command modules.
+#: Every command: the ``repro.cli`` module that owns it and its
+#: one-line summary, in ``--help`` order.  Start-up stays proportional
+#: to the command because only the owner of ``argv[0]`` is imported —
+#: the root ``--help`` and the usage errors need only this table — and
+#: a command module imports an optional layer where the run switches it
+#: on ("Import rules" in docs/architecture.md); the names the benchmark
+#: tracer binds to stay module-level callables of the command modules.
 COMMANDS = {
-    "experiments": "experiments",
-    "summary": "experiments",
-    "sdd": "experiments",
-    "commit": "experiments",
-    "latency": "experiments",
-    "show": "show",
-    "trace": "trace",
-    "metrics": "trace",
-    "check": "check",
-    "replay": "check",
-    "diff": "check",
-    "sweep": "sweep",
-    "serve": "serve",
-    "work": "serve",
-    "fuzz": "fuzz",
-    "mc": "mc",
-    "live": "live",
-    "report": "report",
-    "top": "report",
-    "causal": "causal",
+    "experiments": ("experiments", "run the E1-E15 suite"),
+    "summary": ("experiments", "headline latency table"),
+    "sdd": ("experiments", "the SDD story"),
+    "commit": ("experiments", "commit-rate comparison"),
+    "latency": ("experiments", "latency profile of an algorithm"),
+    "show": ("show", "render a named scenario"),
+    "trace": ("trace", "export a scenario's structured event trace"),
+    "metrics": ("trace", "print a scenario's metrics snapshot"),
+    "check": ("check", "run the trace oracle over a scenario or JSONL file"),
+    "replay": (
+        "check",
+        "re-execute an exported trace and assert event equality",
+    ),
+    "diff": ("check", "divergence diff of two traces (Theorem 3.1 lens)"),
+    "sweep": ("sweep", "execute a scenario space (parallel, cached, checked)"),
+    "serve": (
+        "serve",
+        "coordinate a sharded campaign over HTTP (leased shards)",
+    ),
+    "work": ("serve", "run one campaign worker against a coordinator"),
+    "fuzz": ("fuzz", "differential fuzzing across the engines, with shrinking"),
+    "mc": (
+        "mc",
+        "exhaustively model-check a property over a bounded instance "
+        "(HOLDS/REFUTED verdicts with witnesses)",
+    ),
+    "live": (
+        "live",
+        "run a real asyncio cluster (heartbeat P, fault injection)",
+    ),
+    "report": (
+        "report",
+        "dashboard over a campaign run directory "
+        "(or regenerate EXPERIMENTS.md when no RUNDIR is given)",
+    ),
+    "top": ("report", "tail a running campaign's progress heartbeats"),
+    "causal": (
+        "causal",
+        "happens-before analysis: critical paths, latency legs, "
+        "suspicion forensics",
+    ),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The root parser with ``command``'s owner module registered.
 
-    Without a known ``command`` every module registers, so ``--help``
-    and the ``invalid choice`` error describe all twenty.  With one,
-    the others are bare name-only parsers: usage and error lines read
-    the same as with every module loaded.
+    ``None`` registers every module: the whole parser, for library
+    callers.  Any other name registers its owner only, and a name that
+    is no command (``--help``, a typo, ``""``) registers none.  The
+    other commands stay name-only parsers with their summaries, so the
+    root help, usage and error lines read the same either way.
     """
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -95,12 +118,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    owner = COMMANDS.get(command)
-    for name, module in COMMANDS.items():
-        if owner not in (None, module):
-            sub.add_parser(name)
-        elif name not in sub.choices:
-            import_module(f"repro.cli.{module}").register(sub)
+    parsers = {
+        name: sub.add_parser(name, help=summary)
+        for name, (_, summary) in COMMANDS.items()
+    }
+    for owner in dict.fromkeys(module for module, _ in COMMANDS.values()):
+        if command is None or COMMANDS.get(command, (None,))[0] == owner:
+            import_module(f"repro.cli.{owner}").register(
+                {
+                    name: parsers[name]
+                    for name, (module, _) in COMMANDS.items()
+                    if module == owner
+                }
+            )
     return parser
 
 
@@ -108,7 +138,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(argv[0] if argv else "")
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -162,14 +162,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0 if outcome.verdict.holds else 1
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    mc = sub.add_parser(
-        "mc",
-        help=(
-            "exhaustively model-check a property over a bounded "
-            "instance (HOLDS/REFUTED verdicts with witnesses)"
-        ),
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    mc = parsers["mc"]
     mc.add_argument(
         "property",
         nargs="?",

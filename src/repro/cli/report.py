@@ -76,15 +76,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_report = sub.add_parser(
-        "report",
-        help=(
-            "dashboard over a campaign run directory "
-            "(or regenerate EXPERIMENTS.md when no RUNDIR is given)"
-        ),
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_report = parsers["report"]
     p_report.add_argument(
         "rundir",
         nargs="?",
@@ -110,10 +104,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p_report.add_argument("--full", action="store_true")
     p_report.set_defaults(func=_cmd_report)
 
-    p_top = sub.add_parser(
-        "top",
-        help="tail a running campaign's progress heartbeats",
-    )
+    p_top = parsers["top"]
     p_top.add_argument("rundir", help="the campaign's run directory")
     p_top.add_argument(
         "--follow",

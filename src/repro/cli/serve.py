@@ -142,12 +142,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
     return 0 if stats["reason"] != "rejected" else 1
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_serve = sub.add_parser(
-        "serve",
-        help="coordinate a sharded campaign over HTTP (leased shards)",
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_serve = parsers["serve"]
     p_serve.add_argument(
         "space",
         help=(
@@ -226,10 +223,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_work = sub.add_parser(
-        "work",
-        help="run one campaign worker against a coordinator",
-    )
+    p_work = parsers["work"]
     p_work.add_argument(
         "--connect",
         required=True,

@@ -30,9 +30,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_show = sub.add_parser("show", help="render a named scenario")
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_show = parsers["show"]
     p_show.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
     p_show.add_argument(
         "--dot",

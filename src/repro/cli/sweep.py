@@ -114,12 +114,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="execute a scenario space (parallel, cached, checked)",
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_sweep = parsers["sweep"]
     p_sweep.add_argument(
         "space",
         nargs="?",

@@ -10,7 +10,7 @@ from contextlib import nullcontext
 
 from repro.cli.common import SCENARIOS, resolve_scenario
 from repro.obs import EventLog, MetricsRegistry, Profiler, set_profiler
-from repro.runtime.harness import execute_request
+from repro.runtime.harness import execute_request, harness_for
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -19,8 +19,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     # The runtime stamps its own log with the logical (counter) clock,
     # so exported traces are deterministic and `repro replay` can match
-    # them byte-for-byte; --wall-ts rides along as a second, wall-clock
-    # log and is exported instead.
+    # them byte-for-byte; --wall-ts runs the cell's harness into a
+    # wall-clock log instead.
     log = EventLog()
     # Before the cell runs: a trace nobody can write is a usage error.
     sink = nullcontext()
@@ -35,11 +35,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             return 2
     with sink as handle:
-        result = execute_request(
-            cell.request, observer=log if args.wall_ts else None
-        )
-        if not args.wall_ts:
-            log.events = list(result.events)
+        if args.wall_ts:
+            harness_for(cell.request.engine).execute(cell.request, log)
+        else:
+            log.events = list(execute_request(cell.request).events)
         if handle is not None:
             count = log.dump_jsonl(handle)
             print(f"wrote {count} events to {args.jsonl}")
@@ -76,11 +75,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def register(sub: argparse._SubParsersAction) -> None:
-    """Attach this module's subcommands to the root parser."""
-    p_trace = sub.add_parser(
-        "trace", help="export a scenario's structured event trace"
-    )
+def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
+    p_trace = parsers["trace"]
     p_trace.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
     p_trace.add_argument(
         "--jsonl",
@@ -97,9 +94,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_metrics = sub.add_parser(
-        "metrics", help="print a scenario's metrics snapshot"
-    )
+    p_metrics = parsers["metrics"]
     p_metrics.add_argument(
         "scenario",
         nargs="?",

@@ -14,10 +14,9 @@ substrate that answers those questions without perturbing the engines:
   events (``round_start``, ``msg_sent``, ``msg_withheld``,
   ``msg_delivered``, ``crash``, ``suspect``, ``decide``, ``halt``) and
   exports them as JSONL.
-* :class:`MetricsRegistry` / :class:`MetricsObserver` — counters,
-  gauges and histograms derived from the same event stream (messages
-  per round, decision-round distribution, suspicion latency, scenario
-  rejections).
+* :class:`MetricsRegistry` / :func:`metrics_of` — counters, gauges
+  and histograms folded from a recorded trace (messages per round,
+  decision-round distribution, suspicion latency).
 * :class:`Profiler` and :func:`profiled` — ``perf_counter`` span
   timers wrapping the engines' hot paths; inert until a profiler is
   installed with :func:`set_profiler`.
@@ -82,7 +81,6 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "events": (
             "EVENT_KINDS",
-            "CompositeObserver",
             "Event",
             "EventLog",
             "Observer",
@@ -118,8 +116,8 @@ __getattr__, __dir__ = lazy_exports(
             "Counter",
             "Gauge",
             "Histogram",
-            "MetricsObserver",
             "MetricsRegistry",
+            "metrics_of",
         ),
         "profile": ("Profiler", "get_profiler", "profiled", "set_profiler"),
         "progress": ("ProgressReporter", "latest_progress"),
@@ -171,7 +169,6 @@ __all__ = [
     "Event",
     "Observer",
     "EventLog",
-    "CompositeObserver",
     "clock_kind",
     "events_from_jsonl_lines",
     "logical_clock",
@@ -219,7 +216,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsObserver",
+    "metrics_of",
     "Profiler",
     "profiled",
     "get_profiler",

@@ -408,10 +408,6 @@ class Observer:
     ) -> None:
         """Process ``pid`` halted — it will never send again."""
 
-    def scenario_rejected(self, problems: Sequence[str]) -> None:
-        """Scenario validation rejected a scenario (not an event kind;
-        surfaces only in metrics)."""
-
 
 class EventLog(Observer):
     """An observer that records every event, exportable as JSONL.
@@ -662,176 +658,3 @@ class EventLog(Observer):
     def write_jsonl(self, path: str) -> int:
         with open(path, "w", encoding="utf-8") as fp:
             return self.dump_jsonl(fp)
-
-
-class CompositeObserver(Observer):
-    """Fan one event stream out to several observers (log + metrics).
-
-    Instrumentation must never take the run down, and one broken
-    observer must not starve its siblings: every hook dispatch is
-    isolated, exceptions are collected in :attr:`errors` as
-    ``(observer, hook name, exception)`` triples, and the remaining
-    observers still receive the event.  A round hook is one dispatch
-    per observer: an observer that raises inside ``round_sends`` is
-    recorded once and its siblings still receive the whole round.
-    Callers that want loud failures can assert ``not composite.errors``
-    after the run.
-    """
-
-    __slots__ = ("observers", "errors", "_bound")
-
-    def __init__(self, *observers: Observer) -> None:
-        self.observers = tuple(observers)
-        self.errors: list[tuple[Observer, str, BaseException]] = []
-        # hook name -> every observer's bound method, filled in on the
-        # hook's first dispatch: after that a dispatch is a table
-        # lookup, not a getattr per observer per event, and a run pays
-        # only for the hooks it fires.
-        self._bound: dict[str, tuple[tuple[Observer, Callable[..., None]], ...]] = {}
-
-    def _fanout(self, hook: str, *args: Any, **kwargs: Any) -> None:
-        try:
-            row = self._bound[hook]
-        except KeyError:
-            # A duck-typed observer that lacks a hook gets Observer's
-            # own — for the round hooks that is the per-message replay.
-            row = self._bound[hook] = tuple(
-                (
-                    obs,
-                    getattr(obs, hook, None)
-                    or getattr(Observer, hook).__get__(obs),
-                )
-                for obs in self.observers
-            )
-        for obs, call in row:
-            try:
-                call(*args, **kwargs)
-            except Exception as exc:
-                self.errors.append((obs, hook, exc))
-
-    def round_start(self, round_index: int, alive: Sequence[int]) -> None:
-        self._fanout("round_start", round_index, alive)
-
-    def round_sends(
-        self, round_index: int, pairs: Sequence[tuple[int, int]]
-    ) -> None:
-        self._fanout("round_sends", round_index, pairs)
-
-    def round_deliveries(
-        self,
-        round_index: int,
-        pairs: Sequence[tuple[int, int]],
-        withheld: Collection[tuple[int, int]] = (),
-    ) -> None:
-        self._fanout("round_deliveries", round_index, pairs, withheld)
-
-    def msg_sent(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout(
-            "msg_sent",
-            sender,
-            recipient,
-            round_index=round_index,
-            time=time,
-            msg_id=msg_id,
-            extra=extra,
-        )
-
-    def msg_withheld(
-        self,
-        sender: int,
-        recipient: int,
-        round_index: int,
-        *,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout(
-            "msg_withheld",
-            sender,
-            recipient,
-            round_index,
-            msg_id=msg_id,
-            extra=extra,
-        )
-
-    def msg_delivered(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout(
-            "msg_delivered",
-            sender,
-            recipient,
-            round_index=round_index,
-            time=time,
-            msg_id=msg_id,
-            extra=extra,
-        )
-
-    def crash(
-        self,
-        pid: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        applies_transition: bool | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout(
-            "crash",
-            pid,
-            round_index=round_index,
-            time=time,
-            applies_transition=applies_transition,
-            extra=extra,
-        )
-
-    def suspect(
-        self,
-        pid: int,
-        suspected: int,
-        *,
-        time: int | None = None,
-        delay: int | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout(
-            "suspect", pid, suspected, time=time, delay=delay, extra=extra
-        )
-
-    def decide(
-        self,
-        pid: int,
-        value: Any,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout("decide", pid, value, round_index, extra=extra)
-
-    def halt(
-        self,
-        pid: int,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._fanout("halt", pid, round_index, extra=extra)
-
-    def scenario_rejected(self, problems: Sequence[str]) -> None:
-        self._fanout("scenario_rejected", problems)

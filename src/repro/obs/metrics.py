@@ -1,4 +1,4 @@
-"""Counters, gauges, histograms, and the event-driven metrics observer.
+"""Counters, gauges, histograms, and a run's metrics as a fold over its trace.
 
 The registry is deliberately tiny — names map to instruments, and a
 snapshot is plain JSON-ready data.  Histogram snapshots reuse
@@ -10,14 +10,20 @@ Metric naming convention: dot-separated lowercase paths, with the unit
 as the last path segment where it is not obvious from context
 (``profile.<span>.seconds``); per-round counters carry the round index
 as the final segment (``messages.sent.round.2``).
+
+A run's metrics are not observed beside its trace: :func:`metrics_of`
+computes them from the recorded events, so a trace read back from disk
+or off the wire yields the same metrics as the run that recorded it.
 """
 
 from __future__ import annotations
 
+from collections import Counter as Tally
 from dataclasses import dataclass, field
-from typing import Any, Collection, Sequence
+from operator import attrgetter
+from typing import Any, Sequence
 
-from repro.obs.events import Observer
+from repro.obs.events import Event
 from repro.stats import percentile, summarize
 
 
@@ -169,10 +175,25 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
-class MetricsObserver(Observer):
-    """Derive the standard metric set from the engines' event stream.
+#: Counter name per event kind; the _PER_ROUND kinds also count per round.
+_COUNTED = {
+    "round_start": "rounds.started",
+    "msg_sent": "messages.sent",
+    "msg_withheld": "messages.withheld",
+    "msg_delivered": "messages.delivered",
+    "decide": "decisions",
+    "crash": "crashes",
+    "suspect": "suspicions",
+    "halt": "halts",
+}
+_PER_ROUND = frozenset({"msg_sent", "msg_withheld", "msg_delivered", "decide"})
+_KIND_ROUND = attrgetter("kind", "round")
 
-    Counters (per run unless noted):
+
+def metrics_of(events: Sequence[Event]) -> dict[str, Any]:
+    """The standard metric set of one run, folded from its trace.
+
+    Returns a :meth:`MetricsRegistry.state` dump.  Counters:
 
     * ``rounds.started`` — rounds the engine opened.
     * ``messages.sent`` / ``messages.sent.round.R`` — messages that
@@ -183,136 +204,36 @@ class MetricsObserver(Observer):
     * ``decisions`` / ``decisions.round.R`` — decisions, total and by
       the round index they occurred in.
     * ``crashes``, ``halts``, ``suspicions``.
-    * ``scenario.validation_rejections`` — scenarios the validator
-      refused.
 
-    Histograms:
-
-    * ``decision.round`` — distribution of decision round indices.
-    * ``detector.suspicion_delay.steps`` — suspicion onset minus crash
-      time, when the detector reports it.
+    Gauge ``processes.alive``: the alive count of the last round that
+    records one.
+    Histograms, in trace order: ``decision.round`` (decision round
+    indices) and ``detector.suspicion_delay.steps`` (suspicion onset
+    minus crash time, where the detector reported it).  No metric
+    reads a decided value, so a template's value-free events give
+    every cell's metrics.  An instrument exists only once an event
+    feeds it.
     """
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def round_start(self, round_index: int, alive: Sequence[int]) -> None:
-        self.registry.counter("rounds.started").inc()
-        self.registry.gauge("processes.alive").set(len(alive))
-
-    def _count(
-        self, name: str, round_index: int | None, amount: int = 1
-    ) -> None:
-        """``amount`` more ``name`` messages, in total and per round."""
-        # A round phase with no such message must not create the
-        # counters: message by message, nothing would have.
-        if amount:
-            self.registry.counter(name).inc(amount)
-            if round_index is not None:
-                self.registry.counter(
-                    f"{name}.round.{round_index}"
-                ).inc(amount)
-
-    def round_sends(
-        self, round_index: int, pairs: Sequence[tuple[int, int]]
-    ) -> None:
-        self._count("messages.sent", round_index, len(pairs))
-
-    def round_deliveries(
-        self,
-        round_index: int,
-        pairs: Sequence[tuple[int, int]],
-        withheld: Collection[tuple[int, int]] = (),
-    ) -> None:
-        self._count("messages.withheld", round_index, len(withheld))
-        self._count(
-            "messages.delivered", round_index, len(pairs) - len(withheld)
-        )
-
-    def msg_sent(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._count("messages.sent", round_index)
-
-    def msg_withheld(
-        self,
-        sender: int,
-        recipient: int,
-        round_index: int,
-        *,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._count("messages.withheld", round_index)
-
-    def msg_delivered(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self._count("messages.delivered", round_index)
-
-    def crash(
-        self,
-        pid: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        applies_transition: bool | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self.registry.counter("crashes").inc()
-
-    def suspect(
-        self,
-        pid: int,
-        suspected: int,
-        *,
-        time: int | None = None,
-        delay: int | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self.registry.counter("suspicions").inc()
-        if delay is not None:
-            self.registry.histogram(
-                "detector.suspicion_delay.steps"
-            ).observe(delay)
-
-    def decide(
-        self,
-        pid: int,
-        value: Any,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self.registry.counter("decisions").inc()
-        if round_index is not None:
-            self.registry.counter(f"decisions.round.{round_index}").inc()
-            self.registry.histogram("decision.round").observe(round_index)
-
-    def halt(
-        self,
-        pid: int,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        self.registry.counter("halts").inc()
-
-    def scenario_rejected(self, problems: Sequence[str]) -> None:
-        self.registry.counter("scenario.validation_rejections").inc()
+    counters: dict[str, int] = {}
+    for (kind, round_index), count in Tally(map(_KIND_ROUND, events)).items():
+        name = _COUNTED[kind]
+        counters[name] = counters.get(name, 0) + count
+        if round_index is not None and kind in _PER_ROUND:
+            counters[f"{name}.round.{round_index}"] = count
+    # The schema does not require a round_start's alive list.
+    alive = [
+        e.value for e in events if e.kind == "round_start" and e.value is not None
+    ]
+    histograms = {
+        "decision.round": [
+            e.round for e in events if e.kind == "decide" and e.round is not None
+        ],
+        "detector.suspicion_delay.steps": [
+            e.value for e in events if e.kind == "suspect" and e.value is not None
+        ],
+    }
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": {"processes.alive": len(alive[-1])} if alive else {},
+        "histograms": {name: obs for name, obs in histograms.items() if obs},
+    }

@@ -7,7 +7,8 @@ values.  A :class:`TraceTemplate` is that part, content-digested; a
 :class:`TemplateEvents` is one cell's view of it — the template plus
 the cell's decide values — that behaves like the cell's event list but
 only builds it when somebody reads an event.  :func:`factor` splits a
-recorded trace; a vector-engine batch group shares one template.
+recorded trace; a vector-engine batch group shares one template.  A
+template's metrics are a fold over its events, made on first read.
 
 The pair is the one form every result carries from the engine to disk:
 the trace oracle, the causal summary, the merged-trace writer and the
@@ -23,6 +24,7 @@ from collections.abc import Sequence
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.obs.events import Event
+from repro.obs.metrics import metrics_of
 
 
 class TraceTemplate:
@@ -32,7 +34,9 @@ class TraceTemplate:
         events: The trace with ``None`` in every decide value.
         positions: Indices of the ``decide`` events, in slot order.
         metrics: The metrics-registry state of any cell citing the
-            template (no metric depends on a decided value).
+            template, folded from :attr:`events` on first read
+            (:func:`~repro.obs.metrics.metrics_of`; no metric depends
+            on a decided value).  Shared by those cells: read-only.
         digest: Content hash of the three fields above, computed on
             first read; how stored cells cite their template.
         memo: Per-template results of value-free analyses, keyed by
@@ -40,20 +44,25 @@ class TraceTemplate:
             pickled.
     """
 
-    __slots__ = ("events", "positions", "metrics", "_digest", "memo")
+    __slots__ = ("events", "positions", "_metrics", "_digest", "memo")
 
     def __init__(
         self,
         events: Sequence[Event],
         positions: Sequence[int],
-        metrics: Mapping[str, Any],
         digest: str | None = None,
     ) -> None:
         self.events = tuple(events)
         self.positions = tuple(positions)
-        self.metrics = metrics
+        self._metrics: dict[str, Any] | None = None
         self._digest = digest
         self.memo: dict[Any, Any] = {}
+
+    @property
+    def metrics(self) -> dict[str, Any]:
+        if self._metrics is None:
+            self._metrics = metrics_of(self.events)
+        return self._metrics
 
     @property
     def digest(self) -> str:
@@ -76,7 +85,6 @@ class TraceTemplate:
         return cls(
             [Event.from_dict(entry) for entry in body["events"]],
             body["positions"],
-            body["metrics"],
             digest,
         )
 
@@ -84,9 +92,9 @@ class TraceTemplate:
         """The same content under an empty memo: how a holder of a
         long-lived template (a cached group plan) hands it to results
         without the analyses of one batch outliving it."""
-        return TraceTemplate(
-            self.events, self.positions, self.metrics, self._digest
-        )
+        copy = TraceTemplate(self.events, self.positions, self._digest)
+        copy._metrics = self._metrics
+        return copy
 
     def remember(self, key: Any, compute: Callable[[], Any]) -> Any:
         """``memo[key]``, computed on first use: how a consumer does its
@@ -106,19 +114,8 @@ class TraceTemplate:
             )
         return TemplateEvents(self, tuple(holes))
 
-    def copy_metrics(self) -> dict[str, Any]:
-        """A per-cell copy of :attr:`metrics` (callers may mutate theirs)."""
-        return {
-            section: (
-                {name: list(values) for name, values in entries.items()}
-                if section == "histograms"
-                else dict(entries)
-            )
-            for section, entries in self.metrics.items()
-        }
-
     def __reduce__(self):
-        return TraceTemplate, (self.events, self.positions, self.metrics, self._digest)
+        return TraceTemplate, (self.events, self.positions, self._digest)
 
 
 class TemplateEvents(Sequence):
@@ -174,7 +171,7 @@ class TemplateEvents(Sequence):
         return TemplateEvents, (self.template, self.holes)
 
 
-def factor(events: Sequence[Event], metrics: Mapping[str, Any]) -> TemplateEvents:
+def factor(events: Sequence[Event]) -> TemplateEvents:
     """Split a plain trace into a template of its own and its holes:
     every ``decide`` value becomes a hole (``None`` in the template);
     everything else, each event's ``extra`` included, is the template's."""
@@ -185,7 +182,7 @@ def factor(events: Sequence[Event], metrics: Mapping[str, Any]) -> TemplateEvent
     holes = tuple(shared[position].value for position in positions)
     for position in positions:
         shared[position] = _with_value(shared[position], None)
-    return TemplateEvents(TraceTemplate(shared, positions, metrics), holes)
+    return TemplateEvents(TraceTemplate(shared, positions), holes)
 
 
 def _with_value(event: Event, value: Any) -> Event:

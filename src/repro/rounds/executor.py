@@ -155,8 +155,6 @@ def execute(
             horizon=max_rounds,
         )
         if problems:
-            if observer is not None:
-                observer.scenario_rejected(problems)
             raise ScenarioError("; ".join(problems))
 
     states: dict[int, Any] = {

@@ -14,11 +14,14 @@ A shard holds two kinds of JSON lines, told apart by their first key:
     result cites a :class:`~repro.obs.template.TraceTemplate`, so a
     cell stores only its digest ``D`` and the cell's decide values.
     An older writer's cell carrying ``"events"`` and ``"metrics"``
-    inline instead is still read (factored), never written.
+    inline instead is still read (factored, metrics refolded), never
+    written.
 
 ``{"template": D, "events": [...], "positions": [...], "metrics": {...}}``
     One template, written to a shard once, before the first cell in it
-    that cites ``D`` — so every shard can be read on its own.
+    that cites ``D`` — so every shard can be read on its own.  Its
+    ``metrics`` are part of the digested body; a reader folds them
+    from the events again instead of reading them.
 
 A writer flushes after every cell, so a killed campaign keeps every
 completed cell.  Shard names sort by creation time and a later record
@@ -172,7 +175,6 @@ class ResultCache:
             if "template" in record:
                 template = self._template(record["template"])
                 result.events = template.fill(record["holes"])
-                result.metrics = template.copy_metrics()
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             self.stats.corrupt_evictions += 1
             del cells[key]

@@ -5,8 +5,9 @@ and the two step-kernel emulations (RS on SS, RWS on SP), each with its
 own signature.  A :class:`Harness` adapts one engine to the uniform
 ``(request, observer) -> engine-native run`` shape, and
 :func:`execute_request` wraps any harness with the standard
-instrumentation (a logical-clock event log plus a metrics registry) and
-lifts the outcome into an :class:`~repro.runtime.request.ExecutionResult`.
+instrumentation (one logical-clock event log, whose trace the result's
+metrics are folded from) and lifts the outcome into an
+:class:`~repro.runtime.request.ExecutionResult`.
 
 ``execute_request`` is deliberately a module-level function of one
 picklable argument: it is the unit of work a ``multiprocessing`` pool
@@ -19,13 +20,7 @@ import random
 from typing import Any, Mapping, Protocol, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.events import (
-    CompositeObserver,
-    EventLog,
-    Observer,
-    logical_clock,
-)
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.events import EventLog, Observer, logical_clock
 from repro.rounds import RoundModel
 from repro.rounds.executor import execute as execute_rounds
 from repro.runtime.registry import make_algorithm
@@ -250,29 +245,23 @@ def harness_for(engine: str):
     return harness
 
 
-def execute_request(
-    request: ExecutionRequest, *, observer: Observer | None = None
-) -> ExecutionResult:
+def execute_request(request: ExecutionRequest) -> ExecutionResult:
     """Execute one cell under the standard instrumentation.
 
     Events are recorded with the deterministic logical clock (per-cell
     timestamps restart at 1.0), so the resulting trace is identical no
     matter which process — or how many sibling workers — executed it.
-    An extra ``observer`` joins the composite when given.
+    A caller that wants the run's hooks itself calls
+    ``harness_for(request.engine).execute(request, observer)``.
     """
     harness = harness_for(request.engine)
     log = EventLog(clock=logical_clock())
-    registry = MetricsRegistry()
-    observers: list[Observer] = [log, MetricsObserver(registry)]
-    if observer is not None:
-        observers.append(observer)
-    run = harness.execute(request, CompositeObserver(*observers))
+    run = harness.execute(request, log)
     decisions, latency, num_rounds = harness.summarize(run)
     return ExecutionResult(
         name=request.name,
         request_key=request.cache_key(),
         events=log.events,
-        metrics=registry.state(),
         decisions=decisions,
         latency=latency,
         num_rounds=num_rounds,

@@ -12,9 +12,9 @@ shippable across a process pool and replayable from disk:
   a stable identity for the on-disk result cache.
 
 A result carries the structured event trace (recorded under the
-deterministic logical clock), the raw metrics state, and the run's
-decisions — enough for the trace oracle, the merge step, and the
-latency aggregations, without re-executing.
+deterministic logical clock), the raw metrics state folded from it,
+and the run's decisions — enough for the trace oracle, the merge step,
+and the latency aggregations, without re-executing.
 """
 
 from __future__ import annotations
@@ -338,6 +338,10 @@ def _canonical_form(
 class ExecutionResult:
     """What one executed cell produced.
 
+    The run's :attr:`metrics` are not a field: they are a fold over
+    the trace, made once per template.  :meth:`to_dict` still writes
+    them; :meth:`from_dict` folds them again instead of reading them.
+
     Attributes:
         name: The request's cell label.
         request_key: The producing request's :meth:`cache_key`.
@@ -348,8 +352,6 @@ class ExecutionResult:
             :attr:`template` plus this cell's decide values
             (:attr:`holes`), built into a list only when an event is
             read; a plain sequence is factored on construction.
-        metrics: The raw :meth:`~repro.obs.MetricsRegistry.state` of
-            the cell's metrics registry.
         decisions: ``pid -> (round, value)`` for deciding processes.
         latency: Rounds until all correct processes decided, ``None``
             for incomplete runs.
@@ -367,7 +369,6 @@ class ExecutionResult:
     name: str
     request_key: str
     events: Sequence[Event] = field(default_factory=list)
-    metrics: dict[str, Any] = field(default_factory=dict)
     decisions: dict[int, tuple[int, Any]] = field(default_factory=dict)
     latency: int | None = None
     num_rounds: int = 0
@@ -376,7 +377,7 @@ class ExecutionResult:
 
     def __post_init__(self) -> None:
         if not isinstance(self.events, TemplateEvents):
-            self.events = factor(self.events, self.metrics)
+            self.events = factor(self.events)
 
     @property
     def template(self) -> TraceTemplate:
@@ -387,6 +388,14 @@ class ExecutionResult:
     def holes(self) -> tuple[Any, ...]:
         """This cell's decide values, aligned with ``template.positions``."""
         return self.events.holes
+
+    @property
+    def metrics(self) -> dict[str, Any]:
+        """The raw :meth:`~repro.obs.MetricsRegistry.state` of the run,
+        folded from its trace (:func:`~repro.obs.metrics.metrics_of`).
+        The template's own mapping, shared by every cell citing it:
+        read-only."""
+        return self.template.metrics
 
     def outcome_dict(self) -> dict[str, Any]:
         """The JSON-ready fields besides identity, trace and metrics."""
@@ -416,7 +425,6 @@ class ExecutionResult:
             name=data["name"],
             request_key=data["request_key"],
             events=[Event.from_dict(entry) for entry in data["events"]],
-            metrics=dict(data.get("metrics", {})),
             decisions={
                 int(pid): (entry[0], entry[1])
                 for pid, entry in data.get("decisions", {}).items()

@@ -14,9 +14,10 @@ Execution of a batch group splits into three phases:
    read.  A1 needs no masks at all: its decisions are initial values
    picked by plan-determined indices.
 3. **Template** — every cell's result references the group's shared
-   :class:`~repro.obs.template.TraceTemplate` (event log and metrics
-   state) together with its own decide values; the per-cell event list
-   is materialized only if a consumer reads it, and is then
+   :class:`~repro.obs.template.TraceTemplate` (the value-free event
+   log, whose fold is the metrics state) together with its own decide
+   values; the per-cell event list is materialized only if a consumer
+   reads it, and is then
    *byte-identical* to the object engine's (the decide ``value`` field
    is the only value-dependent byte in a round trace).
 
@@ -276,7 +277,6 @@ def execute_vector_batch(
                     name=requests[index].name,
                     request_key=requests[index].cache_key(),
                     events=template.fill(decide_values),
-                    metrics=template.copy_metrics(),
                     decisions=plan.decisions(decide_values),
                     latency=plan.latency,
                     num_rounds=plan.num_rounds,

@@ -35,8 +35,7 @@ from functools import cached_property
 from typing import Any, Collection, Sequence
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.obs.events import CompositeObserver, EventLog, Observer, logical_clock
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
+from repro.obs.events import EventLog, Observer, logical_clock
 from repro.obs.template import TraceTemplate, factor
 from repro.rounds.executor import RoundModel, execute
 from repro.rounds.scenario import FailureScenario
@@ -105,12 +104,8 @@ class GroupPlan:
         """The group's shared trace template: one replay with every
         decide value ``None``, factored like any recorded trace."""
         log = EventLog(clock=logical_clock())
-        registry = MetricsRegistry()
-        self.replay(
-            CompositeObserver(log, MetricsObserver(registry)),
-            [None] * len(self.decide_slots),
-        )
-        return factor(log.events, registry.state()).template
+        self.replay(log, [None] * len(self.decide_slots))
+        return factor(log.events).template
 
 
 class _PlanRecorder(Observer):
@@ -171,9 +166,8 @@ def build_plan(
     Returns ``None`` whenever the group cannot be vectorized — no plan
     kernel for the algorithm or configuration, or an executor refusal
     (mismatched ``n``, a scenario the validator rejects).  Callers fall
-    back to the object engine, which reproduces the exact error (and
-    ``scenario_rejected`` observer call) the caller would have seen
-    anyway.
+    back to the object engine, which reproduces the exact error the
+    caller would have seen anyway.
     """
     # ``validate`` is part of the key: a plan built without validation
     # for an invalid scenario must not be recalled by a validating

@@ -41,6 +41,7 @@ from repro.runtime import (
     SweepRunner,
     e10_lambda_space,
     execute_request,
+    harness_for,
     oracle_sweep_space,
 )
 
@@ -154,9 +155,9 @@ class TestByteParity:
         request = e10_lambda_space().requests[0]
         plain = execute_request(request)
         observer = CausalObserver(clock=logical_clock())
-        observed = execute_request(request, observer=observer)
+        harness_for(request.engine).execute(request, observer)
         assert [e.to_json() for e in plain.events] == [
-            e.to_json() for e in observed.events
+            e.to_json() for e in observer.events
         ]
         assert observer.engine_msg_ids  # ids captured out of band
 
@@ -166,9 +167,9 @@ class TestByteParity:
             if r.engine == "rounds"
         )
         observer = CausalObserver(clock=logical_clock())
-        result = execute_request(request, observer=observer)
+        harness_for(request.engine).execute(request, observer)
         engine_pairs = observer.graph().message_pairs()
-        structural_pairs = annotate(result.events).message_pairs()
+        structural_pairs = annotate(observer.events).message_pairs()
         assert structural_pairs == engine_pairs
 
     def test_emulation_structural_pairs_subset_of_engine(self):
@@ -177,9 +178,9 @@ class TestByteParity:
             if r.engine == "rws_on_sp"
         )
         observer = CausalObserver(clock=logical_clock())
-        result = execute_request(request, observer=observer)
+        harness_for(request.engine).execute(request, observer)
         engine_pairs = observer.graph().message_pairs()
-        structural_pairs = annotate(result.events).message_pairs()
+        structural_pairs = annotate(observer.events).message_pairs()
         assert set(structural_pairs.items()) <= set(engine_pairs.items())
 
 

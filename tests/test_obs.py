@@ -9,15 +9,13 @@ import random
 import pytest
 
 from repro.consensus import FloodSet
-from repro.errors import ScenarioError
 from repro.failures import FailurePattern
 from repro.obs import (
-    CompositeObserver,
     EventLog,
-    MetricsObserver,
     MetricsRegistry,
     Profiler,
     get_profiler,
+    metrics_of,
     profiled,
     set_profiler,
     validate_event_dict,
@@ -144,7 +142,7 @@ class TestNoOpEquivalence:
             FloodSet(),
             adversarial_split(3),
             floodset_rws_violation(3),
-            observer=CompositeObserver(EventLog(), MetricsObserver()),
+            observer=EventLog(),
             **kwargs,
         )
         assert bare.rounds == observed.rounds
@@ -202,18 +200,25 @@ class TestRoundRecordImmutability:
         assert dict(record.delivered[0]) == dict(record.delivered[0])
 
 
+def _snapshot(log: EventLog) -> dict:
+    """The registry snapshot of a recorded run's folded metrics."""
+    registry = MetricsRegistry()
+    registry.merge_state(metrics_of(log.events))
+    return registry.snapshot()
+
+
 class TestMetrics:
     def test_per_round_message_counters(self):
-        registry = MetricsRegistry()
+        log = EventLog()
         run_rws(
             FloodSet(),
             adversarial_split(3),
             floodset_rws_violation(3),
             t=1,
             max_rounds=4,
-            observer=MetricsObserver(registry),
+            observer=log,
         )
-        snap = registry.snapshot()
+        snap = _snapshot(log)
         counters = snap["counters"]
         assert counters["messages.withheld"] == 2
         assert counters["messages.withheld.round.1"] == 2
@@ -227,26 +232,11 @@ class TestMetrics:
         assert counters["crashes"] == 1
         assert snap["histograms"]["decision.round"]["p50"] == 2
 
-    def test_scenario_rejection_counter(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ScenarioError):
-            run_rs(
-                FloodSet(),
-                adversarial_split(3),
-                floodset_rws_violation(3),  # pending not allowed in RS
-                t=1,
-                observer=MetricsObserver(registry),
-            )
-        assert (
-            registry.snapshot()["counters"]["scenario.validation_rejections"]
-            == 1
-        )
-
     def test_suspicion_latency_histogram(self):
         from repro.emulation import emulate_rws_on_sp
         import random
 
-        registry = MetricsRegistry()
+        log = EventLog()
         emulate_rws_on_sp(
             FloodSet(),
             adversarial_split(3),
@@ -257,9 +247,9 @@ class TestMetrics:
             max_detection_delay=2,
             delivery_prob=0.15,
             max_age=80,
-            observer=MetricsObserver(registry),
+            observer=log,
         )
-        snap = registry.snapshot()
+        snap = _snapshot(log)
         delays = snap["histograms"]["detector.suspicion_delay.steps"]
         assert delays["count"] >= 1
         assert delays["min"] >= 0  # strong accuracy: never before the crash
@@ -402,70 +392,6 @@ class TestStatsHelpers:
             ours = percentile(data, p)
             theirs = float(np.percentile(data, p))
             assert ours == theirs, (data, p, ours, theirs)
-
-
-class _ExplodingObserver:
-    """An observer whose every hook raises."""
-
-    def __getattr__(self, name):
-        def boom(*args, **kwargs):
-            raise RuntimeError(f"observer hook {name} exploded")
-
-        return boom
-
-
-class TestCompositeObserverIsolation:
-    """One failing observer must not poison its siblings or the run."""
-
-    def test_failing_observer_does_not_poison_siblings(self):
-        log = EventLog(clock=_counter_clock())
-        bad = _ExplodingObserver()
-        composite = CompositeObserver(bad, log)
-        run = run_rws(
-            FloodSet(),
-            adversarial_split(3),
-            floodset_rws_violation(3),
-            t=1,
-            max_rounds=4,
-            observer=composite,
-        )
-        # the run completed and the healthy sibling saw the full stream
-        assert run.decisions
-        reference = EventLog(clock=_counter_clock())
-        run_rws(
-            FloodSet(),
-            adversarial_split(3),
-            floodset_rws_violation(3),
-            t=1,
-            max_rounds=4,
-            observer=reference,
-        )
-        assert [e.to_dict() for e in log] == [
-            e.to_dict() for e in reference
-        ]
-
-    def test_errors_are_recorded_with_hook_and_exception(self):
-        bad = _ExplodingObserver()
-        composite = CompositeObserver(bad, EventLog())
-        composite.round_start(1, [0, 1, 2])
-        composite.crash(0, round_index=1)
-        assert len(composite.errors) == 2
-        observer, hook, exc = composite.errors[0]
-        assert observer is bad
-        assert hook == "round_start"
-        assert isinstance(exc, RuntimeError)
-        assert composite.errors[1][1] == "crash"
-
-    def test_order_of_failing_observer_is_irrelevant(self):
-        for observers in (
-            (_ExplodingObserver(), EventLog()),
-            (EventLog(), _ExplodingObserver()),
-        ):
-            composite = CompositeObserver(*observers)
-            composite.decide(0, 1, 2)
-            log = next(o for o in observers if isinstance(o, EventLog))
-            assert log.kinds() == ["decide"]
-            assert len(composite.errors) == 1
 
 
 class TestProfilerFailurePaths:

@@ -3,9 +3,8 @@
 The rounds engine reports a round's traffic a phase at a time.  These
 tests pin what that must not change: an observer that only knows the
 per-message hooks sees the calls it always did (arguments and
-``msg_id`` included), the batching observers build the events the
-per-message path builds, and ``CompositeObserver`` isolates a failing
-observer per round the way it does per event.  The slotted
+``msg_id`` included), and the batching log builds the events — and so
+the folded metrics — the per-message path builds.  The slotted
 :class:`~repro.obs.Event` contract rides along.
 """
 
@@ -18,7 +17,7 @@ import random
 
 import pytest
 
-from repro.obs import CompositeObserver, Event, EventLog, MetricsObserver
+from repro.obs import Event, EventLog, metrics_of
 from repro.obs.causal import CausalObserver, round_msg_id
 from repro.obs.events import Observer, logical_clock
 from repro.rounds import (
@@ -32,6 +31,7 @@ from repro.rounds import (
 from repro.runtime import SweepRunner, space_by_name
 from repro.runtime.registry import ALGORITHM_FACTORIES, make_algorithm
 from repro.runtime.space import vectorized_space
+from tests.reference_metrics import ReferenceMetrics
 
 N = 4
 
@@ -306,89 +306,25 @@ class TestHookSequenceParity:
         assert Tagging.round_deliveries is EventLog.round_deliveries
 
     def test_batching_observers_match_the_per_message_path(self):
-        """EventLog and MetricsObserver: same events, same snapshot,
-        and no counter for a phase that had no such message."""
+        """EventLog: the per-message path's events, so the fold gives
+        the per-message counts, and no counter for a phase that had no
+        such message."""
 
-        class ReplayedLog(EventLog):
-            round_sends = Observer.round_sends
-            round_deliveries = Observer.round_deliveries
-
-        class ReplayedMetrics(MetricsObserver):
+        class ReplayedReference(ReferenceMetrics):
             round_sends = Observer.round_sends
             round_deliveries = Observer.round_deliveries
 
         for model in ("RS", "RWS"):
             for values, scenario, t in cases("floodset-ws", model):
-                log, metrics = EventLog(clock=logical_clock()), MetricsObserver()
-                ref_log = ReplayedLog(clock=logical_clock())
-                ref_metrics = ReplayedMetrics()
-                for observer in (log, metrics, ref_log, ref_metrics):
+                log = EventLog(clock=logical_clock())
+                replayed = ReplayedReference()
+                for observer in (log, replayed):
                     run_case("floodset-ws", model, values, scenario, t, observer)
-                assert log.events == ref_log.events
-                assert metrics.registry.state() == ref_metrics.registry.state()
+                assert log.events == replayed.events
+                assert metrics_of(log.events) == replayed.state()
                 if not scenario.pending:
-                    counters = metrics.registry.state()["counters"]
+                    counters = metrics_of(log.events)["counters"]
                     assert not any("withheld" in name for name in counters)
-
-
-class Exploding(Observer):
-    def round_sends(self, round_index, pairs):
-        raise RuntimeError("round_sends exploded")
-
-
-class TestCompositeRoundHookIsolation:
-    def run_with(self, *observers):
-        composite = CompositeObserver(*observers)
-        run_case(
-            "floodset", "RS", (0, 1, 1), FailureScenario.failure_free(3), 1,
-            composite,
-        )
-        return composite
-
-    def reference(self):
-        log = EventLog(clock=logical_clock())
-        run_case("floodset", "RS", (0, 1, 1), FailureScenario.failure_free(3), 1, log)
-        return log.events
-
-    @pytest.mark.parametrize("bad_first", [True, False])
-    def test_raising_round_hook_is_recorded_once_per_round(self, bad_first):
-        bad, log = Exploding(), EventLog(clock=logical_clock())
-        composite = self.run_with(*((bad, log) if bad_first else (log, bad)))
-        assert log.events == self.reference()
-        rounds = len(log.of_kind("round_start"))
-        assert [(obs, hook) for obs, hook, _ in composite.errors] == [
-            (bad, "round_sends")
-        ] * rounds
-        assert all(isinstance(exc, RuntimeError) for *_, exc in composite.errors)
-
-    def test_raising_per_message_hook_is_charged_to_the_round_hook(self):
-        class BadMsgSent(PerMessageObserver):
-            def msg_sent(self, sender, recipient, **kwargs):
-                raise RuntimeError("msg_sent exploded")
-
-        bad, log = BadMsgSent(), EventLog(clock=logical_clock())
-        composite = self.run_with(bad, log)
-        assert log.events == self.reference()
-        assert {hook for _, hook, _ in composite.errors} == {"round_sends"}
-        # the phases that did not raise still reached the bad observer
-        assert any(call[0] == "msg_delivered" for call in bad.calls)
-
-    def test_duck_typed_per_message_observer_gets_the_replay(self):
-        # PerMessageObserver's hooks on a class that is not an Observer
-        # and therefore has no round hooks at all.
-        old_hooks = {
-            name: member
-            for name, member in vars(PerMessageObserver).items()
-            if name == "__init__"
-            or not name.startswith(("__", "round_sends", "round_deliveries"))
-        }
-        Duck = type("Duck", (), old_hooks)
-        assert not hasattr(Duck, "round_sends")
-        duck, legacy = Duck(), PerMessageObserver()
-        composite = self.run_with(duck, legacy)
-        assert not composite.errors
-        assert duck.calls == legacy.calls
-        assert any(call[0] == "msg_delivered" for call in duck.calls)
 
 
 class TestSlottedEvent:

@@ -444,7 +444,6 @@ def _hammer_same_key(arg):
         name=request.name,
         request_key=request.cache_key(),
         events=[],
-        metrics={},
         decisions={0: (1, 1)},
         latency=1,
         num_rounds=1,

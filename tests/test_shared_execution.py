@@ -336,11 +336,13 @@ class TestVerdictsPerCell:
 
         def planted(request, **kwargs):
             result = original(request, **kwargs)
-            result.events = [
-                replace(event, value=99) if event.kind == "decide" else event
-                for event in result.events
-            ]
-            return result
+            return replace(
+                result,
+                events=[
+                    replace(event, value=99) if event.kind == "decide" else event
+                    for event in result.events
+                ],
+            )
 
         monkeypatch.setattr(sweep_module, "execute_request", planted)
         cell = space_by_name("e10-lambda").requests[0]

@@ -110,6 +110,22 @@ class TestImportSets:
         assert "repro.stats.summary" in loaded
         assert not _offenders(loaded, ("statistics", "fractions", "decimal"))
 
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), (["bogus"], 2)])
+    def test_root_help_and_errors_load_no_command_module(self, argv, code):
+        # main.COMMANDS holds every summary: the root help and the
+        # unknown-command error are written from it alone.
+        loaded = _loaded(
+            "from repro.cli.main import main\n"
+            "out = contextlib.redirect_stdout(io.StringIO())\n"
+            "err = contextlib.redirect_stderr(io.StringIO())\n"
+            "with out, err:\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            f"        assert exc.code == {code}, exc.code\n"
+        )
+        assert _ours(loaded) == ["repro", "repro._lazy", "repro.cli", "repro.cli.main"]
+
     def test_mc_loads_only_the_checker_layers(self):
         loaded = _loaded_by(MC)
         assert "repro.mc.explore" in loaded

@@ -187,6 +187,45 @@ class TestCheckCommand:
         assert main(["check", "--jsonl", str(tmp_path / "missing.jsonl")]) == 2
 
 
+#: Files that are not traces, and the schema problem each is refused with.
+NOT_TRACES = {
+    "teleport": ('{"kind":"teleport","ts":1.0}\n', "unknown event kind"),
+    "bad-types": (
+        '{"kind":"msg_sent","ts":"x","pid":"a"}\n',
+        "missing field 'peer'",
+    ),
+    "empty": ("", "trace contains no events"),
+}
+
+
+class TestNotATrace:
+    """Every command that loads a trace file refuses a file that is not
+    one: exit 2, one ``error:`` line naming the file, nothing run."""
+
+    @pytest.mark.parametrize("name", sorted(NOT_TRACES))
+    @pytest.mark.parametrize("command", ["check", "replay", "diff", "causal"])
+    def test_refused_with_one_error_line(self, capsys, tmp_path, name, command):
+        content, problem = NOT_TRACES[name]
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        good = tmp_path / "good.jsonl"
+        assert main(["trace", "floodset-rws", "--jsonl", str(good)]) == 0
+        capsys.readouterr()
+        argv = {
+            "check": ["check", "--jsonl", str(bad)],
+            "replay": ["replay", "floodset-rws", str(bad)],
+            "diff": ["diff", str(bad), str(good)],
+            "causal": ["causal", str(bad)],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {bad}: ")
+        assert problem in lines[0]
+
+
 class TestReplayCommand:
     def test_rs_export_replays_byte_for_byte(self, capsys, tmp_path):
         trace = tmp_path / "rs.jsonl"
