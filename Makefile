@@ -73,21 +73,27 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # executes every cell, the second must serve all of them from the
 # cache ("executed 0").  Then the usage errors a sweep, a coordinator
 # and a trace export must refuse before a cell runs (exit 2, one
-# `error:` line, no traceback, no run directory) and an engine that
+# `error:` line, no traceback, no run directory; an uncreatable
+# --cache-dir among them) and an engine that
 # cannot finish a run under `mc` (same refusal), the stderr line that
 # tells a user how many runs stood behind their cells, and the
 # merged-trace writer's routes — the rounds engine's own templates,
 # the vector engine's shared ones, representatives shipped to a pool,
 # and a rounds-engine run directory cold and resumed — compared byte
-# for byte.
+# for byte.  The resumed leg's oracle verdicts must all be clean, its
+# manifest and summary must parse, and its stored cells must have been
+# judged once per distinct trace content (0 < oracle.judged < 300).
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE) | tee /dev/stderr | grep -q "executed 0,"
+	echo "not a directory" > $(SWEEP_SMOKE_CACHE)/file
 	@for refused in \
 			"sweep random-rs --count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
+			"sweep random-rs --count 10 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
+			"fuzz --budget 2 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
 			"sweep random-rs --count -3 --check" \
 			"sweep random-rs --count 2 --jobs 0" \
 			"sweep random-rs --count 2 --jobs -3" \
@@ -96,7 +102,7 @@ sweep-smoke:
 			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl" \
 			"mc agreement --algorithm a1 --n 3 --t 1 --model RWS --engine rws_on_sp"; do \
 		echo "repro $$refused  # must be refused"; \
-		case "$$refused" in trace*|mc*) run_dir= ;; \
+		case "$$refused" in trace*|mc*|*--cache-dir*) run_dir= ;; \
 			*) run_dir="--run-dir $(SWEEP_SMOKE_CACHE)/refused" ;; esac; \
 		PYTHONPATH=src python -m repro $$refused $$run_dir \
 			2> $(SWEEP_SMOKE_CACHE)/stderr; \
@@ -116,13 +122,20 @@ sweep-smoke:
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --engine vector \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
-	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 --check \
 		--run-dir $(SWEEP_SMOKE_CACHE)/rws_runs --jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
-	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
+	PYTHONPATH=src python -m repro sweep random-rws --count 300 --check \
 		--run-dir $(SWEEP_SMOKE_CACHE)/rws_runs --jsonl $(SWEEP_SMOKE_CACHE)/rws_warm.jsonl \
 		> $(SWEEP_SMOKE_CACHE)/rws_warm.out
 	cat $(SWEEP_SMOKE_CACHE)/rws_warm.out
 	grep -q "executed 0," $(SWEEP_SMOKE_CACHE)/rws_warm.out
+	grep -q "oracle: 300/300 cells clean" $(SWEEP_SMOKE_CACHE)/rws_warm.out
+	python -c "import glob, json; \
+		(run,) = glob.glob('$(SWEEP_SMOKE_CACHE)/rws_runs/*/'); \
+		json.load(open(run + 'manifest.json')); \
+		judged = json.load(open(run + 'summary.json'))['oracle']['judged']; \
+		print('warm leg: 300 verdicts from', judged, 'judgements'); \
+		assert 0 < judged < 300, judged"
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl

@@ -113,7 +113,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(sharing, file=sys.stderr)
     print(f"run artifacts: {run_dir.path} (inspect with `repro report`)")
     if sink is not None:
-        count = result.write_merged_jsonl(sink)
+        try:
+            count = result.write_merged_jsonl(sink)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {count} merged events to {args.jsonl}")
     if args.check and not result.checks_ok:
         return 1

@@ -100,7 +100,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if leg.path is not None:
         print(f"run artifacts: {leg.path} (inspect with `repro report`)")
     if sink is not None:
-        count = result.write_merged_jsonl(sink)
+        try:
+            count = result.write_merged_jsonl(sink)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {count} merged events to {args.jsonl}")
     if args.space == "e10-lambda":
         print("latency (best, worst) per algorithm over failure-free runs:")

@@ -59,6 +59,21 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, default=repr)
 
 
+def _document(payload: Mapping[str, Any]) -> str:
+    """A manifest or summary as JSON text: one sorted top-level key per
+    line, so the file stays greppable by section, each value encoded
+    compactly by the C encoder (``indent`` would switch ``json`` to its
+    pure-Python one, several times slower on a 2000-cell manifest)."""
+    return (
+        "{\n"
+        + ",\n".join(
+            f"  {json.dumps(key)}: {_canonical(payload[key])}"
+            for key in sorted(payload)
+        )
+        + "\n}\n"
+    )
+
+
 def compute_run_id(kind: str, identity: Any) -> str:
     """A stable content hash naming one campaign.
 
@@ -413,8 +428,7 @@ class RunDir:
         payload.setdefault("run_id", self.run_id)
         payload.setdefault("kind", self.kind)
         (self.path / SUMMARY_NAME).write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=repr) + "\n",
-            encoding="utf-8",
+            _document(payload), encoding="utf-8"
         )
         self.manifest["status"] = status
         self._end_leg()
@@ -436,9 +450,7 @@ class RunDir:
 
     def _write_manifest(self) -> None:
         (self.path / MANIFEST_NAME).write_text(
-            json.dumps(self.manifest, indent=2, sort_keys=True, default=repr)
-            + "\n",
-            encoding="utf-8",
+            _document(self.manifest), encoding="utf-8"
         )
 
     def _end_leg(self) -> None:

@@ -257,6 +257,9 @@ def summarize_sweep(
         failed = [check.name for check in checks if not check.ok]
         summary["oracle"] = {
             "checked": len(checks),
+            # Oracle runs behind the verdicts: cells that read alike
+            # share one (runtime.sweep.SweepResult.aggregate).
+            "judged": sweep_result.judged,
             "failed": len(failed),
             "failed_cells": failed,
         }
@@ -457,6 +460,20 @@ def summary_problems(summary: Any) -> list[str]:
                 f"planned ({planned})"
             )
 
+    oracle = summary.get("oracle")
+    if isinstance(oracle, Mapping) and "judged" in oracle:
+        judged, checked = oracle["judged"], oracle.get("checked")
+        if not (
+            isinstance(judged, int)
+            and isinstance(checked, int)
+            and 0 <= judged <= checked
+            and (judged > 0 or checked == 0)
+        ):
+            problems.append(
+                f"oracle.judged {judged!r} is not a count within "
+                f"checked ({checked!r}), nonzero when any cell was checked"
+            )
+
     verdicts = require("slo_verdicts", list, summary)
     if verdicts is not None:
         for index, verdict in enumerate(verdicts):
@@ -653,7 +670,12 @@ def render_report(
     if oracle is not None:
         failed = oracle.get("failed", 0)
         verdict = "clean" if not failed else f"{failed} FAILED"
-        lines.append(f"oracle: {oracle.get('checked')} cells checked, {verdict}")
+        judged = (
+            f" ({oracle['judged']} judgements)" if "judged" in oracle else ""
+        )
+        lines.append(
+            f"oracle: {oracle.get('checked')} cells checked{judged}, {verdict}"
+        )
         for name in (oracle.get("failed_cells") or [])[:top]:
             lines.append(f"  FAIL {name}")
 

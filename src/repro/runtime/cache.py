@@ -168,13 +168,20 @@ class ResultCache:
             return None
         try:
             record = self._read(where)
-            # An older writer's inline cell brings its own events.
-            result = ExecutionResult.from_dict(
-                {"request_key": record["key"], "events": (), **record}
-            )
             if "template" in record:
-                template = self._template(record["template"])
-                result.events = template.fill(record["holes"])
+                result = ExecutionResult(
+                    name=record["name"],
+                    request_key=record["key"],
+                    events=self._template(record["template"]).fill(
+                        record["holes"]
+                    ),
+                    **ExecutionResult.outcome_from_dict(record),
+                )
+            else:
+                # An older writer's inline cell brings its own events.
+                result = ExecutionResult.from_dict(
+                    {"request_key": record["key"], **record}
+                )
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             self.stats.corrupt_evictions += 1
             del cells[key]

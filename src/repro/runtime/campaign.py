@@ -23,6 +23,7 @@ run_dir is not None`` ladder.
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -41,12 +42,14 @@ class CampaignLeg:
         root: The runs root (``--run-dir``), or ``None`` for an inert leg.
         kind, name, config, slo: Recorded in the manifest.
         requests: The planned cells: the run id derives from their cache
-            keys (hashed once, as a batch) and ``results/`` becomes the
-            leg's cache.  ``None`` for ``sessions`` wall-clock sessions
-            identified by ``config``, with no result store (``live``).
+            keys (each hashed once, then memoised on its request) and
+            ``results/`` becomes the leg's cache.  ``None`` for
+            ``sessions`` wall-clock sessions identified by ``config``,
+            with no result store (``live``).
         label, stream: The heartbeat's tag (default ``name``) and the
             stream its lines are mirrored to, if any.
-        cache_dir: The cache an inert leg hands to the runner.
+        cache_dir: The cache an inert leg hands to the runner, created
+            here.
     """
 
     def __init__(
@@ -72,6 +75,16 @@ class CampaignLeg:
         self.reporter: ProgressReporter | None = None
         self._closed = False
         if root is None:
+            if cache_dir is not None:
+                # Now, not at the runner's first lookup: a cache nobody
+                # can create is a usage error before any cell runs.
+                try:
+                    os.makedirs(cache_dir, exist_ok=True)
+                except OSError as exc:
+                    raise ConfigurationError(
+                        f"cannot create result cache under {cache_dir}: "
+                        f"{exc.strerror or exc}"
+                    ) from exc
             return
         # The run-directory layers load with the first leg that has one.
         from repro.obs.artifacts import RunDir

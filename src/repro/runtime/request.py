@@ -419,17 +419,24 @@ class ExecutionResult:
             **self.outcome_dict(),
         }
 
+    @staticmethod
+    def outcome_from_dict(data: Mapping[str, Any]) -> dict[str, Any]:
+        """Constructor keywords for the fields :meth:`outcome_dict` wrote."""
+        return {
+            "decisions": {
+                int(pid): (entry[0], entry[1])
+                for pid, entry in data.get("decisions", {}).items()
+            },
+            "latency": data.get("latency"),
+            "num_rounds": data.get("num_rounds", 0),
+            "extra": dict(data.get("extra", {})),
+        }
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionResult":
         return cls(
             name=data["name"],
             request_key=data["request_key"],
             events=[Event.from_dict(entry) for entry in data["events"]],
-            decisions={
-                int(pid): (entry[0], entry[1])
-                for pid, entry in data.get("decisions", {}).items()
-            },
-            latency=data.get("latency"),
-            num_rounds=data.get("num_rounds", 0),
-            extra=dict(data.get("extra", {})),
+            **cls.outcome_from_dict(data),
         )

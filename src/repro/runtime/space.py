@@ -47,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
@@ -466,11 +466,29 @@ def vectorized_space(space: ScenarioSpace) -> ScenarioSpace:
     return ScenarioSpace(
         name=space.name,
         requests=tuple(
-            replace(request, engine="vector")
-            if request.engine == "rounds"
-            else request
+            _on_vector(request) if request.engine == "rounds" else request
             for request in space.requests
         ),
+    )
+
+
+def _on_vector(request: ExecutionRequest) -> ExecutionRequest:
+    # The constructor, not dataclasses.replace, which walks fields()
+    # and builds a kwargs dict per call; a space may hold thousands.
+    return ExecutionRequest(
+        name=request.name,
+        engine="vector",
+        algorithm=request.algorithm,
+        values=request.values,
+        t=request.t,
+        model=request.model,
+        scenario=request.scenario,
+        pattern=request.pattern,
+        max_rounds=request.max_rounds,
+        seed=request.seed,
+        params=request.params,
+        expect_disagreement=request.expect_disagreement,
+        check_consensus=request.check_consensus,
     )
 
 

@@ -331,6 +331,8 @@ class SweepResult:
     distinct: int
     metrics: MetricsRegistry
     checks: list[CellCheck] | None = None
+    #: Oracle runs behind :attr:`checks`: one per distinct verdict key.
+    judged: int = 0
     #: The backing cache's lifetime telemetry (hits/misses/stores/
     #: corrupt evictions), ``None`` when the sweep ran uncached.
     cache_stats: dict[str, int] | None = None
@@ -351,12 +353,12 @@ class SweepResult:
         cells — the one aggregate phase, whoever executed them.
 
         Every cell gets its :class:`CellCheck`, but the oracle runs once
-        per *trace object*: results share their ``events`` only as the
-        cells of one run (:func:`execute_cells`), whose requests agree
-        in everything the verdict reads, so the later ones take the
-        first one's verdict under their own name.  Results loaded from a
-        store are separate objects and are judged cell by cell.
-        ``distinct`` defaults to one run per cell.
+        per distinct *verdict key* (:func:`_verdict_key`): the inputs
+        :func:`check_cell` reads, so cells that agree in them take the
+        first one's verdict under their own name — the cells of one run
+        and, since a store hands out one template per digest, the
+        stored cells of one trace alike.  ``distinct`` defaults to one
+        run per cell.
         """
         # Fold metrics in space order so the result is schedule-independent.
         registry = MetricsRegistry()
@@ -368,17 +370,24 @@ class SweepResult:
         registry.counter("sweep.cells.total").inc(len(results))
 
         checks = None
+        judged: dict[Any, CellCheck] = {}
         if check:
             with profiled("runtime.sweep.check"):
                 checks = []
-                judged: dict[int, CellCheck] = {}
                 for request, result in zip(requests, results):
-                    verdict = judged.get(id(result.events))
+                    key = _verdict_key(request, result)
+                    verdict = judged.get(key)
                     if verdict is None:
-                        verdict = check_cell(request, result)
-                        judged[id(result.events)] = verdict
+                        verdict = judged[key] = check_cell(request, result)
                     else:
-                        verdict = replace(verdict, name=request.name)
+                        verdict = CellCheck(
+                            request.name,
+                            verdict.ok,
+                            verdict.model_errors,
+                            verdict.consensus_violations,
+                            verdict.expected_disagreement,
+                            verdict.report,
+                        )
                     checks.append(verdict)
         return cls(
             space_name=space_name,
@@ -389,6 +398,7 @@ class SweepResult:
             distinct=len(results) if distinct is None else distinct,
             metrics=registry,
             checks=checks,
+            judged=len(judged),
             cache_stats=cache.stats.as_dict() if cache is not None else None,
         )
 
@@ -461,15 +471,21 @@ class SweepResult:
     def write_merged_jsonl(self, sink: str | TextIO) -> int:
         """Write :meth:`merged_jsonl_lines` to ``sink`` — a path, or a
         handle from :func:`open_merged_sink`, closed here either way —
-        one ``write`` per cell; returns the number of events."""
+        one ``write`` per cell; returns the number of events.  A write
+        that fails (a full disk) is a :class:`ConfigurationError`."""
         count = 0
-        with (
-            open(sink, "w", encoding="utf-8") if isinstance(sink, str) else sink
-        ) as handle:
-            for lines in self._merged_cells():
-                if lines:
-                    handle.write("\n".join(lines) + "\n")
-                    count += len(lines)
+        try:
+            with (
+                open(sink, "w", encoding="utf-8")
+                if isinstance(sink, str)
+                else sink
+            ) as handle:
+                for lines in self._merged_cells():
+                    if lines:
+                        handle.write("\n".join(lines) + "\n")
+                        count += len(lines)
+        except OSError as exc:
+            raise _unwritable(getattr(sink, "name", sink), exc) from exc
         return count
 
     def latency_by_algorithm(self) -> dict[str, tuple[int | None, int | None]]:
@@ -539,16 +555,51 @@ class SweepResult:
         )
 
 
+#: The scalar types whose equality, type included, implies equal JSON.
+#: ``(0, 1)`` equals ``(False, True)`` and ``0.0`` equals ``-0.0``, and
+#: neither pair prints alike.
+_EXACT_TYPES = frozenset((int, str, bool))
+
+
+def _verdict_key(request: ExecutionRequest, result: ExecutionResult) -> Any:
+    """Everything :func:`check_cell` reads of a cell, as a dict key.
+
+    The template by identity (equal content, one object: a run's twins
+    share theirs, a store hands out one per digest), the holes and the
+    inputs with their exact types, and the request fields that choose
+    the checkers and the verdict rule.  Holes or inputs of any other
+    type key the cell by its trace object, which only the cells of one
+    run share.
+    """
+    holes, values = result.holes, request.values
+    hole_types = tuple(map(type, holes))
+    value_types = tuple(map(type, values))
+    if not (
+        _EXACT_TYPES.issuperset(hole_types)
+        and _EXACT_TYPES.issuperset(value_types)
+    ):
+        return id(result.events)
+    return (
+        id(result.template),
+        holes,
+        hole_types,
+        values,
+        value_types,
+        check_model_for(request),
+        request.engine,
+        request.expect_disagreement,
+        request.check_consensus,
+    )
+
+
 def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
     """What follows the timestamp on the line of a decide of ``value``.
 
-    Remembered for the exact scalar types whose equality implies equal
-    JSON.  Anything else is serialized every time: ``(0, 1)`` equals
-    ``(False, True)`` and ``0.0`` equals ``-0.0``, and neither pair
-    prints alike.
+    Remembered for the :data:`_EXACT_TYPES`; anything else is
+    serialized every time.
     """
     kind = type(value)
-    shared = kind is int or kind is str or kind is bool
+    shared = kind in _EXACT_TYPES
     suffix = memo.get((kind, value)) if shared else None
     if suffix is None:
         suffix = Event("decide", 0.0, value=value).json_parts()[1]
@@ -567,9 +618,13 @@ def open_merged_sink(path: str) -> TextIO:
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        raise ConfigurationError(
-            f"cannot write merged trace to {path}: {exc.strerror or exc}"
-        ) from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: Any, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(
+        f"cannot write merged trace to {path}: {exc.strerror or exc}"
+    )
 
 
 class SweepRunner:

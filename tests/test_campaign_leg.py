@@ -467,6 +467,53 @@ def test_jobs_below_one_is_refused_before_anything_runs(
     assert captured.err == f"error: --jobs must be at least 1 (got {jobs})\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "random-rs", "--count", "10"], ["fuzz", "--budget", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_uncreatable_cache_dir_is_refused_before_anything_runs(
+    argv, tmp_path, capsys, monkeypatch
+):
+    # Used to be a FileNotFoundError traceback and exit 1, the code for
+    # "the oracle found a failure".
+    monkeypatch.setattr(
+        SweepRunner, "run", lambda *a, **k: pytest.fail("a sweep ran")
+    )
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    cache = blocker / "cache"
+    assert main(argv + ["--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot create result cache under {cache}: ")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs a /dev/full device"
+)
+def test_a_merged_trace_that_fails_mid_write_is_one_error_line(
+    tmp_path, capsys
+):
+    root = tmp_path / "runs"
+    argv = ["sweep", "random-rs", "--count", "5", "--check",
+            "--run-dir", str(root), "--jsonl", "/dev/full"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "oracle: 5/5 cells clean" in captured.out
+    assert captured.err.splitlines()[-1] == (
+        "error: cannot write merged trace to /dev/full: "
+        "No space left on device"
+    )
+    # The leg finished before the trace was written: the run directory
+    # is complete.
+    (run,) = root.iterdir()
+    loaded = RunDir.load(run)
+    assert loaded.manifest["status"] == "complete"
+    assert loaded.summary()["resume"]["executed"] == 5
+
+
 # ---------------------------------------------------------------------------
 # Goldens captured at the parent commit (the five private copies)
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ representative's result under its own name.  The per-cell path that
 did this work 2000 times for 109 runs is gone from ``src/`` and lives
 on here as the reference: ``[execute_request(r) for r in space]`` and
 ``check_cell`` per cell are what every grouped result must equal.
+
+The oracle runs once per *content*: cells whose traces are one
+template object with equal holes, and whose requests agree in what the
+verdict reads, take one judgement — a run's twins, and a warm leg's
+stored cells of one trace.  ``check_cell`` on each cell alone, over its
+plain events, is the reference every shared verdict must equal.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +56,32 @@ def _space(name, engine="rounds", **kwargs):
 
 def _distinct(requests) -> int:
     return len({reference_work_key(request) for request in requests})
+
+
+def _contents(requests, results) -> int:
+    """Distinct (trace content, verdict inputs) by template *digest*,
+    types included: the oracle runs the sweep must make wherever equal
+    content is one template object (a store; one vector batch)."""
+    return len({
+        (
+            result.template.digest,
+            result.holes,
+            tuple(map(type, result.holes)),
+            request.values,
+            tuple(map(type, request.values)),
+            request.model,
+            request.engine,
+            request.expect_disagreement,
+            request.check_consensus,
+        )
+        for request, result in zip(requests, results)
+    })
+
+
+def _alone(request, result):
+    """The reference verdict: ``check_cell`` on this cell's plain events,
+    past every template memo."""
+    return check_cell(request, SimpleNamespace(events=list(result.events)))
 
 
 @pytest.fixture
@@ -115,7 +148,10 @@ class TestGroupedCellsEqualThePerCellLoop:
 class TestRunCounts:
     def test_random_rs_300_is_92_runs_and_92_judgements(self, counted):
         sweep = run_space(_space("random-rs", count=300, seed=7), check=True)
-        assert counted["execute_request"] == counted["check_cell"] == 92
+        # The rounds engine factors a template per run, so its contents
+        # are its runs.
+        assert counted["execute_request"] == 92
+        assert counted["check_cell"] == sweep.judged == 92
         assert (sweep.total, sweep.executed, sweep.distinct) == (300, 300, 92)
         assert len(sweep.checks) == 300 and sweep.checks_ok
         # stdout is the parent's, byte for byte; the figure is a line
@@ -133,7 +169,11 @@ class TestRunCounts:
         space = _space("random-rs", "vector", count=300, seed=7)
         sweep = run_space(space, check=True)
         assert counted["execute_batch"] == 1
-        assert counted["batch_rows"] == counted["check_cell"] == 92
+        assert counted["batch_rows"] == 92
+        # One template per digest per batch: equal contents of distinct
+        # runs take one judgement.
+        contents = _contents(space.requests, sweep.results)
+        assert counted["check_cell"] == sweep.judged == contents < 92
         assert counted["execute_request"] == 0
         assert sweep.distinct == 92 and sweep.checks_ok
 
@@ -181,8 +221,10 @@ class TestRunCounts:
         assert summary["coverage"]["distinct"] == 150 + _distinct(missed)
         assert sweep.distinct == summary["coverage"]["distinct"]
         assert summary["oracle"] == {
-            "checked": 300, "failed": 0, "failed_cells": []
+            "checked": 300, "judged": sweep.judged, "failed": 0,
+            "failed_cells": [],
         }
+        assert 0 < sweep.judged < 300
         assert not summary_problems(summary)
         audit = [
             json.loads(line)
@@ -462,15 +504,25 @@ def _cli_leg(tmp_path, tag, *extra):
     return trace.read_bytes(), json.loads(path.read_text(encoding="utf-8"))
 
 
+def _without_judged(section):
+    return {key: value for key, value in section.items() if key != "judged"}
+
+
 @pytest.mark.parametrize("engine", ("rounds", "vector"))
 def test_jobs_2_equals_jobs_1(engine, tmp_path, capsys):
     serial, one = _cli_leg(tmp_path, "serial", "--engine", engine)
     pooled, two = _cli_leg(tmp_path, "pooled", "--engine", engine, "--jobs", "2")
     assert serial == pooled
     assert one["run_id"] == two["run_id"]
-    for section in ("coverage", "oracle", "resume", "causal",
+    # How many oracle runs stood behind the verdicts is the one figure
+    # of the oracle section a schedule may move: a vector batch shares
+    # one template per digest, and a pool runs one batch per worker.
+    for summary in (one, two):
+        assert 0 < summary["oracle"]["judged"] <= summary["coverage"]["distinct"]
+    for section in ("coverage", "resume", "causal",
                     "latency_by_algorithm", "slo_verdicts"):
         assert one[section] == two[section], section
+    assert _without_judged(one["oracle"]) == _without_judged(two["oracle"])
     assert 0 < one["coverage"]["distinct"] < 300
     assert not summary_problems(one) and not summary_problems(two)
     err = capsys.readouterr().err
@@ -478,7 +530,9 @@ def test_jobs_2_equals_jobs_1(engine, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# (g) store hits are separate records and are judged one by one
+# (g) store hits are separate records that share templates per digest:
+#     a warm leg judges each content once, and every verdict is still
+#     its own cell's
 # ---------------------------------------------------------------------------
 
 
@@ -487,17 +541,141 @@ def test_a_warm_run_judges_every_cell(engine, tmp_path, counted):
     space = _space("random-rs", engine, count=200, seed=23)
     store = str(tmp_path / "store")
     cold = SweepRunner(cache=store, check=True).run(space)
-    assert counted["check_cell"] == cold.distinct == _distinct(space.requests)
-    assert cold.distinct < 200
+    assert counted["check_cell"] == cold.judged <= cold.distinct
+    assert cold.distinct == _distinct(space.requests) < 200
     counted.clear()
     warm = SweepRunner(cache=store, check=True).run(space)
     assert (warm.executed, warm.cached, warm.distinct) == (0, 200, 200)
-    assert counted["check_cell"] == 200
+    contents = _contents(space.requests, warm.results)
+    assert counted["check_cell"] == warm.judged == contents < cold.distinct
     assert counted["execute_request"] == counted["execute_batch"] == 0
     assert len({id(result.events) for result in warm.results}) == 200
     assert warm.checks == cold.checks
     assert warm.describe_sharing() is None
     assert list(warm.merged_jsonl_lines()) == list(cold.merged_jsonl_lines())
+
+
+class TestEveryVerdictIsItsCellsOwn:
+    """The per-cell reference loop: whichever cell's judgement a verdict
+    was shared from, it equals ``check_cell`` on its own cell alone."""
+
+    @pytest.mark.parametrize("leg", ("cold", "warm"))
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    @pytest.mark.parametrize("seed", (7, 23))
+    @pytest.mark.parametrize("name", DETERMINISTIC_SPACES)
+    def test_shared_verdicts_equal_the_per_cell_oracle(
+        self, name, seed, engine, leg, tmp_path, counted
+    ):
+        space = _space(name, engine, count=120, seed=seed)
+        store = str(tmp_path / "store")
+        sweep = SweepRunner(cache=store, check=True).run(space)
+        if leg == "warm":
+            counted.clear()
+            sweep = SweepRunner(cache=store, check=True).run(space)
+            assert sweep.executed == 0
+        assert counted["check_cell"] == sweep.judged <= sweep.total
+        if leg == "warm":
+            assert sweep.judged == _contents(space.requests, sweep.results)
+        for request, result, verdict in zip(
+            space.requests, sweep.results, sweep.checks
+        ):
+            alone = _alone(request, result)
+            assert verdict.name == request.name
+            assert (
+                verdict.ok,
+                verdict.model_errors,
+                verdict.consensus_violations,
+                verdict.expected_disagreement,
+                verdict.report,
+            ) == (
+                alone.ok,
+                alone.model_errors,
+                alone.consensus_violations,
+                alone.expected_disagreement,
+                alone.report,
+            ), request.name
+
+
+class TestTypeExactVerdictKeys:
+    """Equal in Python is not equal in a report: ``0``/``False`` and
+    ``0.0``/``-0.0`` holes and inputs never share a judgement, and an
+    unhashable one keys its cell by trace object."""
+
+    @pytest.mark.parametrize("leg", ("cold", "warm"))
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    @pytest.mark.parametrize(
+        "left, right, judged",
+        [
+            # exact types: the two twins of "left" share, "right" not
+            ((0, 0, 0), (False, False, False), {"cold": 2, "warm": 2}),
+            # floats: one judgement per trace object, which only the
+            # cells of one run share
+            ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), {"cold": 2, "warm": 3}),
+        ],
+        ids=("zero-vs-false", "negative-zero"),
+    )
+    def test_store_served_cells(
+        self, left, right, judged, engine, leg, tmp_path, counted
+    ):
+        scenario = failure_free(3)
+        space = ScenarioSpace.explicit("hostile", [
+            _cell("left", left, scenario, engine=engine, check_consensus=True),
+            _cell("right", right, scenario, engine=engine, check_consensus=True),
+            _cell("left-again", left, scenario, engine=engine,
+                  check_consensus=True),
+        ])
+        store = str(tmp_path / "store")
+        sweep = SweepRunner(cache=store, check=True).run(space)
+        if leg == "warm":
+            counted.clear()
+            sweep = SweepRunner(cache=store, check=True).run(space)
+            # One template object behind all three stored cells.
+            assert len({id(r.template) for r in sweep.results}) == 1
+        assert counted["check_cell"] == sweep.judged == judged[leg]
+        for request, result, verdict in zip(
+            space.requests, sweep.results, sweep.checks
+        ):
+            assert verdict == _alone(request, result), request.name
+
+    @pytest.mark.parametrize(
+        "holes, values, judged",
+        [
+            (((0,), (0,)), ((0, 1, 1), (0, 1, 1)), 1),
+            (((0,), (False,)), ((0, 1, 1), (0, 1, 1)), 2),
+            (((0,), (0,)), ((0, 1, 1), (False, True, True)), 2),
+            (((0.0,), (0.0,)), ((0, 1, 1), (0, 1, 1)), 2),
+            (((0.0,), (-0.0,)), ((0, 1, 1), (0, 1, 1)), 2),
+            (((0,), (0,)), ((0.0, 1, 1), (0.0, 1, 1)), 2),
+            ((([0],), ([0],)), ((0, 1, 1), (0, 1, 1)), 2),
+            (((0,), (0,)), (([0], 1, 1), ([0], 1, 1)), 2),
+        ],
+        ids=(
+            "equal", "hole-zero-vs-false", "input-zero-vs-false",
+            "float-holes", "hole-negative-zero", "float-input",
+            "unhashable-hole", "unhashable-input",
+        ),
+    )
+    def test_one_template_object_by_hand(self, holes, values, judged, counted):
+        """Two cells citing one template object, built outside a sweep."""
+        template = execute_request(
+            _cell("seed", (0, 1, 1), failure_free(3))
+        ).template
+        width = len(template.positions)
+        requests, results = [], []
+        for index, (hole, inputs) in enumerate(zip(holes, values)):
+            request = _cell(f"cell-{index}", inputs, failure_free(3),
+                            check_consensus=True)
+            requests.append(request)
+            results.append(ExecutionResult(
+                name=request.name, request_key=request.cache_key(),
+                events=template.fill(hole * width),
+            ))
+        sweep = sweep_module.SweepResult.aggregate(
+            "by-hand", requests, results, executed=2, check=True, cache=None,
+        )
+        assert counted["check_cell"] == sweep.judged == judged
+        for request, result, verdict in zip(requests, results, sweep.checks):
+            assert verdict == _alone(request, result), request.name
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +712,26 @@ def test_report_shows_the_distinct_runs(tmp_path, capsys):
         summary["coverage"]["distinct"] = broken
         assert any("distinct" in p for p in summary_problems(summary)), broken
 
+
+
+def test_report_shows_the_judgements(tmp_path, capsys):
+    root = tmp_path / "runs"
+    argv = ["sweep", "random-rs", "--count", "300", "--seed", "7", "--check",
+            "--engine", "vector", "--run-dir", str(root)]
+    assert main(argv) == 0 and main(argv) == 0  # cold, then warm
+    capsys.readouterr()
+    (summary_path,) = root.glob("*/summary.json")
+    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    judged = summary["oracle"]["judged"]
+    assert summary["resume"]["cached"] == 300
+    assert 0 < judged < summary["coverage"]["distinct"] == 300
+    assert main(["report", str(root)]) == 0
+    assert f"oracle: 300 cells checked ({judged} judgements), clean" in (
+        capsys.readouterr().out
+    )
+    assert not summary_problems(summary)
+    for broken in (301, 0, -1, "73", None):
+        summary["oracle"]["judged"] = broken
+        assert any("judged" in p for p in summary_problems(summary)), broken
+    summary["oracle"].update(checked=0, judged=0)
+    assert not summary_problems(summary)

@@ -101,6 +101,22 @@ class TestRegisteredSpaceGoldens:
         ]
         assert [c.ok for c in base.checks] == [c.ok for c in vec.checks]
 
+    @pytest.mark.parametrize("name", ROUND_SPACES)
+    def test_vectorized_cells_are_replace_engine_vector(self, name):
+        """vectorized_space copies a request field by field; a field it
+        forgot would show here as an unequal request."""
+        space = space_by_name(name, count=40, seed=7)
+        for request, vector in zip(
+            space.requests, vectorized_space(space).requests
+        ):
+            expected = (
+                replace(request, engine="vector")
+                if request.engine == "rounds"
+                else request
+            )
+            assert vector == expected
+            assert vector.cache_key() == expected.cache_key()
+
     def test_backends_agree(self, backend):
         base = run_space(space_by_name("e10-lambda"))
         vec = run_space(vectorized_space(space_by_name("e10-lambda")))
