@@ -207,7 +207,8 @@ VECTOR_SMOKE_DIR ?= /tmp/repro_vector_smoke
 # engine's on the Λ sweep and on the full oracle-sweep space (the
 # latter through a 2-worker pool) — then a vector fuzz stream, whose
 # replay oracle re-executes every case on the object engine (the
-# built-in vector↔object twin).
+# built-in vector↔object twin), and a random-rws run directory per
+# engine, which must store the same set of template digests.
 vector-smoke:
 	rm -rf $(VECTOR_SMOKE_DIR) && mkdir -p $(VECTOR_SMOKE_DIR)
 	PYTHONPATH=src python -m repro sweep e10-lambda --check \
@@ -221,6 +222,11 @@ vector-smoke:
 		--jobs 2 --jsonl $(VECTOR_SMOKE_DIR)/oracle_vector.jsonl
 	cmp $(VECTOR_SMOKE_DIR)/oracle_object.jsonl $(VECTOR_SMOKE_DIR)/oracle_vector.jsonl
 	PYTHONPATH=src python -m repro fuzz --budget 100 --seed 0 --engine vector
+	for engine in rounds vector; do \
+		PYTHONPATH=src python -m repro sweep random-rws --count 300 --seed 7 \
+			--engine $$engine --run-dir $(VECTOR_SMOKE_DIR)/rws_$$engine > /dev/null || exit 1; \
+	done
+	python -c 'import glob, json, sys; held = [{r["template"] for f in glob.glob(d + "/*/results/*.jsonl") for r in map(json.loads, open(f)) if "key" not in r} for d in sys.argv[1:]]; print(len(held[0]), "template digests on each engine"); assert held[0] == held[1] and held[0]' $(VECTOR_SMOKE_DIR)/rws_rounds $(VECTOR_SMOKE_DIR)/rws_vector
 
 REPORT_SMOKE_RUNS ?= /tmp/repro_report_smoke_runs
 

@@ -61,7 +61,7 @@ from repro.failures.pattern import FailurePattern
 from repro.inject import active_injection
 from repro.models.sp import PerfectFDModel
 from repro.models.ss import SSScheduler
-from repro.obs.events import Observer
+from repro.obs.events import EventLog
 from repro.obs.profile import profiled
 from repro.rounds.algorithm import RoundAlgorithm
 from repro.simulation.automaton import StepAutomaton, StepContext, StepOutcome
@@ -327,7 +327,7 @@ def _emulate(
     span: str,
     *,
     history: FailureDetectorHistory | None = None,
-    observer: Observer | None,
+    observer: EventLog | None,
 ) -> EmulatedRoundTrace:
     """Run the automaton on the step kernel until every correct process
     finished its rounds, and lift the step run to round vocabulary:
@@ -380,7 +380,7 @@ def _emulate(
             # run by check_emulated_weak_round_synchrony, which sees
             # crash times).
             for triple in sorted(trace.pending_triples()):
-                observer.msg_withheld(*triple, msg_id=trace.sent_index[triple])
+                observer.msg_withheld(*triple)
         # Halt is graceful termination: a pattern-faulty process never
         # halts in the lifted round-level view, even when its crash time
         # falls after it completed the round horizon (the kernel's crash
@@ -401,7 +401,7 @@ def emulate_rs_on_ss(
     num_rounds: int | None = None,
     rng: random.Random | None = None,
     max_steps: int | None = None,
-    observer: Observer | None = None,
+    observer: EventLog | None = None,
 ) -> EmulatedRoundTrace:
     """Run a round algorithm on the SS step kernel and lift the trace.
 
@@ -411,11 +411,7 @@ def emulate_rs_on_ss(
     the round model's "crashed in the middle of a broadcast").
 
     ``observer`` receives the underlying step kernel's events plus a
-    lifted ``decide`` event per deciding process.  The kernel threads a
-    stable ``msg_id`` (the step message uid) through every message
-    hook, so a :class:`~repro.obs.causal.CausalObserver` recovers the
-    exact send→delivery pairing of the emulated run even under
-    non-FIFO schedulers.
+    lifted ``decide`` event per deciding process.
     """
     n = len(values)
     rounds = num_rounds if num_rounds is not None else t + 2
@@ -449,7 +445,7 @@ def emulate_rws_on_sp(
     max_detection_delay: int = 30,
     delivery_prob: float = 0.5,
     max_age: int = 60,
-    observer: Observer | None = None,
+    observer: EventLog | None = None,
 ) -> EmulatedRoundTrace:
     """Run a round algorithm on the SP step kernel and lift the trace.
 

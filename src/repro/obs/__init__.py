@@ -6,14 +6,12 @@ rounds it did — which messages were withheld, when detectors suspected,
 where wall-clock time went.  This package is the instrumentation
 substrate that answers those questions without perturbing the engines:
 
-* :class:`Observer` — the event protocol both execution engines speak.
-  Every hook is a no-op on the base class and every engine call site is
-  guarded by ``observer is not None``, so the default path stays
+* :class:`EventLog` — the one recorder every engine writes into: typed
+  hooks that append timestamped events (``round_start``, ``msg_sent``,
+  ``msg_withheld``, ``msg_delivered``, ``crash``, ``suspect``,
+  ``decide``, ``halt``), exportable as JSONL.  Every engine call site
+  is guarded by ``observer is not None``, so an unrecorded run stays
   zero-cost.
-* :class:`EventLog` — an observer that records typed, timestamped
-  events (``round_start``, ``msg_sent``, ``msg_withheld``,
-  ``msg_delivered``, ``crash``, ``suspect``, ``decide``, ``halt``) and
-  exports them as JSONL.
 * :class:`MetricsRegistry` / :func:`metrics_of` — counters, gauges
   and histograms folded from a recorded trace (messages per round,
   decision-round distribution, suspicion latency).
@@ -34,8 +32,8 @@ On top of the stream sits the *trace oracle* trio:
   executable form of the paper's indistinguishability relation.
 
 And the causal layer (PR 7): :mod:`repro.obs.causal` reconstructs the
-happens-before DAG (Lamport/vector clocks, ``msg_id`` send→delivery
-matching, Theorem 3.1 causal cones) from any trace, and
+happens-before DAG (Lamport/vector clocks, send→delivery matching by
+live ``msg_id`` or structure, Theorem 3.1 causal cones) from any trace, and
 :mod:`repro.obs.critical` extracts per-decision critical paths,
 attributes live wall latency to send/retransmit/detector-wait legs,
 and audits suspicions against the ground-truth crash wall.
@@ -62,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(
         "causal": (
             "CausalEdge",
             "CausalGraph",
-            "CausalObserver",
             "annotate",
             "cone_signature",
             "cones_indistinguishable",
@@ -83,7 +80,6 @@ __getattr__, __dir__ = lazy_exports(
             "EVENT_KINDS",
             "Event",
             "EventLog",
-            "Observer",
             "clock_kind",
             "events_from_jsonl_lines",
             "logical_clock",
@@ -167,14 +163,12 @@ __all__ = [
     "summary_problems",
     "EVENT_KINDS",
     "Event",
-    "Observer",
     "EventLog",
     "clock_kind",
     "events_from_jsonl_lines",
     "logical_clock",
     "CausalEdge",
     "CausalGraph",
-    "CausalObserver",
     "annotate",
     "cone_signature",
     "cones_indistinguishable",

@@ -1,4 +1,4 @@
-"""Typed, timestamped structured events and the observer protocol.
+"""Typed, timestamped structured events and the log that records them.
 
 The taxonomy is deliberately small and closed — eight kinds, each a
 direct counterpart of a concept in the paper's run vocabulary:
@@ -15,18 +15,12 @@ direct counterpart of a concept in the paper's run vocabulary:
 ``halt``         a process halted (will never send again)
 ==============  ==============================================
 
-Observers receive these through typed hook methods rather than a single
-``emit(event)`` funnel so that engines never build :class:`Event`
-objects — or compute their fields — unless an observer actually wants
-them.  The base :class:`Observer` implements every hook as a no-op;
-engines additionally guard each call site with ``observer is not
-None``, which keeps the uninstrumented path free of any allocation.
-
-The round engines report a round's message traffic a phase at a time
-through two further hooks, :meth:`Observer.round_sends` and
-:meth:`Observer.round_deliveries`.  They add no event kind: their
-defaults replay the phase through the per-message hooks above, and the
-observers of this package build the same events in one pass.
+Every engine records a run into one :class:`EventLog` through its
+typed hook methods, one per kind.  The round engines report a round's
+message traffic a phase at a time through two further hooks,
+:meth:`EventLog.round_sends` and :meth:`EventLog.round_deliveries`,
+which add no event kind: they append the phase's ``msg_sent`` /
+``msg_delivered`` / ``msg_withheld`` events in one pass.
 """
 
 from __future__ import annotations
@@ -71,8 +65,7 @@ class Event:
         extra: Optional side-channel mapping of causal / wall-clock
             metadata (``msg_id``, ``wall_s``, retransmit counts,
             detector forensics).  Only the live runtime populates it;
-            the deterministic engines never do, so their traces stay
-            byte-identical with causal tracing enabled.  Excluded from
+            the deterministic engines never do.  Excluded from
             equality so replay comparisons ignore it.
     """
 
@@ -176,17 +169,6 @@ class _EventBuilder:
         self.__class__ = Event
 
 
-def round_msg_id(round_index: int, sender: int, recipient: int) -> str:
-    """The canonical message id for round-model messages.
-
-    The round models permit at most one message per ordered
-    ``(sender, recipient)`` pair per round, so this key is unique and
-    both the engines and the post-hoc reconstruction can derive it
-    independently.
-    """
-    return f"r{round_index}:{sender}>{recipient}"
-
-
 def logical_clock() -> Callable[[], float]:
     """A deterministic timestamp source: 1.0, 2.0, 3.0, ...
 
@@ -237,180 +219,16 @@ def clock_kind(events: Sequence[Event]) -> str:
     return "logical"
 
 
-class Observer:
-    """The event protocol: every hook is a no-op by default.
+class EventLog:
+    """The recorder every engine writes into, exportable as JSONL.
 
-    Subclass and override the hooks you care about.  All hooks take the
-    minimum information the engines have on hand; none return anything.
-
-    Two causal side channels ride along every hook:
-
-    * ``msg_id`` (message hooks only) — the engine's stable identity
-      for the message, pairing each ``msg_sent`` with its
-      ``msg_delivered``/``msg_withheld``.  **Observer-only**: the
-      :class:`EventLog` deliberately drops it, so deterministic traces
-      stay byte-identical; :class:`repro.obs.causal.CausalObserver`
-      captures it.
-    * ``extra`` — a JSON-ready mapping the :class:`EventLog` stores on
-      :attr:`Event.extra` (and therefore serializes).  Only the live
-      runtime's post-hoc replay supplies it; live traces are outside
-      the byte-parity oracles.
-
-    The round engines do not call the three message hooks directly:
-    they hand over a round's send phase and its receive phase whole
-    (:meth:`round_sends`, :meth:`round_deliveries`), and the defaults
-    here replay each phase through ``msg_sent`` / ``msg_delivered`` /
-    ``msg_withheld`` in emission order with the structural ``msg_id``.
-    An observer that only knows the per-message hooks therefore sees
-    exactly the calls it always did.  **Fallback rule:** a subclass
-    that overrides a per-message hook without overriding the matching
-    round hook *in the same class* gets that default back, even when a
-    base class batches natively — so an ``EventLog`` subclass with its
-    own ``msg_sent`` is still called once per message.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        own = cls.__dict__
-        if "msg_sent" in own and "round_sends" not in own:
-            cls.round_sends = Observer.round_sends
-        if (
-            "msg_delivered" in own or "msg_withheld" in own
-        ) and "round_deliveries" not in own:
-            cls.round_deliveries = Observer.round_deliveries
-
-    def round_start(self, round_index: int, alive: Sequence[int]) -> None:
-        """Round ``round_index`` begins with ``alive`` processes."""
-
-    def round_sends(
-        self, round_index: int, pairs: Sequence[tuple[int, int]]
-    ) -> None:
-        """Round ``round_index``'s send phase: every ``(sender,
-        recipient)`` whose message reached the network, in send order."""
-        msg_sent = self.msg_sent
-        for sender, recipient in pairs:
-            msg_sent(
-                sender,
-                recipient,
-                round_index=round_index,
-                msg_id=round_msg_id(round_index, sender, recipient),
-            )
-
-    def round_deliveries(
-        self,
-        round_index: int,
-        pairs: Sequence[tuple[int, int]],
-        withheld: Collection[tuple[int, int]] = (),
-    ) -> None:
-        """Round ``round_index``'s receive phase over the ``pairs`` of
-        :meth:`round_sends`: a pair in ``withheld`` (a subset of
-        ``pairs``; RWS pending messages) was withheld from its
-        recipient, every other one was delivered."""
-        msg_delivered = self.msg_delivered
-        msg_withheld = self.msg_withheld
-        for pair in pairs:
-            sender, recipient = pair
-            msg_id = round_msg_id(round_index, sender, recipient)
-            if pair in withheld:
-                msg_withheld(sender, recipient, round_index, msg_id=msg_id)
-            else:
-                msg_delivered(
-                    sender, recipient, round_index=round_index, msg_id=msg_id
-                )
-
-    def msg_sent(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """A message from ``sender`` to ``recipient`` reached the network."""
-
-    def msg_withheld(
-        self,
-        sender: int,
-        recipient: int,
-        round_index: int,
-        *,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """A sent message was withheld this round (RWS pending)."""
-
-    def msg_delivered(
-        self,
-        sender: int,
-        recipient: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        msg_id: Any = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """A message from ``sender`` was received by ``recipient``."""
-
-    def crash(
-        self,
-        pid: int,
-        *,
-        round_index: int | None = None,
-        time: int | None = None,
-        applies_transition: bool | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """Process ``pid`` crashed.
-
-        For round-model crashes ``applies_transition`` records whether
-        the process completed the round's transition before dying (the
-        decide-then-crash move behind uniform agreement); step-model
-        crashes leave it ``None``.  Recording it makes a trace a
-        complete adversary description, which is what lets
-        :mod:`repro.obs.replay` reconstruct the scenario exactly.
-        """
-
-    def suspect(
-        self,
-        pid: int,
-        suspected: int,
-        *,
-        time: int | None = None,
-        delay: int | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """``pid``'s detector module began suspecting ``suspected``.
-
-        ``delay`` is the suspicion latency (onset minus crash time)
-        when the caller knows it.
-        """
-
-    def decide(
-        self,
-        pid: int,
-        value: Any,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """Process ``pid`` decided ``value``."""
-
-    def halt(
-        self,
-        pid: int,
-        round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
-        """Process ``pid`` halted — it will never send again."""
-
-
-class EventLog(Observer):
-    """An observer that records every event, exportable as JSONL.
+    Engines report through typed hook methods rather than a single
+    ``emit(event)`` funnel, and guard each call site with ``observer is
+    not None``, so an unrecorded run builds no :class:`Event` at all.
+    All hooks take the minimum information the engines have on hand;
+    none return anything.  ``extra`` is a JSON-ready mapping stored on
+    :attr:`Event.extra` (and therefore serialized); only the live
+    runtime's post-hoc replay supplies it.
 
     Args:
         clock: Timestamp source; defaults to :func:`time.perf_counter`.
@@ -426,6 +244,7 @@ class EventLog(Observer):
     # -- recording hooks ----------------------------------------------------
 
     def round_start(self, round_index: int, alive: Sequence[int]) -> None:
+        """Round ``round_index`` begins with ``alive`` processes."""
         self.events.append(
             _EventBuilder(
                 "round_start",
@@ -441,6 +260,8 @@ class EventLog(Observer):
     def round_sends(
         self, round_index: int, pairs: Sequence[tuple[int, int]]
     ) -> None:
+        """Round ``round_index``'s send phase: every ``(sender,
+        recipient)`` whose message reached the network, in send order."""
         clock = self._clock
         self.events.extend(
             [
@@ -457,6 +278,10 @@ class EventLog(Observer):
         pairs: Sequence[tuple[int, int]],
         withheld: Collection[tuple[int, int]] = (),
     ) -> None:
+        """Round ``round_index``'s receive phase over the ``pairs`` of
+        :meth:`round_sends`: a pair in ``withheld`` (a subset of
+        ``pairs``; RWS pending messages) was withheld from its
+        recipient, every other one was delivered."""
         clock = self._clock
         self.events.extend(
             [
@@ -481,9 +306,9 @@ class EventLog(Observer):
         *,
         round_index: int | None = None,
         time: int | None = None,
-        msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """A message from ``sender`` to ``recipient`` reached the network."""
         self.events.append(
             _EventBuilder(
                 "msg_sent",
@@ -503,9 +328,9 @@ class EventLog(Observer):
         recipient: int,
         round_index: int,
         *,
-        msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """A sent message was withheld this round (RWS pending)."""
         self.events.append(
             _EventBuilder(
                 "msg_withheld",
@@ -526,9 +351,9 @@ class EventLog(Observer):
         *,
         round_index: int | None = None,
         time: int | None = None,
-        msg_id: Any = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """A message from ``sender`` was received by ``recipient``."""
         self.events.append(
             _EventBuilder(
                 "msg_delivered",
@@ -551,6 +376,15 @@ class EventLog(Observer):
         applies_transition: bool | None = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """Process ``pid`` crashed.
+
+        For round-model crashes ``applies_transition`` records whether
+        the process completed the round's transition before dying (the
+        decide-then-crash move behind uniform agreement); step-model
+        crashes leave it ``None``.  Recording it makes a trace a
+        complete adversary description, which is what lets
+        :mod:`repro.obs.replay` reconstruct the scenario exactly.
+        """
         self.events.append(
             _EventBuilder(
                 "crash",
@@ -573,6 +407,11 @@ class EventLog(Observer):
         delay: int | None = None,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """``pid``'s detector module began suspecting ``suspected``.
+
+        ``delay`` is the suspicion latency (onset minus crash time)
+        when the caller knows it.
+        """
         self.events.append(
             _EventBuilder(
                 "suspect",
@@ -594,6 +433,7 @@ class EventLog(Observer):
         *,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """Process ``pid`` decided ``value``."""
         self.events.append(
             _EventBuilder(
                 "decide",
@@ -614,6 +454,7 @@ class EventLog(Observer):
         *,
         extra: dict[str, Any] | None = None,
     ) -> None:
+        """Process ``pid`` halted — it will never send again."""
         self.events.append(
             _EventBuilder(
                 "halt",
@@ -625,6 +466,27 @@ class EventLog(Observer):
                 None,
                 extra,
             )
+        )
+
+    def record(self, events: Iterable[Event]) -> None:
+        """Append already-built events in order, each re-stamped through
+        this log's clock: how a run that has its trace in hand (a
+        vector-engine cell's filled template) reports it."""
+        clock = self._clock
+        self.events.extend(
+            [
+                _EventBuilder(
+                    event.kind,
+                    clock(),
+                    event.round,
+                    event.time,
+                    event.pid,
+                    event.peer,
+                    event.value,
+                    event.extra,
+                )
+                for event in events
+            ]
         )
 
     # -- queries ------------------------------------------------------------

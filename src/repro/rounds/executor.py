@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.obs.events import Observer
+from repro.obs.events import EventLog
 from repro.obs.profile import profiled
 from repro.rounds.algorithm import RoundAlgorithm
 from repro.rounds.scenario import CrashEvent, FailureScenario, validate_scenario
@@ -115,7 +115,7 @@ def execute(
     max_rounds: int,
     validate: bool = True,
     run_all_rounds: bool = False,
-    observer: Observer | None = None,
+    observer: EventLog | None = None,
 ) -> RoundRun:
     """Execute ``algorithm`` from ``values`` under ``scenario``.
 
@@ -132,12 +132,10 @@ def execute(
             is still alive has decided and no process will send again
             (``algorithm.halted``).  Set True to always execute exactly
             ``max_rounds`` rounds.
-        observer: Optional :class:`~repro.obs.Observer` receiving the
+        observer: Optional :class:`~repro.obs.EventLog` recording the
             run's structured events (``round_start``, each round's
-            ``round_sends`` / ``round_deliveries`` — replayed as
-            ``msg_sent`` / ``msg_delivered`` / ``msg_withheld`` for
-            per-message observers — ``crash``, ``decide``, ``halt``).
-            ``None`` (default) costs nothing.
+            ``round_sends`` / ``round_deliveries``, ``crash``,
+            ``decide``, ``halt``).  ``None`` (default) costs nothing.
 
     Returns:
         The completed :class:`RoundRun`.
@@ -202,9 +200,6 @@ def execute(
                 dying,
                 pending_in.get(round_index, ()),
             )
-            # A round's traffic is reported a phase at a time; observers
-            # that only know the per-message hooks get them replayed
-            # (obs.events).
             if observer is not None:
                 pairs = list(step.sent)
                 observer.round_sends(round_index, pairs)
@@ -370,7 +365,7 @@ def run_rs(
     t: int,
     max_rounds: int | None = None,
     run_all_rounds: bool = False,
-    observer: Observer | None = None,
+    observer: EventLog | None = None,
 ) -> RoundRun:
     """Execute in the RS model (round synchrony; no pending messages)."""
     horizon = max_rounds if max_rounds is not None else t + 2
@@ -394,7 +389,7 @@ def run_rws(
     t: int,
     max_rounds: int | None = None,
     run_all_rounds: bool = False,
-    observer: Observer | None = None,
+    observer: EventLog | None = None,
 ) -> RoundRun:
     """Execute in the RWS model (weak round synchrony; pending allowed)."""
     horizon = max_rounds if max_rounds is not None else t + 2

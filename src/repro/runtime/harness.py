@@ -3,10 +3,11 @@
 The repo has four ways to run an algorithm — the RS/RWS round executor,
 and the two step-kernel emulations (RS on SS, RWS on SP), each with its
 own signature.  A :class:`Harness` adapts one engine to the uniform
-``(request, observer) -> engine-native run`` shape, and
-:func:`execute_request` wraps any harness with the standard
-instrumentation (one logical-clock event log, whose trace the result's
-metrics are folded from) and lifts the outcome into an
+``(request, observer) -> engine-native run`` shape, where ``observer``
+is the :class:`~repro.obs.events.EventLog` the engine records into (or
+``None``), and :func:`execute_request` wraps any harness with the
+standard instrumentation (one logical-clock event log, whose trace the
+result's metrics are folded from) and lifts the outcome into an
 :class:`~repro.runtime.request.ExecutionResult`.
 
 ``execute_request`` is deliberately a module-level function of one
@@ -20,7 +21,7 @@ import random
 from typing import Any, Mapping, Protocol, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.events import EventLog, Observer, logical_clock
+from repro.obs.events import EventLog, logical_clock
 from repro.rounds import RoundModel
 from repro.rounds.executor import execute as execute_rounds
 from repro.runtime.registry import make_algorithm
@@ -42,9 +43,9 @@ class Harness(Protocol):
     deterministic: bool
 
     def execute(
-        self, request: ExecutionRequest, observer: Observer | None
+        self, request: ExecutionRequest, observer: EventLog | None
     ) -> Any:
-        """Run the request's cell, streaming events to ``observer``."""
+        """Run the request's cell, recording its events into ``observer``."""
         ...
 
     def summarize(self, run: Any) -> tuple[dict[int, tuple[int, Any]], int | None, int]:
@@ -63,7 +64,7 @@ class RoundHarness:
     deterministic = True
 
     def execute(
-        self, request: ExecutionRequest, observer: Observer | None
+        self, request: ExecutionRequest, observer: EventLog | None
     ) -> Any:
         return execute_rounds(
             make_algorithm(request.algorithm),
@@ -125,7 +126,7 @@ class _EmulationHarness:
     deterministic = True
 
     def execute(
-        self, request: ExecutionRequest, observer: Observer | None
+        self, request: ExecutionRequest, observer: EventLog | None
     ) -> Any:
         import repro.emulation
 
@@ -166,9 +167,9 @@ class VectorHarness:
     Runs the same RS/RWS round semantics as :class:`RoundHarness`, but
     batched: a group of cells sharing a scenario shares one value-free
     executor run, and their values go through it as bitmasks in one
-    call (see :func:`execute_batch`).  Single-cell execution streams
-    the same observer hooks — same structural ``msg_id``s included —
-    so traces are byte-identical to the object engine's; cells the
+    call (see :func:`execute_batch`).  Single-cell execution appends
+    the group's template, filled with the cell's decide values, to the
+    log, so traces are byte-identical to the object engine's; cells the
     kernel cannot take fall back to the object executor transparently.
     """
 
@@ -176,7 +177,7 @@ class VectorHarness:
     deterministic = True
 
     def execute(
-        self, request: ExecutionRequest, observer: Observer | None
+        self, request: ExecutionRequest, observer: EventLog | None
     ) -> Any:
         from repro.vector.engine import execute_vector_request
 
@@ -198,7 +199,7 @@ class LiveHarness:
     """The asyncio cluster runtime (heartbeat-built P) behind the seam.
 
     The run is wall-clock nondeterministic; its trace is serialized
-    into logical order post-hoc and replayed into the observer, so the
+    into logical order post-hoc and replayed into the log, so the
     same oracle suite that checks the logical engines checks live runs.
     Each run is a wall-clock sample, so equal cells are never folded
     into one.
@@ -208,7 +209,7 @@ class LiveHarness:
     deterministic = False
 
     def execute(
-        self, request: ExecutionRequest, observer: Observer | None
+        self, request: ExecutionRequest, observer: EventLog | None
     ) -> Any:
         from repro.live.harness import run_live_request
 
@@ -251,8 +252,9 @@ def execute_request(request: ExecutionRequest) -> ExecutionResult:
     Events are recorded with the deterministic logical clock (per-cell
     timestamps restart at 1.0), so the resulting trace is identical no
     matter which process — or how many sibling workers — executed it.
-    A caller that wants the run's hooks itself calls
-    ``harness_for(request.engine).execute(request, observer)``.
+    A caller that wants the run's log itself (a wall clock, the
+    engine-native run) calls
+    ``harness_for(request.engine).execute(request, log)``.
     """
     harness = harness_for(request.engine)
     log = EventLog(clock=logical_clock())

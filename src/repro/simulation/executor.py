@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 from repro.errors import ConfigurationError, ScheduleError
 from repro.failures.history import FailureDetectorHistory
 from repro.failures.pattern import FailurePattern
-from repro.obs.events import Observer
+from repro.obs.events import EventLog
 from repro.obs.profile import profiled
 from repro.simulation.automaton import StepAutomaton, StepContext, StepOutcome
 from repro.simulation.message import Message
@@ -79,7 +79,7 @@ class StepExecutor:
         record_states: If True, snapshot the stepping process's state
             after every step (used by fine-grained validators; costs
             memory on long runs).
-        observer: Optional :class:`~repro.obs.Observer` receiving the
+        observer: Optional :class:`~repro.obs.EventLog` recording the
             run's structured events (``msg_sent``, ``msg_delivered``,
             ``crash``, ``suspect``); ``None`` (default) costs nothing.
     """
@@ -93,7 +93,7 @@ class StepExecutor:
         *,
         history: FailureDetectorHistory | None = None,
         record_states: bool = False,
-        observer: Observer | None = None,
+        observer: EventLog | None = None,
     ) -> None:
         if n <= 0:
             raise ConfigurationError(f"n must be positive, got {n}")
@@ -189,10 +189,7 @@ class StepExecutor:
             if observer is not None:
                 for message in delivered:
                     observer.msg_delivered(
-                        message.sender,
-                        message.recipient,
-                        time=time,
-                        msg_id=message.uid,
+                        message.sender, message.recipient, time=time
                     )
                 if suspects is not None:
                     fresh = suspects - seen_suspects.get(pid, frozenset())
@@ -240,9 +237,7 @@ class StepExecutor:
                 columns.buffers[sent_to].append(message)
                 sent_uid = message.uid
                 if observer is not None:
-                    observer.msg_sent(
-                        pid, sent_to, time=time, msg_id=message.uid
-                    )
+                    observer.msg_sent(pid, sent_to, time=time)
 
             schedule.append(
                 Step(

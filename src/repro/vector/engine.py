@@ -4,8 +4,8 @@ Execution of a batch group splits into three phases:
 
 1. **Plan** (:mod:`repro.vector.plan`) — one value-free run of the
    round executor per distinct ``(algorithm, n, t, model, scenario,
-   horizon)`` group, yielding the exact observer-hook sequence and the
-   batched value program.  Memoized, so a thousand-cell value sweep
+   horizon)`` group, yielding the group's value-free trace template and
+   the batched value program.  Memoized, so a thousand-cell value sweep
    over one adversary plans once.
 2. **Value kernel** (this module) — the whole batch's decision values
    in one pass: initial values become bitmasks over each cell's sorted
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.obs.events import Observer
+from repro.obs.events import EventLog
 from repro.obs.profile import profiled
 from repro.obs.template import TraceTemplate
 from repro.runtime.harness import HARNESSES
@@ -211,9 +211,10 @@ def run_value_kernel(
 
 
 def execute_vector_request(
-    request: ExecutionRequest, observer: Observer | None
+    request: ExecutionRequest, observer: EventLog | None
 ) -> VectorRun | FallbackRun:
-    """One cell on the vector engine, streaming events to ``observer``;
+    """One cell on the vector engine, its trace (the plan's template
+    filled with the cell's decide values) recorded into ``observer``;
     a declined cell runs on the object engine (the ``rounds`` harness)
     instead.  Both returns expose ``decisions`` / ``latency()`` /
     ``num_rounds``."""
@@ -225,7 +226,7 @@ def execute_vector_request(
     plan, domain = admitted
     decide_values = run_value_kernel(plan, [request.values], [domain])[0]
     if observer is not None:
-        plan.replay(observer, decide_values)
+        observer.record(plan.template.fill(decide_values))
     return VectorRun(
         decisions=plan.decisions(decide_values),
         num_rounds=plan.num_rounds,

@@ -4,24 +4,22 @@ A :class:`GroupPlan` is the complete control-flow trace of every cell
 sharing ``(algorithm, n, t, model, scenario, max_rounds, params)`` —
 the batch *group*.  :func:`build_plan` obtains it by handing the
 algorithm's plan kernel (:mod:`repro.vector.kernels`, the algorithm
-with its values erased) to the round executor itself, under a
-recording observer.  Scenario validation, the crash and pending-message
-filters, quiescence, ``run_all_rounds`` and the trailing halts are
-therefore the object engine's by construction, which is what keeps the
-two engines byte-identical.  A plan holds:
+with its values erased) to the round executor itself, recording into
+an :class:`~repro.obs.events.EventLog`.  Scenario validation, the crash
+and pending-message filters, quiescence, ``run_all_rounds`` and the
+trailing halts are therefore the object engine's by construction,
+which is what keeps the two engines byte-identical.  A plan holds:
 
-* ``hooks`` — the observer-call sequence, a round's message traffic
-  as one ``round_msgs`` descriptor (the executor's ``round_sends`` +
-  ``round_deliveries`` pair) and decide events as indexed slots
-  awaiting per-cell values;
+* ``template`` — that recorded trace, factored
+  (:func:`~repro.obs.template.factor`): the group's value-free
+  :class:`~repro.obs.template.TraceTemplate`, whose holes are the
+  kernel's decision sources.  It lives as long as the memoized plan, so
+  the batch engine cites a ``fresh()`` instance per call (and per
+  digest) instead of this one;
 * ``program`` — per executed round, the batched ``W``-union ops and
   decision-source ops the value kernel runs over the whole batch;
 * ``decide_slots``, ``latency`` and ``num_rounds``, which are
-  value-independent and therefore shared by the group;
-* ``template`` — the group's :class:`~repro.obs.template.TraceTemplate`,
-  built on first use by replaying the hooks with no values.  It lives
-  as long as the memoized plan, so the batch engine cites a
-  ``fresh()`` instance per call (and per digest) instead of this one.
+  value-independent and therefore shared by the group.
 
 Plans are memoized per group key (scenarios are frozen and hashable),
 so sweeping a thousand value assignments over one adversary builds the
@@ -31,11 +29,10 @@ plan once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError, ScenarioError
-from repro.obs.events import EventLog, Observer, logical_clock
+from repro.obs.events import EventLog, logical_clock
 from repro.obs.template import TraceTemplate, factor
 from repro.rounds.executor import RoundModel, execute
 from repro.rounds.scenario import FailureScenario
@@ -53,9 +50,9 @@ class GroupPlan:
 
     n: int
     kind: str  # "set" (W-bitmask kernel) or "pick" (initial-value kernel)
-    #: Observer-call descriptors in emission order.  Decide hooks carry
-    #: their slot index instead of a value.
-    hooks: tuple[tuple, ...]
+    #: The group's trace with every decide value ``None``; a cell's
+    #: trace is ``template.fill(decide_values)``.
+    template: TraceTemplate
     #: ``(pid, round)`` per decide slot, in emission order.
     decide_slots: tuple[tuple[int, int], ...]
     #: Per executed round: ``(unions, decides)`` where ``unions`` is
@@ -72,82 +69,6 @@ class GroupPlan:
             pid: (round_index, decide_values[slot])
             for slot, (pid, round_index) in enumerate(self.decide_slots)
         }
-
-    def replay(self, observer: Observer, decide_values: Sequence[Any]) -> None:
-        """Stream the hook sequence into ``observer``: exactly the calls
-        the object executor makes — a round's traffic through the same
-        two round hooks, so causal observers pair sends with deliveries
-        identically on both engines."""
-        for hook in self.hooks:
-            kind = hook[0]
-            if kind == "round_msgs":
-                _, round_index, pairs, withheld = hook
-                observer.round_sends(round_index, pairs)
-                observer.round_deliveries(round_index, pairs, withheld)
-            elif kind == "round_start":
-                _, round_index, alive = hook
-                observer.round_start(round_index, list(alive))
-            elif kind == "decide":
-                _, slot, pid, round_index = hook
-                observer.decide(pid, decide_values[slot], round_index)
-            elif kind == "crash":
-                _, pid, round_index, applies = hook
-                observer.crash(
-                    pid, round_index=round_index, applies_transition=applies
-                )
-            else:  # halt
-                _, pid, round_index = hook
-                observer.halt(pid, round_index)
-
-    @cached_property
-    def template(self) -> TraceTemplate:
-        """The group's shared trace template: one replay with every
-        decide value ``None``, factored like any recorded trace."""
-        log = EventLog(clock=logical_clock())
-        self.replay(log, [None] * len(self.decide_slots))
-        return factor(log.events).template
-
-
-class _PlanRecorder(Observer):
-    """Turns the executor's observer calls on a plan kernel into hook
-    descriptors; a ``decide`` carries the kernel's decision *source*,
-    which becomes a slot plus one op of the round's value program."""
-
-    def __init__(self) -> None:
-        self.hooks: list[tuple] = []
-        self.slots: list[tuple[int, int]] = []
-        self.decides: list[list[tuple[int, int, str, int]]] = []
-
-    def round_start(self, round_index: int, alive: Sequence[int]) -> None:
-        self.hooks.append(("round_start", round_index, tuple(alive)))
-        self.decides.append([])
-
-    def round_sends(
-        self, round_index: int, pairs: Sequence[tuple[int, int]]
-    ) -> None:
-        """Recorded with the deliveries, as one ``round_msgs`` hook."""
-
-    def round_deliveries(
-        self,
-        round_index: int,
-        pairs: Sequence[tuple[int, int]],
-        withheld: Collection[tuple[int, int]] = (),
-    ) -> None:
-        self.hooks.append(
-            ("round_msgs", round_index, tuple(pairs), frozenset(withheld))
-        )
-
-    def crash(self, pid, *, round_index=None, applies_transition=None, **_) -> None:
-        self.hooks.append(("crash", pid, round_index, applies_transition))
-
-    def decide(self, pid, value, round_index=None, **_) -> None:
-        slot = len(self.slots)
-        self.slots.append((pid, round_index))
-        self.decides[-1].append((slot, pid, *value))
-        self.hooks.append(("decide", slot, pid, round_index))
-
-    def halt(self, pid, round_index=None, **_) -> None:
-        self.hooks.append(("halt", pid, round_index))
 
 
 def build_plan(
@@ -179,7 +100,7 @@ def build_plan(
     kernel = plan_kernel_for(algorithm, n, t)
     if kernel is None:
         return None
-    recorder = _PlanRecorder()
+    log = EventLog(clock=logical_clock())
     try:
         run = execute(
             kernel,
@@ -190,15 +111,28 @@ def build_plan(
             max_rounds=max_rounds,
             validate=validate,
             run_all_rounds=run_all_rounds,
-            observer=recorder,
+            observer=log,
         )
     except (ConfigurationError, ScenarioError):
         return None
+    # A decide event's value is the kernel's decision source ``(op,
+    # src)``: factoring makes each one a hole, in slot order.
+    cell = factor(log.events)
+    template = cell.template
+    decide_slots = tuple(
+        (template.events[position].pid, template.events[position].round)
+        for position in template.positions
+    )
+    decides: list[list[tuple]] = [[] for _ in range(run.num_rounds)]
+    for slot, ((pid, round_index), source) in enumerate(
+        zip(decide_slots, cell.holes)
+    ):
+        decides[round_index - 1].append((slot, pid, *source))
     plan = GroupPlan(
         n=n,
         kind=kernel.kind,
-        hooks=tuple(recorder.hooks),
-        decide_slots=tuple(recorder.slots),
+        template=template,
+        decide_slots=decide_slots,
         program=tuple(
             (
                 tuple(
@@ -206,9 +140,9 @@ def build_plan(
                     for pid, state in run.final_states.items()
                     if len(state.unions) > index and state.unions[index]
                 ),
-                tuple(decides),
+                tuple(round_decides),
             )
-            for index, decides in enumerate(recorder.decides)
+            for index, round_decides in enumerate(decides)
         ),
         num_rounds=run.num_rounds,
         latency=run.latency(),

@@ -4,9 +4,9 @@ The causal layer (``repro.obs.causal`` / ``repro.obs.critical``) must
 recover the paper's latency structure from traces alone: the critical
 path behind every decision counts exactly the Λ message hops of
 ``analysis/latency.py`` (Λ(A1)=1, Λ(FloodSet/RWS)=2 on failure-free
-runs), causal tracing must not perturb serialized traces by a single
-byte, and the live runtime's wall-latency legs must tile each
-decision's measured latency exactly.
+runs), the send→delivery pairing rebuilt from a trace alone must be
+the engine's own, and the live runtime's wall-latency legs must tile
+each decision's measured latency exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.analysis import latency_profile
 from repro.cli.main import main
 from repro.obs import events_from_jsonl_lines
 from repro.obs.causal import (
-    CausalObserver,
     annotate,
     cone_signature,
     cones_indistinguishable,
@@ -32,7 +31,7 @@ from repro.obs.critical import (
     suspicion_forensics,
     verify_round_paths,
 )
-from repro.obs.events import clock_kind, logical_clock
+from repro.obs.events import EventLog, clock_kind, logical_clock
 from repro.obs.report import causal_cells
 from repro.obs.schema import validate_event_dict
 from repro.rounds import RoundModel
@@ -143,8 +142,27 @@ class TestOracleSweep:
         assert "warning" in summary
 
 
+def _graph_form(graph):
+    return (graph.proc, graph.msg_ids, graph.parents, graph.lamport, graph.vector)
+
+
+def _step_message_uids(events, run):
+    """``event index -> message uid`` of every step-kernel message event,
+    read off the step run alone: the i-th ``msg_sent`` is the i-th step
+    that sent, the j-th ``msg_delivered`` the j-th received uid."""
+    sent = [step.sent_uid for step in run.schedule.steps if step.sent_uid is not None]
+    received = [uid for step in run.schedule.steps for uid in step.received_uids]
+    uids = {}
+    for kind, stream in (("msg_sent", sent), ("msg_delivered", received)):
+        indices = [i for i, e in enumerate(events) if e.kind == kind and e.time is not None]
+        assert len(indices) == len(stream)
+        uids.update(zip(indices, stream))
+    return uids
+
+
 class TestByteParity:
-    """Causal capture must not change serialized traces at all."""
+    """Tracing leaves serialized traces as they are, and the pairing
+    rebuilt from a trace alone is the engine's own."""
 
     def test_serialized_events_carry_no_extra(self, lambda_cells):
         for _, result in lambda_cells:
@@ -152,36 +170,71 @@ class TestByteParity:
                 assert "extra" not in event.to_dict()
 
     def test_causal_observer_leaves_trace_byte_identical(self):
+        # A traced run's graph is the graph of its JSONL round trip.
         request = e10_lambda_space().requests[0]
         plain = execute_request(request)
-        observer = CausalObserver(clock=logical_clock())
-        harness_for(request.engine).execute(request, observer)
-        assert [e.to_json() for e in plain.events] == [
-            e.to_json() for e in observer.events
-        ]
-        assert observer.engine_msg_ids  # ids captured out of band
+        log = EventLog(clock=logical_clock())
+        harness_for(request.engine).execute(request, log)
+        lines = list(log.jsonl_lines())
+        assert [e.to_json() for e in plain.events] == lines
+        reread = events_from_jsonl_lines(lines)
+        graph = annotate(log.events)
+        assert graph.message_pairs()
+        assert _graph_form(annotate(reread)) == _graph_form(graph)
 
     def test_engine_ids_match_structural_pairing_on_rounds(self):
         request = next(
             r for r in oracle_sweep_space(count=2).requests
             if r.engine == "rounds"
         )
-        observer = CausalObserver(clock=logical_clock())
-        harness_for(request.engine).execute(request, observer)
-        engine_pairs = observer.graph().message_pairs()
-        structural_pairs = annotate(observer.events).message_pairs()
-        assert structural_pairs == engine_pairs
+        log = EventLog(clock=logical_clock())
+        run = harness_for(request.engine).execute(request, log)
+        events = log.events
+        pairs = annotate(events).message_pairs()
+        receipts = [
+            i for i, e in enumerate(events)
+            if e.kind in ("msg_delivered", "msg_withheld")
+        ]
+        assert sorted(pairs) == receipts
+        for dst, src in pairs.items():
+            send, receipt = events[src], events[dst]
+            key = (receipt.round, receipt.peer, receipt.pid)
+            assert send.kind == "msg_sent"
+            assert (send.round, send.peer, send.pid) == key
+            assert (key[1], key[2]) in run.rounds[key[0] - 1].sent
 
     def test_emulation_structural_pairs_subset_of_engine(self):
-        request = next(
-            r for r in oracle_sweep_space(count=2).requests
-            if r.engine == "rws_on_sp"
-        )
-        observer = CausalObserver(clock=logical_clock())
-        harness_for(request.engine).execute(request, observer)
-        engine_pairs = observer.graph().message_pairs()
-        structural_pairs = annotate(observer.events).message_pairs()
-        assert set(structural_pairs.items()) <= set(engine_pairs.items())
+        # The step run's message uids are the ground truth: structural
+        # matching never pairs wrongly, and what it leaves unpaired is
+        # a lifted ``msg_withheld`` (the step sends carry no round).
+        unmatched = 0
+        for seed in range(30):
+            for request in oracle_sweep_space(count=6, seed=seed).requests:
+                if request.engine not in ("rs_on_ss", "rws_on_sp"):
+                    continue
+                log = EventLog(clock=logical_clock())
+                trace = harness_for(request.engine).execute(request, log)
+                events = log.events
+                uids = _step_message_uids(events, trace.run)
+                send_of = {
+                    uids[i]: i for i, e in enumerate(events) if e.kind == "msg_sent"
+                }
+                true_pairs = {
+                    dst: send_of[uids[dst]]
+                    for dst, e in enumerate(events)
+                    if e.kind == "msg_delivered"
+                }
+                true_pairs.update(
+                    (dst, send_of[trace.sent_index[(e.peer, e.pid, e.round)]])
+                    for dst, e in enumerate(events)
+                    if e.kind == "msg_withheld"
+                )
+                structural = annotate(events).message_pairs()
+                assert set(structural.items()) <= set(true_pairs.items())
+                for dst in set(true_pairs) - set(structural):
+                    assert events[dst].kind == "msg_withheld"
+                    unmatched += 1
+        assert unmatched
 
 
 class TestCausalGraph:

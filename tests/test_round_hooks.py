@@ -1,11 +1,10 @@
 """The round hooks: ``round_sends`` / ``round_deliveries``.
 
-The rounds engine reports a round's traffic a phase at a time.  These
-tests pin what that must not change: an observer that only knows the
-per-message hooks sees the calls it always did (arguments and
-``msg_id`` included), and the batching log builds the events — and so
-the folded metrics — the per-message path builds.  The slotted
-:class:`~repro.obs.Event` contract rides along.
+The rounds engine records a round's traffic a phase at a time.  These
+tests pin what that must not change: the log holds exactly the events
+the run's round records imply, one per message, so the fold gives the
+counts a per-hook counter gives.  The slotted :class:`~repro.obs.Event`
+contract rides along.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import random
 import pytest
 
 from repro.obs import Event, EventLog, metrics_of
-from repro.obs.causal import CausalObserver, round_msg_id
-from repro.obs.events import Observer, logical_clock
+from repro.obs.events import logical_clock
 from repro.rounds import (
     CrashEvent,
     FailureScenario,
@@ -36,92 +34,37 @@ from tests.reference_metrics import ReferenceMetrics
 N = 4
 
 
-class PerMessageObserver(Observer):
-    """A pre-round-hook observer: overrides per-message hooks only and
-    records every call with the exact arguments it was given."""
-
-    def __init__(self):
-        self.calls = []
-
-    def round_start(self, round_index, alive):
-        self.calls.append(("round_start", round_index, tuple(alive)))
-
-    def msg_sent(self, sender, recipient, **kwargs):
-        self.calls.append(("msg_sent", sender, recipient, kwargs))
-
-    def msg_withheld(self, sender, recipient, round_index, **kwargs):
-        self.calls.append(("msg_withheld", sender, recipient, round_index, kwargs))
-
-    def msg_delivered(self, sender, recipient, **kwargs):
-        self.calls.append(("msg_delivered", sender, recipient, kwargs))
-
-    def crash(self, pid, **kwargs):
-        self.calls.append(("crash", pid, kwargs))
-
-    def decide(self, pid, value, round_index=None, **kwargs):
-        self.calls.append(("decide", pid, value, round_index, kwargs))
-
-    def halt(self, pid, round_index=None, **kwargs):
-        self.calls.append(("halt", pid, round_index, kwargs))
-
-
-def expected_calls(run, algorithm):
-    """The per-message call sequence the executor made before it
-    batched, rebuilt from the finished run's records alone."""
+def expected_events(run, algorithm):
+    """The events the log must hold, rebuilt from the finished run's
+    records alone (logical-clock timestamps)."""
     scenario = run.scenario
-    calls = []
+    rows = []
     for record in run.rounds:
         r = record.index
-        calls.append(
-            (
-                "round_start",
-                r,
-                tuple(p for p in range(run.n) if scenario.alive_at_start(p, r)),
-            )
-        )
+        alive = [p for p in range(run.n) if scenario.alive_at_start(p, r)]
+        rows.append(("round_start", r, None, None, alive))
         for sender, recipient in record.sent:
-            calls.append(
-                (
-                    "msg_sent",
-                    sender,
-                    recipient,
-                    {"round_index": r, "msg_id": f"r{r}:{sender}>{recipient}"},
-                )
-            )
+            rows.append(("msg_sent", r, recipient, sender, None))
         for sender, recipient in record.sent:
-            msg_id = f"r{r}:{sender}>{recipient}"
-            if sender in record.delivered[recipient]:
-                calls.append(
-                    (
-                        "msg_delivered",
-                        sender,
-                        recipient,
-                        {"round_index": r, "msg_id": msg_id},
-                    )
-                )
-            else:
-                calls.append(
-                    ("msg_withheld", sender, recipient, r, {"msg_id": msg_id})
-                )
+            delivered = sender in record.delivered[recipient]
+            kind = "msg_delivered" if delivered else "msg_withheld"
+            rows.append((kind, r, recipient, sender, None))
         for pid in range(run.n):
             if pid in record.crashed:
                 applies = scenario.crash_of(pid).applies_transition
-                calls.append(
-                    (
-                        "crash",
-                        pid,
-                        {"round_index": r, "applies_transition": applies},
-                    )
-                )
+                rows.append(("crash", r, pid, None, applies))
             if run.decision_round(pid) == r:
-                calls.append(("decide", pid, run.decision_value(pid), r, {}))
+                rows.append(("decide", r, pid, None, run.decision_value(pid)))
     final = run.num_rounds
     for pid in range(run.n):
         if scenario.alive_at_start(pid, final + 1) and algorithm.halted(
             pid, run.final_states[pid]
         ):
-            calls.append(("halt", pid, final, {}))
-    return calls
+            rows.append(("halt", final, pid, None, None))
+    return [
+        Event(kind, float(ts), round=r, pid=pid, peer=peer, value=value)
+        for ts, (kind, r, pid, peer, value) in enumerate(rows, start=1)
+    ]
 
 
 def cases(algorithm_name, model):
@@ -178,39 +121,29 @@ def run_case(algorithm_name, model, values, scenario, t, observer):
     return run, algorithm
 
 
-#: sha256 over ``repr`` of every case's recorded call list (kwargs as
-#: sorted item tuples, decide values as ``repr``), taken from the
-#: per-message executor at the parent commit of the round-hook change.
-PARENT_CALL_DIGESTS = {
-    ("a1", "RS"): "2ae0535d6dcf51fc712b9a782d172a08cc1b929029ea9058651e619b47c254e2",
-    ("a1", "RWS"): "99369986ccb48db0af1c51d7a64a13827005c15807bb59a488cd7c3b4cb1c6e1",
-    ("atomic-broadcast", "RS"): "6d9e26a071de06effb34ba3ddd2454d373bb111a16b05b1a88735f18d6b2ac1d",
-    ("atomic-broadcast", "RWS"): "beb61b0c25faf829841615a5106e6180ce651a8fe192b8e8069afcd6c606be93",
-    ("c-opt", "RS"): "12e71d530338ac4af4bb8e68ce50611d5af510a672982255479be0c7a8ba3435",
-    ("c-opt", "RWS"): "6bfa550eb9bcdab86aab1bd2e5e12ee61fe1a87e36078905768dcc9a841c4857",
-    ("c-opt-ws", "RS"): "12e71d530338ac4af4bb8e68ce50611d5af510a672982255479be0c7a8ba3435",
-    ("c-opt-ws", "RWS"): "9d997a6b531b8b142014d24162e8a2b46b70748673032a514670ca8ff7503e9c",
-    ("eager-floodset-ws", "RS"): "67e4756d58a9f7054d96dd6ba6dfcd3e162eb13fd8b78dca119e32afe753f401",
-    ("eager-floodset-ws", "RWS"): "bfb3fd5b945bb8847eb1b22c21e39c888c9d39b10dd9de80abc78d72a11ed677",
-    ("f-opt", "RS"): "dec96f9c8ff2e55cffa1d96e76bdf60348c7ee1bce43ce192118e793700011aa",
-    ("f-opt", "RWS"): "7f8b39b69019109deb3491c617522f7912127e4f411576296f54e46f4fbc1018",
-    ("f-opt-ws", "RS"): "dec96f9c8ff2e55cffa1d96e76bdf60348c7ee1bce43ce192118e793700011aa",
-    ("f-opt-ws", "RWS"): "ef45ad910cf204f55863103522250c57345d1793675e940667e9c9cbfaba66af",
-    ("floodset", "RS"): "12e71d530338ac4af4bb8e68ce50611d5af510a672982255479be0c7a8ba3435",
-    ("floodset", "RWS"): "6bfa550eb9bcdab86aab1bd2e5e12ee61fe1a87e36078905768dcc9a841c4857",
-    ("floodset-ws", "RS"): "12e71d530338ac4af4bb8e68ce50611d5af510a672982255479be0c7a8ba3435",
-    ("floodset-ws", "RWS"): "9d997a6b531b8b142014d24162e8a2b46b70748673032a514670ca8ff7503e9c",
+#: sha256 over every case's JSONL lines (each ``"\n"``-terminated, cases
+#: in :func:`cases` order), taken from the event log at the parent
+#: commit of the change that made the log the engines' only recorder.
+PARENT_LOG_DIGESTS = {
+    ("a1", "RS"): "eb5d4cdc3a70954fe248552bb0572ed9ba3fe9efb82c9913c37db1d6e915cc1d",
+    ("a1", "RWS"): "4d7d19691d4cbe556b41e6cbff925c26555dea4d6e2a987f987e7bfe3142c276",
+    ("atomic-broadcast", "RS"): "d8248467a2cf75edfafd749e86fd257de3bb17cc831beeb00f604abe3d9b8791",
+    ("atomic-broadcast", "RWS"): "48cc602c8096375fa5afab6e832faf5e4cbe894d05f8b8c952df15e3f7e5630c",
+    ("c-opt", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",
+    ("c-opt", "RWS"): "301535db2b82e5b99b56de8b8dd6b47f218f25c3d461459dd51d83c184a27998",
+    ("c-opt-ws", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",
+    ("c-opt-ws", "RWS"): "fdde6a25ea6f3f362b7eee2f7231749342eb64d28e3488abba02cafc4ad31fa4",
+    ("eager-floodset-ws", "RS"): "4b692d7dd87ccd708832fcd1870897fda2e8aed61f4bde071753612ad696515c",
+    ("eager-floodset-ws", "RWS"): "d650c0fb647fecc2fd1922524fc087572243b234d1593b6dd247321a82662d41",
+    ("f-opt", "RS"): "7488a347257a8fc06af5f6e3e5e1bb82319da9117e73374f51f111ec04b149d2",
+    ("f-opt", "RWS"): "26780ce8595a69856ed6744f5948a34654c1f6692a59c312b4de13b8a238a478",
+    ("f-opt-ws", "RS"): "7488a347257a8fc06af5f6e3e5e1bb82319da9117e73374f51f111ec04b149d2",
+    ("f-opt-ws", "RWS"): "a987bcbac76b8bebcab1b2b5f27437cd1b900b42529f33282cc33ae15e4352b5",
+    ("floodset", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",
+    ("floodset", "RWS"): "301535db2b82e5b99b56de8b8dd6b47f218f25c3d461459dd51d83c184a27998",
+    ("floodset-ws", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",
+    ("floodset-ws", "RWS"): "fdde6a25ea6f3f362b7eee2f7231749342eb64d28e3488abba02cafc4ad31fa4",
 }
-
-
-def _digest_form(call):
-    """A call in the shape :data:`PARENT_CALL_DIGESTS` was hashed in."""
-    *args, kwargs = call
-    if call[0] == "round_start":
-        return call
-    if call[0] == "decide":
-        args[2] = repr(args[2])
-    return (*args, tuple(sorted(kwargs.items())))
 
 
 ALL_CELLS = [
@@ -220,24 +153,24 @@ ALL_CELLS = [
 
 class TestHookSequenceParity:
     def test_every_registered_algorithm_is_pinned(self):
-        assert set(PARENT_CALL_DIGESTS) == set(ALL_CELLS)
+        assert set(PARENT_LOG_DIGESTS) == set(ALL_CELLS)
 
     @pytest.mark.parametrize("name,model", ALL_CELLS)
     def test_per_message_observer_sees_the_same_calls(self, name, model):
+        # One event per message, as the run's records imply.
         digest = hashlib.sha256()
         saw_withheld = saw_partial = False
         for values, scenario, t in cases(name, model):
-            legacy = PerMessageObserver()
-            run, algorithm = run_case(name, model, values, scenario, t, legacy)
-            assert legacy.calls == expected_calls(run, algorithm)
-            digest.update(
-                repr([_digest_form(call) for call in legacy.calls]).encode()
-            )
-            saw_withheld |= any(c[0] == "msg_withheld" for c in legacy.calls)
+            log = EventLog(clock=logical_clock())
+            run, algorithm = run_case(name, model, values, scenario, t, log)
+            assert log.events == expected_events(run, algorithm)
+            for line in log.jsonl_lines():
+                digest.update(line.encode() + b"\n")
+            saw_withheld |= "msg_withheld" in log.kinds()
             saw_partial |= any(
                 0 < len(event.sent_to) < N - 1 for event in scenario.crashes
             )
-        assert digest.hexdigest() == PARENT_CALL_DIGESTS[name, model]
+        assert digest.hexdigest() == PARENT_LOG_DIGESTS[name, model]
         assert saw_partial
         assert saw_withheld == (model == "RWS")
 
@@ -247,81 +180,26 @@ class TestHookSequenceParity:
             scenario = FailureScenario(
                 n=N, crashes=(CrashEvent(0, 1, others, applies),)
             )
-            legacy = PerMessageObserver()
-            run_case("floodset", "RS", (0, 1, 1, 0), scenario, 2, legacy)
-            round_one_self_send = (
-                "msg_sent",
-                0,
-                0,
-                {"round_index": 1, "msg_id": "r1:0>0"},
-            )
-            assert (round_one_self_send in legacy.calls) == applies
-
-    @pytest.mark.parametrize("model", ["RS", "RWS"])
-    def test_causal_observer_ids_and_graph_unchanged(self, model):
-        class Replayed(CausalObserver):
-            """The same observer, forced through the per-message path."""
-
-            round_sends = Observer.round_sends
-            round_deliveries = Observer.round_deliveries
-
-        for values, scenario, t in cases("floodset", model):
-            bulk = CausalObserver(clock=logical_clock())
-            replayed = Replayed(clock=logical_clock())
-            run_case("floodset", model, values, scenario, t, bulk)
-            run_case("floodset", model, values, scenario, t, replayed)
-            assert bulk.events == replayed.events
-            assert bulk.engine_msg_ids == replayed.engine_msg_ids
-            assert bulk.engine_msg_ids == {
-                index: round_msg_id(event.round, event.peer, event.pid)
-                for index, event in enumerate(bulk.events)
-                if event.kind.startswith("msg_")
-            }
-            ours, theirs = bulk.graph(), replayed.graph()
-            assert ours.msg_ids == theirs.msg_ids
-            assert ours.parents == theirs.parents
-            assert ours.lamport == theirs.lamport
-            assert ours.vector == theirs.vector
-
-    def test_event_log_subclass_overriding_msg_sent_is_called_per_message(self):
-        class Tagging(EventLog):
-            def __init__(self):
-                super().__init__(clock=logical_clock())
-                self.ids = []
-
-            def msg_sent(self, sender, recipient, **kwargs):
-                self.ids.append(kwargs["msg_id"])
-                super().msg_sent(sender, recipient, **kwargs)
-
-        tagging, plain = Tagging(), EventLog(clock=logical_clock())
-        scenario = FailureScenario.failure_free(3)
-        for log in (tagging, plain):
-            run_case("floodset", "RS", (0, 1, 1), scenario, 1, log)
-        assert tagging.events == plain.events
-        assert tagging.ids == [
-            round_msg_id(e.round, e.peer, e.pid) for e in plain.of_kind("msg_sent")
-        ]
-        # only the overridden phase falls back; deliveries still batch
-        assert Tagging.round_sends is Observer.round_sends
-        assert Tagging.round_deliveries is EventLog.round_deliveries
+            log = EventLog(clock=logical_clock())
+            run_case("floodset", "RS", (0, 1, 1, 0), scenario, 2, log)
+            round_one_self_sends = [
+                e for e in log.of_kind("msg_sent")
+                if (e.round, e.peer, e.pid) == (1, 0, 0)
+            ]
+            assert bool(round_one_self_sends) == applies
 
     def test_batching_observers_match_the_per_message_path(self):
-        """EventLog: the per-message path's events, so the fold gives
-        the per-message counts, and no counter for a phase that had no
-        such message."""
-
-        class ReplayedReference(ReferenceMetrics):
-            round_sends = Observer.round_sends
-            round_deliveries = Observer.round_deliveries
-
+        """EventLog: the events a per-hook counter records, so the fold
+        gives its counts, and no counter for a phase that had no such
+        message."""
         for model in ("RS", "RWS"):
             for values, scenario, t in cases("floodset-ws", model):
                 log = EventLog(clock=logical_clock())
-                replayed = ReplayedReference()
-                for observer in (log, replayed):
+                counted = ReferenceMetrics()
+                for observer in (log, counted):
                     run_case("floodset-ws", model, values, scenario, t, observer)
-                assert log.events == replayed.events
-                assert metrics_of(log.events) == replayed.state()
+                assert log.events == counted.events
+                assert metrics_of(log.events) == counted.state()
                 if not scenario.pending:
                     counters = metrics_of(log.events)["counters"]
                     assert not any("withheld" in name for name in counters)
@@ -384,9 +262,9 @@ class TestSlottedEvent:
         log.round_start(1, [2, 0, 1])
         log.round_sends(1, [(0, 1), (2, 1)])
         log.round_deliveries(1, [(0, 1), (2, 1)], {(2, 1)})
-        log.msg_sent(0, 1, round_index=1, time=4, msg_id="m", extra=extra)
-        log.msg_withheld(0, 1, 1, msg_id="m", extra=extra)
-        log.msg_delivered(0, 1, round_index=1, time=5, msg_id="m", extra=extra)
+        log.msg_sent(0, 1, round_index=1, time=4, extra=extra)
+        log.msg_withheld(0, 1, 1, extra=extra)
+        log.msg_delivered(0, 1, round_index=1, time=5, extra=extra)
         log.crash(2, round_index=1, time=6, applies_transition=False, extra=extra)
         log.suspect(1, 2, time=7, delay=1, extra=extra)
         log.decide(1, (0, "x"), 2, extra=extra)
