@@ -298,6 +298,11 @@ mc-smoke:
 	PYTHONPATH=src python -m repro mc uniform-agreement --no-shrink \
 		--algorithm eager-floodset-ws --model RWS | tee /dev/stderr | \
 		grep -q "REFUTED"
+	PYTHONPATH=src python -m repro mc indistinguishability --algorithm a1 \
+		--n 3 --t 1 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+	for candidate in patient suspicion timeout; do \
+		PYTHONPATH=src python -m repro diff --sdd $$candidate || exit 1; \
+	done
 	status=0; REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src \
 		python -m repro mc agreement --algorithm floodset --engine rs_on_ss \
 		--out $(MC_SMOKE_DIR) || status=$$?; test "$$status" -eq 1

@@ -5,7 +5,9 @@ those whose verdicts depend only on each process's step projection
 ``S_i``, never on the global interleaving or the clock readings ``T``.
 This example extracts a run's causal structure, generates several
 alternative interleavings (linear extensions of the causal order), and
-re-executes the algorithm under each, showing the decisions never move.
+re-executes the algorithm under each, showing the decisions never move
+— and neither does any process's local view (its causal past, see
+``repro.obs.diff.local_view``), which the check compares too.
 
 Run:  python examples/timefree_rescheduling.py
 """
@@ -52,7 +54,7 @@ def main() -> None:
         attempts=10,
     )
     print(
-        "outcome invariant under 10 random reschedulings:",
+        "local views and outcome invariant under 10 random reschedulings:",
         "yes" if not problems else problems,
     )
     print()

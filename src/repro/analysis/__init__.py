@@ -35,12 +35,6 @@ __getattr__, __dir__ = lazy_exports(
             "round_one_survey",
         ),
         "summary": ("SummaryRow", "latency_summary_table", "format_table"),
-        "indistinguishability": (
-            "Observation",
-            "observations",
-            "indistinguishable",
-            "first_divergence",
-        ),
         "timefree": (
             "check_time_free_execution",
             "random_linear_extension",
@@ -62,10 +56,6 @@ __all__ = [
     "SummaryRow",
     "latency_summary_table",
     "format_table",
-    "Observation",
-    "observations",
-    "indistinguishable",
-    "first_divergence",
     "check_time_free_execution",
     "random_linear_extension",
     "reexecute_with_projections",

@@ -13,9 +13,10 @@ kernel, so counts identify messages), and the send→receive edges
 across processes.  Any linear extension of that partial order is a
 legal rescheduling with identical projections; re-executing the same
 deterministic algorithm under a random linear extension must reproduce
-the same per-process outcomes.  :func:`check_time_free_execution`
-automates the comparison — a mechanical witness that the algorithm's
-behaviour (and hence any time-free specification's verdict on it) is
+every process's local view (:func:`repro.obs.diff.local_view`, its
+causal past) and outcome.  :func:`check_time_free_execution` automates
+the comparison — a mechanical witness that the algorithm's behaviour
+(and hence any time-free specification's verdict on it) is
 interleaving-invariant.
 """
 
@@ -27,6 +28,9 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.failures.history import FailureDetectorHistory
+from repro.failures.pattern import FailurePattern
+from repro.obs.diff import local_view
+from repro.obs.events import Event, EventLog, logical_clock
 from repro.simulation.automaton import StepAutomaton
 from repro.simulation.executor import StepExecutor
 from repro.simulation.message import Message
@@ -142,6 +146,49 @@ def _delivery_selector(received: tuple[tuple[int, Any], ...]):
     return select
 
 
+def _execute_script(
+    run: Run,
+    automata: StepAutomaton | Sequence[StepAutomaton],
+    script: Sequence[tuple[int, Any]],
+    pattern: FailurePattern,
+    observer: EventLog | None = None,
+) -> Run:
+    """Execute ``script`` under ``pattern``; the i-th step of each
+    process sees the suspicion set its i-th step saw in ``run``."""
+    suspects: dict[int, list[frozenset | None]] = {
+        pid: [] for pid in range(run.n)
+    }
+    for step in run.schedule:
+        suspects[step.pid].append(step.suspects)
+
+    class _ReplayHistory(FailureDetectorHistory):
+        def __init__(self) -> None:
+            self._next = {pid: iter(seq) for pid, seq in suspects.items()}
+
+        def suspects(self, pid: int, t: int) -> frozenset:
+            return next(self._next[pid], None) or frozenset()
+
+    needs_history = any(step.suspects is not None for step in run.schedule)
+    return StepExecutor(
+        automata,
+        run.n,
+        pattern,
+        ScriptedScheduler(script),
+        history=_ReplayHistory() if needs_history else None,
+        observer=observer,
+    ).execute(len(script))
+
+
+def _trace(
+    run: Run, automata: StepAutomaton | Sequence[StepAutomaton]
+) -> list[Event]:
+    """The events of ``run``, recorded by re-executing its schedule."""
+    log = EventLog(clock=logical_clock())
+    script = [(step.pid, step.received_uids) for step in run.schedule]
+    _execute_script(run, automata, script, run.pattern, log)
+    return log.events
+
+
 def reexecute_with_projections(
     run: Run,
     automata: StepAutomaton | Sequence[StepAutomaton],
@@ -159,49 +206,11 @@ def reexecute_with_projections(
     for the query phase.
     """
     order = random_linear_extension(run, rng)
-    script = [
-        (node.pid, _delivery_selector(node.received))
-        for node in order
-    ]
-
-    original_suspects: dict[tuple[int, int], frozenset | None] = {}
-    locals_seen = {pid: 0 for pid in range(run.n)}
-    for step in run.schedule:
-        original_suspects[(step.pid, locals_seen[step.pid])] = step.suspects
-        locals_seen[step.pid] += 1
-
-    class _ReplayHistory(FailureDetectorHistory):
-        """Replays per-process suspicion sequences positionally."""
-
-        def __init__(self) -> None:
-            self._cursor = {pid: 0 for pid in range(run.n)}
-
-        def suspects(self, pid: int, t: int) -> frozenset:
-            position = self._cursor[pid]
-            self._cursor[pid] = position + 1
-            value = original_suspects.get((pid, position))
-            return value if value is not None else frozenset()
-
-    needs_history = any(
-        suspects is not None for suspects in original_suspects.values()
+    script = [(node.pid, _delivery_selector(node.received)) for node in order]
+    relaxed = FailurePattern.with_crashes(
+        run.n, {pid: len(order) + 1 for pid in run.pattern.faulty}
     )
-    from repro.failures.pattern import FailurePattern
-
-    relaxed_pattern = FailurePattern.with_crashes(
-        run.n,
-        {
-            pid: len(order) + 1
-            for pid in run.pattern.faulty
-        },
-    )
-    executor = StepExecutor(
-        automata,
-        run.n,
-        relaxed_pattern,
-        ScriptedScheduler(script),
-        history=_ReplayHistory() if needs_history else None,
-    )
-    return executor.execute(len(order))
+    return _execute_script(run, automata, script, relaxed)
 
 
 def check_time_free_execution(
@@ -212,7 +221,7 @@ def check_time_free_execution(
     rng: random.Random | None = None,
     attempts: int = 3,
 ) -> list[str]:
-    """Verify per-process outcomes are invariant under rescheduling.
+    """Verify per-process views and outcomes survive rescheduling.
 
     Args:
         run: The original finished run.
@@ -222,16 +231,27 @@ def check_time_free_execution(
         rng: Randomness for picking linear extensions.
         attempts: Number of independent reschedulings to try.
 
-    Returns a list of discrepancy descriptions (empty = time-free as
-    far as these reschedulings witness).
+    Every process's :func:`repro.obs.diff.local_view` must be the same
+    in the original run and in each replay (each recorded by
+    re-executing its own schedule) — a rescheduling moves no causal
+    past — and so must its outcome.  Returns a list of discrepancy
+    descriptions (empty = time-free as far as these reschedulings
+    witness).
     """
     if rng is None:
         rng = random.Random(0)
+    trace = _trace(run, automata)
+    views = {pid: local_view(trace, pid) for pid in range(run.n)}
     problems: list[str] = []
     baseline = {pid: outcome(run, pid) for pid in range(run.n)}
     for attempt in range(attempts):
         replay = reexecute_with_projections(run, automata, rng)
+        trace = _trace(replay, automata)
         for pid in range(run.n):
+            if local_view(trace, pid) != views[pid]:
+                problems.append(
+                    f"attempt {attempt}: p{pid}'s local view changed"
+                )
             replayed = outcome(replay, pid)
             if replayed != baseline[pid]:
                 problems.append(

@@ -17,19 +17,26 @@ from repro.obs import (
 from repro.runtime.harness import execute_request
 from repro.runtime.registry import make_algorithm
 from repro.runtime.sweep import check_cell
-from repro.sdd import SP_CANDIDATE_FACTORIES, sdd_quadruple_traces
-from repro.sdd.spec import RECEIVER
+from repro.sdd import SP_CANDIDATE_FACTORIES
+
+
+def _classify(candidate: str):
+    """The SDD quadruple fixture's classification, or ``None`` (the
+    error already reported) for an unknown candidate."""
+    from repro.errors import ConfigurationError
+    from repro.mc.fixtures import classify_sdd_quadruple
+
+    try:
+        return classify_sdd_quadruple(candidate)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.sdd_fixture:
-        from repro.errors import ConfigurationError
-        from repro.mc.fixtures import classify_sdd_quadruple
-
-        try:
-            classification = classify_sdd_quadruple(args.sdd_fixture)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        classification = _classify(args.sdd_fixture)
+        if classification is None:
             return 2
         print(classification.describe())
         return 0 if classification.genuine else 1
@@ -168,7 +175,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         if divergence is None:
             print(
                 f"p{args.pid}'s local views are indistinguishable "
-                "(deliveries, suspicions and decisions match in order)"
+                "(its causal pasts match, process by process)"
             )
             return 0
         print(f"p{args.pid}: " + divergence.describe())
@@ -180,29 +187,20 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _diff_sdd(candidate: str) -> int:
     """The Theorem 3.1 demo: r0 ~ r0' and r1 ~ r1' for the receiver."""
-    factory = SP_CANDIDATE_FACTORIES.get(candidate)
-    if factory is None:
-        print(
-            f"error: unknown SDD candidate {candidate!r}; choose from "
-            f"{sorted(SP_CANDIDATE_FACTORIES)}",
-            file=sys.stderr,
-        )
+    classification = _classify(candidate)
+    if classification is None:
         return 2
-    traces = sdd_quadruple_traces(factory)
     print(
         f"Theorem 3.1 quadruple for candidate {candidate!r} "
         "(receiver's local views):"
     )
-    all_indistinguishable = True
-    for left, right in (("r0", "r0'"), ("r1", "r1'")):
-        divergence = view_divergence(
-            traces[left].events, traces[right].events, RECEIVER
-        )
+    for label, divergence in classification.divergences.items():
         if divergence is None:
-            print(f"  {left} ~ {right}: indistinguishable to the receiver")
+            print(f"  {label}: indistinguishable to the receiver")
         else:
-            all_indistinguishable = False
-            print(f"  {left} vs {right}: " + divergence.describe())
+            pair = label.replace(" ~ ", " vs ")
+            print(f"  {pair}: " + divergence.describe())
+    all_indistinguishable = all(classification.indistinguishable.values())
     if all_indistinguishable:
         print(
             "  => the receiver must decide identically within each pair; "

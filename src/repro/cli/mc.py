@@ -10,7 +10,7 @@ witnesses in the fuzz counterexample format.
 Properties (see ``repro mc --list``): ``agreement``,
 ``uniform-agreement``, ``validity``, ``termination`` (cell
 properties), ``lambda`` (the failure-free worst case Λ vs its paper
-bound), and ``indistinguishability`` (equal causal cones force equal
+bound), and ``indistinguishability`` (equal local views force equal
 decisions, Theorem 3.1; ``--fixture NAME`` instead classifies one of
 Biely's SDD quadruple fixtures).
 

@@ -23,12 +23,12 @@ small, each with an explicit soundness argument:
   ``sent_to`` members the crashing process never actually addressed,
   deliveries and withholds towards processes that do not complete the
   round, and crashes after global quiescence.  None of these enter any
-  completing process's causal cone (the delivered-message vectors of
+  completing process's causal past (the delivered-message vectors of
   every transitioning process are identical), so by the Theorem 3.1
   argument the runs are indistinguishable to every process whose
   decisions the properties quantify over; ``tests/test_mc_explore.py``
   certifies representative prunes with
-  :func:`repro.obs.causal.cone_signature` equality.
+  :func:`repro.obs.diff.local_view` equality.
 * **Choices up to the configuration's stabiliser**: the first two
   reductions prune a successor *after* it was built; this one does not
   build it.  :func:`repro.mc.symmetry.stabiliser_classes` colours the

@@ -8,14 +8,16 @@ This module registers each SP candidate's quadruple as a *named
 counterexample fixture* and classifies it: a fixture is a **genuine
 indistinguishability witness** when (a) the receiver's local views
 coincide within both pairs (the premise, checked on the recorded
-traces with :func:`repro.obs.diff.view_divergence`), and (b) the
+traces with :func:`repro.obs.diff.view_divergence`, the located form
+of :func:`repro.obs.diff.local_view` equality), and (b) the
 candidate actually violates the SDD specification on at least one run
 (the conclusion, via :func:`repro.sdd.impossibility.refute_sdd_candidate`).
 
-``repro check --sdd-fixture NAME`` and
-``repro mc indistinguishability --fixture NAME`` surface the
-classification; ``tests/test_mc_fixtures.py`` pins every registered
-candidate to ``genuine=True``.
+``repro check --sdd-fixture NAME``,
+``repro mc indistinguishability --fixture NAME`` and
+``repro diff --sdd NAME`` surface the classification;
+``tests/test_mc_fixtures.py`` pins every registered candidate to
+``genuine=True``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.obs.diff import view_divergence
+from repro.obs.diff import Divergence, view_divergence
 from repro.sdd import (
     SP_CANDIDATE_FACTORIES,
     refute_sdd_candidate,
@@ -45,13 +47,22 @@ class SddClassification:
     """The checker's judgement of one SDD quadruple fixture."""
 
     candidate: str
-    #: pair label -> the receiver's views coincide.
-    indistinguishable: dict[str, bool] = field(default_factory=dict)
+    #: pair label -> where the receiver's views split (``None``: they
+    #: coincide).
+    divergences: dict[str, Divergence | None] = field(default_factory=dict)
     #: run name -> the receiver's decision in that run.
     decisions: dict[str, object] = field(default_factory=dict)
     #: the candidate violates the SDD spec somewhere in the quadruple.
     refuted: bool = False
     problems: list[str] = field(default_factory=list)
+
+    @property
+    def indistinguishable(self) -> dict[str, bool]:
+        """pair label -> the receiver's views coincide."""
+        return {
+            label: divergence is None
+            for label, divergence in self.divergences.items()
+        }
 
     @property
     def genuine(self) -> bool:
@@ -88,7 +99,7 @@ def classify_sdd_quadruple(candidate: str) -> SddClassification:
     factory = SP_CANDIDATE_FACTORIES.get(candidate)
     if factory is None:
         raise ConfigurationError(
-            f"unknown SDD fixture {candidate!r}; choose from "
+            f"unknown SDD candidate {candidate!r}; choose from "
             f"{sdd_fixture_names()}"
         )
     classification = SddClassification(candidate=candidate)
@@ -98,7 +109,7 @@ def classify_sdd_quadruple(candidate: str) -> SddClassification:
             traces[left].events, traces[right].events, RECEIVER
         )
         label = f"{left} ~ {right}"
-        classification.indistinguishable[label] = divergence is None
+        classification.divergences[label] = divergence
         if divergence is not None:
             classification.problems.append(
                 f"{label}: {divergence.describe()}"

@@ -12,9 +12,9 @@ Cell properties (agreement, uniform agreement, validity, termination)
 judge each run in isolation; aggregate properties quantify over the
 whole frontier — ``lambda`` is the paper's ``Λ(A) = Lat(A, 0)`` worst
 case over the failure-free space, and ``indistinguishability`` is the
-Theorem 3.1 transport: two runs giving a process identical causal
-cones (:func:`repro.obs.causal.cone_signature`) must extract identical
-decisions from it.
+Theorem 3.1 transport: two runs giving a process the same local view
+up to its decision (:func:`repro.obs.diff.local_view`) must extract
+identical decisions from it.
 
 The property ↔ theorem correspondence is tabulated in
 ``docs/paper_map.md``.
@@ -234,45 +234,63 @@ def lambda_outcome(
 
 
 def indistinguishability_outcome(pairs: Sequence[Pair]) -> PropertyOutcome:
-    """Theorem 3.1 as a frontier invariant: equal cones, equal decisions.
+    """Theorem 3.1 as a frontier invariant: equal views, equal decisions.
 
-    For every process, runs are grouped by the process's causal-cone
-    signature; within a group the process's decision must be constant.
-    A conflict exhibits two runs the process cannot distinguish in
-    which it nevertheless behaves differently — exactly the
-    contradiction shape the paper's impossibility arguments build.
+    For every correct process, runs are grouped by what the process
+    knew when it decided: its :func:`repro.obs.diff.local_view` up to
+    its first ``decide`` event, over the run's inputs.  Within a group
+    the process's decision must be constant.  A conflict exhibits two
+    runs the process cannot distinguish in which it nevertheless
+    decides differently — exactly the contradiction shape the paper's
+    impossibility arguments build.
+
+    ``details`` counts the ``groups`` and the ``shared`` ones holding
+    two runs or more — the only groups the property compares anything
+    in.  A frontier reduced to one run per view (FloodSet's, whose
+    decision round fixes the whole causal past) has ``shared == 0``.
     """
-    from repro.obs.causal import cone_signature
+    from repro.obs.diff import local_view
 
-    groups: dict[tuple[int, tuple], dict[Any, str]] = {}
-    violations: list[Violation] = []
+    groups: dict[tuple[int, tuple], list[tuple[Any, ExecutionRequest]]] = {}
     for request, result in pairs:
+        events = result.events
         for pid in correct_pids(request):
             entry = result.decisions.get(pid)
             if entry is None:
                 continue
-            signature = cone_signature(result.events, pid)
-            seen = groups.setdefault((pid, signature), {})
-            if entry[1] not in seen:
-                seen[entry[1]] = request.name
-            if len(seen) > 1:
-                others = sorted(
-                    f"{value!r} in {cell}" for value, cell in seen.items()
-                )
-                violations.append(
-                    Violation(
-                        cell=request.name,
-                        problems=[
-                            f"p{pid} has identical causal cones but decides "
-                            + " vs ".join(others)
-                        ],
-                        request=request,
-                    )
-                )
+            decided_at = next(
+                (
+                    index
+                    for index, event in enumerate(events)
+                    if event.kind == "decide" and event.pid == pid
+                ),
+                None,
+            )
+            view = local_view(
+                events, pid, upto=decided_at, inputs=request.values
+            )
+            groups.setdefault((pid, view), []).append((entry[1], request))
+    violations = [
+        Violation(
+            cell=request.name,
+            problems=[
+                f"p{pid} has identical local views but decides "
+                f"{first_value!r} in {first.name} vs {value!r} in "
+                f"{request.name}"
+            ],
+            request=request,
+        )
+        for (pid, _), ((first_value, first), *rest) in groups.items()
+        for value, request in rest
+        if value != first_value
+    ]
     return PropertyOutcome(
         holds=not violations,
         violations=violations,
-        details={"cone_groups": len(groups)},
+        details={
+            "groups": len(groups),
+            "shared": sum(1 for members in groups.values() if len(members) > 1),
+        },
     )
 
 
@@ -331,7 +349,7 @@ PROPERTIES: dict[str, Property] = {
         Property(
             name="indistinguishability",
             kind="aggregate",
-            doc="equal causal cones imply equal decisions (Theorem 3.1)",
+            doc="equal local views imply equal decisions (Theorem 3.1)",
             theorem="Theorem 3.1",
         ),
     )

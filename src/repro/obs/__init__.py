@@ -28,12 +28,14 @@ On top of the stream sits the *trace oracle* trio:
 * :mod:`repro.obs.replay` — reconstruct the
   :class:`~repro.rounds.scenario.FailureScenario` behind a trace and
   deterministically re-execute it, asserting event-for-event equality.
-* :mod:`repro.obs.diff` — per-process divergence diffing and the
-  executable form of the paper's indistinguishability relation.
+* :mod:`repro.obs.diff` — per-process divergence diffing and
+  :func:`local_view`, the one executable form of the paper's
+  indistinguishability relation (a process's causal past plus the
+  inputs it rests on).
 
 And the causal layer (PR 7): :mod:`repro.obs.causal` reconstructs the
 happens-before DAG (Lamport/vector clocks, send→delivery matching by
-live ``msg_id`` or structure, Theorem 3.1 causal cones) from any trace, and
+live ``msg_id`` or structure, causal pasts) from any trace, and
 :mod:`repro.obs.critical` extracts per-decision critical paths,
 attributes live wall latency to send/retransmit/detector-wait legs,
 and audits suspicions against the ground-truth crash wall.
@@ -61,8 +63,6 @@ __getattr__, __dir__ = lazy_exports(
             "CausalEdge",
             "CausalGraph",
             "annotate",
-            "cone_signature",
-            "cones_indistinguishable",
             "round_msg_id",
         ),
         "critical": (
@@ -170,8 +170,6 @@ __all__ = [
     "CausalEdge",
     "CausalGraph",
     "annotate",
-    "cone_signature",
-    "cones_indistinguishable",
     "round_msg_id",
     "DecisionPath",
     "Leg",

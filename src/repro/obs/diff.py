@@ -1,43 +1,42 @@
 """Trace diffing: divergence points and indistinguishability of runs.
 
 The paper's central proof device (Theorem 3.1) is a *pair of runs a
-process cannot tell apart*: the receiver makes the same observations in
+process cannot tell apart*: the receiver has the same local view in
 ``r0`` and ``r0'``, hence must decide the same value.  Over event
-traces this becomes executable: project each trace onto what one
-process observes — its deliveries, its detector output, its own
-decisions — and compare the projections, ignoring global timing (a
-process has no access to global time, only to the order of its own
-observations).
+traces this becomes executable: a process's view is its causal past —
+every event that could have influenced it, grouped into one chain per
+process — plus the inputs that past rests on, with global timing
+dropped (a process has no access to global time).
 
 Two granularities:
 
 * :func:`first_divergence` / :func:`diff_traces` — full-trace
   comparison with per-process lanes, reporting the first diverging
   event and its index in *both* traces.
-* :func:`local_view` / :func:`indistinguishable` — the projection a
-  single process sees, the formal object indistinguishability
-  arguments quantify over.
+* :func:`local_view` / :func:`indistinguishable` — the one definition
+  of what a single process sees, the object indistinguishability
+  arguments quantify over (``repro diff --pid``, the SDD quadruple
+  fixtures, mc's ``indistinguishability`` property and the time-free
+  rescheduling check all compare it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from itertools import groupby
+from typing import Any, Callable, Sequence
 
+from repro.obs.causal import annotate
 from repro.obs.events import Event
 
-#: What a process can actually observe about a run: messages delivered
-#: to it, its detector module's reports, and its own decisions.  Sends
-#: are network facts, ``crash``/``halt`` are adversary/engine facts, and
-#: ``round_start`` is global — none of them are local observations.
-OBSERVATION_KINDS = frozenset({"msg_delivered", "suspect", "decide"})
+#: The event kinds a view keeps from the causal past.  ``crash`` and
+#: ``halt`` are left out: the process itself does not observe them (a
+#: crash is visible only through missing messages and suspicions,
+#: which the view does hold).
+VIEW_KINDS = frozenset({"msg_sent", "msg_delivered", "suspect", "decide"})
 
 #: Fields ignored by default when comparing whole traces.
 DEFAULT_IGNORE = ("ts",)
-
-#: Fields ignored when comparing local views: a process sees neither
-#: wall-clock time nor the global step counter.
-VIEW_IGNORE = ("ts", "time")
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,29 @@ def first_divergence(
     in the full traces (used by :func:`diff_traces` for per-process
     lanes); by default positions index the sequences themselves.
     """
-    if indices_a is None:
-        indices_a = range(len(a))
-    if indices_b is None:
-        indices_b = range(len(b))
+    return _divergence(
+        a,
+        b,
+        lambda event: _projection(event, ignore),
+        range(len(a)) if indices_a is None else indices_a,
+        range(len(b)) if indices_b is None else indices_b,
+    )
+
+
+def _divergence(
+    a: Sequence[Event],
+    b: Sequence[Event],
+    key: Callable[[Event], Any],
+    indices_a: Sequence[int],
+    indices_b: Sequence[int],
+) -> Divergence | None:
     for position in range(max(len(a), len(b))):
         event_a = a[position] if position < len(a) else None
         event_b = b[position] if position < len(b) else None
         if (
             event_a is not None
             and event_b is not None
-            and _projection(event_a, ignore) == _projection(event_b, ignore)
+            and key(event_a) == key(event_b)
         ):
             continue
         return Divergence(
@@ -181,47 +192,116 @@ def diff_traces(
     return TraceDiff(divergence=global_div, per_process=per_process)
 
 
+def _view_chains(
+    events: Sequence[Event], pid: int, upto: int | None
+) -> dict[int, list[int]]:
+    """``process -> trace indices`` of the view's events, by process.
+
+    The causal past of ``pid``'s events before index ``upto``, each
+    event filed under the process that executed it and filtered to
+    :data:`VIEW_KINDS`.  ``pid`` always has a chain, even an empty one.
+    A chain is in trace order, except that the messages one step
+    receives (consecutive deliveries sharing ``round`` and ``time``)
+    are a set, listed by sender: the order a step's buffer held them
+    in is an artifact of the global interleaving.
+    """
+    graph = annotate(events)
+    own = [
+        index
+        for index in graph.events_of(pid)
+        if upto is None or index < upto
+    ]
+    # Process order puts every earlier own event in the last one's past.
+    past = graph.cone(own[-1]) if own else set()
+    chains: dict[int, list[int]] = {pid: []}
+    for index in sorted(past):
+        if events[index].kind in VIEW_KINDS:
+            chains.setdefault(graph.proc[index], []).append(index)
+    for process, chain in chains.items():
+        steps = groupby(
+            chain,
+            key=lambda i: (events[i].kind, events[i].round, events[i].time),
+        )
+        chains[process] = [
+            index
+            for (kind, _, _), step in steps
+            for index in (
+                sorted(step, key=lambda i: events[i].peer)
+                if kind == "msg_delivered"
+                else step
+            )
+        ]
+    return dict(sorted(chains.items()))
+
+
+def _observed(event: Event) -> tuple[Any, ...]:
+    """An event as a view holds it.  Timestamps and global step times
+    are dropped, and so is a suspicion's value: the detection delay is
+    a global-time fact the suspecting process cannot read."""
+    value = None if event.kind == "suspect" else event.value
+    return (event.kind, event.round, event.pid, event.peer, value)
+
+
 def local_view(
     events: Sequence[Event],
     pid: int,
     *,
-    kinds: frozenset[str] = OBSERVATION_KINDS,
-) -> list[tuple[int, Event]]:
-    """``(index, event)`` pairs process ``pid`` observes, in order."""
-    return [
-        (index, event)
-        for index, event in enumerate(events)
-        if event.pid == pid and event.kind in kinds
-    ]
+    upto: int | None = None,
+    inputs: Sequence[Any] | None = None,
+) -> tuple[tuple[int, Any, tuple[tuple[Any, ...], ...]], ...]:
+    """What process ``pid`` knows of the run: its causal past.
+
+    Built from ``pid``'s events before trace index ``upto`` (all of
+    them by default): the union of their causal pasts
+    (:func:`repro.obs.causal.annotate`), as one chain per process,
+    ordered by process.  Each chain keeps its :data:`VIEW_KINDS`
+    events as ``(kind, round, pid, peer, value)``.  With ``inputs``,
+    the chain of process ``j`` also carries ``inputs[j]``; without,
+    that slot is ``None``.
+
+    Returns ``((j, input_j, chain_j), ...)``, hashable whenever the
+    decision values and inputs are.  Two runs are indistinguishable to
+    ``pid`` exactly when its views are equal; ``upto`` = the index of
+    ``pid``'s first ``decide`` compares what it knew when it decided.
+    """
+    return tuple(
+        (
+            j,
+            None if inputs is None else inputs[j],
+            tuple(_observed(events[index]) for index in chain),
+        )
+        for j, chain in _view_chains(events, pid, upto).items()
+    )
 
 
 def view_divergence(
-    a: Sequence[Event],
-    b: Sequence[Event],
-    pid: int,
-    *,
-    ignore: Sequence[str] = VIEW_IGNORE,
+    a: Sequence[Event], b: Sequence[Event], pid: int
 ) -> Divergence | None:
-    """First divergence in ``pid``'s local observation sequences."""
-    lane_a = local_view(a, pid)
-    lane_b = local_view(b, pid)
-    return first_divergence(
-        [e for _, e in lane_a],
-        [e for _, e in lane_b],
-        ignore=ignore,
-        indices_a=[i for i, _ in lane_a],
-        indices_b=[i for i, _ in lane_b],
-    )
+    """First divergence in ``pid``'s :func:`local_view` of two traces.
+
+    Chains are compared process by process; the reported position is
+    within the first diverging chain, the indices point into the full
+    traces.
+    """
+    chains_a = _view_chains(a, pid, None)
+    chains_b = _view_chains(b, pid, None)
+    for j in sorted(chains_a.keys() | chains_b.keys()):
+        lane_a = chains_a.get(j, [])
+        lane_b = chains_b.get(j, [])
+        divergence = _divergence(
+            [a[index] for index in lane_a],
+            [b[index] for index in lane_b],
+            _observed,
+            lane_a,
+            lane_b,
+        )
+        if divergence is not None:
+            return divergence
+    return None
 
 
 def indistinguishable(
     a: Sequence[Event], b: Sequence[Event], pid: int
 ) -> bool:
-    """True iff ``pid`` observes the same sequence in both traces.
-
-    The executable form of the paper's indistinguishability relation:
-    deliveries, suspicions and own decisions match in content and
-    order, with global step times ignored (a process cannot read the
-    global clock — only its local observation order).
-    """
-    return view_divergence(a, b, pid) is None
+    """True iff ``pid``'s :func:`local_view` is the same in both traces."""
+    return local_view(a, pid) == local_view(b, pid)

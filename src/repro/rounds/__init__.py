@@ -41,7 +41,6 @@ __getattr__, __dir__ = lazy_exports(
             "run_rs",
             "run_rws",
         ),
-        "validators": ("check_round_synchrony", "check_weak_round_synchrony"),
         "enumeration": (
             "all_crash_events",
             "all_scenarios",
@@ -67,8 +66,6 @@ __all__ = [
     "execute",
     "run_rs",
     "run_rws",
-    "check_round_synchrony",
-    "check_weak_round_synchrony",
     "all_crash_events",
     "all_scenarios",
     "all_value_assignments",

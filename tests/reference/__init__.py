@@ -1,0 +1,11 @@
+"""Reference oracles written from the paper's definitions.
+
+* :mod:`tests.reference.rounds` — the round models RS and RWS
+  (Section 4) as a direct execution of their definitions, independent
+  of every engine under ``src/repro``.
+* :mod:`tests.reference.validators` — round synchrony and weak round
+  synchrony as post-hoc checks over a finished round run.
+* :mod:`tests.reference.observations` — what a process observes at
+  each step of a step-level run, the step-kernel counterpart of
+  :func:`repro.obs.diff.local_view`.
+"""

@@ -18,12 +18,7 @@ import pytest
 from repro.analysis import latency_profile
 from repro.cli.main import main
 from repro.obs import events_from_jsonl_lines
-from repro.obs.causal import (
-    annotate,
-    cone_signature,
-    cones_indistinguishable,
-    round_msg_id,
-)
+from repro.obs.causal import annotate, round_msg_id
 from repro.obs.critical import (
     LEG_KINDS,
     causal_summary,
@@ -31,6 +26,7 @@ from repro.obs.critical import (
     suspicion_forensics,
     verify_round_paths,
 )
+from repro.obs.diff import local_view
 from repro.obs.events import EventLog, clock_kind, logical_clock
 from repro.obs.report import causal_cells
 from repro.obs.schema import validate_event_dict
@@ -280,7 +276,7 @@ class TestCausalGraph:
 
 
 class TestIndistinguishability:
-    """Causal cones mechanize Theorem 3.1's premise."""
+    """Local views — causal pasts — mechanize Theorem 3.1's premise."""
 
     @pytest.fixture(scope="class")
     def quadruple(self):
@@ -291,11 +287,11 @@ class TestIndistinguishability:
     def test_receiver_cones_coincide_within_pairs(self, quadruple):
         from repro.sdd.spec import RECEIVER
 
-        assert cones_indistinguishable(
-            quadruple["r0"].events, quadruple["r0'"].events, RECEIVER
+        assert local_view(quadruple["r0"].events, RECEIVER) == local_view(
+            quadruple["r0'"].events, RECEIVER
         )
-        assert cones_indistinguishable(
-            quadruple["r1"].events, quadruple["r1'"].events, RECEIVER
+        assert local_view(quadruple["r1"].events, RECEIVER) == local_view(
+            quadruple["r1'"].events, RECEIVER
         )
 
     def test_all_four_runs_blind_the_receiver(self, quadruple):
@@ -304,25 +300,39 @@ class TestIndistinguishability:
         # receiver — the mechanized form of why the candidate fails SDD.
         from repro.sdd.spec import RECEIVER
 
-        signatures = {
-            cone_signature(trace.events, RECEIVER)
+        views = {
+            local_view(trace.events, RECEIVER)
             for trace in quadruple.values()
         }
-        assert len(signatures) == 1
+        assert len(views) == 1
 
     def test_cone_signature_separates_different_inputs(self, lambda_cells):
-        # Two failure-free FloodSet runs with different initial values
-        # must present different causal cones to every process.
-        results = [
-            result
+        # Two failure-free FloodSetWS runs with different initial values
+        # present different views to a process *before* it decides: the
+        # inputs its causal past rests on differ, whatever it decides.
+        cells = [
+            (request, result)
             for request, result in lambda_cells
             if request.algorithm == "floodset-ws"
         ]
-        assert not cones_indistinguishable(
-            results[0].events, results[-1].events, 0
-        )
-        assert cones_indistinguishable(
-            results[0].events, results[0].events, 0
+
+        def view(cell, pid=0, with_inputs=True):
+            request, result = cell
+            decided = next(
+                index
+                for index, event in enumerate(result.events)
+                if event.kind == "decide" and event.pid == pid
+            )
+            inputs = request.values if with_inputs else None
+            return local_view(result.events, pid, upto=decided, inputs=inputs)
+
+        assert cells[0][0].values != cells[-1][0].values
+        assert view(cells[0]) != view(cells[-1])
+        assert view(cells[0]) == view(cells[0])
+        # A trace carries no payloads: without the inputs, the two
+        # failure-free runs look alike until the decision.
+        assert view(cells[0], with_inputs=False) == view(
+            cells[-1], with_inputs=False
         )
 
 

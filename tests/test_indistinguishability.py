@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    first_divergence,
-    indistinguishable,
-    observations,
-)
 from repro.failures import FailurePattern
 from repro.failures.history import ConstantHistory
+from repro.obs import EventLog, local_view, logical_clock
 from repro.sdd.impossibility import (
     SP_CANDIDATE_FACTORIES,
     _run_quadruple_member,
@@ -19,6 +15,7 @@ from repro.sdd.spec import RECEIVER, SENDER
 from repro.sdd.ss_algorithm import SDDSender
 from repro.simulation import ScriptedScheduler, StepExecutor
 from repro.simulation.automaton import IdleAutomaton
+from tests.reference.observations import first_divergence, observations
 
 
 class TestObservations:
@@ -63,22 +60,25 @@ class TestTheoremQuadruple:
     @pytest.mark.parametrize("name", sorted(SP_CANDIDATE_FACTORIES))
     def test_all_pairs_indistinguishable_to_receiver(self, name):
         factory = SP_CANDIDATE_FACTORIES[name]
-        runs = {
-            label: _run_quadruple_member(factory(), value, steps, 60)
-            for label, (value, steps) in {
-                "r0": (0, 0),
-                "r0'": (0, 1),
-                "r1": (1, 0),
-                "r1'": (1, 1),
-            }.items()
-        }
+        runs, traces = {}, {}
+        for label, (value, steps) in {
+            "r0": (0, 0),
+            "r0'": (0, 1),
+            "r1": (1, 0),
+            "r1'": (1, 1),
+        }.items():
+            traces[label] = EventLog(clock=logical_clock())
+            runs[label] = _run_quadruple_member(
+                factory(), value, steps, 60, observer=traces[label]
+            )
         labels = sorted(runs)
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
-                assert indistinguishable(runs[a], runs[b], RECEIVER), (
-                    f"{a} vs {b}: "
-                    f"{first_divergence(runs[a], runs[b], RECEIVER)}"
-                )
+                divergence = first_divergence(runs[a], runs[b], RECEIVER)
+                assert divergence is None, f"{a} vs {b}: {divergence}"
+                assert local_view(
+                    traces[a].events, RECEIVER
+                ) == local_view(traces[b].events, RECEIVER), f"{a} vs {b}"
 
     def test_runs_are_distinguishable_to_an_outside_observer(self):
         """Sanity: the runs differ (the sender acts differently) — the

@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError
 from repro.mc import ExploreStats, McTask, check, explore
 from repro.mc.config import Configuration, canonical_form, canonical_key
 from repro.mc.symmetry import orbit_canonical, symmetry_for
-from repro.obs.causal import cone_signature
+from repro.obs.diff import local_view
 from repro.rounds.scenario import CrashEvent, FailureScenario, validate_scenario
 from repro.runtime.harness import execute_request
 from repro.runtime.request import ExecutionRequest
@@ -283,7 +283,7 @@ class TestDominanceJustification:
         # same round without applying a transition).  Execute one such
         # pruned pair: p0's round-1 message to p1 is the only
         # difference, and p1 itself crashes in round 1 silently — the
-        # survivor's causal cone and decisions must coincide.
+        # survivor's local view and decisions must coincide.
         def run(p0_sends_to_p1: bool):
             scenario = FailureScenario(
                 n=3,
@@ -313,10 +313,9 @@ class TestDominanceJustification:
 
         with_send = run(True)
         without_send = run(False)
-        assert (
-            cone_signature(with_send.events, 2)
-            == cone_signature(without_send.events, 2)
-        )
+        assert local_view(
+            with_send.events, 2, inputs=(0, 1, 1)
+        ) == local_view(without_send.events, 2, inputs=(0, 1, 1))
         assert with_send.decisions[2] == without_send.decisions[2]
 
     def test_dominance_counter_fires_where_views_collapse(self):

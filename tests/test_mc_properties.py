@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fuzz.campaign import REPRO_KIND, load_counterexample
 from repro.mc import McTask, check
-from repro.mc.properties import default_lambda_bound, parse_bound
+from repro.mc.properties import (
+    correct_pids,
+    default_lambda_bound,
+    evaluate_property,
+    parse_bound,
+)
 from repro.mc.verdict import Verdict
 from repro.runtime.harness import execute_request
 
@@ -61,6 +67,44 @@ class TestVerdicts:
     def test_indistinguishability_holds(self):
         verdict = _check("indistinguishability", "floodset").verdict
         assert verdict.holds
+
+    @pytest.mark.parametrize(
+        "algorithm, model", [("a1", "RS"), ("floodset-ws", "RWS")]
+    )
+    def test_indistinguishability_compares_something(self, algorithm, model):
+        # Groups holding two runs or more are the only ones the property
+        # compares decisions in.  (FloodSet's reduced frontier has none:
+        # its decision round fixes the whole causal past.)
+        verdict = _check("indistinguishability", algorithm, model=model).verdict
+        assert verdict.label == "HOLDS(exhaustive)"
+        assert verdict.details["shared"] > 0
+        assert verdict.details["groups"] >= verdict.details["shared"]
+
+    def test_indistinguishability_refutes_a_planted_flip(self):
+        # One cell's process gets the other decision, in its decide event
+        # and in the decisions alike.  A view that contains the decision
+        # itself cannot see the flip; the view up to the decision does.
+        outcome = _check("indistinguishability", "a1")
+        pairs = list(zip(outcome.sweep.requests, outcome.sweep.results))
+        request, result = pairs[0]
+        pid = next(p for p in correct_pids(request) if p in result.decisions)
+        decided_round, value = result.decisions[pid]
+        flipped = 1 - value
+        events = [
+            replace(event, value=flipped)
+            if event.kind == "decide" and event.pid == pid
+            else event
+            for event in result.events
+        ]
+        decisions = {**result.decisions, pid: (decided_round, flipped)}
+        pairs[0] = (request, replace(result, events=events, decisions=decisions))
+        judged = evaluate_property("indistinguishability", pairs, t=1, horizon=3)
+        assert not judged.holds, "REFUTED expected"
+        assert any(
+            f"p{pid} has identical local views" in problem
+            for violation in judged.violations
+            for problem in violation.problems
+        )
 
     def test_lambda_a1_is_exactly_one(self):
         verdict = _check("lambda", "a1").verdict

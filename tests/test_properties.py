@@ -16,15 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.consensus import FloodSet, FloodSetWS, check_uniform_consensus_run
 from repro.failures import FailurePattern, PerfectDetector, classify_history
 from repro.models.ss import SSScheduler, validate_ss_run
-from repro.rounds import (
-    RoundModel,
-    check_round_synchrony,
-    check_weak_round_synchrony,
-    execute,
-    random_scenario,
-)
+from repro.rounds import RoundModel, execute, random_scenario
 from repro.simulation.automaton import IdleAutomaton
 from repro.simulation.executor import StepExecutor
+from tests.reference.validators import (
+    check_round_synchrony,
+    check_weak_round_synchrony,
+)
 
 # -- round-model invariants ---------------------------------------------------
 

@@ -17,8 +17,6 @@ from repro.rounds import (
     FailureScenario,
     PendingMessage,
     RoundModel,
-    check_round_synchrony,
-    check_weak_round_synchrony,
     execute,
     run_rs,
     run_rws,
@@ -26,6 +24,10 @@ from repro.rounds import (
 from repro.rounds.executor import complete_round, round_messages
 from repro.runtime.registry import ALGORITHM_FACTORIES, make_algorithm
 from repro.workloads import a1_rws_disagreement
+from tests.reference.validators import (
+    check_round_synchrony,
+    check_weak_round_synchrony,
+)
 
 
 def rs(values, scenario, t=1, **kw):

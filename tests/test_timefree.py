@@ -11,12 +11,14 @@ from repro.analysis import (
     random_linear_extension,
     reexecute_with_projections,
 )
-from repro.analysis.indistinguishability import observations
 from repro.errors import ExecutionError
 from repro.failures import FailurePattern, TimeoutPerfectDetector
 from repro.models import SynchronousModel
+from repro.obs import EventLog, local_view, logical_clock
 from repro.sdd import sdd_decision, solve_sdd_ss
 from repro.sdd.ss_algorithm import SDDReceiverSS, SDDSender
+from repro.simulation import ScriptedScheduler, StepExecutor
+from tests.reference.observations import observations
 
 
 def sdd_run(seed=0, value=1, crashes=None, phi=2, delta=2):
@@ -25,6 +27,16 @@ def sdd_run(seed=0, value=1, crashes=None, phi=2, delta=2):
     run = solve_sdd_ss(value, pattern, phi=phi, delta=delta, rng=rng)
     automata = [SDDSender(value), SDDReceiverSS(phi, delta)]
     return run, automata
+
+
+def recorded(run, automata):
+    """The trace of ``run``, recorded by re-executing its own schedule."""
+    log = EventLog(clock=logical_clock())
+    script = [(step.pid, step.received_uids) for step in run.schedule]
+    StepExecutor(
+        automata, run.n, run.pattern, ScriptedScheduler(script), observer=log
+    ).execute(len(script))
+    return log.events
 
 
 class TestLinearExtensions:
@@ -71,8 +83,10 @@ class TestReexecution:
     def test_projections_preserved(self):
         run, automata = sdd_run(seed=5)
         replay = reexecute_with_projections(run, automata, random.Random(7))
+        before, after = recorded(run, automata), recorded(replay, automata)
         for pid in range(run.n):
             assert observations(run, pid) == observations(replay, pid)
+            assert local_view(before, pid) == local_view(after, pid)
 
     def test_sdd_outcome_invariant(self):
         run, automata = sdd_run(seed=5)
@@ -117,6 +131,30 @@ class TestReexecution:
             outcome=lambda r, pid: r.final_states[pid].suspected,
             rng=random.Random(5),
             attempts=2,
+        )
+        assert problems == []
+
+    @pytest.mark.parametrize("sender_steps", [0, 1])
+    def test_replayed_detector_history_keeps_views(self, sender_steps):
+        """A run whose detector history is replayed positionally: the
+        suspicions keep their place in each process's view although
+        the replay moves the crash (and with it the global detection
+        delay, which no view holds)."""
+        from repro.sdd.impossibility import (
+            SP_CANDIDATE_FACTORIES,
+            _run_quadruple_member,
+        )
+
+        factory = SP_CANDIDATE_FACTORIES["suspicion"]
+        run = _run_quadruple_member(factory(), 0, sender_steps, 60)
+        assert any(step.suspects for step in run.schedule)
+        problems = check_time_free_execution(
+            run,
+            [SDDSender(0), factory()],
+            outcome=lambda r, pid: getattr(
+                r.final_states[pid], "decisions", None
+            ),
+            rng=random.Random(1),
         )
         assert problems == []
 

@@ -78,16 +78,40 @@ class TestDiffTraces:
 class TestLocalView:
     def test_view_contains_only_observations(self):
         events = _rws_trace(adversarial_split(3))
-        view = [e for _, e in local_view(events, 1)]
+        view = local_view(events, 1)
         assert view, "p1 observes something"
-        assert {e.kind for e in view} <= {"msg_delivered", "suspect", "decide"}
-        assert all(e.pid == 1 for e in view)
+        assert [j for j, _, _ in view] == sorted(j for j, _, _ in view)
+        kinds = {entry[0] for _, _, chain in view for entry in chain}
+        assert kinds <= {"msg_sent", "msg_delivered", "suspect", "decide"}
+        # crash/halt are not observed; timestamps and step times dropped
+        assert all(len(entry) == 5 for _, _, chain in view for entry in chain)
+        # without inputs the input slot is empty; with them it is filled
+        assert {value for _, value, _ in view} == {None}
+        inputs = adversarial_split(3)
+        filled = local_view(events, 1, inputs=inputs)
+        assert [value for _, value, _ in filled] == [
+            inputs[j] for j, _, _ in view
+        ]
 
     def test_view_indices_point_into_original(self):
+        # ``upto`` cuts the view at a trace index: the view before p2's
+        # decision is a strict prefix-closed part of the full view, and
+        # it no longer holds the decision itself.
         events = _rws_trace(adversarial_split(3))
-        for index, event in local_view(events, 2):
-            assert events[index] is event
-
+        decided = next(
+            index
+            for index, event in enumerate(events)
+            if event.kind == "decide" and event.pid == 2
+        )
+        full = dict((j, chain) for j, _, chain in local_view(events, 2))
+        before = dict(
+            (j, chain) for j, _, chain in local_view(events, 2, upto=decided)
+        )
+        decide = events[decided]
+        assert ("decide", decide.round, 2, None, decide.value) in full[2]
+        assert all(entry[0] != "decide" for entry in before[2])
+        for j, chain in before.items():
+            assert full[j][: len(chain)] == chain
 
 class TestSDDIndistinguishability:
     """The executable Theorem 3.1: the receiver cannot tell the runs of
