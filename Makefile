@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke vector-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
+.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -78,11 +78,13 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # cannot finish a run under `mc` (same refusal), the stderr line that
 # tells a user how many runs stood behind their cells, and the
 # merged-trace writer's routes — the rounds engine's own templates,
-# the vector engine's shared ones, representatives shipped to a pool,
-# and a rounds-engine run directory cold and resumed — compared byte
-# for byte.  The resumed leg's oracle verdicts must all be clean, its
-# manifest and summary must parse, and its stored cells must have been
-# judged once per distinct trace content (0 < oracle.judged < 300).
+# the same run under the engine's second name ("vector"),
+# representatives shipped to a pool, and a rounds-engine run directory
+# cold and resumed — compared byte for byte.  The resumed leg's oracle
+# verdicts must all be clean, its manifest and summary must parse, and
+# its stored cells must have been judged once per distinct trace
+# content (0 < oracle.judged < 300); both spellings' run directories
+# must store the same set of template digests.
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
@@ -121,6 +123,7 @@ sweep-smoke:
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --jobs 2 \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --engine vector \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rws_vector_runs \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --check \
 		--run-dir $(SWEEP_SMOKE_CACHE)/rws_runs --jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
@@ -136,6 +139,7 @@ sweep-smoke:
 		judged = json.load(open(run + 'summary.json'))['oracle']['judged']; \
 		print('warm leg: 300 verdicts from', judged, 'judgements'); \
 		assert 0 < judged < 300, judged"
+	python -c 'import glob, json, sys; held = [{r["template"] for f in glob.glob(d + "/*/results/*.jsonl") for r in map(json.loads, open(f)) if "key" not in r} for d in sys.argv[1:]]; print(len(held[0]), "template digests under each engine name"); assert held[0] == held[1] and held[0]' $(SWEEP_SMOKE_CACHE)/rws_runs $(SWEEP_SMOKE_CACHE)/rws_vector_runs
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_jobs2.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
@@ -199,34 +203,6 @@ causal-smoke:
 		--jsonl $(CAUSAL_SMOKE_LEGACY)
 	PYTHONPATH=src python scripts/check_trace.py --schema-only \
 		$(CAUSAL_SMOKE_LEGACY)
-
-VECTOR_SMOKE_DIR ?= /tmp/repro_vector_smoke
-
-# The columnar kernel's differential goldens: the vector engine's
-# merged sweep trace must be byte-identical (cmp) to the object
-# engine's on the Λ sweep and on the full oracle-sweep space (the
-# latter through a 2-worker pool) — then a vector fuzz stream, whose
-# replay oracle re-executes every case on the object engine (the
-# built-in vector↔object twin), and a random-rws run directory per
-# engine, which must store the same set of template digests.
-vector-smoke:
-	rm -rf $(VECTOR_SMOKE_DIR) && mkdir -p $(VECTOR_SMOKE_DIR)
-	PYTHONPATH=src python -m repro sweep e10-lambda --check \
-		--jsonl $(VECTOR_SMOKE_DIR)/e10_object.jsonl
-	PYTHONPATH=src python -m repro sweep e10-lambda --check --engine vector \
-		--jsonl $(VECTOR_SMOKE_DIR)/e10_vector.jsonl
-	cmp $(VECTOR_SMOKE_DIR)/e10_object.jsonl $(VECTOR_SMOKE_DIR)/e10_vector.jsonl
-	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
-		--jsonl $(VECTOR_SMOKE_DIR)/oracle_object.jsonl
-	PYTHONPATH=src python -m repro sweep oracle-sweep --check --engine vector \
-		--jobs 2 --jsonl $(VECTOR_SMOKE_DIR)/oracle_vector.jsonl
-	cmp $(VECTOR_SMOKE_DIR)/oracle_object.jsonl $(VECTOR_SMOKE_DIR)/oracle_vector.jsonl
-	PYTHONPATH=src python -m repro fuzz --budget 100 --seed 0 --engine vector
-	for engine in rounds vector; do \
-		PYTHONPATH=src python -m repro sweep random-rws --count 300 --seed 7 \
-			--engine $$engine --run-dir $(VECTOR_SMOKE_DIR)/rws_$$engine > /dev/null || exit 1; \
-	done
-	python -c 'import glob, json, sys; held = [{r["template"] for f in glob.glob(d + "/*/results/*.jsonl") for r in map(json.loads, open(f)) if "key" not in r} for d in sys.argv[1:]]; print(len(held[0]), "template digests on each engine"); assert held[0] == held[1] and held[0]' $(VECTOR_SMOKE_DIR)/rws_rounds $(VECTOR_SMOKE_DIR)/rws_vector
 
 REPORT_SMOKE_RUNS ?= /tmp/repro_report_smoke_runs
 

@@ -98,21 +98,6 @@ def build_report(spans: dict[str, dict], source: str) -> dict:
     }
     if live:
         report["live_timings"] = live
-    # The columnar engine's spans plus the derived per-batch speedups:
-    # bench_vector.py records paired vector.bench.object.bN /
-    # vector.bench.batch.bN spans over identical workloads, so the
-    # ratio of their means is the scenario-throughput multiplier of
-    # batching at size N.
-    vector = {
-        name: spans[name]
-        for name in sorted(spans)
-        if name.startswith("vector.")
-    }
-    if vector:
-        report["vector_timings"] = vector
-        speedups = vector_speedups(spans)
-        if speedups:
-            report["vector_speedup_vs_object"] = speedups
     # The model checker's spans plus derived throughput: bench_mc.py
     # records exploration timings per reduction mode alongside
     # mc.bench.stats.<mode>.<counter> spans whose sample values are raw
@@ -173,25 +158,6 @@ def mc_derived(spans: dict[str, dict]) -> dict:
             unreduced["mean_s"] / reduced["mean_s"], 2
         )
     return derived
-
-
-def vector_speedups(spans: dict[str, dict]) -> dict[str, float]:
-    """``batch label -> object_mean / batch_mean`` for paired bench spans."""
-    speedups: dict[str, float] = {}
-    prefix = "vector.bench.object."
-    for name in sorted(spans):
-        if not name.startswith(prefix):
-            continue
-        label = name[len(prefix):]
-        twin = spans.get(f"vector.bench.batch.{label}")
-        if twin is None:
-            continue
-        object_mean = spans[name].get("mean_s")
-        batch_mean = twin.get("mean_s")
-        if not object_mean or not batch_mean:
-            continue
-        speedups[label] = round(object_mean / batch_mean, 2)
-    return speedups
 
 
 def load_snapshots(root: Path, skip: Path | None = None) -> dict[str, dict]:

@@ -76,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--run-dir", required=True)
     parser.add_argument("--jsonl", required=True,
                         help="merged-trace path (cmp'd by the caller)")
-    parser.add_argument("--engine", default="rounds",
-                        choices=("rounds", "vector"))
     parser.add_argument("--lease-ttl", type=float, default=2.0)
     parser.add_argument("--shard-size", type=int, default=4)
     args = parser.parse_args(argv)
@@ -85,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
 
     coordinator = _spawn(
         "serve", args.space, "--run-dir", args.run_dir,
-        "--engine", args.engine, "--jsonl", args.jsonl,
+        "--jsonl", args.jsonl,
         "--shard-size", str(args.shard_size),
         "--lease-ttl", str(args.lease_ttl),
     )

@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.fuzz import (
     FUZZ_ENGINES,
     LIVE_FUZZ_ENGINE,
-    VECTOR_FUZZ_ENGINES,
     run_campaign,
 )
 from repro.inject import INJECT_ENV, KNOWN_INJECTIONS, active_injection
@@ -73,16 +72,11 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     p_fuzz.add_argument(
         "--engine",
         action="append",
-        choices=("all", "rounds", "vector")
-        + FUZZ_ENGINES
-        + VECTOR_FUZZ_ENGINES
-        + (LIVE_FUZZ_ENGINE,),
+        choices=("all", "rounds") + FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,),
         help=(
             "engine(s) to round-robin (repeatable; default: all; "
-            "'rounds' = rounds-rs + rounds-rws; 'vector' = vector-rs + "
-            "vector-rws on the columnar kernel, replay-checked against "
-            "the object engine; 'live' is opt-in and excluded from the "
-            "parity sample)"
+            "'rounds' = rounds-rs + rounds-rws; 'live' is opt-in and "
+            "excluded from the parity sample)"
         ),
     )
     p_fuzz.add_argument(

@@ -32,7 +32,7 @@ from repro.errors import ConfigurationError, ExecutionError
 
 #: CLI engine choices: schedule engines exhaust the frontier, grid
 #: engines sample crash timings (scope "grid").
-_ENGINES = ("rounds", "vector", "rs_on_ss", "rws_on_sp")
+_ENGINES = ("rounds", "rs_on_ss", "rws_on_sp")
 
 
 def _list_properties() -> int:
@@ -98,6 +98,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     from repro.cli.common import jobs_ok
     from repro.mc import McTask, check, save_frontier, spec_for_task
+    from repro.runtime.request import ROUND_ENGINES
 
     if not jobs_ok(args.jobs):
         return 2
@@ -128,7 +129,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 2
 
     print(outcome.verdict.describe())
-    if task.engine in ("rounds", "vector"):
+    if task.engine in ROUND_ENGINES:
         print(f"serve spec: {spec_for_task(task)}")
     if outcome.run_dir is not None:
         print(f"run dir: {outcome.run_dir}")
@@ -197,7 +198,7 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         default="rounds",
         choices=_ENGINES,
         help=(
-            "rounds/vector exhaust the schedule frontier; "
+            "rounds exhausts the schedule frontier; "
             "rs_on_ss/rws_on_sp check the emulation grid (scope 'grid')"
         ),
     )

@@ -27,7 +27,7 @@ import time
 from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
 from repro.runtime import SPACE_FACTORIES, space_by_name
-from repro.runtime.space import ScenarioSpace, vectorized_space
+from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import open_merged_sink
 from repro.serve.coordinator import Coordinator
 from repro.serve.api import CoordinatorServer
@@ -54,10 +54,7 @@ def _build_space(args: argparse.Namespace) -> ScenarioSpace:
             budget=args.count if args.count is not None else 16,
             seed=args.seed if args.seed is not None else 42,
         )
-    space = space_by_name(args.space, count=args.count, seed=args.seed)
-    if args.engine == "vector":
-        space = vectorized_space(space)
-    return space
+    return space_by_name(args.space, count=args.count, seed=args.seed)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -179,12 +176,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         ),
     )
     p_serve.add_argument(
-        "--engine",
-        choices=("rounds", "vector"),
-        default="rounds",
-        help="retarget rounds cells at the columnar vector engine",
-    )
-    p_serve.add_argument(
         "--shard-size",
         type=int,
         default=16,
@@ -239,7 +230,7 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="processes for vector batch chunks within a shard",
+        help="processes for the runs within a shard",
     )
     p_work.add_argument(
         "--worker-id",

@@ -21,6 +21,8 @@ from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
 from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime.campaign import CampaignLeg
+# Called through this module global: the ledger's tracer wraps it here
+# (ROADMAP 8(a)).
 from repro.runtime.space import vectorized_space
 from repro.runtime.sweep import open_merged_sink
 
@@ -133,13 +135,14 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         metavar="N",
         help="worker processes (default: 1, serial)",
     )
+    # ``vector`` stays while the ledger's campaigns pass it (ROADMAP 8(h)).
     p_sweep.add_argument(
         "--engine",
         choices=("rounds", "vector"),
         default="rounds",
         help=(
-            "retarget the space's rounds cells: 'vector' runs them on "
-            "the columnar batch kernel (byte-identical traces)"
+            "'vector' is a second name for the rounds engine: the same "
+            "traces under their own cache keys and run ids"
         ),
     )
     p_sweep.add_argument(

@@ -49,7 +49,6 @@ __getattr__, __dir__ = lazy_exports(
             "FUZZ_ENGINES",
             "LIVE_FUZZ_ENGINE",
             "SAFE_ALGORITHMS",
-            "VECTOR_FUZZ_ENGINES",
             "case_rng",
             "generate_case",
             "generate_pattern",
@@ -67,7 +66,6 @@ __all__ = [
     "OracleFailure",
     "SAFE_ALGORITHMS",
     "ShrinkResult",
-    "VECTOR_FUZZ_ENGINES",
     "case_failures",
     "case_rng",
     "check_oracle",

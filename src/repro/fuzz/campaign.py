@@ -41,7 +41,6 @@ from repro.fuzz.shrink import shrink
 from repro.fuzz.strategies import (
     FUZZ_ENGINES,
     LIVE_FUZZ_ENGINE,
-    VECTOR_FUZZ_ENGINES,
     generate_case,
     mc_frontier_cases,
 )
@@ -49,7 +48,11 @@ from repro.inject import active_injection
 from repro.rounds.scenario import validate_scenario
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import CampaignLeg
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import (
+    ROUND_ENGINES,
+    ExecutionRequest,
+    ExecutionResult,
+)
 from repro.runtime.space import ScenarioSpace
 from repro.runtime.sweep import SweepResult, SweepRunner
 from repro.serialize import REPRO_KIND, REPRO_SCHEMA, scenario_from_dict
@@ -172,11 +175,9 @@ class FuzzReport:
 def resolve_engines(names: Sequence[str]) -> tuple[str, ...]:
     """Expand CLI engine selectors into the fuzz-engine round-robin.
 
-    ``all`` covers the four deterministic engines; ``vector`` expands
-    to the columnar kernel under both round models (every vector case's
-    replay oracle re-executes its trace on the object engine, a
-    built-in vector↔object differential); the wall-clock ``live``
-    engine is opt-in by name, so default campaigns stay reproducible
+    ``all`` covers the four deterministic engines, ``rounds`` the round
+    executor under both models; the wall-clock ``live`` engine is
+    opt-in by name, so default campaigns stay reproducible
     case-for-case.
     """
     engines: list[str] = []
@@ -185,14 +186,12 @@ def resolve_engines(names: Sequence[str]) -> tuple[str, ...]:
             engines.extend(FUZZ_ENGINES)
         elif name == "rounds":
             engines.extend(("rounds-rs", "rounds-rws"))
-        elif name == "vector":
-            engines.extend(VECTOR_FUZZ_ENGINES)
-        elif name in FUZZ_ENGINES + VECTOR_FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
+        elif name in FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
             engines.append(name)
         else:
             raise ConfigurationError(
                 f"unknown engine {name!r}; choose from "
-                f"{('all', 'rounds', 'vector') + FUZZ_ENGINES + VECTOR_FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
+                f"{('all', 'rounds') + FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
             )
     return tuple(dict.fromkeys(engines))
 
@@ -224,7 +223,7 @@ def _twin_results(
     twins: list[ExecutionRequest] = []
     owners: list[str] = []
     for request, result in zip(requests, results):
-        if request.engine in ("rounds", "vector"):
+        if request.engine in ROUND_ENGINES:
             continue
         data = result.extra.get("induced_scenario")
         if data is None:

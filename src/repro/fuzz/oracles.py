@@ -34,7 +34,11 @@ from repro.obs.replay import replay_events
 from repro.rounds.scenario import FailureScenario, validate_scenario
 from repro.runtime.harness import execute_request
 from repro.runtime.registry import make_algorithm
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import (
+    ROUND_ENGINES,
+    ExecutionRequest,
+    ExecutionResult,
+)
 from repro.runtime.sweep import check_cell
 from repro.serialize import scenario_from_dict
 
@@ -142,15 +146,8 @@ def twin_oracle(
 def replay_oracle(
     request: ExecutionRequest, result: ExecutionResult
 ) -> list[str]:
-    """Byte-exact deterministic replay of a rounds cell (``replay``).
-
-    Vector cells run through the same oracle: the replay re-executes
-    the reconstructed scenario on the *object* engine, so for them this
-    check is the vector↔object differential in one move — a columnar
-    trace that the object executor cannot reproduce byte-for-byte
-    fails here.
-    """
-    if request.engine not in ("rounds", "vector"):
+    """Byte-exact deterministic replay of a rounds cell (``replay``)."""
+    if request.engine not in ROUND_ENGINES:
         return []
     try:
         # No max_rounds override: the replay must re-run exactly the

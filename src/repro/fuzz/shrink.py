@@ -34,7 +34,7 @@ from repro.rounds.scenario import (
     PendingMessage,
     validate_scenario,
 )
-from repro.runtime.request import ExecutionRequest
+from repro.runtime.request import ROUND_ENGINES, ExecutionRequest
 
 
 @dataclass
@@ -54,7 +54,7 @@ def _admissible(request: ExecutionRequest) -> bool:
     """A mutant must stay a well-formed case for its engine."""
     if request.n < 2 or request.t < 1 or request.t >= request.n:
         return False
-    if request.engine in ("rounds", "vector"):
+    if request.engine in ROUND_ENGINES:
         return not validate_scenario(
             request.scenario,
             t=request.t,
@@ -157,7 +157,7 @@ def _drop_process(request: ExecutionRequest) -> Iterator[ExecutionRequest]:
     gone = n - 1
     values = request.values[:-1]
     t = min(request.t, n - 2)
-    if request.engine in ("rounds", "vector"):
+    if request.engine in ROUND_ENGINES:
         scenario = request.scenario
         crashes = tuple(
             dc_replace(
@@ -208,7 +208,7 @@ def _value_moves(request: ExecutionRequest) -> Iterator[ExecutionRequest]:
 
 def shrink_moves(request: ExecutionRequest) -> Iterator[ExecutionRequest]:
     """Candidate one-step simplifications, most aggressive first."""
-    if request.engine in ("rounds", "vector"):
+    if request.engine in ROUND_ENGINES:
         yield from _scenario_moves(request)
     else:
         yield from _pattern_moves(request)

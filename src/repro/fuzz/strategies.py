@@ -44,13 +44,6 @@ from repro.runtime.space import derived_seed
 #: four deterministic run semantics with one list.
 FUZZ_ENGINES = ("rounds-rs", "rounds-rws", "rs_on_ss", "rws_on_sp")
 
-#: The columnar kernel as a fuzz target (``--engine vector``), split by
-#: round model like the object executor.  Opt-in rather than part of the
-#: default round-robin: a vector case's replay oracle re-executes the
-#: trace on the *object* engine, so every vector case is already a
-#: built-in vector↔object differential.
-VECTOR_FUZZ_ENGINES = ("vector-rs", "vector-rws")
-
 #: The asyncio cluster runtime is a valid fuzz target too
 #: (``--engine live``) but stays out of the default round-robin: its
 #: runs are wall-clock nondeterministic, so it only joins a campaign
@@ -71,11 +64,6 @@ SAFE_ALGORITHMS = {
     "rs_on_ss": ("floodset", "c-opt", "f-opt", "a1"),
     "rws_on_sp": ("floodset-ws", "c-opt-ws", "f-opt-ws"),
     "live": ("floodset-ws", "c-opt-ws", "f-opt-ws", "chandra-toueg"),
-    # The vector pools mirror the rounds pools: cells whose algorithm
-    # has no plan kernel (c-opt, c-opt-ws) fall back to the object
-    # executor, so the stream fuzzes the fallback seam too.
-    "vector-rs": ("floodset", "c-opt", "f-opt", "a1"),
-    "vector-rws": ("floodset-ws", "c-opt-ws", "f-opt-ws"),
 }
 
 
@@ -128,10 +116,10 @@ def generate_case(
     knobs), so a failing case round-trips through JSON into a repro
     file and back without any ambient state.
     """
-    if engine not in FUZZ_ENGINES + VECTOR_FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
+    if engine not in FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
         raise ConfigurationError(
             f"unknown fuzz engine {engine!r}; choose from "
-            f"{FUZZ_ENGINES + VECTOR_FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
+            f"{FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
         )
     rng = case_rng(seed, index)
     n = rng.randint(3, max(3, max_n))
@@ -147,7 +135,7 @@ def generate_case(
     values = generate_values(rng, n)
     max_rounds = t + 2
     name = f"fuzz-{engine}-{seed}-{index:04d}"
-    if engine in ("rounds-rs", "rounds-rws") + VECTOR_FUZZ_ENGINES:
+    if engine in ("rounds-rs", "rounds-rws"):
         model = "RS" if engine.endswith("-rs") else "RWS"
         scenario = generate_scenario(
             rng,
@@ -158,7 +146,7 @@ def generate_case(
         )
         return ExecutionRequest(
             name=name,
-            engine="vector" if engine in VECTOR_FUZZ_ENGINES else "rounds",
+            engine="rounds",
             algorithm=algorithm,
             values=values,
             t=t,
@@ -284,11 +272,12 @@ def mc_frontier_case(
     Random generation reaches deep states with vanishing probability;
     the model checker's saved frontier is a census of *every* reachable
     leaf of its bounded instance.  Each case re-executes one leaf —
-    drawn by the usual ``(seed, index)`` scheme — with a fuzzed engine
-    choice (``rounds`` vs ``vector``, so every case doubles as a
-    columnar differential) and a horizon extended by up to
-    ``extra_rounds``, probing behaviour *past* the explored bound from
-    an exactly-known deep state.
+    drawn by the usual ``(seed, index)`` scheme — with a horizon
+    extended by up to ``extra_rounds``, probing behaviour *past* the
+    explored bound from an exactly-known deep state.  The case still
+    draws its engine name (``rounds`` or ``vector``, two names of the
+    round executor): dropping the draw would shift every later draw and
+    change every seeded frontier stream.
     """
     leaves = exploration.leaves
     if not leaves:

@@ -17,8 +17,7 @@ Execution of the reduced frontier runs through the one campaign API:
 the leaf schedules form a :class:`~repro.runtime.space.ScenarioSpace`
 (:mod:`repro.mc.space`), so the checker is the third client — after
 ``repro sweep`` and ``repro fuzz`` — of the result cache, the run
-directories, the vector engine's batching, and the ``repro serve``
-shard fabric.
+directories and the ``repro serve`` shard fabric.
 """
 
 from repro._lazy import lazy_exports

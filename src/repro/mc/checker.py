@@ -42,7 +42,6 @@ from repro.mc.properties import (
 )
 from repro.mc.space import (
     GRID_ENGINES,
-    SCHEDULE_ENGINES,
     frontier_space,
     grid_space,
     lambda_space,
@@ -52,6 +51,7 @@ from repro.mc.verdict import Verdict, witness_document
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.harness import execute_request
 from repro.runtime.registry import ALGORITHM_FACTORIES
+from repro.runtime.request import ROUND_ENGINES
 from repro.runtime.sweep import SweepRunner
 
 if TYPE_CHECKING:
@@ -107,10 +107,10 @@ class McTask:
                 f"unknown property {self.property_name!r}; choose from "
                 f"{sorted(PROPERTIES)}"
             )
-        if self.engine not in SCHEDULE_ENGINES + GRID_ENGINES:
+        if self.engine not in ROUND_ENGINES + GRID_ENGINES:
             raise ConfigurationError(
                 f"unknown mc engine {self.engine!r}; choose from "
-                f"{SCHEDULE_ENGINES + GRID_ENGINES}"
+                f"{ROUND_ENGINES + GRID_ENGINES}"
             )
         if self.algorithm in NON_CONSENSUS_ALGORITHMS:
             accepted = sorted(set(ALGORITHM_FACTORIES) - NON_CONSENSUS_ALGORITHMS)
@@ -242,7 +242,7 @@ def _prediction_divergences(
 
 def _replayable(request: ExecutionRequest) -> ExecutionRequest:
     """The witness form of a cell: replay oracles assert consensus."""
-    if request.engine in SCHEDULE_ENGINES:
+    if request.engine in ROUND_ENGINES:
         return dc_replace(request, check_consensus=True)
     return request
 
@@ -366,7 +366,7 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
             algorithm=task.algorithm,
             n=task.n,
             t=task.t,
-            model=task.model if task.engine in SCHEDULE_ENGINES else None,
+            model=task.model if task.engine in ROUND_ENGINES else None,
             horizon=task.horizon,
             engine=task.engine,
             reduce=task.reduce,

@@ -6,14 +6,14 @@ failure-free Λ matrix, or the emulation crash-time grid — is reified
 as a :class:`~repro.runtime.space.ScenarioSpace` and executed through
 the same :class:`~repro.runtime.sweep.SweepRunner` that powers ``repro
 sweep`` and ``repro fuzz``.  That buys, for free: result caching,
-vector-engine batching, run-directory resume, and the ``repro serve``
+equal cells run once, run-directory resume, and the ``repro serve``
 shard fabric (the ``mc:...`` spec strings below are how a coordinator
 rebuilds a checking space without shipping objects).
 
 Scenario instances are *interned* across cells: leaves that realize an
 equal adversary share one ``FailureScenario`` object, so its fragment of
 the requests' canonical form is serialized once (the memo lives on the
-instance) and the vector engine groups the cells into one columnar plan.
+instance).
 
 Frontiers also save/load as JSON (``save_frontier``/``load_frontier``)
 so fuzz campaigns can seed from deep reachable states
@@ -31,13 +31,10 @@ from repro.failures.pattern import FailurePattern
 from repro.mc.explore import Exploration, ExploreStats, Leaf
 from repro.rounds.enumeration import all_value_assignments
 from repro.rounds.scenario import FailureScenario
-from repro.runtime.request import ExecutionRequest
+from repro.runtime.request import ROUND_ENGINES, ExecutionRequest
 from repro.runtime.space import ScenarioSpace
 from repro.serialize import scenario_from_dict, scenario_to_dict
 from repro.workloads import failure_free
-
-#: Engines a schedule frontier can execute on (same round semantics).
-SCHEDULE_ENGINES = ("rounds", "vector")
 
 #: Step-kernel engines checked over a crash-time grid instead of the
 #: exhaustive schedule frontier (their adversary is wall-clock timing,
@@ -78,9 +75,9 @@ def frontier_space(
     leaf's predicted ones, so the exploration's own stepping is itself
     under differential test on every run.
     """
-    if engine not in SCHEDULE_ENGINES:
+    if engine not in ROUND_ENGINES:
         raise ConfigurationError(
-            f"schedule frontiers run on {SCHEDULE_ENGINES}, not {engine!r}"
+            f"schedule frontiers run on {ROUND_ENGINES}, not {engine!r}"
         )
     scenarios = _intern_scenarios(exploration.leaves)
     requests = tuple(

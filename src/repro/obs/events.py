@@ -468,27 +468,6 @@ class EventLog:
             )
         )
 
-    def record(self, events: Iterable[Event]) -> None:
-        """Append already-built events in order, each re-stamped through
-        this log's clock: how a run that has its trace in hand (a
-        vector-engine cell's filled template) reports it."""
-        clock = self._clock
-        self.events.extend(
-            [
-                _EventBuilder(
-                    event.kind,
-                    clock(),
-                    event.round,
-                    event.time,
-                    event.pid,
-                    event.peer,
-                    event.value,
-                    event.extra,
-                )
-                for event in events
-            ]
-        )
-
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:

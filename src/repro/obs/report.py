@@ -230,28 +230,6 @@ def summarize_sweep(
     if cache is not None:
         summary["cache"] = dict(cache)
 
-    # Vector-engine kernel/fallback split: which cells the columnar
-    # kernel declined, and why (``extra["vector_fallback"]`` telemetry).
-    vector_planned = sum(
-        1 for request in requests if request.engine == "vector"
-    )
-    if vector_planned:
-        reasons: dict[str, int] = {}
-        fallback_cells: list[str] = []
-        for request, result in zip(requests, results):
-            reason = (getattr(result, "extra", None) or {}).get(
-                "vector_fallback"
-            )
-            if reason is not None:
-                reasons[reason] = reasons.get(reason, 0) + 1
-                fallback_cells.append(request.name)
-        summary["vector"] = {
-            "cells": vector_planned,
-            "kernel": vector_planned - len(fallback_cells),
-            "fallbacks": dict(sorted(reasons.items())),
-            "fallback_cells": fallback_cells,
-        }
-
     checks = getattr(sweep_result, "checks", None)
     if checks is not None:
         failed = [check.name for check in checks if not check.ok]
@@ -650,20 +628,6 @@ def render_report(
             f"cache: {cache.get('hits', 0)} hits, {cache.get('misses', 0)} "
             f"misses, {cache.get('stores', 0)} stores, "
             f"{cache.get('corrupt_evictions', 0)} corrupt evictions"
-        )
-
-    vector = summary.get("vector")
-    if vector is not None:
-        reasons = vector.get("fallbacks") or {}
-        reason_text = (
-            " (" + ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items())) + ")"
-            if reasons
-            else ""
-        )
-        lines.append(
-            f"vector: {vector.get('kernel')}/{vector.get('cells')} cells on "
-            f"the kernel, {len(vector.get('fallback_cells') or [])} object "
-            f"fallback(s){reason_text}"
         )
 
     oracle = summary.get("oracle")

@@ -7,8 +7,11 @@ values.  A :class:`TraceTemplate` is that part, content-digested; a
 :class:`TemplateEvents` is one cell's view of it — the template plus
 the cell's decide values — that behaves like the cell's event list but
 only builds it when somebody reads an event.  :func:`factor` splits a
-recorded trace; a vector-engine batch group shares one template.  A
-template's metrics are a fold over its events, made on first read.
+recorded trace, so every run starts with a template of its own; a
+result store (:class:`~repro.runtime.cache.ResultCache`) keeps one
+instance per digest, and a sweep with a store rebinds each result it
+puts to that instance, so equal traces of different runs share one.
+A template's metrics are a fold over its events, made on first read.
 
 The pair is the one form every result carries from the engine to disk:
 the trace oracle, the causal summary, the merged-trace writer and the
@@ -88,14 +91,6 @@ class TraceTemplate:
             digest,
         )
 
-    def fresh(self) -> "TraceTemplate":
-        """The same content under an empty memo: how a holder of a
-        long-lived template (a cached group plan) hands it to results
-        without the analyses of one batch outliving it."""
-        copy = TraceTemplate(self.events, self.positions, self._digest)
-        copy._metrics = self._metrics
-        return copy
-
     def remember(self, key: Any, compute: Callable[[], Any]) -> Any:
         """``memo[key]``, computed on first use: how a consumer does its
         value-free work once per template instead of once per cell."""
@@ -122,7 +117,9 @@ class TemplateEvents(Sequence):
     """A cell's event list, materialized from its template on first read.
 
     ``len()`` and :meth:`decides` never build the list, so telemetry
-    and the per-template consumers stay O(holes) per cell.
+    and the per-template consumers stay O(holes) per cell.  ``template``
+    may be rebound to another instance of the same digest (the store's:
+    :meth:`repro.runtime.cache.ResultCache.put`); nothing else changes.
     """
 
     __slots__ = ("template", "holes", "_filled")

@@ -9,9 +9,9 @@ One round of that interface is the *round step*, two pure phases that
 touch no observer and mutate no argument: :func:`round_messages` (every
 starter's ``msgs_i``) and :func:`complete_round` (delivery and ``trans_i``
 under one adversary choice).  :func:`execute` folds the step over a
-:class:`FailureScenario` — the vector engine's plans are ``execute``
-runs — and :mod:`repro.mc.explore` calls ``round_messages`` once per
-configuration and ``complete_round`` once per adversary choice.
+:class:`FailureScenario`, and :mod:`repro.mc.explore` calls
+``round_messages`` once per configuration and ``complete_round`` once
+per adversary choice.
 """
 
 from __future__ import annotations

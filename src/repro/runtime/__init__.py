@@ -12,9 +12,7 @@ plumbing with a single interface:
 * :class:`~repro.runtime.harness.Harness` adapters
   (:class:`~repro.runtime.harness.RoundHarness`,
   :class:`~repro.runtime.harness.SSEmulationHarness`,
-  :class:`~repro.runtime.harness.SPEmulationHarness`,
-  :class:`~repro.runtime.harness.VectorHarness` — the columnar batch
-  kernel, reached wholesale via :func:`execute_batch`) behind
+  :class:`~repro.runtime.harness.SPEmulationHarness`) behind
   :func:`execute_request`;
 * :class:`ScenarioSpace` — the canonical enumerator of run sets
   (explicit lists, the paper's named cells, seeded random streams with
@@ -41,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
             "RoundHarness",
             "SPEmulationHarness",
             "SSEmulationHarness",
-            "VectorHarness",
             "execute_batch",
             "execute_request",
             "harness_for",
@@ -50,8 +47,6 @@ __getattr__, __dir__ = lazy_exports(
         "registry": (
             "ALGORITHM_FACTORIES",
             "UNIFORM_CONSENSUS_ALGORITHMS",
-            "VECTOR_KERNELS",
-            "has_vector_kernel",
             "make_algorithm",
         ),
         "request": (
@@ -105,8 +100,6 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "UNIFORM_CONSENSUS_ALGORITHMS",
-    "VECTOR_KERNELS",
-    "VectorHarness",
     "check_cell",
     "default_jobs",
     "derived_seed",
@@ -114,7 +107,6 @@ __all__ = [
     "execute_batch",
     "execute_request",
     "harness_for",
-    "has_vector_kernel",
     "make_algorithm",
     "named_cell",
     "oracle_sweep_space",

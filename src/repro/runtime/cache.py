@@ -197,8 +197,16 @@ class ResultCache:
 
     # -- writing ------------------------------------------------------------
 
-    def put(self, request: ExecutionRequest, result: ExecutionResult) -> None:
-        """Append ``result`` under ``request``'s key and flush it."""
+    def put(
+        self, request: ExecutionRequest, result: ExecutionResult
+    ) -> TraceTemplate:
+        """Append ``result`` under ``request``'s key and flush it.
+
+        Returns the store's instance of the result's template: the
+        first one put or read under its digest.  A caller that rebinds
+        the result to it shares one template, and its per-template
+        memos, across every equal trace in the store.
+        """
         key = request.cache_key()
         shard = self._writer()
         template = result.template
@@ -231,8 +239,8 @@ class ResultCache:
                 table[name] = (self._shard_path, self._shard_size, len(line))
             self._shard_size += len(line)
         self._shard_templates.add(template.digest)
-        self._templates.setdefault(template.digest, template)
         self.stats.stores += 1
+        return self._templates.setdefault(template.digest, template)
 
     def _writer(self) -> BinaryIO:
         """This instance's shard, created on first use — and again in a

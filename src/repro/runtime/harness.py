@@ -1,13 +1,15 @@
 """Harness adapters: one ``execute`` seam over every engine.
 
 The repo has four ways to run an algorithm — the RS/RWS round executor,
-and the two step-kernel emulations (RS on SS, RWS on SP), each with its
-own signature.  A :class:`Harness` adapts one engine to the uniform
-``(request, observer) -> engine-native run`` shape, where ``observer``
-is the :class:`~repro.obs.events.EventLog` the engine records into (or
-``None``), and :func:`execute_request` wraps any harness with the
-standard instrumentation (one logical-clock event log, whose trace the
-result's metrics are folded from) and lifts the outcome into an
+the two step-kernel emulations (RS on SS, RWS on SP) and the asyncio
+cluster (``live``), each with its own signature; ``"vector"`` is a
+second name for the round executor.  A :class:`Harness` adapts one
+engine to the uniform ``(request, observer) -> engine-native run``
+shape, where ``observer`` is the :class:`~repro.obs.events.EventLog`
+the engine records into (or ``None``), and :func:`execute_request`
+wraps any harness with the standard instrumentation (one
+logical-clock event log, whose trace the result's metrics are folded
+from) and lifts the outcome into an
 :class:`~repro.runtime.request.ExecutionResult`.
 
 ``execute_request`` is deliberately a module-level function of one
@@ -18,7 +20,7 @@ ships to workers.
 from __future__ import annotations
 
 import random
-from typing import Any, Mapping, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.events import EventLog, logical_clock
@@ -161,40 +163,6 @@ class SPEmulationHarness(_EmulationHarness):
     engine = "rws_on_sp"
 
 
-class VectorHarness:
-    """The columnar batch kernel behind the uniform interface.
-
-    Runs the same RS/RWS round semantics as :class:`RoundHarness`, but
-    batched: a group of cells sharing a scenario shares one value-free
-    executor run, and their values go through it as bitmasks in one
-    call (see :func:`execute_batch`).  Single-cell execution appends
-    the group's template, filled with the cell's decide values, to the
-    log, so traces are byte-identical to the object engine's; cells the
-    kernel cannot take fall back to the object executor transparently.
-    """
-
-    engine = "vector"
-    deterministic = True
-
-    def execute(
-        self, request: ExecutionRequest, observer: EventLog | None
-    ) -> Any:
-        from repro.vector.engine import execute_vector_request
-
-        return execute_vector_request(request, observer)
-
-    def summarize(self, run: Any):
-        # VectorRun and the fallback's RoundRun share this shape.
-        return dict(run.decisions), run.latency(), run.num_rounds
-
-    def extras(self, run: Any) -> dict[str, Any]:
-        from repro.vector.engine import FallbackRun
-
-        if isinstance(run, FallbackRun):
-            return {"vector_fallback": run.reason}
-        return {}
-
-
 class LiveHarness:
     """The asyncio cluster runtime (heartbeat-built P) behind the seam.
 
@@ -224,16 +192,19 @@ class LiveHarness:
 
 #: Engine name → harness singleton.  Harnesses are stateless, so one
 #: instance serves every worker.
-HARNESSES: Mapping[str, Any] = {
+HARNESSES: dict[str, Any] = {
     harness.engine: harness
     for harness in (
         RoundHarness(),
         SSEmulationHarness(),
         SPEmulationHarness(),
         LiveHarness(),
-        VectorHarness(),
     )
 }
+#: ``"vector"`` is a second name for the round executor: the ledger's
+#: ``--engine vector`` campaigns and their pinned run ids name it
+#: (ROADMAP 8(h) retires the spelling).
+HARNESSES["vector"] = HARNESSES["rounds"]
 
 
 def harness_for(engine: str):
@@ -274,33 +245,6 @@ def execute_request(request: ExecutionRequest) -> ExecutionResult:
 def execute_batch(
     requests: Sequence[ExecutionRequest],
 ) -> list[ExecutionResult]:
-    """Execute many cells at once, batching where an engine supports it.
-
-    The batch seam behind :class:`~repro.runtime.sweep.SweepRunner`:
-    ``engine="vector"`` cells are grouped by shared scenario and run
-    through the columnar kernel in whole-batch calls; every other cell
-    — including a vector cell the kernel declined, which then falls
-    back inside :class:`VectorHarness` — goes through
-    :func:`execute_request` one at a time.  Results come
-    back in input order and are byte-identical — events, metrics, cache
-    keys — to executing each request individually, so result caching
-    and the trace oracles are oblivious to the batching.
-    """
-    vector_indices = [
-        index
-        for index, request in enumerate(requests)
-        if request.engine == "vector"
-    ]
-    results: list[ExecutionResult | None] = [None] * len(requests)
-    if vector_indices:
-        from repro.vector.engine import execute_vector_batch
-
-        batched = execute_vector_batch(
-            [requests[index] for index in vector_indices]
-        )
-        for index, result in zip(vector_indices, batched):
-            results[index] = result
-    for index, request in enumerate(requests):
-        if results[index] is None:
-            results[index] = execute_request(request)
-    return [result for result in results if result is not None]
+    """:func:`execute_request` over ``requests``, in input order.  Kept
+    as a name because the ledger's tracer wraps it (ROADMAP 8(a))."""
+    return [execute_request(request) for request in requests]

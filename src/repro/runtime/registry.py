@@ -81,22 +81,6 @@ UNIFORM_CONSENSUS_ALGORITHMS = (
 )
 
 
-def has_vector_kernel(name: str, *, n: int | None = None, t: int | None = None) -> bool:
-    """Whether ``engine="vector"`` can run ``name`` on its columnar kernel.
-
-    The vector engine mirrors a registered algorithm's transition table
-    as a batched plan kernel (:data:`VECTOR_KERNELS`); algorithms
-    without one — and configurations a kernel refuses, when ``n``/``t``
-    are given — still execute under ``engine="vector"`` but fall back
-    to the object executor cell by cell.
-    """
-    from repro.vector.kernels import PLAN_KERNELS, plan_kernel_for
-
-    if n is None or t is None:
-        return name in PLAN_KERNELS
-    return plan_kernel_for(name, n, t) is not None
-
-
 def make_algorithm(name: str) -> RoundAlgorithm:
     """Instantiate the registered algorithm ``name``.
 
@@ -112,12 +96,3 @@ def make_algorithm(name: str) -> RoundAlgorithm:
         ) from None
     return factory()
 
-
-def __getattr__(name: str) -> object:
-    """:data:`VECTOR_KERNELS` — the vector engine's kernel table, loaded
-    when somebody asks for it."""
-    if name == "VECTOR_KERNELS":
-        from repro.vector.kernels import PLAN_KERNELS
-
-        return PLAN_KERNELS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

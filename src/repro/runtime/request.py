@@ -45,11 +45,14 @@ from repro.serialize import (
 #: records (:mod:`repro.runtime.cache`); v2 ``<key>.json`` files miss.
 CACHE_SCHEMA_VERSION = 3
 
-#: The engines a request may target.  ``"vector"`` runs the same RS/RWS
-#: round semantics as ``"rounds"`` on the columnar batch kernel
-#: (:mod:`repro.vector`) — same inputs, byte-identical traces, distinct
-#: cache keys (the engine name is part of the request).
+#: The engines a request may target.  ``"vector"`` is a second name for
+#: ``"rounds"``: the same executor, byte-identical traces, distinct cache
+#: keys (the engine name is part of the request).  It stays because the
+#: ledger's campaigns and pinned run ids name it (ROADMAP 8(h)).
 ENGINES = ("rounds", "rs_on_ss", "rws_on_sp", "live", "vector")
+
+#: The engine names that run the RS/RWS round executor.
+ROUND_ENGINES = ("rounds", "vector")
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,9 @@ class ExecutionRequest:
 
     Attributes:
         name: Human-readable cell label (unique within a space).
-        engine: ``"rounds"`` (the RS/RWS round executor),
-            ``"vector"`` (the columnar batch kernel running the same
-            round semantics), ``"rs_on_ss"`` or ``"rws_on_sp"`` (the
-            Section 4 emulations on the step kernels), or ``"live"``
+        engine: ``"rounds"`` (the RS/RWS round executor; ``"vector"``
+            is a second name for it), ``"rs_on_ss"`` or ``"rws_on_sp"``
+            (the Section 4 emulations on the step kernels), or ``"live"``
             (the asyncio cluster runtime with heartbeat-built P).
         algorithm: Registry key (see :mod:`repro.runtime.registry`).
         values: Initial value per process; fixes ``n``.
@@ -108,7 +110,7 @@ class ExecutionRequest:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES}"
             )
-        if self.engine in ("rounds", "vector"):
+        if self.engine in ROUND_ENGINES:
             if self.scenario is None or self.model not in ("RS", "RWS"):
                 raise ConfigurationError(
                     f"{self.name}: the {self.engine} engine needs a scenario "

@@ -456,12 +456,14 @@ def random_space(
 
 
 def vectorized_space(space: ScenarioSpace) -> ScenarioSpace:
-    """The same space with every rounds cell retargeted at the vector engine.
+    """The same space with every rounds cell renamed ``engine="vector"``.
 
-    Emulation and live cells pass through untouched.  Cell names are
-    preserved — the engine field is part of every cache key, so the
-    rewritten cells cache separately from their object-engine twins
-    while the merged traces stay byte-identical.
+    What ``repro sweep --engine vector`` runs: the same executor under
+    its second name (kept because the ledger's campaigns name it,
+    ROADMAP 8(h)).  Emulation and live cells pass through untouched.
+    Cell names are preserved — the engine field is part of every cache
+    key, so the rewritten cells cache separately from their rounds
+    twins while the merged traces stay byte-identical.
     """
     return ScenarioSpace(
         name=space.name,

@@ -35,7 +35,14 @@ from repro.errors import ConfigurationError
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
-from repro.runtime.harness import execute_batch, execute_request, harness_for
+# ``execute_batch`` is not called here: the ledger's tracer wraps this
+# binding site and fails when it is gone (ROADMAP 8(a)).
+from repro.runtime.harness import (  # noqa: F401
+    execute_batch,
+    execute_request,
+    harness_for,
+)
+from repro.runtime.request import ROUND_ENGINES
 
 if TYPE_CHECKING:
     from repro.obs.check import CheckReport
@@ -54,27 +61,25 @@ def _oracle() -> Callable[..., CheckReport]:
     return check_events
 
 
-def _profiled_call(
-    fn: Callable[[Any], Any], argument: Any
-) -> tuple[Any, float, dict]:
-    """``fn(argument)`` under a worker-local profiler, timed.
+def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
+    """Worker entry point: one cell under a worker-local profiler, timed.
 
-    Returns ``(value, wall seconds, span snapshot)``.  The sweep path
-    attaches the figures to results as ``extra["profile"]`` — wall-clock
-    telemetry for campaign summaries (slowest cells, per-engine span
-    aggregates).  They ride in ``extra`` precisely because the
-    determinism contract covers events and metrics, never extras: traces
-    stay byte-identical across schedulers while the telemetry varies
-    with the hardware.  Samples are also re-recorded into any profiler
-    the caller had installed, so ``jobs=1`` runs under ``repro
-    metrics``-style profiling see exactly the spans they always did.
+    The wall and the span snapshot ride on the result as
+    ``extra["profile"]`` — wall-clock telemetry for campaign summaries
+    (slowest cells, per-engine span aggregates).  They ride in
+    ``extra`` precisely because the determinism contract covers events
+    and metrics, never extras: traces stay byte-identical across
+    schedulers while the telemetry varies with the hardware.  Samples
+    are also re-recorded into any profiler the caller had installed, so
+    ``jobs=1`` runs under ``repro metrics``-style profiling see exactly
+    the spans they always did.
     """
     outer = get_profiler()
     local = Profiler()
     set_profiler(local)
     started = perf_counter()
     try:
-        value = fn(argument)
+        result = execute_request(request)
     finally:
         set_profiler(outer)
     duration = perf_counter() - started
@@ -82,38 +87,11 @@ def _profiled_call(
         for name, samples in local.spans.items():
             for sample in samples:
                 outer.record(name, sample)
-    return value, duration, local.snapshot()
-
-
-def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
-    """Worker entry point: one cell, timed with its engine spans."""
-    result, duration, spans = _profiled_call(execute_request, request)
-    result.extra["profile"] = {"duration_s": duration, "spans": spans}
+    result.extra["profile"] = {
+        "duration_s": duration,
+        "spans": local.snapshot(),
+    }
     return result
-
-
-def _execute_chunk(requests: list[ExecutionRequest]) -> list[ExecutionResult]:
-    """Worker entry point: one chunk of cells, batched where possible.
-
-    Singleton non-vector chunks take the classic per-cell path
-    (:func:`_execute_cell`, with its per-cell span snapshot); vector
-    chunks run through :func:`~repro.runtime.harness.execute_batch` so
-    the columnar kernel amortizes plan construction and trace templates
-    across the whole chunk.  The batch is timed as a unit and the
-    wall-clock share is split evenly across its cells — per-cell
-    telemetry stays plausible while the determinism contract (events,
-    metrics) is untouched by the batching.
-    """
-    if len(requests) == 1 and requests[0].engine != "vector":
-        return [_execute_cell(requests[0])]
-    batch, duration, spans = _profiled_call(execute_batch, requests)
-    share = duration / len(batch) if batch else 0.0
-    for position, result in enumerate(batch):
-        result.extra["profile"] = {
-            "duration_s": share,
-            "spans": spans if position == 0 else {},
-        }
-    return batch
 
 
 def _serve(
@@ -126,8 +104,7 @@ def _serve(
     ``metrics`` and ``decisions`` (read-only from here on — identity of
     the trace is what lets the oracle and the merged-trace writer work
     once per run) and owning its ``extra``.  The run's wall is split
-    evenly over the cells, as a vector chunk's is over its batch, and
-    its span snapshot stays with the first.
+    evenly over the cells, and its span snapshot stays with the first.
     """
     profile = result.extra["profile"]
     profile["duration_s"] /= len(cells)
@@ -165,12 +142,9 @@ def execute_cells(
     :func:`_serve` hands its result to the rest.  A harness whose runs
     are not a function of the request (``deterministic = False``: the
     live cluster's are wall-clock samples) has every cell run on its
-    own.  The runs fan out as chunks: vector-engine runs coalesce into
-    batch chunks (split across the workers) so the columnar kernel
-    amortizes plans and trace templates; everything else is a singleton
-    chunk.  ``on_arrival(positions, results)`` is called in the parent,
-    once per finished chunk, with every cell the chunk served:
-    ascending positions into ``requests`` and their results.
+    own.  ``on_arrival(positions, results)`` is called in the parent,
+    once per finished run, with every cell the run served: ascending
+    positions into ``requests`` and their results.
     """
     groups: dict[str | int, list[int]] = {}
     for position, request in enumerate(requests):
@@ -180,47 +154,29 @@ def execute_cells(
             else position
         )
         groups.setdefault(key, []).append(position)
-    chunks: list[list[list[int]]] = []
-    vector_groups: list[list[int]] = []
-    for group in groups.values():
-        if requests[group[0]].engine == "vector":
-            vector_groups.append(group)
-        else:
-            chunks.append([group])
-    if vector_groups:
-        size = -(-len(vector_groups) // max(1, jobs))
-        chunks.extend(
-            vector_groups[start : start + size]
-            for start in range(0, len(vector_groups), size)
-        )
-    chunk_iter = iter(chunks)
+    group_iter = iter(groups.values())
 
-    def _arrived(batch: list[ExecutionResult]) -> None:
-        served: dict[int, ExecutionResult] = {}
-        for group, result in zip(next(chunk_iter), batch):
-            served.update(
-                zip(group, _serve(result, [requests[at] for at in group]))
-            )
-        positions = sorted(served)
-        on_arrival(positions, [served[at] for at in positions])
+    def _arrived(result: ExecutionResult) -> None:
+        group = next(group_iter)
+        on_arrival(group, _serve(result, [requests[at] for at in group]))
 
-    work = [[requests[group[0]] for group in chunk] for chunk in chunks]
+    work = [requests[group[0]] for group in groups.values()]
     if jobs > 1:
         from repro.runtime.pool import parallel_map
 
-        parallel_map(_execute_chunk, work, jobs=jobs, on_result=_arrived)
+        parallel_map(_execute_cell, work, jobs=jobs, on_result=_arrived)
     else:
-        for batch in work:
-            _arrived(_execute_chunk(batch))
+        for request in work:
+            _arrived(_execute_cell(request))
     return len(groups)
 
 
 def check_model_for(request: ExecutionRequest) -> str | None:
     """Which synchrony checker applies to a cell's trace.
 
-    The rounds engine — and the vector engine, which runs the same
-    RS/RWS semantics columnar — checks its own model.  The SS emulation's trace
-    is step-level (no round-model synchrony claim to check, the
+    The round executor (under either of its names) checks its own
+    model.  The SS emulation's trace is step-level (no round-model
+    synchrony claim to check, the
     deadline arithmetic is validated by its dedicated checker), so only
     the model-agnostic invariants run; the SP emulation lifts pending
     messages into ``msg_withheld`` events and must satisfy weak round
@@ -229,7 +185,7 @@ def check_model_for(request: ExecutionRequest) -> str | None:
     Lemma 4.1 crash bound (its step-mode traces carry no withheld
     events, so the checker is vacuous there).
     """
-    if request.engine in ("rounds", "vector"):
+    if request.engine in ROUND_ENGINES:
         return request.model
     if request.engine in ("rws_on_sp", "live"):
         return "RWS"
@@ -280,7 +236,7 @@ def check_cell(
     """Run the trace oracle over one cell's events."""
     initial_values = (
         request.values
-        if request.engine in ("rounds", "live", "vector")
+        if (request.engine in ROUND_ENGINES or request.engine == "live")
         and request.check_consensus
         else None
     )
@@ -691,7 +647,13 @@ class SweepRunner:
                     index = misses[position]
                     results[index] = result
                     if self.cache is not None:
-                        self.cache.put(requests[index], result)
+                        # Equal traces of different runs share the
+                        # store's template, and with it the oracle's,
+                        # the causal summary's and the merged-trace
+                        # writer's per-template memos.
+                        result.events.template = self.cache.put(
+                            requests[index], result
+                        )
                     if self.on_cell is not None:
                         self.on_cell(requests[index], result)
 

@@ -65,8 +65,7 @@ class Coordinator:
     """Shard, lease, merge and finalize one campaign.
 
     Args:
-        space: The scenario space to execute (already engine-retargeted
-            if the campaign runs ``--engine vector``).
+        space: The scenario space to execute.
         run_root: The runs root (e.g. ``runs/``); the actual directory
             is content-addressed from the request cache keys.
         shard_size: Cells per leased shard.

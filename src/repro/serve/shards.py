@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 #: Default cells per shard.  Small enough that a lost lease forfeits
-#: little work, large enough that vector-engine shards still amortize
-#: group plans across a batch.
+#: little work, large enough that a shard's equal cells share a run.
 DEFAULT_SHARD_SIZE = 16
 
 

@@ -10,9 +10,9 @@ merge dedupes exactly.
 
 Execution is the sweep path's own
 (:func:`repro.runtime.sweep.execute_cells`): equal cells of a shard are
-one run, ``--engine vector`` cells batch through the columnar kernel,
-everything else runs on its own — the produced events and metrics are
-byte-identical to a single-process ``repro sweep`` either way.  (Cell
+one run, everything else runs on its own — the produced events and
+metrics are byte-identical to a single-process ``repro sweep`` either
+way.  (Cell
 profiles ride in ``extra`` and may differ across hosts; the
 determinism contract covers events and metrics, never extras.  The
 profiler used for span snapshots is process-global, so in-process test
@@ -49,7 +49,7 @@ def execute_shard(
 ) -> list[dict[str, Any]]:
     """Execute one shard grant; returns serialized results in cell order.
 
-    ``throttle_s`` sleeps between chunks — the fault-injection seam
+    ``throttle_s`` sleeps between runs — the fault-injection seam
     that makes "kill the worker mid-shard" deterministic in tests and
     smoke runs.
     """

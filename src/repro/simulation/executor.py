@@ -27,10 +27,9 @@ from repro.simulation.schedulers import Scheduler, SchedulerView
 class ProcessColumns:
     """The step executor's mutable run state, one column per field.
 
-    Index-addressed parallel lists (position = pid) — the same
-    process-axis layout the columnar engine (:mod:`repro.vector`) uses
-    for its array state, applied to the step kernel's object states.
-    States hold arbitrary automaton objects, so the columns stay plain
+    Index-addressed parallel lists (position = pid), applied to the
+    step kernel's object states.  States hold arbitrary automaton
+    objects, so the columns stay plain
     Python lists; what the layout buys is a single state-store seam:
     every per-process update in the executor goes through one indexed
     structure instead of three ad-hoc dicts.

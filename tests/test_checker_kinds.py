@@ -229,8 +229,8 @@ class TestDispatchedEqualsReference:
         assert verdict.ok
 
     def test_named_cells_as_templates(self, differential):
-        """The vector result path: value-free checkers once per
-        template, consensus over its own kinds per cell."""
+        """Under the executor's second name: value-free checkers once
+        per template, consensus over its own kinds per cell."""
         space = vectorized_space(
             ScenarioSpace(
                 name="named",

@@ -12,16 +12,22 @@ instead.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.obs.artifacts import RunDir
 from repro.obs.report import summarize_sweep, summary_problems
-from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
+from repro.runtime import (
+    SPACE_FACTORIES,
+    ResultCache,
+    ScenarioSpace,
+    SweepRunner,
+    space_by_name,
+)
 from repro.runtime import request as request_module
 from repro.runtime.space import vectorized_space
-from repro.vector.engine import execute_vector_batch
 from tests.reference_keys import reference_cache_key
 
 #: The ledger's campaign space: 2000 cells, 109 adversaries, 73 traces.
@@ -87,25 +93,37 @@ class TestBatchKeysSerializeOncePerAdversary:
         ]
 
 
-class TestTemplatesAreInternedPerCallAndPerDigest:
-    def test_one_instance_per_digest_within_a_call(self):
-        results = execute_vector_batch(_ledger_space().requests)
-        assert None not in results
-        instances = {id(result.template) for result in results}
-        digests = {result.template.digest for result in results}
-        assert len(instances) == len(digests) == LEDGER_TEMPLATES
+def _stored_sweep(space, directory):
+    """``space`` swept into a fresh result store, as ``--run-dir`` does."""
+    return SweepRunner(cache=ResultCache(directory)).run(space)
 
-    def test_two_calls_share_no_instance(self):
-        requests = _ledger_space().requests[:200]
-        first = execute_vector_batch(requests)
-        again = execute_vector_batch(requests)
+
+class TestTemplatesAreInternedPerCallAndPerDigest:
+    """A store keeps one template per digest, and a sweep rebinds every
+    result it puts to the store's instance: equal traces of different
+    runs share one object and its memos.  Two stores share nothing."""
+
+    def test_one_instance_per_digest_within_a_call(self, tmp_path):
+        rounds = space_by_name("random-rs", count=LEDGER_CELLS, seed=7)
+        for spelling, space in (("rounds", rounds), ("vector", _ledger_space())):
+            results = _stored_sweep(space, tmp_path / spelling).results
+            instances = {id(result.template) for result in results}
+            digests = {result.template.digest for result in results}
+            assert len(instances) == len(digests) == LEDGER_TEMPLATES, spelling
+
+    def test_two_calls_share_no_instance(self, tmp_path):
+        space = ScenarioSpace.explicit(
+            "first-200", _ledger_space().requests[:200]
+        )
+        first = _stored_sweep(space, tmp_path / "a").results
+        again = _stored_sweep(space, tmp_path / "b").results
         assert [r.template.digest for r in first] == [
             r.template.digest for r in again
         ]
         assert not {id(r.template) for r in first} & {
             id(r.template) for r in again
         }
-        # ... so one batch's analyses never reach the next one's results.
+        # ... so one store's analyses never reach the other's results.
         first[0].template.remember("probe", lambda: "first")
         assert "probe" not in again[0].template.memo
 
@@ -122,21 +140,75 @@ class TestTemplatesAreInternedPerCallAndPerDigest:
             return original(events, **kwargs)
 
         monkeypatch.setattr(critical, "causal_summary", counting)
-        # Vector cells cite one template per distinct trace; rounds
-        # cells of one run share the template their run factored.
+        # Through a store, as --run-dir does: both spellings cite one
+        # template per distinct trace.
         rounds = space_by_name("random-rs", count=LEDGER_CELLS, seed=7)
-        for space, analyses in (
-            (_ledger_space(), LEDGER_TEMPLATES),
-            (rounds, LEDGER_ADVERSARIES),
-        ):
+        for space in (_ledger_space(), rounds):
             calls.clear()
             run = RunDir.open(
                 tmp_path / "runs", kind="sweep", name=space.name,
                 identity=sorted(r.cache_key() for r in space.requests),
             )
-            sweep = SweepRunner().run(space)
+            sweep = _stored_sweep(space, run.results_dir)
             assert sweep.executed == LEDGER_CELLS
             summary = summarize_sweep(run, sweep, completed_before=set())
             assert summary_problems(summary) == []
             assert len(summary["causal"]["cells"]) == LEDGER_CELLS
-            assert len(calls) == analyses
+            assert len(calls) == LEDGER_TEMPLATES
+
+    def test_a_rounds_run_dir_analyses_each_stored_digest_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The rounds engine factors a template per run (178 runs here);
+        the store's sharing brings the causal summaries and the oracle's
+        judgements down to one per stored digest (130, as the vector
+        engine's plans did)."""
+        from repro.cli.main import main
+        from repro.obs import critical
+        from repro.runtime import sweep as sweep_module
+
+        calls = {"summary": 0, "judged": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            critical, "causal_summary",
+            counting("summary", critical.causal_summary),
+        )
+        monkeypatch.setattr(
+            sweep_module, "check_cell",
+            counting("judged", sweep_module.check_cell),
+        )
+        root = tmp_path / "runs"
+        assert main([
+            "sweep", "random-rws", "--count", "300", "--seed", "7",
+            "--check", "--engine", "rounds", "--run-dir", str(root),
+        ]) == 0
+        assert "(178 distinct)" in capsys.readouterr().err
+        digests = {
+            json.loads(line)["template"]
+            for shard in root.glob("*/results/shard-*.jsonl")
+            for line in shard.read_bytes().splitlines()
+            if line.startswith(b'{"template": ')
+        }
+        assert len(digests) == 130
+        assert calls == {"summary": 130, "judged": 130}
+
+    def test_a_sweep_without_a_store_hashes_no_trace(self, monkeypatch):
+        from repro.obs.template import TraceTemplate
+
+        def refuse(template):
+            raise AssertionError("a template digest was computed")
+
+        monkeypatch.setattr(TraceTemplate, "digest", property(refuse))
+        space = vectorized_space(
+            space_by_name("random-rws", count=300, seed=7)
+        )
+        sweep = SweepRunner(check=True).run(space)
+        assert sweep.checks_ok and sweep.judged == sweep.distinct == 178
+        assert len(list(sweep.merged_jsonl_lines())) > 0

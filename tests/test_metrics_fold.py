@@ -12,7 +12,6 @@ run ``repro metrics`` prints.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -38,13 +37,7 @@ SPACES = sorted(name for name in SPACE_FACTORIES if name != "live-smoke")
 
 
 def reference(request):
-    """``(events, metrics)`` of one fresh run, counted hook by hook.
-
-    A vector cell is counted on its rounds twin: the vector engine
-    records a filled template, not hook calls.
-    """
-    if request.engine == "vector":
-        request = replace(request, engine="rounds")
+    """``(events, metrics)`` of one fresh run, counted hook by hook."""
     observer = ReferenceMetrics()
     harness_for(request.engine).execute(request, observer)
     return observer.events, observer.state()

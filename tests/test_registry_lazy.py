@@ -122,17 +122,20 @@ class TestWhatGetsImported:
         assert out.strip() == "['repro.consensus.floodset']"
 
     def test_the_kernel_table_loads_when_asked(self):
+        # There is no kernel table: "vector" names the round executor,
+        # and its package is the one function the ledger reads.
         out = _fresh(
             "import sys\n"
             "import repro.runtime.registry as registry\n"
-            "assert 'repro.vector.kernels' not in sys.modules\n"
-            "assert registry.has_vector_kernel('floodset')\n"
-            "from repro.vector.kernels import PLAN_KERNELS\n"
-            "assert registry.VECTOR_KERNELS is PLAN_KERNELS\n"
-            "from repro.runtime import VECTOR_KERNELS\n"
-            "assert VECTOR_KERNELS is PLAN_KERNELS\n"
+            "import repro.runtime as runtime\n"
+            "import repro.vector as vector\n"
+            "assert not hasattr(registry, 'VECTOR_KERNELS')\n"
+            "assert not hasattr(runtime, 'VECTOR_KERNELS')\n"
+            "assert vector.__all__ == ['backend_name']\n"
+            "assert vector.backend_name() == 'python'\n"
+            f"print({_ALGORITHM_MODULES})\n"
         )
-        assert out == ""
+        assert out.strip() == "[]"
 
     def test_an_inert_campaign_leg_loads_no_run_directory_layer(self):
         out = _fresh(

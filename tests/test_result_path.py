@@ -45,7 +45,7 @@ from repro.runtime.sweep import open_merged_sink
 from repro.workloads import failure_free
 from tests.reference_keys import reference_cache_key
 
-#: Every registered space whose round cells the vector engine can take.
+#: Every registered space of round-executor cells.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
 
 
@@ -111,21 +111,19 @@ class TestMergedTraceParity:
         cold = SweepRunner(cache=store).run(space)
         served = SweepRunner(cache=store).run(space)
         assert (cold.executed, served.executed) == (len(space.requests), 0)
-        kinds = Counter(
-            (request.engine, result.extra.get("vector_fallback"))
+        kinds = Counter(request.engine for request in cold.requests)
+        assert kinds["vector"] >= 11 and kinds["rounds"] >= 2
+        assert kinds["rs_on_ss"] == 1
+        # One adversary: the store hands the round cells of each trace
+        # one template, whatever their holes.
+        rounds = [
+            result
             for request, result in zip(cold.requests, cold.results)
-        )
-        fallbacks = sum(
-            count for (_, reason), count in kinds.items() if reason is not None
-        )
-        assert kinds["vector", None] >= 9 and fallbacks >= 2
-        assert kinds["rounds", None] >= 1 and kinds["rs_on_ss", None] == 1
-        # One adversary, one trace: the kernel's cells differ in holes only.
-        assert len({
-            id(result.template)
-            for request, result in zip(cold.requests, cold.results)
-            if request.engine == "vector" and "vector_fallback" not in result.extra
-        }) == 2  # floodset's and a1's
+            if request.engine != "rs_on_ss"
+        ]
+        assert len({id(result.template) for result in rounds}) == len(
+            {result.template.digest for result in rounds}
+        ) == 3  # floodset-ws's, a1's, and a1's with an undecided None
         for tag, sweep in (("cold", cold), ("served", served)):
             path = tmp_path / f"{tag}.jsonl"
             count = sweep.write_merged_jsonl(str(path))
@@ -381,11 +379,6 @@ def _assert_template_parity(name: str, engine: str = "vector") -> int:
         (request.name, result.events)
         for request, result in zip(sweep.requests, sweep.results)
     ) == _reference_causal_block(plain_events)
-    if name == "oracle-sweep" and engine == "vector":
-        assert any(
-            request.expect_disagreement and "vector_fallback" not in result.extra
-            for request, result in zip(sweep.requests, sweep.results)
-        ), "the documented-disagreement cells must reach the kernel too"
     return len(templates)
 
 
@@ -532,7 +525,7 @@ class TestPackedStore:
             else:
                 seen.add(record["template"])
         # Without ``extra``: its profile telemetry is a span snapshot per
-        # executed run on the rounds engine, one per batch on vector.
+        # executed run.
         sizes = sorted(
             len(json.dumps({key: value for key, value in cell.items() if key != "extra"}))
             for cell in cells

@@ -61,7 +61,7 @@ def _distinct(requests) -> int:
 def _contents(requests, results) -> int:
     """Distinct (trace content, verdict inputs) by template *digest*,
     types included: the oracle runs the sweep must make wherever equal
-    content is one template object (a store; one vector batch)."""
+    content is one template object (a store)."""
     return len({
         (
             result.template.digest,
@@ -165,16 +165,28 @@ class TestRunCounts:
             "equal cells shared a run"
         )
 
-    def test_the_batch_kernel_sees_the_representatives_only(self, counted):
+    def test_the_batch_kernel_sees_the_representatives_only(
+        self, counted, monkeypatch
+    ):
+        # execute_cells runs the first cell of each equal-cell group and
+        # nothing else, on either spelling of the round executor.
         space = _space("random-rs", "vector", count=300, seed=7)
+        executed = []
+        counting = sweep_module.execute_request
+
+        def recording(request):
+            executed.append(request.name)
+            return counting(request)
+
+        monkeypatch.setattr(sweep_module, "execute_request", recording)
         sweep = run_space(space, check=True)
-        assert counted["execute_batch"] == 1
-        assert counted["batch_rows"] == 92
-        # One template per digest per batch: equal contents of distinct
-        # runs take one judgement.
-        contents = _contents(space.requests, sweep.results)
-        assert counted["check_cell"] == sweep.judged == contents < 92
-        assert counted["execute_request"] == 0
+        firsts: dict[str, str] = {}
+        for request in space.requests:
+            firsts.setdefault(request.work_key(), request.name)
+        assert executed == list(firsts.values())
+        assert counted["execute_request"] == 92
+        assert counted["execute_batch"] == 0
+        assert counted["check_cell"] == sweep.judged == 92
         assert sweep.distinct == 92 and sweep.checks_ok
 
     def test_a_space_without_twins_is_all_runs(self, counted):
@@ -514,9 +526,8 @@ def test_jobs_2_equals_jobs_1(engine, tmp_path, capsys):
     pooled, two = _cli_leg(tmp_path, "pooled", "--engine", engine, "--jobs", "2")
     assert serial == pooled
     assert one["run_id"] == two["run_id"]
-    # How many oracle runs stood behind the verdicts is the one figure
-    # of the oracle section a schedule may move: a vector batch shares
-    # one template per digest, and a pool runs one batch per worker.
+    # The store shares one template per digest, so equal traces of
+    # different runs take one judgement between them.
     for summary in (one, two):
         assert 0 < summary["oracle"]["judged"] <= summary["coverage"]["distinct"]
     for section in ("coverage", "resume", "causal",

@@ -1,14 +1,11 @@
-"""The columnar vector engine (repro.vector) and its byte-parity contract.
+"""``engine="vector"``: a second name for the round executor.
 
-The engine's one promise is differential: every ``engine="vector"``
-cell must produce an event log, metrics state and decision map
-*byte-identical* to the object round executor's — whether the cell runs
-through the batched kernel or falls back per-cell.  These tests pin
-that promise over every registered sweep space, exhaustively over small
-scenario spaces for each plan kernel, over the ``execute_batch`` seam,
-over the sweep's parallel and cached paths, and over a small fuzz
-campaign whose replay oracle re-executes every vector case on the
-object engine.
+The name stays because the ledger's campaigns and pinned run ids use
+it.  These tests pin what the name promises — a ``vector`` cell, batch
+or sweep equals its ``rounds`` twin in everything but the cache key
+and run id — and check the round executor itself against the §4
+reference semantics in :mod:`tests.reference.rounds`, exhaustively
+over small scenario spaces.
 """
 
 from __future__ import annotations
@@ -18,24 +15,28 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fuzz import VECTOR_FUZZ_ENGINES, run_campaign
-from repro.fuzz.campaign import resolve_engines
 from repro.rounds.enumeration import all_scenarios
 from repro.runtime import (
     ExecutionRequest,
     execute_batch,
     execute_request,
-    has_vector_kernel,
+    make_algorithm,
     run_space,
 )
 from repro.runtime.space import space_by_name, vectorized_space
-from repro.vector import backend_name, cell_domain, plan_for_request
+from repro.vector import backend_name
 from repro.workloads import crash_mid_broadcast, failure_free
+from tests.reference import rounds as reference
+from tests.reference.validators import (
+    check_round_synchrony,
+    check_weak_round_synchrony,
+)
 
-#: Every registered space whose round cells the vector engine can take.
+#: Every registered space of round-executor cells.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
 
-#: The plan kernels, each in the model its object twin is written for.
+#: The algorithms of the exhaustive block, each in the model it is
+#: written for.
 KERNEL_ALGORITHMS = [
     ("floodset", "RS"),
     ("floodset-ws", "RWS"),
@@ -47,9 +48,9 @@ KERNEL_ALGORITHMS = [
 
 @pytest.fixture(params=["python"])
 def backend(request):
-    """There is one value kernel, so one run per test.  The
-    single-valued parametrisation only keeps the ``[python]`` test ids
-    the recorded test floor names; drop it once ids may change."""
+    """A single-valued parametrisation: it only keeps the ``[python]``
+    test ids the recorded test floor names; drop it once ids may
+    change."""
     return request.param
 
 
@@ -72,21 +73,43 @@ def _object_twin(request: ExecutionRequest) -> ExecutionRequest:
     return replace(request, engine="rounds")
 
 
+def _result_body(result):
+    """``to_dict()`` minus the request key (the engine name is part of
+    the request, so twins' keys differ by design)."""
+    body = result.to_dict()
+    del body["request_key"]
+    return body
+
+
 def _assert_twin_parity(vector_result, object_result):
-    """Byte parity on everything except the request key (the engine
-    name is part of the request, so the keys differ by design)."""
-    assert vector_result.decisions == object_result.decisions
-    assert vector_result.latency == object_result.latency
-    assert vector_result.num_rounds == object_result.num_rounds
-    assert [event.to_json() for event in vector_result.events] == [
-        event.to_json() for event in object_result.events
-    ]
-    assert vector_result.metrics == object_result.metrics
+    """Byte parity on everything except the request key."""
+    assert _result_body(vector_result) == _result_body(object_result)
     assert vector_result.request_key != object_result.request_key
 
 
+def _assert_matches_reference(request: ExecutionRequest, result) -> None:
+    """The engine's decisions are the reference's, and the reference
+    run satisfies its model's synchrony property."""
+    algorithm = make_algorithm(request.algorithm)
+    run = reference.run(
+        algorithm,
+        request.values,
+        request.scenario,
+        t=request.t,
+        model=request.model,
+        rounds=request.max_rounds,
+    )
+    synchrony = (
+        check_round_synchrony
+        if request.model == "RS"
+        else check_weak_round_synchrony
+    )
+    assert synchrony(run) == [], request
+    assert result.decisions == run.decisions(algorithm), request
+
+
 class TestRegisteredSpaceGoldens:
-    """Every registered round space, vector vs object, checked."""
+    """Every registered round space, vector vs rounds, checked."""
 
     @pytest.mark.parametrize("name", ROUND_SPACES)
     def test_merged_traces_byte_identical(self, name):
@@ -122,7 +145,7 @@ class TestRegisteredSpaceGoldens:
         vec = run_space(vectorized_space(space_by_name("e10-lambda")))
         assert list(base.merged_jsonl_lines()) == list(
             vec.merged_jsonl_lines()
-        ), f"backend {backend} diverged from the object engine"
+        ), f"backend {backend} diverged from the rounds engine"
 
 
 class TestBatchSeam:
@@ -163,32 +186,21 @@ class TestBatchSeam:
     ):
         for scenario in (failure_free(3), crash_mid_broadcast(3)):
             request = _vector_request(
-                f"twin-{algorithm}",
+                f"ref-{algorithm}",
                 algorithm=algorithm,
                 model=model,
                 scenario=scenario,
             )
-            _assert_twin_parity(
-                execute_request(request),
-                execute_request(_object_twin(request)),
-            )
-
-
-def _result_body(result):
-    """``to_dict()`` minus the request key (the engine name is part of
-    the request, so twins' keys differ by design)."""
-    body = result.to_dict()
-    del body["request_key"]
-    return body
+            _assert_matches_reference(request, execute_request(request))
 
 
 class TestExhaustiveTwinParity:
-    """Every cell of a small scenario space, on every plan kernel in
-    both models: the vector result equals its rounds twin's.  (3,1) is
-    crossed with all four ``validate`` x ``run_all_rounds`` settings;
-    the larger spaces deal the four settings out round-robin, and
-    their RWS legs are truncated (``max_pending_sets``, and a stride
-    for n=4) to keep the suite's wall time — (3,2) RWS alone has
+    """Every cell of a small scenario space, for each algorithm in both
+    models: the engine decides what the reference semantics decides.
+    (3,1) is crossed with all four ``validate`` x ``run_all_rounds``
+    settings; the larger spaces deal the four settings out round-robin,
+    and their RWS legs are truncated (``max_pending_sets``, and a
+    stride for n=4) to keep the suite's wall time — (3,2) RWS alone has
     26 227 scenarios."""
 
     PARAMS = [
@@ -225,7 +237,7 @@ class TestExhaustiveTwinParity:
             )
             for algorithm, _ in KERNEL_ALGORITHMS:
                 if algorithm == "a1" and t != 1:
-                    continue  # A1 is a t=1 algorithm; see TestFallback
+                    continue  # A1 is a t=1 algorithm
                 for params in settings:
                     cells.append(
                         _vector_request(
@@ -239,16 +251,11 @@ class TestExhaustiveTwinParity:
                             params=params,
                         )
                     )
-        results = execute_batch(cells)
-        assert not any("vector_fallback" in r.extra for r in results)
-        for cell, result in zip(cells, results):
-            twin = execute_request(_object_twin(cell))
-            assert _result_body(result) == _result_body(twin), cell
+        for cell, result in zip(cells, execute_batch(cells)):
+            _assert_matches_reference(cell, result)
 
     def test_value_domain_wider_than_a_machine_word(self):
-        # 65 distinct values: one more than fits a 64-bit mask, the one
-        # input the retired numpy kernel routed differently.  Python
-        # ints have no width, so the cell stays on the kernel.
+        # 65 distinct values decide the reference's minimum.
         request = _vector_request(
             "wide",
             algorithm="floodset",
@@ -257,45 +264,30 @@ class TestExhaustiveTwinParity:
             scenario=crash_mid_broadcast(65, reached=(1, 7, 64)),
             max_rounds=3,
         )
-        (batched,) = execute_batch([request])
-        assert "vector_fallback" not in batched.extra
-        assert set(v for _, v in batched.decisions.values()) == {0}
-        twin = execute_request(_object_twin(request))
-        assert _result_body(batched) == _result_body(twin)
-        assert execute_request(request).to_dict() == batched.to_dict()
+        result = execute_request(request)
+        assert {value for _, value in result.decisions.values()} == {0}
+        _assert_matches_reference(request, result)
 
 
 class TestFallback:
-    """Cells the kernel cannot take run the object engine, exactly."""
+    """Algorithms, value domains and configuration errors that are
+    not plain FloodSet cells: the same under either name."""
 
     def test_unregistered_algorithm_falls_back(self, backend):
-        assert not has_vector_kernel("c-opt")
         request = _vector_request("fb-copt", algorithm="c-opt", model="RS")
-        assert plan_for_request(request) is None
         _assert_twin_parity(
             execute_request(request),
             execute_request(_object_twin(request)),
         )
 
     def test_cross_type_values_fall_back(self, backend):
-        # 0 == False, so min() parity depends on set-construction
-        # order; the kernel refuses the domain and the object engine
-        # runs the cell instead.
-        values = (0, False, 1)
-        assert cell_domain(values) is None
-        request = _vector_request("fb-values", values=values)
+        # 0 == False: min() picks whichever the set construction keeps,
+        # the same way under both names.
+        request = _vector_request("fb-values", values=(0, False, 1))
         _assert_twin_parity(
             execute_request(request),
             execute_request(_object_twin(request)),
         )
-
-    def test_cell_domain_guards(self):
-        assert cell_domain((2, 0, 1, 1)) == [0, 1, 2]
-        assert cell_domain(("b", "a")) == ["a", "b"]
-        assert cell_domain((0, None, 1)) is None
-        assert cell_domain((0.0, float("nan"))) is None
-        assert cell_domain((1, "a")) is None  # unsortable
-        assert cell_domain(([1], [2])) is None  # unhashable
 
     def test_fallback_reproduces_configuration_errors(self):
         kwargs = dict(
@@ -312,12 +304,6 @@ class TestFallback:
         with pytest.raises(ConfigurationError) as via_vector:
             execute_request(_vector_request("err-vector", **kwargs))
         assert str(via_vector.value) == str(via_object.value)
-
-    def test_kernel_registry_honours_envelopes(self):
-        assert has_vector_kernel("floodset")
-        assert has_vector_kernel("a1", n=3, t=1)
-        assert not has_vector_kernel("a1", n=3, t=2)
-        assert not has_vector_kernel("c-opt-ws")
 
 
 class TestSweepPaths:
@@ -343,139 +329,113 @@ class TestSweepPaths:
         assert all(p["duration_s"] >= 0.0 for p in profiles)
 
 
-class TestVectorFuzz:
-    def test_engine_alias_resolves_to_both_streams(self):
-        assert resolve_engines(("vector",)) == VECTOR_FUZZ_ENGINES
-        assert set(VECTOR_FUZZ_ENGINES) == {"vector-rs", "vector-rws"}
-
-    def test_campaign_is_clean(self):
-        report = run_campaign(
-            budget=24, seed=3, engines=("vector",), shrink_failures=False
-        )
-        assert report.ok, report.describe()
-        assert report.executed == 24
-
-
 def test_backend_name_is_python_for_the_ledger():
     # ledger/run.py records it as host metadata; nothing else calls it.
     assert backend_name() == "python"
 
 
+#: Plain cells, a C_opt cell and a cross-type-equal value domain.
+_TELEMETRY_CELLS = (
+    dict(name="on-kernel"),
+    dict(name="fb-algo", algorithm="c-opt", model="RS"),
+    dict(name="on-kernel-1", values=(1, 1, 0)),
+    dict(name="fb-domain", values=(0, False, 1)),
+)
+
+
+def _summary(tmp_path, space):
+    from repro.obs.artifacts import RunDir, identity_for_requests
+    from repro.obs.report import render_report, summarize_sweep
+    from repro.runtime import ResultCache, SweepRunner
+
+    requests = list(space.requests)
+    run = RunDir.open(
+        tmp_path / "runs",
+        kind="sweep",
+        name=space.name,
+        identity=identity_for_requests(requests),
+        cells=[(r.name, r.cache_key()) for r in requests],
+        config={"space": space.name},
+    )
+    sweep = SweepRunner(
+        cache=ResultCache(run.results_dir), check=True
+    ).run(space)
+    summary = summarize_sweep(run, sweep, completed_before=set())
+    run.finalize(summary)
+    return run.run_id, summary, render_report(run)
+
+
 class TestFallbackTelemetry:
-    """Fallbacks are parity-safe but must be *visible*: each object-run
-    cell carries ``extra["vector_fallback"]`` and the sweep summary
-    aggregates the reasons, so a silently-degraded vector campaign
-    shows up in `repro report` instead of just running slow."""
+    """A ``vector`` cell, batch or sweep is its ``rounds`` twin's, but
+    for the cache key and the run id: no fallback tag, no summary
+    section of its own."""
 
     def test_single_request_paths_tag_the_reason(self, backend):
-        from repro.vector.engine import (
-            FALLBACK_DOMAIN,
-            FALLBACK_UNSUPPORTED,
-        )
-
-        unsupported = execute_request(
-            _vector_request("fb-algo", algorithm="c-opt", model="RS")
-        )
-        assert unsupported.extra["vector_fallback"] == FALLBACK_UNSUPPORTED
-        domain = execute_request(
-            _vector_request("fb-domain", values=(0, False, 1))
-        )
-        assert domain.extra["vector_fallback"] == FALLBACK_DOMAIN
-        kernel = execute_request(_vector_request("on-kernel"))
-        assert "vector_fallback" not in kernel.extra
+        for overrides in _TELEMETRY_CELLS:
+            request = _vector_request(**overrides)
+            result = execute_request(request)
+            _assert_twin_parity(result, execute_request(_object_twin(request)))
+            assert result.extra == {}
 
     def test_batch_path_tags_only_the_fallback_cells(self, backend):
-        from repro.vector.engine import (
-            FALLBACK_DOMAIN,
-            FALLBACK_UNSUPPORTED,
-        )
-
-        requests = [
-            _vector_request("b-kernel-0"),
-            _vector_request("b-algo", algorithm="c-opt", model="RS"),
-            _vector_request("b-kernel-1", values=(1, 1, 0)),
-            _vector_request("b-domain", values=(0, False, 1)),
-        ]
-        results = execute_batch(requests)
-        reasons = [r.extra.get("vector_fallback") for r in results]
-        assert reasons == [
-            None,
-            FALLBACK_UNSUPPORTED,
-            None,
-            FALLBACK_DOMAIN,
-        ]
+        requests = [_vector_request(**cell) for cell in _TELEMETRY_CELLS]
+        vector = execute_batch(requests)
+        rounds = execute_batch([_object_twin(r) for r in requests])
+        for vector_result, rounds_result in zip(vector, rounds):
+            _assert_twin_parity(vector_result, rounds_result)
 
     def test_sweep_summary_aggregates_fallback_reasons(self, tmp_path):
-        from repro.obs.artifacts import RunDir, identity_for_requests
-        from repro.obs.report import render_report, summarize_sweep
-        from repro.runtime import ResultCache, ScenarioSpace, SweepRunner
+        from repro.runtime import ScenarioSpace
 
         requests = list(
             vectorized_space(space_by_name("e10-lambda")).requests[:3]
-        ) + [
-            _vector_request("fb-algo", algorithm="c-opt", model="RS"),
-            _vector_request("fb-domain", values=(0, False, 1)),
-        ]
-        space = ScenarioSpace.explicit("vector-telemetry", requests)
-        run = RunDir.open(
-            tmp_path / "runs",
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
-            config={"space": space.name},
+        ) + [_vector_request(**cell) for cell in _TELEMETRY_CELLS]
+        twins = [_object_twin(request) for request in requests]
+        run_id, summary, _ = _summary(
+            tmp_path / "vector", ScenarioSpace.explicit("telemetry", requests)
         )
-
-        def on_cell(request, result):
-            run.record_cell(
-                name=request.name,
-                key=result.request_key,
-                cached=result.cached,
-                engine=request.engine,
-                algorithm=request.algorithm,
-                latency=result.latency,
-                num_rounds=result.num_rounds,
-                events=len(result.events),
-            )
-
-        sweep = SweepRunner(
-            cache=ResultCache(run.results_dir), on_cell=on_cell
-        ).run(space)
-        summary = summarize_sweep(run, sweep, completed_before=set())
-        run.finalize(summary)
-
-        assert summary["vector"] == {
-            "cells": 5,
-            "kernel": 3,
-            "fallbacks": {
-                "unsupported-algorithm": 1,
-                "value-domain": 1,
-            },
-            "fallback_cells": ["fb-algo", "fb-domain"],
-        }
-        rendered = render_report(run)
-        assert "3/5 cells on the kernel" in rendered
-        assert "2 object fallback(s)" in rendered
+        twin_id, twin_summary, _ = _summary(
+            tmp_path / "rounds", ScenarioSpace.explicit("telemetry", twins)
+        )
+        assert run_id != twin_id
+        assert "vector" not in summary
+        assert _untimed(summary) == _untimed(twin_summary)
 
     def test_all_kernel_sweep_reports_zero_fallbacks(self, tmp_path):
-        from repro.obs.artifacts import RunDir, identity_for_requests
-        from repro.obs.report import summarize_sweep
-        from repro.runtime import ScenarioSpace, SweepRunner
+        space = vectorized_space(space_by_name("e10-lambda"))
+        run_id, summary, rendered = _summary(tmp_path / "vector", space)
+        twin_id, twin_summary, twin_rendered = _summary(
+            tmp_path / "rounds", space_by_name("e10-lambda")
+        )
+        assert _untimed(summary) == _untimed(twin_summary)
+        assert "vector:" not in rendered
+        assert _untimed_lines(rendered, run_id) == _untimed_lines(
+            twin_rendered, twin_id
+        )
 
-        requests = list(
-            vectorized_space(space_by_name("e10-lambda")).requests[:4]
-        )
-        space = ScenarioSpace.explicit("vector-clean", requests)
-        run = RunDir.open(
-            tmp_path / "runs",
-            kind="sweep",
-            name=space.name,
-            identity=identity_for_requests(requests),
-            cells=[(r.name, r.cache_key()) for r in requests],
-            config={"space": space.name},
-        )
-        sweep = SweepRunner().run(space)
-        summary = summarize_sweep(run, sweep, completed_before=set())
-        assert summary["vector"]["kernel"] == 4
-        assert summary["vector"]["fallbacks"] == {}
-        assert summary["vector"]["fallback_cells"] == []
+
+def _untimed(summary):
+    """``summary`` without its run id and wall-clock sections, its
+    per-engine coverage rows under one engine name."""
+    body = {
+        key: value
+        for key, value in summary.items()
+        if key not in ("run_id", "spans", "slowest_cells")
+    }
+    coverage = dict(body["coverage"])
+    coverage["by_engine"] = {
+        "rounds" if engine == "vector" else engine: slot
+        for engine, slot in coverage["by_engine"].items()
+    }
+    body["coverage"] = coverage
+    return body
+
+
+def _untimed_lines(rendered, run_id):
+    """The report's lines above its wall-clock sections, run id and
+    engine name blanked."""
+    lines = rendered.replace(run_id, "RUN").splitlines()
+    return [
+        line.replace("  vector ", "  rounds ")
+        for line in lines[: lines.index("spans:")]
+    ]
