@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage bench bench-report examples experiments report trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
+.PHONY: install test test-fast coverage bench bench-report examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -37,6 +37,15 @@ experiments:
 
 report:
 	python -m repro report --output EXPERIMENTS.md
+
+REPORT_CHECK_OUT ?= /tmp/EXPERIMENTS.md
+
+# EXPERIMENTS.md is generated, never edited: regenerate it and compare
+# byte for byte, so a hand-edited number or a changed verdict wording
+# fails here.
+report-check:
+	PYTHONPATH=src python -m repro report --output $(REPORT_CHECK_OUT)
+	cmp $(REPORT_CHECK_OUT) EXPERIMENTS.md
 
 TRACE_SMOKE_OUT ?= /tmp/repro_trace_smoke.jsonl
 

@@ -39,7 +39,6 @@ __getattr__, __dir__ = lazy_exports(
             "SynchronyViolation",
             "DetectorViolation",
             "ScenarioError",
-            "SpecificationViolation",
             "ExecutionError",
         ),
         "failures": ("FailurePattern", "PerfectDetector"),
@@ -85,7 +84,6 @@ __all__ = [
     "SynchronyViolation",
     "DetectorViolation",
     "ScenarioError",
-    "SpecificationViolation",
     "ExecutionError",
     # models & failures
     "FailurePattern",

@@ -79,9 +79,8 @@ def _has_round_one_property(
             max_rounds=t + 3,
             validate=False,
         )
-        for pid in range(n):
-            if run.decision_round(pid) != 1:
-                return False
+        if run.latency() != 1:
+            return False
     return True
 
 

@@ -90,13 +90,10 @@ def commit_rate(
             validate=False,
         )
         report.runs += 1
-        correct_decisions = {
-            run.decision_value(pid) for pid in scenario.correct
-        }
-        if correct_decisions == {COMMIT}:
-            report.commits += 1
-        elif None in correct_decisions:
+        if run.latency() is None:
             report.undecided += 1
+        elif {run.decision_value(p) for p in scenario.correct} == {COMMIT}:
+            report.commits += 1
         else:
             report.aborts += 1
         report.violations.extend(check_nbac_run(run))

@@ -3,7 +3,8 @@
 Votes are booleans (True = YES, False = NO); decisions are the strings
 :data:`COMMIT` and :data:`ABORT`.
 
-Clauses (uniform NBAC):
+Clauses (uniform NBAC; uniform agreement and termination are those of
+:mod:`repro.consensus.clauses`):
 
 * **Uniform agreement** — no two processes decide differently.
 * **Commit validity** — COMMIT requires every *cast* vote to be YES,
@@ -23,7 +24,8 @@ NO vote), which is how SDD's solvability gap becomes a commit-rate gap.
 
 from __future__ import annotations
 
-from repro.consensus.spec import SpecViolation
+from repro.consensus import clauses
+from repro.consensus.spec import SpecViolation, termination_violations, violation
 from repro.rounds.executor import RoundRun
 
 COMMIT = "COMMIT"
@@ -40,38 +42,28 @@ def _cast_votes(run: RoundRun) -> dict[int, bool]:
     }
 
 
-def _violation(run: RoundRun, clause: str, detail: str) -> SpecViolation:
-    return SpecViolation(
-        clause=clause,
-        detail=detail,
-        scenario=run.scenario.describe(),
-        values=run.values,
-    )
-
-
 def check_nbac_run(run: RoundRun) -> list[SpecViolation]:
     """Check one finished run against the NBAC specification."""
     violations: list[SpecViolation] = []
-    decided = {pid: value for pid, (_, value) in run.decisions.items()}
-
-    distinct = set(decided.values())
-    if len(distinct) > 1:
+    disagreeing = clauses.uniform_agreement(run.decisions)
+    if disagreeing:
         violations.append(
-            _violation(
+            violation(
                 run,
                 "uniform agreement",
                 "processes decided differently: "
                 + ", ".join(
-                    f"p{pid}={value}" for pid, value in sorted(decided.items())
+                    f"p{pid}={run.decisions[pid][1]}" for pid in disagreeing
                 ),
             )
         )
 
+    distinct = {value for _, value in run.decisions.values()}
     cast = _cast_votes(run)
     if COMMIT in distinct and not all(cast.values()):
         no_voters = sorted(pid for pid, vote in cast.items() if not vote)
         violations.append(
-            _violation(
+            violation(
                 run,
                 "commit validity",
                 f"COMMIT decided although processes {no_voters} cast NO",
@@ -81,24 +73,13 @@ def check_nbac_run(run: RoundRun) -> list[SpecViolation]:
     clean = run.scenario.num_failures() == 0
     if ABORT in distinct and clean and all(cast.values()):
         violations.append(
-            _violation(
+            violation(
                 run,
                 "abort validity",
                 "ABORT decided in a failure-free unanimous-YES run",
             )
         )
-
-    for pid in run.scenario.correct:
-        if pid not in run.decisions:
-            violations.append(
-                _violation(
-                    run,
-                    "termination",
-                    f"correct process p{pid} never decided within "
-                    f"{run.num_rounds} rounds",
-                )
-            )
-    return violations
+    return violations + termination_violations(run)
 
 
 def check_commit_obligation(run: RoundRun) -> list[SpecViolation]:
@@ -117,7 +98,7 @@ def check_commit_obligation(run: RoundRun) -> list[SpecViolation]:
     for pid, (_, value) in run.decisions.items():
         if pid in run.scenario.correct and value != COMMIT:
             violations.append(
-                _violation(
+                violation(
                     run,
                     "commit obligation",
                     f"all voted YES and nobody was initially dead, yet "

@@ -1,29 +1,21 @@
-"""Problem specifications for consensus and uniform consensus.
+"""Run checkers for consensus and uniform consensus (paper Section 5.1).
 
-The uniform consensus specification (paper Section 5.1) over a totally
-ordered value set:
-
-* **Uniform validity** — if all processes start with the same value
-  ``v``, then ``v`` is the only possible decision value.
-* **Uniform agreement** — no two processes (correct *or faulty*)
-  decide differently.
-* **Termination** — all correct processes eventually decide.
-
-Plain consensus replaces uniform agreement by agreement among correct
-processes only — the gap between the two is visible in both RS and RWS
-(Section 5.1) and is exercised by experiment E14.
-
-The checkers additionally verify *integrity* (a process decides at most
-once — our executors record the first decision and we confirm the final
-state still carries it) and the stronger, standard validity clause that
-every decision was some process's initial value, which all the paper's
-algorithms satisfy.
+The clauses are :mod:`repro.consensus.clauses`; these checkers read a
+:class:`RoundRun`'s decisions and its scenario's correct set and word
+each finding as a :class:`SpecViolation`.  Plain consensus replaces
+uniform agreement by agreement among correct processes (experiment
+E14).  Validity implies uniform validity, so the latter is no separate
+clause; *integrity* — the first decision still stands in the final
+state — is the one clause only a run can show.  The checkers as they
+stood before the clauses were shared are the reference oracle in
+``tests/reference/consensus.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.consensus import clauses
 from repro.rounds.executor import RoundRun
 
 
@@ -43,116 +35,73 @@ class SpecViolation:
         )
 
 
-def _violation(run: RoundRun, clause: str, detail: str) -> SpecViolation:
-    return SpecViolation(
-        clause=clause,
-        detail=detail,
-        scenario=run.scenario.describe(),
-        values=run.values,
-    )
+def violation(run: RoundRun, clause: str, detail: str) -> SpecViolation:
+    """One finding on ``run`` (NBAC's checkers word theirs with it too)."""
+    return SpecViolation(clause, detail, run.scenario.describe(), run.values)
 
 
-def _common_checks(run: RoundRun, violations: list[SpecViolation]) -> None:
-    """Clauses shared by consensus and uniform consensus."""
-    # Uniform validity.
-    distinct_inputs = set(run.values)
-    if len(distinct_inputs) == 1:
-        only = next(iter(distinct_inputs))
-        for pid, (_, value) in run.decisions.items():
-            if value != only:
-                violations.append(
-                    _violation(
-                        run,
-                        "uniform validity",
-                        f"unanimous input {only!r} but p{pid} decided "
-                        f"{value!r}",
-                    )
-                )
-    # Strong validity (all paper algorithms satisfy it).
-    for pid, (_, value) in run.decisions.items():
-        if value not in run.values:
+def termination_violations(run: RoundRun) -> list[SpecViolation]:
+    """One violation per correct process that never decided."""
+    return [
+        violation(
+            run,
+            "termination",
+            f"correct process p{pid} never decided within "
+            f"{run.num_rounds} rounds",
+        )
+        for pid in clauses.termination(run.decisions, run.scenario.correct)
+    ]
+
+
+def _check(
+    run: RoundRun, clause: str, label: str, pids: list[int]
+) -> list[SpecViolation]:
+    """Validity, termination, integrity, then ``clause`` broken by ``pids``."""
+    decisions = run.decisions
+    violations = [
+        violation(
+            run,
+            "validity",
+            f"p{pid} decided {decisions[pid][1]!r}, which no process proposed",
+        )
+        for pid in clauses.validity(decisions, run.values)
+    ]
+    violations += termination_violations(run)
+    for pid, (_, value) in decisions.items():
+        final = getattr(run.final_states.get(pid), "decision", value)
+        if final is not None and final != value:
             violations.append(
-                _violation(
+                violation(
                     run,
-                    "validity",
-                    f"p{pid} decided {value!r}, which no process proposed",
+                    "integrity",
+                    f"p{pid} first decided {value!r} but its final "
+                    f"state says {final!r}",
                 )
             )
-    # Termination.
-    for pid in run.scenario.correct:
-        if pid not in run.decisions:
-            violations.append(
-                _violation(
-                    run,
-                    "termination",
-                    f"correct process p{pid} never decided within "
-                    f"{run.num_rounds} rounds",
-                )
+    if pids:
+        violations.append(
+            violation(
+                run,
+                clause,
+                f"{label} decided differently: "
+                + ", ".join(f"p{pid}={decisions[pid][1]!r}" for pid in pids),
             )
-    # Integrity: the recorded (first) decision must still stand.
-    for pid, (_, value) in run.decisions.items():
-        if pid in run.final_states:
-            # The final state's decision, if readable, must match.
-            final = run.final_states[pid]
-            final_decision = getattr(final, "decision", value)
-            if final_decision is not None and final_decision != value:
-                violations.append(
-                    _violation(
-                        run,
-                        "integrity",
-                        f"p{pid} first decided {value!r} but its final "
-                        f"state says {final_decision!r}",
-                    )
-                )
+        )
+    return violations
 
 
 def check_uniform_consensus_run(run: RoundRun) -> list[SpecViolation]:
     """Check one finished run against the uniform consensus spec."""
-    violations: list[SpecViolation] = []
-    _common_checks(run, violations)
-    decided = {pid: value for pid, (_, value) in run.decisions.items()}
-    distinct = set(decided.values())
-    if len(distinct) > 1:
-        violations.append(
-            _violation(
-                run,
-                "uniform agreement",
-                f"processes decided differently: "
-                + ", ".join(
-                    f"p{pid}={value!r}" for pid, value in sorted(decided.items())
-                ),
-            )
-        )
-    return violations
+    pids = clauses.uniform_agreement(run.decisions)
+    return _check(run, "uniform agreement", "processes", pids)
 
 
 def check_consensus_run(run: RoundRun) -> list[SpecViolation]:
     """Check one finished run against the (non-uniform) consensus spec."""
-    violations: list[SpecViolation] = []
-    _common_checks(run, violations)
-    correct_decisions = {
-        pid: value
-        for pid, (_, value) in run.decisions.items()
-        if pid in run.scenario.correct
-    }
-    if len(set(correct_decisions.values())) > 1:
-        violations.append(
-            _violation(
-                run,
-                "agreement",
-                "correct processes decided differently: "
-                + ", ".join(
-                    f"p{pid}={value!r}"
-                    for pid, value in sorted(correct_decisions.items())
-                ),
-            )
-        )
-    return violations
+    pids = clauses.agreement(run.decisions, run.scenario.correct)
+    return _check(run, "agreement", "correct processes", pids)
 
 
 def check_many(runs, checker=check_uniform_consensus_run) -> list[SpecViolation]:
     """Apply a run checker to many runs and concatenate the reports."""
-    violations: list[SpecViolation] = []
-    for run in runs:
-        violations.extend(checker(run))
-    return violations
+    return [found for run in runs for found in checker(run)]

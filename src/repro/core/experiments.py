@@ -39,6 +39,7 @@ from repro.consensus import (
     FOptFloodSetWS,
     check_consensus_run,
     check_uniform_consensus_run,
+    clauses,
 )
 from repro.consensus.candidates import ROUND_ONE_CANDIDATES
 from repro.emulation import (
@@ -384,11 +385,11 @@ def experiment_e11(quick: bool = True) -> ExperimentResult:
         runs += 1
         violations += len(check_emulated_round_synchrony(trace))
         decided = {
-            trace.decisions[pid][1]
-            for pid in pattern.correct
-            if trace.decisions[pid] is not None
+            pid: entry
+            for pid, entry in trace.decisions.items()
+            if entry is not None
         }
-        if len(decided) > 1:
+        if clauses.agreement(decided, pattern.correct):
             mismatches += 1
     deadlines = {
         f"Φ={phi},Δ={delta}": round_deadlines(3, phi, delta, 3)

@@ -211,9 +211,7 @@ def extension_x5(quick: bool = True) -> ExperimentResult:
         EarlyDecidingConsensus(), (0, 1, 1, 0), scenario,
         t=t, model=RoundModel.RS, max_rounds=t + 2, validate=False,
     )
-    consensus_round_one = all(
-        run.decision_round(pid) == 1 for pid in range(n)
-    )
+    consensus_round_one = run.latency() == 1
 
     # (b) every uniform round-1 candidate falls in RS at t = 2.
     candidates = [MinRoundOne(), LeaderOrOwn(), EagerFloodSetWS()]
@@ -234,9 +232,7 @@ def extension_x5(quick: bool = True) -> ExperimentResult:
             algorithm, (0, 1, 1, 0), scenario,
             t=t, model=RoundModel.RS, max_rounds=t + 3, validate=False,
         )
-        uniform_lambdas[algorithm.name] = max(
-            ff.decision_round(pid) for pid in range(n)
-        )
+        uniform_lambdas[algorithm.name] = ff.latency()
     lambda_ok = all(v >= 2 for v in uniform_lambdas.values())
 
     return ExperimentResult(

@@ -62,18 +62,6 @@ class ScenarioError(ReproError):
     """
 
 
-class SpecificationViolation(ReproError):
-    """A run violates a problem specification clause.
-
-    The ``clause`` attribute names the violated condition (for instance
-    ``"uniform agreement"``) so reports can say exactly what broke.
-    """
-
-    def __init__(self, message: str, *, clause: str | None = None) -> None:
-        super().__init__(message)
-        self.clause = clause
-
-
 class ExecutionError(ReproError):
     """An executor could not make progress.
 

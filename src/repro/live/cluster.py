@@ -41,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.consensus import clauses
 from repro.errors import ConfigurationError, ExecutionError
 from repro.live.detector import HEARTBEAT, DetectorConfig, HeartbeatService
 from repro.live.profiles import NetProfile
@@ -217,13 +218,7 @@ class LiveRun:
     @property
     def latency(self) -> int | None:
         """Rounds until every correct process decided (session 0)."""
-        worst = 0
-        for pid in self.correct:
-            entry = self.decisions.get(pid)
-            if entry is None:
-                return None
-            worst = max(worst, entry[0])
-        return worst
+        return clauses.latency(self.decisions, self.correct)
 
     @property
     def num_rounds(self) -> int:
@@ -554,15 +549,7 @@ class LiveCluster:
             )
             await self.transport.shutdown()
 
-        completed = sum(
-            1
-            for session in range(config.sessions)
-            if all(
-                pid in self.all_decisions[session]
-                for pid in range(config.n)
-                if pid not in self.crash_walls
-            )
-        )
+        completed = sum(map(self._complete, range(config.sessions)))
         return LiveRun(
             config=config,
             decisions=dict(self.all_decisions[0]),
@@ -605,16 +592,17 @@ class LiveCluster:
                 wall = self.transport.now() - started
                 self.session_walls[session] = wall
                 if self.on_session_done is not None:
-                    complete = all(
-                        pid in self.all_decisions[session]
-                        for pid in range(config.n)
-                        if pid not in self.crash_walls
-                    )
+                    complete = self._complete(session)
                     self.on_session_done(session, wall, complete)
 
         await asyncio.gather(
             *(one_session(session) for session in range(config.sessions))
         )
+
+    def _complete(self, session: int) -> bool:
+        """Every process not crashed so far decided in ``session``."""
+        survivors = set(range(self.config.n)) - set(self.crash_walls)
+        return not clauses.termination(self.all_decisions[session], survivors)
 
     def _runner(self, session: int, pid: int):
         if self.config.mode == "steps":

@@ -23,8 +23,9 @@ The property ↔ theorem correspondence is tabulated in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
+from repro.consensus import clauses
 from repro.errors import ConfigurationError
 from repro.runtime.request import ExecutionRequest, ExecutionResult
 
@@ -63,82 +64,60 @@ def correct_pids(request: ExecutionRequest) -> tuple[int, ...]:
 # -- cell properties ----------------------------------------------------------
 
 
-def agreement_problems(
-    request: ExecutionRequest, result: ExecutionResult
+def cell_property_problems(
+    name: str,
+    request: ExecutionRequest,
+    result: ExecutionResult,
+    *,
+    t: int,
+    horizon: int,
+    by_round: int | None = None,
 ) -> list[str]:
-    """No two *correct* processes decide differently (paper Sec. 2)."""
-    decided = {
-        pid: result.decisions[pid][1]
-        for pid in correct_pids(request)
-        if pid in result.decisions
-    }
-    values = set(decided.values())
-    if len(values) <= 1:
-        return []
-    return [
-        "correct processes disagree: "
-        + ", ".join(
-            f"p{pid} -> {value!r}" for pid, value in sorted(decided.items())
-        )
-    ]
-
-
-def uniform_agreement_problems(
-    request: ExecutionRequest, result: ExecutionResult
-) -> list[str]:
-    """No two processes — crashed deciders included — decide differently.
+    """One cell's problems under the cell property ``name`` (also the
+    shrinker's lens): its clause of :mod:`repro.consensus.clauses` over
+    the cell's decisions.
 
     The engines record a decision taken in a crash round with
     ``applies_transition`` too, so ``result.decisions`` is exactly the
     uniform-agreement quantification domain (paper Sec. 5).
     """
-    values = {value for _, value in result.decisions.values()}
-    if len(values) <= 1:
-        return []
-    return [
-        "processes disagree (uniformly): "
-        + ", ".join(
-            f"p{pid} -> {entry[1]!r}"
-            for pid, entry in sorted(result.decisions.items())
+    prop = PROPERTIES.get(name)
+    if prop is None or prop.kind != "cell":
+        raise ConfigurationError(
+            f"{name!r} is not a per-cell property; cannot evaluate one cell"
         )
-    ]
-
-
-def validity_problems(
-    request: ExecutionRequest, result: ExecutionResult
-) -> list[str]:
-    """Every decided value is some process's initial value."""
-    initial = set(request.values)
-    bad = {
-        pid: entry[1]
-        for pid, entry in result.decisions.items()
-        if entry[1] not in initial
-    }
-    if not bad:
+    decisions, correct = result.decisions, correct_pids(request)
+    if name == "termination":
+        bound = _termination_bound(t, horizon, by_round)
+        return [
+            f"p{pid} decided in round {decisions[pid][0]} > bound {bound}"
+            if pid in decisions
+            else f"p{pid} never decided"
+            for pid in clauses.termination(decisions, correct, bound)
+        ]
+    if name == "agreement":
+        pids = clauses.agreement(decisions, correct)
+        heading = "correct processes disagree"
+    elif name == "uniform-agreement":
+        pids = clauses.uniform_agreement(decisions)
+        heading = "processes disagree (uniformly)"
+    else:
+        pids = clauses.validity(decisions, request.values)
+        heading = (
+            "decided value(s) outside the initial set "
+            f"{sorted(set(request.values))}"
+        )
+    if not pids:
         return []
     return [
-        f"decided value(s) outside the initial set {sorted(initial)}: "
-        + ", ".join(f"p{pid} -> {value!r}" for pid, value in sorted(bad.items()))
+        f"{heading}: "
+        + ", ".join(f"p{pid} -> {decisions[pid][1]!r}" for pid in pids)
     ]
 
 
-def termination_problems(
-    request: ExecutionRequest,
-    result: ExecutionResult,
-    *,
-    by_round: int,
-) -> list[str]:
-    """Every correct process decides within ``by_round`` rounds."""
-    problems = []
-    for pid in correct_pids(request):
-        entry = result.decisions.get(pid)
-        if entry is None:
-            problems.append(f"p{pid} never decided")
-        elif entry[0] > by_round:
-            problems.append(
-                f"p{pid} decided in round {entry[0]} > bound {by_round}"
-            )
-    return problems
+def _termination_bound(t: int, horizon: int, by_round: int | None) -> int:
+    """The termination bound: ``by_round``, else ``min(t + 1, horizon)``."""
+    return by_round if by_round is not None else min(t + 1, horizon)
 
 
 # -- aggregate properties -----------------------------------------------------
@@ -305,8 +284,6 @@ class Property:
     kind: str  # "cell" | "aggregate"
     doc: str
     theorem: str
-    #: Cell properties: ``(request, result, **kw) -> problems``.
-    cell_evaluator: Callable[..., list[str]] | None = None
 
 
 PROPERTIES: dict[str, Property] = {
@@ -317,28 +294,24 @@ PROPERTIES: dict[str, Property] = {
             kind="cell",
             doc="no two correct processes decide differently",
             theorem="consensus spec, Sec. 2.2",
-            cell_evaluator=agreement_problems,
         ),
         Property(
             name="uniform-agreement",
             kind="cell",
             doc="no two processes decide differently, crashed included",
             theorem="uniform consensus, Sec. 5 (Theorems 5.1 and 5.2)",
-            cell_evaluator=uniform_agreement_problems,
         ),
         Property(
             name="validity",
             kind="cell",
             doc="every decided value is some process's initial value",
             theorem="consensus spec, Sec. 2.2",
-            cell_evaluator=validity_problems,
         ),
         Property(
             name="termination",
             kind="cell",
             doc="every correct process decides within the round bound",
             theorem="FloodSet t+1 bound, Sec. 2.3",
-            cell_evaluator=termination_problems,
         ),
         Property(
             name="lambda",
@@ -366,53 +339,26 @@ def evaluate_property(
     by_round: int | None = None,
 ) -> PropertyOutcome:
     """Judge one property over a frontier's executed cells."""
-    prop = PROPERTIES.get(name)
-    if prop is None:
+    if name not in PROPERTIES:
         raise ConfigurationError(
             f"unknown property {name!r}; choose from {sorted(PROPERTIES)}"
         )
-    if prop.kind == "aggregate":
-        if name == "lambda":
-            return lambda_outcome(pairs, bound=bound)
+    if name == "lambda":
+        return lambda_outcome(pairs, bound=bound)
+    if name == "indistinguishability":
         return indistinguishability_outcome(pairs)
-
-    kwargs: dict[str, Any] = {}
-    if name == "termination":
-        kwargs["by_round"] = by_round if by_round is not None else min(
-            t + 1, horizon
-        )
     violations = []
     for request, result in pairs:
-        problems = prop.cell_evaluator(request, result, **kwargs)
+        problems = cell_property_problems(
+            name, request, result, t=t, horizon=horizon, by_round=by_round
+        )
         if problems:
             violations.append(
                 Violation(cell=request.name, problems=problems, request=request)
             )
     details: dict[str, Any] = {"cells": len(pairs)}
-    details.update(kwargs)
+    if name == "termination":
+        details["by_round"] = _termination_bound(t, horizon, by_round)
     return PropertyOutcome(
         holds=not violations, violations=violations, details=details
     )
-
-
-def cell_property_problems(
-    name: str,
-    request: ExecutionRequest,
-    result: ExecutionResult,
-    *,
-    t: int,
-    horizon: int,
-    by_round: int | None = None,
-) -> list[str]:
-    """One cell's problems under a cell property (the shrinker's lens)."""
-    prop = PROPERTIES.get(name)
-    if prop is None or prop.cell_evaluator is None:
-        raise ConfigurationError(
-            f"{name!r} is not a per-cell property; cannot evaluate one cell"
-        )
-    kwargs: dict[str, Any] = {}
-    if name == "termination":
-        kwargs["by_round"] = by_round if by_round is not None else min(
-            t + 1, horizon
-        )
-    return prop.cell_evaluator(request, result, **kwargs)

@@ -23,7 +23,7 @@ On top of the stream sits the *trace oracle* trio:
 
 * :mod:`repro.obs.check` — streaming invariant monitors: P strong
   completeness/accuracy, RS/RWS (weak) round synchrony, consensus
-  agreement/uniformity/validity, and trace well-formedness, each
+  agreement/uniformity/validity/termination, and trace well-formedness, each
   returning typed :class:`Violation` reports with event indices.
 * :mod:`repro.obs.replay` — reconstruct the
   :class:`~repro.rounds.scenario.FailureScenario` behind a trace and

@@ -18,7 +18,8 @@ sequence:
   message withheld in round ``k`` from a recipient that survives the
   round forces its sender to crash by the end of round ``k + 1``.
 * **consensus** — agreement, uniform agreement and (when the initial
-  values are known) validity over ``decide`` events (Section 5).
+  values are known) validity and termination over ``decide`` and
+  ``crash`` events (Section 5.1, :mod:`repro.consensus.clauses`).
 * **ordering** — trace well-formedness: contiguous 1-based round
   numbers, round/time tags consistent with the current round, alive
   lists shrinking exactly by prior crashes, no activity from crashed or
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.consensus import clauses
 from repro.obs.events import Event
 
 #: Severity levels a violation may carry.
@@ -52,12 +54,15 @@ class Violation:
         message: Human-readable description.
         severity: ``"error"`` for safety violations, ``"warning"`` for
             liveness obligations that a finite prefix cannot settle.
+        clause: The :mod:`repro.consensus.clauses` clause a
+            ``consensus`` finding violates, else ``None``.
     """
 
     checker: str
     index: int
     message: str
     severity: str = "error"
+    clause: str | None = None
 
     def describe(self) -> str:
         where = f"event {self.index}" if self.index >= 0 else "trace"
@@ -458,13 +463,15 @@ class WeakRoundSynchronyChecker(TraceChecker):
 
 
 class ConsensusChecker(TraceChecker):
-    """Agreement / uniform agreement / validity over ``decide`` events.
+    """The clauses of :mod:`repro.consensus.clauses` over a trace.
 
-    *Agreement* compares deciders that never crash in the trace;
-    *uniform agreement* compares every decide event, including those of
-    processes that decide and then crash (the paper's Section 5.3
-    move).  *Validity* is checked only when the run's initial values
-    are supplied — a trace alone does not carry them.
+    A trace carries its run's decisions (each process's first
+    ``decide``) and faulty set (its ``crash`` events) but not its
+    inputs, so *validity* and *termination* are judged only when the
+    initial values are supplied; then every process ``0 .. n-1`` that
+    does not crash must decide.  *Uniform agreement* counts a process
+    that decides and then crashes (the paper's Section 5.3 move);
+    *agreement* does not.  Deciding twice is this checker's own clause.
     """
 
     name = "consensus"
@@ -475,46 +482,60 @@ class ConsensusChecker(TraceChecker):
         self.initial_values = (
             tuple(initial_values) if initial_values is not None else None
         )
-        self._decides: list[tuple[int, int, Any]] = []
-        self._decided: set[int] = set()
+        #: ``pid -> (round, value)`` and event index of each first decide.
+        self._decisions: dict[int, tuple[Any, Any]] = {}
+        self._index: dict[int, int] = {}
         self._crashed: set[int] = set()
 
     def feed(self, index: int, event: Event) -> None:
         if event.kind == "crash":
             self._crashed.add(event.pid)
         elif event.kind == "decide":
-            if event.pid in self._decided:
+            if event.pid in self._decisions:
                 self._flag(index, f"p{event.pid} decides twice")
-            self._decided.add(event.pid)
-            self._decides.append((index, event.pid, event.value))
+            else:
+                self._decisions[event.pid] = (event.round, event.value)
+                self._index[event.pid] = index
+
+    def _violated(self, index: int, clause: str, message: str) -> None:
+        self.violations.append(
+            Violation(
+                self.name, index, f"{clause} violated: {message}", clause=clause
+            )
+        )
 
     def finish(self, num_events: int) -> None:
-        if self.initial_values is not None:
-            for index, pid, value in self._decides:
-                if value not in self.initial_values:
-                    self._flag(
+        decisions, inputs = self._decisions, self.initial_values
+        processes = decisions if inputs is None else range(len(inputs))
+        correct = [pid for pid in processes if pid not in self._crashed]
+        if inputs is not None:
+            for pid in clauses.validity(decisions, inputs):
+                self._violated(
+                    self._index[pid],
+                    "validity",
+                    f"p{pid} decides {decisions[pid][1]!r}, not an initial "
+                    "value",
+                )
+        for clause, pids in (
+            ("agreement", clauses.agreement(decisions, correct)),
+            ("uniform agreement", clauses.uniform_agreement(decisions)),
+        ):
+            # Each decide that differs from the earliest one's value.
+            ordered = sorted((self._index[pid], pid) for pid in pids)
+            for index, pid in ordered[1:]:
+                first_index, first = ordered[0]
+                value, reference = decisions[pid][1], decisions[first][1]
+                if value != reference:
+                    self._violated(
                         index,
-                        f"validity violated: p{pid} decides {value!r}, not "
-                        "an initial value",
+                        clause,
+                        f"p{pid} decides {value!r} but p{first} decided "
+                        f"{reference!r} (event {first_index})",
                     )
-        correct = [
-            entry for entry in self._decides if entry[1] not in self._crashed
-        ]
-        self._check_agreement(correct, "agreement")
-        self._check_agreement(self._decides, "uniform agreement")
-
-    def _check_agreement(
-        self, decides: list[tuple[int, int, Any]], label: str
-    ) -> None:
-        if not decides:
-            return
-        first_index, first_pid, reference = decides[0]
-        for index, pid, value in decides[1:]:
-            if value != reference:
-                self._flag(
-                    index,
-                    f"{label} violated: p{pid} decides {value!r} but "
-                    f"p{first_pid} decided {reference!r} (event {first_index})",
+        if inputs is not None:
+            for pid in clauses.termination(decisions, correct):
+                self._violated(
+                    -1, "termination", f"p{pid} never decides and does not crash"
                 )
 
 

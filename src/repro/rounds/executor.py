@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Collection, Iterable, Mapping, NamedTuple, Sequence
 
+from repro.consensus import clauses
 from repro.errors import ConfigurationError, ScenarioError
 from repro.obs.events import EventLog
 from repro.obs.profile import profiled
@@ -93,13 +94,7 @@ class RoundRun:
         Returns ``None`` when some correct process has not decided
         within the executed rounds (an incomplete run).
         """
-        latest = 0
-        for pid in self.scenario.correct:
-            entry = self.decisions.get(pid)
-            if entry is None:
-                return None
-            latest = max(latest, entry[0])
-        return latest
+        return clauses.latency(self.decisions, self.scenario.correct)
 
     def all_correct_decided(self) -> bool:
         return self.latency() is not None

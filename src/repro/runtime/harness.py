@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import Any, Protocol, Sequence
 
+from repro.consensus import clauses
 from repro.errors import ConfigurationError
 from repro.obs.events import EventLog, logical_clock
 from repro.rounds import RoundModel
@@ -108,14 +109,7 @@ def _emulation_summary(trace: Any) -> tuple[dict[int, tuple[int, Any]], int | No
         for pid, entry in trace.decisions.items()
         if entry is not None
     }
-    correct = trace.run.pattern.correct
-    latency: int | None = 0
-    for pid in correct:
-        entry = decisions.get(pid)
-        if entry is None:
-            latency = None
-            break
-        latency = max(latency, entry[0])
+    latency = clauses.latency(decisions, trace.run.pattern.correct)
     return decisions, latency, trace.num_rounds
 
 

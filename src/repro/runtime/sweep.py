@@ -230,6 +230,11 @@ class CellCheck:
         return problems
 
 
+#: The consensus clauses that reproduce a documented disagreement: the
+#: only findings an ``expect_disagreement`` cell counts.
+DISAGREEMENT = ("agreement", "uniform agreement")
+
+
 def check_cell(
     request: ExecutionRequest, result: ExecutionResult
 ) -> CellCheck:
@@ -250,23 +255,23 @@ def check_cell(
         for violation in report.errors
         if violation.checker != "consensus"
     ]
-    consensus = sum(
-        1 for violation in report.errors if violation.checker == "consensus"
-    )
+    consensus = [v.clause for v in report.errors if v.checker == "consensus"]
+    if request.expect_disagreement:
+        consensus = [clause for clause in consensus if clause in DISAGREEMENT]
     # A documented disagreement must show up even where validity cannot
     # be judged against the inputs (check_consensus=False: atomic
     # broadcast decides delivery sequences); otherwise an unjudged cell
     # tolerates consensus violations and a judged one forbids them.
     ok = not model_errors
     if request.expect_disagreement:
-        ok = ok and consensus > 0
+        ok = ok and bool(consensus)
     elif request.check_consensus:
-        ok = ok and consensus == 0
+        ok = ok and not consensus
     return CellCheck(
         name=request.name,
         ok=ok,
         model_errors=model_errors,
-        consensus_violations=consensus,
+        consensus_violations=len(consensus),
         expected_disagreement=request.expect_disagreement,
         report=report,
     )

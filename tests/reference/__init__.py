@@ -3,6 +3,9 @@
 * :mod:`tests.reference.rounds` — the round models RS and RWS
   (Section 4) as a direct execution of their definitions, independent
   of every engine under ``src/repro``.
+* :mod:`tests.reference.consensus` — the consensus and uniform
+  consensus clauses (Section 5.1) as run checkers, the second opinion
+  on :mod:`repro.consensus.clauses` and its four judges.
 * :mod:`tests.reference.validators` — round synchrony and weak round
   synchrony as post-hoc checks over a finished round run.
 * :mod:`tests.reference.observations` — what a process observes at

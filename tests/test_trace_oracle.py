@@ -22,12 +22,19 @@ from repro.obs import (
     logical_clock,
     run_checkers,
 )
-from repro.rounds import RoundModel, run_rs, run_rws
+from repro.rounds import FailureScenario, RoundModel, run_rs, run_rws
+from repro.rounds.scenario import CrashEvent
+from repro.runtime.harness import execute_request
+from repro.runtime.request import ExecutionRequest
+from repro.runtime.sweep import check_cell
 from repro.workloads import (
     adversarial_split,
     floodset_rws_violation,
     initially_dead_t,
 )
+
+
+_NEVER_DECIDES = "termination violated: p{pid} never decides and does not crash"
 
 
 def _ev(kind: str, **fields) -> Event:
@@ -191,7 +198,8 @@ class TestConsensusChecker:
         events = _trace(_ev("decide", pid=0, round=1, value=7))
         assert run_checkers(events, [ConsensusChecker()]).ok
         report = run_checkers(events, [ConsensusChecker([0, 1, 1])])
-        (violation,) = report.errors
+        # The inputs also name p1 and p2, whose termination now fails.
+        (violation,) = [v for v in report.errors if v.clause == "validity"]
         assert "validity violated" in violation.message
 
     def test_double_decide_flagged(self):
@@ -201,6 +209,69 @@ class TestConsensusChecker:
         )
         report = run_checkers(events, [ConsensusChecker()])
         assert any("decides twice" in v.message for v in report.errors)
+
+    def test_termination_needs_initial_values(self):
+        # No decide at all: every process the inputs name that does not
+        # crash fails termination; without inputs (a detector or SDD
+        # trace under a bare ``repro check --jsonl``) nothing does.
+        events = _trace(
+            _ev("round_start", round=1, value=[0, 1, 2]),
+            _ev("crash", pid=2, round=1),
+        )
+        assert run_checkers(events, [ConsensusChecker()]).ok
+        report = run_checkers(events, [ConsensusChecker([0, 1, 1])])
+        assert [(v.index, v.clause, v.message) for v in report.errors] == [
+            (-1, "termination", _NEVER_DECIDES.format(pid=pid))
+            for pid in (0, 1)
+        ]
+
+
+class TestJudgedCellVerdicts:
+    """``check_cell`` gives a judged round cell's inputs to the oracle."""
+
+    def _request(self, **fields):
+        defaults = dict(
+            name="cut",
+            engine="rounds",
+            algorithm="floodset",
+            values=(0, 1, 1),
+            t=1,
+            model="RS",
+            scenario=FailureScenario.failure_free(3),
+            max_rounds=1,
+        )
+        return ExecutionRequest(**{**defaults, **fields})
+
+    def test_a_judged_run_with_no_decide_fails_termination(self):
+        request = self._request()
+        result = execute_request(request)
+        assert not [e for e in result.events if e.kind == "decide"]
+        verdict = check_cell(request, result)
+        assert not verdict.ok
+        assert [
+            v.message for v in verdict.report.errors if v.clause == "termination"
+        ] == [_NEVER_DECIDES.format(pid=pid) for pid in (0, 1, 2)]
+
+    def test_an_undecided_process_is_no_documented_disagreement(self):
+        # c-opt decides at round 1 on n identical values: p1 sees them,
+        # p2 misses the crashed p0's and stays undecided.  The run
+        # agrees, so the disagreement the cell documents is absent.
+        request = self._request(
+            algorithm="c-opt",
+            values=(1, 1, 1),
+            scenario=FailureScenario(
+                n=3,
+                crashes=(CrashEvent(pid=0, round=1, sent_to=frozenset({1})),),
+            ),
+            expect_disagreement=True,
+        )
+        result = execute_request(request)
+        assert result.decisions == {1: (1, 1)}
+        verdict = check_cell(request, result)
+        assert [v.clause for v in verdict.report.errors] == ["termination"]
+        assert verdict.consensus_violations == 0  # disagreements only
+        assert not verdict.ok
+        assert verdict.problems() == ["expected disagreement did not appear"]
 
 
 class TestOrderingChecker:
