@@ -93,7 +93,10 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # verdicts must all be clean, its manifest and summary must parse, and
 # its stored cells must have been judged once per distinct trace
 # content (0 < oracle.judged < 300); both spellings' run directories
-# must store the same set of template digests.
+# must store the same set of template digests.  A cold and a warm leg
+# under `python -X dev` must leave no file unclosed (the result store's
+# shard writer and readers) and write the same merged trace, and a
+# checked empty space must fail as vacuous instead of passing.
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
@@ -153,6 +156,22 @@ sweep-smoke:
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_warm.jsonl
+	@for leg in cold warm; do \
+		echo "repro sweep random-rws --count 300 --run-dir  # $$leg, -X dev, no unclosed file"; \
+		PYTHONPATH=src python -X dev -W error::ResourceWarning -m repro sweep random-rws \
+			--count 300 --run-dir $(SWEEP_SMOKE_CACHE)/rws_dev_runs \
+			--jsonl $(SWEEP_SMOKE_CACHE)/rws_dev_$$leg.jsonl \
+			2> $(SWEEP_SMOKE_CACHE)/stderr || exit 1; \
+		cat $(SWEEP_SMOKE_CACHE)/stderr; \
+		! grep -qE "ResourceWarning|Exception ignored" $(SWEEP_SMOKE_CACHE)/stderr || exit 1; \
+		cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_dev_$$leg.jsonl || exit 1; \
+	done
+	@echo "repro sweep random-rs --count 0 --check  # vacuous: must exit non-zero"; \
+	PYTHONPATH=src python -m repro sweep random-rs --count 0 --check \
+		> $(SWEEP_SMOKE_CACHE)/empty.out; \
+	code=$$?; cat $(SWEEP_SMOKE_CACHE)/empty.out; \
+	test $$code -ne 0 || { echo "exit 0, expected non-zero"; exit 1; }; \
+	grep -q "oracle: 0/0 cells — vacuous, nothing checked" $(SWEEP_SMOKE_CACHE)/empty.out
 
 FUZZ_SMOKE_CACHE ?= /tmp/repro_fuzz_smoke_cache
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from repro.cli.common import load_trace
@@ -115,14 +116,14 @@ def _print_rundir_report(path: Path, args: argparse.Namespace) -> int:
         return 2
     cells: list[dict] = []
     anomalies = 0
-    store = ResultCache(run_dir.results_dir)
-    for result in store.results():
-        if not result.events:
-            continue
-        summary = causal_summary(result.events)
-        summary["cell"] = result.name
-        anomalies += len(summary["anomalies"])
-        cells.append(summary)
+    with closing(ResultCache(run_dir.results_dir)) as store:
+        for result in store.results():
+            if not result.events:
+                continue
+            summary = causal_summary(result.events)
+            summary["cell"] = result.name
+            anomalies += len(summary["anomalies"])
+            cells.append(summary)
     if store.stats.corrupt_evictions:
         print(
             f"error: {store.stats.corrupt_evictions} unreadable record(s) "

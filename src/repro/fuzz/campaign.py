@@ -25,6 +25,7 @@ One campaign is four phases, all deterministic in ``(budget, seed)``:
 from __future__ import annotations
 
 import json
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -261,9 +262,9 @@ def _parity_problems(
     problems.extend(_compare_sweeps("jobs-parity(1 vs 2)", serial, parallel))
 
     if cache_dir is not None:
-        parity_cache = ResultCache(Path(cache_dir) / "parity")
-        cold = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
-        warm = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
+        with closing(ResultCache(Path(cache_dir) / "parity")) as parity_cache:
+            cold = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
+            warm = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
         if warm.executed != 0:
             problems.append(
                 f"cache-parity: warm re-run executed {warm.executed} "

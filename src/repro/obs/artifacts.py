@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 from repro.inject import active_injection
+from repro.obs.events import LastEncoding
 
 #: Bump when the manifest/summary layout changes incompatibly.
 RUN_SCHEMA = 1
@@ -55,8 +56,10 @@ RESULTS_DIR = "results"
 RUN_KINDS = ("sweep", "fuzz", "live")
 
 
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, default=repr)
+#: ``json.dumps(value, sort_keys=True, default=repr)``, and the same
+#: without ``sort_keys``, without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, default=repr).encode
+_encode = json.JSONEncoder(default=repr).encode
 
 
 def _document(payload: Mapping[str, Any]) -> str:
@@ -71,6 +74,22 @@ def _document(payload: Mapping[str, Any]) -> str:
             for key in sorted(payload)
         )
         + "\n}\n"
+    )
+
+
+def _audit_parts(fields: Mapping[str, Any]) -> tuple[str, str, str]:
+    """A cell's sorted-key audit line around its ``cell`` and ``key``
+    values: the text before the first, between the two, and after the
+    second, each group of keys encoded on its own."""
+    groups: tuple[dict[str, Any], ...] = ({}, {}, {})
+    for name, value in fields.items():
+        if name not in ("cell", "key"):
+            groups[(name > "cell") + (name > "key")][name] = value
+    before, between, after = (_canonical(group)[1:-1] for group in groups)
+    return (
+        "{" + before + ', "cell": ',
+        ", " + between + ', "key": ',
+        ", " + after + "}\n",
     )
 
 
@@ -247,6 +266,10 @@ class RunDir:
     #: This leg's append handle on ``metrics.jsonl``: opened by the
     #: first record, closed when the leg ends.
     _metrics: TextIO | None = field(default=None, repr=False, compare=False)
+    #: The shared part of the last cell line :meth:`record_cell` wrote.
+    _audit: LastEncoding = field(
+        default_factory=LastEncoding, repr=False, compare=False
+    )
 
     # -- construction --------------------------------------------------------
 
@@ -373,38 +396,51 @@ class RunDir:
 
         Called once per cell per leg (cache hits included, flagged
         ``cached``), so the file is a complete audit log of what each
-        leg observed, in completion order.
+        leg observed, in completion order.  The line is the record's
+        sorted-key JSON; everything but ``cell`` and ``key`` is encoded
+        once for a run of records equal in it (the cells of one run).
         """
-        record = {
-            "t": "cell",
-            "leg": self.manifest.get("legs", 1),
-            "cell": name,
-            "key": key,
-            "cached": cached,
-            "engine": engine,
+        leg = self.manifest.get("legs", 1)
+        # In sorted key order already: sort_keys would not move one.
+        fields = {
             "algorithm": algorithm,
-            "latency": latency,
-            "num_rounds": num_rounds,
-            "events": events,
+            "cached": cached,
+            "cell": name,
             "duration_s": duration_s,
+            "engine": engine,
+            "events": events,
+            "key": key,
+            "latency": latency,
+            "leg": leg,
+            "num_rounds": num_rounds,
             "ok": ok,
+            "t": "cell",
         }
-        self.record_line(record)
+        memo = self._audit
+        if not memo.matches((
+            algorithm, cached, duration_s, engine, events, latency, leg,
+            num_rounds, ok,
+        )):
+            self._append(_encode(fields) + "\n")
+            return
+        if memo.encoded is None:
+            memo.encoded = _audit_parts(fields)
+        head, middle, rest = memo.encoded
+        self._append(head + _encode(name) + middle + _encode(key) + rest)
 
     def record_line(self, record: Mapping[str, Any]) -> None:
         """Append an arbitrary record to ``metrics.jsonl`` (live sessions,
-        span rollups — anything worth auditing that is not a cell).
+        span rollups — anything worth auditing that is not a cell)."""
+        self._append(_canonical(record) + "\n")
 
-        Flushed per record: a leg killed at any point leaves every
-        record it reported on disk.
-        """
+    def _append(self, line: str) -> None:
+        """Write one line to ``metrics.jsonl``, flushed: a leg killed at
+        any point leaves every record it reported on disk."""
         if self._metrics is None:
             self._metrics = open(
                 self.path / METRICS_NAME, "a", encoding="utf-8"
             )
-        self._metrics.write(
-            json.dumps(record, sort_keys=True, default=repr) + "\n"
-        )
+        self._metrics.write(line)
         self._metrics.flush()
 
     def metrics_records(self) -> list[dict[str, Any]]:

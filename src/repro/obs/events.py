@@ -31,6 +31,10 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence, TextIO
 
+#: ``json.dumps(value, default=repr, sort_keys=True)``, without building
+#: an encoder per call.
+_sorted_encode = json.JSONEncoder(sort_keys=True, default=repr).encode
+
 #: The closed set of event kinds an :class:`EventLog` may contain.
 EVENT_KINDS: frozenset[str] = frozenset(
     {
@@ -88,7 +92,7 @@ class Event:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), default=repr, sort_keys=True)
+        return _sorted_encode(self.to_dict())
 
     def json_parts(self) -> tuple[str, str]:
         """:meth:`to_json` split around the timestamp.
@@ -106,12 +110,8 @@ class Event:
         after = {key: val for key, val in fields.items() if key > "ts"}
         # ``before`` always holds "kind", so its dump ends in the one
         # closing brace that the remaining keys must stay inside.
-        prefix = json.dumps(before, default=repr, sort_keys=True)[:-1]
-        suffix = (
-            ", " + json.dumps(after, default=repr, sort_keys=True)[1:]
-            if after
-            else "}"
-        )
+        prefix = _sorted_encode(before)[:-1]
+        suffix = ", " + _sorted_encode(after)[1:] if after else "}"
         return prefix + ', "ts": ', suffix
 
     @classmethod
@@ -132,6 +132,38 @@ class Event:
             value=data.get("value"),
             extra=data.get("extra"),
         )
+
+
+class LastEncoding:
+    """A writer's one-entry memo: what it encoded for the last value it
+    wrote, kept while the next value is equal to that one in content.
+
+    Equal in content means equal *and* of equal ``repr``: ``1 == True``
+    and ``0.0 == -0.0`` print differently, and so do dicts holding
+    equal items in another order.  The ``repr`` is taken when a value
+    becomes the last one, so a value mutated in place since does not
+    match it.
+
+    Attributes:
+        encoded: What the writer stored for the last value; ``None``
+            until it stores something.
+    """
+
+    __slots__ = ("_value", "_shown", "encoded")
+
+    def __init__(self) -> None:
+        self._value: Any = None
+        self._shown: str | None = None
+        self.encoded: Any = None
+
+    def matches(self, value: Any) -> bool:
+        """Whether ``value`` is equal in content to the last value.  If
+        not, it becomes the last value, with nothing encoded for it."""
+        shown = repr(value)
+        if shown == self._shown and value == self._value:
+            return True
+        self._value, self._shown, self.encoded = value, shown, None
+        return False
 
 
 class _EventBuilder:

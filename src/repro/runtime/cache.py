@@ -13,6 +13,9 @@ A shard holds two kinds of JSON lines, told apart by their first key:
     :meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  Every
     result cites a :class:`~repro.obs.template.TraceTemplate`, so a
     cell stores only its digest ``D`` and the cell's decide values.
+    The writer encodes what follows ``D`` once for consecutive cells
+    equal in it (the cells of one run) and puts each cell's key and
+    name in front.
     An older writer's cell carrying ``"events"`` and ``"metrics"``
     inline instead is still read (factored, metrics refolded), never
     written.
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
+from repro.obs.events import LastEncoding
 from repro.obs.template import TraceTemplate
 from repro.runtime.request import ExecutionRequest, ExecutionResult
 
@@ -99,6 +103,7 @@ class ResultCache:
         self._shard_pid = 0
         self._shard_size = 0
         self._shard_templates: set[str] = set()
+        self._tail = LastEncoding()
 
     # -- reading ------------------------------------------------------------
 
@@ -210,37 +215,67 @@ class ResultCache:
         key = request.cache_key()
         shard = self._writer()
         template = result.template
+        digest = template.digest
         #: (index the record belongs in, its id, its line), in write order.
         pending: list[tuple[dict[str, _Where] | None, str, bytes]] = []
-        if template.digest not in self._shard_templates:
+        if digest not in self._shard_templates:
             pending.append((
                 self._template_records,
-                template.digest,
-                _line({"template": template.digest, **template.body()}),
+                digest,
+                _line({"template": digest, **template.body()}),
             ))
-        record = {
-            "key": key,
-            "name": result.name,
-            "template": template.digest,
-            "holes": list(result.holes),
-            **result.outcome_dict(),
-        }
-        pending.append((self._cells, key, _line(record)))
+        # A cell line is its identity, then a tail the cells of one run
+        # share: encoded once per run of equal puts.
+        memo = self._tail
+        if not memo.matches((
+            result.holes,
+            result.decisions,
+            result.latency,
+            result.num_rounds,
+            result.extra,
+        )) or memo.encoded is None:
+            memo.encoded = _line(
+                {"holes": list(result.holes), **result.outcome_dict()}
+            )[1:]
+        head = (
+            f'{{"key": {_encode(key)}, "name": {_encode(result.name)}, '
+            f'"template": {_encode(digest)}, '
+        )
+        pending.append((self._cells, key, head.encode("ascii") + memo.encoded))
         try:
             shard.write(b"".join(line for _, _, line in pending))
             shard.flush()
         except BaseException:
             # Whatever part of the write landed is a torn tail; never
             # append after it.
-            self._shard = None
+            self._close_shard()
             raise
         for table, name, line in pending:
             if table is not None:  # the cell index may not be built yet
                 table[name] = (self._shard_path, self._shard_size, len(line))
             self._shard_size += len(line)
-        self._shard_templates.add(template.digest)
+        self._shard_templates.add(digest)
         self.stats.stores += 1
-        return self._templates.setdefault(template.digest, template)
+        return self._templates.setdefault(digest, template)
+
+    def close(self) -> None:
+        """Close this instance's shard and every shard it read from.
+
+        The store stays usable: a later lookup reopens what it reads,
+        and a later :meth:`put` starts a shard of its own.
+        """
+        self._close_shard()
+        for reader in self._readers.values():
+            reader.close()
+        self._readers.clear()
+
+    def _close_shard(self) -> None:
+        shard, self._shard = self._shard, None
+        if shard is not None:
+            try:
+                shard.close()
+            except OSError:
+                pass  # a torn write's buffer: the record is lost either way
 
     def _writer(self) -> BinaryIO:
         """This instance's shard, created on first use — and again in a
@@ -257,5 +292,9 @@ class ResultCache:
         return self._shard
 
 
+#: ``json.dumps(value, default=repr)``, without building an encoder per call.
+_encode = json.JSONEncoder(default=repr).encode
+
+
 def _line(record: dict) -> bytes:
-    return json.dumps(record, default=repr).encode("ascii") + b"\n"
+    return _encode(record).encode("ascii") + b"\n"

@@ -73,6 +73,7 @@ class CampaignLeg:
         #: Planned keys whose results were on disk when this leg opened.
         self.completed_before: set[str] = set()
         self.reporter: ProgressReporter | None = None
+        self._store: ResultCache | None = None
         self._closed = False
         if root is None:
             if cache_dir is not None:
@@ -123,8 +124,8 @@ class CampaignLeg:
         )
         if requests is not None:
             try:
-                self.cache = ResultCache(self.run_dir.results_dir)
-                self.completed_before = self.cache.completed_keys() & set(keys)
+                self.cache = self._store = ResultCache(self.run_dir.results_dir)
+                self.completed_before = self._store.completed_keys() & set(keys)
             except BaseException:
                 self.interrupt()
                 raise
@@ -201,6 +202,7 @@ class CampaignLeg:
         summary = summarize(self.run_dir)
         self.run_dir.finalize(summary)
         self._closed = True
+        self._close_store()
         self.reporter.stop()
         return summary
 
@@ -210,8 +212,14 @@ class CampaignLeg:
             return
         self._closed = True
         if self.run_dir is not None:
+            self._close_store()
             self.run_dir.mark_interrupted()
             self.reporter.stop(status="interrupted")
+
+    def _close_store(self) -> None:
+        """Close the handles of the ``results/`` store the leg opened."""
+        if self._store is not None:
+            self._store.close()
 
     def __enter__(self) -> "CampaignLeg":
         if self.reporter is not None:

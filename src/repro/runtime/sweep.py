@@ -46,6 +46,7 @@ from repro.runtime.request import ROUND_ENGINES
 
 if TYPE_CHECKING:
     from repro.obs.check import CheckReport
+    from repro.obs.template import TraceTemplate
     from repro.runtime.cache import ResultCache
     from repro.runtime.request import ExecutionRequest, ExecutionResult
     from repro.runtime.space import ScenarioSpace
@@ -369,8 +370,9 @@ class SweepResult:
 
     @property
     def checks_ok(self) -> bool:
-        """True when checking ran and every cell passed."""
-        return self.checks is not None and all(c.ok for c in self.checks)
+        """True when checking ran, over at least one cell, and every cell
+        passed: an empty space passes every check, so it passes none."""
+        return bool(self.checks) and all(c.ok for c in self.checks)
 
     def merged_events(self) -> list[Event]:
         """All cells' events, re-stamped with one global logical clock.
@@ -390,44 +392,48 @@ class SweepResult:
                 merged.append(replace(event, ts=float(tick)))
         return merged
 
-    def _merged_cells(self) -> Iterator[list[str]]:
-        """Each cell's lines of the merged trace, in space order.
+    def _merged_blocks(self) -> Iterator[tuple[str, int]]:
+        """Each cell's lines of the merged trace, in space order: one
+        newline-terminated string per cell and its event count.
 
-        An event is serialized once around its timestamp
-        (:meth:`~repro.obs.events.Event.json_parts`) and the global tick
-        spliced in; a template's events are serialized once per
-        template, so the cells of one run (which share it) and the
-        cells of one trace cost one serialization.  What a cell adds is
-        its decide values, and ``"value"`` is the one :class:`Event`
-        key sorting after ``"ts"``: a decide's line is the template's
-        prefix, the tick, and a suffix that depends on the value alone.
+        A cell's block is a ``%``-format string (:func:`_merged_block`)
+        with one ``%d.0`` per event where the global tick goes, so a
+        cell costs one ``%`` and the encoding is done once per
+        template and decide values: the cells of one run share both.
+        Blocks are remembered per write, for decide values of the
+        :data:`_EXACT_TYPES` only; any other holes get theirs built
+        for the cell.
         """
         tick = 0
-        stamp = float.__repr__
+        blocks: dict[tuple[Any, ...], str] = {}
         suffixes: dict[tuple[type, Any], str] = {}
         for result in self.results:
-            template = result.template
-            parts = template.remember(
-                "json_parts",
-                lambda: [event.json_parts() for event in template.events],
-            )
-            lines = [
-                prefix + stamp(float(at)) + suffix
-                for at, (prefix, suffix) in enumerate(parts, tick + 1)
-            ]
-            for position, value in zip(template.positions, result.holes):
-                lines[position] = (
-                    parts[position][0]
-                    + stamp(float(tick + position + 1))
-                    + _decide_suffix(value, suffixes)
+            template, holes = result.template, result.holes
+            count = len(template.events)
+            if not count:
+                continue
+            kinds = tuple(map(type, holes))
+            if _EXACT_TYPES.issuperset(kinds):
+                key = (template, holes, kinds)
+                block = blocks.get(key)
+                if block is None:
+                    block = blocks[key] = _merged_block(
+                        template, holes, suffixes
+                    )
+            else:
+                block = _merged_block(template, holes, suffixes)
+            end = tick + count
+            if end >= _EXACT_TICKS:
+                raise OverflowError(
+                    f"merged trace tick {end} has no %d.0 spelling"
                 )
-            tick += len(lines)
-            yield lines
+            yield block % tuple(range(tick + 1, end + 1)), count
+            tick = end
 
     def merged_jsonl_lines(self) -> Iterator[str]:
         """:meth:`merged_events` as JSONL, without building the events."""
-        for lines in self._merged_cells():
-            yield from lines
+        for block, _ in self._merged_blocks():
+            yield from block[:-1].split("\n")
 
     def write_merged_jsonl(self, sink: str | TextIO) -> int:
         """Write :meth:`merged_jsonl_lines` to ``sink`` — a path, or a
@@ -441,10 +447,9 @@ class SweepResult:
                 if isinstance(sink, str)
                 else sink
             ) as handle:
-                for lines in self._merged_cells():
-                    if lines:
-                        handle.write("\n".join(lines) + "\n")
-                        count += len(lines)
+                for block, events in self._merged_blocks():
+                    handle.write(block)
+                    count += events
         except OSError as exc:
             raise _unwritable(getattr(sink, "name", sink), exc) from exc
         return count
@@ -492,7 +497,9 @@ class SweepResult:
                 f"cache: evicted {self.cache_stats['corrupt_evictions']} "
                 "corrupt entr(y/ies) — served as misses and re-executed"
             )
-        if self.checks is not None:
+        if self.checks == []:
+            lines.append("oracle: 0/0 cells — vacuous, nothing checked")
+        elif self.checks is not None:
             failed = [check for check in self.checks if not check.ok]
             lines.append(
                 f"oracle: {self.total - len(failed)}/{self.total} cells clean"
@@ -553,8 +560,53 @@ def _verdict_key(request: ExecutionRequest, result: ExecutionResult) -> Any:
     )
 
 
+#: The ticks below which ``"%d.0" % tick`` is ``float.__repr__(float(tick))``:
+#: a float holds every integer up to 2**53 exactly, and prints one below
+#: 10**16 as its digits and ``.0``.
+_EXACT_TICKS = 2**53
+
+
+def _merged_block(
+    template: TraceTemplate,
+    holes: tuple[Any, ...],
+    suffixes: dict[tuple[type, Any], str],
+) -> str:
+    """One cell's merged-trace lines as a ``%``-format string: each
+    line's timestamp is ``%d.0``, every other ``%`` is escaped.
+
+    An event is serialized once around its timestamp
+    (:meth:`~repro.obs.events.Event.json_parts`), once per template.
+    What a cell adds is its decide values, and ``"value"`` is the one
+    :class:`Event` key sorting after ``"ts"``: a decide's line is the
+    template's prefix, the tick, and a suffix that depends on the value
+    alone.
+    """
+    lines, heads = template.remember(
+        "merged_formats", lambda: _formats(template)
+    )
+    if holes:
+        lines = list(lines)
+        for position, value in zip(template.positions, holes):
+            lines[position] = heads[position] + _decide_suffix(value, suffixes)
+    return "\n".join(lines) + "\n"
+
+
+def _formats(template: TraceTemplate) -> tuple[list[str], dict[int, str]]:
+    """A template's merged-trace line formats, and the heads (prefix and
+    tick) of its decide lines by position."""
+    parts = [
+        (prefix.replace("%", "%%") + "%d.0", suffix.replace("%", "%%"))
+        for prefix, suffix in map(Event.json_parts, template.events)
+    ]
+    return (
+        [head + tail for head, tail in parts],
+        {position: parts[position][0] for position in template.positions},
+    )
+
+
 def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
-    """What follows the timestamp on the line of a decide of ``value``.
+    """What follows the timestamp on the line of a decide of ``value``,
+    ``%``-escaped.
 
     Remembered for the :data:`_EXACT_TYPES`; anything else is
     serialized every time.
@@ -563,7 +615,9 @@ def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
     shared = kind in _EXACT_TYPES
     suffix = memo.get((kind, value)) if shared else None
     if suffix is None:
-        suffix = Event("decide", 0.0, value=value).json_parts()[1]
+        suffix = (
+            Event("decide", 0.0, value=value).json_parts()[1].replace("%", "%%")
+        )
         if shared:
             memo[kind, value] = suffix
     return suffix
@@ -612,6 +666,9 @@ class SweepRunner:
         on_cell: Callable[[ExecutionRequest, ExecutionResult], None] | None = None,
     ) -> None:
         self.jobs = jobs
+        #: Whether the runner opened :attr:`cache` itself, from a path:
+        #: then it closes the store's handles after each run.
+        self._owns_cache = isinstance(cache, str)
         if isinstance(cache, str):
             from repro.runtime.cache import ResultCache
 
@@ -621,6 +678,13 @@ class SweepRunner:
         self.on_cell = on_cell
 
     def run(self, space: ScenarioSpace) -> SweepResult:
+        try:
+            return self._run(space)
+        finally:
+            if self._owns_cache:
+                self.cache.close()
+
+    def _run(self, space: ScenarioSpace) -> SweepResult:
         requests = list(space.requests)
         results: list[ExecutionResult | None] = [None] * len(requests)
 

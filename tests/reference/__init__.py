@@ -11,4 +11,7 @@
 * :mod:`tests.reference.observations` — what a process observes at
   each step of a step-level run, the step-kernel counterpart of
   :func:`repro.obs.diff.local_view`.
+* :mod:`tests.reference.records` — the result store's cell records and
+  the ``metrics.jsonl`` audit lines, one whole-record ``json.dumps``
+  per cell.
 """

@@ -378,6 +378,31 @@ def test_unwritable_run_dir_is_one_error_line_not_a_traceback(argv, tmp_path):
     assert "cannot create run directory" in line
 
 
+def test_a_leg_closes_every_store_handle_it_opened(tmp_path):
+    # A cold leg used to leave its shard writer to the garbage collector
+    # and a warm one its shard readers, each a ResourceWarning.
+    argv = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+            "-m", "repro", "sweep", "random-rws", "--count", "30", "--check",
+            "--run-dir", str(tmp_path / "runs")]
+    for leg in ("cold", "warm"):
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, (leg, proc.stderr)
+        assert "ResourceWarning" not in proc.stderr, (leg, proc.stderr)
+        assert "Exception ignored" not in proc.stderr, (leg, proc.stderr)
+        assert ("executed 0," in proc.stdout) == (leg == "warm"), proc.stdout
+
+
+def test_a_store_opened_from_a_path_is_closed_by_its_runner(tmp_path):
+    space = space_by_name("random-rs", count=6, seed=3)
+    runner = SweepRunner(cache=str(tmp_path / "store"))
+    for executed in (6, 0):
+        assert runner.run(space).executed == executed
+        assert runner.cache._shard is None and not runner.cache._readers
+
+
 @pytest.mark.parametrize("command", ["sweep", "serve"])
 class TestRefusedBeforeAnythingRuns:
     """Usage errors of the two ``space_by_name`` callers: one ``error:``
@@ -435,11 +460,23 @@ def test_serve_refuses_a_campaign_it_cannot_plan(
     assert captured.out == "" and not root.exists()
 
 
-def test_count_zero_stays_a_legal_empty_space(capsys):
-    assert main(["sweep", "random-rs", "--count", "0", "--check"]) == 0
+def test_count_zero_stays_a_legal_empty_space(tmp_path, capsys):
+    assert main(["sweep", "random-rs", "--count", "0"]) == 0
     assert "0 scenarios" in capsys.readouterr().out
     with pytest.raises(ConfigurationError, match="count must be >= 0"):
         space_by_name("oracle-sweep", count=-1)
+    # Checking it is vacuous: an empty space passes every check, so
+    # --check refuses to call it clean (it used to exit 0 on "0/0 cells
+    # clean"), with or without a run directory and a merged trace.
+    for extra in ([], ["--run-dir", str(tmp_path / "runs"),
+                       "--jsonl", str(tmp_path / "merged.jsonl")]):
+        argv = ["sweep", "random-rs", "--count", "0", "--check", *extra]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "0 scenarios" in out
+        assert "oracle: 0/0 cells — vacuous, nothing checked" in out
+        assert "cells clean" not in out
+    assert (tmp_path / "merged.jsonl").read_bytes() == b""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -40,9 +40,13 @@ from repro.runtime import (
     run_space,
     space_by_name,
 )
+from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import ScenarioSpace, vectorized_space
-from repro.runtime.sweep import open_merged_sink
+from repro.runtime.request import ExecutionResult
+from repro.runtime.sweep import SweepResult, open_merged_sink
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import failure_free
+from tests.reference.records import audit_line, store_cell_line
 from tests.reference_keys import reference_cache_key
 
 #: Every registered space of round-executor cells.
@@ -137,6 +141,43 @@ class TestMergedTraceParity:
             tmp_path / "served.jsonl"
         ).read_bytes()
 
+    def test_percent_signs_anywhere_in_an_event_survive_the_format(
+        self, tmp_path
+    ):
+        events = [
+            Event("msg_sent", 1.0, round=1, pid=0, peer=1, value="%d %s"),
+            Event("suspect", 2.0, pid=0, peer=1, value="100%",
+                  extra={"%(x)s": "%%", "ts": 0.0}),
+            Event("decide", 3.0, round=1, pid=0, value="%"),
+            Event("halt", 4.0, pid=0, extra={"note": "%.0f"}),
+        ]
+        first = ExecutionResult(name="a", request_key="k", events=events)
+        results = [first, replace(first, name="b"), ExecutionResult(
+            name="c", request_key="k", events=[*events[:2], replace(
+                events[2], value=_Opaque("%s"))],
+        )]
+        sweep = SweepResult(
+            "percent", [], results, executed=3, cached=0, distinct=3,
+            metrics=MetricsRegistry(),
+        )
+        path = tmp_path / "merged.jsonl"
+        assert sweep.write_merged_jsonl(str(path)) == 11
+        reference = [event.to_json() for event in sweep.merged_events()]
+        assert path.read_text(encoding="utf-8").splitlines() == reference
+        assert list(sweep.merged_jsonl_lines()) == reference
+
+    def test_the_tick_spelling_holds_below_its_bound(self, monkeypatch):
+        from repro.runtime import sweep as sweep_module
+
+        bound = sweep_module._EXACT_TICKS
+        for tick in (1, 10**15, bound - 1):
+            assert "%d.0" % tick == float.__repr__(float(tick))
+        assert "%d.0" % (bound + 1) != float.__repr__(float(bound + 1))
+        sweep = run_space(_space("e10-lambda"))
+        monkeypatch.setattr(sweep_module, "_EXACT_TICKS", 40)
+        with pytest.raises(OverflowError, match="tick"):
+            list(sweep.merged_jsonl_lines())
+
     def test_cross_type_equal_decide_values_do_not_share_a_suffix(self):
         sweep = run_space(_hostile_space())
         decided = {}
@@ -145,7 +186,8 @@ class TestMergedTraceParity:
                 decided.setdefault(line.split('"value": ')[1], None)
         # Equal in Python, distinct on the wire — each must appear.
         for text in ("0}", "false}", "0.0}", "-0.0}", '"0"}',
-                     "[0, 1]}", "[false, true]}"):
+                     "[0, 1]}", "[false, true]}", '"%d"}', '"%%"}',
+                     '"<opaque %s \\"ts\\": 0.0>"}'):
             assert text in decided, (text, sorted(decided))
 
     def test_an_empty_space_writes_an_empty_trace(self, tmp_path):
@@ -204,8 +246,14 @@ def _hostile_space() -> ScenarioSpace:
     }
     cells = [cell(f"v-{tag}", (value,) * 3) for tag, value in uniform.items()]
     cells += [
+        # ``%`` in a decide value and in a cell name: the merged trace's
+        # blocks are %-formats, and a name reaches the store and audit
+        # lines; so do a quote, non-ASCII text and U+2028.
+        cell('name-%d%%s-"quoted"', ("%d",) * 3),
+        cell("name-\u00e9-\u2028-\u00fcn\u00ef", ("%%",) * 3),
         # A1 decides initial values verbatim: any object is a hole.
         cell("v-opaque", (opaque, 1, 2), algorithm="a1"),
+        cell("v-opaque-%s", (_Opaque("%s"), 1, 2), algorithm="a1"),
         cell("v-int-again", (0, 0, 0), algorithm="a1"),
         # Declined by the kernel (cross-type-equal domain, None): inline.
         cell("fallback-mixed", (0, False, 1)),
@@ -663,6 +711,138 @@ class TestPackedStore:
             r.cache_key() for r in space.requests
         )
         assert {r.name for r in listed} == {r.name for r in space.requests}
+
+
+# ---------------------------------------------------------------------------
+# Store and audit lines: spliced per cell vs one json.dumps per record
+# ---------------------------------------------------------------------------
+
+
+def _recording_references(monkeypatch):
+    """Spy on the two per-cell writers: every call appends the line the
+    reference encoder builds from its arguments, taken before the
+    writer runs, to ``store`` or ``audit``."""
+    references = {"store": [], "audit": []}
+    put, record_cell = ResultCache.put, RunDir.record_cell
+
+    def spied_put(self, request, result):
+        references["store"].append(store_cell_line(request, result))
+        return put(self, request, result)
+
+    def spied_record_cell(self, **fields):
+        references["audit"].append(
+            audit_line(leg=self.manifest.get("legs", 1), **fields)
+        )
+        return record_cell(self, **fields)
+
+    monkeypatch.setattr(ResultCache, "put", spied_put)
+    monkeypatch.setattr(RunDir, "record_cell", spied_record_cell)
+    return references
+
+
+def _written(root):
+    """The run directory's shard cell lines, in write order, and its
+    audit log."""
+    (run,) = root.iterdir()
+    cells = [
+        line
+        for shard in _shards(run / "results")
+        for line in shard.read_bytes().splitlines(keepends=True)
+        if line.startswith(b'{"key": ')
+    ]
+    return cells, (run / "metrics.jsonl").read_text(encoding="utf-8")
+
+
+def _assert_legs_match_the_reference(space, root, monkeypatch):
+    references = _recording_references(monkeypatch)
+    for leg in ("cold", "warm"):
+        campaign = CampaignLeg(
+            str(root), kind="sweep", name=space.name,
+            requests=space.requests, config={},
+        )
+        with campaign:
+            sweep = SweepRunner(
+                cache=campaign.cache, check=True, on_cell=campaign.on_cell
+            ).run(space)
+            campaign.finalize(lambda run_dir: {"coverage": {}})
+        assert sweep.executed == (len(space.requests) if leg == "cold" else 0)
+        cells, audit = _written(root)
+        assert cells == references["store"], leg
+        assert audit == "".join(references["audit"]), leg
+    assert len(references["audit"]) == 2 * len(references["store"])
+    return references
+
+
+class TestPerCellRecords:
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    @pytest.mark.parametrize("name", ROUND_SPACES)
+    def test_store_and_audit_lines_equal_the_reference(
+        self, name, engine, tmp_path, monkeypatch
+    ):
+        space = _space(name, engine)
+        _assert_legs_match_the_reference(space, tmp_path / "runs", monkeypatch)
+
+    def test_the_hostile_space(self, tmp_path, monkeypatch):
+        references = _assert_legs_match_the_reference(
+            _hostile_space(), tmp_path / "runs", monkeypatch
+        )
+        text = b"".join(references["store"]).decode("ascii")
+        for escaped in ('%d%%s-\\"quoted\\"', "\\u00e9-\\u2028"):
+            assert escaped in text
+
+    def test_equal_twins_share_a_tail_and_nothing_else_does(self, tmp_path):
+        space = _space("random-rs", count=3, seed=11)
+        result = run_space(space).results[0]
+        request = space.requests[0]
+        cache = ResultCache(tmp_path)
+        expected = []
+
+        def put(request, result):
+            expected.append(store_cell_line(request, result))
+            cache.put(request, result)
+
+        twin = replace(result, name="twin-%s\u2028", extra=dict(result.extra))
+        put(request, result)
+        put(replace(request, name="twin"), twin)
+        # Equal in Python, printed differently: each needs its own tail.
+        for latency in (True, 1.0, result.latency):
+            put(replace(request, name=f"l-{latency!r}"),
+                replace(result, latency=latency))
+        result.extra["mutated"] = -0.0  # in place, after its put
+        put(replace(request, name="mutated"), result)
+        result.extra["mutated"] = 0.0
+        put(replace(request, name="mutated-again"), result)
+        cache.close()
+        (shard,) = _shards(tmp_path)
+        lines = [
+            line for line in shard.read_bytes().splitlines(keepends=True)
+            if line.startswith(b'{"key": ')
+        ]
+        assert lines == expected
+
+    def test_audit_splices_only_between_equal_records(self, tmp_path):
+        run = RunDir.open(tmp_path, kind="sweep", name="audit", identity=["x"])
+        calls = [
+            dict(name="a", key="k1", cached=False, latency=0, duration_s=0.0),
+            dict(name='b-%s-"q"', key="k2", cached=False, latency=0,
+                 duration_s=0.0),
+            dict(name="c-\u2028-\u00e9", key="k3", cached=False,
+                 latency=False, duration_s=0.0),
+            dict(name="d", key="k4", cached=False, latency=False,
+                 duration_s=-0.0),
+            dict(name="e", key="k5", cached=0, latency=False,
+                 duration_s=-0.0),
+            dict(name="f", key="k6", cached=0, latency=False,
+                 duration_s=-0.0, ok=None, engine="rounds"),
+            dict(name="g", key="k7", cached=0, latency=False,
+                 duration_s=-0.0, ok=None, engine="rounds"),
+        ]
+        for fields in calls:
+            run.record_cell(**fields)
+        run.mark_interrupted()
+        assert (run.path / "metrics.jsonl").read_text(encoding="utf-8") == "".join(
+            audit_line(leg=1, **fields) for fields in calls
+        )
 
 
 # ---------------------------------------------------------------------------
