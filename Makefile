@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage bench bench-report examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report clean
+.PHONY: install test test-fast coverage examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report line-audit clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -19,12 +19,6 @@ coverage:
 	PYTHONPATH=src pytest tests/ -q \
 		--cov=repro --cov-report=term-missing:skip-covered \
 		--cov-fail-under=$(COVERAGE_FLOOR)
-
-bench:
-	pytest benchmarks/ --benchmark-only
-
-bench-report:
-	PYTHONPATH=src python scripts/bench_report.py
 
 examples:
 	@for script in examples/*.py; do \
@@ -83,7 +77,8 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # cache ("executed 0").  Then the usage errors a sweep, a coordinator
 # and a trace export must refuse before a cell runs (exit 2, one
 # `error:` line, no traceback, no run directory; an uncreatable
-# --cache-dir among them) and an engine that
+# --cache-dir and a --count given to a space that takes none among
+# them) and an engine that
 # cannot finish a run under `mc` (same refusal), the stderr line that
 # tells a user how many runs stood behind their cells, and the
 # merged-trace writer's routes — the rounds engine's own templates,
@@ -109,6 +104,7 @@ sweep-smoke:
 			"sweep random-rs --count 10 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
 			"fuzz --budget 2 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
 			"sweep random-rs --count -3 --check" \
+			"sweep e10-lambda --count 0 --check" \
 			"sweep random-rs --count 2 --jobs 0" \
 			"sweep random-rs --count 2 --jobs -3" \
 			"serve fuzz --count -3" \
@@ -192,8 +188,8 @@ LIVE_SMOKE_METRICS ?= /tmp/repro_live_smoke_metrics.jsonl
 # A real asyncio cluster under hard wall-clock bounds: one lossy run
 # with a mid-run crash, one adversarial run (drops + a partition
 # window) under load, both trace-checked; then the checked live-smoke
-# space through the unified runtime.  The CLI runs' span metrics roll
-# into BENCH_PR7.json's live_timings section.
+# space through the unified runtime.  The span metrics both CLI runs
+# append must parse as JSON lines.
 live-smoke:
 	rm -f $(LIVE_SMOKE_METRICS)
 	PYTHONPATH=src timeout 60 python -m repro live --algorithm floodset \
@@ -203,8 +199,8 @@ live-smoke:
 		--net-profile adversarial --crash 2@50 --load 8 --concurrency 4 \
 		--seed 3 --check --metrics $(LIVE_SMOKE_METRICS)
 	PYTHONPATH=src timeout 120 python -m repro sweep live-smoke --check
-	PYTHONPATH=src python scripts/bench_report.py $(LIVE_SMOKE_METRICS) \
-		-o BENCH_PR7.json
+	python -c "import json, sys; rows = [json.loads(line) for line in open(sys.argv[1])]; \
+		assert rows, 'no metrics'; print(len(rows), 'metrics rows')" $(LIVE_SMOKE_METRICS)
 
 CAUSAL_SMOKE_TRACE ?= /tmp/repro_causal_smoke.jsonl
 CAUSAL_SMOKE_LEGACY ?= /tmp/repro_causal_smoke_legacy.jsonl
@@ -334,6 +330,13 @@ ledger-smoke:
 # counts repeat exactly; a start-up change is attributed with them.
 startup-report:
 	python scripts/import_report.py
+
+# Which functions under src/repro no command executes: the claim
+# surface (repro report, the mc verdicts of docs/paper_map.md, every
+# *-smoke target) and every other command and example run in a scratch
+# copy under a call recorder.  Not in CI: about 9 minutes on 2 cores.
+line-audit:
+	python scripts/line_audit.py
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info

@@ -36,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(
             "ReproError",
             "ConfigurationError",
             "ScheduleError",
-            "SynchronyViolation",
             "DetectorViolation",
             "ScenarioError",
             "ExecutionError",
@@ -81,7 +80,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "ScheduleError",
-    "SynchronyViolation",
     "DetectorViolation",
     "ScenarioError",
     "ExecutionError",

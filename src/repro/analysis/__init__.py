@@ -32,7 +32,6 @@ __getattr__, __dir__ = lazy_exports(
         "lowerbound": (
             "RoundOneVerdict",
             "refute_round_one_decision",
-            "round_one_survey",
         ),
         "summary": ("SummaryRow", "latency_summary_table", "format_table"),
         "timefree": (
@@ -52,7 +51,6 @@ __all__ = [
     "VerificationReport",
     "RoundOneVerdict",
     "refute_round_one_decision",
-    "round_one_survey",
     "SummaryRow",
     "latency_summary_table",
     "format_table",

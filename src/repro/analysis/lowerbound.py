@@ -13,14 +13,15 @@ The executable counterpart, for any concrete candidate algorithm:
 2. if it does, exhaustively search the RWS adversary space for a
    uniform-consensus violation, which by the theorem must exist.
 
-:func:`round_one_survey` applies this to a pool of candidates; that no
-candidate survives is the experiment-shaped form of the impossibility.
+:func:`refute_round_one_decision` does both for one candidate; experiment
+E10 applies it to a pool of candidates, and that no candidate survives
+is the experiment-shaped form of the impossibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.consensus.spec import SpecViolation, check_uniform_consensus_run
 from repro.rounds.algorithm import RoundAlgorithm
@@ -142,21 +143,3 @@ def refute_round_one_decision(
         violation=None,
         runs_checked=runs_checked,
     )
-
-
-def round_one_survey(
-    candidates: Iterable[RoundAlgorithm],
-    n: int = 3,
-    t: int = 1,
-    *,
-    domain: Sequence[Any] = (0, 1),
-    model: RoundModel = RoundModel.RWS,
-) -> list[RoundOneVerdict]:
-    """Check every candidate; the lower bound predicts all are refuted
-    (or lack the round-1 property to begin with)."""
-    return [
-        refute_round_one_decision(
-            candidate, n, t, domain=domain, model=model
-        )
-        for candidate in candidates
-    ]

@@ -32,7 +32,6 @@ __getattr__, __dir__ = lazy_exports(
             "AtomicBroadcast",
             "AtomicBroadcastWS",
             "BroadcastState",
-            "delivered_sequence",
         ),
         "spec": ("BroadcastViolation", "check_atomic_broadcast_run"),
     },
@@ -42,7 +41,6 @@ __all__ = [
     "AtomicBroadcast",
     "AtomicBroadcastWS",
     "BroadcastState",
-    "delivered_sequence",
     "BroadcastViolation",
     "check_atomic_broadcast_run",
 ]

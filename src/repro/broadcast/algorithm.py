@@ -168,8 +168,3 @@ class AtomicBroadcastWS(AtomicBroadcast):
 
     name = "AtomicBroadcastWS"
     use_halt = True
-
-
-def delivered_sequence(state: BroadcastState) -> tuple:
-    """The delivery sequence of a (possibly unfinished) state."""
-    return state.delivered

@@ -8,7 +8,7 @@ processes decide at round 1 of every failure-free run — hence
 An impossibility cannot be executed, but its *shape* can: every natural
 algorithm with the round-1 property must be defeated by some
 weak-round-synchrony scenario.  This module collects such candidates;
-:func:`repro.analysis.lowerbound.round_one_survey` exhibits a concrete
+:func:`repro.analysis.lowerbound.refute_round_one_decision` exhibits a concrete
 counterexample run for each (experiment E10).  ``A1`` itself is the
 first candidate; the others harden it in the obvious ways (halting on
 silent processes, symmetric min-based decisions) and fail anyway —

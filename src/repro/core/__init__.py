@@ -4,8 +4,8 @@ The :data:`~repro.core.experiments.EXPERIMENTS` registry maps the
 experiment ids of DESIGN.md (E1–E15) to runnable functions; each
 returns an :class:`~repro.core.experiments.ExperimentResult` comparing
 the paper's claim to what this library measures.  The command-line
-interface (``python -m repro``), the benchmark suite and EXPERIMENTS.md
-all draw from this single source.
+interface (``python -m repro``), the tests and EXPERIMENTS.md all draw
+from this single source.
 """
 
 from repro._lazy import lazy_exports

@@ -3,8 +3,7 @@
 Each experiment function reproduces one artefact of the paper (a
 figure's algorithm, a theorem, a latency equality) and returns an
 :class:`ExperimentResult` with the claim, the measurement, and a pass
-verdict.  DESIGN.md's experiment index documents the mapping; the
-benchmark suite times the same functions.
+verdict.  DESIGN.md's experiment index documents the mapping.
 """
 
 from __future__ import annotations

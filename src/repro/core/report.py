@@ -3,19 +3,10 @@
 The repository's EXPERIMENTS.md is produced by this module (via
 ``python -m repro report``), so its paper-vs-measured verdicts are real
 output rather than hand-maintained prose.
-
-The JSON codecs for the report objects (latency profiles, experiment
-results, commit-rate reports) live here too, next to the types they
-encode, so :mod:`repro.serialize` stays a leaf.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
-from repro.analysis.latency import LatencyProfile
-from repro.commit.rates import CommitRateReport
 from repro.core.experiments import ExperimentResult, run_all_experiments
 
 _PREAMBLE = """# EXPERIMENTS — paper vs. measured
@@ -102,94 +93,3 @@ def write_report(path: str, quick: bool = True) -> int:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
     return content.count("*Verdict.* PASS")
-
-
-# -- latency profiles ----------------------------------------------------------
-
-
-def profile_to_dict(profile: LatencyProfile) -> dict[str, Any]:
-    """JSON-ready form of a latency profile.
-
-    Configuration keys (value tuples) become string keys, since JSON
-    objects cannot be keyed by arrays.
-    """
-    return {
-        "algorithm": profile.algorithm,
-        "model": profile.model,
-        "n": profile.n,
-        "t": profile.t,
-        "lat": profile.lat,
-        "Lat": profile.Lat,
-        "Lambda": profile.Lambda,
-        "Lat_by_failures": {
-            str(f): v for f, v in sorted(profile.Lat_by_failures.items())
-        },
-        "lat_by_config": {
-            json.dumps(list(config)): latency
-            for config, latency in sorted(profile.lat_by_config.items())
-        },
-        "runs_explored": profile.runs_explored,
-    }
-
-
-def profile_from_dict(data: dict[str, Any]) -> LatencyProfile:
-    return LatencyProfile(
-        algorithm=data["algorithm"],
-        model=data["model"],
-        n=data["n"],
-        t=data["t"],
-        lat=data["lat"],
-        Lat=data["Lat"],
-        Lambda=data["Lambda"],
-        Lat_by_failures={
-            int(f): v for f, v in data["Lat_by_failures"].items()
-        },
-        lat_by_config={
-            tuple(json.loads(config)): latency
-            for config, latency in data["lat_by_config"].items()
-        },
-        runs_explored=data["runs_explored"],
-    )
-
-
-# -- experiment results ---------------------------------------------------------
-
-
-def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
-    return {
-        "exp_id": result.exp_id,
-        "title": result.title,
-        "paper_claim": result.paper_claim,
-        "measured": result.measured,
-        "ok": result.ok,
-        "details": list(result.details),
-    }
-
-
-def result_from_dict(data: dict[str, Any]) -> ExperimentResult:
-    return ExperimentResult(
-        exp_id=data["exp_id"],
-        title=data["title"],
-        paper_claim=data["paper_claim"],
-        measured=data["measured"],
-        ok=data["ok"],
-        details=list(data.get("details", ())),
-    )
-
-
-# -- commit-rate reports ---------------------------------------------------------
-
-
-def commit_report_to_dict(report: CommitRateReport) -> dict[str, Any]:
-    return {
-        "algorithm": report.algorithm,
-        "model": report.model,
-        "n": report.n,
-        "t": report.t,
-        "runs": report.runs,
-        "commits": report.commits,
-        "aborts": report.aborts,
-        "undecided": report.undecided,
-        "commit_rate": report.commit_rate,
-        "violations": [str(v) for v in report.violations],
-    }

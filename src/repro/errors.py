@@ -29,20 +29,6 @@ class ScheduleError(ReproError):
     """
 
 
-class SynchronyViolation(ReproError):
-    """A run violates the synchrony conditions of its declared model.
-
-    Carries enough context to point at the offending step or round so that
-    tests and validators can produce actionable reports.
-    """
-
-    def __init__(self, message: str, *, step_index: int | None = None,
-                 round_index: int | None = None) -> None:
-        super().__init__(message)
-        self.step_index = step_index
-        self.round_index = round_index
-
-
 class DetectorViolation(ReproError):
     """A failure-detector history violates the axioms of its class.
 

@@ -44,11 +44,7 @@ __getattr__, __dir__ = lazy_exports(
             "PropertyReport",
         ),
         "generators": (
-            "crash_free",
-            "initially_dead",
-            "single_crash",
             "random_pattern",
-            "all_patterns",
         ),
         "timeout_p": (
             "TimeoutDetectorState",
@@ -85,11 +81,7 @@ __all__ = [
     "check_eventual_weak_accuracy",
     "classify_history",
     "PropertyReport",
-    "crash_free",
-    "initially_dead",
-    "single_crash",
     "random_pattern",
-    "all_patterns",
     "TimeoutDetectorState",
     "TimeoutPerfectDetector",
     "detection_threshold",

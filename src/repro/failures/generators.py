@@ -2,27 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
-
-
-def crash_free(n: int) -> FailurePattern:
-    """A pattern with no failures."""
-    return FailurePattern.crash_free(n)
-
-
-def initially_dead(n: int, pids: Iterable[int]) -> FailurePattern:
-    """A pattern in which ``pids`` crash at time 0 (never take a step)."""
-    return FailurePattern.initially_dead_set(n, pids)
-
-
-def single_crash(n: int, pid: int, time: int) -> FailurePattern:
-    """A pattern in which exactly ``pid`` crashes, at ``time``."""
-    return FailurePattern.with_crashes(n, {pid: time})
 
 
 def random_pattern(
@@ -46,23 +29,3 @@ def random_pattern(
     victims = rng.sample(range(n), k)
     crashes = {pid: rng.randint(0, horizon) for pid in victims}
     return FailurePattern.with_crashes(n, crashes)
-
-
-def all_patterns(
-    n: int,
-    max_failures: int,
-    times: Iterable[int],
-) -> Iterator[FailurePattern]:
-    """Enumerate every pattern with at most ``max_failures`` crashes.
-
-    Crash times are drawn from ``times``.  Used by exhaustive latency
-    computations and model-checking experiments; the count is
-    ``sum_k C(n, k) * |times|^k`` so keep ``n`` and ``times`` small.
-    """
-    time_list = sorted(set(times))
-    yield FailurePattern.crash_free(n)
-    for k in range(1, max_failures + 1):
-        for victims in itertools.combinations(range(n), k):
-            for assignment in itertools.product(time_list, repeat=k):
-                crashes = dict(zip(victims, assignment))
-                yield FailurePattern.with_crashes(n, crashes)

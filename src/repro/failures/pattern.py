@@ -10,7 +10,7 @@ process, which makes monotonicity true by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 
@@ -92,11 +92,6 @@ class FailurePattern:
     def with_crashes(cls, n: int, crashes: Mapping[int, int]) -> "FailurePattern":
         """A pattern with the given ``pid -> crash time`` mapping."""
         return cls(n=n, crash_times=dict(crashes))
-
-    @classmethod
-    def initially_dead_set(cls, n: int, pids: Iterable[int]) -> "FailurePattern":
-        """A pattern in which ``pids`` are dead from time 0."""
-        return cls(n=n, crash_times={pid: 0 for pid in pids})
 
     # -- misc -----------------------------------------------------------------
 

@@ -5,7 +5,7 @@ satisfies each completeness/accuracy property for a given failure
 pattern.  Eventual ("◊") properties are checked as: the property holds
 at every time from some onset up to the horizon.  This is the standard
 finite-trace reading; histories produced by the library's detector
-classes stabilise well before the horizons used in tests and benches.
+classes stabilise well before the horizons used in tests and experiments.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ put that activity after a ``halt`` event.
 
 **Load mode.**  With ``sessions > 1`` the cluster runs many consensus
 instances over the same transport and detector (event recording stays
-on for session 0 only), gated by a concurrency limit — the throughput
-benchmark's workload.
+on for session 0 only), gated by a concurrency limit — what ``repro
+live --load N`` runs.
 """
 
 from __future__ import annotations
@@ -684,8 +684,3 @@ class LiveCluster:
             extra=self.detector.forensics(observer, peer),
         )
         self.procs[observer].wake.set()
-
-
-def run_cluster(config: LiveConfig) -> LiveRun:
-    """One-call convenience wrapper around :class:`LiveCluster`."""
-    return LiveCluster(config).run()

@@ -36,7 +36,7 @@ __getattr__, __dir__ = lazy_exports(
             "mc_space_from_spec",
             "still_fails_for",
         ),
-        "config": ("Configuration", "canonical_form", "canonical_key"),
+        "config": ("Configuration", "canonical_form"),
         "explore": ("ExploreStats", "Exploration", "Leaf"),
         "fixtures": ("classify_sdd_quadruple", "sdd_fixture_names"),
         "properties": ("PROPERTIES", "evaluate_property"),
@@ -62,7 +62,6 @@ __all__ = [
     "SYMMETRIES",
     "Verdict",
     "canonical_form",
-    "canonical_key",
     "check",
     "classify_sdd_quadruple",
     "evaluate_property",

@@ -1,4 +1,4 @@
-"""Canonical per-round configurations and their content-addressed keys.
+"""Per-round configurations and their canonical form.
 
 A :class:`Configuration` is the model checker's notion of "where a run
 is after ``round`` completed rounds": the per-process algorithm states
@@ -13,16 +13,16 @@ Two runs whose configurations coincide have identical futures — the
 algorithms are deterministic and the adversary's remaining choices
 depend only on who is alive, the crash budget, and the obligations —
 so the breadth-first frontier prunes revisits by the configuration's
-*canonical key*: the states are serialized into a canonical JSON form
+orbit under the algorithm's symmetries (:mod:`repro.mc.symmetry`).
+:func:`canonical_form` serializes a configuration into canonical JSON
 (frozen dataclasses become ``["dc", name, fields]`` nodes, frozensets
-are sorted) and hashed, giving a content-addressed identity that is
-independent of construction order.
+are sorted), independent of construction order: the identity the
+tests hold that reduction against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -120,12 +120,6 @@ class Configuration:
         return len(self.states)
 
     @property
-    def crashed(self) -> frozenset[int]:
-        return frozenset(
-            pid for pid, state in enumerate(self.states) if state is None
-        )
-
-    @property
     def alive(self) -> tuple[int, ...]:
         return tuple(
             pid for pid, state in enumerate(self.states) if state is not None
@@ -145,8 +139,3 @@ def canonical_form(config: Configuration) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-def canonical_key(config: Configuration) -> str:
-    """Content-addressed identity: sha256 of the canonical form."""
-    return hashlib.sha256(canonical_form(config).encode("utf-8")).hexdigest()

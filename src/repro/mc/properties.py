@@ -40,11 +40,6 @@ class Violation:
     problems: list[str]
     request: ExecutionRequest | None = None
 
-    def describe(self) -> str:
-        lines = [f"{self.cell}:"]
-        lines.extend(f"  {problem}" for problem in self.problems)
-        return "\n".join(lines)
-
 
 @dataclass
 class PropertyOutcome:

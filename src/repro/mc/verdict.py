@@ -5,8 +5,8 @@ checked over which bounded space, whether it ``HOLDS`` or is
 ``REFUTED``, the *scope* of the claim (``"exhaustive"`` for closed
 schedule/Λ frontiers, ``"grid"`` for the sampled emulation grids), and
 the frontier statistics that justify it — states visited, revisits and
-dominated schedules pruned, leaves executed.  Verdicts JSON round-trip
-(``to_dict``/``from_dict``) so runs can archive and diff them.
+dominated schedules pruned, leaves executed.  Verdicts serialize to
+JSON (``to_dict``) so runs can archive and diff them.
 
 A ``REFUTED`` verdict embeds witnesses in the *fuzz counterexample
 format* (plus a ``"property"`` field naming what they refute): the
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-from repro.errors import ConfigurationError
 from repro.inject import active_injection
 from repro.runtime.request import ExecutionRequest
 from repro.serialize import REPRO_KIND, REPRO_SCHEMA
@@ -77,29 +76,6 @@ class Verdict:
             "problems": self.problems,
             "witnesses": self.witnesses,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Verdict":
-        if data.get("kind") != VERDICT_KIND:
-            raise ConfigurationError(
-                f"not an {VERDICT_KIND} document (kind={data.get('kind')!r})"
-            )
-        return cls(
-            property_name=data["property"],
-            holds=data["holds"],
-            scope=data["scope"],
-            algorithm=data["algorithm"],
-            n=data["n"],
-            t=data["t"],
-            model=data.get("model"),
-            horizon=data["horizon"],
-            engine=data["engine"],
-            reduce=data.get("reduce", True),
-            stats=dict(data.get("stats", {})),
-            details=dict(data.get("details", {})),
-            problems=list(data.get("problems", ())),
-            witnesses=list(data.get("witnesses", ())),
-        )
 
     def to_json(self) -> str:
         return json.dumps(

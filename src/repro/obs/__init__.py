@@ -34,8 +34,8 @@ On top of the stream sits the *trace oracle* trio:
   inputs it rests on).
 
 And the causal layer (PR 7): :mod:`repro.obs.causal` reconstructs the
-happens-before DAG (Lamport/vector clocks, send→delivery matching by
-live ``msg_id`` or structure, causal pasts) from any trace, and
+happens-before DAG (send→delivery matching by live ``msg_id`` or
+structure, causal pasts) from any trace, and
 :mod:`repro.obs.critical` extracts per-decision critical paths,
 attributes live wall latency to send/retransmit/detector-wait legs,
 and audits suspicions against the ground-truth crash wall.
@@ -104,7 +104,6 @@ __getattr__, __dir__ = lazy_exports(
             "TraceDiff",
             "diff_traces",
             "first_divergence",
-            "indistinguishable",
             "local_view",
             "view_divergence",
         ),
@@ -197,7 +196,6 @@ __all__ = [
     "TraceDiff",
     "diff_traces",
     "first_divergence",
-    "indistinguishable",
     "local_view",
     "view_divergence",
     "ReplayReport",

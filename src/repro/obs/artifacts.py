@@ -428,11 +428,6 @@ class RunDir:
         head, middle, rest = memo.encoded
         self._append(head + _encode(name) + middle + _encode(key) + rest)
 
-    def record_line(self, record: Mapping[str, Any]) -> None:
-        """Append an arbitrary record to ``metrics.jsonl`` (live sessions,
-        span rollups — anything worth auditing that is not a cell)."""
-        self._append(_canonical(record) + "\n")
-
     def _append(self, line: str) -> None:
         """Write one line to ``metrics.jsonl``, flushed: a leg killed at
         any point leaves every record it reported on disk."""

@@ -35,8 +35,7 @@ ground-truth crash wall live in :mod:`repro.obs.critical`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.obs.events import Event
 from repro.obs.profile import profiled
@@ -66,9 +65,7 @@ class CausalGraph:
     Indices are positions in :attr:`events`.  ``proc[i]`` names the
     process that *executed* event ``i`` (``None`` for global or
     adversary events), ``msg_ids[i]`` the resolved message identity of
-    message events, and ``parents[i]`` the incoming edges.  The Lamport
-    and vector clocks over the same edges are computed on first read:
-    the causal summary, the cones and the local views never read them.
+    message events, and ``parents[i]`` the incoming edges.
     """
 
     events: Sequence[Event]
@@ -76,45 +73,7 @@ class CausalGraph:
     msg_ids: list[Any] = field(default_factory=list)
     parents: list[list[CausalEdge]] = field(default_factory=list)
 
-    @cached_property
-    def lamport(self) -> list[int]:
-        """Each event's Lamport clock: one more than its latest parent's."""
-        lamport: list[int] = []
-        for incoming in self.parents:
-            lamport.append(
-                1 + max((lamport[edge.src] for edge in incoming), default=0)
-            )
-        return lamport
-
-    @cached_property
-    def vector(self) -> list[dict[int, int]]:
-        """Each event's vector clock: its parents' pointwise maximum,
-        ticked for the process that executed it."""
-        vectors: list[dict[int, int]] = []
-        for executing, incoming in zip(self.proc, self.parents):
-            vector: dict[int, int] = {}
-            for edge in incoming:
-                for pid, tick in vectors[edge.src].items():
-                    if tick > vector.get(pid, 0):
-                        vector[pid] = tick
-            if executing is not None:
-                vector[executing] = vector.get(executing, 0) + 1
-            vectors.append(vector)
-        return vectors
-
     # -- queries ------------------------------------------------------------
-
-    def edges(self) -> Iterable[CausalEdge]:
-        for incoming in self.parents:
-            yield from incoming
-
-    def message_pairs(self) -> dict[int, int]:
-        """``delivery/withheld index -> matched send index``."""
-        return {
-            edge.dst: edge.src
-            for edge in self.edges()
-            if edge.kind == "message"
-        }
 
     def cone(self, index: int) -> set[int]:
         """The causal past of ``events[index]``, inclusive.

@@ -13,11 +13,11 @@ Two granularities:
 * :func:`first_divergence` / :func:`diff_traces` — full-trace
   comparison with per-process lanes, reporting the first diverging
   event and its index in *both* traces.
-* :func:`local_view` / :func:`indistinguishable` — the one definition
-  of what a single process sees, the object indistinguishability
-  arguments quantify over (``repro diff --pid``, the SDD quadruple
-  fixtures, mc's ``indistinguishability`` property and the time-free
-  rescheduling check all compare it).
+* :func:`local_view` — the one definition of what a single process
+  sees, the object indistinguishability arguments quantify over
+  (``repro diff --pid``, the SDD quadruple fixtures, mc's
+  ``indistinguishability`` property and the time-free rescheduling
+  check all compare it).
 """
 
 from __future__ import annotations
@@ -298,10 +298,3 @@ def view_divergence(
         if divergence is not None:
             return divergence
     return None
-
-
-def indistinguishable(
-    a: Sequence[Event], b: Sequence[Event], pid: int
-) -> bool:
-    """True iff ``pid``'s :func:`local_view` is the same in both traces."""
-    return local_view(a, pid) == local_view(b, pid)

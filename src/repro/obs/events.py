@@ -502,9 +502,6 @@ class EventLog:
 
     # -- queries ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
@@ -527,7 +524,3 @@ class EventLog:
             fp.write(line)
             fp.write("\n")
         return len(self.events)
-
-    def write_jsonl(self, path: str) -> int:
-        with open(path, "w", encoding="utf-8") as fp:
-            return self.dump_jsonl(fp)

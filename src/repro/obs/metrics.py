@@ -3,8 +3,8 @@
 The registry is deliberately tiny — names map to instruments, and a
 snapshot is plain JSON-ready data.  Histogram snapshots reuse
 :mod:`repro.stats` (:func:`~repro.stats.summarize` and
-:func:`~repro.stats.percentile`) so benches, reports and metrics all
-describe samples the same way.
+:func:`~repro.stats.percentile`) so reports and metrics describe
+samples the same way.
 
 Metric naming convention: dot-separated lowercase paths, with the unit
 as the last path segment where it is not obvious from context

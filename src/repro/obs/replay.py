@@ -10,8 +10,7 @@ sent messages were withheld (``msg_withheld``).  That is precisely a
 the same values through the round executor, and assert event-for-event
 equality.  With the logical clock
 (:func:`~repro.obs.events.logical_clock`) the re-execution reproduces
-the exported JSONL byte-for-byte — the foundation for bug repro and
-trace-validated benchmarks.
+the exported JSONL byte-for-byte — the foundation for bug repro.
 
 Imports from :mod:`repro.rounds` are deferred to call time:
 ``repro.rounds`` itself imports ``repro.obs`` submodules, and module-

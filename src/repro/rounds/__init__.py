@@ -45,10 +45,8 @@ __getattr__, __dir__ = lazy_exports(
             "all_crash_events",
             "all_scenarios",
             "all_value_assignments",
-            "canonical_scenarios",
             "expected_scenario_count",
             "random_scenario",
-            "relabel_scenario",
         ),
     },
 )
@@ -69,8 +67,6 @@ __all__ = [
     "all_crash_events",
     "all_scenarios",
     "all_value_assignments",
-    "canonical_scenarios",
     "expected_scenario_count",
     "random_scenario",
-    "relabel_scenario",
 ]

@@ -158,98 +158,6 @@ def all_scenarios(
                     break
 
 
-def relabel_scenario(
-    scenario: FailureScenario, perm: Sequence[int]
-) -> FailureScenario:
-    """``scenario`` with every process id mapped through ``perm``.
-
-    ``perm[old_pid] == new_pid``; crashes are re-sorted by victim so two
-    scenarios in the same orbit relabel to *equal* objects.
-    """
-    crashes = tuple(
-        sorted(
-            (
-                CrashEvent(
-                    pid=perm[event.pid],
-                    round=event.round,
-                    sent_to=frozenset(perm[q] for q in event.sent_to),
-                    applies_transition=event.applies_transition,
-                )
-                for event in scenario.crashes
-            ),
-            key=lambda event: event.pid,
-        )
-    )
-    pending = frozenset(
-        PendingMessage(perm[message.sender], perm[message.recipient], message.round)
-        for message in scenario.pending
-    )
-    return FailureScenario(n=scenario.n, crashes=crashes, pending=pending)
-
-
-def _scenario_key(scenario: FailureScenario) -> tuple:
-    """A total-order key identifying a scenario up to crash order."""
-    return (
-        tuple(
-            (event.pid, event.round, tuple(sorted(event.sent_to)),
-             event.applies_transition)
-            for event in sorted(scenario.crashes, key=lambda e: e.pid)
-        ),
-        tuple(
-            sorted(
-                (message.sender, message.recipient, message.round)
-                for message in scenario.pending
-            )
-        ),
-    )
-
-
-def canonical_scenarios(
-    n: int,
-    t: int,
-    *,
-    max_round: int,
-    allow_pending: bool,
-    include_transition: bool = True,
-) -> list[tuple[FailureScenario, int]]:
-    """Orbit representatives of :func:`all_scenarios` under pid relabeling.
-
-    Returns ``(representative, orbit_size)`` pairs: one scenario per
-    equivalence class of the full symmetric group acting on process
-    ids, with the number of enumerated scenarios it stands for.  The
-    orbit sizes sum to the full enumeration's cardinality (pinned
-    against :func:`expected_scenario_count` in the tests), so nothing
-    is silently dropped.
-
-    Note that :func:`all_scenarios` itself deliberately stays
-    exhaustive: the latency computations pair scenarios with *value
-    assignments*, and a scenario-only quotient is sound only when the
-    consumer relabels values and initial configurations along with the
-    pids — which is exactly what the model checker's orbit reduction
-    (:mod:`repro.mc.symmetry`) does on joint states.  Quotienting here
-    would silently change ``Lat``/``Λ`` for value-asymmetric
-    algorithms such as FloodSet's min rule.
-    """
-    perms = list(itertools.permutations(range(n)))
-    orbits: dict[tuple, list] = {}
-    for scenario in all_scenarios(
-        n,
-        t,
-        max_round=max_round,
-        allow_pending=allow_pending,
-        include_transition=include_transition,
-    ):
-        canonical = min(
-            _scenario_key(relabel_scenario(scenario, perm)) for perm in perms
-        )
-        entry = orbits.get(canonical)
-        if entry is None:
-            orbits[canonical] = [scenario, 1]
-        else:
-            entry[1] += 1
-    return [(scenario, count) for scenario, count in orbits.values()]
-
-
 def random_scenario(
     n: int,
     t: int,

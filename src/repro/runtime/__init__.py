@@ -2,7 +2,7 @@
 
 The repo has four execution engines — the RS/RWS round executor, the
 SS/SP step executor, and the two Section 4 emulations.  Before this
-package, every caller (CLI, experiments, benches, the oracle sweep)
+package, every caller (CLI, experiments, the oracle sweep)
 carried its own driver loop over them.  The runtime replaces that
 plumbing with a single interface:
 
@@ -43,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(
             "execute_request",
             "harness_for",
         ),
-        "pool": ("default_jobs", "parallel_map"),
+        "pool": ("parallel_map",),
         "registry": (
             "ALGORITHM_FACTORIES",
             "UNIFORM_CONSENSUS_ALGORITHMS",
@@ -101,7 +101,6 @@ __all__ = [
     "SweepRunner",
     "UNIFORM_CONSENSUS_ALGORITHMS",
     "check_cell",
-    "default_jobs",
     "derived_seed",
     "e10_lambda_space",
     "execute_batch",

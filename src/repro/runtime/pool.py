@@ -9,7 +9,6 @@ in outputs, only in wall-clock time.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -17,11 +16,6 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def default_jobs() -> int:
-    """A sensible worker count for this machine."""
-    return os.cpu_count() or 1
 
 
 def _context() -> multiprocessing.context.BaseContext:
@@ -75,4 +69,3 @@ def parallel_map(
                 on_result(result)
             results.append(result)
         return results
-

@@ -45,6 +45,7 @@ Registered spaces (:func:`space_by_name`):
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -494,14 +495,16 @@ def _on_vector(request: ExecutionRequest) -> ExecutionRequest:
     )
 
 
-#: Name → factory taking ``(count, seed)`` keyword arguments where the
-#: space is stream-based; fixed spaces ignore them.
+#: Name → factory.  A factory's keyword parameters are the options the
+#: space takes — ``count`` and ``seed`` for the stream-based spaces,
+#: ``seed`` alone for ``live-smoke``, neither for the fixed
+#: ``e10-lambda`` — and :func:`space_by_name` refuses any other.
 SPACE_FACTORIES: dict[str, Callable[..., ScenarioSpace]] = {
     "oracle-sweep": lambda count=10, seed=42: oracle_sweep_space(count, seed),
-    "e10-lambda": lambda count=10, seed=42: e10_lambda_space(),
+    "e10-lambda": e10_lambda_space,
     "random-rs": lambda count=25, seed=42: random_space("RS", count, seed),
     "random-rws": lambda count=25, seed=42: random_space("RWS", count, seed),
-    "live-smoke": lambda count=10, seed=42: live_smoke_space(seed),
+    "live-smoke": lambda seed=42: live_smoke_space(seed),
 }
 
 
@@ -509,7 +512,8 @@ def space_by_name(
     name: str, *, count: int | None = None, seed: int | None = None
 ) -> ScenarioSpace:
     """Build a registered space; unknown names raise with the
-    catalogue, and so does a negative ``count`` (``range`` would read
+    catalogue, and so do an option the space does not take (it would
+    be silently ignored) and a negative ``count`` (``range`` would read
     it as an empty stream, and an empty space passes every check)."""
     factory = SPACE_FACTORIES.get(name)
     if factory is None:
@@ -517,13 +521,20 @@ def space_by_name(
             f"unknown scenario space {name!r}; choose from "
             f"{sorted(SPACE_FACTORIES)}"
         )
+    takes = inspect.signature(factory).parameters
+    options = {
+        option: value
+        for option, value in (("count", count), ("seed", seed))
+        if value is not None
+    }
+    for option in options:
+        if option not in takes:
+            raise ConfigurationError(
+                f"space {name!r} takes no {option}; its options: "
+                f"{', '.join(takes) or 'none'}"
+            )
     if count is not None and count < 0:
         raise ConfigurationError(
             f"space {name!r}: count must be >= 0, got {count}"
         )
-    kwargs = {}
-    if count is not None:
-        kwargs["count"] = count
-    if seed is not None:
-        kwargs["seed"] = seed
-    return factory(**kwargs)
+    return factory(**options)

@@ -2,10 +2,7 @@
 
 Scenarios and failure patterns travel inside execution requests, cache
 records and counterexample files, so every engine imports this module:
-it is a leaf over the scenario and pattern types.  The codecs for the
-*report* objects (latency profiles, experiment results, commit rates)
-live with the reports in :mod:`repro.core.report` and are still served
-from here by name.
+it is a leaf over the scenario and pattern types.
 
 Only *data* objects are serialised.  Runs and histories are deliberately
 excluded: they embed arbitrary application payloads and (for histories)
@@ -15,26 +12,11 @@ library is deterministic by construction.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
-from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
 from repro.rounds.scenario import CrashEvent, FailureScenario, PendingMessage
-
-__getattr__, __dir__ = lazy_exports(
-    globals(),
-    {
-        "core.report": (
-            "profile_to_dict",
-            "profile_from_dict",
-            "result_to_dict",
-            "result_from_dict",
-            "commit_report_to_dict",
-        ),
-    },
-)
 
 #: Format marker of a replayable counterexample file: what ``repro fuzz
 #: --out`` and ``repro mc --out`` write and ``repro replay --repro`` reads.
@@ -97,14 +79,6 @@ def scenario_from_dict(data: dict[str, Any]) -> FailureScenario:
         raise ConfigurationError(
             f"scenario dict is missing the {missing} field"
         ) from None
-
-
-def scenario_to_json(scenario: FailureScenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), sort_keys=True)
-
-
-def scenario_from_json(text: str) -> FailureScenario:
-    return scenario_from_dict(json.loads(text))
 
 
 # -- failure patterns ---------------------------------------------------------

@@ -167,10 +167,6 @@ class CoordinatorServer:
         self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI's foreground mode)."""
-        self._httpd.serve_forever()
-
     def shutdown(self) -> None:
         self._httpd.shutdown()
         if self._thread is not None:

@@ -44,10 +44,6 @@ class StepContext:
     local_step: int
     suspects: frozenset[int] | None = None
 
-    def payloads_from(self, sender: int) -> list[Any]:
-        """Return the payloads of messages received from ``sender``."""
-        return [m.payload for m in self.received if m.sender == sender]
-
 
 @dataclass(frozen=True)
 class StepOutcome:

@@ -290,26 +290,3 @@ class StepExecutor:
                 f"at time {time}"
             )
         return delivered, remaining
-
-
-def run_until_quiet(
-    executor: StepExecutor,
-    max_steps: int,
-    decided: Callable[[Any], bool],
-) -> Run:
-    """Convenience: execute until every alive process satisfies ``decided``.
-
-    ``decided`` inspects a single process state.  Crashed processes are
-    exempt — a run is "quiet" when every process still alive (at the
-    *end* of the horizon) has decided.
-    """
-    pattern = executor.pattern
-
-    def stop(states: dict[int, Any]) -> bool:
-        return all(
-            decided(state)
-            for pid, state in states.items()
-            if pid in pattern.correct
-        )
-
-    return executor.execute(max_steps, stop_when=stop)

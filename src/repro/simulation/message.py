@@ -32,9 +32,3 @@ class Message:
     recipient: int
     payload: Any
     sent_step: int
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Message(uid={self.uid}, {self.sender}->{self.recipient}, "
-            f"payload={self.payload!r}, sent_step={self.sent_step})"
-        )

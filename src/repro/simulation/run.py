@@ -47,23 +47,12 @@ class Run:
     history: FailureDetectorHistory | None = None
     state_snapshots: list[Any] | None = None
 
-    def __len__(self) -> int:
-        return len(self.schedule)
-
     def steps_of(self, pid: int) -> list:
         """Return ``S_i``, the projection of the schedule on ``pid``."""
         return self.schedule.projection(pid)
 
     def messages_sent_by(self, pid: int) -> list[Message]:
         return [m for m in self.messages.values() if m.sender == pid]
-
-    def messages_received_by(self, pid: int) -> list[Message]:
-        received: list[Message] = []
-        for step in self.schedule:
-            if step.pid != pid:
-                continue
-            received.extend(self.messages[uid] for uid in step.received_uids)
-        return received
 
     def undelivered_to_correct(self) -> list[Message]:
         """Messages addressed to correct processes but never delivered.
@@ -78,6 +67,3 @@ class Run:
             if pid in self.pattern.correct
             for m in pending
         ]
-
-    def state_of(self, pid: int) -> Any:
-        return self.final_states[pid]

@@ -1,4 +1,4 @@
-"""Small descriptive-statistics helpers for benches and reports."""
+"""Small descriptive-statistics helpers for metrics and reports."""
 
 from repro.stats.summary import Summary, percentile, summarize, rate
 

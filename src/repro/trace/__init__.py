@@ -13,13 +13,12 @@ from repro.trace.diagram import (
     describe_run,
     describe_round_run,
 )
-from repro.trace.dot import step_run_to_dot, round_run_to_dot
+from repro.trace.dot import round_run_to_dot
 
 __all__ = [
     "step_diagram",
     "round_tableau",
     "describe_run",
     "describe_round_run",
-    "step_run_to_dot",
     "round_run_to_dot",
 ]

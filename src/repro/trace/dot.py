@@ -9,75 +9,10 @@ process, nodes for steps (or rounds), and arrows for messages.
 from __future__ import annotations
 
 from repro.rounds.executor import RoundRun
-from repro.simulation.run import Run
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace('"', r"\"") + '"'
-
-
-def step_run_to_dot(run: Run, *, max_steps: int = 80) -> str:
-    """Render a step-level run as a DOT digraph.
-
-    Nodes are the steps a process took (``p1s3`` = process 1, local
-    step 3); grey dashed lane edges give each process's timeline;
-    solid arrows are messages (send step -> receive step).  Crashed
-    processes get a final ``CRASH`` node.
-    """
-    lines = [
-        "digraph run {",
-        "  rankdir=LR;",
-        '  node [shape=circle, fontsize=9, width=0.3];',
-    ]
-    # Lanes: per-process chains of step nodes.
-    steps_by_pid: dict[int, list] = {pid: [] for pid in range(run.n)}
-    for step in run.schedule[:max_steps]:
-        steps_by_pid[step.pid].append(step)
-    receive_node: dict[int, str] = {}  # uid -> receiving node name
-    send_node: dict[int, str] = {}  # uid -> sending node name
-
-    for pid, steps in steps_by_pid.items():
-        previous = f"p{pid}start"
-        label = _quote(f"p{pid}")
-        lines.append(
-            f"  {previous} [shape=plaintext, label={label}];"
-        )
-        for step in steps:
-            node = f"p{pid}s{step.local_step}"
-            lines.append(
-                f"  {node} [label={_quote(str(step.local_step))}];"
-            )
-            lines.append(
-                f"  {previous} -> {node} [style=dashed, color=grey, "
-                "arrowhead=none];"
-            )
-            previous = node
-            if step.sent_uid is not None:
-                send_node[step.sent_uid] = node
-            for uid in step.received_uids:
-                receive_node[uid] = node
-        crash_time = run.pattern.crash_time(pid)
-        if crash_time is not None:
-            crash = f"p{pid}crash"
-            lines.append(
-                f"  {crash} [shape=box, color=red, label=CRASH];"
-            )
-            lines.append(
-                f"  {previous} -> {crash} [style=dashed, color=red, "
-                "arrowhead=none];"
-            )
-
-    for uid, source in send_node.items():
-        target = receive_node.get(uid)
-        if target is None:
-            continue  # undelivered within the rendered prefix
-        payload = _quote(str(run.messages[uid].payload))
-        lines.append(
-            f"  {source} -> {target} [color=blue, fontsize=8, "
-            f"label={payload}];"
-        )
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def round_run_to_dot(run: RoundRun) -> str:

@@ -1,14 +1,13 @@
 """Workload builders: named configurations and scenarios.
 
 The paper's arguments revolve around a handful of carefully chosen
-runs; this package names them so tests, examples and benches can share
+runs; this package names them so tests, examples and experiments share
 them instead of re-deriving adversary tuples inline.
 """
 
 from repro.workloads.configs import (
     unanimous,
     adversarial_split,
-    random_values,
 )
 from repro.workloads.scenarios import (
     failure_free,
@@ -22,7 +21,6 @@ from repro.workloads.scenarios import (
 __all__ = [
     "unanimous",
     "adversarial_split",
-    "random_values",
     "failure_free",
     "initially_dead_t",
     "crash_mid_broadcast",

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-from typing import Any, Sequence
+from typing import Any
 
 
 def unanimous(n: int, value: Any = 0) -> tuple[Any, ...]:
@@ -18,10 +17,3 @@ def adversarial_split(n: int, low: Any = 0, high: Any = 1) -> tuple[Any, ...]:
     learns p0's value decides differently from whoever does not.
     """
     return (low,) + tuple([high] * (n - 1))
-
-
-def random_values(
-    n: int, rng: random.Random, domain: Sequence[Any] = (0, 1)
-) -> tuple[Any, ...]:
-    """A uniformly random configuration over ``domain``."""
-    return tuple(rng.choice(list(domain)) for _ in range(n))

@@ -6,16 +6,6 @@ import random
 
 import pytest
 
-from repro.consensus import (
-    A1,
-    COptFloodSet,
-    COptFloodSetWS,
-    FloodSet,
-    FloodSetWS,
-    FOptFloodSet,
-    FOptFloodSetWS,
-)
-
 
 class _QuickExperiments(dict):
     """``exp_id -> ExperimentResult`` of the quick E1–E15 suite, each
@@ -50,29 +40,3 @@ def quick_experiments() -> _QuickExperiments:
 def rng() -> random.Random:
     """A deterministic RNG; tests needing different streams reseed."""
     return random.Random(0xC0FFEE)
-
-
-@pytest.fixture(
-    params=[
-        FloodSet,
-        FloodSetWS,
-        COptFloodSet,
-        COptFloodSetWS,
-        FOptFloodSet,
-        FOptFloodSetWS,
-    ],
-    ids=lambda cls: cls.__name__,
-)
-def floodset_family(request):
-    """Every FloodSet-derived algorithm (excludes A1, which needs t=1)."""
-    return request.param()
-
-
-@pytest.fixture(
-    params=[FloodSet, FloodSetWS, COptFloodSet, COptFloodSetWS,
-            FOptFloodSet, FOptFloodSetWS, A1],
-    ids=lambda cls: cls.__name__,
-)
-def any_algorithm(request):
-    """Every paper algorithm (all support t=1)."""
-    return request.param()

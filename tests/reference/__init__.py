@@ -11,6 +11,8 @@
 * :mod:`tests.reference.observations` — what a process observes at
   each step of a step-level run, the step-kernel counterpart of
   :func:`repro.obs.diff.local_view`.
+* :mod:`tests.reference.clocks` — Lamport and vector clocks over a
+  happens-before DAG, the second opinion on its causal pasts.
 * :mod:`tests.reference.records` — the result store's cell records and
   the ``metrics.jsonl`` audit lines, one whole-record ``json.dumps``
   per cell.

@@ -510,21 +510,6 @@ class TestInProgressReporting:
     """Reports on a run that has not finalized — an overnight campaign
     (or a serve run mid-flight) must stay reportable."""
 
-    @staticmethod
-    def _bench_report():
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parent.parent
-            / "scripts"
-            / "bench_report.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_report", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     def _half_finished_run(self, tmp_path):
         requests = _space(4).requests
         run = _open_run(tmp_path, requests)
@@ -549,38 +534,9 @@ class TestInProgressReporting:
         run.finalize(summary={"schema": RUN_SCHEMA, "status": "complete"})
         assert report_json(run)["in_progress"] is False
 
-    def test_bench_report_accepts_in_progress_run_dir(self, tmp_path, capsys):
-        run = self._half_finished_run(tmp_path)
-        bench_report = self._bench_report()
-        out = tmp_path / "BENCH_TEST.json"
-        code = bench_report.main([str(run.path), "-o", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["in_progress"] is True
-        # The per-cell audit records are skipped, not fatal.
-        assert report["skipped_records"] >= 2
-        captured = capsys.readouterr()
-        assert "no summary.json" in captured.err
-
-    def test_bench_report_on_metrics_file_inside_run_dir(self, tmp_path):
-        run = self._half_finished_run(tmp_path)
-        run.finalize(summary={"schema": RUN_SCHEMA, "status": "complete"})
-        bench_report = self._bench_report()
-        out = tmp_path / "BENCH_TEST2.json"
-        code = bench_report.main(
-            [str(run.path / "metrics.jsonl"), "-o", str(out)]
-        )
-        assert code == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["in_progress"] is False
-
-    def test_bench_report_before_first_cell(self, tmp_path):
-        # metrics.jsonl is appended lazily; a freshly opened run dir
-        # has none, and that is still a reportable (empty) partial.
+    def test_report_json_before_first_cell(self, tmp_path):
+        # metrics.jsonl is appended lazily; a freshly opened run dir has
+        # none, and that is still a reportable (empty) partial.
         run = _open_run(tmp_path, _space(2).requests)
-        bench_report = self._bench_report()
-        out = tmp_path / "BENCH_EMPTY.json"
-        assert bench_report.main([str(run.path), "-o", str(out)]) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["in_progress"] is True
-        assert report["num_spans"] == 0
+        assert report_json(run)["in_progress"] is True
+        assert "no summary.json" in render_report(run)

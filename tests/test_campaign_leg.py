@@ -440,6 +440,21 @@ class TestRefusedBeforeAnythingRuns:
         )
         assert "count must be >= 0, got -3" in line
 
+    @pytest.mark.parametrize(
+        "space, option",
+        [("e10-lambda", "--count"), ("e10-lambda", "--seed"),
+         ("live-smoke", "--count")],
+    )
+    def test_option_the_space_does_not_take(
+        self, command, space, option, tmp_path, capsys
+    ):
+        # `sweep e10-lambda --count 0 --check` used to run its 32 fixed
+        # cells and exit 0: the count was silently ignored.
+        line = self._refused(
+            [command, space, option, "0", "--check"], capsys, tmp_path / "runs"
+        )
+        assert line.startswith(f"error: space {space!r} takes no {option[2:]}")
+
 
 @pytest.mark.parametrize(
     "argv, complaint",

@@ -39,6 +39,7 @@ from repro.runtime import (
     harness_for,
     oracle_sweep_space,
 )
+from tests.reference import clocks
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +140,7 @@ class TestOracleSweep:
 
 
 def _graph_form(graph):
-    return (graph.proc, graph.msg_ids, graph.parents, graph.lamport, graph.vector)
+    return (graph.proc, graph.msg_ids, graph.parents)
 
 
 def _step_message_uids(events, run):
@@ -175,7 +176,7 @@ class TestByteParity:
         assert [e.to_json() for e in plain.events] == lines
         reread = events_from_jsonl_lines(lines)
         graph = annotate(log.events)
-        assert graph.message_pairs()
+        assert clocks.message_pairs(graph)
         assert _graph_form(annotate(reread)) == _graph_form(graph)
 
     def test_engine_ids_match_structural_pairing_on_rounds(self):
@@ -186,7 +187,7 @@ class TestByteParity:
         log = EventLog(clock=logical_clock())
         run = harness_for(request.engine).execute(request, log)
         events = log.events
-        pairs = annotate(events).message_pairs()
+        pairs = clocks.message_pairs(annotate(events))
         receipts = [
             i for i, e in enumerate(events)
             if e.kind in ("msg_delivered", "msg_withheld")
@@ -225,7 +226,7 @@ class TestByteParity:
                     for dst, e in enumerate(events)
                     if e.kind == "msg_withheld"
                 )
-                structural = annotate(events).message_pairs()
+                structural = clocks.message_pairs(annotate(events))
                 assert set(structural.items()) <= set(true_pairs.items())
                 for dst in set(true_pairs) - set(structural):
                     assert events[dst].kind == "msg_withheld"
@@ -247,14 +248,24 @@ class TestCausalGraph:
 
     def test_lamport_increases_along_edges(self, graph_and_events):
         graph, _ = graph_and_events
-        for edge in graph.edges():
-            assert graph.lamport[edge.src] < graph.lamport[edge.dst]
+        lamport = clocks.lamport(graph)
+        for edge in clocks.edges(graph):
+            assert lamport[edge.src] < lamport[edge.dst]
+        for index in graph.decide_indices():
+            assert all(lamport[i] <= lamport[index] for i in graph.cone(index))
 
     def test_vector_clock_dominates_parents(self, graph_and_events):
         graph, _ = graph_and_events
-        for edge in graph.edges():
-            for pid, tick in graph.vector[edge.src].items():
-                assert graph.vector[edge.dst].get(pid, 0) >= tick
+        vector = clocks.vector(graph)
+        for edge in clocks.edges(graph):
+            for pid, tick in vector[edge.src].items():
+                assert vector[edge.dst].get(pid, 0) >= tick
+        for index in graph.decide_indices():
+            for i in graph.cone(index):
+                assert all(
+                    vector[index].get(pid, 0) >= tick
+                    for pid, tick in vector[i].items()
+                )
 
     def test_decide_cone_spans_all_processes(self, graph_and_events):
         graph, events = graph_and_events

@@ -168,64 +168,3 @@ class TestClosedFormCount:
         assert enumerated == expected_scenario_count(
             3, 1, max_round=2, include_transition=False
         )
-
-
-class TestCanonicalScenarios:
-    """Symmetric dedup: orbit sizes partition the full enumeration.
-
-    `all_scenarios` stays deliberately exhaustive (a scenario-only
-    quotient is unsound for value-asymmetric algorithms — the joint
-    state+scenario quotient lives in `repro.mc.symmetry`); this class
-    pins that `canonical_scenarios` is a true partition of it.
-    """
-
-    def test_orbit_sizes_sum_to_the_rs_closed_form(self):
-        from repro.rounds import canonical_scenarios, expected_scenario_count
-
-        orbits = canonical_scenarios(3, 1, max_round=2, allow_pending=False)
-        assert sum(size for _, size in orbits) == expected_scenario_count(
-            3, 1, max_round=2
-        )
-        assert len(orbits) < expected_scenario_count(3, 1, max_round=2)
-
-    def test_orbit_sizes_sum_to_the_rws_enumeration(self):
-        from repro.rounds import canonical_scenarios
-
-        full = sum(
-            1 for _ in all_scenarios(3, 1, max_round=2, allow_pending=True)
-        )
-        orbits = canonical_scenarios(3, 1, max_round=2, allow_pending=True)
-        assert sum(size for _, size in orbits) == full
-        assert len(orbits) < full
-
-    def test_representatives_are_admissible(self):
-        from repro.rounds import canonical_scenarios
-
-        for allow_pending in (False, True):
-            for scenario, size in canonical_scenarios(
-                3, 2, max_round=2, allow_pending=allow_pending
-            ):
-                assert size >= 1
-                assert not validate_scenario(
-                    scenario, t=2, allow_pending=allow_pending
-                )
-
-    def test_identity_relabel_is_a_no_op(self):
-        from repro.rounds import canonical_scenarios, relabel_scenario
-
-        for scenario, _ in canonical_scenarios(
-            3, 1, max_round=2, allow_pending=True
-        ):
-            assert relabel_scenario(scenario, (0, 1, 2)) == scenario
-
-    def test_relabel_permutes_crash_pids(self):
-        from repro.rounds import relabel_scenario
-        from repro.rounds.scenario import CrashEvent, FailureScenario
-
-        scenario = FailureScenario(
-            n=3,
-            crashes=(CrashEvent(pid=0, round=1, sent_to=frozenset({2})),),
-        )
-        swapped = relabel_scenario(scenario, (1, 0, 2))
-        assert swapped.crashes[0].pid == 1
-        assert swapped.crashes[0].sent_to == frozenset({2})

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.failures import (
-    FailurePattern,
-    all_patterns,
-    crash_free,
-    initially_dead,
-    random_pattern,
-    single_crash,
-)
+from repro.failures import FailurePattern, random_pattern
 
 
 class TestFailurePatternBasics:
@@ -76,14 +69,14 @@ class TestFailurePatternValidation:
 
 class TestGenerators:
     def test_crash_free_generator(self):
-        assert crash_free(3).num_failures() == 0
+        assert FailurePattern.crash_free(3).num_failures() == 0
 
     def test_initially_dead_generator(self):
-        pattern = initially_dead(4, [1, 2])
+        pattern = FailurePattern.with_crashes(4, {1: 0, 2: 0})
         assert pattern.initially_dead == frozenset({1, 2})
 
     def test_single_crash_generator(self):
-        pattern = single_crash(3, 2, 10)
+        pattern = FailurePattern.with_crashes(3, {2: 10})
         assert pattern.crash_time(2) == 10
         assert pattern.num_failures() == 1
 
@@ -97,16 +90,6 @@ class TestGenerators:
     def test_random_pattern_rejects_max_failures_eq_n(self):
         with pytest.raises(ConfigurationError):
             random_pattern(3, 3, 10, random.Random(0))
-
-    def test_all_patterns_count(self):
-        # n=3, <=1 failure, 2 times: 1 + 3*2 = 7 patterns.
-        patterns = list(all_patterns(3, 1, [0, 5]))
-        assert len(patterns) == 7
-
-    def test_all_patterns_unique(self):
-        patterns = list(all_patterns(3, 2, [0, 1]))
-        keys = {tuple(sorted(p.crash_times.items())) for p in patterns}
-        assert len(keys) == len(patterns)
 
 
 @given(

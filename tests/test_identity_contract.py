@@ -29,6 +29,7 @@ from repro.runtime import (
 from repro.runtime import request as request_module
 from repro.runtime.space import vectorized_space
 from tests.reference_keys import reference_cache_key
+from tests.spaces import space_with
 
 #: The ledger's campaign space: 2000 cells, 109 adversaries, 73 traces.
 LEDGER_CELLS, LEDGER_ADVERSARIES, LEDGER_TEMPLATES = 2000, 109, 73
@@ -44,7 +45,7 @@ class TestSpacesInternTheirAdversaries:
     @pytest.mark.parametrize("seed", (7, 23))
     @pytest.mark.parametrize("name", sorted(SPACE_FACTORIES))
     def test_one_instance_per_distinct_scenario(self, name, seed):
-        requests = space_by_name(name, count=200, seed=seed).requests
+        requests = space_with(name, count=200, seed=seed).requests
         instances = {id(request.scenario) for request in requests}
         assert len(instances) == len({request.scenario for request in requests})
 

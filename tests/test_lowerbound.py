@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import refute_round_one_decision, round_one_survey
+from repro.analysis import refute_round_one_decision
 from repro.analysis.lowerbound import _has_round_one_property
 from repro.consensus import A1, FloodSetWS
 from repro.consensus.candidates import (
@@ -49,13 +49,6 @@ class TestRefutation:
         assert not verdict.has_round_one_property
         assert not verdict.refuted
         assert "Λ >= 2" in verdict.describe()
-
-    def test_survey_covers_all_candidates(self):
-        verdicts = round_one_survey(ROUND_ONE_CANDIDATES, 3, 1)
-        assert len(verdicts) == len(ROUND_ONE_CANDIDATES)
-        assert all(
-            v.refuted or not v.has_round_one_property for v in verdicts
-        )
 
 
 class TestCandidateBehaviours:

@@ -16,7 +16,6 @@ from repro.mc.properties import (
     evaluate_property,
     parse_bound,
 )
-from repro.mc.verdict import Verdict
 from repro.runtime.harness import execute_request
 
 
@@ -167,19 +166,14 @@ class TestSerialization:
         verdict = _check("agreement", "floodset", model="RWS").verdict
         data = json.loads(verdict.to_json())
         assert data["kind"] == "mc-verdict"
-        restored = Verdict.from_dict(data)
-        assert restored.to_dict() == verdict.to_dict()
+        assert data == json.loads(json.dumps(verdict.to_dict()))
         for key in ("states_visited", "revisit_pruned", "dominance_pruned"):
-            assert key in restored.stats
+            assert key in data["stats"]
 
     def test_stats_are_deterministic_across_runs(self):
         first = _check("agreement", "floodset").verdict
         second = _check("agreement", "floodset").verdict
         assert first.to_dict() == second.to_dict()
-
-    def test_from_dict_rejects_other_kinds(self):
-        with pytest.raises(ConfigurationError):
-            Verdict.from_dict({"kind": "repro-counterexample"})
 
 
 class TestTaskValidation:

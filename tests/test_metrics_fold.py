@@ -32,6 +32,7 @@ from repro.runtime.space import (
     vectorized_space,
 )
 from tests.reference_metrics import ReferenceMetrics
+from tests.spaces import space_with
 
 SPACES = sorted(name for name in SPACE_FACTORIES if name != "live-smoke")
 
@@ -47,7 +48,7 @@ def reference(request):
 @pytest.mark.parametrize("engine", ["rounds", "vector"])
 @pytest.mark.parametrize("name", SPACES)
 def test_every_cell_of_every_space_matches_the_reference(name, engine, seed):
-    space = space_by_name(name, count=300, seed=seed)
+    space = space_with(name, count=300, seed=seed)
     if engine == "vector":
         space = vectorized_space(space)
     sweep = SweepRunner().run(space)

@@ -871,7 +871,7 @@ class TestMetricsHandle:
         assert opened == [str(run.path / "metrics.jsonl")]
         run.finalize({"coverage": {}})
         assert run._metrics is None
-        run.record_line({"t": "late"})  # a later leg-less record reopens
+        run.record_cell(name="late", key="late", cached=False)  # reopens
         run.mark_interrupted()
         assert run._metrics is None
         assert len(run.metrics_records()) == 6

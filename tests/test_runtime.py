@@ -203,6 +203,19 @@ class TestScenarioSpace:
         with pytest.raises(ConfigurationError):
             space_by_name("no-such-space")
 
+    def test_space_by_name_refuses_what_a_space_does_not_take(self):
+        assert len(space_by_name("e10-lambda")) == 32
+        assert len(space_by_name("live-smoke", seed=3)) == len(
+            space_by_name("live-smoke")
+        )
+        for name, options in [
+            ("e10-lambda", {"count": 0}),
+            ("e10-lambda", {"seed": 7}),
+            ("live-smoke", {"count": 3}),
+        ]:
+            with pytest.raises(ConfigurationError, match="takes no"):
+                space_by_name(name, **options)
+
 
 class TestSweepDeterminism:
     """jobs=1 and jobs=4 must be byte-identical, for every engine."""

@@ -1,4 +1,4 @@
-"""Tests for JSON serialization of scenarios, profiles and reports."""
+"""Tests for JSON serialization of failure scenarios."""
 
 from __future__ import annotations
 
@@ -9,25 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from repro.analysis import latency_profile
-from repro.commit import commit_rate
-from repro.commit.algorithms import SynchronousCommit
-from repro.consensus import A1
-from repro.core import run_experiment
 from repro.errors import ConfigurationError
-from repro.rounds import RoundModel, random_scenario
+from repro.rounds import random_scenario
 from repro.serialize import (
-    commit_report_to_dict,
-    profile_from_dict,
-    profile_to_dict,
-    result_from_dict,
-    result_to_dict,
     scenario_from_dict,
-    scenario_from_json,
     scenario_to_dict,
-    scenario_to_json,
 )
 from repro.workloads import a1_rws_disagreement, floodset_rws_violation
+
+
+def _to_json(scenario):
+    return json.dumps(scenario_to_dict(scenario), sort_keys=True)
+
+
+def _from_json(text):
+    return scenario_from_dict(json.loads(text))
 
 
 class TestScenarioRoundTrip:
@@ -37,11 +33,11 @@ class TestScenarioRoundTrip:
         ids=["a1", "floodset"],
     )
     def test_named_scenarios_round_trip(self, scenario):
-        assert scenario_from_json(scenario_to_json(scenario)) == scenario
+        assert _from_json(_to_json(scenario)) == scenario
 
     def test_json_is_stable(self):
         scenario = a1_rws_disagreement(3)
-        assert scenario_to_json(scenario) == scenario_to_json(scenario)
+        assert _to_json(scenario) == _to_json(scenario)
 
     def test_dict_shape(self):
         data = scenario_to_dict(floodset_rws_violation(3))
@@ -60,35 +56,4 @@ class TestScenarioRoundTrip:
         scenario = random_scenario(
             4, 2, max_round=3, allow_pending=True, rng=rng
         )
-        assert scenario_from_json(scenario_to_json(scenario)) == scenario
-
-
-class TestProfileRoundTrip:
-    def test_round_trip(self):
-        profile = latency_profile(A1(), 3, 1, RoundModel.RS)
-        data = profile_to_dict(profile)
-        json.dumps(data)  # must be JSON-representable
-        restored = profile_from_dict(data)
-        assert restored.Lat == profile.Lat
-        assert restored.lat_by_config == profile.lat_by_config
-        assert restored.Lat_by_failures == profile.Lat_by_failures
-
-
-class TestResultRoundTrip:
-    def test_round_trip(self):
-        result = run_experiment("E2")
-        data = result_to_dict(result)
-        json.dumps(data)
-        restored = result_from_dict(data)
-        assert restored.exp_id == "E2"
-        assert restored.ok == result.ok
-        assert restored.measured == result.measured
-
-
-class TestCommitReportDict:
-    def test_shape_and_json(self):
-        report = commit_rate(SynchronousCommit(), RoundModel.RS)
-        data = commit_report_to_dict(report)
-        json.dumps(data)
-        assert data["commit_rate"] == 1.0
-        assert data["violations"] == []
+        assert _from_json(_to_json(scenario)) == scenario

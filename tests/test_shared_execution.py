@@ -43,6 +43,7 @@ from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import named_cell, vectorized_space
 from repro.workloads import failure_free
 from tests.reference_keys import reference_work_key
+from tests.spaces import space_with
 
 #: Every registered space but ``live-smoke``: live runs are wall-clock
 #: samples, never reproduced by a second execution.
@@ -50,7 +51,7 @@ DETERMINISTIC_SPACES = sorted(set(SPACE_FACTORIES) - {"live-smoke"})
 
 
 def _space(name, engine="rounds", **kwargs):
-    space = space_by_name(name, **kwargs)
+    space = space_with(name, **kwargs)
     return vectorized_space(space) if engine == "vector" else space
 
 

@@ -20,7 +20,6 @@ from repro.simulation import (
     StepOutcome,
 )
 from repro.simulation.automaton import IdleAutomaton
-from repro.simulation.executor import run_until_quiet
 
 
 class PingAutomaton(StepAutomaton):
@@ -84,7 +83,12 @@ class TestExecutorBasics:
         run = executor.execute(10)
         # p0 and p1 alternate; every sent message is delivered next step.
         assert len(run.messages) == 10
-        received = run.messages_received_by(1)
+        received = [
+            run.messages[uid]
+            for step in run.schedule
+            if step.pid == 1
+            for uid in step.received_uids
+        ]
         assert all(m.sender == 0 for m in received)
 
     def test_crashed_process_takes_no_steps(self):
@@ -273,6 +277,9 @@ class TestRunUntilQuiet:
                 return StepOutcome(state=ctx.state + 1)
 
         executor = make_executor(DecideAfterThree(), n=2)
-        run = run_until_quiet(executor, 100, decided=lambda s: s >= 3)
+        # Nothing crashes, so the run is quiet once every process decided.
+        run = executor.execute(
+            100, stop_when=lambda states: all(s >= 3 for s in states.values())
+        )
         assert all(v >= 3 for v in run.final_states.values())
         assert len(run.schedule) <= 8

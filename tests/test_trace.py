@@ -81,20 +81,6 @@ class TestRoundTableau:
 
 
 class TestDotExport:
-    def test_step_run_dot_structure(self):
-        import random
-
-        from repro.failures import FailurePattern
-        from repro.sdd import solve_sdd_ss
-        from repro.trace import step_run_to_dot
-
-        pattern = FailurePattern.with_crashes(2, {0: 2})
-        run = solve_sdd_ss(1, pattern, rng=random.Random(1))
-        dot = step_run_to_dot(run)
-        assert dot.startswith("digraph run {")
-        assert dot.rstrip().endswith("}")
-        assert "CRASH" in dot
-        assert "color=blue" in dot  # at least one message arrow
 
     def test_round_run_dot_marks_pending_and_decisions(self):
         from repro.consensus import A1

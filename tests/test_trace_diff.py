@@ -7,7 +7,6 @@ from repro.obs import (
     EventLog,
     diff_traces,
     first_divergence,
-    indistinguishable,
     local_view,
     logical_clock,
     view_divergence,
@@ -121,8 +120,8 @@ class TestSDDIndistinguishability:
         for name, factory in SP_CANDIDATE_FACTORIES.items():
             traces = sdd_quadruple_traces(factory)
             for left, right in (("r0", "r0'"), ("r1", "r1'")):
-                assert indistinguishable(
-                    traces[left].events, traces[right].events, RECEIVER
+                assert local_view(traces[left].events, RECEIVER) == local_view(
+                    traces[right].events, RECEIVER
                 ), f"{name}: receiver distinguishes {left} from {right}"
 
     def test_sender_views_differ_across_pairs(self):

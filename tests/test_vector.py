@@ -31,6 +31,7 @@ from tests.reference.validators import (
     check_round_synchrony,
     check_weak_round_synchrony,
 )
+from tests.spaces import space_with
 
 #: Every registered space of round-executor cells.
 ROUND_SPACES = ("oracle-sweep", "e10-lambda", "random-rs", "random-rws")
@@ -128,7 +129,7 @@ class TestRegisteredSpaceGoldens:
     def test_vectorized_cells_are_replace_engine_vector(self, name):
         """vectorized_space copies a request field by field; a field it
         forgot would show here as an unequal request."""
-        space = space_by_name(name, count=40, seed=7)
+        space = space_with(name, count=40, seed=7)
         for request, vector in zip(
             space.requests, vectorized_space(space).requests
         ):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.rounds import validate_scenario
@@ -16,7 +14,6 @@ from repro.workloads import (
     failure_free,
     floodset_rws_violation,
     initially_dead_t,
-    random_values,
     unanimous,
 )
 
@@ -27,11 +24,6 @@ class TestConfigs:
 
     def test_adversarial_split(self):
         assert adversarial_split(4) == (0, 1, 1, 1)
-
-    def test_random_values_domain(self):
-        values = random_values(6, random.Random(1), domain=("a", "b"))
-        assert len(values) == 6
-        assert set(values) <= {"a", "b"}
 
 
 class TestScenarios:
