@@ -77,14 +77,16 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 # cache ("executed 0").  Then the usage errors a sweep, a coordinator
 # and a trace export must refuse before a cell runs (exit 2, one
 # `error:` line, no traceback, no run directory; an uncreatable
-# --cache-dir and a --count given to a space that takes none among
-# them) and an engine that
+# --cache-dir, a --count given to a space that takes none and a
+# REPRO_INJECT_BUG that names no registered mutation among them; an
+# entry may start with one VAR=value for the environment) and an engine that
 # cannot finish a run under `mc` (same refusal), the stderr line that
 # tells a user how many runs stood behind their cells, and the
 # merged-trace writer's routes — the rounds engine's own templates,
 # the same run under the engine's second name ("vector"),
 # representatives shipped to a pool, and a rounds-engine run directory
-# cold and resumed — compared byte for byte.  The resumed leg's oracle
+# cold and resumed — compared byte for byte, on random-rs (mostly
+# renamed twins of a few runs) and random-rws.  The resumed leg's oracle
 # verdicts must all be clean, its manifest and summary must parse, and
 # its stored cells must have been judged once per distinct trace
 # content (0 < oracle.judged < 300); both spellings' run directories
@@ -110,11 +112,14 @@ sweep-smoke:
 			"serve fuzz --count -3" \
 			"serve random-rs --shard-size 0" \
 			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl" \
+			"REPRO_INJECT_BUG=no-such-bug sweep random-rs --count 20 --check" \
 			"mc agreement --algorithm a1 --n 3 --t 1 --model RWS --engine rws_on_sp"; do \
-		echo "repro $$refused  # must be refused"; \
+		case "$$refused" in [A-Z]*=*) environment=$${refused%% *}; \
+			refused=$${refused#* } ;; *) environment= ;; esac; \
+		echo "$${environment:+$$environment }repro $$refused  # must be refused"; \
 		case "$$refused" in trace*|mc*|*--cache-dir*) run_dir= ;; \
 			*) run_dir="--run-dir $(SWEEP_SMOKE_CACHE)/refused" ;; esac; \
-		PYTHONPATH=src python -m repro $$refused $$run_dir \
+		env PYTHONPATH=src $$environment python -m repro $$refused $$run_dir \
 			2> $(SWEEP_SMOKE_CACHE)/stderr; \
 		code=$$?; cat $(SWEEP_SMOKE_CACHE)/stderr; \
 		test $$code -eq 2 || { echo "exit $$code, expected 2"; exit 1; }; \
@@ -122,7 +127,8 @@ sweep-smoke:
 		! grep -q Traceback $(SWEEP_SMOKE_CACHE)/stderr || exit 1; \
 		test ! -e $(SWEEP_SMOKE_CACHE)/refused || exit 1; \
 	done
-	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 2>&1 \
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl 2>&1 \
 		| tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
 	REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src python -m repro sweep random-rs \
 		--count 300 --seed 7 2>&1 | tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
@@ -152,6 +158,22 @@ sweep-smoke:
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_vector.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_cold.jsonl
 	cmp $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rws_warm.jsonl
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 --jobs 2 \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rs_jobs2.jsonl
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 --engine vector \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rs_vector_runs \
+		--jsonl $(SWEEP_SMOKE_CACHE)/rs_vector.jsonl
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 --check \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rs_runs --jsonl $(SWEEP_SMOKE_CACHE)/rs_cold.jsonl
+	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 --check \
+		--run-dir $(SWEEP_SMOKE_CACHE)/rs_runs --jsonl $(SWEEP_SMOKE_CACHE)/rs_warm.jsonl \
+		> $(SWEEP_SMOKE_CACHE)/rs_warm.out
+	cat $(SWEEP_SMOKE_CACHE)/rs_warm.out
+	grep -q "executed 0," $(SWEEP_SMOKE_CACHE)/rs_warm.out
+	cmp $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rs_jobs2.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rs_vector.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rs_cold.jsonl
+	cmp $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl $(SWEEP_SMOKE_CACHE)/rs_warm.jsonl
 	@for leg in cold warm; do \
 		echo "repro sweep random-rws --count 300 --run-dir  # $$leg, -X dev, no unclosed file"; \
 		PYTHONPATH=src python -X dev -W error::ResourceWarning -m repro sweep random-rws \

@@ -18,18 +18,9 @@ from repro.fuzz import (
     LIVE_FUZZ_ENGINE,
     run_campaign,
 )
-from repro.inject import INJECT_ENV, KNOWN_INJECTIONS, active_injection
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    injected = active_injection()
-    if injected is not None and injected not in KNOWN_INJECTIONS:
-        print(
-            f"error: {INJECT_ENV}={injected!r} is not a registered "
-            f"injection; choose from {sorted(KNOWN_INJECTIONS)}",
-            file=sys.stderr,
-        )
-        return 2
     if not jobs_ok(args.jobs):
         return 2
     try:

@@ -140,6 +140,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else "")
     args = parser.parse_args(argv)
+    # Every command, before it opens anything: imported here, not at
+    # the top, so the root help and usage errors load no more than this.
+    from repro.inject import unregistered_injection
+
+    problem = unregistered_injection()
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -39,3 +39,20 @@ def active_injection() -> str | None:
     """The currently injected bug name, or ``None`` for the real code."""
     name = os.environ.get(INJECT_ENV)
     return name if name else None
+
+
+def unregistered_injection() -> str | None:
+    """What is wrong with the active injection, or ``None``.
+
+    A name that is no registered mutation runs the real code, while the
+    name still enters every cache key and run manifest: a mistyped
+    mutant would read as one the oracle failed to kill.  The CLI
+    refuses it for every command with this text.
+    """
+    name = active_injection()
+    if name is None or name in KNOWN_INJECTIONS:
+        return None
+    return (
+        f"{INJECT_ENV}={name!r} is not a registered injection; "
+        f"choose from {sorted(KNOWN_INJECTIONS)}"
+    )

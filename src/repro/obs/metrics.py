@@ -147,12 +147,33 @@ class MetricsRegistry:
         states in a fixed order yields the same aggregate regardless of
         how execution was scheduled across workers.
         """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, values in state.get("histograms", {}).items():
-            self.histogram(name).values.extend(values)
+        self.merge_states((state,))
+
+    def merge_states(self, states: Sequence[dict[str, Any]]) -> None:
+        """:meth:`merge_state` each of ``states`` in order, with every
+        distinct state *object*'s counters added once, times the number
+        of places it holds in ``states``.
+
+        A sweep's twins share one state object, so a stream of 2000
+        cells over 109 runs adds 109 counter sets (a counter counts, so
+        its values are ints and ``value * times`` is exact).  Gauges and
+        histograms depend on the order (last write wins, samples
+        extend), so they are still merged state by state.
+        """
+        multiplicity: dict[int, list[Any]] = {}
+        for state in states:
+            seen = multiplicity.get(id(state))
+            if seen is None:
+                multiplicity[id(state)] = [state, 1]
+            else:
+                seen[1] += 1
+            for name, value in state.get("gauges", {}).items():
+                self.gauge(name).set(value)
+            for name, values in state.get("histograms", {}).items():
+                self.histogram(name).values.extend(values)
+        for state, times in multiplicity.values():
+            for name, value in state.get("counters", {}).items():
+                self.counter(name).inc(value * times)
 
     def render(self) -> str:
         """A human-readable dump, one instrument per line."""

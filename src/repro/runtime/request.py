@@ -204,7 +204,8 @@ class ExecutionRequest:
         The hash is memoized on the (frozen) instance together with
         the bug injection it was computed under, so a changed
         ``REPRO_INJECT_BUG`` recomputes; the memo is not a dataclass
-        field, so ``dataclasses.replace`` copies start without it.
+        field, so ``dataclasses.replace`` copies (and :meth:`renamed`
+        twins) start without it.
         """
         # A mutated engine (REPRO_INJECT_BUG) computes different results
         # for the same request; the canonical form names the injection,
@@ -213,7 +214,8 @@ class ExecutionRequest:
         memo = self.__dict__.get("_key_memo")
         if memo is not None and memo[0] == injected:
             return memo[1]
-        canonical = _canonical_form(self, _fragment(self.name), injected)
+        head, tail = self._halves(injected)
+        canonical = "".join((head, _fragment(self.name), tail))
         key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_key_memo", (injected, key))
         return key
@@ -233,12 +235,54 @@ class ExecutionRequest:
         different runs on the wire, while equal scenarios held as
         distinct instances serialize alike and share a key.  An active
         bug injection is part of the form, so a mutant's equal cells
-        share a run too, and never one of the real code's.  Not
-        memoized: a key is ~600 bytes, and a caller grouping a
-        saturated stream keeps one per distinct run, not one per
-        request.
+        share a run too, and never one of the real code's.
+
+        Both keys are built from the form's two halves around the name
+        slot, memoized per injection on first use and shared by a
+        request's :meth:`renamed` twins: the space builders hand a run's
+        every further cell out as a twin of its first, so the form is
+        built once per run, and a twin's keys cost a concatenation and,
+        for :meth:`cache_key`, one SHA-256.
         """
-        return _canonical_form(self, '""', active_injection())
+        head, tail = self._halves(active_injection())
+        return "".join((head, '""', tail))
+
+    def renamed(self, name: str) -> "ExecutionRequest":
+        """This request under another ``name``: a *twin*, equal to it in
+        every other field and sharing its canonical-form memo (see
+        :meth:`work_key`), built without the constructor's checks,
+        which this request already passed."""
+        twin = object.__new__(type(self))
+        fields = twin.__dict__
+        fields.update(self.__dict__)
+        fields.pop("_key_memo", None)
+        fields["name"] = name
+        fields["_form_memo"] = self._forms()
+        return twin
+
+    def _forms(self) -> dict[str | None, tuple[str, str]]:
+        """The canonical-form memo: injection -> (head, tail), shared
+        with every :meth:`renamed` twin.  Created empty on first use and
+        filled by :meth:`_halves`, so a space that nobody keys builds no
+        form."""
+        forms = self.__dict__.get("_form_memo")
+        if forms is None:
+            forms = self.__dict__["_form_memo"] = {}
+        return forms
+
+    def _halves(self, injected: str | None) -> tuple[str, str]:
+        forms = self._forms()
+        halves = forms.get(injected)
+        if halves is None:
+            halves = forms[injected] = _canonical_form(self, injected)
+        return halves
+
+
+def twin_group(request: ExecutionRequest) -> int:
+    """An identity ``request`` shares with exactly the requests it was
+    :meth:`~ExecutionRequest.renamed` from or to: the id of their common
+    canonical-form memo (created empty if it has none yet)."""
+    return id(request._forms())
 
 
 #: ``json.dumps(value, sort_keys=True, default=repr)`` without building
@@ -284,10 +328,11 @@ def _scenario_fragment(scenario: FailureScenario) -> str:
 
 
 def _canonical_form(
-    request: ExecutionRequest, name: str, injected: str | None
-) -> str:
-    """The one definition of a request's canonical JSON, with ``name``
-    (already a JSON fragment) in the name slot.
+    request: ExecutionRequest, injected: str | None
+) -> tuple[str, str]:
+    """The one definition of a request's canonical JSON, as the two
+    halves around its name slot: ``head + name + tail`` is the form
+    with ``name`` (a JSON fragment) in that slot.
 
     Byte for byte ``json.dumps({"v": CACHE_SCHEMA_VERSION, "request":
     request.to_dict()}, sort_keys=True, default=repr)``, plus an
@@ -295,10 +340,10 @@ def _canonical_form(
     fixes where every key goes, so the string is the fixed keys
     interleaved with one fragment per field (tuples encode as the
     lists ``to_dict`` spells).  A :class:`FailurePattern` is encoded
-    per request: its ``crash_times`` is a plain dict.
+    per form: its ``crash_times`` is a plain dict.
     """
     scenario, pattern = request.scenario, request.pattern
-    return "".join(
+    head = "".join(
         (
             "{"
             if injected is None
@@ -316,7 +361,10 @@ def _canonical_form(
             ', "model": ',
             _fragment(request.model),
             ', "name": ',
-            name,
+        )
+    )
+    tail = "".join(
+        (
             ', "params": ',
             _encode(request.params) if request.params else "[]",
             ', "pattern": ',
@@ -334,6 +382,7 @@ def _canonical_form(
             "}",
         )
     )
+    return head, tail
 
 
 @dataclass

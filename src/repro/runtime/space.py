@@ -55,7 +55,7 @@ from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
 from repro.rounds.enumeration import all_value_assignments, random_scenario
 from repro.rounds.scenario import FailureScenario
-from repro.runtime.request import ExecutionRequest
+from repro.runtime.request import ExecutionRequest, twin_group
 from repro.workloads import (
     a1_rws_disagreement,
     adversarial_split,
@@ -140,10 +140,17 @@ class ScenarioSpace:
         ``n = 4``), and equal draws become *one* object: ``interned``
         maps each scenario to the instance its cells share.  It is
         local to this call unless a builder joining several streams
-        into one space passes its own.
+        into one space passes its own.  A cell that repeats an earlier
+        draw is built as that cell's twin
+        (:meth:`~repro.runtime.request.ExecutionRequest.renamed`), so
+        the run's canonical form is built once, for all of its cells.
         """
         if interned is None:
             interned = {}
+        # The first cell of each adversary, by scenario instance: every
+        # other field is the stream's, so a cell whose adversary was
+        # drawn before is that cell's twin (ExecutionRequest.renamed).
+        runs: dict[int, ExecutionRequest] = {}
         requests = []
         for index in range(count):
             rng = random.Random(derived_seed(seed, index))
@@ -155,9 +162,11 @@ class ScenarioSpace:
                 rng=rng,
             )
             scenario = interned.setdefault(scenario, scenario)
-            requests.append(
-                ExecutionRequest(
-                    name=f"{name}-{index:03d}",
+            cell = f"{name}-{index:03d}"
+            first = runs.get(id(scenario))
+            if first is None:
+                first = runs[id(scenario)] = ExecutionRequest(
+                    name=cell,
                     engine="rounds",
                     algorithm=algorithm,
                     values=adversarial_split(n),
@@ -167,7 +176,9 @@ class ScenarioSpace:
                     max_rounds=max_rounds,
                     check_consensus=check_consensus,
                 )
-            )
+                requests.append(first)
+            else:
+                requests.append(first.renamed(cell))
         return cls(name=name, requests=tuple(requests))
 
 
@@ -464,15 +475,24 @@ def vectorized_space(space: ScenarioSpace) -> ScenarioSpace:
     ROADMAP 8(h)).  Emulation and live cells pass through untouched.
     Cell names are preserved — the engine field is part of every cache
     key, so the rewritten cells cache separately from their rounds
-    twins while the merged traces stay byte-identical.
+    twins while the merged traces stay byte-identical.  Cells built as
+    twins (:meth:`~repro.runtime.request.ExecutionRequest.renamed`)
+    stay twins of one another.
     """
-    return ScenarioSpace(
-        name=space.name,
-        requests=tuple(
-            _on_vector(request) if request.engine == "rounds" else request
-            for request in space.requests
-        ),
-    )
+    # The first vector cell per twin group of the input; the group's
+    # other cells become its twins.
+    firsts: dict[int, ExecutionRequest] = {}
+    requests = []
+    for request in space.requests:
+        if request.engine == "rounds":
+            group = twin_group(request)
+            first = firsts.get(group)
+            if first is None:
+                request = firsts[group] = _on_vector(request)
+            else:
+                request = first.renamed(request.name)
+        requests.append(request)
+    return ScenarioSpace(name=space.name, requests=tuple(requests))
 
 
 def _on_vector(request: ExecutionRequest) -> ExecutionRequest:

@@ -42,13 +42,13 @@ from repro.runtime.harness import (  # noqa: F401
     execute_request,
     harness_for,
 )
-from repro.runtime.request import ROUND_ENGINES
+from repro.runtime.request import ROUND_ENGINES, ExecutionResult
 
 if TYPE_CHECKING:
     from repro.obs.check import CheckReport
     from repro.obs.template import TraceTemplate
     from repro.runtime.cache import ResultCache
-    from repro.runtime.request import ExecutionRequest, ExecutionResult
+    from repro.runtime.request import ExecutionRequest
     from repro.runtime.space import ScenarioSpace
 
 
@@ -117,12 +117,18 @@ def _serve(
             if key != "profile"
         }
         extra["profile"] = {"duration_s": profile["duration_s"], "spans": {}}
+        # The constructor, not dataclasses.replace, which walks fields()
+        # and builds a kwargs dict per twin.
         served.append(
-            replace(
-                result,
+            ExecutionResult(
                 name=request.name,
                 request_key=request.cache_key(),
+                events=result.events,
+                decisions=result.decisions,
+                latency=result.latency,
+                num_rounds=result.num_rounds,
                 extra=extra,
+                cached=result.cached,
             )
         )
     return served
@@ -319,13 +325,16 @@ class SweepResult:
         :func:`check_cell` reads, so cells that agree in them take the
         first one's verdict under their own name — the cells of one run
         and, since a store hands out one template per digest, the
-        stored cells of one trace alike.  ``distinct`` defaults to one
-        run per cell.
+        stored cells of one trace alike.  A cell holding an earlier
+        cell's trace object is that cell's twin and takes its verdict
+        before any key is built.  ``distinct`` defaults to one run per
+        cell.
         """
-        # Fold metrics in space order so the result is schedule-independent.
+        # Fold metrics in space order so the result is schedule-independent;
+        # a run's twins share one state object, whose counters are added
+        # once, times its multiplicity.
         registry = MetricsRegistry()
-        for result in results:
-            registry.merge_state(result.metrics)
+        registry.merge_states([result.metrics for result in results])
         # Only schedule-independent facts may enter the aggregate:
         # executed/cached counts live on the SweepResult, not in the
         # registry, so a cache-warm re-run aggregates identically.
@@ -336,12 +345,18 @@ class SweepResult:
         if check:
             with profiled("runtime.sweep.check"):
                 checks = []
+                # Verdicts by trace object first: the cells sharing one
+                # are a run's twins, whose verdict keys are equal.
+                by_trace: dict[int, CellCheck] = {}
                 for request, result in zip(requests, results):
-                    key = _verdict_key(request, result)
-                    verdict = judged.get(key)
+                    verdict = by_trace.get(id(result.events))
                     if verdict is None:
-                        verdict = judged[key] = check_cell(request, result)
-                    else:
+                        key = _verdict_key(request, result)
+                        verdict = judged.get(key)
+                        if verdict is None:
+                            verdict = judged[key] = check_cell(request, result)
+                        by_trace[id(result.events)] = verdict
+                    if verdict.name != request.name:
                         verdict = CellCheck(
                             request.name,
                             verdict.ok,

@@ -2,8 +2,8 @@
 
 Each paper claim is one test so failures are attributable.  The quick
 parameterisations are used, each experiment run once per session
-(``quick_experiments`` in conftest.py); the benchmark suite runs the
-same functions under timing.
+(``quick_experiments`` in conftest.py); ``make report-check`` runs
+the same functions to regenerate EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -463,6 +463,33 @@ class TestFuzzCLI:
         assert cli_main(["fuzz", "--budget", "4"]) == 2
         assert "not a registered injection" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "random-rs", "--count", "20", "--check", "--run-dir"],
+            ["mc", "agreement", "--algorithm", "floodset", "--n", "3",
+             "--t", "1", "--run-dir"],
+            ["fuzz", "--budget", "4", "--run-dir"],
+            ["check", "floodset-rws"],
+        ],
+        ids=("sweep", "mc", "fuzz", "check"),
+    )
+    def test_every_command_rejects_unknown_injection(
+        self, argv, capsys, monkeypatch, tmp_path
+    ):
+        # A mistyped mutant would run the real code under cache keys and
+        # a manifest naming it: refused before anything is opened.
+        monkeypatch.setenv(INJECT_ENV, "no-such-bug")
+        runs = tmp_path / "runs"
+        if argv[-1] == "--run-dir":
+            argv = [*argv, str(runs)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 1
+        assert "'no-such-bug' is not a registered injection" in captured.err
+        assert not runs.exists()
+
     def test_replay_requires_arguments(self, capsys):
         assert cli_main(["replay"]) == 2
         assert "provide a scenario" in capsys.readouterr().err

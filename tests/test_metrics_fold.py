@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.obs import metrics_of
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     ExecutionResult,
     SweepRunner,
@@ -87,6 +88,45 @@ def test_a_stored_or_shipped_result_refolds_the_same_metrics(tmp_path):
         shipped = ExecutionResult.from_dict(json.loads(json.dumps(fresh.to_dict())))
         assert hit.metrics == shipped.metrics == fresh.metrics
     assert stored.metrics.state() == executed.metrics.state()
+
+
+def _per_cell_fold(results):
+    """The aggregate a sweep's metrics must equal: every cell's state
+    merged on its own, in space order."""
+    registry = MetricsRegistry()
+    for result in results:
+        registry.merge_state(result.metrics)
+    registry.counter("sweep.cells.total").inc(len(results))
+    return registry.state()
+
+
+@pytest.mark.parametrize(
+    "name, engine, leg",
+    [
+        (name, engine, leg)
+        for name in SPACES
+        for engine in ("rounds", "vector")
+        for leg in ("executed", "stored")
+    ]
+    + [("live-smoke", "live", "executed")],
+)
+def test_the_sweep_fold_equals_the_per_cell_fold(name, engine, leg, tmp_path):
+    # A sweep adds the counters of a state that k cells share once,
+    # times k: a run's twins (interleaved with other runs in every
+    # stream) and, from a store, the cells of one template.  Gauges and
+    # histograms (the emulation cells' suspicion delays among them)
+    # still merge per cell.
+    space = space_with(name, count=300, seed=7)
+    if engine == "vector":
+        space = vectorized_space(space)
+    cache = ResultCache(str(tmp_path)) if leg == "stored" else None
+    sweep = SweepRunner(cache=cache).run(space)
+    if cache is not None:
+        sweep = SweepRunner(cache=cache).run(space)
+        assert sweep.executed == 0
+    assert json.dumps(sweep.metrics.state()) == json.dumps(
+        _per_cell_fold(sweep.results)
+    )
 
 
 def test_an_instrument_exists_only_once_an_event_feeds_it():

@@ -26,6 +26,7 @@ import pytest
 
 from repro.cli.main import main
 from repro.obs.events import Event
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import summarize_sweep, summary_problems
 from repro.runtime import (
     SPACE_FACTORIES,
@@ -38,6 +39,7 @@ from repro.runtime import (
     run_space,
     space_by_name,
 )
+from repro.runtime import request as request_module
 from repro.runtime import sweep as sweep_module
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.space import named_cell, vectorized_space
@@ -189,6 +191,39 @@ class TestRunCounts:
         assert counted["execute_batch"] == 0
         assert counted["check_cell"] == sweep.judged == 92
         assert sweep.distinct == 92 and sweep.checks_ok
+
+    @pytest.mark.parametrize("engine", ("rounds", "vector"))
+    def test_a_twin_costs_no_canonical_form_and_no_counter_fold(
+        self, engine, counted, monkeypatch
+    ):
+        # The ledger's stream: 2000 cells, 109 runs.  Keying a twin
+        # reuses its run's canonical form, and the metrics fold adds a
+        # run's counters once, times its cells.
+        space = _space("random-rs", engine, count=2000, seed=7)
+        calls: Counter = Counter()
+        form = request_module._canonical_form
+        counter = MetricsRegistry.counter
+
+        def building(*args):
+            calls["forms"] += 1
+            return form(*args)
+
+        def fetching(registry, name):
+            # Every run's state counts its rounds, so this counter is
+            # fetched once per counter fold.
+            calls["counter folds"] += name == "rounds.started"
+            return counter(registry, name)
+
+        monkeypatch.setattr(request_module, "_canonical_form", building)
+        monkeypatch.setattr(MetricsRegistry, "counter", fetching)
+        sweep = run_space(space, check=True)
+        assert calls == {"forms": 109, "counter folds": 109}
+        assert counted["execute_request"] == counted["check_cell"] == 109
+        assert (sweep.total, sweep.distinct) == (2000, 109) and sweep.checks_ok
+        assert sweep.metrics.counter("rounds.started").value == sum(
+            result.metrics["counters"]["rounds.started"]
+            for result in sweep.results
+        )
 
     def test_a_space_without_twins_is_all_runs(self, counted):
         sweep = run_space(_space("e10-lambda"), check=True)
