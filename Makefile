@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke serve-smoke mc-smoke ledger-smoke startup-report line-audit clean
+.PHONY: install test test-fast coverage examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke mc-smoke ledger-smoke startup-report line-audit clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -41,6 +41,11 @@ report-check:
 	PYTHONPATH=src python -m repro report --output $(REPORT_CHECK_OUT)
 	cmp $(REPORT_CHECK_OUT) EXPERIMENTS.md
 
+# Copies a pipe's lines to stderr and passes them on.  It writes through
+# the inherited descriptor: `tee /dev/stderr` reopens the file with
+# O_TRUNC, so `make sweep-smoke > log 2>&1` lost every earlier line.
+TEE_STDERR = awk '{ print; print > "/dev/stderr" }'
+
 TRACE_SMOKE_OUT ?= /tmp/repro_trace_smoke.jsonl
 
 trace-smoke:
@@ -74,7 +79,7 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 
 # Run a small checked sweep twice against a fresh cache: the first run
 # executes every cell, the second must serve all of them from the
-# cache ("executed 0").  Then the usage errors a sweep, a coordinator
+# cache ("executed 0").  Then the usage errors a sweep, a fuzz campaign
 # and a trace export must refuse before a cell runs (exit 2, one
 # `error:` line, no traceback, no run directory; an uncreatable
 # --cache-dir, a --count given to a space that takes none and a
@@ -99,7 +104,7 @@ sweep-smoke:
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
 		--cache-dir $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
-		--cache-dir $(SWEEP_SMOKE_CACHE) | tee /dev/stderr | grep -q "executed 0,"
+		--cache-dir $(SWEEP_SMOKE_CACHE) | $(TEE_STDERR) | grep -q "executed 0,"
 	echo "not a directory" > $(SWEEP_SMOKE_CACHE)/file
 	@for refused in \
 			"sweep random-rs --count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
@@ -109,8 +114,6 @@ sweep-smoke:
 			"sweep e10-lambda --count 0 --check" \
 			"sweep random-rs --count 2 --jobs 0" \
 			"sweep random-rs --count 2 --jobs -3" \
-			"serve fuzz --count -3" \
-			"serve random-rs --shard-size 0" \
 			"trace floodset-rws --jsonl $(SWEEP_SMOKE_CACHE)/missing/x.jsonl" \
 			"REPRO_INJECT_BUG=no-such-bug sweep random-rs --count 20 --check" \
 			"mc agreement --algorithm a1 --n 3 --t 1 --model RWS --engine rws_on_sp"; do \
@@ -129,9 +132,9 @@ sweep-smoke:
 	done
 	PYTHONPATH=src python -m repro sweep random-rs --count 300 --seed 7 \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rs_rounds.jsonl 2>&1 \
-		| tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
+		| $(TEE_STDERR) | grep -q "300 scenarios (92 distinct)"
 	REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src python -m repro sweep random-rs \
-		--count 300 --seed 7 2>&1 | tee /dev/stderr | grep -q "300 scenarios (92 distinct)"
+		--count 300 --seed 7 2>&1 | $(TEE_STDERR) | grep -q "300 scenarios (92 distinct)"
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 \
 		--jsonl $(SWEEP_SMOKE_CACHE)/rws_rounds.jsonl
 	PYTHONPATH=src python -m repro sweep random-rws --count 300 --jobs 2 \
@@ -261,29 +264,11 @@ report-smoke:
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
 		--run-dir $(REPORT_SMOKE_RUNS)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
-		--run-dir $(REPORT_SMOKE_RUNS) | tee /dev/stderr | grep -q "executed 0,"
+		--run-dir $(REPORT_SMOKE_RUNS) | $(TEE_STDERR) | grep -q "executed 0,"
 	PYTHONPATH=src python -m repro report $(REPORT_SMOKE_RUNS)
 	PYTHONPATH=src python scripts/check_summary.py $(REPORT_SMOKE_RUNS)
 	PYTHONPATH=src python -m repro report $(REPORT_SMOKE_RUNS) --json | \
 		PYTHONPATH=src python scripts/check_summary.py -
-
-SERVE_SMOKE_DIR ?= /tmp/repro_serve_smoke
-
-# The campaign fabric under real fault injection: one coordinator plus
-# three workers over loopback HTTP, one worker SIGKILLed mid-shard (the
-# orchestration script asserts the shard re-queues and nothing
-# re-executes), then the merged trace must cmp byte-identical to a
-# single-process sweep of the same space and the summary must pass the
-# schema/SLO validator.
-serve-smoke:
-	rm -rf $(SERVE_SMOKE_DIR) && mkdir -p $(SERVE_SMOKE_DIR)
-	PYTHONPATH=src python -m repro sweep e10-lambda \
-		--jsonl $(SERVE_SMOKE_DIR)/solo.jsonl
-	PYTHONPATH=src timeout 300 python scripts/serve_smoke.py \
-		--space e10-lambda --run-dir $(SERVE_SMOKE_DIR)/runs \
-		--jsonl $(SERVE_SMOKE_DIR)/serve.jsonl
-	cmp $(SERVE_SMOKE_DIR)/solo.jsonl $(SERVE_SMOKE_DIR)/serve.jsonl
-	PYTHONPATH=src python scripts/check_summary.py $(SERVE_SMOKE_DIR)/runs
 
 MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 
@@ -299,29 +284,29 @@ MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 mc-smoke:
 	rm -rf $(MC_SMOKE_DIR) && mkdir -p $(MC_SMOKE_DIR)
 	PYTHONPATH=src python -m repro mc agreement --algorithm A1 --n 3 --t 2 | \
-		tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		$(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm a1 --n 3 --t 1 \
-		--no-reduce | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--no-reduce | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc lambda --algorithm a1 --n 3 --t 1 | \
-		tee /dev/stderr | grep -q "lambda: 1"
+		$(TEE_STDERR) | grep -q "lambda: 1"
 	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 4 \
-		--t 2 --horizon 4 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--t 2 --horizon 4 | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 5 \
-		--t 2 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--t 2 | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm floodset --n 6 \
-		--t 2 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--t 2 | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc uniform-agreement --algorithm floodset-ws \
-		--n 5 --model RWS | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--n 5 --model RWS | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc termination --algorithm floodset --n 4 \
-		--t 3 | tee /dev/stderr | \
+		--t 3 | $(TEE_STDERR) | \
 		grep -q "termination .* horizon=4 .*: HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc agreement --algorithm eager-floodset-ws \
-		--model RWS | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--model RWS | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	PYTHONPATH=src python -m repro mc uniform-agreement --no-shrink \
-		--algorithm eager-floodset-ws --model RWS | tee /dev/stderr | \
+		--algorithm eager-floodset-ws --model RWS | $(TEE_STDERR) | \
 		grep -q "REFUTED"
 	PYTHONPATH=src python -m repro mc indistinguishability --algorithm a1 \
-		--n 3 --t 1 | tee /dev/stderr | grep -q "HOLDS(exhaustive)"
+		--n 3 --t 1 | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	for candidate in patient suspicion timeout; do \
 		PYTHONPATH=src python -m repro diff --sdd $$candidate || exit 1; \
 	done

@@ -17,8 +17,8 @@ two sets of commands in the copy:
 * everything else a user can run: ``repro experiments --extensions``,
   ``summary``, ``sdd``, ``commit``, ``latency``, ``show [--dot]``,
   ``metrics``, ``trace``, ``diff``, ``replay``, ``check``, ``causal``,
-  ``top``, ``report RUNDIR``, ``mc --list``, ``sweep --list`` and
-  ``examples/*.py``.
+  ``top``, ``report RUNDIR``, ``mc --list``, ``sweep --list``,
+  ``sweep e10-lambda`` and ``examples/*.py``.
 
 The hook is a global ``sys.settrace`` function that records
 ``(co_filename, co_firstlineno)`` on each ``call`` event and returns
@@ -146,6 +146,7 @@ OTHER_COMMANDS = [
     "check --sdd-fixture timeout",
     "mc --list",
     "sweep --list",
+    "sweep e10-lambda",
     "sweep oracle-sweep --check --run-dir {work}/runs",
     "causal {work}/a.jsonl",
     "causal {work}/runs",
@@ -160,7 +161,6 @@ OTHER_COMMANDS = [
 #: or helper other tests use), a test reference (what tests compare
 #: against), a CLI path the runs above leave out, or ``deferred`` (only
 #: its own tests call it; deleting it is left to a later audit).
-_SERVE_GET = "CLI path: `repro serve`'s GET /status and /summary"
 _STRATEGY = "test tool: a Hypothesis strategy of repro.fuzz.strategies"
 KEEP: dict[str, str] = {
     "repro/_lazy.py:lazy_exports.__dir__":
@@ -206,12 +206,10 @@ KEEP: dict[str, str] = {
         "CLI path: `live --run-dir` summaries",
     "repro/live/transport.py:LiveTransport.deliver_local":
         "CLI path: a step-mode `repro live` process sending to itself",
-    "repro/mc/checker.py:mc_space_from_spec": "CLI path: serve `mc:` specs",
     "repro/mc/config.py:canonical_form":
         "test reference: tests/test_mc_symmetry.py's n! orbit reference",
     "repro/mc/fixtures.py:sdd_fixture_names":
         "error path: the unknown --fixture message lists the names",
-    "repro/mc/space.py:parse_spec": "CLI path: serve `mc:` specs",
     "repro/mc/space.py:save_frontier": "CLI path: `mc --save-frontier`",
     "repro/mc/space.py:load_frontier": "CLI path: `fuzz --frontier`",
     "repro/models/asynchronous.py:check_admissible_prefix": "validator",
@@ -257,6 +255,10 @@ KEEP: dict[str, str] = {
     "repro/runtime/harness.py:execute_batch": "ledger seam",
     "repro/runtime/registry.py:_Factories.__contains__":
         "test tool: registry assertions (tests/test_registry_lazy.py)",
+    "repro/runtime/request.py:ExecutionResult.to_dict":
+        "test tool: tests write an older writer's inline store cell with it",
+    "repro/runtime/request.py:ExecutionResult.from_dict":
+        "CLI path: ResultCache.get on an older writer's inline store cell",
     "repro/runtime/space.py:ScenarioSpace.__len__": "test tool: space assertions",
     "repro/runtime/space.py:ScenarioSpace.__iter__": "test tool: space assertions",
     "repro/runtime/sweep.py:CellCheck.describe":
@@ -266,23 +268,6 @@ KEEP: dict[str, str] = {
     "repro/runtime/sweep.py:SweepResult.merged_events":
         "test reference: the merged trace the writer is compared against",
     "repro/runtime/sweep.py:run_space": "test tool: tests run spaces with it",
-    "repro/serve/api.py:ServeAPIError.__init__":
-        "error path: a refused coordinator request",
-    "repro/serve/api.py:_make_handler.Handler.do_GET": _SERVE_GET,
-    "repro/serve/api.py:ServeClient.submit_raw":
-        "test tool: tests/test_serve.py's malformed submission",
-    "repro/serve/api.py:ServeClient.status":
-        "test tool: tests/test_serve.py queries a running coordinator",
-    "repro/serve/api.py:ServeClient.summary":
-        "test tool: tests/test_serve.py queries a running coordinator",
-    "repro/serve/coordinator.py:Coordinator.quarantine":
-        "error path: a malformed submission is quarantined",
-    "repro/serve/coordinator.py:Coordinator.mark_interrupted":
-        "error path: a coordinator stopped before its shards merged",
-    "repro/serve/coordinator.py:Coordinator.summary_document": _SERVE_GET,
-    "repro/serve/shards.py:ShardPlan.__len__": "test tool: shard assertions",
-    "repro/serve/worker.py:default_worker_id":
-        "CLI path: `repro work` without --worker-id",
     "repro/simulation/automaton.py:IdleAutomaton.initial_state":
         "test tool: IdleAutomaton",
     "repro/simulation/automaton.py:IdleAutomaton.on_step":
@@ -405,7 +390,7 @@ def claim_surface(tree: str, work: str, records: str) -> None:
         "SWEEP_SMOKE_CACHE": "sweep", "FUZZ_SMOKE_CACHE": "fuzz",
         "LIVE_SMOKE_METRICS": "live.jsonl", "CAUSAL_SMOKE_TRACE": "causal.jsonl",
         "CAUSAL_SMOKE_LEGACY": "legacy.jsonl", "REPORT_SMOKE_RUNS": "report",
-        "SERVE_SMOKE_DIR": "serve", "MC_SMOKE_DIR": "mc",
+        "MC_SMOKE_DIR": "mc",
         "REPORT_CHECK_OUT": "EXPERIMENTS.check.md",
     }
     variables = [f"{name}={work}/smoke/{leaf}" for name, leaf in scratch.items()]

@@ -11,9 +11,6 @@ module under :mod:`repro.cli` and registers itself via ``register``:
   (deterministic re-execution), ``diff`` (divergence / Theorem 3.1).
 * :mod:`repro.cli.sweep` — ``sweep SPACE`` (parallel, cached, checked
   scenario-space execution through the unified runtime).
-* :mod:`repro.cli.serve` — ``serve`` / ``work`` (the sharded campaign
-  fabric: one coordinator leasing shards to workers over HTTP, merged
-  into the same run directories ``sweep --run-dir`` writes).
 * :mod:`repro.cli.fuzz` — ``fuzz`` (differential fuzzing across the
   engines, with counterexample shrinking).
 * :mod:`repro.cli.mc` — ``mc`` (exhaustive bounded model checking:
@@ -72,11 +69,6 @@ COMMANDS = {
     ),
     "diff": ("check", "divergence diff of two traces (Theorem 3.1 lens)"),
     "sweep": ("sweep", "execute a scenario space (parallel, cached, checked)"),
-    "serve": (
-        "serve",
-        "coordinate a sharded campaign over HTTP (leased shards)",
-    ),
-    "work": ("serve", "run one campaign worker against a coordinator"),
     "fuzz": ("fuzz", "differential fuzzing across the engines, with shrinking"),
     "mc": (
         "mc",

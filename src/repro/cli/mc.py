@@ -15,10 +15,7 @@ decisions, Theorem 3.1; ``--fixture NAME`` instead classifies one of
 Biely's SDD quadruple fixtures).
 
 ``--run-dir ROOT`` gives the checking run the full campaign treatment
-— resumable run directory, progress heartbeats, cached cells — and
-makes it shardable: ``repro serve --space "mc:..."`` over the spec the
-verdict prints executes the same cells, and either side resumes the
-other.
+— resumable run directory, progress heartbeats, cached cells.
 """
 
 from __future__ import annotations
@@ -97,8 +94,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 2
 
     from repro.cli.common import jobs_ok
-    from repro.mc import McTask, check, save_frontier, spec_for_task
-    from repro.runtime.request import ROUND_ENGINES
+    from repro.mc import McTask, check, save_frontier
 
     if not jobs_ok(args.jobs):
         return 2
@@ -129,8 +125,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 2
 
     print(outcome.verdict.describe())
-    if task.engine in ROUND_ENGINES:
-        print(f"serve spec: {spec_for_task(task)}")
     if outcome.run_dir is not None:
         print(f"run dir: {outcome.run_dir}")
 

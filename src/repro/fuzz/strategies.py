@@ -215,46 +215,6 @@ def generate_case(
     )
 
 
-def fuzz_stream_space(
-    *,
-    budget: int,
-    seed: int,
-    engines: Sequence[str] = FUZZ_ENGINES,
-    max_n: int = 4,
-    name: str | None = None,
-) -> "ScenarioSpace":
-    """A fuzz stream reified as a :class:`~repro.runtime.space.ScenarioSpace`.
-
-    Cases round-robin the engine list exactly as the ``repro fuzz``
-    campaign does, and every cell's content depends only on
-    ``(seed, index, engine)`` — so the same stream sharded over a
-    ``repro serve`` fabric produces the same cells (and cache keys) as
-    a local run.  This is what "campaign-over-serve" means: a fuzz
-    budget becomes an ordinary space the coordinator can shard, lease,
-    and merge with its usual resume guarantees.
-    """
-    from repro.runtime.space import ScenarioSpace
-
-    engines = tuple(engines)
-    if not engines:
-        raise ConfigurationError("fuzz_stream_space needs at least one engine")
-    if budget < 0:
-        # range() would read it as an empty stream, which passes every check.
-        raise ConfigurationError(f"fuzz budget must be >= 0, got {budget}")
-    requests = tuple(
-        generate_case(
-            index,
-            seed=seed,
-            engine=engines[index % len(engines)],
-            max_n=max_n,
-        )
-        for index in range(budget)
-    )
-    return ScenarioSpace(
-        name=name or f"fuzz-stream-{seed}", requests=requests
-    )
-
-
 # ---------------------------------------------------------------------------
 # The mc-frontier stream: fuzzing from deep reachable states
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ replay --repro`` (:mod:`repro.mc.verdict`).
 Execution of the reduced frontier runs through the one campaign API:
 the leaf schedules form a :class:`~repro.runtime.space.ScenarioSpace`
 (:mod:`repro.mc.space`), so the checker is the third client — after
-``repro sweep`` and ``repro fuzz`` — of the result cache, the run
-directories and the ``repro serve`` shard fabric.
+``repro sweep`` and ``repro fuzz`` — of the result cache and the run
+directories.
 """
 
 from repro._lazy import lazy_exports
@@ -33,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(
             "McOutcome",
             "McTask",
             "check",
-            "mc_space_from_spec",
             "still_fails_for",
         ),
         "config": ("Configuration", "canonical_form"),
@@ -44,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
             "frontier_space",
             "load_frontier",
             "save_frontier",
-            "spec_for_task",
         ),
         "symmetry": ("SYMMETRIES", "symmetry_for"),
         "verdict": ("Verdict", "witness_document"),
@@ -68,10 +66,8 @@ __all__ = [
     "explore",
     "frontier_space",
     "load_frontier",
-    "mc_space_from_spec",
     "save_frontier",
     "sdd_fixture_names",
-    "spec_for_task",
     "still_fails_for",
     "symmetry_for",
     "witness_document",

@@ -7,10 +7,8 @@
    matrix, or the emulation grid — reified as a scenario space.
 2. **Execute** it through one :class:`~repro.runtime.sweep.SweepRunner`
    (parallel, cached, resumable): with ``run_root`` the checker opens
-   the same ``kind="sweep"`` run directory a ``repro serve``
-   coordinator over the same space would, so the two resume each other
-   — a sharded checking run finishes, and the solo re-run recomputes
-   the verdict with ``executed == 0``.
+   a ``kind="sweep"`` run directory, so an interrupted checking run
+   resumes, and a re-run recomputes the verdict with ``executed == 0``.
 3. **Cross-check** every schedule leaf's *predicted* decisions (the
    explorer steps algorithm transitions itself) against the engine's
    — the exploration is under differential test on every run; a
@@ -45,7 +43,6 @@ from repro.mc.space import (
     frontier_space,
     grid_space,
     lambda_space,
-    parse_spec,
 )
 from repro.mc.verdict import Verdict, witness_document
 from repro.runtime.campaign import CampaignLeg
@@ -77,10 +74,10 @@ NON_CONSENSUS_ALGORITHMS = frozenset({"atomic-broadcast"})
 class McTask:
     """One checking task: a property over a bounded parameter box.
 
-    An omitted ``horizon`` resolves here — for the CLI and for serve
-    specs alike — to ``max(3, t + 1)``: the algorithms under check
-    decide by round ``t + 1``, and a shorter bound would refute
-    termination, and vacuously uphold agreement, on runs it cut off.
+    An omitted ``horizon`` resolves here to ``max(3, t + 1)``: the
+    algorithms under check decide by round ``t + 1``, and a shorter
+    bound would refute termination, and vacuously uphold agreement, on
+    runs it cut off.
     """
 
     property_name: str
@@ -170,7 +167,7 @@ def still_fails_for(
 
 def _plan(task: McTask) -> tuple[ScenarioSpace, Exploration | None, str]:
     """``(space, exploration, scope)`` for one task — the one frontier
-    dispatcher, for a solo :func:`check` and a served spec alike."""
+    dispatcher."""
     if task.engine in GRID_ENGINES:
         space = grid_space(
             task.algorithm,
@@ -199,18 +196,6 @@ def _plan(task: McTask) -> tuple[ScenarioSpace, Exploration | None, str]:
         reduce=task.reduce,
     )
     return frontier_space(exploration, engine=task.engine), exploration, "exhaustive"
-
-
-def mc_space_from_spec(spec: str) -> ScenarioSpace:
-    """Build the checking space an ``mc:...`` serve spec names.
-
-    The spec's task is validated and planned exactly as :func:`check`
-    does it, so a coordinator refuses what a solo run refuses and
-    otherwise rebuilds cell-for-cell the solo run's space.
-    """
-    task = McTask(**parse_spec(spec))
-    task.validate()
-    return _plan(task)[0]
 
 
 def _prediction_divergences(
@@ -341,7 +326,7 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
 
         # Verdict statistics are deterministic facts of the frontier — the
         # executed/cached split varies with cache warmth and lives on the
-        # sweep, so a sharded serve run and a solo run agree byte-for-byte.
+        # sweep, so a cold run and a resumed run agree byte-for-byte.
         stats: dict[str, Any] = {"cells": len(space.requests)}
         if exploration is not None:
             stats.update(exploration.stats.to_dict())

@@ -6,9 +6,7 @@ failure-free Λ matrix, or the emulation crash-time grid — is reified
 as a :class:`~repro.runtime.space.ScenarioSpace` and executed through
 the same :class:`~repro.runtime.sweep.SweepRunner` that powers ``repro
 sweep`` and ``repro fuzz``.  That buys, for free: result caching,
-equal cells run once, run-directory resume, and the ``repro serve``
-shard fabric (the ``mc:...`` spec strings below are how a coordinator
-rebuilds a checking space without shipping objects).
+equal cells run once and run-directory resume.
 
 Scenario instances are *interned* across cells: leaves that realize an
 equal adversary share one ``FailureScenario`` object, so its fragment of
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
@@ -190,68 +187,6 @@ def grid_space(
         for index, pattern in enumerate(patterns)
     )
     return ScenarioSpace(name=f"mc-grid-{algorithm}-{engine}", requests=requests)
-
-
-# ---------------------------------------------------------------------------
-# Serve specs: rebuild a checking space from a string
-# ---------------------------------------------------------------------------
-
-
-def spec_for_task(task: Any) -> str:
-    """The ``repro serve`` space spec naming this task's frontier.
-
-    The spec carries every parameter the space depends on; a
-    coordinator given the spec rebuilds cell-for-cell the same space —
-    and therefore the same cache keys and run id — as the solo ``repro
-    mc`` run, which is what lets the two resume each other.
-    """
-    return (
-        f"mc:{task.property_name}:{task.algorithm}"
-        f":n={task.n}:t={task.t}:model={task.model}"
-        f":horizon={task.horizon}:engine={task.engine}"
-        f":reduce={'on' if task.reduce else 'off'}"
-    )
-
-
-def parse_spec(spec: str) -> dict[str, Any]:
-    """Parse an ``mc:...`` spec into its task parameters — the keyword
-    arguments of the :class:`~repro.mc.checker.McTask` it names
-    (:func:`repro.mc.checker.mc_space_from_spec` plans that task; a
-    spec without ``horizon=`` leaves the default to the task)."""
-    parts = spec.split(":")
-    if len(parts) < 3 or parts[0] != "mc":
-        raise ConfigurationError(
-            f"not an mc space spec: {spec!r} (want "
-            "mc:PROPERTY:ALGORITHM[:key=value...])"
-        )
-    params: dict[str, Any] = {
-        "property_name": parts[1],
-        "algorithm": parts[2],
-        "n": 3,
-        "t": 1,
-        "model": "RS",
-        "engine": "rounds",
-        "reduce": True,
-    }
-    for part in parts[3:]:
-        key, _, value = part.partition("=")
-        if key in ("n", "t", "horizon"):
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"mc spec field {key}={value!r} is not an integer "
-                    f"in {spec!r}"
-                ) from None
-        elif key == "model":
-            params[key] = value.upper()
-        elif key == "engine":
-            params[key] = value
-        elif key == "reduce":
-            params[key] = value != "off"
-        else:
-            raise ConfigurationError(f"unknown mc spec field {key!r} in {spec!r}")
-    return params
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,22 @@
 """One leg of a campaign: the run-directory lifecycle, written once.
 
-``sweep``, ``fuzz``, ``mc``, ``live`` and ``serve`` all run a campaign
-into a run directory the same way: open (or re-attach to) the
-content-addressed directory, use its ``results/`` store as the cache,
-append one audit line per completed cell, keep a heartbeat going, and
-end either with a ``summary.json`` or marked ``interrupted`` so the
-next invocation — the next *leg* — resumes.  :class:`CampaignLeg` owns
-that policy.
+``sweep``, ``fuzz``, ``mc`` and ``live`` all run a campaign into a run
+directory the same way: open (or re-attach to) the content-addressed
+directory, use its ``results/`` store as the cache, append one audit
+line per completed cell, keep a heartbeat going, and end either with a
+``summary.json`` or marked ``interrupted`` so the next invocation — the
+next *leg* — resumes.  :class:`CampaignLeg` owns that policy.
 
-The constructor opens the leg (a coordinator holds one for its whole
-life); ``with leg:`` runs the heartbeat thread and guarantees the
-ending: whatever leaves the block without :meth:`CampaignLeg.finalize`
-— an exception, ``KeyboardInterrupt``, ``SystemExit``, a plain return —
-leaves the manifest ``interrupted`` with a final ``interrupted``
-heartbeat, never ``running``.  Without a run root the leg is inert (no
-directory, audit methods that do nothing, a ``finalize`` that never
-calls the summariser, and none of the run-directory layers —
-:mod:`repro.obs.artifacts`, :mod:`repro.obs.progress`,
-:mod:`repro.runtime.cache` — imported), so call sites carry no ``if
-run_dir is not None`` ladder.
+The constructor opens the leg; ``with leg:`` runs the heartbeat thread
+and guarantees the ending: whatever leaves the block without
+:meth:`CampaignLeg.finalize` — an exception, ``KeyboardInterrupt``,
+``SystemExit``, a plain return — leaves the manifest ``interrupted``
+with a final ``interrupted`` heartbeat, never ``running``.  Without a
+run root the leg is inert (no directory, audit methods that do nothing,
+a ``finalize`` that never calls the summariser, and none of the
+run-directory layers — :mod:`repro.obs.artifacts`,
+:mod:`repro.obs.progress`, :mod:`repro.runtime.cache` — imported), so
+call sites carry no ``if run_dir is not None`` ladder.
 """
 
 from __future__ import annotations
@@ -138,8 +136,7 @@ class CampaignLeg:
         """Append the cell's line to ``metrics.jsonl``.
 
         ``result=None`` audits a cell found complete in the store without
-        loading it (a coordinator's resumed cells): flagged ``cached``,
-        measurements null.
+        loading it: flagged ``cached``, measurements null.
         """
         if self.run_dir is None:
             return

@@ -508,7 +508,7 @@ class TestCLISurfaces:
 
 class TestInProgressReporting:
     """Reports on a run that has not finalized — an overnight campaign
-    (or a serve run mid-flight) must stay reportable."""
+    mid-flight must stay reportable."""
 
     def _half_finished_run(self, tmp_path):
         requests = _space(4).requests

@@ -1,10 +1,10 @@
 """The run-directory lifecycle, tested once: ``CampaignLeg``.
 
-``sweep``, ``fuzz``, ``mc``, ``live`` and ``serve`` all hold their run
-directory through one :class:`repro.runtime.campaign.CampaignLeg`, so
-the contract — what a leg writes, and that no way of leaving it strands
-the manifest at ``"running"`` — is pinned here against the class, with
-one regression per command for the bugs the five private copies had.
+``sweep``, ``fuzz``, ``mc`` and ``live`` all hold their run directory
+through one :class:`repro.runtime.campaign.CampaignLeg`, so the
+contract — what a leg writes, and that no way of leaving it strands the
+manifest at ``"running"`` — is pinned here against the class, with one
+regression per command for the bugs the private copies had.
 The goldens at the bottom were captured at the parent commit: the
 rebuild may not change what lands on disk.
 """
@@ -33,7 +33,6 @@ from repro.runtime import (
     space_by_name,
 )
 from repro.runtime.campaign import CampaignLeg
-from repro.serve import Coordinator, execute_shard
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -358,7 +357,6 @@ class TestFailureAfterTheSweep:
         ["fuzz", "--budget", "4"],
         ["mc", "agreement", "--algorithm", "floodset"],
         ["live"],
-        ["serve", "e10-lambda"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -403,10 +401,10 @@ def test_a_store_opened_from_a_path_is_closed_by_its_runner(tmp_path):
         assert runner.cache._shard is None and not runner.cache._readers
 
 
-@pytest.mark.parametrize("command", ["sweep", "serve"])
+@pytest.mark.parametrize("command", ["sweep"])
 class TestRefusedBeforeAnythingRuns:
-    """Usage errors of the two ``space_by_name`` callers: one ``error:``
-    line, exit 2, and no run directory left behind."""
+    """Usage errors of ``space_by_name``'s caller: one ``error:`` line,
+    exit 2, and no run directory left behind."""
 
     def _refused(self, argv, capsys, root):
         assert main(argv + ["--run-dir", str(root)]) == 2
@@ -456,22 +454,11 @@ class TestRefusedBeforeAnythingRuns:
         assert line.startswith(f"error: space {space!r} takes no {option[2:]}")
 
 
-@pytest.mark.parametrize(
-    "argv, complaint",
-    [
-        (["serve", "fuzz", "--count", "-3"], "fuzz budget must be >= 0, got -3"),
-        (["serve", "random-rs", "--shard-size", "0"],
-         "shard size must be >= 1, got 0"),
-    ],
-    ids=("fuzz-count", "shard-size"),
-)
-def test_serve_refuses_a_campaign_it_cannot_plan(
-    argv, complaint, tmp_path, capsys
-):
+def test_fuzz_refuses_a_negative_budget_before_anything_runs(tmp_path, capsys):
     root = tmp_path / "runs"
-    assert main(argv + ["--run-dir", str(root)]) == 2
+    assert main(["fuzz", "--budget", "-3", "--run-dir", str(root)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: {complaint}"]
+    assert captured.err.splitlines() == ["error: budget must be >= 1"]
     assert captured.out == "" and not root.exists()
 
 
@@ -501,7 +488,6 @@ def test_count_zero_stays_a_legal_empty_space(tmp_path, capsys):
         ["sweep", "random-rs", "--count", "2"],
         ["fuzz", "--budget", "2"],
         ["mc", "agreement", "--algorithm", "floodset"],
-        ["work", "--connect", "127.0.0.1:1"],
         ["experiments", "--ids", "E1"],
     ],
     ids=lambda argv: argv[0],
@@ -612,19 +598,3 @@ class TestSameBytesOnDisk:
         _assert_layout(
             _only_run(root), "f71f439e7d0a92cd", sorted(_SWEEP_KEYS + ["fuzz"])
         )
-
-    def test_coordinator_run_directory(self, tmp_path):
-        root = str(tmp_path / "runs")
-        coordinator = Coordinator(space_by_name("e10-lambda"), run_root=root)
-        while not (grant := coordinator.claim("w")).get("done"):
-            coordinator.submit(
-                {
-                    "shard_id": grant["shard_id"],
-                    "lease_id": grant["lease_id"],
-                    "worker_id": "w",
-                    "results": execute_shard(grant),
-                }
-            )
-        coordinator.finalize()
-        serve_keys = sorted(set(_SWEEP_KEYS) - {"oracle"} | {"serve"})
-        _assert_layout(_only_run(root), "2f26f643d2107805", serve_keys)

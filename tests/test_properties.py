@@ -240,11 +240,10 @@ def test_latency_never_below_one(seed, n):
 
 # -- cache-key invariants -------------------------------------------------------
 #
-# The campaign fabric (repro serve) shards work on these keys and dedupes
-# merged submissions by them, so two invariants are load-bearing: the
-# fragment-built canonical form must equal the whole-document reference
-# encoder (tests/reference_keys.py) exactly, and keys must be injective
-# over canonical content.
+# The result store and run-directory resume find cells by these keys, so
+# two invariants are load-bearing: the fragment-built canonical form must
+# equal the whole-document reference encoder (tests/reference_keys.py)
+# exactly, and keys must be injective over canonical content.
 
 
 def _request_strategy():
@@ -354,8 +353,8 @@ def _cross_type_equal_cells():
 @example(requests=_cross_type_equal_cells())
 def test_batch_cache_keys_injective_over_canonical_content(requests):
     """Equal keys imply equal canonical request content (and vice
-    versa) — the dedupe-by-key merge in the serve coordinator is only
-    sound if a key collision cannot span distinct cells.
+    versa) — a store lookup by key is only sound if a key collision
+    cannot span distinct cells.
 
     Canonical content is the JSON the key is defined over, not
     ``to_dict()`` equality: ``(0, 0)`` and ``(0, False)`` are equal

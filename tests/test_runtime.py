@@ -325,8 +325,8 @@ def _square(x):
 
 # ---------------------------------------------------------------------------
 # Cache and work keys of a batch of requests: seeded-fallback property tests
-# (Hypothesis twin in tests/test_properties.py).  The campaign fabric
-# shards on these keys, so "fragment-built == reference encoder" and
+# (Hypothesis twin in tests/test_properties.py).  The result store finds
+# cells by these keys, so "fragment-built == reference encoder" and
 # injectivity are load-bearing.
 # ---------------------------------------------------------------------------
 
@@ -448,7 +448,7 @@ class TestBatchCacheKeys:
 
 
 # ---------------------------------------------------------------------------
-# ResultCache concurrency: the shared store behind the serve fabric
+# ResultCache concurrency: one store shared by concurrent writers
 # ---------------------------------------------------------------------------
 
 

@@ -137,7 +137,6 @@ class TestImportSets:
                 "http.server",
                 "multiprocessing",
                 "repro.live",
-                "repro.serve",
                 "repro.vector",
                 "repro.core.experiments",
                 "repro.fuzz",
@@ -184,7 +183,6 @@ class TestImportSets:
                 "asyncio",
                 "multiprocessing",
                 "repro.live",
-                "repro.serve",
                 "repro.fuzz",
                 "repro.mc",
                 "repro.vector",
@@ -213,7 +211,6 @@ class TestImportSets:
                 "asyncio",
                 "multiprocessing",
                 "repro.live",
-                "repro.serve",
                 "repro.emulation",
                 "repro.fuzz",
                 "repro.mc",
@@ -225,16 +222,16 @@ class TestImportSets:
         assert _loaded_by(SWEEP + ["vector"]) == _loaded_by(SWEEP + ["rounds"])
 
 
-# Copied from the parent commit's output (Python 3.11, COLUMNS=80).
+# Copied from the parser's output (Python 3.11, COLUMNS=80).
 _CHOICES = (
     "{experiments,summary,sdd,commit,latency,show,trace,metrics,check,"
-    "replay,diff,sweep,serve,work,fuzz,mc,live,report,top,causal}"
+    "replay,diff,sweep,fuzz,mc,live,report,top,causal}"
 )
 _UNKNOWN_COMMAND_ERROR = (
     "repro: error: argument command: invalid choice: 'bogus' (choose from "
     "'experiments', 'summary', 'sdd', 'commit', 'latency', 'show', 'trace', "
-    "'metrics', 'check', 'replay', 'diff', 'sweep', 'serve', 'work', 'fuzz', "
-    "'mc', 'live', 'report', 'top', 'causal')"
+    "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'live', "
+    "'report', 'top', 'causal')"
 )
 _USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
 _HELP_ROWS = """\
@@ -283,7 +280,7 @@ class TestDispatcherText:
 
     def test_root_usage_is_whole_when_one_module_registered(self):
         # ``mc`` alone is imported, yet the root usage still spells out
-        # all twenty commands.
+        # all eighteen commands.
         proc = _repro(*MC, "--no-such-flag")
         assert proc.returncode == 2
         assert proc.stderr == (
