@@ -1,4 +1,4 @@
-.PHONY: install test test-fast coverage examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke live-smoke report-smoke causal-smoke mc-smoke ledger-smoke startup-report line-audit clean
+.PHONY: install test test-fast coverage examples experiments report report-check trace-smoke check-smoke sweep-smoke fuzz-smoke report-smoke causal-smoke mc-smoke ledger-smoke startup-report line-audit clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -23,7 +23,7 @@ coverage:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script"; \
-		python $$script > /dev/null || exit 1; \
+		PYTHONPATH=src python $$script > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
 experiments:
@@ -208,50 +208,27 @@ fuzz-smoke:
 	PYTHONPATH=src python -m repro fuzz --budget 200 --seed 1 --jobs 2 \
 		--cache-dir $(FUZZ_SMOKE_CACHE)
 
-LIVE_SMOKE_METRICS ?= /tmp/repro_live_smoke_metrics.jsonl
-
-# A real asyncio cluster under hard wall-clock bounds: one lossy run
-# with a mid-run crash, one adversarial run (drops + a partition
-# window) under load, both trace-checked; then the checked live-smoke
-# space through the unified runtime.  The span metrics both CLI runs
-# append must parse as JSON lines.
-live-smoke:
-	rm -f $(LIVE_SMOKE_METRICS)
-	PYTHONPATH=src timeout 60 python -m repro live --algorithm floodset \
-		--net-profile lossy --crash 1@30 --seed 7 --check \
-		--metrics $(LIVE_SMOKE_METRICS)
-	PYTHONPATH=src timeout 60 python -m repro live --algorithm floodset-ws \
-		--net-profile adversarial --crash 2@50 --load 8 --concurrency 4 \
-		--seed 3 --check --metrics $(LIVE_SMOKE_METRICS)
-	PYTHONPATH=src timeout 120 python -m repro sweep live-smoke --check
-	python -c "import json, sys; rows = [json.loads(line) for line in open(sys.argv[1])]; \
-		assert rows, 'no metrics'; print(len(rows), 'metrics rows')" $(LIVE_SMOKE_METRICS)
-
 CAUSAL_SMOKE_TRACE ?= /tmp/repro_causal_smoke.jsonl
-CAUSAL_SMOKE_LEGACY ?= /tmp/repro_causal_smoke_legacy.jsonl
+CAUSAL_SMOKE_JSON ?= /tmp/repro_causal_smoke.json
 
-# The causal pipeline end to end: a live adversarial run with a mid-run
-# crash exports a causally-tagged trace; `repro causal` must extract
-# critical paths and forensics from it (human, --diagram and --json
-# renderings), the --json rendering must attribute at least one decision
-# across latency legs, and check_trace's --causal layer must validate
-# every msg_id/wall_s stamp plus the Λ bound.  A pre-PR7-style
-# deterministic trace (no `extra` fields) must still pass --schema-only
-# untouched — causal tracing is a side band, not a format break.
+# The causal pipeline end to end on a deterministic trace: the FloodSet
+# RWS violation exported by `repro trace` must pass check_trace's schema
+# and ordering layers, and `repro causal` must extract its critical
+# paths (--diagram and --json renderings).  The --json rendering must
+# hold at least one decision, a critical path of at least one message
+# hop and no Λ-bound anomaly.
 causal-smoke:
-	PYTHONPATH=src timeout 60 python -m repro live --algorithm floodset \
-		--net-profile adversarial --crash 2@50 --seed 7 --check \
-		--jsonl $(CAUSAL_SMOKE_TRACE)
-	PYTHONPATH=src python -m repro causal $(CAUSAL_SMOKE_TRACE) --diagram
-	PYTHONPATH=src python -m repro causal $(CAUSAL_SMOKE_TRACE) --json | \
-		PYTHONPATH=src python -c "import json,sys; s=json.load(sys.stdin); \
-		assert s['decisions'] and all(d['legs'] for d in s['decisions']), \
-		'no leg attribution'"
-	PYTHONPATH=src python scripts/check_trace.py --causal $(CAUSAL_SMOKE_TRACE)
 	PYTHONPATH=src python -m repro trace floodset-rws-violation \
-		--jsonl $(CAUSAL_SMOKE_LEGACY)
-	PYTHONPATH=src python scripts/check_trace.py --schema-only \
-		$(CAUSAL_SMOKE_LEGACY)
+		--jsonl $(CAUSAL_SMOKE_TRACE)
+	PYTHONPATH=src python scripts/check_trace.py $(CAUSAL_SMOKE_TRACE)
+	PYTHONPATH=src python -m repro causal $(CAUSAL_SMOKE_TRACE) --diagram
+	PYTHONPATH=src python -m repro causal $(CAUSAL_SMOKE_TRACE) --json \
+		> $(CAUSAL_SMOKE_JSON)
+	python -c "import json, sys; s = json.load(open(sys.argv[1])); \
+		assert s['decisions'] and s['max_path_length'] >= 1 \
+		and s['anomalies'] == [], s; \
+		print(len(s['decisions']), 'decisions, max path', \
+		s['max_path_length'], 'hops, no anomaly')" $(CAUSAL_SMOKE_JSON)
 
 REPORT_SMOKE_RUNS ?= /tmp/repro_report_smoke_runs
 

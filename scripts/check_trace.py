@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Validate a JSONL event trace: schema, ordering, causal metadata.
+"""Validate a JSONL event trace: schema and ordering.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_trace.py [--schema-only] [--causal] TRACE.jsonl
+    PYTHONPATH=src python scripts/check_trace.py [--schema-only] TRACE.jsonl
 
-Three layers of validation:
+Two layers of validation:
 
 1. **Schema** — every line is a well-formed event dict (known kind,
-   correctly-typed fields, well-typed ``extra`` keys), via
+   known and correctly-typed fields), via
    ``repro.obs.validate_jsonl_lines``.
 2. **Ordering** — the event *sequence* is well-formed: rounds start at
    1 and increase by exactly 1, global step times are monotone, alive
@@ -16,13 +16,6 @@ Three layers of validation:
    or halt — via ``repro.obs.ordering_problems``.  Skipped with
    ``--schema-only`` (or automatically when the schema layer already
    failed, since ordering over malformed events is noise).
-3. **Causal** (``--causal``) — the PR 7 metadata a live trace must
-   carry: every message event's ``extra`` has a ``msg_id`` and a
-   ``wall_s`` stamp, every ``msg_id`` pairs at most one delivery with
-   exactly one send, and the happens-before graph reconstructs without
-   Λ-bound anomalies.  Pre-PR7 traces (no ``extra`` fields) still pass
-   ``--schema-only`` untouched; ``--causal`` is for traces produced by
-   the live runtime with causal tracing.
 
 Exits 0 when the trace is valid, 1 otherwise (listing each problem),
 2 on usage errors.  Used by ``make trace-smoke``, ``make causal-smoke``
@@ -34,59 +27,11 @@ from __future__ import annotations
 import sys
 
 
-def causal_problems(events) -> list[str]:
-    """The ``--causal`` layer: msg_id/wall coverage plus the Λ bound."""
-    from repro.obs import annotate, verify_round_paths
-
-    problems: list[str] = []
-    sends: dict = {}
-    delivered: dict = {}
-    for index, event in enumerate(events):
-        if event.kind not in ("msg_sent", "msg_delivered", "msg_withheld"):
-            continue
-        extra = event.extra if isinstance(event.extra, dict) else {}
-        msg_id = extra.get("msg_id")
-        if msg_id is None:
-            problems.append(
-                f"event {index} ({event.kind} p{event.peer}->p{event.pid}): "
-                "no msg_id in extra"
-            )
-            continue
-        if event.kind != "msg_withheld" and extra.get("wall_s") is None:
-            problems.append(
-                f"event {index} ({event.kind}, msg_id {msg_id}): no wall_s stamp"
-            )
-        if event.kind == "msg_sent":
-            if msg_id in sends:
-                problems.append(f"msg_id {msg_id} sent twice ({sends[msg_id]}, {index})")
-            sends[msg_id] = index
-        elif event.kind == "msg_delivered":
-            if msg_id in delivered:
-                problems.append(
-                    f"msg_id {msg_id} delivered twice "
-                    f"({delivered[msg_id]}, {index})"
-                )
-            delivered[msg_id] = index
-    for msg_id, index in sorted(delivered.items(), key=lambda kv: kv[1]):
-        if msg_id not in sends:
-            problems.append(
-                f"event {index}: delivery of msg_id {msg_id} with no send"
-            )
-        elif sends[msg_id] > index:
-            problems.append(
-                f"msg_id {msg_id}: delivered (event {index}) before "
-                f"sent (event {sends[msg_id]})"
-            )
-    problems.extend(verify_round_paths(events, graph=annotate(events)))
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     schema_only = "--schema-only" in args
-    causal = "--causal" in args
-    args = [a for a in args if a not in ("--schema-only", "--causal")]
-    if len(args) != 1 or (schema_only and causal):
+    args = [a for a in args if a != "--schema-only"]
+    if len(args) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     try:
@@ -110,20 +55,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     problems = validate_jsonl_lines(lines)
     if not problems and not schema_only:
-        events = events_from_jsonl_lines(lines)
-        problems = ordering_problems(events)
-        if not problems and causal:
-            problems = causal_problems(events)
+        problems = ordering_problems(events_from_jsonl_lines(lines))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(f"{args[0]}: INVALID ({len(problems)} problems)")
         return 1
-    checked = (
-        "schema"
-        if schema_only
-        else "schema + ordering + causal" if causal else "schema + ordering"
-    )
+    checked = "schema" if schema_only else "schema + ordering"
     print(f"{args[0]}: OK ({checked})")
     return 0
 

@@ -159,8 +159,9 @@ OTHER_COMMANDS = [
 #: Keys are ``path under src/:qualified name``.  A reason starts with its
 #: kind: a ledger seam, a validator, an error path, a test tool (a double
 #: or helper other tests use), a test reference (what tests compare
-#: against), a CLI path the runs above leave out, or ``deferred`` (only
-#: its own tests call it; deleting it is left to a later audit).
+#: against), a CLI path the runs above leave out, a protocol method (one
+#: a base class declares abstract), or ``deferred`` (only its own tests
+#: call it; deleting it is left to a later audit).
 _STRATEGY = "test tool: a Hypothesis strategy of repro.fuzz.strategies"
 KEEP: dict[str, str] = {
     "repro/_lazy.py:lazy_exports.__dir__":
@@ -202,10 +203,6 @@ KEEP: dict[str, str] = {
     "repro/fuzz/strategies.py:failure_scenarios.scenarios": _STRATEGY,
     "repro/fuzz/strategies.py:rounds_requests": _STRATEGY,
     "repro/fuzz/strategies.py:rounds_requests.build": _STRATEGY,
-    "repro/live/cluster.py:LiveRun.detection_delays_ms":
-        "CLI path: `live --run-dir` summaries",
-    "repro/live/transport.py:LiveTransport.deliver_local":
-        "CLI path: a step-mode `repro live` process sending to itself",
     "repro/mc/config.py:canonical_form":
         "test reference: tests/test_mc_symmetry.py's n! orbit reference",
     "repro/mc/fixtures.py:sdd_fixture_names":
@@ -239,7 +236,6 @@ KEEP: dict[str, str] = {
         "deferred: only tests/test_progress.py and test_artifacts.py use it",
     "repro/obs/replay.py:infer_model":
         "test tool: replay_events without a model, as tests call it",
-    "repro/obs/report.py:summarize_live": "CLI path: `live --run-dir` summaries",
     "repro/obs/report.py:summarize_fuzz": "CLI path: `fuzz --run-dir` summaries",
     "repro/obs/template.py:TemplateEvents.__eq__":
         "test tool: tests compare a result's events with a list",
@@ -255,6 +251,10 @@ KEEP: dict[str, str] = {
     "repro/runtime/harness.py:execute_batch": "ledger seam",
     "repro/runtime/registry.py:_Factories.__contains__":
         "test tool: registry assertions (tests/test_registry_lazy.py)",
+    "repro/runtime/registry.py:_Factories.__iter__":
+        "error path: the unknown-algorithm messages list the registry",
+    "repro/runtime/registry.py:_Factories.__len__":
+        "protocol method: collections.abc.Mapping declares it abstract",
     "repro/runtime/request.py:ExecutionResult.to_dict":
         "test tool: tests write an older writer's inline store cell with it",
     "repro/runtime/request.py:ExecutionResult.from_dict":
@@ -388,8 +388,8 @@ def claim_surface(tree: str, work: str, records: str) -> None:
     scratch = {
         "TRACE_SMOKE_OUT": "trace.jsonl", "CHECK_SMOKE_DIR": "check",
         "SWEEP_SMOKE_CACHE": "sweep", "FUZZ_SMOKE_CACHE": "fuzz",
-        "LIVE_SMOKE_METRICS": "live.jsonl", "CAUSAL_SMOKE_TRACE": "causal.jsonl",
-        "CAUSAL_SMOKE_LEGACY": "legacy.jsonl", "REPORT_SMOKE_RUNS": "report",
+        "CAUSAL_SMOKE_TRACE": "causal.jsonl", "CAUSAL_SMOKE_JSON": "causal.json",
+        "REPORT_SMOKE_RUNS": "report",
         "MC_SMOKE_DIR": "mc",
         "REPORT_CHECK_OUT": "EXPERIMENTS.check.md",
     }

@@ -1,13 +1,10 @@
 """``repro causal``: happens-before analysis of a trace or run dir.
 
-Given a JSONL trace (``repro trace --jsonl``, ``repro live --jsonl``,
-``make causal-smoke`` artifacts) the command reconstructs the causal
-graph and prints, per decision, the critical path — the longest chain
-of message hops behind the decide, the hop count the Λ latency
-measures count — plus, for live traces, the wall-latency split into
-``send`` / ``retransmit`` / ``detector-wait`` / ``local`` legs and a
-forensic audit of every suspicion (which heartbeats were missed,
-whether the ground-truth crash justifies it).
+Given a JSONL trace (``repro trace --jsonl``, ``make causal-smoke``
+artifacts) the command reconstructs the causal graph and prints, per
+decision, the critical path — the longest chain of message hops behind
+the decide, the hop count the Λ latency measures count — plus an audit
+of every suspicion (whether a crash in the trace justifies it).
 
 Given a run directory (``repro sweep --run-dir``), the same analysis
 runs over every cached cell result and prints one summary line per
@@ -64,32 +61,16 @@ def _print_trace_report(events, args: argparse.Namespace) -> int:
         f"max critical path {summary['max_path_length']} hops"
     )
     for path in paths:
-        line = (
+        print(
             f"  decide p{path.pid}={path.value!r}"
             + (f" @ round {path.round}" if path.round is not None else "")
             + f": {path.length} message hops"
         )
-        if path.wall_latency_s is not None:
-            line += f", {1000 * path.wall_latency_s:.1f} ms wall"
-        print(line)
-        for leg in path.legs:
-            where = f" round {leg.round}" if leg.round is not None else ""
-            via = f" via {leg.via}" if leg.via is not None else ""
-            print(
-                f"    {leg.kind:<14} {1000 * leg.seconds:8.2f} ms{where}{via}"
-            )
     for report in summary["suspicions"]:
-        verdict = {True: "justified", False: "UNJUSTIFIED", None: "unknown"}[
-            report.get("justified")
-        ]
-        line = f"  suspect p{report['observer']}->p{report['suspected']}: {verdict}"
-        if report.get("misses") is not None:
-            line += (
-                f", {report['misses']}/{report['threshold']} silent passes"
-            )
-        if report.get("silence_s") is not None:
-            line += f", {1000 * report['silence_s']:.1f} ms silence"
-        print(line)
+        verdict = "justified" if report["justified"] else "UNJUSTIFIED"
+        print(
+            f"  suspect p{report['observer']}->p{report['suspected']}: {verdict}"
+        )
     for problem in summary["anomalies"]:
         print(f"  ANOMALY: {problem}")
 

@@ -220,7 +220,7 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     p_check.add_argument(
         "--jsonl",
         metavar="PATH",
-        help="check an exported trace file instead of a live scenario",
+        help="check an exported trace file instead of a named scenario",
     )
     p_check.add_argument(
         "--model",

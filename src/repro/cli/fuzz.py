@@ -13,11 +13,7 @@ import sys
 
 from repro.cli.common import jobs_ok
 from repro.errors import ConfigurationError
-from repro.fuzz import (
-    FUZZ_ENGINES,
-    LIVE_FUZZ_ENGINE,
-    run_campaign,
-)
+from repro.fuzz import FUZZ_ENGINES, run_campaign
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -63,11 +59,10 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     p_fuzz.add_argument(
         "--engine",
         action="append",
-        choices=("all", "rounds") + FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,),
+        choices=("all", "rounds") + FUZZ_ENGINES,
         help=(
             "engine(s) to round-robin (repeatable; default: all; "
-            "'rounds' = rounds-rs + rounds-rws; 'live' is opt-in and "
-            "excluded from the parity sample)"
+            "'rounds' = rounds-rs + rounds-rws)"
         ),
     )
     p_fuzz.add_argument(

@@ -16,8 +16,6 @@ module under :mod:`repro.cli` and registers itself via ``register``:
 * :mod:`repro.cli.mc` — ``mc`` (exhaustive bounded model checking:
   HOLDS/REFUTED verdicts over closed schedule frontiers, with
   replayable witnesses).
-* :mod:`repro.cli.live` — ``live`` (a real asyncio cluster with
-  heartbeat-built P and network fault injection).
 * :mod:`repro.cli.report` — ``report`` (run-directory dashboard, or
   the legacy EXPERIMENTS.md regeneration when no run is named) and
   ``top`` (tail a running campaign's heartbeats).
@@ -75,10 +73,6 @@ COMMANDS = {
         "exhaustively model-check a property over a bounded instance "
         "(HOLDS/REFUTED verdicts with witnesses)",
     ),
-    "live": (
-        "live",
-        "run a real asyncio cluster (heartbeat P, fault injection)",
-    ),
     "report": (
         "report",
         "dashboard over a campaign run directory "
@@ -87,8 +81,7 @@ COMMANDS = {
     "top": ("report", "tail a running campaign's progress heartbeats"),
     "causal": (
         "causal",
-        "happens-before analysis: critical paths, latency legs, "
-        "suspicion forensics",
+        "happens-before analysis: critical paths and suspicion forensics",
     ),
 }
 

@@ -1,7 +1,7 @@
 """``repro report`` and ``repro top``: inspect campaign run directories.
 
 ``repro report RUNDIR`` renders the dashboard of a finished (or
-interrupted) run directory written by ``repro sweep/fuzz/live
+interrupted) run directory written by ``repro sweep/fuzz/mc
 --run-dir``: coverage over the planned cells, resume and cache
 counters, the span tree, SLO verdicts and the slowest cells.  With
 ``--json`` it emits the machine document (manifest + summary + last
@@ -11,7 +11,7 @@ progress heartbeat) instead, which CI validates.
 — one frame per heartbeat with ``--follow``, a single frame without.
 
 Invoked with no run directory, ``repro report`` keeps its historical
-meaning and regenerates ``EXPERIMENTS.md`` from live experiment runs
+meaning and regenerates ``EXPERIMENTS.md`` from fresh experiment runs
 (the Makefile's ``make report``).
 """
 
@@ -43,7 +43,7 @@ def _load_run(path: str) -> RunDir | None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.rundir is None:
-        # Legacy mode: regenerate EXPERIMENTS.md from live runs.
+        # Legacy mode: regenerate EXPERIMENTS.md from fresh runs.
         return _experiments._cmd_report(args)
     run = _load_run(args.rundir)
     if run is None:

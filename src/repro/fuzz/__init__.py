@@ -47,7 +47,6 @@ __getattr__, __dir__ = lazy_exports(
         "shrink": ("ShrinkResult", "shrink_moves"),
         "strategies": (
             "FUZZ_ENGINES",
-            "LIVE_FUZZ_ENGINE",
             "SAFE_ALGORITHMS",
             "case_rng",
             "generate_case",
@@ -62,7 +61,6 @@ __all__ = [
     "Counterexample",
     "FuzzReport",
     "FUZZ_ENGINES",
-    "LIVE_FUZZ_ENGINE",
     "OracleFailure",
     "SAFE_ALGORITHMS",
     "ShrinkResult",

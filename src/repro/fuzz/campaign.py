@@ -41,7 +41,6 @@ from repro.obs.report import summarize_fuzz
 from repro.fuzz.shrink import shrink
 from repro.fuzz.strategies import (
     FUZZ_ENGINES,
-    LIVE_FUZZ_ENGINE,
     generate_case,
     mc_frontier_cases,
 )
@@ -176,10 +175,8 @@ class FuzzReport:
 def resolve_engines(names: Sequence[str]) -> tuple[str, ...]:
     """Expand CLI engine selectors into the fuzz-engine round-robin.
 
-    ``all`` covers the four deterministic engines, ``rounds`` the round
-    executor under both models; the wall-clock ``live`` engine is
-    opt-in by name, so default campaigns stay reproducible
-    case-for-case.
+    ``all`` covers the four engines, ``rounds`` the round executor
+    under both models.
     """
     engines: list[str] = []
     for name in names:
@@ -187,12 +184,12 @@ def resolve_engines(names: Sequence[str]) -> tuple[str, ...]:
             engines.extend(FUZZ_ENGINES)
         elif name == "rounds":
             engines.extend(("rounds-rs", "rounds-rws"))
-        elif name in FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
+        elif name in FUZZ_ENGINES:
             engines.append(name)
         else:
             raise ConfigurationError(
                 f"unknown engine {name!r}; choose from "
-                f"{('all', 'rounds') + FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
+                f"{('all', 'rounds') + FUZZ_ENGINES}"
             )
     return tuple(dict.fromkeys(engines))
 
@@ -389,12 +386,7 @@ def run_campaign(
                 )
             )
 
-        # Live cells never enter the parity sample: their traces are
-        # wall-clock nondeterministic, so byte-identity across schedulers
-        # (or cache warmth) is not a claim the engine makes.
-        parity_sample = [
-            r for r in requests if r.engine != LIVE_FUZZ_ENGINE
-        ][:PARITY_SAMPLE]
+        parity_sample = requests[:PARITY_SAMPLE]
         parity = _parity_problems(parity_sample, cache_dir)
 
         report = FuzzReport(

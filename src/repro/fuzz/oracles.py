@@ -101,9 +101,8 @@ def twin_oracle(
     ``twin_result`` may be supplied when the campaign already executed
     the twin through the sweep runner; otherwise the twin runs
     in-process here (the shrinker's path).  Only the step-kernel
-    emulations carry an induced scenario; the rounds engine has no twin
-    and a live run's crash pattern is wall-clock timing, which no
-    logical scenario reconstructs, so both are vacuously clean here.
+    emulations carry an induced scenario; the rounds engine has no twin,
+    so it is vacuously clean here.
     """
     if request.engine not in ("rs_on_ss", "rws_on_sp"):
         return []

@@ -44,26 +44,15 @@ from repro.runtime.space import derived_seed
 #: four deterministic run semantics with one list.
 FUZZ_ENGINES = ("rounds-rs", "rounds-rws", "rs_on_ss", "rws_on_sp")
 
-#: The asyncio cluster runtime is a valid fuzz target too
-#: (``--engine live``) but stays out of the default round-robin: its
-#: runs are wall-clock nondeterministic, so it only joins a campaign
-#: when asked for, and its cases are excluded from the byte-parity
-#: sample.
-LIVE_FUZZ_ENGINE = "live"
-
 #: Algorithms that are *safe* under each run semantics: any consensus
 #: violation in a generated case is a bug, never an expected outcome,
 #: which is what lets the differential oracles assert agreement
-#: unconditionally.  The live engine realizes RWS (its P-synchronizer
-#: withholds only under the Lemma 4.1 bound), so its pool is the
-#: WS-safe algorithms plus Chandra–Toueg, which the runtime hosts
-#: natively on P.
+#: unconditionally.
 SAFE_ALGORITHMS = {
     "rounds-rs": ("floodset", "c-opt", "f-opt", "a1"),
     "rounds-rws": ("floodset-ws", "c-opt-ws", "f-opt-ws"),
     "rs_on_ss": ("floodset", "c-opt", "f-opt", "a1"),
     "rws_on_sp": ("floodset-ws", "c-opt-ws", "f-opt-ws"),
-    "live": ("floodset-ws", "c-opt-ws", "f-opt-ws", "chandra-toueg"),
 }
 
 
@@ -116,10 +105,9 @@ def generate_case(
     knobs), so a failing case round-trips through JSON into a repro
     file and back without any ambient state.
     """
-    if engine not in FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,):
+    if engine not in FUZZ_ENGINES:
         raise ConfigurationError(
-            f"unknown fuzz engine {engine!r}; choose from "
-            f"{FUZZ_ENGINES + (LIVE_FUZZ_ENGINE,)}"
+            f"unknown fuzz engine {engine!r}; choose from {FUZZ_ENGINES}"
         )
     rng = case_rng(seed, index)
     n = rng.randint(3, max(3, max_n))
@@ -128,9 +116,6 @@ def generate_case(
     if t != 1:
         # A1 is defined for exactly one tolerated crash.
         pool = tuple(a for a in pool if a != "a1")
-    if n <= 2 * t:
-        # Chandra–Toueg's rotating coordinator needs a correct majority.
-        pool = tuple(a for a in pool if a != "chandra-toueg")
     algorithm = rng.choice(pool)
     values = generate_values(rng, n)
     max_rounds = t + 2
@@ -172,26 +157,6 @@ def generate_case(
             seed=rng.getrandbits(31),
             params=(("delta", delta), ("phi", phi)),
             check_consensus=False,
-        )
-    if engine == LIVE_FUZZ_ENGINE:
-        # Crash times are centiseconds of wall clock on the live engine;
-        # a horizon of 10 puts every crash inside the first ~100 ms, the
-        # span a small cluster is actually exchanging rounds in.  The
-        # pool is RWS-safe, so consensus is asserted unconditionally.
-        pattern = generate_pattern(rng, n, t, 10)
-        return ExecutionRequest(
-            name=name,
-            engine="live",
-            algorithm=algorithm,
-            values=values,
-            t=t,
-            pattern=pattern,
-            max_rounds=max_rounds,
-            seed=rng.getrandbits(31),
-            params=(
-                ("detector", rng.choice(("p", "ep"))),
-                ("net_profile", rng.choice(("lan", "lossy", "adversarial"))),
-            ),
         )
     pattern = generate_pattern(rng, n, t, 12 * n)
     # The SP emulation's round-completion rule waits for every alive

@@ -33,12 +33,10 @@ On top of the stream sits the *trace oracle* trio:
   indistinguishability relation (a process's causal past plus the
   inputs it rests on).
 
-And the causal layer (PR 7): :mod:`repro.obs.causal` reconstructs the
-happens-before DAG (send→delivery matching by live ``msg_id`` or
-structure, causal pasts) from any trace, and
-:mod:`repro.obs.critical` extracts per-decision critical paths,
-attributes live wall latency to send/retransmit/detector-wait legs,
-and audits suspicions against the ground-truth crash wall.
+And the causal layer: :mod:`repro.obs.causal` reconstructs the
+happens-before DAG (structural send→delivery matching, causal pasts)
+from any trace, and :mod:`repro.obs.critical` extracts per-decision
+critical paths and audits suspicions against the trace's crashes.
 
 See ``docs/observability.md`` for the event taxonomy, the checker
 catalogue, and a worked example mapping a trace back to the paper's
@@ -67,9 +65,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "critical": (
             "DecisionPath",
-            "Leg",
             "SuspicionReport",
-            "attribute_decision",
             "causal_summary",
             "critical_paths",
             "is_round_trace",
@@ -120,12 +116,10 @@ __getattr__, __dir__ = lazy_exports(
             "causal_cells",
             "find_run_dir",
             "merge_span_snapshots",
-            "percentile_summary",
             "render_report",
             "render_top",
             "report_json",
             "summarize_fuzz",
-            "summarize_live",
             "summarize_sweep",
             "summary_problems",
         ),
@@ -152,12 +146,10 @@ __all__ = [
     "causal_cells",
     "find_run_dir",
     "merge_span_snapshots",
-    "percentile_summary",
     "render_report",
     "render_top",
     "report_json",
     "summarize_fuzz",
-    "summarize_live",
     "summarize_sweep",
     "summary_problems",
     "EVENT_KINDS",
@@ -171,9 +163,7 @@ __all__ = [
     "annotate",
     "round_msg_id",
     "DecisionPath",
-    "Leg",
     "SuspicionReport",
-    "attribute_decision",
     "causal_summary",
     "critical_paths",
     "is_round_trace",

@@ -1,11 +1,10 @@
-"""Content-addressed run artifacts for sweep, fuzz, and live campaigns.
+"""Content-addressed run artifacts for sweep, fuzz and mc campaigns.
 
 A long campaign is only as credible as its paper trail.  This module
 gives every campaign a *run directory* — ``runs/<run_id>/`` — whose
-name is a content hash of the campaign's identity (for the
-deterministic engines: the request cache keys, which already cover the
-cache schema version and any active bug injection; for live runs: the
-full config).  Two invocations of the same campaign therefore land in
+name is a content hash of the campaign's identity: the request cache
+keys, which already cover the cache schema version and any active bug
+injection.  Two invocations of the same campaign therefore land in
 the same directory, which is what makes interruption recovery trivial:
 the second leg finds the first leg's completed cells on disk and skips
 them.
@@ -53,7 +52,7 @@ PROGRESS_NAME = "progress.jsonl"
 RESULTS_DIR = "results"
 
 #: The run kinds this layer knows how to summarize.
-RUN_KINDS = ("sweep", "fuzz", "live")
+RUN_KINDS = ("sweep", "fuzz")
 
 
 #: ``json.dumps(value, sort_keys=True, default=repr)``, and the same
@@ -97,9 +96,8 @@ def compute_run_id(kind: str, identity: Any) -> str:
     """A stable content hash naming one campaign.
 
     ``identity`` must already cover everything that determines the
-    campaign's results — for request-based campaigns the request cache
-    keys do (they hash engine semantics version and bug injections),
-    for live runs the serialized config does.
+    campaign's results — the request cache keys do (they hash engine
+    semantics version and bug injections).
     """
     digest = hashlib.sha256(
         _canonical({"schema": RUN_SCHEMA, "kind": kind, "identity": identity})
@@ -138,9 +136,8 @@ def git_provenance(repo_dir: str | Path | None = None) -> dict[str, Any]:
 class SLOConfig:
     """Pass/fail thresholds a campaign's summary is judged against.
 
-    ``None`` disables a threshold; the evaluation only emits verdicts
-    for thresholds that apply to the run at hand (latency/detection
-    SLOs are wall-clock figures, so they bind live runs only).
+    The evaluation only emits verdicts for thresholds that apply to the
+    run at hand.
     """
 
     #: Fraction of planned cells that must have completed results.
@@ -149,21 +146,12 @@ class SLOConfig:
     max_oracle_failures: int = 0
     #: Corrupt cache entries evicted during the campaign must not exceed.
     max_corrupt_evictions: int = 0
-    #: p99 of live per-session decision latency (wall milliseconds).
-    decision_latency_p99_ms: float | None = None
-    #: p99 of live crash-detection delay (wall milliseconds).
-    detection_delay_p99_ms: float | None = None
-    #: Live false suspicions allowed (P must stay accurate; ◊P may not).
-    max_false_suspicions: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "min_coverage": self.min_coverage,
             "max_oracle_failures": self.max_oracle_failures,
             "max_corrupt_evictions": self.max_corrupt_evictions,
-            "decision_latency_p99_ms": self.decision_latency_p99_ms,
-            "detection_delay_p99_ms": self.detection_delay_p99_ms,
-            "max_false_suspicions": self.max_false_suspicions,
         }
 
     @classmethod
@@ -172,23 +160,14 @@ class SLOConfig:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-#: Default thresholds for live runs: generous enough for CI machines,
-#: tight enough that a hung detector or a stalled session fails loudly.
-DEFAULT_LIVE_SLO = SLOConfig(
-    decision_latency_p99_ms=5000.0,
-    detection_delay_p99_ms=2000.0,
-    max_false_suspicions=0,
-)
-
-
 def evaluate_slos(slo: SLOConfig, summary: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Judge a summary against the thresholds; one verdict per applicable SLO.
 
     Each verdict is ``{"slo", "threshold", "actual", "ok"}``.  An SLO
-    whose input is absent from the summary (e.g. detection delay on a
-    failure-free run) is reported with ``actual: None`` and passes —
-    absence of evidence is not a violation, and the coverage SLO
-    already guards against empty campaigns.
+    whose section is absent from the summary (no ``oracle`` on an
+    unchecked sweep) gets no verdict: absence of evidence is not a
+    violation, and the coverage SLO already guards against empty
+    campaigns.
     """
     verdicts: list[dict[str, Any]] = []
 
@@ -227,33 +206,6 @@ def evaluate_slos(slo: SLOConfig, summary: Mapping[str, Any]) -> list[dict[str, 
             evictions <= slo.max_corrupt_evictions,
         )
 
-    live = summary.get("live")
-    if live is not None:
-        if slo.decision_latency_p99_ms is not None:
-            p99 = (live.get("decision_latency_ms") or {}).get("p99")
-            judge(
-                "decision_latency_p99_ms",
-                slo.decision_latency_p99_ms,
-                p99,
-                p99 is None or p99 <= slo.decision_latency_p99_ms,
-            )
-        if slo.detection_delay_p99_ms is not None:
-            p99 = (live.get("detection_delay_ms") or {}).get("p99")
-            judge(
-                "detection_delay_p99_ms",
-                slo.detection_delay_p99_ms,
-                p99,
-                p99 is None or p99 <= slo.detection_delay_p99_ms,
-            )
-        if slo.max_false_suspicions is not None:
-            false = live.get("false_suspicions", 0)
-            judge(
-                "false_suspicions",
-                slo.max_false_suspicions,
-                false,
-                false <= slo.max_false_suspicions,
-            )
-
     return verdicts
 
 
@@ -283,7 +235,6 @@ class RunDir:
         identity: Any,
         cells: Sequence[tuple[str, str]] | None = None,
         config: Mapping[str, Any] | None = None,
-        slo: SLOConfig | None = None,
     ) -> "RunDir":
         """Create — or, when the campaign already ran, re-attach to — a run.
 
@@ -319,7 +270,7 @@ class RunDir:
             "git": prior.get("git") or git_provenance(),
             "injection": active_injection(),
             "config": dict(config or {}),
-            "slo": (slo or SLOConfig()).to_dict(),
+            "slo": SLOConfig().to_dict(),
             "cells": [
                 {"name": cell_name, "key": cell_key}
                 for cell_name, cell_key in (cells or [])
@@ -390,7 +341,6 @@ class RunDir:
         num_rounds: int | None = None,
         events: int | None = None,
         duration_s: float | None = None,
-        ok: bool | None = None,
     ) -> None:
         """Append one completed-cell line to ``metrics.jsonl``.
 
@@ -413,13 +363,12 @@ class RunDir:
             "latency": latency,
             "leg": leg,
             "num_rounds": num_rounds,
-            "ok": ok,
             "t": "cell",
         }
         memo = self._audit
         if not memo.matches((
             algorithm, cached, duration_s, engine, events, latency, leg,
-            num_rounds, ok,
+            num_rounds,
         )):
             self._append(_encode(fields) + "\n")
             return

@@ -1,4 +1,4 @@
-"""Critical-path extraction, latency attribution and suspicion forensics.
+"""Critical-path extraction and suspicion forensics.
 
 Built on :mod:`repro.obs.causal`'s happens-before DAG:
 
@@ -9,17 +9,8 @@ Built on :mod:`repro.obs.causal`'s happens-before DAG:
   exactly the paper's round-counting latency measure, and Λ on the
   failure-free run (``Λ(A1)=1``, ``Λ(FloodSet/RWS)≥2``; see
   ``analysis/latency.py``).
-* :func:`attribute_decision` — for live traces (events carrying
-  ``extra["wall_s"]``), splits a decision's wall latency into named
-  per-round legs: ``send`` (a clean first-attempt delivery gated the
-  round), ``retransmit`` (the gating message needed retransmissions),
-  ``detector-wait`` (the round closed on a suspicion, i.e. the process
-  sat out the detector's silence threshold) and ``local`` (transition
-  and bookkeeping).  The legs telescope: they sum exactly to the
-  decision wall minus the process's first action.
-* :func:`suspicion_forensics` — per ``suspect``, the missed-heartbeat
-  window (from the detector's ``extra`` forensics fields) and whether
-  the ground-truth crash wall justifies the suspicion.
+* :func:`suspicion_forensics` — per ``suspect``, whether a crash of
+  the suspected process in the trace justifies the suspicion.
 * :func:`verify_round_paths` — the Λ-bound anomaly check the report
   layer runs per cell: in any round-model trace, every decision's
   critical-path length is bounded by its decide round (with equality
@@ -35,27 +26,6 @@ from repro.obs.causal import CausalGraph, annotate
 from repro.obs.events import Event, clock_kind
 from repro.obs.profile import profiled
 
-#: Leg kinds :func:`attribute_decision` can emit.
-LEG_KINDS = ("send", "retransmit", "detector-wait", "local")
-
-
-@dataclass(frozen=True)
-class Leg:
-    """One contiguous slice of a live decision's wall latency."""
-
-    kind: str  # one of LEG_KINDS
-    seconds: float
-    round: int | None = None
-    via: Any = None  # gating msg_id, or the suspected pid
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "seconds": self.seconds}
-        if self.round is not None:
-            out["round"] = self.round
-        if self.via is not None:
-            out["via"] = self.via
-        return out
-
 
 @dataclass
 class DecisionPath:
@@ -67,21 +37,15 @@ class DecisionPath:
     index: int  # the decide event's trace index
     length: int  # message hops on the longest causal chain
     nodes: list[int] = field(default_factory=list)  # chain, trace order
-    legs: list[Leg] = field(default_factory=list)  # live traces only
-    wall_latency_s: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "pid": self.pid,
             "value": self.value,
             "round": self.round,
             "length": self.length,
             "nodes": list(self.nodes),
         }
-        if self.wall_latency_s is not None:
-            out["wall_latency_s"] = self.wall_latency_s
-            out["legs"] = [leg.to_dict() for leg in self.legs]
-        return out
 
 
 def _message_depths(graph: CausalGraph) -> tuple[list[int], list[int | None]]:
@@ -103,11 +67,7 @@ def _message_depths(graph: CausalGraph) -> tuple[list[int], list[int | None]]:
 def critical_paths(
     events: Sequence[Event], *, graph: CausalGraph | None = None
 ) -> list[DecisionPath]:
-    """Extract the critical path of every decision in a trace.
-
-    Wall-clock legs are attached when the trace carries live
-    ``extra["wall_s"]`` stamps (see :func:`attribute_decision`).
-    """
+    """Extract the critical path of every decision in a trace."""
     with profiled("obs.causal.critical"):
         if graph is None:
             graph = annotate(events)
@@ -121,123 +81,17 @@ def critical_paths(
                 nodes.append(cursor)
                 cursor = best[cursor]
             nodes.reverse()
-            path = DecisionPath(
-                pid=event.pid,
-                value=event.value,
-                round=event.round,
-                index=index,
-                length=depth[index],
-                nodes=nodes,
-            )
-            attribution = attribute_decision(events, index, graph=graph)
-            if attribution is not None:
-                path.legs, path.wall_latency_s = attribution
-            paths.append(path)
-        return paths
-
-
-# -- live wall-latency attribution ------------------------------------------
-
-
-def _wall(event: Event) -> float | None:
-    if isinstance(event.extra, dict):
-        wall = event.extra.get("wall_s")
-        if isinstance(wall, (int, float)):
-            return float(wall)
-    return None
-
-
-def attribute_decision(
-    events: Sequence[Event],
-    decide_index: int,
-    *,
-    graph: CausalGraph | None = None,
-) -> tuple[list[Leg], float] | None:
-    """Split one live decision's wall latency into named legs.
-
-    Returns ``(legs, wall_latency_s)`` or ``None`` for traces without
-    wall stamps (the deterministic engines).  The model: a live round
-    closes when its last dependency resolves — either the slowest
-    round message is consumed or the detector supplies the missing
-    suspicion — so each round's leg runs from the previous round's
-    close to this one's, and is labelled by what resolved last.  The
-    legs tile ``[first own action, decide]`` exactly, so their sum *is*
-    the reported wall latency.
-    """
-    decide = events[decide_index]
-    decide_wall = _wall(decide)
-    if decide_wall is None or decide.pid is None or decide.round is None:
-        return None
-    pid = decide.pid
-    if graph is None:
-        graph = annotate(events)
-
-    own_walls = [
-        wall
-        for i in graph.events_of(pid)
-        if i <= decide_index and (wall := _wall(events[i])) is not None
-    ]
-    if not own_walls:
-        return None
-    start = min(own_walls)
-
-    suspicions = [
-        (wall, event)
-        for event in events
-        if event.kind == "suspect" and event.pid == pid
-        and (wall := _wall(event)) is not None
-    ]
-    suspicions.sort(key=lambda item: item[0])
-
-    legs: list[Leg] = []
-    cursor = start
-    for round_index in range(1, decide.round + 1):
-        deliveries = [
-            (wall, event)
-            for event in events
-            if event.kind == "msg_delivered"
-            and event.pid == pid
-            and event.round == round_index
-            and (wall := _wall(event)) is not None
-        ]
-        gating = max(deliveries, default=None, key=lambda item: item[0])
-        close = gating[0] if gating is not None else cursor
-        # A suspicion by this process inside the round's window ended a
-        # wait no delivery could: it closes the round when it resolves
-        # after every consumed message.
-        window_suspicions = [
-            (wall, event)
-            for wall, event in suspicions
-            if cursor < wall <= max(close, cursor) or (
-                gating is None and cursor < wall <= decide_wall
-            )
-        ]
-        kind, via = "send", None
-        if gating is not None:
-            _, gate_event = gating
-            extra = gate_event.extra if isinstance(gate_event.extra, dict) else {}
-            via = extra.get("msg_id")
-            if extra.get("retransmits", 0):
-                kind = "retransmit"
-        if window_suspicions and (
-            gating is None or window_suspicions[-1][0] >= gating[0]
-        ):
-            close = max(close, window_suspicions[-1][0])
-            kind, via = "detector-wait", window_suspicions[-1][1].peer
-        close = min(max(close, cursor), decide_wall)
-        if close > cursor:
-            legs.append(
-                Leg(
-                    kind=kind,
-                    seconds=close - cursor,
-                    round=round_index,
-                    via=via,
+            paths.append(
+                DecisionPath(
+                    pid=event.pid,
+                    value=event.value,
+                    round=event.round,
+                    index=index,
+                    length=depth[index],
+                    nodes=nodes,
                 )
             )
-        cursor = close
-    if decide_wall > cursor:
-        legs.append(Leg(kind="local", seconds=decide_wall - cursor))
-    return legs, decide_wall - start
+        return paths
 
 
 # -- suspicion forensics -----------------------------------------------------
@@ -250,14 +104,8 @@ class SuspicionReport:
     observer: int
     suspected: int
     index: int
-    wall_s: float | None = None
     delay: Any = None  # engine-reported suspicion latency
-    justified: bool | None = None  # None when no ground truth in trace
-    crash_wall_s: float | None = None
-    misses: int | None = None  # silent monitor passes at suspicion
-    threshold: int | None = None
-    last_heard_s: float | None = None
-    silence_s: float | None = None  # the missed-heartbeat window
+    justified: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -270,59 +118,33 @@ class SuspicionReport:
 def suspicion_forensics(events: Sequence[Event]) -> list[SuspicionReport]:
     """Audit every suspicion in a trace.
 
-    ``justified`` means the suspected process's crash is in the trace
-    and (when walls are known) happened before the suspicion — the
-    strong accuracy clause of P.  The missed-heartbeat window
-    ``[last_heard_s, wall_s]`` comes from the live detector's
-    forensics fields and is the causal cut the suspicion rests on: no
-    event of the suspected process after ``last_heard_s`` reached the
-    observer's module before it fired.
+    ``justified`` means the suspected process's crash is in the trace:
+    P's strong accuracy makes any in-trace crash ground truth for the
+    suspicion.
     """
-    crash_index: dict[int, int] = {}
-    crash_wall: dict[int, float] = {}
-    for index, event in enumerate(events):
-        if event.kind == "crash" and event.pid is not None:
-            crash_index.setdefault(event.pid, index)
-            wall = _wall(event)
-            if wall is not None:
-                crash_wall.setdefault(event.pid, wall)
-
-    reports: list[SuspicionReport] = []
-    for index, event in enumerate(events):
-        if event.kind != "suspect":
-            continue
-        report = SuspicionReport(
+    crashed = {
+        event.pid
+        for event in events
+        if event.kind == "crash" and event.pid is not None
+    }
+    return [
+        SuspicionReport(
             observer=event.pid,
             suspected=event.peer,
             index=index,
-            wall_s=_wall(event),
             delay=event.value,
+            justified=event.peer in crashed,
         )
-        extra = event.extra if isinstance(event.extra, dict) else {}
-        report.misses = extra.get("misses")
-        report.threshold = extra.get("threshold")
-        report.last_heard_s = extra.get("last_heard_s")
-        if report.wall_s is not None and report.last_heard_s is not None:
-            report.silence_s = report.wall_s - report.last_heard_s
-        if event.peer in crash_index:
-            report.crash_wall_s = crash_wall.get(event.peer)
-            if report.wall_s is not None and report.crash_wall_s is not None:
-                report.justified = report.crash_wall_s <= report.wall_s
-            else:
-                # Deterministic engines: P's strong accuracy makes any
-                # in-trace crash ground truth for the suspicion.
-                report.justified = True
-        else:
-            report.justified = False
-        reports.append(report)
-    return reports
+        for index, event in enumerate(events)
+        if event.kind == "suspect"
+    ]
 
 
 # -- Λ-bound verification ----------------------------------------------------
 
 
 def is_round_trace(events: Sequence[Event]) -> bool:
-    """True for traces of the round models (incl. live round sessions)."""
+    """True for traces of the round models."""
     return any(event.kind == "round_start" for event in events)
 
 
@@ -366,15 +188,12 @@ def causal_summary(
 
     The per-cell block ``repro causal`` prints and the report layer
     embeds: clock kind, graph size, every decision's critical path,
-    Λ-bound anomalies, suspicion audits — and for live traces the
-    slowest decision's retransmit share (the fraction of its wall
-    latency spent inside retransmitted gating legs, i.e. how much of
-    the tail the lossy network bought).
+    Λ-bound anomalies and suspicion audits.
     """
     if graph is None:
         graph = annotate(events)
     paths = critical_paths(events, graph=graph)
-    summary: dict[str, Any] = {
+    return {
         "clock": clock_kind(events),
         "events": len(events),
         "message_edges": sum(
@@ -390,17 +209,3 @@ def causal_summary(
             report.to_dict() for report in suspicion_forensics(events)
         ],
     }
-    timed = [path for path in paths if path.wall_latency_s]
-    if timed:
-        slowest = max(timed, key=lambda path: path.wall_latency_s)
-        retransmit = sum(
-            leg.seconds for leg in slowest.legs if leg.kind == "retransmit"
-        )
-        summary["slowest_decision"] = {
-            "pid": slowest.pid,
-            "wall_latency_s": slowest.wall_latency_s,
-            "retransmit_share": round(
-                retransmit / slowest.wall_latency_s, 4
-            ),
-        }
-    return summary

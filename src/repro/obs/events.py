@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence, TextIO
 
@@ -66,11 +66,6 @@ class Event:
             the suspected process for ``suspect``).
         value: Event-specific payload (decision value, suspicion
             delay, ...).
-        extra: Optional side-channel mapping of causal / wall-clock
-            metadata (``msg_id``, ``wall_s``, retransmit counts,
-            detector forensics).  Only the live runtime populates it;
-            the deterministic engines never do.  Excluded from
-            equality so replay comparisons ignore it.
     """
 
     kind: str
@@ -80,12 +75,11 @@ class Event:
     pid: int | None = None
     peer: int | None = None
     value: Any = None
-    extra: Any = field(default=None, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready dict, omitting unset fields."""
         out: dict[str, Any] = {"kind": self.kind, "ts": self.ts}
-        for key in ("round", "time", "pid", "peer", "value", "extra"):
+        for key in ("round", "time", "pid", "peer", "value"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
@@ -120,7 +114,8 @@ class Event:
 
         Inverse of :meth:`to_dict` — unset optional fields come back as
         ``None``, so ``from_dict(e.to_dict()) == e`` for events whose
-        ``value`` survives a JSON round trip.
+        ``value`` survives a JSON round trip.  Keys that are no event
+        field are dropped.
         """
         return cls(
             kind=data["kind"],
@@ -130,7 +125,6 @@ class Event:
             pid=data.get("pid"),
             peer=data.get("peer"),
             value=data.get("value"),
-            extra=data.get("extra"),
         )
 
 
@@ -188,7 +182,6 @@ class _EventBuilder:
         pid: int | None = None,
         peer: int | None = None,
         value: Any = None,
-        extra: Any = None,
     ) -> None:
         self.kind = kind
         self.ts = ts
@@ -197,7 +190,6 @@ class _EventBuilder:
         self.pid = pid
         self.peer = peer
         self.value = value
-        self.extra = extra
         self.__class__ = Event
 
 
@@ -258,9 +250,7 @@ class EventLog:
     ``emit(event)`` funnel, and guard each call site with ``observer is
     not None``, so an unrecorded run builds no :class:`Event` at all.
     All hooks take the minimum information the engines have on hand;
-    none return anything.  ``extra`` is a JSON-ready mapping stored on
-    :attr:`Event.extra` (and therefore serialized); only the live
-    runtime's post-hoc replay supplies it.
+    none return anything.
 
     Args:
         clock: Timestamp source; defaults to :func:`time.perf_counter`.
@@ -338,7 +328,6 @@ class EventLog:
         *,
         round_index: int | None = None,
         time: int | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """A message from ``sender`` to ``recipient`` reached the network."""
         self.events.append(
@@ -349,8 +338,6 @@ class EventLog:
                 time,
                 recipient,
                 sender,
-                None,
-                extra,
             )
         )
 
@@ -359,8 +346,6 @@ class EventLog:
         sender: int,
         recipient: int,
         round_index: int,
-        *,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """A sent message was withheld this round (RWS pending)."""
         self.events.append(
@@ -371,8 +356,6 @@ class EventLog:
                 None,
                 recipient,
                 sender,
-                None,
-                extra,
             )
         )
 
@@ -383,7 +366,6 @@ class EventLog:
         *,
         round_index: int | None = None,
         time: int | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """A message from ``sender`` was received by ``recipient``."""
         self.events.append(
@@ -394,8 +376,6 @@ class EventLog:
                 time,
                 recipient,
                 sender,
-                None,
-                extra,
             )
         )
 
@@ -406,7 +386,6 @@ class EventLog:
         round_index: int | None = None,
         time: int | None = None,
         applies_transition: bool | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """Process ``pid`` crashed.
 
@@ -426,7 +405,6 @@ class EventLog:
                 pid,
                 None,
                 applies_transition,
-                extra,
             )
         )
 
@@ -437,7 +415,6 @@ class EventLog:
         *,
         time: int | None = None,
         delay: int | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """``pid``'s detector module began suspecting ``suspected``.
 
@@ -453,7 +430,6 @@ class EventLog:
                 pid,
                 suspected,
                 delay,
-                extra,
             )
         )
 
@@ -462,8 +438,6 @@ class EventLog:
         pid: int,
         value: Any,
         round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """Process ``pid`` decided ``value``."""
         self.events.append(
@@ -475,7 +449,6 @@ class EventLog:
                 pid,
                 None,
                 value,
-                extra,
             )
         )
 
@@ -483,8 +456,6 @@ class EventLog:
         self,
         pid: int,
         round_index: int | None = None,
-        *,
-        extra: dict[str, Any] | None = None,
     ) -> None:
         """Process ``pid`` halted — it will never send again."""
         self.events.append(
@@ -495,8 +466,6 @@ class EventLog:
                 None,
                 pid,
                 None,
-                None,
-                extra,
             )
         )
 

@@ -1,4 +1,4 @@
-"""Background campaign heartbeats: cells/sec, ETA, verdict tallies.
+"""Background campaign heartbeats: cells/sec, ETA, cache hits.
 
 An overnight sweep that prints nothing until it finishes is
 indistinguishable from a hung one.  :class:`ProgressReporter` fixes
@@ -26,7 +26,7 @@ class ProgressReporter:
     """Heartbeat emitter for one campaign leg.
 
     Args:
-        total: Planned work items (cells, cases, sessions) this leg.
+        total: Planned work items (cells, cases) this leg.
         path: Where to append JSON heartbeats (``progress.jsonl``), or
             ``None`` for stream-only reporting.
         stream: Where to print human heartbeat lines (default stderr);
@@ -51,7 +51,6 @@ class ProgressReporter:
         self.label = label
         self._done = 0
         self._cached = 0
-        self._verdicts: dict[str, int] = {}
         self._lock = threading.Lock()
         self._started = monotonic()
         self._stop = threading.Event()
@@ -59,16 +58,12 @@ class ProgressReporter:
 
     # -- producer side (the runner) -----------------------------------------
 
-    def advance(
-        self, *, cached: bool = False, verdict: str | None = None
-    ) -> None:
+    def advance(self, *, cached: bool = False) -> None:
         """Record one completed work item (any thread)."""
         with self._lock:
             self._done += 1
             if cached:
                 self._cached += 1
-            if verdict is not None:
-                self._verdicts[verdict] = self._verdicts.get(verdict, 0) + 1
 
     # -- sampling side -------------------------------------------------------
 
@@ -76,7 +71,6 @@ class ProgressReporter:
         """One JSON-ready snapshot of where the campaign stands."""
         with self._lock:
             done, cached = self._done, self._cached
-            verdicts = dict(self._verdicts)
         elapsed = max(monotonic() - self._started, 1e-9)
         rate = done / elapsed
         remaining = max(self.total - done, 0)
@@ -91,7 +85,6 @@ class ProgressReporter:
             "elapsed_s": round(elapsed, 3),
             "cells_per_s": round(rate, 3),
             "eta_s": round(eta, 3) if eta is not None else None,
-            "verdicts": verdicts,
         }
 
     def emit(self, *, status: str = "running") -> dict[str, Any]:
@@ -106,17 +99,10 @@ class ProgressReporter:
         if self.stream is not None:
             eta = record["eta_s"]
             eta_text = f"{eta:.0f}s" if eta is not None else "?"
-            verdicts = record["verdicts"]
-            verdict_text = (
-                " [" + " ".join(f"{k}={v}" for k, v in sorted(verdicts.items())) + "]"
-                if verdicts
-                else ""
-            )
             print(
                 f"[{self.label}] {record['done']}/{record['total']} "
                 f"({record['cached']} cached) "
-                f"{record['cells_per_s']:.1f} cells/s eta {eta_text}"
-                f"{verdict_text}",
+                f"{record['cells_per_s']:.1f} cells/s eta {eta_text}",
                 file=self.stream,
             )
             try:

@@ -10,12 +10,11 @@ schema, and renders both as a terminal dashboard:
   that a restarted campaign executed only what the first leg left;
 * cache telemetry (hits, misses, corrupt-entry evictions);
 * a flamegraph-style tree of aggregated profiler spans;
-* live decision-latency / detection-delay percentiles judged against
-  the run's SLO thresholds;
+* the SLO verdicts the summary was judged with;
 * the top-k slowest cells.
 
 The builders are duck-typed over the runtime's ``SweepResult`` (and
-the fuzz/live equivalents) rather than importing them: ``repro.obs``
+the fuzz report) rather than importing them: ``repro.obs``
 is the substrate those layers build on, and must not import back up
 the stack.
 """
@@ -32,28 +31,12 @@ from repro.obs.artifacts import (
     RunDir,
     evaluate_slos,
 )
-from repro.stats import percentile
 
 if TYPE_CHECKING:
     from repro.obs.template import TemplateEvents
 
 #: Span-aggregate fields that fold exactly across snapshots.
 _FOLDABLE = ("count", "total_s", "max_s")
-
-
-def percentile_summary(values: Sequence[float]) -> dict[str, Any] | None:
-    """count/mean/p50/p90/p99/max of a sample, or ``None`` when empty."""
-    if not values:
-        return None
-    values = list(values)
-    return {
-        "count": len(values),
-        "mean": round(sum(values) / len(values), 3),
-        "p50": round(percentile(values, 50), 3),
-        "p90": round(percentile(values, 90), 3),
-        "p99": round(percentile(values, 99), 3),
-        "max": round(max(values), 3),
-    }
 
 
 def merge_span_snapshots(
@@ -87,11 +70,10 @@ def causal_cells(
 ) -> dict[str, Any] | None:
     """Fold per-cell causal analyses into one summary block.
 
-    For every cell with a trace: the max critical-path hop count, the
-    Λ-bound anomalies (:func:`repro.obs.critical.verify_round_paths`),
-    and for live traces the slowest decision's retransmit share.  Also
-    flags a clock mix — cells stamped by the logical counter are not
-    wall-comparable with live-replayed ones, so cross-cell timestamp
+    For every cell with a trace: the max critical-path hop count and
+    the Λ-bound anomalies (:func:`repro.obs.critical.verify_round_paths`).
+    Also flags a clock mix — cells stamped by the logical counter are
+    not wall-comparable with wall-stamped ones, so cross-cell timestamp
     comparisons would be meaningless.
 
     None of the kept facts depends on a decided value, so each cell's
@@ -137,10 +119,6 @@ def _causal_facts(events: Sequence[Any]) -> tuple[dict[str, Any], str]:
         "max_path_length": summary["max_path_length"],
         "anomalies": summary["anomalies"],
     }
-    if "slowest_decision" in summary:
-        facts["retransmit_share"] = summary["slowest_decision"][
-            "retransmit_share"
-        ]
     return facts, clock_kind(events)
 
 
@@ -269,72 +247,6 @@ def summarize_sweep(
     if causal is not None:
         summary["causal"] = causal
 
-    summary["slo_verdicts"] = evaluate_slos(run.slo, summary)
-    return summary
-
-
-def summarize_live(
-    run: RunDir,
-    stats: Mapping[str, Any],
-    *,
-    session_latencies_ms: Sequence[float] = (),
-    detection_delays_ms: Sequence[float] = (),
-    oracle_failed: int | None = None,
-    extra_spans: Mapping[str, Mapping[str, Any]] | None = None,
-    events: Sequence[Any] | None = None,
-) -> dict[str, Any]:
-    """The ``summary.json`` document of one live (cluster) run.
-
-    ``events`` is session 0's serialized trace when the run recorded
-    one; its causal analysis (critical-path hop counts, the slowest
-    decision's retransmit share, Λ-bound anomalies) is embedded under
-    ``live.causal``.
-    """
-    sessions = int(stats.get("sessions", 1) or 1)
-    completed = int(stats.get("sessions_completed", 0) or 0)
-    quality = stats.get("detector_quality", {}) or {}
-    summary: dict[str, Any] = {
-        "schema": RUN_SCHEMA,
-        "run_id": run.run_id,
-        "kind": run.kind,
-        "coverage": {
-            "planned": sessions,
-            "completed": completed,
-            "fraction": round(completed / sessions, 6) if sessions else 1.0,
-        },
-        "live": {
-            "profile": stats.get("profile"),
-            "algorithm": stats.get("algorithm"),
-            "detector": stats.get("detector"),
-            "duration_s": stats.get("duration_s"),
-            "decisions": stats.get("decisions"),
-            "decisions_per_s": stats.get("decisions_per_s"),
-            "false_suspicions": quality.get("false_suspicions", 0),
-            "suspicions": quality.get("suspicions", 0),
-            "decision_latency_ms": percentile_summary(list(session_latencies_ms)),
-            "detection_delay_ms": percentile_summary(list(detection_delays_ms)),
-            "transport": stats.get("transport"),
-        },
-    }
-    if events:
-        from repro.obs.critical import causal_summary
-
-        analysis = causal_summary(events)
-        summary["live"]["causal"] = {
-            "max_path_length": analysis["max_path_length"],
-            "anomalies": analysis["anomalies"],
-            "suspicions_justified": sum(
-                1
-                for report in analysis["suspicions"]
-                if report.get("justified")
-            ),
-            "slowest_decision": analysis.get("slowest_decision"),
-        }
-    if oracle_failed is not None:
-        summary["oracle"] = {"checked": 1, "failed": oracle_failed}
-    spans = merge_span_snapshots([dict(extra_spans) if extra_spans else None])
-    if spans:
-        summary["spans"] = spans
     summary["slo_verdicts"] = evaluate_slos(run.slo, summary)
     return summary
 
@@ -471,14 +383,6 @@ def summary_problems(summary: Any) -> list[str]:
                 problems.append(f"resume.{field} missing or mistyped")
     elif kind in ("sweep", "fuzz"):
         problems.append("missing required key 'resume'")
-
-    if kind == "live":
-        live = require("live", Mapping, summary)
-        if live is not None:
-            for field in ("decision_latency_ms", "detection_delay_ms"):
-                value = live.get(field)
-                if value is not None and not isinstance(value, Mapping):
-                    problems.append(f"live.{field} is not an object or null")
 
     spans = summary.get("spans")
     if spans is not None:
@@ -653,43 +557,6 @@ def render_report(
             f"{len(fuzz.get('parity_problems', []))} parity problem(s)"
         )
 
-    live = summary.get("live")
-    if live is not None:
-        lines.append(
-            f"live: {live.get('algorithm')} on {live.get('profile')} "
-            f"({live.get('decisions')} decisions, "
-            f"{live.get('decisions_per_s')}/s)"
-        )
-        for label, key in (
-            ("decision latency", "decision_latency_ms"),
-            ("detection delay", "detection_delay_ms"),
-        ):
-            dist = live.get(key)
-            if dist:
-                lines.append(
-                    f"  {label}: p50 {dist['p50']} ms, p90 {dist['p90']} ms, "
-                    f"p99 {dist['p99']} ms, max {dist['max']} ms "
-                    f"(n={dist['count']})"
-                )
-        lines.append(
-            f"  detector: {live.get('suspicions', 0)} suspicion(s), "
-            f"{live.get('false_suspicions', 0)} false"
-        )
-        live_causal = live.get("causal")
-        if live_causal:
-            line = (
-                f"  causal: max path {live_causal.get('max_path_length')} hops"
-            )
-            slowest = live_causal.get("slowest_decision")
-            if slowest:
-                line += (
-                    f", slowest decision {1000 * slowest['wall_latency_s']:.1f}"
-                    f" ms ({100 * slowest['retransmit_share']:.0f}% retransmit)"
-                )
-            lines.append(line)
-            for problem in live_causal.get("anomalies", []):
-                lines.append(f"  CAUSAL ANOMALY: {problem}")
-
     causal = summary.get("causal")
     if causal:
         max_hops = max(
@@ -761,6 +628,8 @@ def render_top(run: RunDir) -> str:
         lines.append("  no heartbeats yet")
         return "\n".join(lines)
     eta = last.get("eta_s")
+    # Heartbeats no longer carry a verdict tally; older progress files
+    # may, and still render with it.
     verdicts = last.get("verdicts") or {}
     verdict_text = (
         " " + " ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))

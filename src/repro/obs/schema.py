@@ -29,25 +29,7 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 }
 
 #: All fields any event may carry.
-_ALLOWED = frozenset(
-    {"kind", "ts", "round", "time", "pid", "peer", "value", "extra"}
-)
-
-#: Typed keys inside the optional ``extra`` causal-metadata object.
-#: ``msg_id`` pairs sends with deliveries; the rest are live wall-clock
-#: and forensics fields.  Unknown keys are permitted (the channel is a
-#: side band), but known keys must be well-typed.
-_EXTRA_TYPES: dict[str, tuple[type, ...]] = {
-    "msg_id": (int, str),
-    "wall_s": (int, float),
-    "attempts": (int,),
-    "retransmits": (int,),
-    "wire_s": (int, float),
-    "delivered_s": (int, float),
-    "misses": (int,),
-    "threshold": (int,),
-    "last_heard_s": (int, float),
-}
+_ALLOWED = frozenset({"kind", "ts", "round", "time", "pid", "peer", "value"})
 
 
 def validate_event_dict(data: dict[str, Any], line: int = 0) -> list[str]:
@@ -61,10 +43,10 @@ def validate_event_dict(data: dict[str, Any], line: int = 0) -> list[str]:
     for field in _COMMON_REQUIRED + _REQUIRED[kind]:
         if field not in data:
             problems.append(f"{where}{kind} event missing field {field!r}")
-    extra = set(data) - _ALLOWED
-    if extra:
+    unknown = set(data) - _ALLOWED
+    if unknown:
         problems.append(
-            f"{where}{kind} event has unknown fields {sorted(extra)}"
+            f"{where}{kind} event has unknown fields {sorted(unknown)}"
         )
     if "ts" in data and not isinstance(data["ts"], (int, float)):
         problems.append(f"{where}ts must be numeric, got {data['ts']!r}")
@@ -75,21 +57,6 @@ def validate_event_dict(data: dict[str, Any], line: int = 0) -> list[str]:
             problems.append(
                 f"{where}{field} must be an integer, got {data[field]!r}"
             )
-    if "extra" in data and data["extra"] is not None:
-        if not isinstance(data["extra"], dict):
-            problems.append(
-                f"{where}extra must be an object, got {data['extra']!r}"
-            )
-        else:
-            for key, types in _EXTRA_TYPES.items():
-                if key in data["extra"] and not isinstance(
-                    data["extra"][key], types
-                ):
-                    problems.append(
-                        f"{where}extra.{key} must be "
-                        f"{' or '.join(t.__name__ for t in types)}, "
-                        f"got {data['extra'][key]!r}"
-                    )
     return problems
 
 

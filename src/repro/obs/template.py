@@ -171,7 +171,7 @@ class TemplateEvents(Sequence):
 def factor(events: Sequence[Event]) -> TemplateEvents:
     """Split a plain trace into a template of its own and its holes:
     every ``decide`` value becomes a hole (``None`` in the template);
-    everything else, each event's ``extra`` included, is the template's."""
+    everything else is the template's."""
     shared = list(events)
     positions = [
         index for index, event in enumerate(shared) if event.kind == "decide"
@@ -194,5 +194,4 @@ def _with_value(event: Event, value: Any) -> Event:
         event.pid,
         event.peer,
         value,
-        event.extra,
     )

@@ -1,6 +1,6 @@
 """One leg of a campaign: the run-directory lifecycle, written once.
 
-``sweep``, ``fuzz``, ``mc`` and ``live`` all run a campaign into a run
+``sweep``, ``fuzz`` and ``mc`` all run a campaign into a run
 directory the same way: open (or re-attach to) the content-addressed
 directory, use its ``results/`` store as the cache, append one audit
 line per completed cell, keep a heartbeat going, and end either with a
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
-    from repro.obs.artifacts import RunDir, SLOConfig
+    from repro.obs.artifacts import RunDir
     from repro.obs.progress import ProgressReporter
     from repro.runtime.cache import ResultCache
     from repro.runtime.request import ExecutionRequest, ExecutionResult
@@ -38,12 +38,10 @@ class CampaignLeg:
 
     Args:
         root: The runs root (``--run-dir``), or ``None`` for an inert leg.
-        kind, name, config, slo: Recorded in the manifest.
+        kind, name, config: Recorded in the manifest.
         requests: The planned cells: the run id derives from their cache
             keys (each hashed once, then memoised on its request) and
-            ``results/`` becomes the leg's cache.  ``None`` for
-            ``sessions`` wall-clock sessions identified by ``config``,
-            with no result store (``live``).
+            ``results/`` becomes the leg's cache.
         label, stream: The heartbeat's tag (default ``name``) and the
             stream its lines are mirrored to, if any.
         cache_dir: The cache an inert leg hands to the runner, created
@@ -57,9 +55,7 @@ class CampaignLeg:
         kind: str,
         name: str,
         config: Mapping[str, Any],
-        requests: Sequence[ExecutionRequest] | None = None,
-        sessions: int = 0,
-        slo: SLOConfig | None = None,
+        requests: Sequence[ExecutionRequest],
         label: str | None = None,
         stream: Any = None,
         cache_dir: str | None = None,
@@ -90,23 +86,16 @@ class CampaignLeg:
         from repro.obs.progress import ProgressReporter
         from repro.runtime.cache import ResultCache
 
-        if requests is None:
-            keys = [f"session-{index}" for index in range(sessions)]
-            identity: Any = config
-            cells = list(zip(keys, keys))
-        else:
-            keys = [r.cache_key() for r in requests]
-            identity = sorted(keys)
-            cells = [(r.name, key) for r, key in zip(requests, keys)]
+        keys = [r.cache_key() for r in requests]
+        cells = [(r.name, key) for r, key in zip(requests, keys)]
         try:
             self.run_dir = RunDir.open(
                 root,
                 kind=kind,
                 name=name,
-                identity=identity,
+                identity=sorted(keys),
                 cells=cells,
                 config=config,
-                slo=slo,
             )
         except OSError as exc:
             raise ConfigurationError(
@@ -120,68 +109,38 @@ class CampaignLeg:
             stream=stream,
             label=label or name,
         )
-        if requests is not None:
-            try:
-                self.cache = self._store = ResultCache(self.run_dir.results_dir)
-                self.completed_before = self._store.completed_keys() & set(keys)
-            except BaseException:
-                self.interrupt()
-                raise
+        try:
+            self.cache = self._store = ResultCache(self.run_dir.results_dir)
+            self.completed_before = self._store.completed_keys() & set(keys)
+        except BaseException:
+            self.interrupt()
+            raise
 
     # -- per cell ------------------------------------------------------------
 
-    def audit(
-        self, request: ExecutionRequest, result: ExecutionResult | None = None
-    ) -> None:
-        """Append the cell's line to ``metrics.jsonl``.
-
-        ``result=None`` audits a cell found complete in the store without
-        loading it: flagged ``cached``, measurements null.
-        """
+    def audit(self, request: ExecutionRequest, result: ExecutionResult) -> None:
+        """Append the cell's line to ``metrics.jsonl``."""
         if self.run_dir is None:
             return
-        measured: dict[str, Any] = {}
-        if result is not None:
-            profile = result.extra.get("profile") or {}
-            measured = {
-                "latency": result.latency,
-                "num_rounds": result.num_rounds,
-                "events": len(result.events),
-                "duration_s": profile.get("duration_s"),
-            }
+        profile = result.extra.get("profile") or {}
         self.run_dir.record_cell(
             name=request.name,
-            key=request.cache_key() if result is None else result.request_key,
-            cached=result is None or result.cached,
+            key=result.request_key,
+            cached=result.cached,
             engine=request.engine,
             algorithm=request.algorithm,
-            **measured,
+            latency=result.latency,
+            num_rounds=result.num_rounds,
+            events=len(result.events),
+            duration_s=profile.get("duration_s"),
         )
 
-    def on_cell(
-        self, request: ExecutionRequest, result: ExecutionResult | None = None
-    ) -> None:
+    def on_cell(self, request: ExecutionRequest, result: ExecutionResult) -> None:
         """:meth:`audit` the cell and count it in the heartbeat — the
         :class:`~repro.runtime.sweep.SweepRunner` ``on_cell`` seam."""
         self.audit(request, result)
         if self.reporter is not None:
-            self.reporter.advance(cached=result is None or result.cached)
-
-    def on_session(self, session: int, wall_s: float, complete: bool) -> None:
-        """Audit and count one session of a ``live`` leg (no stored result)."""
-        if self.run_dir is None:
-            return
-        self.run_dir.record_cell(
-            name=f"session-{session}",
-            key=f"session-{session}",
-            cached=False,
-            engine="live",
-            algorithm=self.run_dir.manifest["config"].get("algorithm"),
-            events=0,
-            duration_s=wall_s,
-            ok=complete,
-        )
-        self.reporter.advance(verdict="complete" if complete else "incomplete")
+            self.reporter.advance(cached=result.cached)
 
     # -- the two endings -----------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Harness adapters: one ``execute`` seam over every engine.
 
-The repo has four ways to run an algorithm — the RS/RWS round executor,
-the two step-kernel emulations (RS on SS, RWS on SP) and the asyncio
-cluster (``live``), each with its own signature; ``"vector"`` is a
-second name for the round executor.  A :class:`Harness` adapts one
+The repo has three ways to run an algorithm — the RS/RWS round
+executor and the two step-kernel emulations (RS on SS, RWS on SP), each
+with its own signature; ``"vector"`` is a second name for the round
+executor.  A :class:`Harness` adapts one
 engine to the uniform ``(request, observer) -> engine-native run``
 shape, where ``observer`` is the :class:`~repro.obs.events.EventLog`
 the engine records into (or ``None``), and :func:`execute_request`
@@ -40,10 +40,6 @@ class Harness(Protocol):
     """
 
     engine: str
-    #: Whether a run is a function of its request.  A sweep executes
-    #: equal cells of a deterministic harness once
-    #: (:func:`repro.runtime.sweep.execute_cells`); ``False`` opts out.
-    deterministic: bool
 
     def execute(
         self, request: ExecutionRequest, observer: EventLog | None
@@ -64,7 +60,6 @@ class RoundHarness:
     """The RS/RWS round executor behind the uniform interface."""
 
     engine = "rounds"
-    deterministic = True
 
     def execute(
         self, request: ExecutionRequest, observer: EventLog | None
@@ -115,11 +110,10 @@ def _emulation_summary(trace: Any) -> tuple[dict[int, tuple[int, Any]], int | No
 
 class _EmulationHarness:
     """A round model emulated on its step kernel (Section 4); the
-    engine name picks ``repro.emulation.emulate_<engine>``."""
+    engine name picks ``repro.emulation.emulate_<engine>``; the step
+    schedulers draw from ``random.Random(request.seed)``."""
 
     engine: str
-    #: The step schedulers draw from ``random.Random(request.seed)``.
-    deterministic = True
 
     def execute(
         self, request: ExecutionRequest, observer: EventLog | None
@@ -157,33 +151,6 @@ class SPEmulationHarness(_EmulationHarness):
     engine = "rws_on_sp"
 
 
-class LiveHarness:
-    """The asyncio cluster runtime (heartbeat-built P) behind the seam.
-
-    The run is wall-clock nondeterministic; its trace is serialized
-    into logical order post-hoc and replayed into the log, so the
-    same oracle suite that checks the logical engines checks live runs.
-    Each run is a wall-clock sample, so equal cells are never folded
-    into one.
-    """
-
-    engine = "live"
-    deterministic = False
-
-    def execute(
-        self, request: ExecutionRequest, observer: EventLog | None
-    ) -> Any:
-        from repro.live.harness import run_live_request
-
-        return run_live_request(request, observer=observer)
-
-    def summarize(self, run: Any):
-        return dict(run.decisions), run.latency, run.num_rounds
-
-    def extras(self, run: Any) -> dict[str, Any]:
-        return {"live": run.stats_dict()}
-
-
 #: Engine name → harness singleton.  Harnesses are stateless, so one
 #: instance serves every worker.
 HARNESSES: dict[str, Any] = {
@@ -192,7 +159,6 @@ HARNESSES: dict[str, Any] = {
         RoundHarness(),
         SSEmulationHarness(),
         SPEmulationHarness(),
-        LiveHarness(),
     )
 }
 #: ``"vector"`` is a second name for the round executor: the ledger's

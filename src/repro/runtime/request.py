@@ -49,7 +49,7 @@ CACHE_SCHEMA_VERSION = 3
 #: ``"rounds"``: the same executor, byte-identical traces, distinct cache
 #: keys (the engine name is part of the request).  It stays because the
 #: ledger's campaigns and pinned run ids name it (ROADMAP 8(h)).
-ENGINES = ("rounds", "rs_on_ss", "rws_on_sp", "live", "vector")
+ENGINES = ("rounds", "rs_on_ss", "rws_on_sp", "vector")
 
 #: The engine names that run the RS/RWS round executor.
 ROUND_ENGINES = ("rounds", "vector")
@@ -63,17 +63,14 @@ class ExecutionRequest:
         name: Human-readable cell label (unique within a space).
         engine: ``"rounds"`` (the RS/RWS round executor; ``"vector"``
             is a second name for it), ``"rs_on_ss"`` or ``"rws_on_sp"``
-            (the Section 4 emulations on the step kernels), or ``"live"``
-            (the asyncio cluster runtime with heartbeat-built P).
+            (the Section 4 emulations on the step kernels).
         algorithm: Registry key (see :mod:`repro.runtime.registry`).
         values: Initial value per process; fixes ``n``.
         t: Resilience parameter.
         model: ``"RS"`` or ``"RWS"`` for the rounds engine; ``None``
             for the emulations (implied by the engine).
         scenario: The round-model adversary (rounds engine only).
-        pattern: The step-time failure pattern (emulations and live;
-            the live engine reads crash times as units of 10 ms wall
-            clock).
+        pattern: The step-time failure pattern (emulations only).
         max_rounds: Round horizon.
         seed: RNG seed for the randomized step schedulers (emulations
             only; the rounds engine is fully deterministic).
@@ -119,8 +116,8 @@ class ExecutionRequest:
         else:
             if self.pattern is None:
                 raise ConfigurationError(
-                    f"{self.name}: the emulation and live engines need a "
-                    "failure pattern"
+                    f"{self.name}: the emulation engines need a failure "
+                    "pattern"
                 )
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(

@@ -37,9 +37,6 @@ Registered spaces (:func:`space_by_name`):
   initial configurations) of the safe RWS algorithms (``Λ >= 2`` there,
   Section 5.3) and of A1 in RS (``Λ(A1) = 1``, Theorem 5.2); the
   per-algorithm worst case over this space *is* ``Λ = Lat(A, 0)``.
-* ``live-smoke`` — the asyncio runtime's smoke matrix: FloodSet over
-  every net profile with one crash, a failure-free WS cell, and
-  Chandra–Toueg with its first coordinator crashed.
 """
 
 from __future__ import annotations
@@ -390,65 +387,6 @@ def e10_lambda_space() -> ScenarioSpace:
     return ScenarioSpace(name="e10-lambda", requests=tuple(cells))
 
 
-def live_smoke_space(seed: int = 42) -> ScenarioSpace:
-    """The live-engine smoke matrix: every net profile, one crash each.
-
-    Small clusters on the asyncio runtime — FloodSet through the
-    P-synchronizer over all three registered profiles (including the
-    adversarial one with a partition window), one failure-free WS cell,
-    and Chandra–Toueg with its first coordinator crashed.  Crash times
-    are wall clock (pattern units of 10 ms); every cell's serialized
-    trace must pass the full oracle suite, consensus included.
-    """
-    n = 4
-    split = adversarial_split(n)
-    cells = [
-        # lan crashes at time 0 (the run would outrun a later fault);
-        # the slower profiles crash mid-run at 30 ms.
-        ExecutionRequest(
-            name=f"live-floodset-{profile}",
-            engine="live",
-            algorithm="floodset",
-            values=split,
-            t=1,
-            pattern=FailurePattern.with_crashes(
-                n, {1: 0 if profile == "lan" else 3}
-            ),
-            max_rounds=4,
-            seed=derived_seed(seed, index),
-            params=(("net_profile", profile),),
-        )
-        for index, profile in enumerate(("lan", "lossy", "adversarial"))
-    ]
-    cells.append(
-        ExecutionRequest(
-            name="live-floodset-ws-lossy-ff",
-            engine="live",
-            algorithm="floodset-ws",
-            values=split,
-            t=1,
-            pattern=FailurePattern.crash_free(n),
-            max_rounds=4,
-            seed=derived_seed(seed, 3),
-            params=(("net_profile", "lossy"),),
-        )
-    )
-    cells.append(
-        ExecutionRequest(
-            name="live-chandra-toueg-lan",
-            engine="live",
-            algorithm="chandra-toueg",
-            values=(5, 7, 7),
-            t=1,
-            pattern=FailurePattern.with_crashes(3, {0: 0}),
-            max_rounds=4,
-            seed=derived_seed(seed, 4),
-            params=(("net_profile", "lan"),),
-        )
-    )
-    return ScenarioSpace(name="live-smoke", requests=tuple(cells))
-
-
 def random_space(
     model: str,
     count: int = 25,
@@ -472,7 +410,7 @@ def vectorized_space(space: ScenarioSpace) -> ScenarioSpace:
 
     What ``repro sweep --engine vector`` runs: the same executor under
     its second name (kept because the ledger's campaigns name it,
-    ROADMAP 8(h)).  Emulation and live cells pass through untouched.
+    ROADMAP 8(h)).  Emulation cells pass through untouched.
     Cell names are preserved — the engine field is part of every cache
     key, so the rewritten cells cache separately from their rounds
     twins while the merged traces stay byte-identical.  Cells built as
@@ -517,14 +455,13 @@ def _on_vector(request: ExecutionRequest) -> ExecutionRequest:
 
 #: Name → factory.  A factory's keyword parameters are the options the
 #: space takes — ``count`` and ``seed`` for the stream-based spaces,
-#: ``seed`` alone for ``live-smoke``, neither for the fixed
-#: ``e10-lambda`` — and :func:`space_by_name` refuses any other.
+#: neither for the fixed ``e10-lambda`` — and :func:`space_by_name`
+#: refuses any other.
 SPACE_FACTORIES: dict[str, Callable[..., ScenarioSpace]] = {
     "oracle-sweep": lambda count=10, seed=42: oracle_sweep_space(count, seed),
     "e10-lambda": e10_lambda_space,
     "random-rs": lambda count=25, seed=42: random_space("RS", count, seed),
     "random-rws": lambda count=25, seed=42: random_space("RWS", count, seed),
-    "live-smoke": lambda seed=42: live_smoke_space(seed),
 }
 
 

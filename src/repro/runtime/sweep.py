@@ -37,11 +37,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
 # ``execute_batch`` is not called here: the ledger's tracer wraps this
 # binding site and fails when it is gone (ROADMAP 8(a)).
-from repro.runtime.harness import (  # noqa: F401
-    execute_batch,
-    execute_request,
-    harness_for,
-)
+from repro.runtime.harness import execute_batch, execute_request  # noqa: F401
 from repro.runtime.request import ROUND_ENGINES, ExecutionResult
 
 if TYPE_CHECKING:
@@ -144,23 +140,16 @@ def execute_cells(
     many runs that took.
 
     Cells whose requests agree in everything but ``name``
-    (:meth:`~repro.runtime.request.ExecutionRequest.work_key`) are one run of a
-    deterministic engine: the first of each group is executed and
-    :func:`_serve` hands its result to the rest.  A harness whose runs
-    are not a function of the request (``deterministic = False``: the
-    live cluster's are wall-clock samples) has every cell run on its
-    own.  ``on_arrival(positions, results)`` is called in the parent,
+    (:meth:`~repro.runtime.request.ExecutionRequest.work_key`) are one
+    run — every engine is a function of its request: the first of each
+    group is executed and :func:`_serve` hands its result to the rest.
+    ``on_arrival(positions, results)`` is called in the parent,
     once per finished run, with every cell the run served: ascending
     positions into ``requests`` and their results.
     """
-    groups: dict[str | int, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for position, request in enumerate(requests):
-        key = (
-            request.work_key()
-            if harness_for(request.engine).deterministic
-            else position
-        )
-        groups.setdefault(key, []).append(position)
+        groups.setdefault(request.work_key(), []).append(position)
     group_iter = iter(groups.values())
 
     def _arrived(result: ExecutionResult) -> None:
@@ -187,14 +176,11 @@ def check_model_for(request: ExecutionRequest) -> str | None:
     deadline arithmetic is validated by its dedicated checker), so only
     the model-agnostic invariants run; the SP emulation lifts pending
     messages into ``msg_withheld`` events and must satisfy weak round
-    synchrony.  The live engine's P-synchronizer likewise realizes RWS
-    — sends a recipient never consumed become ``msg_withheld`` with the
-    Lemma 4.1 crash bound (its step-mode traces carry no withheld
-    events, so the checker is vacuous there).
+    synchrony.
     """
     if request.engine in ROUND_ENGINES:
         return request.model
-    if request.engine in ("rws_on_sp", "live"):
+    if request.engine == "rws_on_sp":
         return "RWS"
     return None
 
@@ -248,8 +234,7 @@ def check_cell(
     """Run the trace oracle over one cell's events."""
     initial_values = (
         request.values
-        if (request.engine in ROUND_ENGINES or request.engine == "live")
-        and request.check_consensus
+        if request.engine in ROUND_ENGINES and request.check_consensus
         else None
     )
     report = _oracle()(

@@ -44,7 +44,6 @@ def audit_line(
     num_rounds: Any = None,
     events: Any = None,
     duration_s: Any = None,
-    ok: Any = None,
 ) -> str:
     """``RunDir.record_cell``'s ``metrics.jsonl`` line for one cell."""
     record = {
@@ -59,6 +58,5 @@ def audit_line(
         "num_rounds": num_rounds,
         "events": events,
         "duration_s": duration_s,
-        "ok": ok,
     }
     return json.dumps(record, sort_keys=True, default=repr) + "\n"

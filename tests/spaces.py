@@ -9,7 +9,7 @@ from repro.runtime.space import SPACE_FACTORIES, ScenarioSpace, space_by_name
 
 def space_with(name: str, **options: int) -> ScenarioSpace:
     """``space_by_name(name, ...)`` given only the ``options`` the space
-    takes: ``e10-lambda`` is fixed, ``live-smoke`` takes a seed only."""
+    takes: ``e10-lambda`` is fixed."""
     takes = inspect.signature(SPACE_FACTORIES[name]).parameters
     return space_by_name(
         name, **{option: value for option, value in options.items() if option in takes}

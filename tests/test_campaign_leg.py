@@ -1,6 +1,6 @@
 """The run-directory lifecycle, tested once: ``CampaignLeg``.
 
-``sweep``, ``fuzz``, ``mc`` and ``live`` all hold their run directory
+``sweep``, ``fuzz`` and ``mc`` all hold their run directory
 through one :class:`repro.runtime.campaign.CampaignLeg`, so the
 contract — what a leg writes, and that no way of leaving it strands the
 manifest at ``"running"`` — is pinned here against the class, with one
@@ -75,7 +75,6 @@ class TestInertLeg:
             assert leg.completed_before == set()
             result = _run(leg, space)
             leg.audit(space.requests[0], result.results[0])
-            leg.on_session(0, 0.1, True)
             summarised = []
             assert leg.finalize(summarised.append) is None
             assert summarised == []  # the summariser never ran
@@ -117,11 +116,16 @@ class TestOpenLeg:
             leg.audit(space.requests[0], result.results[0])
             assert len(run_dir.metrics_records()) == len(space.requests) + 1
             assert leg.reporter.heartbeat()["done"] == len(space.requests)
-            # A cell found in the store and not loaded: cached, no figures.
-            leg.on_cell(space.requests[1])
+            # A result served from the store: flagged cached, with the
+            # figures the store kept and counted as done.
+            stored = leg.cache.get(space.requests[1])
+            leg.on_cell(space.requests[1], stored)
             line = run_dir.metrics_records()[-1]
-            assert line["cached"] is True and line["latency"] is None
+            assert line["cached"] is True
+            assert line["latency"] == result.results[1].latency
             assert line["key"] == space.requests[1].cache_key()
+            assert leg.reporter.heartbeat()["done"] == len(space.requests) + 1
+            assert leg.reporter.heartbeat()["cached"] == 1
             leg.finalize(lambda run: {})
 
     def test_completed_before_is_the_store_restricted_to_the_plan(
@@ -143,27 +147,6 @@ class TestOpenLeg:
         }
         assert stray.cache_key() in second.cache.completed_keys()
         second.interrupt()
-
-    def test_session_leg_has_no_store_and_audits_sessions(self, tmp_path):
-        config = {"algorithm": "floodset", "sessions": 3}
-        with CampaignLeg(
-            str(tmp_path), kind="live", name="live-x", config=config, sessions=3
-        ) as leg:
-            assert leg.cache is None
-            assert leg.run_dir.manifest["planned"] == 3
-            leg.on_session(1, 0.25, True)
-            (line,) = leg.run_dir.metrics_records()
-            assert line["cell"] == line["key"] == "session-1"
-            assert line["engine"] == "live" and line["algorithm"] == "floodset"
-            assert line["ok"] is True and line["duration_s"] == 0.25
-            assert leg.reporter.heartbeat()["verdicts"] == {"complete": 1}
-            leg.finalize(lambda run: {})
-        # Same config, same directory: the identity is the config.
-        again = CampaignLeg(
-            str(tmp_path), kind="live", name="live-x", config=config, sessions=3
-        )
-        assert again.path == leg.path
-        again.interrupt()
 
 
 class _Boom(Exception):
@@ -351,16 +334,23 @@ class TestFailureAfterTheSweep:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["sweep", "e10-lambda"],
-        ["fuzz", "--budget", "4"],
-        ["mc", "agreement", "--algorithm", "floodset"],
-        ["live"],
+        (["sweep", "e10-lambda"], "cannot create run directory"),
+        (["fuzz", "--budget", "4"], "cannot create run directory"),
+        (["mc", "agreement", "--algorithm", "floodset"],
+         "cannot create run directory"),
+        # A command, a space and an engine that do not exist: refused
+        # before a run directory is tried.
+        (["live"], "invalid choice: 'live'"),
+        (["sweep", "live-smoke"], "unknown scenario space 'live-smoke'"),
+        (["fuzz", "--engine", "live"], "invalid choice: 'live'"),
     ],
-    ids=lambda argv: argv[0],
+    ids=["sweep", "fuzz", "mc", "live", "sweep-live-smoke", "fuzz-engine-live"],
 )
-def test_unwritable_run_dir_is_one_error_line_not_a_traceback(argv, tmp_path):
+def test_unwritable_run_dir_is_one_error_line_not_a_traceback(
+    argv, message, tmp_path
+):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     proc = subprocess.run(
@@ -372,8 +362,8 @@ def test_unwritable_run_dir_is_one_error_line_not_a_traceback(argv, tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    (line,) = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
-    assert "cannot create run directory" in line
+    (line,) = [l for l in proc.stderr.splitlines() if "error: " in l]
+    assert message in line
 
 
 def test_a_leg_closes_every_store_handle_it_opened(tmp_path):
@@ -440,8 +430,7 @@ class TestRefusedBeforeAnythingRuns:
 
     @pytest.mark.parametrize(
         "space, option",
-        [("e10-lambda", "--count"), ("e10-lambda", "--seed"),
-         ("live-smoke", "--count")],
+        [("e10-lambda", "--count"), ("e10-lambda", "--seed")],
     )
     def test_option_the_space_does_not_take(
         self, command, space, option, tmp_path, capsys
@@ -567,7 +556,7 @@ _MANIFEST_KEYS = [
 ]
 _CELL_LINE_KEYS = [
     "algorithm", "cached", "cell", "duration_s", "engine", "events", "key",
-    "latency", "leg", "num_rounds", "ok", "t",
+    "latency", "leg", "num_rounds", "t",
 ]
 
 

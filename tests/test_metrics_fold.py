@@ -5,8 +5,8 @@ counted the engines' hook calls beside the event log.  These tests hold
 the fold to that observer's rules, kept in
 ``tests/reference_metrics.py``: every cell of every registered space on
 both round engines (the sweep's result path — batching, sharing, the
-value-free template — included), the live smoke matrix, and every named
-run ``repro metrics`` prints.
+value-free template — included) and every named run ``repro metrics``
+prints.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.runtime.space import (
 from tests.reference_metrics import ReferenceMetrics
 from tests.spaces import space_with
 
-SPACES = sorted(name for name in SPACE_FACTORIES if name != "live-smoke")
+SPACES = sorted(SPACE_FACTORIES)
 
 
 def reference(request):
@@ -57,20 +57,6 @@ def test_every_cell_of_every_space_matches_the_reference(name, engine, seed):
         events, metrics = reference(request)
         assert list(result.events) == events, request.name
         assert result.metrics == metrics, request.name
-
-
-def test_live_smoke_matches_the_reference():
-    # A live run is a wall-clock sample: fold the very trace counted.
-    for request in space_by_name("live-smoke").requests:
-        observer = ReferenceMetrics()
-        harness_for("live").execute(request, observer)
-        result = ExecutionResult(
-            name=request.name,
-            request_key=request.cache_key(),
-            events=observer.events,
-        )
-        assert observer.of_kind("decide"), request.name
-        assert result.metrics == observer.state(), request.name
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_CELLS) + sorted(CELL_ALIASES))
@@ -107,8 +93,7 @@ def _per_cell_fold(results):
         for name in SPACES
         for engine in ("rounds", "vector")
         for leg in ("executed", "stored")
-    ]
-    + [("live-smoke", "live", "executed")],
+    ],
 )
 def test_the_sweep_fold_equals_the_per_cell_fold(name, engine, leg, tmp_path):
     # A sweep adds the counters of a state that k cells share once,

@@ -17,6 +17,7 @@ import pytest
 from repro.cli.main import main
 from repro.obs.artifacts import RunDir
 from repro.obs.progress import ProgressReporter, latest_progress
+from repro.obs.report import render_top
 
 
 def read_records(path):
@@ -30,17 +31,24 @@ def read_records(path):
 
 
 class TestHeartbeat:
-    def test_counters_and_verdicts(self):
+    def test_counters_and_verdicts(self, tmp_path):
         reporter = ProgressReporter(total=4, stream=None)
-        reporter.advance(verdict="ok")
-        reporter.advance(cached=True, verdict="ok")
-        reporter.advance(verdict="fail")
+        reporter.advance()
+        reporter.advance(cached=True)
+        reporter.advance()
         record = reporter.heartbeat()
         assert record["done"] == 3
         assert record["total"] == 4
         assert record["cached"] == 1
-        assert record["verdicts"] == {"ok": 2, "fail": 1}
+        assert "verdicts" not in record
         assert record["eta_s"] is not None
+        # A heartbeat written while the reporter still kept a verdict
+        # tally renders with it.
+        (tmp_path / "progress.jsonl").write_text(
+            json.dumps({**record, "verdicts": {"ok": 2, "fail": 1}}) + "\n"
+        )
+        run = RunDir(path=tmp_path, manifest={"run_id": "r", "name": "old"})
+        assert render_top(run).endswith(" fail=1 ok=2")
 
     def test_zero_rate_has_no_eta(self):
         record = ProgressReporter(total=4, stream=None).heartbeat()
@@ -149,7 +157,7 @@ def finished_run(tmp_path):
         total=1, path=run.progress_path, stream=None, interval_s=60.0
     )
     reporter.emit()
-    reporter.advance(verdict="ok")
+    reporter.advance()
     reporter.emit(status="complete")
     run.finalize({"schema": 1})
     return run
@@ -210,7 +218,7 @@ class TestTopCommand:
 
         def finish():
             time.sleep(0.1)
-            reporter.advance(verdict="ok")
+            reporter.advance()
             reporter.emit(status="complete")
 
         worker = threading.Thread(target=finish)

@@ -146,10 +146,10 @@ class TestMergedTraceParity:
     ):
         events = [
             Event("msg_sent", 1.0, round=1, pid=0, peer=1, value="%d %s"),
-            Event("suspect", 2.0, pid=0, peer=1, value="100%",
-                  extra={"%(x)s": "%%", "ts": 0.0}),
+            Event("suspect", 2.0, pid=0, peer=1, value="100%"),
             Event("decide", 3.0, round=1, pid=0, value="%"),
-            Event("halt", 4.0, pid=0, extra={"note": "%.0f"}),
+            Event("halt", 4.0, pid=0,
+                  value={"%(x)s": "%%", "note": "%.0f", "ts": 0.0}),
         ]
         first = ExecutionResult(name="a", request_key="k", events=events)
         results = [first, replace(first, name="b"), ExecutionResult(
@@ -304,8 +304,6 @@ def _seeded_event(rng: random.Random) -> Event:
     def maybe_int():
         return rng.choice([None, rng.randrange(0, 9)])
 
-    extra = rng.choice([None, None, {"msg_id": "r1:0>1", "wall_s": rng.random()},
-                        {"ts": 0.0, "nested": {"ts": 0.0}}])
     return Event(
         kind=rng.choice(sorted(EVENT_KINDS)),
         ts=rng.random(),
@@ -314,7 +312,6 @@ def _seeded_event(rng: random.Random) -> Event:
         pid=maybe_int(),
         peer=maybe_int(),
         value=_seeded_value(rng),
-        extra=extra,
     )
 
 
@@ -329,7 +326,8 @@ class TestJsonParts:
     def test_minimal_and_value_only_events(self):
         _assert_splice(Event(kind="halt", ts=0.0), 3.0)
         _assert_splice(Event(kind="decide", ts=0.0, value='"ts": 0.0'), 3.0)
-        _assert_splice(Event(kind="decide", ts=0.0, value=0.0, extra={}), 1e22)
+        _assert_splice(Event(kind="decide", ts=0.0, value=0.0), 1e22)
+        _assert_splice(Event(kind="halt", ts=0.0, value={"ts": {"ts": 0.0}}), 1e22)
 
 
 try:
@@ -370,7 +368,6 @@ if HAVE_HYPOTHESIS:
         pid=_small,
         peer=_small,
         value=_values,
-        extra=st.one_of(st.none(), st.dictionaries(st.text(max_size=6), _values, max_size=3)),
     )
 
     class TestJsonPartsProperty:
@@ -833,9 +830,9 @@ class TestPerCellRecords:
             dict(name="e", key="k5", cached=0, latency=False,
                  duration_s=-0.0),
             dict(name="f", key="k6", cached=0, latency=False,
-                 duration_s=-0.0, ok=None, engine="rounds"),
+                 duration_s=-0.0, engine="rounds"),
             dict(name="g", key="k7", cached=0, latency=False,
-                 duration_s=-0.0, ok=None, engine="rounds"),
+                 duration_s=-0.0, engine="rounds"),
         ]
         for fields in calls:
             run.record_cell(**fields)

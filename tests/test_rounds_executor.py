@@ -265,10 +265,10 @@ class TestRoundStep:
         assert step.delivered[2] == {2: frozenset({2})}
         assert (step.transitioned, step.crashed) == ({1, 2}, {0})
 
-    def test_three_drivers_of_a_round_algorithm(self):
-        """Who may call ``trans_i``: the round step, the round-on-steps
-        synchronizer and the asyncio P-synchronizer — see the table in
-        docs/architecture.md before adding a fourth."""
+    def test_two_drivers_of_a_round_algorithm(self):
+        """Who may call ``trans_i``: the round step and the round-on-steps
+        synchronizer — see the table in docs/architecture.md before
+        adding a third."""
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
         sites = sorted(
             str(path.relative_to(src))
@@ -280,7 +280,6 @@ class TestRoundStep:
         )
         assert sites == [
             "emulation/synchronizer.py",
-            "live/rounds.py",
             "rounds/executor.py",
         ]
 

@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli.main import main
-from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import summarize_sweep, summary_problems
 from repro.runtime import (
@@ -47,9 +46,7 @@ from repro.workloads import failure_free
 from tests.reference_keys import reference_work_key
 from tests.spaces import space_with
 
-#: Every registered space but ``live-smoke``: live runs are wall-clock
-#: samples, never reproduced by a second execution.
-DETERMINISTIC_SPACES = sorted(set(SPACE_FACTORIES) - {"live-smoke"})
+SPACES = sorted(SPACE_FACTORIES)
 
 
 def _space(name, engine="rounds", **kwargs):
@@ -116,7 +113,7 @@ def counted(monkeypatch):
 class TestGroupedCellsEqualThePerCellLoop:
     @pytest.mark.parametrize("engine", ("rounds", "vector"))
     @pytest.mark.parametrize("seed", (7, 23))
-    @pytest.mark.parametrize("name", DETERMINISTIC_SPACES)
+    @pytest.mark.parametrize("name", SPACES)
     def test_each_cell_is_its_own_requests_result(self, name, seed, engine):
         space = _space(name, engine, count=120, seed=seed)
         sweep = run_space(space, check=True)
@@ -513,30 +510,6 @@ class TestSharingContract:
         assert original.events is twin.events
         assert "planted" not in twin.extra["induced_scenario"]
 
-    def test_live_cells_are_never_grouped(self, monkeypatch):
-        ran = []
-
-        def sampled(request, **kwargs):
-            ran.append(request.name)
-            return ExecutionResult(
-                name=request.name, request_key=request.cache_key(),
-                events=[Event("round_start", 1.0, round=1)],
-            )
-
-        monkeypatch.setattr(sweep_module, "execute_request", sampled)
-        live = space_by_name("live-smoke").requests[0]
-        rounds = space_by_name("e10-lambda").requests[0]
-        space = ScenarioSpace.explicit("mixed", [
-            live, replace(live, name="live-again"),
-            rounds, replace(rounds, name="rounds-again"),
-        ])
-        assert len({r.work_key() for r in space.requests[:2]}) == 1
-        sweep = run_space(space)
-        assert ran == [live.name, "live-again", rounds.name]
-        assert sweep.distinct == 3
-        assert sweep.results[0].events is not sweep.results[1].events
-        assert sweep.results[2].events is sweep.results[3].events
-
 
 # ---------------------------------------------------------------------------
 # (f) a pool ships representatives and changes no byte
@@ -609,7 +582,7 @@ class TestEveryVerdictIsItsCellsOwn:
     @pytest.mark.parametrize("leg", ("cold", "warm"))
     @pytest.mark.parametrize("engine", ("rounds", "vector"))
     @pytest.mark.parametrize("seed", (7, 23))
-    @pytest.mark.parametrize("name", DETERMINISTIC_SPACES)
+    @pytest.mark.parametrize("name", SPACES)
     def test_shared_verdicts_equal_the_per_cell_oracle(
         self, name, seed, engine, leg, tmp_path, counted
     ):

@@ -136,7 +136,6 @@ class TestImportSets:
                 "asyncio",
                 "http.server",
                 "multiprocessing",
-                "repro.live",
                 "repro.vector",
                 "repro.core.experiments",
                 "repro.fuzz",
@@ -182,7 +181,6 @@ class TestImportSets:
                 "numpy",
                 "asyncio",
                 "multiprocessing",
-                "repro.live",
                 "repro.fuzz",
                 "repro.mc",
                 "repro.vector",
@@ -210,7 +208,6 @@ class TestImportSets:
             (
                 "asyncio",
                 "multiprocessing",
-                "repro.live",
                 "repro.emulation",
                 "repro.fuzz",
                 "repro.mc",
@@ -225,13 +222,13 @@ class TestImportSets:
 # Copied from the parser's output (Python 3.11, COLUMNS=80).
 _CHOICES = (
     "{experiments,summary,sdd,commit,latency,show,trace,metrics,check,"
-    "replay,diff,sweep,fuzz,mc,live,report,top,causal}"
+    "replay,diff,sweep,fuzz,mc,report,top,causal}"
 )
 _UNKNOWN_COMMAND_ERROR = (
     "repro: error: argument command: invalid choice: 'bogus' (choose from "
     "'experiments', 'summary', 'sdd', 'commit', 'latency', 'show', 'trace', "
-    "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'live', "
-    "'report', 'top', 'causal')"
+    "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'report', "
+    "'top', 'causal')"
 )
 _USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
 _HELP_ROWS = """\
@@ -280,7 +277,7 @@ class TestDispatcherText:
 
     def test_root_usage_is_whole_when_one_module_registered(self):
         # ``mc`` alone is imported, yet the root usage still spells out
-        # all eighteen commands.
+        # all seventeen commands.
         proc = _repro(*MC, "--no-such-flag")
         assert proc.returncode == 2
         assert proc.stderr == (
