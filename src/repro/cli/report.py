@@ -23,13 +23,14 @@ import sys
 import time
 
 from repro.cli import experiments as _experiments
-from repro.obs.artifacts import RunDir
+from repro.obs.artifacts import SUMMARY_NAME, RunDir
 from repro.obs.progress import latest_progress
 from repro.obs.report import (
     find_run_dir,
     render_report,
     render_top,
     report_json,
+    summary_problems,
 )
 
 
@@ -48,11 +49,21 @@ def _cmd_report(args: argparse.Namespace) -> int:
     run = _load_run(args.rundir)
     if run is None:
         return 2
+    summary = run.summary()
+    problems = [] if summary is None else summary_problems(summary)
+    if problems:
+        # No dashboard and no SLO verdict for a summary the schema
+        # rejects: the same refusal as scripts/check_summary.py.
+        for problem in problems:
+            print(
+                f"error: {run.path / SUMMARY_NAME}: {problem}", file=sys.stderr
+            )
+        return 1
     if args.json:
         print(json.dumps(report_json(run), indent=2, sort_keys=True))
     else:
         print(render_report(run, top=args.top))
-    verdicts = (run.summary() or {}).get("slo_verdicts") or []
+    verdicts = (summary or {}).get("slo_verdicts") or []
     failed = [v for v in verdicts if not v.get("ok")]
     return 1 if failed else 0
 

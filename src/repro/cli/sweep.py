@@ -89,8 +89,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache=leg.cache,
             check=args.check,
-            on_cell=leg.on_cell,
-        ).run(space)
+            on_run=leg.on_run,
+        ).run(space, keys=leg.keys)
         leg.finalize(
             lambda run_dir: summarize_sweep(
                 run_dir, result, completed_before=leg.completed_before

@@ -349,14 +349,14 @@ def run_campaign(
     )
     with leg:
         sweep = SweepRunner(
-            jobs=jobs, cache=leg.cache, check=False, on_cell=leg.on_cell
-        ).run(ScenarioSpace.explicit(f"fuzz-{seed}", requests))
+            jobs=jobs, cache=leg.cache, check=False, on_run=leg.on_run
+        ).run(ScenarioSpace.explicit(f"fuzz-{seed}", requests), keys=leg.keys)
 
         # Twins share the run's result store (so a resumed campaign skips
         # them too) but not the progress counter — the planned total is
         # the case budget, and twins are derived work.
         twin_runner = SweepRunner(
-            jobs=jobs, cache=leg.cache, check=False, on_cell=leg.audit
+            jobs=jobs, cache=leg.cache, check=False, on_run=leg.audit
         )
         twin_by_case = _twin_results(twin_runner, requests, sweep.results)
 

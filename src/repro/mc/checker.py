@@ -301,8 +301,8 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
     )
     with leg:
         sweep = SweepRunner(
-            jobs=task.jobs, cache=leg.cache, check=False, on_cell=leg.on_cell
-        ).run(space)
+            jobs=task.jobs, cache=leg.cache, check=False, on_run=leg.on_run
+        ).run(space, keys=leg.keys)
         pairs = list(zip(space.requests, sweep.results))
         divergences = _prediction_divergences(exploration, space, sweep)
         bound = task.bound

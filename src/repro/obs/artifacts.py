@@ -18,8 +18,8 @@ Layout of one run directory::
                           cell records (a ResultCache, which owns the
                           format)
         metrics.jsonl     one line per completed cell, appended (and
-                          flushed) as the campaign progresses — the
-                          audit log across legs
+                          flushed) a run at a time as the campaign
+                          progresses — the audit log across legs
         progress.jsonl    ProgressReporter heartbeats
         summary.json      coverage, cache stats, span aggregates, SLO
                           verdicts — written when a leg finishes
@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, BinaryIO, Iterable, Mapping, Sequence
 
 from repro.inject import active_injection
-from repro.obs.events import LastEncoding
 
 #: Bump when the manifest/summary layout changes incompatibly.
 RUN_SCHEMA = 1
@@ -217,11 +217,7 @@ class RunDir:
     manifest: dict[str, Any] = field(default_factory=dict)
     #: This leg's append handle on ``metrics.jsonl``: opened by the
     #: first record, closed when the leg ends.
-    _metrics: TextIO | None = field(default=None, repr=False, compare=False)
-    #: The shared part of the last cell line :meth:`record_cell` wrote.
-    _audit: LastEncoding = field(
-        default_factory=LastEncoding, repr=False, compare=False
-    )
+    _metrics: BinaryIO | None = field(default=None, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
 
@@ -331,9 +327,8 @@ class RunDir:
 
     def record_cell(
         self,
+        cells: Sequence[tuple[str, str]],
         *,
-        name: str,
-        key: str,
         cached: bool,
         engine: str | None = None,
         algorithm: str | None = None,
@@ -342,49 +337,54 @@ class RunDir:
         events: int | None = None,
         duration_s: float | None = None,
     ) -> None:
-        """Append one completed-cell line to ``metrics.jsonl``.
+        """Append one completed-cell line per ``(name, key)`` of
+        ``cells`` to ``metrics.jsonl``, in one write.
 
-        Called once per cell per leg (cache hits included, flagged
-        ``cached``), so the file is a complete audit log of what each
-        leg observed, in completion order.  The line is the record's
-        sorted-key JSON; everything but ``cell`` and ``key`` is encoded
-        once for a run of records equal in it (the cells of one run).
+        Called once per run per leg with the cells the run served,
+        which agree in every other field (a cache hit is a run of one,
+        flagged ``cached``), so the file is a complete audit log of what
+        each leg observed, in completion order.  Each line is the
+        record's sorted-key JSON; for a run of several cells, everything
+        but ``cell`` and ``key`` is encoded once and the two spliced in.
         """
-        leg = self.manifest.get("legs", 1)
         # In sorted key order already: sort_keys would not move one.
         fields = {
             "algorithm": algorithm,
             "cached": cached,
-            "cell": name,
+            "cell": None,
             "duration_s": duration_s,
             "engine": engine,
             "events": events,
-            "key": key,
+            "key": None,
             "latency": latency,
-            "leg": leg,
+            "leg": self.manifest.get("legs", 1),
             "num_rounds": num_rounds,
             "t": "cell",
         }
-        memo = self._audit
-        if not memo.matches((
-            algorithm, cached, duration_s, engine, events, latency, leg,
-            num_rounds,
-        )):
+        if len(cells) == 1:
+            fields["cell"], fields["key"] = cells[0]
             self._append(_encode(fields) + "\n")
             return
-        if memo.encoded is None:
-            memo.encoded = _audit_parts(fields)
-        head, middle, rest = memo.encoded
-        self._append(head + _encode(name) + middle + _encode(key) + rest)
+        head, middle, rest = _audit_parts(fields)
+        self._append("".join(
+            head + _encode(name) + middle + _encode(key) + rest
+            for name, key in cells
+        ))
 
-    def _append(self, line: str) -> None:
-        """Write one line to ``metrics.jsonl``, flushed: a leg killed at
-        any point leaves every record it reported on disk."""
+    def _append(self, lines: str) -> None:
+        """Write ``lines`` to ``metrics.jsonl``, flushed: a leg killed at
+        any point leaves every run it reported on disk.  A leg's first
+        write starts on a fresh line, so a record an earlier leg left
+        torn is never glued to this leg's first one."""
+        data = lines.encode("ascii")
         if self._metrics is None:
-            self._metrics = open(
-                self.path / METRICS_NAME, "a", encoding="utf-8"
-            )
-        self._metrics.write(line)
+            self._metrics = handle = open(self.path / METRICS_NAME, "a+b")
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    data = b"\n" + data
+        self._metrics.write(data)
         self._metrics.flush()
 
     def metrics_records(self) -> list[dict[str, Any]]:

@@ -128,38 +128,6 @@ class Event:
         )
 
 
-class LastEncoding:
-    """A writer's one-entry memo: what it encoded for the last value it
-    wrote, kept while the next value is equal to that one in content.
-
-    Equal in content means equal *and* of equal ``repr``: ``1 == True``
-    and ``0.0 == -0.0`` print differently, and so do dicts holding
-    equal items in another order.  The ``repr`` is taken when a value
-    becomes the last one, so a value mutated in place since does not
-    match it.
-
-    Attributes:
-        encoded: What the writer stored for the last value; ``None``
-            until it stores something.
-    """
-
-    __slots__ = ("_value", "_shown", "encoded")
-
-    def __init__(self) -> None:
-        self._value: Any = None
-        self._shown: str | None = None
-        self.encoded: Any = None
-
-    def matches(self, value: Any) -> bool:
-        """Whether ``value`` is equal in content to the last value.  If
-        not, it becomes the last value, with nothing encoded for it."""
-        shown = repr(value)
-        if shown == self._shown and value == self._value:
-            return True
-        self._value, self._shown, self.encoded = value, shown, None
-        return False
-
-
 class _EventBuilder:
     """The recording hooks' constructor for :class:`Event`.
 

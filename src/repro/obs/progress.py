@@ -58,12 +58,12 @@ class ProgressReporter:
 
     # -- producer side (the runner) -----------------------------------------
 
-    def advance(self, *, cached: bool = False) -> None:
-        """Record one completed work item (any thread)."""
+    def advance(self, *, cached: bool = False, cells: int = 1) -> None:
+        """Record ``cells`` completed work items (any thread)."""
         with self._lock:
-            self._done += 1
+            self._done += cells
             if cached:
-                self._cached += 1
+                self._cached += cells
 
     # -- sampling side -------------------------------------------------------
 

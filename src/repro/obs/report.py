@@ -167,7 +167,8 @@ def summarize_sweep(
     """
     requests = list(sweep_result.requests)
     results = list(sweep_result.results)
-    keys = [request.cache_key() for request in requests]
+    # Every result holds its request's key: nothing here asks again.
+    keys = [result.request_key for result in results]
     executed_keys = {
         key
         for key, result in zip(keys, results)

@@ -13,9 +13,10 @@ A shard holds two kinds of JSON lines, told apart by their first key:
     :meth:`~repro.runtime.request.ExecutionRequest.cache_key`.  Every
     result cites a :class:`~repro.obs.template.TraceTemplate`, so a
     cell stores only its digest ``D`` and the cell's decide values.
-    The writer encodes what follows ``D`` once for consecutive cells
-    equal in it (the cells of one run) and puts each cell's key and
-    name in front.
+    A run's cells are written together, and what follows ``D`` is
+    encoded once for the cells that share it: the run's first cell,
+    whose ``extra`` carries the span snapshot, and once for all its
+    twins.
     An older writer's cell carrying ``"events"`` and ``"metrics"``
     inline instead is still read (factored, metrics refolded), never
     written.
@@ -26,9 +27,12 @@ A shard holds two kinds of JSON lines, told apart by their first key:
     ``metrics`` are part of the digested body; a reader folds them
     from the events again instead of reading them.
 
-A writer flushes after every cell, so a killed campaign keeps every
-completed cell.  Shard names sort by creation time and a later record
-of a key wins, which is how a re-executed cell replaces a damaged one.
+A writer appends a run's records in one write and flushes after every
+run, so a killed campaign keeps every completed run; a kill inside
+that write tears at most the last line on disk, and the run's cells
+from there on are misses again.  Shard names sort by creation time and
+a later record of a key wins, which is how a re-executed cell replaces
+a damaged one.
 
 This module is the only one that knows the format.  Corrupt or
 unreadable records — a line torn by a dying writer, foreign junk, a
@@ -47,16 +51,16 @@ replaced are not read (:data:`~repro.runtime.request.CACHE_SCHEMA_VERSION`
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
-from repro.obs.events import LastEncoding
 from repro.obs.template import TraceTemplate
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import ExecutionResult
 
 #: The leading bytes of a well-formed record: which kind, whose.  The
 #: writer puts the identifying key first, so a scan can index a shard
@@ -103,18 +107,19 @@ class ResultCache:
         self._shard_pid = 0
         self._shard_size = 0
         self._shard_templates: set[str] = set()
-        self._tail = LastEncoding()
 
     # -- reading ------------------------------------------------------------
 
-    def get(self, request: ExecutionRequest) -> ExecutionResult | None:
-        """The stored result for ``request``, or ``None`` on a miss.
+    def get(self, key: str) -> ExecutionResult | None:
+        """The result stored under ``key`` (a request's
+        :meth:`~repro.runtime.request.ExecutionRequest.cache_key`), or
+        ``None`` on a miss.
 
         A present-but-unreadable record is a miss too, tallied in
         :attr:`stats` so campaign summaries can report it, and dropped
         from this instance's view of the store.
         """
-        result = self._load(request.cache_key())
+        result = self._load(key)
         if result is None:
             self.stats.misses += 1
             return None
@@ -202,19 +207,20 @@ class ResultCache:
 
     # -- writing ------------------------------------------------------------
 
-    def put(
-        self, request: ExecutionRequest, result: ExecutionResult
-    ) -> TraceTemplate:
-        """Append ``result`` under ``request``'s key and flush it.
+    def put(self, results: Sequence[ExecutionResult]) -> TraceTemplate:
+        """Append one run's cells, each under its ``request_key``, in one
+        write, and flush it.
 
-        Returns the store's instance of the result's template: the
-        first one put or read under its digest.  A caller that rebinds
-        the result to it shares one template, and its per-template
-        memos, across every equal trace in the store.
+        ``results`` cite one template, the way the cells a sweep served
+        from one run do (:func:`repro.runtime.sweep.execute_cells`).
+        Returns the store's instance of that template: the first one put
+        or read under its digest.  A caller that rebinds the results to
+        it shares one template, and its per-template memos, across every
+        equal trace in the store.
         """
-        key = request.cache_key()
-        shard = self._writer()
-        template = result.template
+        template = results[0].template
+        if any(result.template is not template for result in results):
+            raise ValueError("a put's cells must cite one template")
         digest = template.digest
         #: (index the record belongs in, its id, its line), in write order.
         pending: list[tuple[dict[str, _Where] | None, str, bytes]] = []
@@ -224,24 +230,16 @@ class ResultCache:
                 digest,
                 _line({"template": digest, **template.body()}),
             ))
-        # A cell line is its identity, then a tail the cells of one run
-        # share: encoded once per run of equal puts.
-        memo = self._tail
-        if not memo.matches((
-            result.holes,
-            result.decisions,
-            result.latency,
-            result.num_rounds,
-            result.extra,
-        )) or memo.encoded is None:
-            memo.encoded = _line(
-                {"holes": list(result.holes), **result.outcome_dict()}
-            )[1:]
-        head = (
-            f'{{"key": {_encode(key)}, "name": {_encode(result.name)}, '
-            f'"template": {_encode(digest)}, '
-        )
-        pending.append((self._cells, key, head.encode("ascii") + memo.encoded))
+        cited = f', "template": {_encode(digest)}, '
+        for result, tail in zip(results, _tails(results)):
+            line = (
+                f'{{"key": {_encode(result.request_key)}, '
+                f'"name": {_encode(result.name)}{cited}{tail}'
+            )
+            pending.append(
+                (self._cells, result.request_key, line.encode("ascii"))
+            )
+        shard = self._writer()
         try:
             shard.write(b"".join(line for _, _, line in pending))
             shard.flush()
@@ -255,7 +253,7 @@ class ResultCache:
                 table[name] = (self._shard_path, self._shard_size, len(line))
             self._shard_size += len(line)
         self._shard_templates.add(digest)
-        self.stats.stores += 1
+        self.stats.stores += len(results)
         return self._templates.setdefault(digest, template)
 
     def close(self) -> None:
@@ -298,3 +296,47 @@ _encode = json.JSONEncoder(default=repr).encode
 
 def _line(record: dict) -> bytes:
     return _encode(record).encode("ascii") + b"\n"
+
+
+def _tails(results: Sequence[ExecutionResult]) -> list[str]:
+    """Each cell line's text after its template digest: holes,
+    decisions, latency, num_rounds and extra, newline-terminated.
+
+    The cells of one run hold one trace, one ``decisions`` and one
+    ``latency``/``num_rounds`` object, so those are encoded once for
+    every cell holding the first cell's (by identity: an equal ``True``
+    is no ``1``).  ``extra`` is each cell's own, but a run's twins hold
+    alike ones (its first cell alone keeps the span snapshot): they are
+    encoded as one list, and when that equals copies of the first twin's
+    encoding, every twin's is that one — a JSON array's text fixes the
+    text of each element.
+    """
+    first, twins = results[0], results[1:]
+    shared = _outcome(first)
+    tails = [f'{shared}, "extra": {_encode(first.extra)}}}\n']
+    if not twins:
+        return tails
+    extras = [result.extra for result in twins]
+    extra = _encode(extras[0])
+    alike = _encode(extras) == "[" + ", ".join([extra] * len(extras)) + "]"
+    held = (first.events, first.decisions, first.latency, first.num_rounds)
+    for result in twins:
+        own = (
+            result.events, result.decisions, result.latency, result.num_rounds
+        )
+        middle = (
+            shared if all(map(operator.is_, own, held)) else _outcome(result)
+        )
+        tails.append(
+            f'{middle}, "extra": '
+            f'{extra if alike else _encode(result.extra)}}}\n'
+        )
+    return tails
+
+
+def _outcome(result: ExecutionResult) -> str:
+    """A cell line's ``"holes": ..., "decisions": ..., "latency": ...,
+    "num_rounds": ...`` text."""
+    record = {"holes": list(result.holes), **result.outcome_dict()}
+    del record["extra"]
+    return _encode(record)[1:-1]

@@ -3,7 +3,8 @@
 ``sweep``, ``fuzz`` and ``mc`` all run a campaign into a run
 directory the same way: open (or re-attach to) the content-addressed
 directory, use its ``results/`` store as the cache, append one audit
-line per completed cell, keep a heartbeat going, and end either with a
+line per completed cell (a run's lines in one write), keep a heartbeat
+going, and end either with a
 ``summary.json`` or marked ``interrupted`` so the next invocation — the
 next *leg* — resumes.  :class:`CampaignLeg` owns that policy.
 
@@ -64,6 +65,10 @@ class CampaignLeg:
         #: The run directory's path; ``None`` for an inert leg.
         self.path: Any = None
         self.cache: ResultCache | str | None = cache_dir
+        #: The planned requests' cache keys, in order, for
+        #: :meth:`SweepRunner.run <repro.runtime.sweep.SweepRunner.run>`;
+        #: ``None`` for an inert leg.
+        self.keys: list[str] | None = None
         #: Planned keys whose results were on disk when this leg opened.
         self.completed_before: set[str] = set()
         self.reporter: ProgressReporter | None = None
@@ -86,7 +91,7 @@ class CampaignLeg:
         from repro.obs.progress import ProgressReporter
         from repro.runtime.cache import ResultCache
 
-        keys = [r.cache_key() for r in requests]
+        self.keys = keys = [r.cache_key() for r in requests]
         cells = [(r.name, key) for r, key in zip(requests, keys)]
         try:
             self.run_dir = RunDir.open(
@@ -116,16 +121,24 @@ class CampaignLeg:
             self.interrupt()
             raise
 
-    # -- per cell ------------------------------------------------------------
+    # -- per run -------------------------------------------------------------
 
-    def audit(self, request: ExecutionRequest, result: ExecutionResult) -> None:
-        """Append the cell's line to ``metrics.jsonl``."""
+    def audit(
+        self,
+        requests: Sequence[ExecutionRequest],
+        results: Sequence[ExecutionResult],
+    ) -> None:
+        """Append the run's lines to ``metrics.jsonl``: the cells one run
+        served, which agree in everything but name and key."""
         if self.run_dir is None:
             return
+        request, result = requests[0], results[0]
         profile = result.extra.get("profile") or {}
         self.run_dir.record_cell(
-            name=request.name,
-            key=result.request_key,
+            [
+                (request.name, result.request_key)
+                for request, result in zip(requests, results)
+            ],
             cached=result.cached,
             engine=request.engine,
             algorithm=request.algorithm,
@@ -135,12 +148,16 @@ class CampaignLeg:
             duration_s=profile.get("duration_s"),
         )
 
-    def on_cell(self, request: ExecutionRequest, result: ExecutionResult) -> None:
-        """:meth:`audit` the cell and count it in the heartbeat — the
-        :class:`~repro.runtime.sweep.SweepRunner` ``on_cell`` seam."""
-        self.audit(request, result)
+    def on_run(
+        self,
+        requests: Sequence[ExecutionRequest],
+        results: Sequence[ExecutionResult],
+    ) -> None:
+        """:meth:`audit` the run and count its cells in the heartbeat —
+        the :class:`~repro.runtime.sweep.SweepRunner` ``on_run`` seam."""
+        self.audit(requests, results)
         if self.reporter is not None:
-            self.reporter.advance(cached=result.cached)
+            self.reporter.advance(cached=results[0].cached, cells=len(results))
 
     # -- the two endings -----------------------------------------------------
 

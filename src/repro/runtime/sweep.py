@@ -92,12 +92,15 @@ def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
 
 
 def _serve(
-    result: ExecutionResult, cells: Sequence[ExecutionRequest]
+    result: ExecutionResult,
+    cells: Sequence[ExecutionRequest],
+    keys: Sequence[str],
 ) -> list[ExecutionResult]:
     """One run's result, once per cell the run served.
 
     ``result`` answers ``cells[0]``; every further cell gets it under
-    its own ``name`` and ``request_key``, *sharing* the trace object,
+    its own ``name`` and ``request_key`` (``keys`` are the cells' cache
+    keys), *sharing* the trace object,
     ``metrics`` and ``decisions`` (read-only from here on — identity of
     the trace is what lets the oracle and the merged-trace writer work
     once per run) and owning its ``extra``.  The run's wall is split
@@ -106,7 +109,7 @@ def _serve(
     profile = result.extra["profile"]
     profile["duration_s"] /= len(cells)
     served = [result]
-    for request in cells[1:]:
+    for at, request in enumerate(cells[1:], 1):
         extra = {
             key: deepcopy(value)
             for key, value in result.extra.items()
@@ -118,7 +121,7 @@ def _serve(
         served.append(
             ExecutionResult(
                 name=request.name,
-                request_key=request.cache_key(),
+                request_key=keys[at],
                 events=result.events,
                 decisions=result.decisions,
                 latency=result.latency,
@@ -132,6 +135,7 @@ def _serve(
 
 def execute_cells(
     requests: Sequence[ExecutionRequest],
+    keys: Sequence[str],
     *,
     jobs: int = 1,
     on_arrival: Callable[[list[int], list[ExecutionResult]], None],
@@ -142,10 +146,12 @@ def execute_cells(
     Cells whose requests agree in everything but ``name``
     (:meth:`~repro.runtime.request.ExecutionRequest.work_key`) are one
     run — every engine is a function of its request: the first of each
-    group is executed and :func:`_serve` hands its result to the rest.
-    ``on_arrival(positions, results)`` is called in the parent,
-    once per finished run, with every cell the run served: ascending
-    positions into ``requests`` and their results.
+    group is executed and :func:`_serve` hands its result to the rest,
+    under their keys from ``keys`` (the requests' cache keys, in
+    order).  ``on_arrival(positions, results)`` is called in the
+    parent, once per finished run, with every cell the run served:
+    ascending positions into ``requests`` and their results, which
+    share one trace object.
     """
     groups: dict[str, list[int]] = {}
     for position, request in enumerate(requests):
@@ -154,7 +160,11 @@ def execute_cells(
 
     def _arrived(result: ExecutionResult) -> None:
         group = next(group_iter)
-        on_arrival(group, _serve(result, [requests[at] for at in group]))
+        on_arrival(group, _serve(
+            result,
+            [requests[at] for at in group],
+            [keys[at] for at in group],
+        ))
 
     work = [requests[group[0]] for group in groups.values()]
     if jobs > 1:
@@ -650,11 +660,13 @@ class SweepRunner:
         cache: A :class:`ResultCache`, a cache directory path, or
             ``None`` to disable caching.
         check: Run the trace oracle over every cell's trace.
-        on_cell: Called in the parent, in completion order, once per
-            cell — ``on_cell(request, result)`` with ``result.cached``
-            telling hits from fresh executions.  The campaign-telemetry
-            seam: metrics.jsonl lines and progress heartbeats hang off
-            it without the runner knowing about run directories.
+        on_run: Called in the parent, in completion order, once per
+            run — ``on_run(requests, results)`` with the cells the run
+            served, in space order, and ``results[0].cached`` telling
+            hits from fresh executions.  Store hits come first, each a
+            run of one, in space order.  The campaign-telemetry seam:
+            metrics.jsonl lines and progress heartbeats hang off it
+            without the runner knowing about run directories.
     """
 
     def __init__(
@@ -663,7 +675,9 @@ class SweepRunner:
         jobs: int = 1,
         cache: ResultCache | str | None = None,
         check: bool = False,
-        on_cell: Callable[[ExecutionRequest, ExecutionResult], None] | None = None,
+        on_run: Callable[
+            [list[ExecutionRequest], list[ExecutionResult]], None
+        ] | None = None,
     ) -> None:
         self.jobs = jobs
         #: Whether the runner opened :attr:`cache` itself, from a path:
@@ -675,18 +689,31 @@ class SweepRunner:
             cache = ResultCache(cache)
         self.cache = cache
         self.check = check
-        self.on_cell = on_cell
+        self.on_run = on_run
 
-    def run(self, space: ScenarioSpace) -> SweepResult:
+    def run(
+        self, space: ScenarioSpace, *, keys: Sequence[str] | None = None
+    ) -> SweepResult:
+        """Execute ``space``; ``keys`` are its requests' cache keys, in
+        order, when the caller already holds them (a campaign leg hashed
+        them for its run id), so no cell is asked for its key again."""
         try:
-            return self._run(space)
+            return self._run(space, keys)
         finally:
             if self._owns_cache:
                 self.cache.close()
 
-    def _run(self, space: ScenarioSpace) -> SweepResult:
+    def _run(
+        self, space: ScenarioSpace, keys: Sequence[str] | None
+    ) -> SweepResult:
         requests = list(space.requests)
         results: list[ExecutionResult | None] = [None] * len(requests)
+        if keys is None:
+            keys = [request.cache_key() for request in requests]
+        elif len(keys) != len(requests):
+            raise ValueError(
+                f"{len(keys)} keys for {len(requests)} requests"
+            )
 
         with profiled("runtime.sweep"):
             # Cache phase: resolve hits in the parent so workers only
@@ -694,41 +721,41 @@ class SweepRunner:
             misses: list[int] = []
             if self.cache is not None:
                 for index, request in enumerate(requests):
-                    hit = self.cache.get(request)
+                    hit = self.cache.get(keys[index])
                     if hit is not None:
                         results[index] = hit
-                        if self.on_cell is not None:
-                            self.on_cell(request, hit)
+                        if self.on_run is not None:
+                            self.on_run([request], [hit])
                     else:
                         misses.append(index)
             else:
                 misses = list(range(len(requests)))
 
             # Execute phase: the misses, equal cells as one run.  Each
-            # chunk's cells are cached (and reported) the moment they
+            # run's cells are cached (and reported) the moment they
             # arrive, so a campaign killed mid-sweep keeps every
-            # completed cell — that is what makes run directories
+            # completed run — that is what makes run directories
             # resumable.
             def _arrived(
                 positions: list[int], batch: list[ExecutionResult]
             ) -> None:
-                for position, result in zip(positions, batch):
-                    index = misses[position]
+                served = [misses[position] for position in positions]
+                for index, result in zip(served, batch):
                     results[index] = result
-                    if self.cache is not None:
-                        # Equal traces of different runs share the
-                        # store's template, and with it the oracle's,
-                        # the causal summary's and the merged-trace
-                        # writer's per-template memos.
-                        result.events.template = self.cache.put(
-                            requests[index], result
-                        )
-                    if self.on_cell is not None:
-                        self.on_cell(requests[index], result)
+                if self.cache is not None:
+                    # Equal traces of different runs share the store's
+                    # template, and with it the oracle's, the causal
+                    # summary's and the merged-trace writer's
+                    # per-template memos; the run's cells share one
+                    # trace object, rebound once.
+                    batch[0].events.template = self.cache.put(batch)
+                if self.on_run is not None:
+                    self.on_run([requests[index] for index in served], batch)
 
             with profiled("runtime.sweep.execute"):
                 runs = execute_cells(
                     [requests[index] for index in misses],
+                    [keys[index] for index in misses],
                     jobs=self.jobs,
                     on_arrival=_arrived,
                 )

@@ -13,11 +13,11 @@ import json
 from typing import Any
 
 
-def store_cell_line(request: Any, result: Any) -> bytes:
-    """The result store's cell record for ``result`` under ``request``'s
-    key, as ``ResultCache.put`` appends it to a shard."""
+def store_cell_line(key: str, result: Any) -> bytes:
+    """The result store's cell record for ``result`` under ``key``, as
+    ``ResultCache.put`` appends it to a shard."""
     record = {
-        "key": request.cache_key(),
+        "key": key,
         "name": result.name,
         "template": result.template.digest,
         "holes": list(result.holes),
@@ -45,7 +45,8 @@ def audit_line(
     events: Any = None,
     duration_s: Any = None,
 ) -> str:
-    """``RunDir.record_cell``'s ``metrics.jsonl`` line for one cell."""
+    """``RunDir.record_cell``'s ``metrics.jsonl`` line for one cell: the
+    record of ``(name, key)`` in its ``cells`` with the other fields."""
     record = {
         "t": "cell",
         "leg": leg,

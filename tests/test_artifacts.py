@@ -60,12 +60,12 @@ def _open_run(tmp_path, requests, **overrides):
     return RunDir.open(tmp_path / "runs", **options)
 
 
-def _on_cell_for(run_dir, reporter=None):
-    def on_cell(request, result):
+def _on_run_for(run_dir, reporter=None):
+    def on_run(requests, results):
+        request, result = requests[0], results[0]
         profile = result.extra.get("profile") or {}
         run_dir.record_cell(
-            name=request.name,
-            key=result.request_key,
+            [(r.name, res.request_key) for r, res in zip(requests, results)],
             cached=result.cached,
             engine=request.engine,
             algorithm=request.algorithm,
@@ -75,9 +75,9 @@ def _on_cell_for(run_dir, reporter=None):
             duration_s=profile.get("duration_s"),
         )
         if reporter is not None:
-            reporter.advance(cached=result.cached)
+            reporter.advance(cached=result.cached, cells=len(results))
 
-    return on_cell
+    return on_run
 
 
 class TestRunId:
@@ -134,10 +134,8 @@ class TestRunDir:
     def test_record_cell_appends_audit_lines(self, tmp_path):
         space = _space(2)
         run = _open_run(tmp_path, space.requests)
-        run.record_cell(
-            name="cell-0", key="k0", cached=False, engine="rounds"
-        )
-        run.record_cell(name="cell-1", key="k1", cached=True)
+        run.record_cell([("cell-0", "k0")], cached=False, engine="rounds")
+        run.record_cell([("cell-1", "k1")], cached=True)
         records = run.metrics_records()
         assert [r["cell"] for r in records] == ["cell-0", "cell-1"]
         assert [r["cached"] for r in records] == [False, True]
@@ -324,13 +322,13 @@ class TestResumeFromManifest:
         cache = ResultCache(run.results_dir)
         seen = []
 
-        def dying_on_cell(request, result):
-            _on_cell_for(run)(request, result)
-            seen.append(result.request_key)
+        def dying_on_run(requests, results):
+            _on_run_for(run)(requests, results)
+            seen.extend(result.request_key for result in results)
             if len(seen) == 3:
                 raise KeyboardInterrupt
 
-        runner = SweepRunner(cache=cache, on_cell=dying_on_cell)
+        runner = SweepRunner(cache=cache, on_run=dying_on_run)
         with pytest.raises(KeyboardInterrupt):
             runner.run(space)
         run.mark_interrupted()
@@ -346,12 +344,13 @@ class TestResumeFromManifest:
         cache2 = ResultCache(resumed.results_dir)
         executed_keys = []
 
-        def tracking_on_cell(request, result):
-            _on_cell_for(resumed)(request, result)
-            if not result.cached:
-                executed_keys.append(result.request_key)
+        def tracking_on_run(requests, results):
+            _on_run_for(resumed)(requests, results)
+            executed_keys.extend(
+                result.request_key for result in results if not result.cached
+            )
 
-        sweep = SweepRunner(cache=cache2, on_cell=tracking_on_cell).run(space)
+        sweep = SweepRunner(cache=cache2, on_run=tracking_on_run).run(space)
         summary = summarize_sweep(
             resumed, sweep, completed_before=completed_before
         )
@@ -400,7 +399,7 @@ class TestRendering:
         space = _space(4)
         run = _open_run(tmp_path, space.requests)
         cache = ResultCache(run.results_dir)
-        sweep = SweepRunner(cache=cache, on_cell=_on_cell_for(run)).run(space)
+        sweep = SweepRunner(cache=cache, on_run=_on_run_for(run)).run(space)
         run.finalize(summarize_sweep(run, sweep, completed_before=set()))
         return run
 
@@ -461,9 +460,9 @@ class TestCLISurfaces:
         assert summary["resume"]["re_executed"] == 0
 
     def test_report_on_an_old_live_run_directory(self, tmp_path, capsys):
-        # What the removed wall-clock engine left on disk: its kind, its
-        # SLO thresholds and its summary section are read past, not
-        # rendered, and the summary validator names the unknown kind.
+        # What the removed wall-clock engine left on disk: a kind no
+        # writer produces.  The dashboard refuses it the way the summary
+        # validator does — the problem on stderr, exit 1, no SLO verdict.
         from repro.cli.main import main
 
         run = tmp_path / "0123456789abcdef"
@@ -485,16 +484,17 @@ class TestCLISurfaces:
             ],
         }
         (run / "summary.json").write_text(json.dumps(summary))
-        assert main(["report", str(run)]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.splitlines()[0] == (
-            "run 0123456789abcdef (live, status complete, leg 1)"
-        )
-        assert "live:" not in captured.out
         assert summary_problems(summary) == [
             "kind 'live' not in ('sweep', 'fuzz')"
         ]
+        for json_flag in ([], ["--json"]):
+            assert main(["report", str(run), *json_flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {run / 'summary.json'}: "
+                "kind 'live' not in ('sweep', 'fuzz')\n"
+            )
 
     def test_report_on_missing_directory_fails_cleanly(
         self, tmp_path, capsys
@@ -526,12 +526,12 @@ class TestInProgressReporting:
     def _half_finished_run(self, tmp_path):
         requests = _space(4).requests
         run = _open_run(tmp_path, requests)
-        on_cell = _on_cell_for(run)
+        on_run = _on_run_for(run)
         for request in requests[:2]:
             result = run_space(
                 ScenarioSpace.explicit("half", [request])
             ).results[0]
-            on_cell(request, result)
+            on_run([request], [result])
         return run
 
     def test_report_json_flags_unfinalized_run(self, tmp_path):

@@ -55,7 +55,9 @@ def _leg(root, space, **overrides):
 
 
 def _run(leg, space):
-    return SweepRunner(cache=leg.cache, on_cell=leg.on_cell).run(space)
+    return SweepRunner(cache=leg.cache, on_run=leg.on_run).run(
+        space, keys=leg.keys
+    )
 
 
 def _last_progress(run_dir):
@@ -74,7 +76,7 @@ class TestInertLeg:
             assert leg.cache == cache_dir
             assert leg.completed_before == set()
             result = _run(leg, space)
-            leg.audit(space.requests[0], result.results[0])
+            leg.audit([space.requests[0]], [result.results[0]])
             summarised = []
             assert leg.finalize(summarised.append) is None
             assert summarised == []  # the summariser never ran
@@ -113,13 +115,13 @@ class TestOpenLeg:
             ]
             # The audit-only variant writes its line but leaves the
             # heartbeat's counter alone (fuzz twins are derived work).
-            leg.audit(space.requests[0], result.results[0])
+            leg.audit([space.requests[0]], [result.results[0]])
             assert len(run_dir.metrics_records()) == len(space.requests) + 1
             assert leg.reporter.heartbeat()["done"] == len(space.requests)
             # A result served from the store: flagged cached, with the
             # figures the store kept and counted as done.
-            stored = leg.cache.get(space.requests[1])
-            leg.on_cell(space.requests[1], stored)
+            stored = leg.cache.get(space.requests[1].cache_key())
+            leg.on_run([space.requests[1]], [stored])
             line = run_dir.metrics_records()[-1]
             assert line["cached"] is True
             assert line["latency"] == result.results[1].latency
@@ -134,7 +136,8 @@ class TestOpenLeg:
         space = _space(5)
         head = ScenarioSpace.explicit(space.name, space.requests[:2])
         with _leg(tmp_path, space) as first:
-            _run(first, head)  # two planned cells land in the store...
+            # Two planned cells land in the store...
+            SweepRunner(cache=first.cache, on_run=first.on_run).run(head)
             stray = oracle_sweep_space().requests[7]
             SweepRunner(cache=first.cache).run(
                 ScenarioSpace.explicit("stray", [stray])

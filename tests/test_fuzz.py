@@ -169,7 +169,7 @@ class TestCacheEviction:
         request = self._request()
         result = execute_request(request)
         cache = ResultCache(tmp_path)
-        cache.put(request, result)
+        cache.put([result])
         assert len(cache) == 1
         (shard,) = tmp_path.glob("shard-*.jsonl")
         return request, result, shard
@@ -180,7 +180,7 @@ class TestCacheEviction:
         # would leave it.
         shard.write_bytes(shard.read_bytes()[:140])
         cache = ResultCache(tmp_path)
-        assert cache.get(request) is None
+        assert cache.get(request.cache_key()) is None
         assert len(cache) == 0
         assert cache.stats.corrupt_evictions == 1
 
@@ -192,26 +192,26 @@ class TestCacheEviction:
         )
         cache = ResultCache(tmp_path)
         assert len(cache) == 1  # well-framed, so indexed...
-        assert cache.get(request) is None  # ...but it does not parse as a cell
+        assert cache.get(request.cache_key()) is None  # ...but it does not parse as a cell
         assert len(cache) == 0
         assert cache.stats.corrupt_evictions == 1
 
     def test_missing_entry_is_a_plain_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(self._request()) is None
+        assert cache.get(self._request().cache_key()) is None
         assert cache.stats.corrupt_evictions == 0
 
     def test_evicted_slot_is_rewritten(self, tmp_path):
         request, result, shard = self._stored(tmp_path)
         shard.write_text("{", encoding="utf-8")
         cache = ResultCache(tmp_path)
-        assert cache.get(request) is None
-        cache.put(request, result)
-        hit = cache.get(request)
+        assert cache.get(request.cache_key()) is None
+        cache.put([result])
+        hit = cache.get(request.cache_key())
         assert hit is not None and hit.cached
         assert hit.decisions == result.decisions
         # The next leg reads the re-stored cell, not the damaged one.
-        assert ResultCache(tmp_path).get(request) is not None
+        assert ResultCache(tmp_path).get(request.cache_key()) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,16 @@ class TestTopCommand:
         ) == 0
         capsys.readouterr()
 
-    def test_follow_polls_until_completion(self, tmp_path, capsys):
+    def test_follow_polls_until_completion(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # A genuinely in-flight run: complete it from a helper thread
         # while --follow is polling; the loop must pick the transition
         # up and return rather than spin forever.
         import threading
+        from types import SimpleNamespace
+
+        from repro.cli import report as report_cli
 
         run = RunDir.open(
             tmp_path / "runs",
@@ -216,11 +221,28 @@ class TestTopCommand:
         )
         reporter.emit()  # status: running
 
+        finished = threading.Event()
+
         def finish():
             time.sleep(0.1)
             reporter.advance()
             reporter.emit(status="complete")
+            finished.set()
 
+        # The follow loop's sleep fails the test instead of polling on
+        # once the helper died without completing the run, or after 30 s.
+        deadline = time.monotonic() + 30.0
+
+        def bounded_sleep(seconds):
+            if not worker.is_alive() and not finished.is_set():
+                raise AssertionError("the helper thread died mid-run")
+            if time.monotonic() > deadline:
+                raise AssertionError("repro top --follow is still polling")
+            time.sleep(seconds)
+
+        monkeypatch.setattr(
+            report_cli, "time", SimpleNamespace(sleep=bounded_sleep)
+        )
         worker = threading.Thread(target=finish)
         worker.start()
         try:

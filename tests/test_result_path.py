@@ -13,8 +13,10 @@ behind.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import shutil
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -494,6 +496,33 @@ class TestKeyMemo:
         # serializes a whole request.
         assert not calls
 
+    def test_a_run_dir_leg_asks_each_cell_for_its_key_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli.main import main
+
+        calls = Counter()
+        original = ExecutionRequest.cache_key
+
+        def counting(self):
+            calls["keys"] += 1
+            return original(self)
+
+        monkeypatch.setattr(ExecutionRequest, "cache_key", counting)
+        argv = ["sweep", "random-rs", "--count", "300", "--seed", "7",
+                "--check", "--engine", "vector",
+                "--run-dir", str(tmp_path / "runs")]
+        asked = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            assert main(argv) == 0
+            asked.append(calls["keys"])
+        assert "executed 0, cached 300" in capsys.readouterr().out
+        # The leg hashes every planned cell for its run id; the store,
+        # the audit log, the twins and the summary reuse those keys, and
+        # the engine's result asks once per run (92 runs cold).
+        assert asked == [300 + 92, 300]
+
     def test_memo_follows_the_active_injection(self, monkeypatch):
         request = space_by_name("random-rs", count=1, seed=1).requests[0]
         clean = request.cache_key()
@@ -522,6 +551,12 @@ class TestKeyMemo:
 # ---------------------------------------------------------------------------
 # The packed store under hostile conditions
 # ---------------------------------------------------------------------------
+
+
+def _merged_digest(sweep):
+    return hashlib.sha256(
+        "".join(f"{line}\n" for line in sweep.merged_jsonl_lines()).encode()
+    ).hexdigest()
 
 
 def _shards(directory):
@@ -654,6 +689,55 @@ class TestPackedStore:
             assert summary["resume"]["re_executed"] == 0
             assert list(sweep.merged_jsonl_lines()) == reference
 
+    def test_a_run_append_cut_at_every_byte(self, tmp_path):
+        """A leg killed inside its last run's one append (the run's
+        template record, new to the shard, then its four cell lines), at
+        every byte offset: the resumed leg serves the intact cells,
+        executes only the torn ones and writes the uninterrupted leg's
+        merged trace."""
+
+        def request(name, t):  # t = 0: one round, a short template
+            return ExecutionRequest(
+                name=name, engine="rounds", algorithm="floodset",
+                values=(0, 1), t=t, model="RS", scenario=failure_free(2),
+                max_rounds=4,
+            )
+
+        last = request("cut-t0", 0)
+        space = ScenarioSpace.explicit("cut", [
+            request("cut-t1", 1),
+            last,
+            *(last.renamed(f"cut-t0-twin-{index}") for index in (1, 2, 3)),
+        ])
+        run = RunDir.open(
+            tmp_path / "runs", kind="sweep", name=space.name,
+            identity=sorted(r.cache_key() for r in space.requests),
+        )
+        cold = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
+        assert cold.distinct == 2
+        reference = _merged_digest(cold)
+        (shard,) = _shards(run.results_dir)
+        data = shard.read_bytes()
+        append = data.splitlines(keepends=True)[-5:]
+        assert append[0].startswith(b'{"template": ')
+        assert all(line.startswith(b'{"key": ') for line in append[1:])
+        # Where each line of the append ends; the first is where it starts.
+        ends = list(itertools.accumulate(
+            map(len, append), initial=len(data) - len(b"".join(append))
+        ))
+        for cut in range(ends[0], len(data)):
+            sweep, summary = self._resume(run, space, data[:cut])
+            whole = sum(end <= cut for end in ends[1:])
+            intact = 1 + max(whole - 1, 0)  # the first run's cell + whole lines
+            assert summary["cache"]["corrupt_evictions"] == (cut not in ends), cut
+            assert summary["resume"] == {
+                "completed_before": intact,
+                "executed": len(space.requests) - intact,
+                "cached": intact,
+                "re_executed": 0,
+            }, cut
+            assert _merged_digest(sweep) == reference, cut
+
     def test_cell_citing_a_missing_template_is_a_miss(self, tmp_path):
         run, space, data, reference = self._populated(tmp_path)
         cells_only = b"".join(
@@ -686,7 +770,9 @@ class TestPackedStore:
             )
         cache = ResultCache(tmp_path)
         assert len(cache) == 0 and cache.completed_keys() == set()
-        assert all(cache.get(request) is None for request in space.requests)
+        assert all(
+            cache.get(request.cache_key()) is None for request in space.requests
+        )
         assert cache.stats.as_dict() == {
             "hits": 0, "misses": 3, "stores": 0, "corrupt_evictions": 0,
         }
@@ -716,21 +802,26 @@ class TestPackedStore:
 
 
 def _recording_references(monkeypatch):
-    """Spy on the two per-cell writers: every call appends the line the
+    """Spy on the two per-run writers: every call appends the lines the
     reference encoder builds from its arguments, taken before the
     writer runs, to ``store`` or ``audit``."""
     references = {"store": [], "audit": []}
     put, record_cell = ResultCache.put, RunDir.record_cell
 
-    def spied_put(self, request, result):
-        references["store"].append(store_cell_line(request, result))
-        return put(self, request, result)
-
-    def spied_record_cell(self, **fields):
-        references["audit"].append(
-            audit_line(leg=self.manifest.get("legs", 1), **fields)
+    def spied_put(self, results):
+        references["store"].extend(
+            store_cell_line(result.request_key, result) for result in results
         )
-        return record_cell(self, **fields)
+        return put(self, results)
+
+    def spied_record_cell(self, cells, **fields):
+        references["audit"].extend(
+            audit_line(
+                leg=self.manifest.get("legs", 1), name=name, key=key, **fields
+            )
+            for name, key in cells
+        )
+        return record_cell(self, cells, **fields)
 
     monkeypatch.setattr(ResultCache, "put", spied_put)
     monkeypatch.setattr(RunDir, "record_cell", spied_record_cell)
@@ -759,14 +850,18 @@ def _assert_legs_match_the_reference(space, root, monkeypatch):
         )
         with campaign:
             sweep = SweepRunner(
-                cache=campaign.cache, check=True, on_cell=campaign.on_cell
-            ).run(space)
+                cache=campaign.cache, check=True, on_run=campaign.on_run
+            ).run(space, keys=campaign.keys)
             campaign.finalize(lambda run_dir: {"coverage": {}})
         assert sweep.executed == (len(space.requests) if leg == "cold" else 0)
         cells, audit = _written(root)
         assert cells == references["store"], leg
         assert audit == "".join(references["audit"]), leg
     assert len(references["audit"]) == 2 * len(references["store"])
+    # Every cell is stored under its own request's key.
+    assert sorted(json.loads(line)["key"] for line in cells) == sorted(
+        reference_cache_key(request) for request in space.requests
+    )
     return references
 
 
@@ -787,28 +882,102 @@ class TestPerCellRecords:
         for escaped in ('%d%%s-\\"quoted\\"', "\\u00e9-\\u2028"):
             assert escaped in text
 
+    def test_a_run_is_one_put_one_write_and_one_audit_append(
+        self, tmp_path, monkeypatch
+    ):
+        space = _space("random-rs", count=300, seed=7)
+        calls: Counter = Counter()
+        put, writer, append = ResultCache.put, ResultCache._writer, RunDir._append
+
+        class CountingShard:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                calls["shard write"] += 1
+                return self.handle.write(data)
+
+            def flush(self):
+                calls["shard flush"] += 1
+                return self.handle.flush()
+
+        def counted_put(self, results):
+            calls["put"] += 1
+            return put(self, results)
+
+        def counted_append(self, lines):
+            calls["audit append"] += 1
+            return append(self, lines)
+
+        monkeypatch.setattr(ResultCache, "put", counted_put)
+        monkeypatch.setattr(
+            ResultCache, "_writer", lambda self: CountingShard(writer(self))
+        )
+        monkeypatch.setattr(RunDir, "_append", counted_append)
+        legs = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            campaign = CampaignLeg(
+                str(tmp_path / "runs"), kind="sweep", name=space.name,
+                requests=space.requests, config={},
+            )
+            with campaign:
+                sweep = SweepRunner(
+                    cache=campaign.cache, on_run=campaign.on_run
+                ).run(space, keys=campaign.keys)
+                campaign.finalize(lambda run_dir: {"coverage": {}})
+            legs.append((sweep, dict(calls)))
+        (cold, cold_calls), (warm, warm_calls) = legs
+        runs = cold.distinct
+        assert runs < len(space.requests)
+        assert cold_calls == dict.fromkeys(
+            ("put", "shard write", "shard flush", "audit append"), runs
+        )
+        # A warm leg stores nothing and audits each hit as a run of one.
+        assert (warm.executed, warm_calls) == (0, {"audit append": 300})
+
     def test_equal_twins_share_a_tail_and_nothing_else_does(self, tmp_path):
         space = _space("random-rs", count=3, seed=11)
         result = run_space(space).results[0]
-        request = space.requests[0]
+        duration = result.extra["profile"]["duration_s"]
         cache = ResultCache(tmp_path)
         expected = []
 
-        def put(request, result):
-            expected.append(store_cell_line(request, result))
-            cache.put(request, result)
+        def twin(name, **changes):
+            changes.setdefault(
+                "extra", {"profile": {"duration_s": duration, "spans": {}}}
+            )
+            key = hashlib.sha256(name.encode("utf-8")).hexdigest()
+            return replace(result, name=name, request_key=key, **changes)
 
-        twin = replace(result, name="twin-%s\u2028", extra=dict(result.extra))
-        put(request, result)
-        put(replace(request, name="twin"), twin)
+        def put(*twins):
+            cells = [result, *twins]
+            expected.extend(store_cell_line(c.request_key, c) for c in cells)
+            cache.put(cells)
+
+        put(twin("twin-%s\u2028"), twin("twin-2"), twin("twin-3"))
         # Equal in Python, printed differently: each needs its own tail.
-        for latency in (True, 1.0, result.latency):
-            put(replace(request, name=f"l-{latency!r}"),
-                replace(result, latency=latency))
+        assert type(result.latency) is int and result.decisions
+        put(*(twin(f"l-{latency!r}", latency=latency)
+              for latency in (float(result.latency), result.latency, True)))
+        put(twin("bool-decisions", decisions={
+            pid: (at, bool(value))
+            for pid, (at, value) in result.decisions.items()
+        }))
+        for pair in (
+            ({"duration_s": -0.0}, {"duration_s": 0.0}),
+            ({"flag": 1}, {"flag": True}),
+            ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        ):
+            assert pair[0] == pair[1]
+            put(*(twin(f"e-{extra!r}", extra=extra) for extra in pair))
         result.extra["mutated"] = -0.0  # in place, after its put
-        put(replace(request, name="mutated"), result)
+        put()
         result.extra["mutated"] = 0.0
-        put(replace(request, name="mutated-again"), result)
+        put(twin("mutated-again"))
+        other = run_space(space).results[0]  # another run's template object
+        with pytest.raises(ValueError, match="one template"):
+            cache.put([result, other])
         cache.close()
         (shard,) = _shards(tmp_path)
         lines = [
@@ -816,29 +985,28 @@ class TestPerCellRecords:
             if line.startswith(b'{"key": ')
         ]
         assert lines == expected
+        # The template was written once, ahead of its first cell.
+        assert shard.read_bytes().count(b'{"template": ') == 1
 
     def test_audit_splices_only_between_equal_records(self, tmp_path):
         run = RunDir.open(tmp_path, kind="sweep", name="audit", identity=["x"])
         calls = [
-            dict(name="a", key="k1", cached=False, latency=0, duration_s=0.0),
-            dict(name='b-%s-"q"', key="k2", cached=False, latency=0,
-                 duration_s=0.0),
-            dict(name="c-\u2028-\u00e9", key="k3", cached=False,
-                 latency=False, duration_s=0.0),
-            dict(name="d", key="k4", cached=False, latency=False,
-                 duration_s=-0.0),
-            dict(name="e", key="k5", cached=0, latency=False,
-                 duration_s=-0.0),
-            dict(name="f", key="k6", cached=0, latency=False,
-                 duration_s=-0.0, engine="rounds"),
-            dict(name="g", key="k7", cached=0, latency=False,
-                 duration_s=-0.0, engine="rounds"),
+            ([("a", "k1")], dict(cached=False, latency=0, duration_s=0.0)),
+            ([('b-%s-"q"', "k2"), ("c-\u2028-\u00e9", "k3")],
+             dict(cached=False, latency=False, duration_s=0.0)),
+            ([("d", "k4")], dict(cached=False, latency=False, duration_s=-0.0)),
+            ([("e", "k5"), ("f", "k6"), ("g", "k7")],
+             dict(cached=0, latency=False, duration_s=-0.0, engine="rounds")),
+            ([("h", "k8")], dict(cached=0, latency=False, duration_s=-0.0,
+                                 engine="rounds")),
         ]
-        for fields in calls:
-            run.record_cell(**fields)
+        for cells, fields in calls:
+            run.record_cell(cells, **fields)
         run.mark_interrupted()
         assert (run.path / "metrics.jsonl").read_text(encoding="utf-8") == "".join(
-            audit_line(leg=1, **fields) for fields in calls
+            audit_line(leg=1, name=name, key=key, **fields)
+            for cells, fields in calls
+            for name, key in cells
         )
 
 
@@ -855,20 +1023,60 @@ class TestMetricsHandle:
         real_open = open
 
         def counting_open(path, mode="r", **kwargs):
-            if mode == "a":
+            if mode.startswith("a"):
                 opened.append(str(path))
             return real_open(path, mode, **kwargs)
 
         run = RunDir.open(tmp_path, kind="sweep", name="audit", identity=["x"])
         monkeypatch.setattr(artifacts, "open", counting_open, raising=False)
         for index in range(5):
-            run.record_cell(name=f"cell-{index}", key=f"k{index}", cached=False)
+            run.record_cell([(f"cell-{index}", f"k{index}")], cached=False)
             # A leg killed right here must have left the record behind.
             assert len(RunDir.load(run.path).metrics_records()) == index + 1
         assert opened == [str(run.path / "metrics.jsonl")]
         run.finalize({"coverage": {}})
         assert run._metrics is None
-        run.record_cell(name="late", key="late", cached=False)  # reopens
+        run.record_cell([("late", "late")], cached=False)  # reopens
         run.mark_interrupted()
         assert run._metrics is None
         assert len(run.metrics_records()) == 6
+
+    def test_a_torn_last_record_is_not_glued_to_the_next_legs_first(
+        self, tmp_path
+    ):
+        space = _space("random-rs", "rounds", count=20, seed=7)
+
+        def leg(root):
+            campaign = CampaignLeg(
+                str(root), kind="sweep", name=space.name,
+                requests=space.requests, config={},
+            )
+            with campaign:
+                SweepRunner(
+                    cache=campaign.cache, on_run=campaign.on_run
+                ).run(space, keys=campaign.keys)
+                campaign.finalize(lambda run_dir: {"coverage": {}})
+            return campaign.path / "metrics.jsonl"
+
+        audit = leg(tmp_path / "first").read_bytes()
+        lines = audit.splitlines(keepends=True)
+        assert len(lines) == 20
+        start = len(b"".join(lines[:14]))
+        # Killed inside line 15: one byte in, mid-record, and short of
+        # nothing but its newline (a fragment that parses on its own).
+        for cut in (start + 1, start + len(lines[14]) // 2,
+                    start + len(lines[14]) - 1):
+            root = tmp_path / f"cut-{cut}"
+            shutil.copytree(tmp_path / "first", root)
+            path = next(root.iterdir()) / "metrics.jsonl"
+            path.write_bytes(audit[:cut])
+            leg(root)
+            records = RunDir.load(path.parent).metrics_records()
+            resumed = [record for record in records if record["leg"] == 2]
+            assert [record["cell"] for record in resumed] == [
+                request.name for request in space.requests
+            ], cut
+            assert all(record["cached"] for record in resumed)
+            text = path.read_bytes()
+            assert text.startswith(audit[:cut] + b"\n"), cut
+            assert text.endswith(b"\n") and text.count(b"\n") == 14 + 1 + 20

@@ -271,11 +271,11 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         request = _round_request()
-        cache.put(request, execute_request(request))
+        cache.put([execute_request(request)])
         assert len(cache) == 1
         for entry in tmp_path.iterdir():
             entry.write_text("not json", encoding="utf-8")
-        assert cache.get(request) is None
+        assert cache.get(request.cache_key()) is None
 
 
 class TestCheckedSweep:
@@ -463,7 +463,7 @@ def _hammer_same_key(arg):
         # parse on read-back.
         extra={"writer": tag, "pad": "x" * 200_000},
     )
-    ResultCache(str(directory)).put(request, result)
+    ResultCache(str(directory)).put([result])
     return tag
 
 
@@ -481,7 +481,7 @@ class TestResultCacheConcurrency:
         assert len(list(directory.iterdir())) == len(
             list(directory.glob("shard-*.jsonl"))
         ) == 16
-        entry = cache.get(_round_request())
+        entry = cache.get(_round_request().cache_key())
         assert entry is not None, "the winning write must parse whole"
         assert entry.extra["writer"] in range(16)
         assert len(entry.extra["pad"]) == 200_000
@@ -492,17 +492,17 @@ class TestResultCacheConcurrency:
         directory = tmp_path / "cache"
         request = _round_request()
         result = execute_request(request)
-        ResultCache(str(directory)).put(request, result)
+        ResultCache(str(directory)).put([result])
         (shard,) = directory.glob("shard-*.jsonl")
         # Simulate a writer killed mid-write: truncate the record.
         shard.write_bytes(shard.read_bytes()[:150])
         cache = ResultCache(str(directory))
-        assert cache.get(request) is None
+        assert cache.get(request.cache_key()) is None
         assert cache.stats.corrupt_evictions == 1
         assert len(cache) == 0, "the corpse is not counted as an entry"
         # The slot re-fills (in this leg's own shard) and the tally sticks.
-        cache.put(request, result)
-        assert cache.get(request) is not None
+        cache.put([result])
+        assert cache.get(request.cache_key()) is not None
         assert cache.stats.as_dict() == {
             "hits": 1,
             "misses": 1,

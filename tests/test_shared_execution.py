@@ -241,7 +241,7 @@ class TestRunCounts:
 
         first = leg()
         with first:  # left without finalize: interrupted
-            SweepRunner(cache=first.cache, on_cell=first.on_cell).run(half)
+            SweepRunner(cache=first.cache, on_run=first.on_run).run(half)
         ran_first = counted["execute_request"]
         assert ran_first == _distinct(half.requests)
 
@@ -249,8 +249,8 @@ class TestRunCounts:
         assert len(second.completed_before) == 150
         with second:
             sweep = SweepRunner(
-                cache=second.cache, on_cell=second.on_cell, check=True
-            ).run(space)
+                cache=second.cache, on_run=second.on_run, check=True
+            ).run(space, keys=second.keys)
             summary = second.finalize(
                 lambda run_dir: summarize_sweep(
                     run_dir, sweep, completed_before=second.completed_before
