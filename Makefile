@@ -77,12 +77,12 @@ check-smoke:
 
 SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 
-# Run a small checked sweep twice against a fresh cache: the first run
-# executes every cell, the second must serve all of them from the
-# cache ("executed 0").  Then the usage errors a sweep, a fuzz campaign
+# Run a small checked sweep twice into a fresh run directory: the first
+# run executes every cell, the second must serve all of them from its
+# results/ store ("executed 0").  Then the usage errors a sweep, a fuzz campaign
 # and a trace export must refuse before a cell runs (exit 2, one
 # `error:` line, no traceback, no run directory; an uncreatable
-# --cache-dir, a --count given to a space that takes none and a
+# --run-dir, a --count given to a space that takes none and a
 # REPRO_INJECT_BUG that names no registered mutation among them; an
 # entry may start with one VAR=value for the environment) and an engine that
 # cannot finish a run under `mc` (same refusal), the stderr line that
@@ -102,14 +102,14 @@ SWEEP_SMOKE_CACHE ?= /tmp/repro_sweep_smoke_cache
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
-		--cache-dir $(SWEEP_SMOKE_CACHE)
+		--run-dir $(SWEEP_SMOKE_CACHE)/runs
 	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 --check \
-		--cache-dir $(SWEEP_SMOKE_CACHE) | $(TEE_STDERR) | grep -q "executed 0,"
+		--run-dir $(SWEEP_SMOKE_CACHE)/runs | $(TEE_STDERR) | grep -q "executed 0,"
 	echo "not a directory" > $(SWEEP_SMOKE_CACHE)/file
 	@for refused in \
 			"sweep random-rs --count 2 --jsonl $(SWEEP_SMOKE_CACHE)/missing/merged.jsonl" \
-			"sweep random-rs --count 10 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
-			"fuzz --budget 2 --cache-dir $(SWEEP_SMOKE_CACHE)/file/cache" \
+			"sweep random-rs --count 10 --run-dir $(SWEEP_SMOKE_CACHE)/file/runs" \
+			"fuzz --budget 2 --run-dir $(SWEEP_SMOKE_CACHE)/file/runs" \
 			"sweep random-rs --count -3 --check" \
 			"sweep e10-lambda --count 0 --check" \
 			"sweep random-rs --count 2 --jobs 0" \
@@ -120,7 +120,7 @@ sweep-smoke:
 		case "$$refused" in [A-Z]*=*) environment=$${refused%% *}; \
 			refused=$${refused#* } ;; *) environment= ;; esac; \
 		echo "$${environment:+$$environment }repro $$refused  # must be refused"; \
-		case "$$refused" in trace*|mc*|*--cache-dir*) run_dir= ;; \
+		case "$$refused" in trace*|mc*|*--run-dir*) run_dir= ;; \
 			*) run_dir="--run-dir $(SWEEP_SMOKE_CACHE)/refused" ;; esac; \
 		env PYTHONPATH=src $$environment python -m repro $$refused $$run_dir \
 			2> $(SWEEP_SMOKE_CACHE)/stderr; \
@@ -198,15 +198,15 @@ FUZZ_SMOKE_CACHE ?= /tmp/repro_fuzz_smoke_cache
 
 # The CI fuzzing campaign: >= 100 generated scenarios per emulation
 # pair (differential twins on every one), plus a rounds-only stream
-# and an all-engine round-robin exercising the parallel + cached path
-# with both batch parity oracles.
+# and an all-engine round-robin exercising the parallel path into a
+# run directory.  Every campaign runs both batch parity oracles.
 fuzz-smoke:
 	rm -rf $(FUZZ_SMOKE_CACHE)
 	PYTHONPATH=src python -m repro fuzz --budget 120 --seed 0 --engine rs_on_ss
 	PYTHONPATH=src python -m repro fuzz --budget 120 --seed 0 --engine rws_on_sp
 	PYTHONPATH=src python -m repro fuzz --budget 100 --seed 0 --engine rounds
 	PYTHONPATH=src python -m repro fuzz --budget 200 --seed 1 --jobs 2 \
-		--cache-dir $(FUZZ_SMOKE_CACHE)
+		--run-dir $(FUZZ_SMOKE_CACHE)
 
 CAUSAL_SMOKE_TRACE ?= /tmp/repro_causal_smoke.jsonl
 CAUSAL_SMOKE_JSON ?= /tmp/repro_causal_smoke.json
@@ -316,8 +316,8 @@ startup-report:
 	python scripts/import_report.py
 
 # Which functions under src/repro no command executes: the claim
-# surface (repro report, the mc verdicts of docs/paper_map.md, every
-# *-smoke target) and every other command and example run in a scratch
+# surface (repro report, the mc verdicts of docs/paper_map.md), every
+# *-smoke target and every other command and example run in a scratch
 # copy under a call recorder.  Not in CI: about 9 minutes on 2 cores.
 line-audit:
 	python scripts/line_audit.py

@@ -9,16 +9,16 @@ Usage::
 Copies the tree into a scratch directory, puts a ``sitecustomize.py``
 into the copy's ``src/`` (every command below runs with
 ``PYTHONPATH=src``, so every interpreter they start loads it) and runs
-two sets of commands in the copy:
+three sets of commands in the copy:
 
 * the *claim surface*: ``repro report`` (E1-E15, the run behind
-  EXPERIMENTS.md), the ``repro mc`` verdicts docs/paper_map.md quotes,
-  and every ``make *-smoke`` target;
+  EXPERIMENTS.md) and the ``repro mc`` verdicts docs/paper_map.md
+  quotes;
+* every ``make *-smoke`` target;
 * everything else a user can run: ``repro experiments --extensions``,
-  ``summary``, ``sdd``, ``commit``, ``latency``, ``show [--dot]``,
-  ``metrics``, ``trace``, ``diff``, ``replay``, ``check``, ``causal``,
-  ``top``, ``report RUNDIR``, ``mc --list``, ``sweep --list``,
-  ``sweep e10-lambda`` and ``examples/*.py``.
+  ``latency``, ``show``, ``metrics``, ``trace``, ``diff``, ``replay``,
+  ``check``, ``causal``, ``top``, ``report RUNDIR``, ``mc --list``,
+  ``sweep --list``, ``sweep e10-lambda`` and ``examples/*.py``.
 
 The hook is a global ``sys.settrace`` function that records
 ``(co_filename, co_firstlineno)`` on each ``call`` event and returns
@@ -30,7 +30,8 @@ decorator's.  Forked pool workers leave through ``os._exit``, where
 pool sends them.
 
 Prints one row per package: the lines of functions the claim surface
-executes, of functions only the other commands execute, and of
+executes, of functions only the other commands execute (smoke targets
+may run them too), of functions only smoke targets execute, and of
 functions nothing executes.  A function's lines are its source span,
 decorators included, minus the functions nested in it; module and class
 bodies, and bodiless stubs (a docstring, ``...``, ``pass`` or ``raise
@@ -127,13 +128,9 @@ MC_VERDICTS = [
 #: ``{work}`` files are written by the earlier rows.
 OTHER_COMMANDS = [
     "experiments --extensions",
-    "summary",
-    "sdd",
-    "commit",
     "latency a1",
     "latency floodset-ws",
     "show floodset-rws",
-    "show a1-rws --dot",
     "metrics",
     "metrics --json",
     "trace floodset-rws --jsonl {work}/a.jsonl",
@@ -161,27 +158,25 @@ OTHER_COMMANDS = [
 #: or helper other tests use), a test reference (what tests compare
 #: against), a CLI path the runs above leave out, a protocol method (one
 #: a base class declares abstract), or ``deferred`` (only its own tests
-#: call it; deleting it is left to a later audit).
+#: call it; deleting it is left to a later audit).  None is deferred now.
 _STRATEGY = "test tool: a Hypothesis strategy of repro.fuzz.strategies"
+_REPLAYED_HISTORY = (
+    "test reference: time-free rescheduling of a detector run, run by "
+    "tests/test_timefree.py::test_replayed_detector_history_keeps_views"
+)
 KEEP: dict[str, str] = {
     "repro/_lazy.py:lazy_exports.__dir__":
         "test tool: dir() of every lazy package (tests/test_lazy_exports.py)",
     "repro/analysis/latency.py:VerificationReport.first_violations":
         "test tool: the assertion message of verify_algorithm checks",
     "repro/analysis/timefree.py:_execute_script._ReplayHistory.__init__":
-        "deferred: time-free rescheduling of a detector run (ROADMAP 14)",
+        _REPLAYED_HISTORY,
     "repro/analysis/timefree.py:_execute_script._ReplayHistory.suspects":
-        "deferred: time-free rescheduling of a detector run (ROADMAP 14)",
+        _REPLAYED_HISTORY,
     "repro/commit/spec.py:check_commit_obligation":
         "test reference: the commit obligation SynchronousCommit is held to",
-    "repro/consensus/spec.py:check_many":
-        "deferred: only tests/test_spec_checkers.py::TestCheckMany calls it",
-    "repro/core/experiments.py:run_experiment":
-        "test tool: tests run one experiment by id through it",
     "repro/core/extensions.py:run_extension":
         "test tool: tests/test_report_extensions.py runs X1-X7 through it",
-    "repro/failures/history.py:FailureDetectorHistory.suspects_at":
-        "deferred: only tests/test_detectors.py calls it",
     "repro/failures/pattern.py:FailurePattern.num_failures":
         "test tool: failure-pattern assertions",
     "repro/fuzz/campaign.py:Counterexample.oracles":
@@ -230,13 +225,8 @@ KEEP: dict[str, str] = {
         "test tool: trace-oracle assertions",
     "repro/obs/events.py:EventLog.kinds": "test tool: event-log assertions",
     "repro/obs/events.py:EventLog.of_kind": "test tool: event-log assertions",
-    "repro/obs/progress.py:ProgressReporter.__enter__":
-        "deferred: only tests/test_progress.py and test_artifacts.py use it",
-    "repro/obs/progress.py:ProgressReporter.__exit__":
-        "deferred: only tests/test_progress.py and test_artifacts.py use it",
     "repro/obs/replay.py:infer_model":
         "test tool: replay_events without a model, as tests call it",
-    "repro/obs/report.py:summarize_fuzz": "CLI path: `fuzz --run-dir` summaries",
     "repro/obs/template.py:TemplateEvents.__eq__":
         "test tool: tests compare a result's events with a list",
     "repro/obs/template.py:TemplateEvents.__repr__":
@@ -255,10 +245,6 @@ KEEP: dict[str, str] = {
         "error path: the unknown-algorithm messages list the registry",
     "repro/runtime/registry.py:_Factories.__len__":
         "protocol method: collections.abc.Mapping declares it abstract",
-    "repro/runtime/request.py:ExecutionResult.to_dict":
-        "test tool: tests write an older writer's inline store cell with it",
-    "repro/runtime/request.py:ExecutionResult.from_dict":
-        "CLI path: ResultCache.get on an older writer's inline store cell",
     "repro/runtime/space.py:ScenarioSpace.__len__": "test tool: space assertions",
     "repro/runtime/space.py:ScenarioSpace.__iter__": "test tool: space assertions",
     "repro/runtime/sweep.py:CellCheck.describe":
@@ -287,10 +273,6 @@ KEEP: dict[str, str] = {
         "test tool: RoundRobinScheduler",
     "repro/simulation/schedulers.py:RoundRobinScheduler.choose":
         "test tool: RoundRobinScheduler",
-    "repro/stats/summary.py:Summary.describe":
-        "deferred: only tests/test_workloads_stats.py calls it",
-    "repro/stats/summary.py:rate":
-        "deferred: only tests/test_workloads_stats.py calls it",
 }
 
 def _is_stub(node: ast.AST) -> bool:
@@ -385,6 +367,9 @@ def claim_surface(tree: str, work: str, records: str) -> None:
     for verdict in MC_VERDICTS:
         argv = verdict.format(work=work).split()
         run(tree, records, repro + ["mc", *argv], f"repro mc {verdict}")
+
+
+def smoke_surface(tree: str, work: str, records: str) -> None:
     scratch = {
         "TRACE_SMOKE_OUT": "trace.jsonl", "CHECK_SMOKE_DIR": "check",
         "SWEEP_SMOKE_CACHE": "sweep", "FUZZ_SMOKE_CACHE": "fuzz",
@@ -427,21 +412,28 @@ def package_of(rel: str) -> str:
     return parts[1] if len(parts) > 2 else "(top)"
 
 
-def report(src: str, claim: set, other: set) -> int:
-    rows: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
+def report(src: str, claim: set, other: set, smoke: set) -> int:
+    columns = ("claim", "other", "smoke", "nothing")
+    widths = (8, 8, 8, 9)
+    rows: dict[str, list[int]] = defaultdict(lambda: [0] * len(columns))
     idle = []
     for rel, qualname, first, own in functions(src):
-        column = 0 if (rel, first) in claim else 1 if (rel, first) in other else 2
+        where = (rel, first)
+        column = next(
+            (i for i, ran in enumerate((claim, other, smoke)) if where in ran),
+            3,
+        )
         rows[package_of(rel)][column] += own
-        if column == 2:
+        if column == 3:
             idle.append((f"{rel}:{qualname}", own))
-    print(f"{'package':<14}{'claim':>8}{'other':>8}{'nothing':>9}")
+    print(f"{'package':<14}" + "".join(
+        f"{name:>{w}}" for name, w in zip(columns, widths)))
     for package in sorted(rows):
         print(f"{package:<14}" + "".join(
-            f"{n:>{w}}" for n, w in zip(rows[package], (8, 8, 9))))
-    totals = [sum(row[i] for row in rows.values()) for i in range(3)]
+            f"{n:>{w}}" for n, w in zip(rows[package], widths)))
+    totals = [sum(row[i] for row in rows.values()) for i in range(len(columns))]
     print(f"{'total':<14}" + "".join(
-        f"{n:>{w}}" for n, w in zip(totals, (8, 8, 9))))
+        f"{n:>{w}}" for n, w in zip(totals, widths)))
     print()
     unexplained = 0
     for name, own in idle:
@@ -466,10 +458,13 @@ def main(argv: list[str]) -> int:
         src = os.path.join(tree, "src")
         print("claim surface:", file=sys.stderr)
         claim_surface(tree, work, f"{work}/claim")
+        print("smoke targets:", file=sys.stderr)
+        smoke_surface(tree, work, f"{work}/smoke-records")
         print("other commands:", file=sys.stderr)
         other_commands(tree, work, f"{work}/other")
         return report(src, executed(f"{work}/claim", src),
-                      executed(f"{work}/other", src))
+                      executed(f"{work}/other", src),
+                      executed(f"{work}/smoke-records", src))
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)

@@ -30,7 +30,7 @@ from repro.errors import ExecutionError
 from repro.failures.history import FailureDetectorHistory
 from repro.failures.pattern import FailurePattern
 from repro.obs.diff import local_view
-from repro.obs.events import Event, EventLog, logical_clock
+from repro.obs.events import Event, EventLog
 from repro.simulation.automaton import StepAutomaton
 from repro.simulation.executor import StepExecutor
 from repro.simulation.message import Message
@@ -183,7 +183,7 @@ def _trace(
     run: Run, automata: StepAutomaton | Sequence[StepAutomaton]
 ) -> list[Event]:
     """The events of ``run``, recorded by re-executing its schedule."""
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     script = [(step.pid, step.received_uids) for step in run.schedule]
     _execute_script(run, automata, script, run.pattern, log)
     return log.events

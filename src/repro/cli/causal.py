@@ -56,7 +56,7 @@ def _print_trace_report(events, args: argparse.Namespace) -> int:
         return 1 if summary["anomalies"] else 0
 
     print(
-        f"{summary['events']} events ({summary['clock']} clock), "
+        f"{summary['events']} events, "
         f"{summary['message_edges']} message edges, "
         f"max critical path {summary['max_path_length']} hops"
     )

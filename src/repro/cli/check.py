@@ -9,7 +9,6 @@ import sys
 from repro.cli.common import SCENARIOS, load_trace, resolve_scenario
 from repro.obs import (
     check_events,
-    clock_kind,
     diff_traces,
     replay_events,
     view_divergence,
@@ -159,14 +158,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     b = load_trace(args.trace_b)
     if a is None or b is None:
         return 2
-    kind_a, kind_b = clock_kind(a), clock_kind(b)
-    if kind_a != kind_b:
-        print(
-            f"warning: {args.trace_a} uses a {kind_a} clock but "
-            f"{args.trace_b} uses a {kind_b} clock; timestamps are not "
-            "comparable across the two traces (structural diffing still is)",
-            file=sys.stderr,
-        )
     ignore = tuple(
         name.strip() for name in args.ignore.split(",") if name.strip()
     )

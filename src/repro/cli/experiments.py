@@ -1,5 +1,5 @@
 """Subcommands over the experiment registry and the analysis tables:
-``experiments``, ``summary``, ``sdd``, ``commit``, ``latency``.
+``experiments`` and ``latency``.
 
 The ``report`` subcommand is registered by :mod:`repro.cli.report`
 (which delegates its legacy EXPERIMENTS.md mode to
@@ -8,12 +8,10 @@ The ``report`` subcommand is registered by :mod:`repro.cli.report`
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
-from repro.analysis import format_table, latency_profile, latency_summary_table
+from repro.analysis import latency_profile
 from repro.cli.common import jobs_ok
-from repro.commit import compare_commit_rates
 from repro.core import (
     EXPERIMENTS,
     EXTENSIONS,
@@ -21,16 +19,13 @@ from repro.core import (
     run_all_extensions,
     write_report,
 )
-from repro.failures import FailurePattern
 from repro.rounds import RoundModel
 from repro.runtime.registry import (
     ALGORITHM_FACTORIES,
     UNIFORM_CONSENSUS_ALGORITHMS,
 )
-from repro.sdd import SP_CANDIDATE_FACTORIES, refute_sdd_candidate, solve_sdd_ss
-from repro.trace import describe_run, step_diagram
 
-#: The algorithms ``repro latency`` (and friends) accept by name.
+#: The algorithms ``repro latency`` accepts by name.
 ALGORITHMS = {
     key: ALGORITHM_FACTORIES[key] for key in UNIFORM_CONSENSUS_ALGORITHMS
 }
@@ -39,7 +34,6 @@ ALGORITHMS = {
 def _cmd_experiments(args: argparse.Namespace) -> int:
     if not jobs_ok(args.jobs):
         return 2
-    quick = not args.full
     if args.ids:
         registry = {**EXPERIMENTS, **EXTENSIONS}
         unknown = [i for i in args.ids if i.upper() not in registry]
@@ -51,11 +45,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        results = [registry[exp_id.upper()](quick) for exp_id in args.ids]
+        results = [registry[exp_id.upper()]() for exp_id in args.ids]
     else:
-        results = run_all_experiments(quick, jobs=args.jobs)
+        results = run_all_experiments(jobs=args.jobs)
         if args.extensions:
-            results.extend(run_all_extensions(quick))
+            results.extend(run_all_extensions())
     failures = 0
     for result in results:
         print(result.describe())
@@ -66,34 +60,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    passed = write_report(args.output, quick=not args.full)
+    passed = write_report(args.output)
     print(f"wrote {args.output} ({passed} experiments passing)")
-    return 0
-
-
-def _cmd_summary(args: argparse.Namespace) -> int:
-    algorithms = [factory() for factory in ALGORITHMS.values()]
-    rows = latency_summary_table(algorithms, n=args.n, t=1)
-    print(format_table(rows))
-    return 0
-
-
-def _cmd_sdd(args: argparse.Namespace) -> int:
-    print("SS solves SDD (value 1, sender crashes at time 2):")
-    pattern = FailurePattern.with_crashes(2, {0: 2})
-    run = solve_sdd_ss(1, pattern, phi=1, delta=1, rng=random.Random(args.seed))
-    print(" ", describe_run(run))
-    print(step_diagram(run, max_rows=12))
-    print()
-    print("Theorem 3.1 refutations in SP:")
-    for name, factory in SP_CANDIDATE_FACTORIES.items():
-        print(refute_sdd_candidate(factory, name).describe())
-    return 0
-
-
-def _cmd_commit(args: argparse.Namespace) -> int:
-    for name, report in compare_commit_rates(n=args.n, t=1).items():
-        print(f"{name}: {report.describe()}")
     return 0
 
 
@@ -114,9 +82,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     p_exp = parsers["experiments"]
     p_exp.add_argument("--ids", nargs="*", help="experiment ids (default all)")
     p_exp.add_argument(
-        "--full", action="store_true", help="larger sweeps (slower)"
-    )
-    p_exp.add_argument(
         "--extensions",
         action="store_true",
         help="also run the X1-X7 extension experiments",
@@ -129,18 +94,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         help="worker processes for the full suite (default: 1, serial)",
     )
     p_exp.set_defaults(func=_cmd_experiments)
-
-    p_summary = parsers["summary"]
-    p_summary.add_argument("--n", type=int, default=3)
-    p_summary.set_defaults(func=_cmd_summary)
-
-    p_sdd = parsers["sdd"]
-    p_sdd.add_argument("--seed", type=int, default=7)
-    p_sdd.set_defaults(func=_cmd_sdd)
-
-    p_commit = parsers["commit"]
-    p_commit.add_argument("--n", type=int, default=3)
-    p_commit.set_defaults(func=_cmd_commit)
 
     p_lat = parsers["latency"]
     p_lat.add_argument("algorithm", choices=sorted(ALGORITHMS))

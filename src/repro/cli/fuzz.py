@@ -1,9 +1,10 @@
 """``repro fuzz``: the differential fuzzing campaign from a shell.
 
 Generates a deterministic stream of random cases, runs them through the
-unified runtime (parallel, cached), cross-checks every result with the
-differential oracles, and shrinks any failure to a minimal, replayable
-counterexample (``repro replay --repro FILE`` re-executes it).
+unified runtime (parallel; cached with ``--run-dir``), cross-checks
+every result with the differential oracles, and shrinks any failure to
+a minimal, replayable counterexample (``repro replay --repro FILE``
+re-executes it).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             seed=args.seed,
             engines=args.engine or ("all",),
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
             out_dir=args.out,
             shrink_failures=not args.no_shrink,
             max_n=args.max_n,
@@ -71,14 +71,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         default=1,
         metavar="N",
         help="worker processes for the execution sweep (default: 1)",
-    )
-    p_fuzz.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help=(
-            "result cache; also enables the cold-vs-warm cache parity "
-            "oracle"
-        ),
     )
     p_fuzz.add_argument(
         "--run-dir",

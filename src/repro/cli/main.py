@@ -3,9 +3,8 @@
 This module is the thin dispatcher; each subcommand lives in its own
 module under :mod:`repro.cli` and registers itself via ``register``:
 
-* :mod:`repro.cli.experiments` — ``experiments``, ``summary``,
-  ``sdd``, ``commit``, ``latency``.
-* :mod:`repro.cli.show` — ``show SCENARIO`` (round tableau / DOT).
+* :mod:`repro.cli.experiments` — ``experiments``, ``latency``.
+* :mod:`repro.cli.show` — ``show SCENARIO`` (round tableau).
 * :mod:`repro.cli.trace` — ``trace`` (JSONL export) and ``metrics``.
 * :mod:`repro.cli.check` — ``check`` (trace oracle), ``replay``
   (deterministic re-execution), ``diff`` (divergence / Theorem 3.1).
@@ -53,9 +52,6 @@ __getattr__, __dir__ = lazy_exports(
 #: tracer binds to stay module-level callables of the command modules.
 COMMANDS = {
     "experiments": ("experiments", "run the E1-E15 suite"),
-    "summary": ("experiments", "headline latency table"),
-    "sdd": ("experiments", "the SDD story"),
-    "commit": ("experiments", "commit-rate comparison"),
     "latency": ("experiments", "latency profile of an algorithm"),
     "show": ("show", "render a named scenario"),
     "trace": ("trace", "export a scenario's structured event trace"),

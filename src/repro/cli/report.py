@@ -110,9 +110,8 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         metavar="K",
         help="slowest cells to list (default: 5)",
     )
-    # Legacy EXPERIMENTS.md flags, honoured only when RUNDIR is absent.
+    # The legacy EXPERIMENTS.md flag, honoured only when RUNDIR is absent.
     p_report.add_argument("--output", default="EXPERIMENTS.md")
-    p_report.add_argument("--full", action="store_true")
     p_report.set_defaults(func=_cmd_report)
 
     p_top = parsers["top"]

@@ -15,11 +15,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
         return 2
     request = cell.request
     run = harness_for(request.engine).execute(request, None)
-    if getattr(args, "dot", False):
-        from repro.trace import round_run_to_dot
-
-        print(round_run_to_dot(run))
-        return 0
     print(f"{args.scenario}: {cell.blurb}")
     print(
         f"algorithm={run.algorithm_name}, model={request.model}, "
@@ -34,9 +29,4 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
     p_show = parsers["show"]
     p_show.add_argument("scenario", help=f"one of {sorted(SCENARIOS)}")
-    p_show.add_argument(
-        "--dot",
-        action="store_true",
-        help="emit Graphviz DOT instead of the ASCII tableau",
-    )
     p_show.set_defaults(func=_cmd_show)

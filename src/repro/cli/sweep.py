@@ -1,14 +1,14 @@
 """``repro sweep``: run a scenario space through the unified runtime.
 
 Spaces come from the runtime catalogue (``repro sweep --list``); the
-runner executes them serially or across a process pool, optionally
-backed by the on-disk result cache, and can pipe every produced trace
-through the trace oracle.  With ``--run-dir ROOT`` the sweep writes a
-content-addressed run directory under ROOT (manifest, incremental
-``metrics.jsonl``, ``progress.jsonl`` heartbeats, final
-``summary.json`` with SLO verdicts) and uses its ``results/`` store as
-the cache — killing the sweep and re-invoking it resumes, skipping
-every completed cell; ``repro report`` renders the artifacts.
+runner executes them serially or across a process pool and can pipe
+every produced trace through the trace oracle.  With ``--run-dir
+ROOT`` the sweep writes a content-addressed run directory under ROOT
+(manifest, incremental ``metrics.jsonl``, ``progress.jsonl``
+heartbeats, final ``summary.json`` with SLO verdicts) and uses its
+``results/`` store as the cache — killing the sweep and re-invoking it
+resumes, skipping every completed cell; ``repro report`` renders the
+artifacts.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "engine": args.engine,
             },
             stream=sys.stderr,
-            cache_dir=args.cache_dir,
         )
     except ConfigurationError as exc:
         if sink is not None:
@@ -146,18 +145,13 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         ),
     )
     p_sweep.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="on-disk result cache; repeated sweeps execute 0 scenarios",
-    )
-    p_sweep.add_argument(
         "--run-dir",
         metavar="ROOT",
         help=(
             "write a content-addressed run directory under ROOT "
             "(manifest, metrics.jsonl, progress, summary.json); its "
-            "results/ store doubles as the cache, so interrupted "
-            "sweeps resume (overrides --cache-dir)"
+            "results/ store doubles as the cache, so repeated and "
+            "interrupted sweeps resume"
         ),
     )
     p_sweep.add_argument(

@@ -10,18 +10,13 @@ from contextlib import nullcontext
 
 from repro.cli.common import SCENARIOS, resolve_scenario
 from repro.obs import EventLog, MetricsRegistry, Profiler, set_profiler
-from repro.runtime.harness import execute_request, harness_for
+from repro.runtime.harness import execute_request
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     cell = resolve_scenario(args.scenario)
     if cell is None:
         return 2
-    # The runtime stamps its own log with the logical (counter) clock,
-    # so exported traces are deterministic and `repro replay` can match
-    # them byte-for-byte; --wall-ts runs the cell's harness into a
-    # wall-clock log instead.
-    log = EventLog()
     # Before the cell runs: a trace nobody can write is a usage error.
     sink = nullcontext()
     if args.jsonl:
@@ -35,10 +30,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             return 2
     with sink as handle:
-        if args.wall_ts:
-            harness_for(cell.request.engine).execute(cell.request, log)
-        else:
-            log.events = list(execute_request(cell.request).events)
+        # The event log stamps a logical counter, so the export is
+        # deterministic and `repro replay` can match it byte-for-byte.
+        log = EventLog()
+        log.events = list(execute_request(cell.request).events)
         if handle is not None:
             count = log.dump_jsonl(handle)
             print(f"wrote {count} events to {args.jsonl}")
@@ -83,14 +78,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         "--jsonl",
         metavar="PATH",
         help="write the trace to PATH (default: print to stdout)",
-    )
-    p_trace.add_argument(
-        "--wall-ts",
-        action="store_true",
-        help=(
-            "timestamp events with wall-clock time instead of the "
-            "deterministic logical counter"
-        ),
     )
     p_trace.set_defaults(func=_cmd_trace)
 

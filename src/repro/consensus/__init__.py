@@ -27,7 +27,6 @@ __getattr__, __dir__ = lazy_exports(
             "SpecViolation",
             "check_consensus_run",
             "check_uniform_consensus_run",
-            "check_many",
         ),
         "floodset": ("FloodSet", "FloodSetWS"),
         "opt": ("COptFloodSet", "COptFloodSetWS"),
@@ -45,7 +44,6 @@ __all__ = [
     "SpecViolation",
     "check_consensus_run",
     "check_uniform_consensus_run",
-    "check_many",
     "FloodSet",
     "FloodSetWS",
     "COptFloodSet",

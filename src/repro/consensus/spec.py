@@ -100,8 +100,3 @@ def check_consensus_run(run: RoundRun) -> list[SpecViolation]:
     """Check one finished run against the (non-uniform) consensus spec."""
     pids = clauses.agreement(run.decisions, run.scenario.correct)
     return _check(run, "agreement", "correct processes", pids)
-
-
-def check_many(runs, checker=check_uniform_consensus_run) -> list[SpecViolation]:
-    """Apply a run checker to many runs and concatenate the reports."""
-    return [found for run in runs for found in checker(run)]

@@ -99,9 +99,9 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e1(quick: bool = True) -> ExperimentResult:
+def experiment_e1() -> ExperimentResult:
     """SDD is solvable in SS within Φ+1+Δ receiver steps."""
-    seeds = 25 if quick else 200
+    seeds = 25
     runs = 0
     failures: list[str] = []
     for seed in range(seeds):
@@ -128,7 +128,7 @@ def experiment_e1(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e2(quick: bool = True) -> ExperimentResult:
+def experiment_e2() -> ExperimentResult:
     """Theorem 3.1: every SP candidate falls to the run quadruple."""
     refutations = [
         refute_sdd_candidate(factory, name)
@@ -147,7 +147,7 @@ def experiment_e2(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e3(quick: bool = True) -> ExperimentResult:
+def experiment_e3() -> ExperimentResult:
     """Synchronous commit decides COMMIT strictly more often."""
     reports = compare_commit_rates(n=3, t=1)
     sync = reports["SyncCommit@RS"]
@@ -183,11 +183,11 @@ def experiment_e3(quick: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e4(quick: bool = True) -> ExperimentResult:
+def experiment_e4() -> ExperimentResult:
     """FloodSet solves uniform consensus in RS in exactly t+1 rounds."""
     details: list[str] = []
     ok = True
-    sweeps = [(3, 1), (4, 2)] if quick else [(3, 1), (4, 2), (4, 3), (5, 2)]
+    sweeps = [(3, 1), (4, 2)]
     for n, t in sweeps:
         profile, report = profile_and_verify(FloodSet(), n, t, RoundModel.RS)
         expected = t + 1
@@ -208,7 +208,7 @@ def experiment_e4(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e5(quick: bool = True) -> ExperimentResult:
+def experiment_e5() -> ExperimentResult:
     """Pending messages break FloodSet in RWS; FloodSetWS repairs it."""
     broken = verify_algorithm(
         FloodSet(), 3, 1, RoundModel.RWS, stop_after=1
@@ -231,7 +231,7 @@ def experiment_e5(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e6(quick: bool = True) -> ExperimentResult:
+def experiment_e6() -> ExperimentResult:
     """lat(C_OptFloodSet) = lat(C_OptFloodSetWS) = 1."""
     rs, safe_rs = profile_and_verify(COptFloodSet(), 3, 1, RoundModel.RS)
     rws, safe_rws = profile_and_verify(COptFloodSetWS(), 3, 1, RoundModel.RWS)
@@ -252,7 +252,7 @@ def experiment_e6(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e7(quick: bool = True) -> ExperimentResult:
+def experiment_e7() -> ExperimentResult:
     """Theorem 5.1 + Lat(F_Opt*) = 1 via t initial crashes."""
     rs, safe_rs = profile_and_verify(FOptFloodSet(), 3, 1, RoundModel.RS)
     rws, safe_rws = profile_and_verify(FOptFloodSetWS(), 3, 1, RoundModel.RWS)
@@ -275,9 +275,9 @@ def experiment_e7(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e8(quick: bool = True) -> ExperimentResult:
+def experiment_e8() -> ExperimentResult:
     """Theorem 5.2: A1 solves uniform consensus in RS with Λ = 1."""
-    sweeps = [3] if quick else [2, 3, 4]
+    sweeps = [3]
     ok = True
     details = []
     for n in sweeps:
@@ -298,7 +298,7 @@ def experiment_e8(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e9(quick: bool = True) -> ExperimentResult:
+def experiment_e9() -> ExperimentResult:
     """The Section 5.3 disagreement scenario defeats A1 in RWS."""
     request = named_cell("a1-rws").request
     run = harness_for(request.engine).execute(request, None)
@@ -326,7 +326,7 @@ def experiment_e9(quick: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e10(quick: bool = True) -> ExperimentResult:
+def experiment_e10() -> ExperimentResult:
     """Every round-1-deciding RWS candidate is refuted; safe ones have Λ>=2."""
     verdicts = [
         refute_round_one_decision(candidate, 3, 1)
@@ -362,9 +362,9 @@ def experiment_e10(quick: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e11(quick: bool = True) -> ExperimentResult:
+def experiment_e11() -> ExperimentResult:
     """RS on SS: round synchrony holds on every emulated run."""
-    seeds = 8 if quick else 40
+    seeds = 8
     violations = 0
     runs = 0
     mismatches = 0
@@ -406,9 +406,9 @@ def experiment_e11(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e12(quick: bool = True) -> ExperimentResult:
+def experiment_e12() -> ExperimentResult:
     """RWS on SP: Lemma 4.1 holds, non-vacuously."""
-    seeds = 25 if quick else 120
+    seeds = 25
     violations = 0
     pending_total = 0
     runs = 0
@@ -441,9 +441,9 @@ def experiment_e12(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e13(quick: bool = True) -> ExperimentResult:
+def experiment_e13() -> ExperimentResult:
     """Timeouts implement P on SS, within the Φ/Δ-derived bound."""
-    seeds = 10 if quick else 50
+    seeds = 10
     n, phi, delta = 3, 2, 2
     threshold = detection_threshold(n, phi, delta)
     bad_class = 0
@@ -490,7 +490,7 @@ def experiment_e13(quick: bool = True) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e14(quick: bool = True) -> ExperimentResult:
+def experiment_e14() -> ExperimentResult:
     """Consensus and uniform consensus genuinely differ in RS and RWS."""
     # RWS witness (t = 1): the eager FloodSetWS variant solves plain
     # consensus but a decide-then-crash run breaks uniform agreement.
@@ -538,7 +538,7 @@ def experiment_e14(quick: bool = True) -> ExperimentResult:
     )
 
 
-def experiment_e15(quick: bool = True) -> ExperimentResult:
+def experiment_e15() -> ExperimentResult:
     """The headline table: every algorithm × both models."""
     algorithms = [make_algorithm(key) for key in UNIFORM_CONSENSUS_ALGORITHMS]
     rows = latency_summary_table(algorithms, n=3, t=1)
@@ -564,7 +564,7 @@ def experiment_e15(quick: bool = True) -> ExperimentResult:
 
 
 #: Registry of all experiments, keyed by id.
-EXPERIMENTS: dict[str, Callable[[bool], ExperimentResult]] = {
+EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "E1": experiment_e1,
     "E2": experiment_e2,
     "E3": experiment_e3,
@@ -583,7 +583,7 @@ EXPERIMENTS: dict[str, Callable[[bool], ExperimentResult]] = {
 }
 
 
-def run_experiment(exp_id: str, quick: bool = True) -> ExperimentResult:
+def run_experiment(exp_id: str) -> ExperimentResult:
     """Run one experiment by id (e.g. ``"E9"``)."""
     key = exp_id.upper()
     if key not in EXPERIMENTS:
@@ -591,18 +591,10 @@ def run_experiment(exp_id: str, quick: bool = True) -> ExperimentResult:
             f"unknown experiment {exp_id!r}; choose from "
             f"{sorted(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[key](quick)
+    return EXPERIMENTS[key]()
 
 
-def _run_keyed(key_and_quick: tuple[str, bool]) -> ExperimentResult:
-    """Pool-friendly wrapper: one (experiment id, quick) cell."""
-    key, quick = key_and_quick
-    return EXPERIMENTS[key](quick)
-
-
-def run_all_experiments(
-    quick: bool = True, jobs: int = 1
-) -> list[ExperimentResult]:
+def run_all_experiments(jobs: int = 1) -> list[ExperimentResult]:
     """Run the full E1–E15 suite in order.
 
     With ``jobs > 1`` the experiments fan out over a process pool
@@ -612,6 +604,4 @@ def run_all_experiments(
     from repro.runtime.pool import parallel_map
 
     ordered = sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
-    return parallel_map(
-        _run_keyed, [(key, quick) for key in ordered], jobs=jobs
-    )
+    return parallel_map(run_experiment, ordered, jobs=jobs)

@@ -1,4 +1,4 @@
-"""Extension experiments (X1–X5): beyond the paper's explicit claims.
+"""Extension experiments (X1–X7): beyond the paper's explicit claims.
 
 These ablations probe the design space around the paper — larger
 resilience, more processes, the emulation's step cost as a function of
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.analysis import latency_profile, profile_and_verify, verify_algorithm
+from repro.analysis import profile_and_verify, verify_algorithm
 from repro.broadcast import (
     AtomicBroadcast,
     AtomicBroadcastWS,
@@ -33,14 +33,14 @@ from repro.failures import FailurePattern
 from repro.rounds import RoundModel
 
 
-def extension_x1(quick: bool = True) -> ExperimentResult:
+def extension_x1() -> ExperimentResult:
     """t = 2: the t+1-round pattern persists at higher resilience."""
     profile_rs, report_rs = profile_and_verify(
         FloodSet(), 4, 2, RoundModel.RS
     )
     sampled_ws = verify_algorithm(
         FloodSetWS(), 4, 2, RoundModel.RWS,
-        sample=300 if quick else 2_000, rng=random.Random(1),
+        sample=300, rng=random.Random(1),
     )
     early = verify_algorithm(
         EarlyDecidingUniformFloodSet(), 4, 2, RoundModel.RS, horizon=6
@@ -68,11 +68,11 @@ def extension_x1(quick: bool = True) -> ExperimentResult:
     )
 
 
-def extension_x2(quick: bool = True) -> ExperimentResult:
+def extension_x2() -> ExperimentResult:
     """Commit-rate gap as the system grows."""
     rows = []
     ok = True
-    sizes = (3, 4) if quick else (3, 4, 5)
+    sizes = (3, 4)
     for n in sizes:
         sync = commit_rate(SynchronousCommit(), RoundModel.RS, n=n, t=1)
         safe = commit_rate(PerfectFDCommit(), RoundModel.RWS, n=n, t=1)
@@ -92,7 +92,7 @@ def extension_x2(quick: bool = True) -> ExperimentResult:
     )
 
 
-def extension_x3(quick: bool = True) -> ExperimentResult:
+def extension_x3() -> ExperimentResult:
     """The emulation's step price as a function of Φ and Δ."""
     details = []
     for phi, delta in ((1, 1), (1, 3), (2, 1), (2, 2), (3, 1)):
@@ -129,7 +129,7 @@ def extension_x3(quick: bool = True) -> ExperimentResult:
     )
 
 
-def extension_x4(quick: bool = True) -> ExperimentResult:
+def extension_x4() -> ExperimentResult:
     """Atomic broadcast inherits the RS/RWS split of its consensus core."""
     domain = (("x",), ("y",))
     rs = verify_algorithm(
@@ -163,32 +163,7 @@ def extension_x4(quick: bool = True) -> ExperimentResult:
     )
 
 
-#: Registry of extension experiments.
-EXTENSIONS: dict[str, Callable[[bool], ExperimentResult]] = {
-    "X1": extension_x1,
-    "X2": extension_x2,
-    "X3": extension_x3,
-    "X4": extension_x4,
-}
-
-
-def run_extension(ext_id: str, quick: bool = True) -> ExperimentResult:
-    """Run one extension experiment by id (e.g. ``"X2"``)."""
-    key = ext_id.upper()
-    if key not in EXTENSIONS:
-        raise KeyError(
-            f"unknown extension {ext_id!r}; choose from {sorted(EXTENSIONS)}"
-        )
-    return EXTENSIONS[key](quick)
-
-
-def run_all_extensions(quick: bool = True) -> list[ExperimentResult]:
-    """Run every extension experiment in order."""
-    ordered = sorted(EXTENSIONS, key=lambda k: int(k[1:]))
-    return [EXTENSIONS[key](quick) for key in ordered]
-
-
-def extension_x5(quick: bool = True) -> ExperimentResult:
+def extension_x5() -> ExperimentResult:
     """The companion theorem: uniform consensus is harder than consensus.
 
     In RS with t >= 2, plain consensus can decide at round 1 of every
@@ -251,10 +226,8 @@ def extension_x5(quick: bool = True) -> ExperimentResult:
     )
 
 
-EXTENSIONS["X5"] = extension_x5
 
-
-def extension_x6(quick: bool = True) -> ExperimentResult:
+def extension_x6() -> ExperimentResult:
     """Timeouts give ◊P under partial synchrony (the intro's [12] remark).
 
     Before the (unknown) stabilisation time the adaptive-timeout
@@ -272,7 +245,7 @@ def extension_x6(quick: bool = True) -> ExperimentResult:
     from repro.models import PartiallySynchronousModel
     from repro.simulation.executor import StepExecutor
 
-    seeds = 6 if quick else 25
+    seeds = 6
     eventually_perfect = 0
     mistakes = 0
     suffix_clean = 0
@@ -317,10 +290,8 @@ def extension_x6(quick: bool = True) -> ExperimentResult:
     )
 
 
-EXTENSIONS["X6"] = extension_x6
 
-
-def extension_x7(quick: bool = True) -> ExperimentResult:
+def extension_x7() -> ExperimentResult:
     """Early-deciding bounds: Lat(A, f) tables for the f+1 / f+2 gap.
 
     The companion paper quantifies the uniform-consensus penalty: plain
@@ -392,4 +363,29 @@ def extension_x7(quick: bool = True) -> ExperimentResult:
     )
 
 
-EXTENSIONS["X7"] = extension_x7
+#: Registry of extension experiments.
+EXTENSIONS: dict[str, Callable[[], ExperimentResult]] = {
+    "X1": extension_x1,
+    "X2": extension_x2,
+    "X3": extension_x3,
+    "X4": extension_x4,
+    "X5": extension_x5,
+    "X6": extension_x6,
+    "X7": extension_x7,
+}
+
+
+def run_extension(ext_id: str) -> ExperimentResult:
+    """Run one extension experiment by id (e.g. ``"X2"``)."""
+    key = ext_id.upper()
+    if key not in EXTENSIONS:
+        raise KeyError(
+            f"unknown extension {ext_id!r}; choose from {sorted(EXTENSIONS)}"
+        )
+    return EXTENSIONS[key]()
+
+
+def run_all_extensions() -> list[ExperimentResult]:
+    """Run every extension experiment in order."""
+    ordered = sorted(EXTENSIONS, key=lambda k: int(k[1:]))
+    return [EXTENSIONS[key]() for key in ordered]

@@ -75,9 +75,9 @@ def format_result(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def generate_report(quick: bool = True) -> str:
+def generate_report() -> str:
     """Run the whole suite and render the EXPERIMENTS.md content."""
-    results = run_all_experiments(quick=quick)
+    results = run_all_experiments()
     passed = sum(result.ok for result in results)
     sections = [
         _PREAMBLE,
@@ -88,9 +88,9 @@ def generate_report(quick: bool = True) -> str:
     return "\n".join(sections)
 
 
-def write_report(path: str, quick: bool = True) -> int:
+def write_report(path: str) -> int:
     """Generate the report into ``path``; returns the pass count."""
-    content = generate_report(quick=quick)
+    content = generate_report()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(content)
     return content.count("*Verdict.* PASS")

@@ -20,10 +20,6 @@ class FailureDetectorHistory(ABC):
     def suspects(self, pid: int, t: int) -> frozenset[int]:
         """Return ``H(pid, t)``."""
 
-    def suspects_at(self, t: int, n: int) -> dict[int, frozenset[int]]:
-        """Return every process's suspicion set at time ``t``."""
-        return {pid: self.suspects(pid, t) for pid in range(n)}
-
 
 class TableHistory(FailureDetectorHistory):
     """A history backed by an explicit ``(pid, t) -> suspects`` table.

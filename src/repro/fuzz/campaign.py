@@ -7,15 +7,17 @@ One campaign is four phases, all deterministic in ``(budget, seed)``:
    stream (case ``i`` is the same no matter the budget or worker
    count).
 2. **Execute** — one :class:`~repro.runtime.sweep.SweepRunner` pass
-   over the whole case list (parallel, optionally cached), then a
-   second pass over the *twins* of every emulation case (the rounds
-   engine under each case's induced scenario).
+   over the whole case list (parallel; cached in the run directory's
+   store with ``run_root``), then a second pass over the *twins* of
+   every emulation case (the rounds engine under each case's induced
+   scenario).
 3. **Cross-check** — the per-case oracles of :mod:`repro.fuzz.oracles`
    plus two batch parity oracles over a fixed-size sample:
    ``jobs-parity`` (the sample's merged trace and folded metrics must
    be byte-identical between ``jobs=1`` and ``jobs=2``) and
-   ``cache-parity`` (a cache-warm re-run must execute zero cells and
-   reproduce the cold merged trace byte-for-byte).
+   ``cache-parity`` (a cache-warm re-run against a temporary store
+   must execute zero cells and reproduce the cold merged trace
+   byte-for-byte).
 4. **Shrink** — every failing case is reduced by
    :func:`repro.fuzz.shrink.shrink` (predicate: *any* per-case oracle
    still fails) and emitted as a replayable JSON counterexample that
@@ -28,6 +30,7 @@ import json
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
@@ -245,10 +248,11 @@ def _twin_results(
     return dict(zip(owners, sweep.results))
 
 
-def _parity_problems(
-    sample: Sequence[ExecutionRequest], cache_dir: str | None
-) -> list[str]:
-    """The batch oracles: scheduling and caching must not change bytes."""
+def _parity_problems(sample: Sequence[ExecutionRequest]) -> list[str]:
+    """The batch oracles: scheduling and caching must not change bytes.
+
+    The cache oracle runs the sample cold and then warm against a
+    temporary store of its own."""
     if not sample:
         return []
     problems: list[str] = []
@@ -258,16 +262,16 @@ def _parity_problems(
     parallel = SweepRunner(jobs=2, cache=None, check=False).run(space)
     problems.extend(_compare_sweeps("jobs-parity(1 vs 2)", serial, parallel))
 
-    if cache_dir is not None:
-        with closing(ResultCache(Path(cache_dir) / "parity")) as parity_cache:
+    with TemporaryDirectory() as scratch:
+        with closing(ResultCache(scratch)) as parity_cache:
             cold = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
             warm = SweepRunner(jobs=1, cache=parity_cache, check=False).run(space)
-        if warm.executed != 0:
-            problems.append(
-                f"cache-parity: warm re-run executed {warm.executed} "
-                "cell(s); every cell should have been served from cache"
-            )
-        problems.extend(_compare_sweeps("cache-parity(cold vs warm)", cold, warm))
+    if warm.executed != 0:
+        problems.append(
+            f"cache-parity: warm re-run executed {warm.executed} "
+            "cell(s); every cell should have been served from cache"
+        )
+    problems.extend(_compare_sweeps("cache-parity(cold vs warm)", cold, warm))
     return problems
 
 
@@ -301,7 +305,6 @@ def run_campaign(
     seed: int,
     engines: Sequence[str] = ("all",),
     jobs: int = 1,
-    cache_dir: str | None = None,
     out_dir: str | None = None,
     shrink_failures: bool = True,
     max_n: int = 4,
@@ -345,7 +348,6 @@ def run_campaign(
             "frontier": frontier,
         },
         stream=progress_stream,
-        cache_dir=cache_dir,
     )
     with leg:
         sweep = SweepRunner(
@@ -387,7 +389,7 @@ def run_campaign(
             )
 
         parity_sample = requests[:PARITY_SAMPLE]
-        parity = _parity_problems(parity_sample, cache_dir)
+        parity = _parity_problems(parity_sample)
 
         report = FuzzReport(
             budget=budget,

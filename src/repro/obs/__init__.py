@@ -76,9 +76,7 @@ __getattr__, __dir__ = lazy_exports(
             "EVENT_KINDS",
             "Event",
             "EventLog",
-            "clock_kind",
             "events_from_jsonl_lines",
-            "logical_clock",
         ),
         "check": (
             "CheckReport",
@@ -155,9 +153,7 @@ __all__ = [
     "EVENT_KINDS",
     "Event",
     "EventLog",
-    "clock_kind",
     "events_from_jsonl_lines",
-    "logical_clock",
     "CausalEdge",
     "CausalGraph",
     "annotate",

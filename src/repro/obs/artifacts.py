@@ -92,6 +92,19 @@ def _audit_parts(fields: Mapping[str, Any]) -> tuple[str, str, str]:
     )
 
 
+def open_on_fresh_line(path: str | Path) -> BinaryIO:
+    """Open the JSONL file ``path`` for appending, so that the next
+    write starts on a fresh line: a record a killed leg left torn (no
+    final newline) is closed off first, never glued to the next one."""
+    handle = open(path, "a+b")
+    end = handle.seek(0, os.SEEK_END)
+    if end:
+        handle.seek(end - 1)
+        if handle.read(1) != b"\n":
+            handle.write(b"\n")
+    return handle
+
+
 def compute_run_id(kind: str, identity: Any) -> str:
     """A stable content hash naming one campaign.
 
@@ -373,18 +386,10 @@ class RunDir:
 
     def _append(self, lines: str) -> None:
         """Write ``lines`` to ``metrics.jsonl``, flushed: a leg killed at
-        any point leaves every run it reported on disk.  A leg's first
-        write starts on a fresh line, so a record an earlier leg left
-        torn is never glued to this leg's first one."""
-        data = lines.encode("ascii")
+        any point leaves every run it reported on disk."""
         if self._metrics is None:
-            self._metrics = handle = open(self.path / METRICS_NAME, "a+b")
-            end = handle.seek(0, os.SEEK_END)
-            if end:
-                handle.seek(end - 1)
-                if handle.read(1) != b"\n":
-                    data = b"\n" + data
-        self._metrics.write(data)
+            self._metrics = open_on_fresh_line(self.path / METRICS_NAME)
+        self._metrics.write(lines.encode("ascii"))
         self._metrics.flush()
 
     def metrics_records(self) -> list[dict[str, Any]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.obs.causal import CausalGraph, annotate
-from repro.obs.events import Event, clock_kind
+from repro.obs.events import Event
 from repro.obs.profile import profiled
 
 
@@ -187,14 +187,13 @@ def causal_summary(
     """The causal facts of one trace, JSON-ready.
 
     The per-cell block ``repro causal`` prints and the report layer
-    embeds: clock kind, graph size, every decision's critical path,
+    embeds: graph size, every decision's critical path,
     Λ-bound anomalies and suspicion audits.
     """
     if graph is None:
         graph = annotate(events)
     paths = critical_paths(events, graph=graph)
     return {
-        "clock": clock_kind(events),
         "events": len(events),
         "message_edges": sum(
             1

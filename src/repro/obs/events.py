@@ -26,10 +26,9 @@ which add no event kind: they append the phase's ``msg_sent`` /
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Collection, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Collection, Iterable, Iterator, Sequence, TextIO
 
 #: ``json.dumps(value, default=repr, sort_keys=True)``, without building
 #: an encoder per call.
@@ -56,8 +55,8 @@ class Event:
 
     Attributes:
         kind: One of :data:`EVENT_KINDS`.
-        ts: ``perf_counter`` timestamp at record time (wall-clock
-            profile; not comparable across processes or logs).
+        ts: The recording log's logical timestamp: the event's
+            1-based position in record order.
         round: Round index for round-model events (1-based), if any.
         time: Global step time for step-model events, if any.
         pid: The process the event is about (recipient for deliveries,
@@ -161,17 +160,6 @@ class _EventBuilder:
         self.__class__ = Event
 
 
-def logical_clock() -> Callable[[], float]:
-    """A deterministic timestamp source: 1.0, 2.0, 3.0, ...
-
-    Inject into :class:`EventLog` to make exported traces reproducible
-    byte-for-byte — the clock ``repro trace`` and ``repro replay`` use
-    so that re-executions can be compared against the original export.
-    """
-    counter = count(1)
-    return lambda: float(next(counter))
-
-
 def events_from_jsonl_lines(lines: Iterable[str]) -> list[Event]:
     """Parse a JSONL trace back into :class:`Event` objects.
 
@@ -195,22 +183,6 @@ def events_from_jsonl_lines(lines: Iterable[str]) -> list[Event]:
     return events
 
 
-def clock_kind(events: Sequence[Event]) -> str:
-    """Classify a trace's timestamp source: ``"logical"`` or ``"wall"``.
-
-    :func:`logical_clock` stamps are exactly ``1.0, 2.0, 3.0, ...`` in
-    record order; anything else (``perf_counter`` floats) is wall
-    clock.  Comparing timestamps across one of each is meaningless —
-    ``repro diff`` and the report layer warn on the mix.
-    """
-    if not events:
-        return "logical"
-    for index, event in enumerate(events, start=1):
-        if event.ts != float(index):
-            return "wall"
-    return "logical"
-
-
 class EventLog:
     """The recorder every engine writes into, exportable as JSONL.
 
@@ -220,16 +192,16 @@ class EventLog:
     All hooks take the minimum information the engines have on hand;
     none return anything.
 
-    Args:
-        clock: Timestamp source; defaults to :func:`time.perf_counter`.
-            Inject a counter in tests for deterministic timestamps.
+    Every event is stamped from the log's own logical counter (``ts``
+    1.0, 2.0, 3.0, ... in record order), so a re-execution reproduces
+    an exported trace byte for byte.
     """
 
     __slots__ = ("events", "_clock")
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(self) -> None:
         self.events: list[Event] = []
-        self._clock = clock if clock is not None else time.perf_counter
+        self._clock = map(float, count(1)).__next__
 
     # -- recording hooks ----------------------------------------------------
 

@@ -21,6 +21,8 @@ import threading
 from time import monotonic
 from typing import Any, IO, Mapping
 
+from repro.obs.artifacts import open_on_fresh_line
+
 
 class ProgressReporter:
     """Heartbeat emitter for one campaign leg.
@@ -91,9 +93,10 @@ class ProgressReporter:
         """Emit one heartbeat now (stream + file); returns the record."""
         record = self.heartbeat(status=status)
         if self.path is not None:
+            line = json.dumps(record, sort_keys=True) + "\n"
             try:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+                with open_on_fresh_line(self.path) as handle:
+                    handle.write(line.encode("utf-8"))
             except OSError:
                 pass  # progress must never kill the campaign
         if self.stream is not None:
@@ -129,12 +132,6 @@ class ProgressReporter:
             self._thread.join(timeout=self.interval_s + 1.0)
             self._thread = None
         return self.emit(status=status)
-
-    def __enter__(self) -> "ProgressReporter":
-        return self.start()
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.stop(status="complete" if exc_type is None else "interrupted")
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):

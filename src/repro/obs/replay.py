@@ -8,9 +8,8 @@ sent messages were withheld (``msg_withheld``).  That is precisely a
 :class:`~repro.rounds.scenario.FailureScenario`, so a trace can be
 *re-executed*: reconstruct the scenario, run the same algorithm from
 the same values through the round executor, and assert event-for-event
-equality.  With the logical clock
-(:func:`~repro.obs.events.logical_clock`) the re-execution reproduces
-the exported JSONL byte-for-byte — the foundation for bug repro.
+equality.  An :class:`~repro.obs.events.EventLog` stamps a logical
+clock, so the re-execution reproduces the exported JSONL byte-for-byte — the foundation for bug repro.
 
 Imports from :mod:`repro.rounds` are deferred to call time:
 ``repro.rounds`` itself imports ``repro.obs`` submodules, and module-
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.obs.events import Event, EventLog, logical_clock
+from repro.obs.events import Event, EventLog
 
 
 def infer_model(events: Sequence[Event]) -> str:
@@ -213,7 +212,7 @@ def replay_events(
     )
     horizon = max_rounds if max_rounds is not None else max(rounds_seen, 1)
 
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     # validate=False: a quiesced run's trace may truncate a scenario
     # whose remaining obligations (a pending sender's crash scheduled
     # past the last executed round) the validator would demand — the

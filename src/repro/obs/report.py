@@ -72,54 +72,37 @@ def causal_cells(
 
     For every cell with a trace: the max critical-path hop count and
     the Λ-bound anomalies (:func:`repro.obs.critical.verify_round_paths`).
-    Also flags a clock mix — cells stamped by the logical counter are
-    not wall-comparable with wall-stamped ones, so cross-cell timestamp
-    comparisons would be meaningless.
 
     None of the kept facts depends on a decided value, so each cell's
     trace (a result's :class:`~repro.obs.template.TemplateEvents`) is
     analyzed once per :class:`~repro.obs.template.TraceTemplate`.
     """
     cells: list[dict[str, Any]] = []
-    clocks: set[str] = set()
     anomaly_cells: list[str] = []
     for name, events in named_events:
         if not events:
             continue
         template = events.template
-        facts, clock = template.remember(
+        facts = template.remember(
             "causal", lambda: _causal_facts(template.events)
         )
-        clocks.add(clock)
         if facts["anomalies"]:
             anomaly_cells.append(name)
         cells.append({"cell": name, **facts})
     if not cells:
         return None
-    block: dict[str, Any] = {
-        "cells": cells,
-        "anomaly_cells": anomaly_cells,
-        "clocks": sorted(clocks),
-    }
-    if len(clocks) > 1:
-        block["warning"] = (
-            "trace clocks are mixed (logical and wall); timestamps are "
-            "not comparable across cells"
-        )
-    return block
+    return {"cells": cells, "anomaly_cells": anomaly_cells}
 
 
-def _causal_facts(events: Sequence[Any]) -> tuple[dict[str, Any], str]:
-    """The value-free slice of one trace's causal summary, and its clock."""
+def _causal_facts(events: Sequence[Any]) -> dict[str, Any]:
+    """The value-free slice of one trace's causal summary."""
     from repro.obs.critical import causal_summary
-    from repro.obs.events import clock_kind
 
     summary = causal_summary(events)
-    facts: dict[str, Any] = {
+    return {
         "max_path_length": summary["max_path_length"],
         "anomalies": summary["anomalies"],
     }
-    return facts, clock_kind(events)
 
 
 def coverage_over_cells(
@@ -570,8 +553,6 @@ def render_report(
         )
         for name in causal["anomaly_cells"][:top]:
             lines.append(f"  ANOMALY {name}")
-        if causal.get("warning"):
-            lines.append(f"  WARNING: {causal['warning']}")
 
     spans = summary.get("spans")
     if spans:

@@ -17,9 +17,6 @@ A shard holds two kinds of JSON lines, told apart by their first key:
     encoded once for the cells that share it: the run's first cell,
     whose ``extra`` carries the span snapshot, and once for all its
     twins.
-    An older writer's cell carrying ``"events"`` and ``"metrics"``
-    inline instead is still read (factored, metrics refolded), never
-    written.
 
 ``{"template": D, "events": [...], "positions": [...], "metrics": {...}}``
     One template, written to a shard once, before the first cell in it
@@ -36,8 +33,9 @@ a damaged one.
 
 This module is the only one that knows the format.  Corrupt or
 unreadable records — a line torn by a dying writer, foreign junk, a
-cell citing a template that is nowhere in the directory — are served
-as misses, never as errors: a cache must only ever make things faster.
+cell citing no template or one that is nowhere in the directory — are
+served as misses, never as errors: a cache must only ever make things
+faster.
 Records are never rewritten, so each is also counted in
 :attr:`CacheStats.corrupt_evictions` by every instance that reads past
 it; a nonzero count on a healthy disk means a writer was killed
@@ -178,20 +176,14 @@ class ResultCache:
             return None
         try:
             record = self._read(where)
-            if "template" in record:
-                result = ExecutionResult(
-                    name=record["name"],
-                    request_key=record["key"],
-                    events=self._template(record["template"]).fill(
-                        record["holes"]
-                    ),
-                    **ExecutionResult.outcome_from_dict(record),
-                )
-            else:
-                # An older writer's inline cell brings its own events.
-                result = ExecutionResult.from_dict(
-                    {"request_key": record["key"], **record}
-                )
+            result = ExecutionResult(
+                name=record["name"],
+                request_key=record["key"],
+                events=self._template(record["template"]).fill(
+                    record["holes"]
+                ),
+                **ExecutionResult.outcome_from_dict(record),
+            )
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             self.stats.corrupt_evictions += 1
             del cells[key]

@@ -22,7 +22,6 @@ call sites carry no ``if run_dir is not None`` ladder.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -45,8 +44,6 @@ class CampaignLeg:
             ``results/`` becomes the leg's cache.
         label, stream: The heartbeat's tag (default ``name``) and the
             stream its lines are mirrored to, if any.
-        cache_dir: The cache an inert leg hands to the runner, created
-            here.
     """
 
     def __init__(
@@ -59,12 +56,12 @@ class CampaignLeg:
         requests: Sequence[ExecutionRequest],
         label: str | None = None,
         stream: Any = None,
-        cache_dir: str | None = None,
     ) -> None:
         self.run_dir: RunDir | None = None
         #: The run directory's path; ``None`` for an inert leg.
         self.path: Any = None
-        self.cache: ResultCache | str | None = cache_dir
+        #: The ``results/`` store; ``None`` for an inert leg.
+        self.cache: ResultCache | None = None
         #: The planned requests' cache keys, in order, for
         #: :meth:`SweepRunner.run <repro.runtime.sweep.SweepRunner.run>`;
         #: ``None`` for an inert leg.
@@ -72,19 +69,8 @@ class CampaignLeg:
         #: Planned keys whose results were on disk when this leg opened.
         self.completed_before: set[str] = set()
         self.reporter: ProgressReporter | None = None
-        self._store: ResultCache | None = None
         self._closed = False
         if root is None:
-            if cache_dir is not None:
-                # Now, not at the runner's first lookup: a cache nobody
-                # can create is a usage error before any cell runs.
-                try:
-                    os.makedirs(cache_dir, exist_ok=True)
-                except OSError as exc:
-                    raise ConfigurationError(
-                        f"cannot create result cache under {cache_dir}: "
-                        f"{exc.strerror or exc}"
-                    ) from exc
             return
         # The run-directory layers load with the first leg that has one.
         from repro.obs.artifacts import RunDir
@@ -115,8 +101,8 @@ class CampaignLeg:
             label=label or name,
         )
         try:
-            self.cache = self._store = ResultCache(self.run_dir.results_dir)
-            self.completed_before = self._store.completed_keys() & set(keys)
+            self.cache = ResultCache(self.run_dir.results_dir)
+            self.completed_before = self.cache.completed_keys() & set(keys)
         except BaseException:
             self.interrupt()
             raise
@@ -191,8 +177,8 @@ class CampaignLeg:
 
     def _close_store(self) -> None:
         """Close the handles of the ``results/`` store the leg opened."""
-        if self._store is not None:
-            self._store.close()
+        if self.cache is not None:
+            self.cache.close()
 
     def __enter__(self) -> "CampaignLeg":
         if self.reporter is not None:

@@ -24,7 +24,7 @@ from typing import Any, Protocol, Sequence
 
 from repro.consensus import clauses
 from repro.errors import ConfigurationError
-from repro.obs.events import EventLog, logical_clock
+from repro.obs.events import EventLog
 from repro.rounds import RoundModel
 from repro.rounds.executor import execute as execute_rounds
 from repro.runtime.registry import make_algorithm
@@ -183,12 +183,11 @@ def execute_request(request: ExecutionRequest) -> ExecutionResult:
     Events are recorded with the deterministic logical clock (per-cell
     timestamps restart at 1.0), so the resulting trace is identical no
     matter which process — or how many sibling workers — executed it.
-    A caller that wants the run's log itself (a wall clock, the
-    engine-native run) calls
-    ``harness_for(request.engine).execute(request, log)``.
+    A caller that wants the run's log itself (the engine-native run)
+    calls ``harness_for(request.engine).execute(request, log)``.
     """
     harness = harness_for(request.engine)
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     run = harness.execute(request, log)
     decisions, latency, num_rounds = harness.summarize(run)
     return ExecutionResult(

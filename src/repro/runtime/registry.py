@@ -68,7 +68,7 @@ ALGORITHM_FACTORIES: Mapping[str, Callable[[], RoundAlgorithm]] = _Factories(
 
 #: The paper's seven uniform-consensus algorithms (Figures 1-4 and their
 #: optimisations), in the headline table's row order: what ``repro
-#: latency`` / ``summary`` and E15 profile.  The other registry entries
+#: latency`` and E15 profile.  The other registry entries
 #: are witnesses (non-uniform, not consensus) with no latency profile.
 UNIFORM_CONSENSUS_ALGORITHMS = (
     "floodset",

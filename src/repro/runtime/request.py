@@ -387,8 +387,7 @@ class ExecutionResult:
     """What one executed cell produced.
 
     The run's :attr:`metrics` are not a field: they are a fold over
-    the trace, made once per template.  :meth:`to_dict` still writes
-    them; :meth:`from_dict` folds them again instead of reading them.
+    the trace, made once per template.
 
     Attributes:
         name: The request's cell label.
@@ -457,16 +456,6 @@ class ExecutionResult:
             "extra": self.extra,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        """The wire form: inline events, whatever :attr:`template`."""
-        return {
-            "name": self.name,
-            "request_key": self.request_key,
-            "events": [event.to_dict() for event in self.events],
-            "metrics": self.metrics,
-            **self.outcome_dict(),
-        }
-
     @staticmethod
     def outcome_from_dict(data: Mapping[str, Any]) -> dict[str, Any]:
         """Constructor keywords for the fields :meth:`outcome_dict` wrote."""
@@ -479,12 +468,3 @@ class ExecutionResult:
             "num_rounds": data.get("num_rounds", 0),
             "extra": dict(data.get("extra", {})),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionResult":
-        return cls(
-            name=data["name"],
-            request_key=data["request_key"],
-            events=[Event.from_dict(entry) for entry in data["events"]],
-            **cls.outcome_from_dict(data),
-        )

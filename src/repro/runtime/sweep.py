@@ -657,8 +657,7 @@ class SweepRunner:
 
     Args:
         jobs: Worker processes; ``1`` (default) runs in-process.
-        cache: A :class:`ResultCache`, a cache directory path, or
-            ``None`` to disable caching.
+        cache: A :class:`ResultCache`, or ``None`` to disable caching.
         check: Run the trace oracle over every cell's trace.
         on_run: Called in the parent, in completion order, once per
             run — ``on_run(requests, results)`` with the cells the run
@@ -673,20 +672,13 @@ class SweepRunner:
         self,
         *,
         jobs: int = 1,
-        cache: ResultCache | str | None = None,
+        cache: ResultCache | None = None,
         check: bool = False,
         on_run: Callable[
             [list[ExecutionRequest], list[ExecutionResult]], None
         ] | None = None,
     ) -> None:
         self.jobs = jobs
-        #: Whether the runner opened :attr:`cache` itself, from a path:
-        #: then it closes the store's handles after each run.
-        self._owns_cache = isinstance(cache, str)
-        if isinstance(cache, str):
-            from repro.runtime.cache import ResultCache
-
-            cache = ResultCache(cache)
         self.cache = cache
         self.check = check
         self.on_run = on_run
@@ -697,15 +689,6 @@ class SweepRunner:
         """Execute ``space``; ``keys`` are its requests' cache keys, in
         order, when the caller already holds them (a campaign leg hashed
         them for its run id), so no cell is asked for its key again."""
-        try:
-            return self._run(space, keys)
-        finally:
-            if self._owns_cache:
-                self.cache.close()
-
-    def _run(
-        self, space: ScenarioSpace, keys: Sequence[str] | None
-    ) -> SweepResult:
         requests = list(space.requests)
         results: list[ExecutionResult | None] = [None] * len(requests)
         if keys is None:
@@ -777,7 +760,7 @@ def run_space(
     space: ScenarioSpace,
     *,
     jobs: int = 1,
-    cache: ResultCache | str | None = None,
+    cache: ResultCache | None = None,
     check: bool = False,
 ) -> SweepResult:
     """One-call convenience wrapper around :class:`SweepRunner`."""

@@ -33,7 +33,7 @@ from typing import Any, Callable
 
 from repro.failures.history import ConstantHistory
 from repro.failures.pattern import FailurePattern
-from repro.obs.events import EventLog, logical_clock
+from repro.obs.events import EventLog
 from repro.sdd.spec import RECEIVER, SENDER, check_sdd_run, sdd_decision
 from repro.sdd.ss_algorithm import ReceiverState, SDDSender
 from repro.simulation.automaton import StepAutomaton, StepContext, StepOutcome
@@ -301,7 +301,7 @@ def sdd_quadruple_traces(
     """
     traces: dict[str, EventLog] = {}
     for run_name, (value, sender_steps) in QUADRUPLE.items():
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run = _run_quadruple_member(
             factory(), value, sender_steps, horizon, observer=log
         )

@@ -1,5 +1,5 @@
 """Small descriptive-statistics helpers for metrics and reports."""
 
-from repro.stats.summary import Summary, percentile, summarize, rate
+from repro.stats.summary import Summary, percentile, summarize
 
-__all__ = ["Summary", "percentile", "summarize", "rate"]
+__all__ = ["Summary", "percentile", "summarize"]

@@ -26,14 +26,6 @@ class Summary:
     stdev: float
     pstdev: float
 
-    def describe(self, unit: str = "") -> str:
-        suffix = f" {unit}" if unit else ""
-        return (
-            f"n={self.count}: min={self.minimum:g}{suffix}, "
-            f"mean={self.mean:.3g}{suffix}, median={self.median:g}{suffix}, "
-            f"max={self.maximum:g}{suffix}, stdev={self.stdev:.3g}"
-        )
-
 
 def summarize(values: Sequence[float] | Iterable[float]) -> Summary:
     """Compute the five-number-ish summary of a non-empty sample."""
@@ -87,8 +79,3 @@ def percentile(values: Sequence[float] | Iterable[float], p: float) -> float:
     if weight < 0.5:
         return a + diff * weight
     return b - diff * (1 - weight)
-
-
-def rate(hits: int, total: int) -> float:
-    """A safe ratio: 0.0 when the denominator is zero."""
-    return hits / total if total else 0.0

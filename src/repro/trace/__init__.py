@@ -10,15 +10,11 @@ round by round).
 from repro.trace.diagram import (
     step_diagram,
     round_tableau,
-    describe_run,
     describe_round_run,
 )
-from repro.trace.dot import round_run_to_dot
 
 __all__ = [
     "step_diagram",
     "round_tableau",
-    "describe_run",
     "describe_round_run",
-    "round_run_to_dot",
 ]

@@ -161,15 +161,6 @@ def event_diagram(
     return "\n".join(lines)
 
 
-def describe_run(run: Run) -> str:
-    """One-paragraph summary of a step run."""
-    return (
-        f"run over n={run.n}: {len(run.schedule)} steps, "
-        f"{len(run.messages)} messages, pattern {run.pattern.describe()}, "
-        f"{sum(len(v) for v in run.undelivered.values())} undelivered"
-    )
-
-
 def describe_round_run(run: RoundRun) -> str:
     """One-paragraph summary of a round run."""
     decisions = ", ".join(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Collection, Sequence
 
-from repro.obs.events import EventLog, logical_clock
+from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -23,7 +23,7 @@ class ReferenceMetrics(EventLog):
     __slots__ = ("registry",)
 
     def __init__(self) -> None:
-        super().__init__(clock=logical_clock())
+        super().__init__()
         self.registry = MetricsRegistry()
 
     def state(self) -> dict[str, Any]:

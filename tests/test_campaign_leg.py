@@ -65,15 +65,12 @@ def _last_progress(run_dir):
 
 
 class TestInertLeg:
-    def test_no_root_creates_nothing_and_hands_back_the_cache_dir(
-        self, tmp_path, monkeypatch
-    ):
+    def test_no_root_creates_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         space = _space()
-        cache_dir = str(tmp_path / "cache")
-        with _leg(None, space, cache_dir=cache_dir) as leg:
+        with _leg(None, space) as leg:
             assert leg.run_dir is None and leg.path is None
-            assert leg.cache == cache_dir
+            assert leg.cache is None
             assert leg.completed_before == set()
             result = _run(leg, space)
             leg.audit([space.requests[0]], [result.results[0]])
@@ -81,8 +78,8 @@ class TestInertLeg:
             assert leg.finalize(summarised.append) is None
             assert summarised == []  # the summariser never ran
         assert result.executed == len(space.requests)
-        # Only the --cache-dir store exists: no run directory anywhere.
-        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        # No store and no run directory anywhere.
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_root_no_cache(self):
         assert _leg(None, _space()).cache is None
@@ -386,14 +383,6 @@ def test_a_leg_closes_every_store_handle_it_opened(tmp_path):
         assert ("executed 0," in proc.stdout) == (leg == "warm"), proc.stdout
 
 
-def test_a_store_opened_from_a_path_is_closed_by_its_runner(tmp_path):
-    space = space_by_name("random-rs", count=6, seed=3)
-    runner = SweepRunner(cache=str(tmp_path / "store"))
-    for executed in (6, 0):
-        assert runner.run(space).executed == executed
-        assert runner.cache._shard is None and not runner.cache._readers
-
-
 @pytest.mark.parametrize("command", ["sweep"])
 class TestRefusedBeforeAnythingRuns:
     """Usage errors of ``space_by_name``'s caller: one ``error:`` line,
@@ -505,19 +494,19 @@ def test_jobs_below_one_is_refused_before_anything_runs(
 def test_uncreatable_cache_dir_is_refused_before_anything_runs(
     argv, tmp_path, capsys, monkeypatch
 ):
-    # Used to be a FileNotFoundError traceback and exit 1, the code for
-    # "the oracle found a failure".
+    """The run directory is the one store a sweep or a campaign caches
+    into: one nobody can create is refused before a cell runs."""
     monkeypatch.setattr(
         SweepRunner, "run", lambda *a, **k: pytest.fail("a sweep ran")
     )
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
-    cache = blocker / "cache"
-    assert main(argv + ["--cache-dir", str(cache)]) == 2
+    root = blocker / "runs"
+    assert main(argv + ["--run-dir", str(root)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith(f"error: cannot create result cache under {cache}: ")
+    assert line.startswith(f"error: cannot create run directory under {root}: ")
 
 
 @pytest.mark.skipif(

@@ -25,7 +25,7 @@ from repro.obs.critical import (
     verify_round_paths,
 )
 from repro.obs.diff import local_view
-from repro.obs.events import EventLog, clock_kind, logical_clock
+from repro.obs.events import EventLog
 from repro.obs.report import causal_cells
 from repro.obs.schema import validate_event_dict
 from repro.rounds import RoundModel
@@ -111,30 +111,10 @@ class TestOracleSweep:
         )
         assert summary is not None
         assert summary["anomaly_cells"] == []
-        assert summary["clocks"] == ["logical"]
-        assert "warning" not in summary
+        assert set(summary) == {"cells", "anomaly_cells"}
         assert any(
             cell["max_path_length"] >= 2 for cell in summary["cells"]
         )
-
-    def test_causal_cells_warns_on_mixed_clocks(self, oracle_sweep):
-        import dataclasses
-
-        _, result = next(
-            (req, res) for req, res in oracle_sweep if res.events
-        )
-        walled = [
-            dataclasses.replace(event, ts=0.001 * (i + 1))
-            for i, event in enumerate(result.events)
-        ]
-        summary = causal_cells(
-            [
-                ("logical-cell", result.events),
-                ("wall-cell", dataclasses.replace(result, events=walled).events),
-            ]
-        )
-        assert sorted(summary["clocks"]) == ["logical", "wall"]
-        assert "warning" in summary
 
 
 def _graph_form(graph):
@@ -169,7 +149,7 @@ class TestByteParity:
         # A traced run's graph is the graph of its JSONL round trip.
         request = e10_lambda_space().requests[0]
         plain = execute_request(request)
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         harness_for(request.engine).execute(request, log)
         lines = list(log.jsonl_lines())
         assert [e.to_json() for e in plain.events] == lines
@@ -183,7 +163,7 @@ class TestByteParity:
             r for r in oracle_sweep_space(count=2).requests
             if r.engine == "rounds"
         )
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run = harness_for(request.engine).execute(request, log)
         events = log.events
         pairs = clocks.message_pairs(annotate(events))
@@ -208,7 +188,7 @@ class TestByteParity:
             for request in oracle_sweep_space(count=6, seed=seed).requests:
                 if request.engine not in ("rs_on_ss", "rws_on_sp"):
                     continue
-                log = EventLog(clock=logical_clock())
+                log = EventLog()
                 trace = harness_for(request.engine).execute(request, log)
                 events = log.events
                 uids = _step_message_uids(events, trace.run)
@@ -279,10 +259,6 @@ class TestCausalGraph:
 
     def test_round_msg_id_is_stable(self):
         assert round_msg_id(2, 0, 1) == "r2:0>1"
-
-    def test_clock_kind(self, graph_and_events):
-        _, events = graph_and_events
-        assert clock_kind(events) == "logical"
 
 
 class TestIndistinguishability:
@@ -367,7 +343,7 @@ class TestSuspicionForensics:
     the trace (P's strong accuracy)."""
 
     def test_justified_by_a_crash_in_the_trace(self):
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         log.crash(2, time=3)
         log.suspect(0, 2, time=5, delay=2)
         log.suspect(1, 0, time=6)
@@ -401,7 +377,7 @@ class TestCausalCLI:
         assert main(["causal", str(det_trace), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["decisions"]
-        assert summary["clock"] == "logical"
+        assert "clock" not in summary
 
     def test_decide_filter(self, det_trace, capsys):
         deciders = [
@@ -454,26 +430,8 @@ class TestCausalCLI:
 
 
 class TestDiffClockWarning:
-    """`repro diff` flags wall-vs-logical timestamp mixes."""
-
-    def test_warns_on_mixed_clocks(self, tmp_path, capsys):
-        logical = tmp_path / "logical.jsonl"
-        assert main(
-            ["trace", "floodset-rws-violation", "--jsonl", str(logical)]
-        ) == 0
-        capsys.readouterr()
-        wall = tmp_path / "wall.jsonl"
-        lines = []
-        for i, line in enumerate(
-            logical.read_text(encoding="utf-8").splitlines()
-        ):
-            data = json.loads(line)
-            data["ts"] = 0.001 * (i + 1)
-            lines.append(json.dumps(data))
-        wall.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["diff", str(logical), str(wall)]) == 0
-        err = capsys.readouterr().err
-        assert "logical clock" in err and "wall clock" in err
+    """Every trace is stamped by the logical counter: `repro diff` has
+    no clock mix to warn about."""
 
     def test_silent_on_matching_clocks(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -20,10 +20,10 @@ class TestParser:
 
     def test_experiments_flags(self):
         args = build_parser().parse_args(
-            ["experiments", "--ids", "E2", "--full"]
+            ["experiments", "--ids", "E2", "--extensions", "--jobs", "2"]
         )
         assert args.ids == ["E2"]
-        assert args.full
+        assert args.extensions and args.jobs == 2
 
     def test_unknown_algorithm_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
@@ -31,20 +31,22 @@ class TestParser:
 
 
 class TestCommands:
+    # The headline table, the SDD story and the commit rates each print
+    # through the experiment that runs them: E15, E1 + E2 and E3.
     def test_summary_prints_table(self, capsys):
-        assert main(["summary"]) == 0
+        assert main(["experiments", "--ids", "E15"]) == 0
         out = capsys.readouterr().out
         assert "A1" in out and "FloodSet" in out
         assert "Λ" in out
 
     def test_sdd_prints_refutations(self, capsys):
-        assert main(["sdd"]) == 0
+        assert main(["experiments", "--ids", "E1", "E2"]) == 0
         out = capsys.readouterr().out
         assert "refuted" in out
-        assert "SS solves SDD" in out
+        assert "SDD solvable in SS" in out
 
     def test_commit_prints_rates(self, capsys):
-        assert main(["commit"]) == 0
+        assert main(["experiments", "--ids", "E3"]) == 0
         out = capsys.readouterr().out
         assert "SyncCommit" in out
         assert "commit rate" in out
@@ -76,11 +78,3 @@ class TestCommands:
         assert captured.err.startswith(f"error: unknown experiment {exp_id!r}")
         assert "'E15'" in captured.err and "'X7'" in captured.err
         assert len(captured.err.splitlines()) == 1
-
-
-class TestDotOutput:
-    def test_show_dot_emits_graphviz(self, capsys):
-        assert main(["show", "a1-rws", "--dot"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph")
-        assert "pending" in out

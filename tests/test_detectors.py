@@ -54,11 +54,6 @@ class TestHistories:
         assert history.suspects(0, 5) == frozenset({1})
         assert history.suspects(0, 9) == frozenset()
 
-    def test_suspects_at_returns_all_processes(self):
-        history = ConstantHistory({0})
-        snapshot = history.suspects_at(4, 3)
-        assert set(snapshot) == {0, 1, 2}
-
 
 class TestHierarchyAxioms:
     """Every detector class satisfies exactly its advertised axioms."""

@@ -1,8 +1,8 @@
 """Integration capstone: the full E1-E15 reproduction suite passes.
 
-Each paper claim is one test so failures are attributable.  The quick
-parameterisations are used, each experiment run once per session
-(``quick_experiments`` in conftest.py); ``make report-check`` runs
+Each paper claim is one test so failures are attributable.  Each
+experiment runs once per session (``experiment_results`` in
+conftest.py); ``make report-check`` runs
 the same functions to regenerate EXPERIMENTS.md.
 """
 
@@ -21,15 +21,15 @@ SLOW_IDS = ["E4", "E14"]
 
 
 @pytest.mark.parametrize("exp_id", FAST_IDS)
-def test_fast_experiments_pass(exp_id, quick_experiments):
-    result = quick_experiments[exp_id]
+def test_fast_experiments_pass(exp_id, experiment_results):
+    result = experiment_results[exp_id]
     assert result.ok, result.describe()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("exp_id", SLOW_IDS)
-def test_slow_experiments_pass(exp_id, quick_experiments):
-    result = quick_experiments[exp_id]
+def test_slow_experiments_pass(exp_id, experiment_results):
+    result = experiment_results[exp_id]
     assert result.ok, result.describe()
 
 
@@ -57,20 +57,20 @@ class TestRegistry:
 class TestResultShapes:
     """Spot-check the measured numbers, not just the pass bits."""
 
-    def test_e6_lat_values(self, quick_experiments):
-        result = quick_experiments["E6"]
+    def test_e6_lat_values(self, experiment_results):
+        result = experiment_results["E6"]
         assert "lat RS=1" in result.measured
         assert "lat RWS=1" in result.measured
 
-    def test_e8_lambda(self, quick_experiments):
-        result = quick_experiments["E8"]
+    def test_e8_lambda(self, experiment_results):
+        result = experiment_results["E8"]
         assert "Λ=1" in result.measured
 
-    def test_e10_lambdas_at_least_two(self, quick_experiments):
-        result = quick_experiments["E10"]
+    def test_e10_lambdas_at_least_two(self, experiment_results):
+        result = experiment_results["E10"]
         assert "all >= 2: True" in result.measured
 
-    def test_e15_table_rendered(self, quick_experiments):
-        result = quick_experiments["E15"]
+    def test_e15_table_rendered(self, experiment_results):
+        result = experiment_results["E15"]
         table = "\n".join(result.details)
         assert "A1" in table and "RWS" in table

@@ -37,7 +37,7 @@ from repro.inject import INJECT_ENV, KNOWN_INJECTIONS
 from repro.rounds import validate_scenario
 from repro.runtime.cache import ResultCache
 from repro.runtime.harness import execute_request
-from repro.runtime.request import ExecutionRequest, ExecutionResult
+from repro.runtime.request import ExecutionRequest
 from repro.runtime.space import ScenarioSpace, derived_seed
 from repro.serialize import scenario_from_dict
 
@@ -225,7 +225,7 @@ class TestOracles:
             request = generate_case(index, seed=2, engine=engine)
             assert run_case(request) == []
 
-    def test_emulation_result_carries_induced_scenario(self):
+    def test_emulation_result_carries_induced_scenario(self, tmp_path):
         request = generate_case(0, seed=2, engine="rs_on_ss")
         result = execute_request(request)
         induced = scenario_from_dict(result.extra["induced_scenario"])
@@ -234,7 +234,8 @@ class TestOracles:
             == []
         )
         # The extra survives the JSON round-trip the cache performs.
-        restored = ExecutionResult.from_dict(result.to_dict())
+        ResultCache(tmp_path).put([result])
+        restored = ResultCache(tmp_path).get(result.request_key)
         assert restored.extra == result.extra
 
     def test_twin_decisions_match_emulation(self):
@@ -337,7 +338,6 @@ class TestCampaign:
             budget=16,
             seed=0,
             engines=("all",),
-            cache_dir=str(tmp_path / "cache"),
             out_dir=str(tmp_path / "out"),
         )
         assert report.ok, report.describe()
@@ -347,10 +347,10 @@ class TestCampaign:
         assert report.repro_files == []
 
     def test_campaign_warm_cache_executes_nothing(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        run_campaign(budget=8, seed=1, engines=("rounds",), cache_dir=cache_dir)
+        runs = str(tmp_path / "runs")
+        run_campaign(budget=8, seed=1, engines=("rounds",), run_root=runs)
         warm = run_campaign(
-            budget=8, seed=1, engines=("rounds",), cache_dir=cache_dir
+            budget=8, seed=1, engines=("rounds",), run_root=runs
         )
         assert warm.executed == 0
         assert warm.cached == 8
@@ -418,8 +418,8 @@ class TestFuzzCLI:
                 "rounds",
                 "--jobs",
                 "2",
-                "--cache-dir",
-                str(tmp_path / "cache"),
+                "--run-dir",
+                str(tmp_path / "runs"),
             ]
         )
         assert code == 0

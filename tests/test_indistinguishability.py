@@ -6,7 +6,7 @@ import pytest
 
 from repro.failures import FailurePattern
 from repro.failures.history import ConstantHistory
-from repro.obs import EventLog, local_view, logical_clock
+from repro.obs import EventLog, local_view
 from repro.sdd.impossibility import (
     SP_CANDIDATE_FACTORIES,
     _run_quadruple_member,
@@ -67,7 +67,7 @@ class TestTheoremQuadruple:
             "r1": (1, 0),
             "r1'": (1, 1),
         }.items():
-            traces[label] = EventLog(clock=logical_clock())
+            traces[label] = EventLog()
             runs[label] = _run_quadruple_member(
                 factory(), value, steps, 60, observer=traces[label]
             )

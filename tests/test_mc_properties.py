@@ -145,7 +145,10 @@ class TestWitnessReplay:
         request = outcome.witness_requests[0]
         first = execute_request(request)
         second = execute_request(request)
-        assert first.to_dict() == second.to_dict()
+        assert [e.to_json() for e in first.events] == [
+            e.to_json() for e in second.events
+        ]
+        assert first.outcome_dict() == second.outcome_dict()
         # The replay oracles themselves must flag the run: the witness
         # carries check_consensus so `repro replay` fails loudly.
         assert request.check_consensus

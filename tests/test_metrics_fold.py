@@ -12,13 +12,13 @@ prints.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.obs import metrics_of
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
-    ExecutionResult,
     SweepRunner,
     execute_request,
     harness_for,
@@ -71,7 +71,7 @@ def test_a_stored_or_shipped_result_refolds_the_same_metrics(tmp_path):
     stored = SweepRunner(cache=ResultCache(str(tmp_path))).run(space)
     assert stored.executed == 0
     for fresh, hit in zip(executed.results, stored.results):
-        shipped = ExecutionResult.from_dict(json.loads(json.dumps(fresh.to_dict())))
+        shipped = pickle.loads(pickle.dumps(fresh))  # what a pool worker returns
         assert hit.metrics == shipped.metrics == fresh.metrics
     assert stored.metrics.state() == executed.metrics.state()
 

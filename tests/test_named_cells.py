@@ -6,7 +6,8 @@ in :data:`repro.runtime.space.NAMED_CELLS` and execute the cell through
 four historical names and the two long aliases was captured at the
 commit *before* the CLI was rebuilt on the runtime (when it still drove
 ``run_rs``/``run_rws`` itself) and is pinned here by digest, together
-with the ``oracle-sweep`` cell keys and the ``repro summary`` rows.
+with the ``oracle-sweep`` cell keys and the rows of E15's headline
+table.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ def capture(name: str, workdir: Path) -> dict[str, str]:
             "trace": _run("trace", name),
             "trace-jsonl": _run("trace", name, "--jsonl", "t.jsonl"),
             "show": _run("show", name),
-            "show-dot": _run("show", name, "--dot"),
             "check": _run("check", name),
             "replay": _run("replay", name, "t.jsonl"),
         }
@@ -84,7 +84,6 @@ PINS = {
         "trace": "69e632e8e3b1fafe",
         "trace-jsonl": "5abee860b0c5f7c1",
         "show": "34d647a1d6a9ad40",
-        "show-dot": "3a4edf517d5586fe",
         "check": "6d2083f34afe5b48",
         "replay": "2646666af5562b10",
         "metrics-json": "c1a6c6fe2c8cb59b",
@@ -94,7 +93,6 @@ PINS = {
         "trace": "fd8f24ad2eb84974",
         "trace-jsonl": "6c8852b18cf1ba61",
         "show": "f0b9ab47fd1b258c",
-        "show-dot": "d426bdc9f211abec",
         "check": "041883d524ec30eb",
         "replay": "2f7a9c3763cc674e",
         "metrics-json": "826661b62da7a7ab",
@@ -104,7 +102,6 @@ PINS = {
         "trace": "a6f2b1222ac21b56",
         "trace-jsonl": "ff2e0dd4212653a6",
         "show": "cb0a48d8d93ff66c",
-        "show-dot": "b2f3a3f110636722",
         "check": "1d43725d0056ae73",
         "replay": "8c54b53d72007e9f",
         "metrics-json": "000c2794ec3e0204",
@@ -114,7 +111,6 @@ PINS = {
         "trace": "9fc12d343116a08c",
         "trace-jsonl": "1c1593849cd7f780",
         "show": "dc858de9f592e43c",
-        "show-dot": "804801c13cd68a89",
         "check": "4183b06f6c571b9a",
         "replay": "d7726e8bc10c0af2",
         "metrics-json": "cf7b77266bffff2b",
@@ -124,7 +120,6 @@ PINS = {
         "trace": "35319a66e0118583",
         "trace-jsonl": "570831ac3b3c342b",
         "show": "6755cded5b01f4b4",
-        "show-dot": "d426bdc9f211abec",
         "check": "1b6723afac3f0342",
         "replay": "b243f37bac728953",
         "metrics-json": "826661b62da7a7ab",
@@ -134,7 +129,6 @@ PINS = {
         "trace": "2e037a4fd804e3ed",
         "trace-jsonl": "e9565d4b5e4e48f3",
         "show": "a829eb760d615624",
-        "show-dot": "3a4edf517d5586fe",
         "check": "3887ca56c32f0994",
         "replay": "6a109e0636a7207f",
         "metrics-json": "c1a6c6fe2c8cb59b",

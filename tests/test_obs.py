@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 
@@ -28,17 +27,11 @@ from repro.stats import percentile, summarize
 from repro.workloads import adversarial_split, floodset_rws_violation
 
 
-def _counter_clock():
-    """Deterministic timestamps: 1.0, 2.0, 3.0, ..."""
-    counter = itertools.count(1)
-    return lambda: float(next(counter))
-
-
 class TestEventSequence:
     """The recording-observer contract: exact events, exact order."""
 
     def run_violation(self):
-        log = EventLog(clock=_counter_clock())
+        log = EventLog()
         run = run_rws(
             FloodSet(),
             adversarial_split(3),
@@ -122,9 +115,10 @@ class TestEventSequence:
         assert len(values) == 2
 
     def test_timestamps_monotonic(self):
+        """Every log stamps its own logical counter: 1.0, 2.0, ..."""
         _, log = self.run_violation()
         stamps = [e.ts for e in log]
-        assert stamps == sorted(stamps)
+        assert stamps == [float(i) for i in range(1, len(stamps) + 1)]
 
 
 class TestNoOpEquivalence:
@@ -312,7 +306,7 @@ class TestProfiler:
 
 class TestSchema:
     def test_valid_trace_passes(self):
-        log = EventLog(clock=_counter_clock())
+        log = EventLog()
         run_rws(
             FloodSet(),
             adversarial_split(3),
@@ -344,7 +338,7 @@ class TestSchema:
         assert validate_jsonl_lines([]) == ["trace contains no events"]
 
     def test_jsonl_round_trip(self):
-        log = EventLog(clock=_counter_clock())
+        log = EventLog()
         run_rs(
             FloodSet(), [0, 1, 1], FailureScenario.failure_free(3), t=1,
             observer=log,
@@ -443,7 +437,7 @@ class TestEmulationObservers:
         import random
         from repro.emulation import emulate_rs_on_ss
 
-        log = EventLog(clock=_counter_clock())
+        log = EventLog()
         trace = emulate_rs_on_ss(
             FloodSet(),
             adversarial_split(3),

@@ -21,7 +21,6 @@ import pytest
 from repro.consensus import FloodSet
 from repro.obs import (
     EventLog,
-    logical_clock,
     reconstruct_scenario,
     replay_events,
 )
@@ -98,7 +97,7 @@ class TestRandomScenarioSweep:
             scenario = random_scenario(
                 3, 1, max_round=3, allow_pending=True, rng=rng
             )
-            log = EventLog(clock=logical_clock())
+            log = EventLog()
             run_rws(
                 FloodSet(),
                 adversarial_split(3),

@@ -1,15 +1,17 @@
 """Tests for campaign progress heartbeats and ``repro top``.
 
 Covers the pieces the smoke targets exercise only incidentally: the
-reporter's thread lifecycle and interrupted-status context manager,
-heartbeat math, and the ``repro top --follow`` polling loop (which must
-terminate on its own when the campaign completes or is interrupted).
+reporter's thread lifecycle and its interrupted status, heartbeat
+math, a torn heartbeat left by a killed leg, and the ``repro top
+--follow`` polling loop (which must terminate on its own when the
+campaign completes or is interrupted).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 
 import pytest
@@ -100,22 +102,13 @@ class TestLifecycle:
         reporter.stop()
         assert len(read_records(path)) >= 3  # >= 2 interval + 1 final
 
-    def test_context_manager_completes(self, tmp_path):
+    def test_stop_marks_interruption(self, tmp_path):
         path = tmp_path / "progress.jsonl"
-        with ProgressReporter(
-            total=1, path=path, stream=None, interval_s=60.0
-        ) as reporter:
-            reporter.advance()
-        assert read_records(path)[-1]["status"] == "complete"
-
-    def test_context_manager_marks_interruption(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        with pytest.raises(RuntimeError):
-            with ProgressReporter(
-                total=3, path=path, stream=None, interval_s=60.0
-            ) as reporter:
-                reporter.advance()
-                raise RuntimeError("campaign died")
+        reporter = ProgressReporter(
+            total=3, path=path, stream=None, interval_s=60.0
+        ).start()
+        reporter.advance()
+        reporter.stop(status="interrupted")
         final = read_records(path)[-1]
         assert final["status"] == "interrupted"
         assert final["done"] == 1
@@ -198,13 +191,41 @@ class TestTopCommand:
         ) == 0
         capsys.readouterr()
 
+    def test_follow_returns_after_a_torn_heartbeat(self, tmp_path, capsys):
+        """A leg killed inside a heartbeat write leaves a torn last line;
+        the next leg's first heartbeat starts on a fresh line, so its
+        final ``complete`` parses and ``--follow`` sees it."""
+        run = RunDir.open(
+            tmp_path / "runs",
+            kind="sweep",
+            name="unit",
+            identity={"unit": True},
+            cells=[("cell-0", "k0")],
+        )
+        run.progress_path.write_text(
+            '{"t": "progress", "done": 3, "sta', encoding="utf-8"
+        )
+        ProgressReporter(
+            total=1, path=run.progress_path, stream=None, interval_s=60.0
+        ).stop()
+        assert run.manifest.get("status") == "running"
+        assert latest_progress(run.progress_records())["status"] == "complete"
+        follow = threading.Thread(
+            target=main,
+            args=(["top", str(run.path), "--follow", "--interval", "0.01"],),
+            daemon=True,
+        )
+        follow.start()
+        follow.join(timeout=10)
+        assert not follow.is_alive(), "repro top --follow is still polling"
+        capsys.readouterr()
+
     def test_follow_polls_until_completion(
         self, tmp_path, capsys, monkeypatch
     ):
         # A genuinely in-flight run: complete it from a helper thread
         # while --follow is polling; the loop must pick the transition
         # up and return rather than spin forever.
-        import threading
         from types import SimpleNamespace
 
         from repro.cli import report as report_cli

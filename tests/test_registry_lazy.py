@@ -142,10 +142,10 @@ class TestWhatGetsImported:
             "import sys\n"
             "from repro.runtime.campaign import CampaignLeg\n"
             "leg = CampaignLeg(None, kind='sweep', name='x', config={},\n"
-            "                  requests=[], cache_dir='/somewhere')\n"
+            "                  requests=[])\n"
             "with leg:\n"
             "    assert leg.finalize(lambda run_dir: 1 / 0) is None\n"
-            "assert leg.path is None and leg.cache == '/somewhere'\n"
+            "assert leg.path is None and leg.cache is None\n"
             "print([m for m in ('repro.obs.artifacts', 'repro.obs.progress',\n"
             "                   'repro.runtime.cache') if m in sys.modules])\n"
         )

@@ -68,15 +68,15 @@ class TestReportFormatting:
         assert "```" in text and "line two" in text
 
     @pytest.fixture
-    def suite_run_once(self, monkeypatch, quick_experiments):
+    def suite_run_once(self, monkeypatch, experiment_results):
         """``generate_report`` renders the session's one suite run."""
         monkeypatch.setattr(
-            "repro.core.report.run_all_experiments", quick_experiments.run_all
+            "repro.core.report.run_all_experiments", experiment_results.run_all
         )
 
     @pytest.mark.slow
     def test_generate_report_runs_everything(self, suite_run_once):
-        content = generate_report(quick=True)
+        content = generate_report()
         assert content.count("## E") == 15
         assert "15/15 experiments pass" in content
         assert "Notes and observed deviations" in content
@@ -84,6 +84,6 @@ class TestReportFormatting:
     @pytest.mark.slow
     def test_write_report_to_file(self, tmp_path, suite_run_once):
         path = tmp_path / "EXPERIMENTS.md"
-        passed = write_report(str(path), quick=True)
+        passed = write_report(str(path))
         assert passed == 15
         assert path.read_text().startswith("# EXPERIMENTS")

@@ -18,6 +18,7 @@ import json
 import random
 import shutil
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -90,8 +91,8 @@ class TestMergedTraceParity:
     def test_spliced_lines_equal_the_reference(self, name, engine, tmp_path):
         space = _space(name, engine)
         store = str(tmp_path / "store")
-        cold = SweepRunner(cache=store).run(space)
-        served = SweepRunner(cache=store).run(space)
+        cold = SweepRunner(cache=ResultCache(store)).run(space)
+        served = SweepRunner(cache=ResultCache(store)).run(space)
         assert (cold.executed, served.executed) == (len(space.requests), 0)
         for sweep in (cold, served):
             assert list(sweep.merged_jsonl_lines()) == [
@@ -114,8 +115,8 @@ class TestMergedTraceParity:
     ):
         space = _hostile_space()
         store = str(tmp_path / "store")
-        cold = SweepRunner(cache=store).run(space)
-        served = SweepRunner(cache=store).run(space)
+        cold = SweepRunner(cache=ResultCache(store)).run(space)
+        served = SweepRunner(cache=ResultCache(store)).run(space)
         assert (cold.executed, served.executed) == (len(space.requests), 0)
         kinds = Counter(request.engine for request in cold.requests)
         assert kinds["vector"] >= 11 and kinds["rounds"] >= 2
@@ -387,18 +388,17 @@ if HAVE_HYPOTHESIS:
 def _reference_causal_block(named_plain):
     """:func:`causal_cells`' block, folded from one plain causal
     analysis per cell: no template, no memo."""
-    cells, anomaly_cells, clocks = [], [], set()
+    cells, anomaly_cells = [], []
     for name, events in named_plain:
         if not events:
             continue
-        facts, clock = _causal_facts(events)
-        clocks.add(clock)
+        facts = _causal_facts(events)
         if facts["anomalies"]:
             anomaly_cells.append(name)
         cells.append({"cell": name, **facts})
     if not cells:
         return None
-    return {"cells": cells, "anomaly_cells": anomaly_cells, "clocks": sorted(clocks)}
+    return {"cells": cells, "anomaly_cells": anomaly_cells}
 
 
 def _assert_template_parity(name: str, engine: str = "vector") -> int:
@@ -612,39 +612,41 @@ class TestPackedStore:
         )
         assert sizes[-1] < 400  # the run-wide mean is the ledger's
 
-    def test_inline_events_round_trip_without_a_template(self, tmp_path):
-        """An older writer's cell carries its events and metrics inline:
-        it is still served, factored on the way in, and never rewritten."""
-        space = _space("random-rs", "rounds", count=3, seed=11)
-        cold = run_space(space)
-        shard = tmp_path / "shard-0000000000000000-1-inline.jsonl"
-        shard.write_text("".join(
-            json.dumps({
-                "key": request.cache_key(),
-                "name": result.name,
-                "events": [event.to_dict() for event in result.events],
-                "metrics": result.metrics,
-                **result.outcome_dict(),
-            }, default=repr) + "\n"
-            for request, result in zip(space.requests, cold.results)
-        ), encoding="ascii")
-        served = SweepRunner(cache=str(tmp_path)).run(space)
-        assert served.executed == 0
-        assert _shards(tmp_path) == [shard]
-        assert [r.template.digest for r in served.results] == [
-            r.template.digest for r in cold.results
-        ]
-        assert [r.to_dict() for r in served.results] == [
-            json.loads(json.dumps(r.to_dict(), default=repr)) for r in cold.results
-        ]
+    def test_a_cell_without_a_template_is_a_corrupt_miss(self, tmp_path):
+        """No writer stores a cell without its template digest: such a
+        line is a corrupt entry, served as a miss, re-executed and
+        counted in ``corrupt_evictions``; the re-executed cells win."""
+        run, space, data, reference = self._populated(tmp_path)
+        lines = []
+        for line in data.splitlines(keepends=True):
+            if line.startswith(b'{"key": '):
+                record = json.loads(line)
+                del record["template"]
+                line = (json.dumps(record) + "\n").encode("ascii")
+            lines.append(line)
+        for shard in _shards(run.results_dir):
+            shard.unlink()
+        (run.results_dir / "shard-0000000000000000-1-untemplated.jsonl").write_bytes(
+            b"".join(lines)
+        )
+        cache = ResultCache(run.results_dir)
+        served = SweepRunner(cache=cache).run(space)
+        assert served.executed == len(space.requests)
+        assert cache.stats.corrupt_evictions == len(space.requests)
+        assert list(served.merged_jsonl_lines()) == reference
+        cache.close()
+        warm = SweepRunner(cache=ResultCache(run.results_dir)).run(space)
+        assert warm.executed == 0
+        assert list(warm.merged_jsonl_lines()) == reference
 
     def test_both_engines_store_the_same_templates(self, tmp_path):
         digests = {}
         for engine in ("rounds", "vector"):
             store = tmp_path / engine
-            SweepRunner(cache=str(store)).run(
-                _space("random-rs", engine, count=300, seed=7)
-            )
+            with closing(ResultCache(store)) as cache:
+                SweepRunner(cache=cache).run(
+                    _space("random-rs", engine, count=300, seed=7)
+                )
             digests[engine] = {
                 json.loads(line)["template"]
                 for shard in _shards(store)
@@ -766,7 +768,11 @@ class TestPackedStore:
         results = run_space(space).results
         for request, result in zip(space.requests, results):
             (tmp_path / f"{request.cache_key()}.json").write_text(
-                json.dumps(result.to_dict(), sort_keys=True), encoding="utf-8"
+                json.dumps(
+                    {"name": result.name, **result.outcome_dict()},
+                    sort_keys=True,
+                ),
+                encoding="utf-8",
             )
         cache = ResultCache(tmp_path)
         assert len(cache) == 0 and cache.completed_keys() == set()

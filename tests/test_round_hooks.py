@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.obs import Event, EventLog, metrics_of
-from repro.obs.events import logical_clock
 from repro.rounds import (
     CrashEvent,
     FailureScenario,
@@ -161,7 +160,7 @@ class TestHookSequenceParity:
         digest = hashlib.sha256()
         saw_withheld = saw_partial = False
         for values, scenario, t in cases(name, model):
-            log = EventLog(clock=logical_clock())
+            log = EventLog()
             run, algorithm = run_case(name, model, values, scenario, t, log)
             assert log.events == expected_events(run, algorithm)
             for line in log.jsonl_lines():
@@ -180,7 +179,7 @@ class TestHookSequenceParity:
             scenario = FailureScenario(
                 n=N, crashes=(CrashEvent(0, 1, others, applies),)
             )
-            log = EventLog(clock=logical_clock())
+            log = EventLog()
             run_case("floodset", "RS", (0, 1, 1, 0), scenario, 2, log)
             round_one_self_sends = [
                 e for e in log.of_kind("msg_sent")
@@ -194,7 +193,7 @@ class TestHookSequenceParity:
         message."""
         for model in ("RS", "RWS"):
             for values, scenario, t in cases("floodset-ws", model):
-                log = EventLog(clock=logical_clock())
+                log = EventLog()
                 counted = ReferenceMetrics()
                 for observer in (log, counted):
                     run_case("floodset-ws", model, values, scenario, t, observer)
@@ -254,7 +253,7 @@ class TestSlottedEvent:
     @staticmethod
     def _hook_built() -> list[tuple[Event, Event]]:
         """Every EventLog hook's event beside its constructor-built twin."""
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         log.round_start(1, [2, 0, 1])
         log.round_sends(1, [(0, 1), (2, 1)])
         log.round_deliveries(1, [(0, 1), (2, 1)], {(2, 1)})

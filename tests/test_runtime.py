@@ -145,9 +145,11 @@ class TestHarnesses:
         assert result.events
         assert result.num_rounds >= 1
 
-    def test_result_round_trips_through_dict(self):
+    def test_result_round_trips_through_dict(self, tmp_path):
+        """Through the result store's records: the one serialised form."""
         result = execute_request(_round_request())
-        rebuilt = ExecutionResult.from_dict(result.to_dict())
+        ResultCache(tmp_path).put([result])
+        rebuilt = ResultCache(tmp_path).get(result.request_key)
         assert [e.to_json() for e in rebuilt.events] == [
             e.to_json() for e in result.events
         ]
@@ -252,8 +254,8 @@ class TestResultCache:
     def test_second_run_executes_nothing_and_matches(self, tmp_path):
         space = oracle_sweep_space(count=2)
         cache_dir = str(tmp_path / "cache")
-        cold = SweepRunner(jobs=1, cache=cache_dir).run(space)
-        warm = SweepRunner(jobs=1, cache=cache_dir).run(space)
+        cold = SweepRunner(jobs=1, cache=ResultCache(cache_dir)).run(space)
+        warm = SweepRunner(jobs=1, cache=ResultCache(cache_dir)).run(space)
         assert cold.executed == cold.total and cold.cached == 0
         assert warm.executed == 0 and warm.cached == warm.total
         assert list(cold.merged_jsonl_lines()) == list(
@@ -264,8 +266,8 @@ class TestResultCache:
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
         space = oracle_sweep_space(count=2)
         cache_dir = str(tmp_path / "cache")
-        SweepRunner(jobs=4, cache=cache_dir).run(space)
-        warm = SweepRunner(jobs=1, cache=cache_dir).run(space)
+        SweepRunner(jobs=4, cache=ResultCache(cache_dir)).run(space)
+        warm = SweepRunner(jobs=1, cache=ResultCache(cache_dir)).run(space)
         assert warm.executed == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
@@ -514,10 +516,10 @@ class TestResultCacheConcurrency:
     def test_eviction_counts_flow_into_sweep_summary(self, tmp_path):
         space = ScenarioSpace.explicit("tiny", [_round_request()])
         cache_dir = str(tmp_path / "cache")
-        first = SweepRunner(cache=cache_dir).run(space)
+        first = SweepRunner(cache=ResultCache(cache_dir)).run(space)
         assert first.cache_stats["corrupt_evictions"] == 0
         for shard in (tmp_path / "cache").glob("shard-*.jsonl"):
             shard.write_text("{torn", encoding="utf-8")
-        second = SweepRunner(cache=cache_dir).run(space)
+        second = SweepRunner(cache=ResultCache(cache_dir)).run(space)
         assert second.cache_stats["corrupt_evictions"] == 1
         assert second.executed == 1  # served as a miss and re-executed

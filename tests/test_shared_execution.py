@@ -31,6 +31,7 @@ from repro.runtime import (
     SPACE_FACTORIES,
     ExecutionRequest,
     ExecutionResult,
+    ResultCache,
     ScenarioSpace,
     SweepRunner,
     check_cell,
@@ -560,11 +561,11 @@ def test_jobs_2_equals_jobs_1(engine, tmp_path, capsys):
 def test_a_warm_run_judges_every_cell(engine, tmp_path, counted):
     space = _space("random-rs", engine, count=200, seed=23)
     store = str(tmp_path / "store")
-    cold = SweepRunner(cache=store, check=True).run(space)
+    cold = SweepRunner(cache=ResultCache(store), check=True).run(space)
     assert counted["check_cell"] == cold.judged <= cold.distinct
     assert cold.distinct == _distinct(space.requests) < 200
     counted.clear()
-    warm = SweepRunner(cache=store, check=True).run(space)
+    warm = SweepRunner(cache=ResultCache(store), check=True).run(space)
     assert (warm.executed, warm.cached, warm.distinct) == (0, 200, 200)
     contents = _contents(space.requests, warm.results)
     assert counted["check_cell"] == warm.judged == contents < cold.distinct
@@ -588,10 +589,10 @@ class TestEveryVerdictIsItsCellsOwn:
     ):
         space = _space(name, engine, count=120, seed=seed)
         store = str(tmp_path / "store")
-        sweep = SweepRunner(cache=store, check=True).run(space)
+        sweep = SweepRunner(cache=ResultCache(store), check=True).run(space)
         if leg == "warm":
             counted.clear()
-            sweep = SweepRunner(cache=store, check=True).run(space)
+            sweep = SweepRunner(cache=ResultCache(store), check=True).run(space)
             assert sweep.executed == 0
         assert counted["check_cell"] == sweep.judged <= sweep.total
         if leg == "warm":
@@ -645,10 +646,10 @@ class TestTypeExactVerdictKeys:
                   check_consensus=True),
         ])
         store = str(tmp_path / "store")
-        sweep = SweepRunner(cache=store, check=True).run(space)
+        sweep = SweepRunner(cache=ResultCache(store), check=True).run(space)
         if leg == "warm":
             counted.clear()
-            sweep = SweepRunner(cache=store, check=True).run(space)
+            sweep = SweepRunner(cache=ResultCache(store), check=True).run(space)
             # One template object behind all three stored cells.
             assert len({id(r.template) for r in sweep.results}) == 1
         assert counted["check_cell"] == sweep.judged == judged[leg]

@@ -9,7 +9,6 @@ import pytest
 from repro.consensus import (
     check_consensus_run,
     check_uniform_consensus_run,
-    check_many,
 )
 from repro.consensus.spec import SpecViolation
 from repro.rounds import FailureScenario, RoundModel, run_rs
@@ -108,19 +107,6 @@ class TestTerminationClause:
         run = run_fixed({0: 1, 1: 1}, scenario=scenario)
         violations = check_uniform_consensus_run(run)
         assert not any(v.clause == "termination" for v in violations)
-
-
-class TestCheckMany:
-    def test_aggregates_violations(self):
-        runs = [run_fixed({0: 0, 1: 1, 2: 1}) for _ in range(3)]
-        violations = check_many(runs)
-        assert len(violations) == 3
-
-    def test_custom_checker(self):
-        runs = [run_fixed({0: 0, 1: 1, 2: 1})]
-        # Consensus checker: all deciders correct & split -> agreement.
-        violations = check_many(runs, checker=check_consensus_run)
-        assert any(v.clause == "agreement" for v in violations)
 
 
 class TestViolationFormatting:

@@ -221,21 +221,18 @@ class TestImportSets:
 
 # Copied from the parser's output (Python 3.11, COLUMNS=80).
 _CHOICES = (
-    "{experiments,summary,sdd,commit,latency,show,trace,metrics,check,"
+    "{experiments,latency,show,trace,metrics,check,"
     "replay,diff,sweep,fuzz,mc,report,top,causal}"
 )
 _UNKNOWN_COMMAND_ERROR = (
     "repro: error: argument command: invalid choice: 'bogus' (choose from "
-    "'experiments', 'summary', 'sdd', 'commit', 'latency', 'show', 'trace', "
+    "'experiments', 'latency', 'show', 'trace', "
     "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'report', "
     "'top', 'causal')"
 )
 _USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
 _HELP_ROWS = """\
     experiments         run the E1-E15 suite
-    summary             headline latency table
-    sdd                 the SDD story
-    commit              commit-rate comparison
     latency             latency profile of an algorithm
     show                render a named scenario
     trace               export a scenario's structured event trace

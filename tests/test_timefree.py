@@ -14,7 +14,7 @@ from repro.analysis import (
 from repro.errors import ExecutionError
 from repro.failures import FailurePattern, TimeoutPerfectDetector
 from repro.models import SynchronousModel
-from repro.obs import EventLog, local_view, logical_clock
+from repro.obs import EventLog, local_view
 from repro.sdd import sdd_decision, solve_sdd_ss
 from repro.sdd.ss_algorithm import SDDReceiverSS, SDDSender
 from repro.simulation import ScriptedScheduler, StepExecutor
@@ -31,7 +31,7 @@ def sdd_run(seed=0, value=1, crashes=None, phi=2, delta=2):
 
 def recorded(run, automata):
     """The trace of ``run``, recorded by re-executing its own schedule."""
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     script = [(step.pid, step.received_uids) for step in run.schedule]
     StepExecutor(
         automata, run.n, run.pattern, ScriptedScheduler(script), observer=log

@@ -11,7 +11,6 @@ from repro.rounds import FailureScenario, run_rs, run_rws
 from repro.sdd import solve_sdd_ss
 from repro.trace import (
     describe_round_run,
-    describe_run,
     round_tableau,
     step_diagram,
 )
@@ -45,10 +44,6 @@ class TestStepDiagram:
         text = step_diagram(run, max_rows=10)
         assert "more steps" in text
 
-    def test_describe_run_summary(self):
-        text = describe_run(self.make_run())
-        assert "messages" in text and "steps" in text
-
 
 class TestRoundTableau:
     def test_failure_free_tableau(self):
@@ -79,29 +74,3 @@ class TestRoundTableau:
         assert "RS" in text
         assert "decisions" in text
 
-
-class TestDotExport:
-
-    def test_round_run_dot_marks_pending_and_decisions(self):
-        from repro.consensus import A1
-        from repro.rounds import run_rws
-        from repro.trace import round_run_to_dot
-        from repro.workloads import a1_rws_disagreement
-
-        run = run_rws(A1(), [0, 1, 1], a1_rws_disagreement(3), t=1)
-        dot = round_run_to_dot(run)
-        assert "pending" in dot
-        assert "decide" in dot
-        assert dot.count("->") > 3
-
-    def test_dot_quotes_payloads(self):
-        from repro.consensus import FloodSet
-        from repro.rounds import FailureScenario, run_rs
-        from repro.trace import round_run_to_dot
-
-        run = run_rs(
-            FloodSet(), ['a "b"', "c", "d"],
-            FailureScenario.failure_free(3), t=1,
-        )
-        dot = round_run_to_dot(run)
-        assert "digraph" in dot

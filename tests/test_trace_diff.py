@@ -8,7 +8,6 @@ from repro.obs import (
     diff_traces,
     first_divergence,
     local_view,
-    logical_clock,
     view_divergence,
 )
 from repro.rounds import run_rws
@@ -18,7 +17,7 @@ from repro.workloads import adversarial_split, floodset_rws_violation
 
 
 def _rws_trace(values):
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     run_rws(
         FloodSet(),
         values,

@@ -19,7 +19,6 @@ from repro.obs import (
     check_events,
     default_checkers,
     events_from_jsonl_lines,
-    logical_clock,
     run_checkers,
 )
 from repro.rounds import FailureScenario, RoundModel, run_rs, run_rws
@@ -348,7 +347,7 @@ class TestDefaultSuite:
             default_checkers(model="RSX")
 
     def test_clean_rs_run_passes_everything(self):
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run_rs(
             FOptFloodSet(),
             adversarial_split(3),
@@ -364,7 +363,7 @@ class TestDefaultSuite:
         assert not report.warnings
 
     def test_documented_rws_violation_is_consensus_only(self):
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run_rws(
             FloodSet(),
             adversarial_split(3),
@@ -387,7 +386,7 @@ class TestSeededViolationRoundTrip:
     """The acceptance path: export, hand-edit, re-check via JSONL."""
 
     def test_seeded_premature_suspect_flagged_at_its_index(self):
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run_rs(
             FOptFloodSet(),
             adversarial_split(3),
@@ -409,7 +408,7 @@ class TestSeededViolationRoundTrip:
         assert [v.index for v in accuracy] == [3]
 
     def test_clean_export_reparses_clean(self):
-        log = EventLog(clock=logical_clock())
+        log = EventLog()
         run_rws(
             A1(),
             adversarial_split(3),

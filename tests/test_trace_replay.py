@@ -9,7 +9,6 @@ from repro.obs import (
     EventLog,
     events_from_jsonl_lines,
     infer_model,
-    logical_clock,
     reconstruct_scenario,
     replay_events,
 )
@@ -23,7 +22,7 @@ from repro.workloads import (
 
 
 def _record(algorithm, values, scenario, model, **kwargs):
-    log = EventLog(clock=logical_clock())
+    log = EventLog()
     runner = run_rws if model is RoundModel.RWS else run_rs
     runner(
         algorithm, values, scenario, observer=log, **{"t": 1, "max_rounds": 4, **kwargs}

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.rounds.enumeration import all_scenarios
 from repro.runtime import (
     ExecutionRequest,
+    ResultCache,
     execute_batch,
     execute_request,
     make_algorithm,
@@ -74,10 +75,22 @@ def _object_twin(request: ExecutionRequest) -> ExecutionRequest:
     return replace(request, engine="rounds")
 
 
+def _wire(result):
+    """A result's every observable: name, key, the events one by one,
+    the folded metrics and the outcome fields."""
+    return {
+        "name": result.name,
+        "request_key": result.request_key,
+        "events": [event.to_dict() for event in result.events],
+        "metrics": result.metrics,
+        **result.outcome_dict(),
+    }
+
+
 def _result_body(result):
-    """``to_dict()`` minus the request key (the engine name is part of
+    """:func:`_wire` minus the request key (the engine name is part of
     the request, so twins' keys differ by design)."""
-    body = result.to_dict()
+    body = _wire(result)
     del body["request_key"]
     return body
 
@@ -159,9 +172,7 @@ class TestBatchSeam:
         ]
         batched = execute_batch(cells)
         singles = [execute_request(cell) for cell in cells]
-        assert [r.to_dict() for r in batched] == [
-            r.to_dict() for r in singles
-        ]
+        assert [_wire(r) for r in batched] == [_wire(r) for r in singles]
 
     def test_batch_preserves_input_order_across_engines(self):
         mixed = [
@@ -179,7 +190,7 @@ class TestBatchSeam:
         assert [r.name for r in results] == [r.name for r in mixed]
         for request, result in zip(mixed, results):
             single = execute_request(request)
-            assert result.to_dict() == single.to_dict()
+            assert _wire(result) == _wire(single)
 
     @pytest.mark.parametrize("algorithm,model", KERNEL_ALGORITHMS)
     def test_kernel_algorithms_match_object_twin(
@@ -313,8 +324,8 @@ class TestSweepPaths:
     ):
         space = vectorized_space(space_by_name("e10-lambda"))
         golden = run_space(space_by_name("e10-lambda"))
-        cold = run_space(space, jobs=2, cache=str(tmp_path))
-        warm = run_space(space, jobs=2, cache=str(tmp_path))
+        cold = run_space(space, jobs=2, cache=ResultCache(tmp_path))
+        warm = run_space(space, jobs=2, cache=ResultCache(tmp_path))
         assert cold.executed == cold.total and cold.cached == 0
         assert warm.executed == 0 and warm.cached == warm.total
         for result in (cold, warm):
@@ -347,7 +358,7 @@ _TELEMETRY_CELLS = (
 def _summary(tmp_path, space):
     from repro.obs.artifacts import RunDir, identity_for_requests
     from repro.obs.report import render_report, summarize_sweep
-    from repro.runtime import ResultCache, SweepRunner
+    from repro.runtime import SweepRunner
 
     requests = list(space.requests)
     run = RunDir.open(

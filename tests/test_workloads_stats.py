@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rounds import validate_scenario
-from repro.stats import rate, summarize
+from repro.stats import summarize
 from repro.workloads import (
     a1_rws_disagreement,
     adversarial_split,
@@ -73,11 +73,3 @@ class TestStats:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_describe_format(self):
-        text = summarize([1.0, 2.0]).describe("rounds")
-        assert "mean=1.5 rounds" in text
-
-    def test_rate(self):
-        assert rate(1, 4) == 0.25
-        assert rate(0, 0) == 0.0
