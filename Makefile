@@ -27,10 +27,10 @@ examples:
 	done; echo "all examples ran"
 
 experiments:
-	python -m repro experiments --extensions
+	PYTHONPATH=src python -m repro experiments
 
 report:
-	python -m repro report --output EXPERIMENTS.md
+	PYTHONPATH=src python -m repro report --output EXPERIMENTS.md
 
 REPORT_CHECK_OUT ?= /tmp/EXPERIMENTS.md
 

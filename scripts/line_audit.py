@@ -9,16 +9,17 @@ Usage::
 Copies the tree into a scratch directory, puts a ``sitecustomize.py``
 into the copy's ``src/`` (every command below runs with
 ``PYTHONPATH=src``, so every interpreter they start loads it) and runs
-three sets of commands in the copy:
+every command a user can run, one family of commands at a time, each
+family recording into a directory of its own:
 
 * the *claim surface*: ``repro report`` (E1-E15, the run behind
   EXPERIMENTS.md) and the ``repro mc`` verdicts docs/paper_map.md
   quotes;
-* every ``make *-smoke`` target;
-* everything else a user can run: ``repro experiments --extensions``,
-  ``latency``, ``show``, ``metrics``, ``trace``, ``diff``, ``replay``,
-  ``check``, ``causal``, ``top``, ``report RUNDIR``, ``mc --list``,
-  ``sweep --list``, ``sweep e10-lambda`` and ``examples/*.py``.
+* the families of :data:`FAMILIES`: ``experiments --ids E2`` and
+  ``latency``; the inspection commands with the smoke targets that
+  drive them; the campaign commands, likewise; ``make mc-smoke`` with
+  ``mc --list``; ``make fuzz-smoke``; any other ``make *-smoke``
+  target; and ``examples/*.py``.
 
 The hook is a global ``sys.settrace`` function that records
 ``(co_filename, co_firstlineno)`` on each ``call`` event and returns
@@ -29,15 +30,16 @@ decorator's.  Forked pool workers leave through ``os._exit``, where
 ``multiprocessing.util.Finalize``, or on the ``SIGTERM`` a terminating
 pool sends them.
 
-Prints one row per package: the lines of functions the claim surface
-executes, of functions only the other commands execute (smoke targets
-may run them too), of functions only smoke targets execute, and of
-functions nothing executes.  A function's lines are its source span,
-decorators included, minus the functions nested in it; module and class
-bodies, and bodiless stubs (a docstring, ``...``, ``pass`` or ``raise
-NotImplementedError``), are not counted.  Then every function nothing
-executes, each with its reason from :data:`KEEP`; one without a reason
-makes the exit status 1.  Takes about 9 minutes on a 2-core host.
+Prints one row per family: the lines of functions the claim surface
+executes, of functions only that family executes, of functions two or
+more families share, and of functions nothing executes, each with its
+five largest shares by package.  A function's lines are its source
+span, decorators included, minus the functions nested in it; module and
+class bodies, and bodiless stubs (a docstring, ``...``, ``pass`` or
+``raise NotImplementedError``), are not counted.  Then every function
+nothing executes, each with its reason from :data:`KEEP`; one without a
+reason makes the exit status 1.  Takes about 9 minutes on a 2-core
+host.
 """
 
 from __future__ import annotations
@@ -124,33 +126,52 @@ MC_VERDICTS = [
     "indistinguishability --fixture suspicion",
 ]
 
-#: Every other command a user can run, after the claim surface; the
-#: ``{work}`` files are written by the earlier rows.
-OTHER_COMMANDS = [
-    "experiments --extensions",
-    "latency a1",
-    "latency floodset-ws",
-    "show floodset-rws",
-    "metrics",
-    "metrics --json",
-    "trace floodset-rws --jsonl {work}/a.jsonl",
-    "trace a1-rws --jsonl {work}/b.jsonl",
-    "diff {work}/a.jsonl {work}/b.jsonl",
-    "diff {work}/a.jsonl {work}/b.jsonl --pid 1",
-    "replay floodset-rws {work}/a.jsonl",
-    "check floodset-rws",
-    "check --jsonl {work}/a.jsonl --model RWS",
-    "check --sdd-fixture timeout",
-    "mc --list",
-    "sweep --list",
-    "sweep e10-lambda",
-    "sweep oracle-sweep --check --run-dir {work}/runs",
-    "causal {work}/a.jsonl",
-    "causal {work}/runs",
-    "top {work}/runs",
-    "report {work}/runs",
-    "report {work}/runs --json",
-]
+#: Every other command a user can run, by family, in the order they
+#: run; the ``{work}`` files are written by earlier rows.  A ``make``
+#: row runs a smoke target, an ``examples`` row every example script,
+#: any other row a ``repro`` command.  A smoke target no family names
+#: joins :data:`SMOKE_FAMILY`.
+SMOKE_FAMILY = "`make *-smoke` (the others)"
+FAMILIES = {
+    "`experiments --ids E2`, `latency`": [
+        "experiments --ids E2",
+        "latency a1",
+        "latency floodset-ws",
+    ],
+    "inspection: `show`, `trace`, `metrics`, `check`, `replay`, `diff`, "
+    "`causal`": [
+        "show floodset-rws",
+        "metrics",
+        "metrics --json",
+        "trace floodset-rws --jsonl {work}/a.jsonl",
+        "trace a1-rws --jsonl {work}/b.jsonl",
+        "diff {work}/a.jsonl {work}/b.jsonl",
+        "diff {work}/a.jsonl {work}/b.jsonl --pid 1",
+        "replay floodset-rws {work}/a.jsonl",
+        "check floodset-rws",
+        "check --jsonl {work}/a.jsonl --model RWS",
+        "check --sdd-fixture timeout",
+        "causal {work}/a.jsonl",
+        "make trace-smoke",
+        "make check-smoke",
+        "make causal-smoke",
+    ],
+    "campaign: `sweep`, `report RUNDIR`, `top`, `causal RUNDIR`": [
+        "sweep --list",
+        "sweep e10-lambda",
+        "sweep oracle-sweep --check --run-dir {work}/runs",
+        "causal {work}/runs",
+        "top {work}/runs",
+        "report {work}/runs",
+        "report {work}/runs --json",
+        "make sweep-smoke",
+        "make report-smoke",
+    ],
+    "`make mc-smoke`, `mc --list`": ["make mc-smoke", "mc --list"],
+    "`make fuzz-smoke`": ["make fuzz-smoke"],
+    SMOKE_FAMILY: [],
+    "`examples/*.py`": ["examples"],
+}
 
 #: Functions nothing above executes and that stay, each with its reason.
 #: Keys are ``path under src/:qualified name``.  A reason starts with its
@@ -175,8 +196,6 @@ KEEP: dict[str, str] = {
         _REPLAYED_HISTORY,
     "repro/commit/spec.py:check_commit_obligation":
         "test reference: the commit obligation SynchronousCommit is held to",
-    "repro/core/extensions.py:run_extension":
-        "test tool: tests/test_report_extensions.py runs X1-X7 through it",
     "repro/failures/pattern.py:FailurePattern.num_failures":
         "test tool: failure-pattern assertions",
     "repro/fuzz/campaign.py:Counterexample.oracles":
@@ -360,39 +379,35 @@ def run(tree: str, records: str, argv: list[str], label: str) -> None:
           f"{label}", file=sys.stderr, flush=True)
 
 
-def claim_surface(tree: str, work: str, records: str) -> None:
+#: The ``make`` variables that point each smoke target's outputs into
+#: the scratch directory, by leaf name under ``{work}/smoke``.
+SMOKE_OUTPUTS = {
+    "TRACE_SMOKE_OUT": "trace.jsonl", "CHECK_SMOKE_DIR": "check",
+    "SWEEP_SMOKE_CACHE": "sweep", "FUZZ_SMOKE_CACHE": "fuzz",
+    "CAUSAL_SMOKE_TRACE": "causal.jsonl", "CAUSAL_SMOKE_JSON": "causal.json",
+    "REPORT_SMOKE_RUNS": "report",
+    "MC_SMOKE_DIR": "mc",
+    "REPORT_CHECK_OUT": "EXPERIMENTS.check.md",
+}
+
+
+def run_family(tree: str, work: str, records: str, commands: list[str]) -> None:
     repro = [sys.executable, "-m", "repro"]
-    run(tree, records, repro + ["report", "--output", f"{work}/EXPERIMENTS.md"],
-        "repro report")
-    for verdict in MC_VERDICTS:
-        argv = verdict.format(work=work).split()
-        run(tree, records, repro + ["mc", *argv], f"repro mc {verdict}")
-
-
-def smoke_surface(tree: str, work: str, records: str) -> None:
-    scratch = {
-        "TRACE_SMOKE_OUT": "trace.jsonl", "CHECK_SMOKE_DIR": "check",
-        "SWEEP_SMOKE_CACHE": "sweep", "FUZZ_SMOKE_CACHE": "fuzz",
-        "CAUSAL_SMOKE_TRACE": "causal.jsonl", "CAUSAL_SMOKE_JSON": "causal.json",
-        "REPORT_SMOKE_RUNS": "report",
-        "MC_SMOKE_DIR": "mc",
-        "REPORT_CHECK_OUT": "EXPERIMENTS.check.md",
-    }
-    variables = [f"{name}={work}/smoke/{leaf}" for name, leaf in scratch.items()]
+    variables = [f"{name}={work}/smoke/{leaf}"
+                 for name, leaf in SMOKE_OUTPUTS.items()]
     os.makedirs(f"{work}/smoke", exist_ok=True)
-    for target in smoke_targets(tree):
-        run(tree, records, ["make", "--no-print-directory", target, *variables],
-            f"make {target}")
-
-
-def other_commands(tree: str, work: str, records: str) -> None:
-    repro = [sys.executable, "-m", "repro"]
-    for command in OTHER_COMMANDS:
-        argv = command.format(work=work).split()
-        run(tree, records, repro + argv, f"repro {command}")
-    for example in sorted(glob.glob(os.path.join(tree, "examples", "*.py"))):
-        run(tree, records, [sys.executable, example],
-            os.path.relpath(example, tree))
+    for command in commands:
+        if command == "examples":
+            for example in sorted(glob.glob(os.path.join(tree, "examples",
+                                                         "*.py"))):
+                run(tree, records, [sys.executable, example],
+                    os.path.relpath(example, tree))
+        elif command.startswith("make "):
+            run(tree, records, ["make", "--no-print-directory",
+                                command.split()[1], *variables], command)
+        else:
+            run(tree, records, repro + command.format(work=work).split(),
+                f"repro {command}")
 
 
 def executed(records: str, src: str) -> set[tuple[str, int]]:
@@ -412,28 +427,32 @@ def package_of(rel: str) -> str:
     return parts[1] if len(parts) > 2 else "(top)"
 
 
-def report(src: str, claim: set, other: set, smoke: set) -> int:
-    columns = ("claim", "other", "smoke", "nothing")
-    widths = (8, 8, 8, 9)
-    rows: dict[str, list[int]] = defaultdict(lambda: [0] * len(columns))
+def report(src: str, ran: dict[str, set]) -> int:
+    """The family table, then the functions nothing executes; ``ran``
+    maps each family, the claim surface first, to what it executed."""
+    claim, *_ = ran
+    shared, nothing = "two or more families share", "nothing"
+    rows: dict[str, Counter] = defaultdict(Counter)
     idle = []
     for rel, qualname, first, own in functions(src):
-        where = (rel, first)
-        column = next(
-            (i for i, ran in enumerate((claim, other, smoke)) if where in ran),
-            3,
-        )
-        rows[package_of(rel)][column] += own
-        if column == 3:
+        runners = [name for name, seen in ran.items() if (rel, first) in seen]
+        if claim in runners:
+            row = claim
+        elif len(runners) > 1:
+            row = shared
+        else:
+            row = runners[0] if runners else nothing
+        rows[row][package_of(rel)] += own
+        if row == nothing:
             idle.append((f"{rel}:{qualname}", own))
-    print(f"{'package':<14}" + "".join(
-        f"{name:>{w}}" for name, w in zip(columns, widths)))
-    for package in sorted(rows):
-        print(f"{package:<14}" + "".join(
-            f"{n:>{w}}" for n, w in zip(rows[package], widths)))
-    totals = [sum(row[i] for row in rows.values()) for i in range(len(columns))]
-    print(f"{'total':<14}" + "".join(
-        f"{n:>{w}}" for n, w in zip(totals, widths)))
+    print("| family (the claim surface: what it runs; any other family: "
+          "what only it runs) | lines | largest shares |")
+    print("|---|---:|---|")
+    for row in [*ran, shared, nothing]:
+        largest = ", ".join(f"{package} {lines}"
+                            for package, lines in rows[row].most_common(5))
+        print(f"| {row} | {sum(rows[row].values())} | {largest} |")
+    print(f"| total | {sum(sum(row.values()) for row in rows.values())} | |")
     print()
     unexplained = 0
     for name, own in idle:
@@ -456,15 +475,24 @@ def main(argv: list[str]) -> int:
     try:
         tree = copy_tree(work)
         src = os.path.join(tree, "src")
-        print("claim surface:", file=sys.stderr)
-        claim_surface(tree, work, f"{work}/claim")
-        print("smoke targets:", file=sys.stderr)
-        smoke_surface(tree, work, f"{work}/smoke-records")
-        print("other commands:", file=sys.stderr)
-        other_commands(tree, work, f"{work}/other")
-        return report(src, executed(f"{work}/claim", src),
-                      executed(f"{work}/other", src),
-                      executed(f"{work}/smoke-records", src))
+        families = {"claim surface: `report`, the paper_map `mc` verdicts": [
+            "report --output {work}/EXPERIMENTS.md",
+            *(f"mc {verdict}" for verdict in MC_VERDICTS),
+        ]}
+        families.update((name, list(commands))
+                        for name, commands in FAMILIES.items())
+        named = {command.split()[1] for commands in FAMILIES.values()
+                 for command in commands if command.startswith("make ")}
+        families[SMOKE_FAMILY] += [f"make {target}"
+                                   for target in smoke_targets(tree)
+                                   if target not in named]
+        ran = {}
+        for index, (name, commands) in enumerate(families.items()):
+            print(f"{name}:", file=sys.stderr)
+            records = f"{work}/records/{index}"
+            run_family(tree, work, records, commands)
+            ran[name] = executed(records, src)
+        return report(src, ran)
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)

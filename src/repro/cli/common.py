@@ -16,8 +16,10 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.obs import events_from_jsonl_lines
-from repro.runtime.space import CELL_ALIASES as SCENARIO_ALIASES
-from repro.runtime.space import NAMED_CELLS as SCENARIOS
+# The command modules and main.py's lazy table read the scenario tables
+# from here, under the names the CLI prints.
+from repro.runtime.space import CELL_ALIASES as SCENARIO_ALIASES  # noqa: F401
+from repro.runtime.space import NAMED_CELLS as SCENARIOS  # noqa: F401
 from repro.runtime.space import NamedCell, named_cell
 
 

@@ -12,13 +12,7 @@ import sys
 
 from repro.analysis import latency_profile
 from repro.cli.common import jobs_ok
-from repro.core import (
-    EXPERIMENTS,
-    EXTENSIONS,
-    run_all_experiments,
-    run_all_extensions,
-    write_report,
-)
+from repro.core import EXPERIMENTS, run_all_experiments, write_report
 from repro.rounds import RoundModel
 from repro.runtime.registry import (
     ALGORITHM_FACTORIES,
@@ -35,21 +29,18 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if not jobs_ok(args.jobs):
         return 2
     if args.ids:
-        registry = {**EXPERIMENTS, **EXTENSIONS}
-        unknown = [i for i in args.ids if i.upper() not in registry]
+        unknown = [i for i in args.ids if i.upper() not in EXPERIMENTS]
         if unknown:
-            known = sorted(registry, key=lambda key: (key[0], int(key[1:])))
+            known = sorted(EXPERIMENTS, key=lambda key: int(key[1:]))
             print(
                 f"error: unknown experiment {unknown[0]!r}; choose from "
                 f"{known}",
                 file=sys.stderr,
             )
             return 2
-        results = [registry[exp_id.upper()]() for exp_id in args.ids]
+        results = [EXPERIMENTS[exp_id.upper()]() for exp_id in args.ids]
     else:
         results = run_all_experiments(jobs=args.jobs)
-        if args.extensions:
-            results.extend(run_all_extensions())
     failures = 0
     for result in results:
         print(result.describe())
@@ -80,11 +71,8 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     """Fill in this module's command parsers (named in ``main.COMMANDS``)."""
     p_exp = parsers["experiments"]
-    p_exp.add_argument("--ids", nargs="*", help="experiment ids (default all)")
     p_exp.add_argument(
-        "--extensions",
-        action="store_true",
-        help="also run the X1-X7 extension experiments",
+        "--ids", nargs="*", help="experiment ids, E1-E15 (default all)"
     )
     p_exp.add_argument(
         "--jobs",

@@ -19,7 +19,6 @@ __getattr__, __dir__ = lazy_exports(
             "run_experiment",
             "run_all_experiments",
         ),
-        "extensions": ("EXTENSIONS", "run_extension", "run_all_extensions"),
         "report": ("generate_report", "write_report"),
     },
 )
@@ -29,9 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_all_experiments",
-    "EXTENSIONS",
-    "run_extension",
-    "run_all_extensions",
     "generate_report",
     "write_report",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence

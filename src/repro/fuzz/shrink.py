@@ -31,7 +31,6 @@ from repro.failures.pattern import FailurePattern
 from repro.rounds.scenario import (
     CrashEvent,
     FailureScenario,
-    PendingMessage,
     validate_scenario,
 )
 from repro.runtime.request import ROUND_ENGINES, ExecutionRequest

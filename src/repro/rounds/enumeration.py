@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.rounds.scenario import (

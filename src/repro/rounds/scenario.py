@@ -17,7 +17,7 @@ best-case latency definitions into exact computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ScenarioError
 

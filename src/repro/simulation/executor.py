@@ -16,7 +16,7 @@ from repro.failures.history import FailureDetectorHistory
 from repro.failures.pattern import FailurePattern
 from repro.obs.events import EventLog
 from repro.obs.profile import profiled
-from repro.simulation.automaton import StepAutomaton, StepContext, StepOutcome
+from repro.simulation.automaton import StepAutomaton, StepContext
 from repro.simulation.message import Message
 from repro.simulation.run import Run
 from repro.simulation.schedule import Schedule, Step

@@ -1,50 +1,11 @@
-"""Tests for the report generator and the X-series extensions."""
+"""Tests for the EXPERIMENTS.md report generator."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import EXTENSIONS, run_all_extensions, run_extension
 from repro.core.report import format_result, generate_report, write_report
 from repro.core.experiments import ExperimentResult, run_experiment
-
-
-class TestExtensions:
-    def test_registry_contents(self):
-        assert sorted(EXTENSIONS) == [
-            "X1", "X2", "X3", "X4", "X5", "X6", "X7",
-        ]
-
-    @pytest.mark.parametrize("ext_id", ["X2", "X3", "X4", "X6"])
-    def test_fast_extensions_pass(self, ext_id):
-        result = run_extension(ext_id)
-        assert result.ok, result.describe()
-
-    @pytest.mark.slow
-    def test_x1_resilience_sweep_passes(self):
-        result = run_extension("X1")
-        assert result.ok, result.describe()
-
-    @pytest.mark.slow
-    def test_x5_uniform_harder_than_consensus(self):
-        result = run_extension("X5")
-        assert result.ok, result.describe()
-
-    @pytest.mark.slow
-    def test_x7_early_deciding_gap(self):
-        result = run_extension("X7")
-        assert result.ok, result.describe()
-
-    def test_lowercase_id(self):
-        assert run_extension("x3").exp_id == "X3"
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            run_extension("X9")
-
-    def test_extension_claims_are_labelled(self):
-        result = run_extension("X3")
-        assert result.paper_claim.startswith("(extension)")
 
 
 class TestReportFormatting:

@@ -214,6 +214,16 @@ class TestImportSets:
             ),
         )
 
+    @pytest.mark.parametrize(
+        "argv", [["latency", "a1"], ["experiments", "--ids", "E2"]]
+    )
+    def test_experiment_commands_load_no_broadcast_layer(self, argv):
+        # No E-row runs atomic broadcast: the experiments module has no
+        # reason to import it.
+        assert not _offenders(
+            _loaded_by(argv), ("repro.core.extensions", "repro.broadcast")
+        )
+
     def test_vector_sweep_adds_the_kernel_and_nothing_else(self):
         # "vector" names the round executor: there is no kernel to add.
         assert _loaded_by(SWEEP + ["vector"]) == _loaded_by(SWEEP + ["rounds"])
