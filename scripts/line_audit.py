@@ -39,7 +39,9 @@ class bodies, and bodiless stubs (a docstring, ``...``, ``pass`` or
 ``raise NotImplementedError``), are not counted.  Then every function
 nothing executes, each with its reason from :data:`KEEP`; one without a
 reason makes the exit status 1.  Takes about 9 minutes on a 2-core
-host.
+host.  Each command runs in a session of its own: one still running
+after :data:`COMMAND_TIMEOUT_S` is killed with its whole process group,
+and the audit prints ``TIMEOUT <command>`` and exits 1 without a table.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import glob
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -368,15 +371,45 @@ def smoke_targets(tree: str) -> list[str]:
         return re.findall(r"^([a-z-]+-smoke):", handle.read(), re.M)
 
 
+#: How long one command may run: the slowest, ``make fuzz-smoke`` and
+#: ``make mc-smoke``, take a few minutes on a 2-core host.
+COMMAND_TIMEOUT_S = 900
+
+
 def run(tree: str, records: str, argv: list[str], label: str) -> None:
+    """Run one command in a session of its own.  One that outlives
+    :data:`COMMAND_TIMEOUT_S` is killed with everything it started, and
+    the audit stops: ``TIMEOUT <label>``, exit status 1."""
     os.makedirs(records, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": "src", "REPRO_LINE_AUDIT_OUT": records,
            "PYTHONDONTWRITEBYTECODE": "1"}
     started = time.perf_counter()
-    done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL)
-    print(f"  exit {done.returncode} {time.perf_counter() - started:6.1f} s  "
+    process = subprocess.Popen(argv, cwd=tree, env=env,
+                               stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL,
+                               start_new_session=True)
+    try:
+        code = process.wait(timeout=COMMAND_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        kill_session(process)
+        print(f"TIMEOUT {label}", flush=True)
+        raise SystemExit(1)
+    except BaseException:  # an interrupted audit leaves nothing running
+        kill_session(process)
+        raise
+    print(f"  exit {code} {time.perf_counter() - started:6.1f} s  "
           f"{label}", file=sys.stderr, flush=True)
+
+
+def kill_session(process: subprocess.Popen) -> None:
+    """Kill the process group a ``start_new_session`` command leads: the
+    command and every process it started (a make recipe's commands, a
+    pool's workers)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait()
 
 
 #: The ``make`` variables that point each smoke target's outputs into

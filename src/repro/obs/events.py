@@ -28,11 +28,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Collection, Iterable, Iterator, Sequence, TextIO
+from typing import (
+    Any,
+    Collection,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    TextIO,
+)
 
 #: ``json.dumps(value, default=repr, sort_keys=True)``, without building
 #: an encoder per call.
 _sorted_encode = json.JSONEncoder(sort_keys=True, default=repr).encode
+
+#: ``json.dumps(value, default=repr)``: keys in insertion order.
+_encode = json.JSONEncoder(default=repr).encode
 
 #: The closed set of event kinds an :class:`EventLog` may contain.
 EVENT_KINDS: frozenset[str] = frozenset(
@@ -125,6 +136,72 @@ class Event:
             peer=data.get("peer"),
             value=data.get("value"),
         )
+
+
+class EventParts(NamedTuple):
+    """An event's JSON text on either side of its timestamp, in both key
+    orders: ``head + ts + tail`` is :meth:`Event.to_json` (keys sorted,
+    :meth:`Event.json_parts`) and ``stored_head + ts + stored_tail`` is
+    ``json.dumps(event.to_dict(), default=repr)`` (keys in
+    :meth:`Event.to_dict` order), ``ts`` spelled as JSON spells it."""
+
+    head: str
+    tail: str
+    stored_head: str
+    stored_tail: str
+
+
+#: The types whose values print alike exactly when they are equal and of
+#: one type: ``1 == True == 1.0`` and ``0.0 == -0.0`` print apart, NaN is
+#: not even equal to itself, and an opaque object prints its ``repr``.
+_EXACT = frozenset((str, int, bool, type(None)))
+
+#: Every shape's parts, by :func:`_shape`: the one table, filled on first
+#: sight and never evicted — a campaign meets a few hundred shapes.
+_SHAPES: dict[tuple, EventParts] = {}
+
+
+def event_parts(event: Event) -> EventParts:
+    """``event``'s :class:`EventParts`, encoded once per *shape* — its
+    fields but ``ts``, types included — and shared by every event of
+    that shape; an event whose JSON its shape does not fix (a float, a
+    nested or opaque value) is encoded on its own."""
+    shape = _shape(event)
+    if shape is None:
+        return _split(event)
+    parts = _SHAPES.get(shape)
+    if parts is None:
+        parts = _SHAPES[shape] = _split(event)
+    return parts
+
+
+def _shape(event: Event) -> tuple | None:
+    """The shape table's key: every field but ``ts``, then their types,
+    then the element types of a list or tuple value; ``None`` when a
+    field or element is of a type outside :data:`_EXACT`."""
+    value = event.value
+    fields = (
+        event.kind, event.round, event.time, event.pid, event.peer, value
+    )
+    types = tuple(map(type, fields))
+    if _EXACT.issuperset(types):
+        return fields + types
+    if type(value) in (list, tuple) and _EXACT.issuperset(types[:-1]):
+        items = tuple(map(type, value))
+        if _EXACT.issuperset(items):
+            return (*fields[:-1], tuple(value), *types, *items)
+    return None
+
+
+def _split(event: Event) -> EventParts:
+    head, tail = event.json_parts()
+    fields = event.to_dict()
+    del fields["ts"]
+    # "kind" is always first; what follows "ts" in to_dict order stays
+    # inside the closing brace the way json_parts' "after" keys do.
+    stored_head = _encode({"kind": fields.pop("kind")})[:-1] + ', "ts": '
+    stored_tail = ", " + _encode(fields)[1:] if fields else "}"
+    return EventParts(head, tail, stored_head, stored_tail)
 
 
 class _EventBuilder:

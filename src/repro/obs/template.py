@@ -17,6 +17,11 @@ The pair is the one form every result carries from the engine to disk:
 the trace oracle, the causal summary, the merged-trace writer and the
 result store each do their value-free work once per template
 (:meth:`TraceTemplate.remember`) and touch only the holes per cell.
+Encoding is shared further still, once per *shape*: a template's
+events are looked up in :func:`~repro.obs.events.event_parts`' table
+(:meth:`TraceTemplate.parts`), and the digest's text, the store's
+template record and the merged trace's line formats are all assembled
+from those parts around each event's timestamp.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 from collections.abc import Sequence
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.obs.events import Event
+from repro.obs.events import Event, EventParts, event_parts
 from repro.obs.metrics import metrics_of
 
 
@@ -71,20 +76,51 @@ class TraceTemplate:
     def digest(self) -> str:
         # Lazy: a sweep without a result store never hashes a trace.
         if self._digest is None:
-            body = json.dumps(self.body(), sort_keys=True, default=repr)
+            body = self.body_json(sort_keys=True)
             self._digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         return self._digest
 
-    def body(self) -> dict[str, Any]:
-        """The JSON-ready content; inverse of :meth:`from_body`."""
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "positions": list(self.positions),
-            "metrics": self.metrics,
-        }
+    def parts(self) -> list[EventParts]:
+        """Each event's JSON text around its timestamp, from the shape
+        table (:func:`~repro.obs.events.event_parts`), looked up once
+        per template."""
+        return self.remember(
+            "parts", lambda: list(map(event_parts, self.events))
+        )
+
+    def body_json(self, *, sort_keys: bool) -> str:
+        """``json.dumps(body, sort_keys=sort_keys, default=repr)`` of the
+        content ``body = {"events": [e.to_dict() ...], "positions":
+        [...], "metrics": {...}}`` that :meth:`from_body` reads back.
+
+        Each event's text is its shape's :meth:`parts` around its own
+        ``ts``; sorted keys are what :attr:`digest` hashes, insertion
+        order is what the result store writes.
+        """
+        stamps = [_number(event.ts) for event in self.events]
+        positions = json.dumps(list(self.positions), default=repr)
+        metrics = json.dumps(self.metrics, sort_keys=sort_keys, default=repr)
+        if sort_keys:
+            events = ", ".join([
+                parts.head + stamp + parts.tail
+                for parts, stamp in zip(self.parts(), stamps)
+            ])
+            return (
+                f'{{"events": [{events}], "metrics": {metrics}, '
+                f'"positions": {positions}}}'
+            )
+        events = ", ".join([
+            parts.stored_head + stamp + parts.stored_tail
+            for parts, stamp in zip(self.parts(), stamps)
+        ])
+        return (
+            f'{{"events": [{events}], "positions": {positions}, '
+            f'"metrics": {metrics}}}'
+        )
 
     @classmethod
     def from_body(cls, body: Mapping[str, Any], digest: str) -> "TraceTemplate":
+        """The template whose :meth:`body_json` was decoded into ``body``."""
         return cls(
             [Event.from_dict(entry) for entry in body["events"]],
             body["positions"],
@@ -180,6 +216,14 @@ def factor(events: Sequence[Event]) -> TemplateEvents:
     for position in positions:
         shared[position] = _with_value(shared[position], None)
     return TemplateEvents(TraceTemplate(shared, positions), holes)
+
+
+def _number(ts: Any) -> str:
+    """``ts`` as ``json.dumps`` spells it: a finite float by its repr,
+    anything else through the encoder."""
+    if type(ts) is float and ts - ts == 0.0:
+        return float.__repr__(ts)
+    return json.dumps(ts, default=repr)
 
 
 def _with_value(event: Event, value: Any) -> Event:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.rounds.scenario import (
@@ -74,15 +74,23 @@ def _pending_candidates(
     crashed before that recipient even sent its round-``r`` message,
     which the sender would need to complete round ``r``.)
     """
-    candidates: list[PendingMessage] = []
+    return [
+        PendingMessage(*slot)
+        for slot in _pending_slots(n, crashes, max_round)
+    ]
+
+
+def _pending_slots(
+    n: int, crashes: Sequence[Any], max_round: int
+) -> Iterator[tuple[int, int, int]]:
+    """:func:`_pending_candidates` as ``(sender, recipient, round)``
+    triples, in the same order; ``crashes`` need only the
+    :class:`CrashEvent` attributes (a :class:`CrashDraw` has them)."""
     for event in crashes:
-        others = [q for q in range(n) if q != event.pid]
         # Messages of the crash round itself: those in sent_to.
-        for recipient in event.sent_to:
-            if event.round <= max_round:
-                candidates.append(
-                    PendingMessage(event.pid, recipient, event.round)
-                )
+        if event.round <= max_round:
+            for recipient in event.sent_to:
+                yield event.pid, recipient, event.round
         # Messages of the previous round: all were sent (the process was
         # then still executing normally), but only a process that does
         # not complete its crash round may have them pending.
@@ -91,11 +99,9 @@ def _pending_candidates(
             and event.round - 1 <= max_round
             and not event.applies_transition
         ):
-            for recipient in others:
-                candidates.append(
-                    PendingMessage(event.pid, recipient, event.round - 1)
-                )
-    return candidates
+            for recipient in range(n):
+                if recipient != event.pid:
+                    yield event.pid, recipient, event.round - 1
 
 
 def all_scenarios(
@@ -158,6 +164,22 @@ def all_scenarios(
                     break
 
 
+class CrashDraw(NamedTuple):
+    """One victim's drawn crash, before it is a :class:`CrashEvent`
+    (whose fields it holds, in order)."""
+
+    pid: int
+    round: int
+    sent_to: frozenset[int]
+    applies_transition: bool
+
+
+#: What :func:`draw_scenario` returns: the crashes in draw order and the
+#: withheld ``(sender, recipient, round)`` triples.  Equal draws build
+#: equal scenarios.
+ScenarioDraw = tuple[tuple[CrashDraw, ...], tuple[tuple[int, int, int], ...]]
+
+
 def random_scenario(
     n: int,
     t: int,
@@ -170,37 +192,60 @@ def random_scenario(
 
     Each of up to ``t`` victims crashes with probability 0.7; each
     admissible pending message is withheld with probability 0.5.
+    :func:`draw_scenario` then :func:`build_scenario`.
     """
+    draw = draw_scenario(
+        n, t, max_round=max_round, allow_pending=allow_pending, rng=rng
+    )
+    return build_scenario(n, t, draw, allow_pending=allow_pending)
+
+
+def draw_scenario(
+    n: int,
+    t: int,
+    *,
+    max_round: int,
+    allow_pending: bool,
+    rng: random.Random,
+) -> ScenarioDraw:
+    """:func:`random_scenario`'s random choices, and nothing else: the
+    same ``rng`` calls in the same order, no scenario built."""
     victims: list[int] = []
     for pid in rng.sample(range(n), k=min(t, n - 1)):
         if rng.random() < 0.7:
             victims.append(pid)
-    events: list[CrashEvent] = []
+    crashes: list[CrashDraw] = []
     for pid in victims:
         others = [q for q in range(n) if q != pid]
         round_index = rng.randint(1, max_round)
         reached = frozenset(q for q in others if rng.random() < 0.5)
         applies = reached == frozenset(others) and rng.random() < 0.5
-        events.append(
-            CrashEvent(
-                pid=pid,
-                round=round_index,
-                sent_to=reached,
-                applies_transition=applies,
-            )
-        )
-    pending: set[PendingMessage] = set()
+        crashes.append(CrashDraw(pid, round_index, reached, applies))
+    withheld: tuple[tuple[int, int, int], ...] = ()
     if allow_pending:
-        for candidate in _pending_candidates(n, events, max_round):
-            if rng.random() < 0.5:
-                pending.add(candidate)
+        withheld = tuple(
+            slot
+            for slot in _pending_slots(n, crashes, max_round)
+            if rng.random() < 0.5
+        )
+    return tuple(crashes), withheld
+
+
+def build_scenario(
+    n: int, t: int, draw: ScenarioDraw, *, allow_pending: bool
+) -> FailureScenario:
+    """The validated scenario of a :func:`draw_scenario` outcome."""
+    crashes, withheld = draw
+    events = tuple(CrashEvent(*crash) for crash in crashes)
     scenario = FailureScenario(
-        n=n, crashes=tuple(events), pending=frozenset(pending)
+        n=n,
+        crashes=events,
+        pending=frozenset(PendingMessage(*slot) for slot in withheld),
     )
     if validate_scenario(scenario, t=t, allow_pending=allow_pending):
         # Extremely rare (pending combinations are pre-filtered); retry
         # without pending rather than looping.
-        scenario = FailureScenario(n=n, crashes=tuple(events))
+        scenario = FailureScenario(n=n, crashes=events)
     return scenario
 
 

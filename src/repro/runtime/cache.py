@@ -217,11 +217,11 @@ class ResultCache:
         #: (index the record belongs in, its id, its line), in write order.
         pending: list[tuple[dict[str, _Where] | None, str, bytes]] = []
         if digest not in self._shard_templates:
-            pending.append((
-                self._template_records,
-                digest,
-                _line({"template": digest, **template.body()}),
-            ))
+            body = template.body_json(sort_keys=False)
+            record = f'{{"template": {_encode(digest)}, {body[1:]}\n'
+            pending.append(
+                (self._template_records, digest, record.encode("ascii"))
+            )
         cited = f', "template": {_encode(digest)}, '
         for result, tail in zip(results, _tails(results)):
             line = (
@@ -284,10 +284,6 @@ class ResultCache:
 
 #: ``json.dumps(value, default=repr)``, without building an encoder per call.
 _encode = json.JSONEncoder(default=repr).encode
-
-
-def _line(record: dict) -> bytes:
-    return _encode(record).encode("ascii") + b"\n"
 
 
 def _tails(results: Sequence[ExecutionResult]) -> list[str]:

@@ -50,7 +50,11 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.failures.pattern import FailurePattern
-from repro.rounds.enumeration import all_value_assignments, random_scenario
+from repro.rounds.enumeration import (
+    all_value_assignments,
+    build_scenario,
+    draw_scenario,
+)
 from repro.rounds.scenario import FailureScenario
 from repro.runtime.request import ExecutionRequest, twin_group
 from repro.workloads import (
@@ -126,7 +130,8 @@ class ScenarioSpace:
     ) -> "ScenarioSpace":
         """A seeded stream of ``count`` randomized round-model cells.
 
-        Cell ``i`` draws its scenario from ``random_scenario`` seeded
+        Cell ``i`` draws its scenario as
+        :func:`~repro.rounds.enumeration.random_scenario` would, seeded
         with ``derived_seed(seed, i)`` — the stream's content depends
         only on ``(seed, count)``, never on execution order.  Randomized
         adversaries can legitimately break consensus for non-WS
@@ -134,31 +139,43 @@ class ScenarioSpace:
         only the model invariants are enforced.
 
         A stream draws few distinct adversaries (109 in 2000 cells at
-        ``n = 4``), and equal draws become *one* object: ``interned``
-        maps each scenario to the instance its cells share.  It is
-        local to this call unless a builder joining several streams
-        into one space passes its own.  A cell that repeats an earlier
-        draw is built as that cell's twin
+        ``n = 4``), so a cell costs a draw, not a scenario: one
+        ``Random`` is reseeded per cell (the state ``Random(x)`` starts
+        in), :func:`~repro.rounds.enumeration.draw_scenario` makes the
+        random choices, and only a draw not seen before in this call is
+        built and validated
+        (:func:`~repro.rounds.enumeration.build_scenario`).  Equal
+        scenarios become *one* object: ``interned`` maps each scenario
+        to the instance its cells share.  It is local to this call
+        unless a builder joining several streams into one space passes
+        its own.  A cell that repeats an earlier adversary is built as
+        that cell's twin
         (:meth:`~repro.runtime.request.ExecutionRequest.renamed`), so
         the run's canonical form is built once, for all of its cells.
         """
         if interned is None:
             interned = {}
+        allow_pending = model == "RWS"
+        rng = random.Random()
+        built: dict[Any, FailureScenario] = {}
         # The first cell of each adversary, by scenario instance: every
         # other field is the stream's, so a cell whose adversary was
         # drawn before is that cell's twin (ExecutionRequest.renamed).
         runs: dict[int, ExecutionRequest] = {}
         requests = []
         for index in range(count):
-            rng = random.Random(derived_seed(seed, index))
-            scenario = random_scenario(
-                n,
-                t,
-                max_round=max_round,
-                allow_pending=(model == "RWS"),
-                rng=rng,
+            rng.seed(derived_seed(seed, index))
+            draw = draw_scenario(
+                n, t, max_round=max_round, allow_pending=allow_pending, rng=rng
             )
-            scenario = interned.setdefault(scenario, scenario)
+            scenario = built.get(draw)
+            if scenario is None:
+                scenario = build_scenario(
+                    n, t, draw, allow_pending=allow_pending
+                )
+                scenario = built[draw] = interned.setdefault(
+                    scenario, scenario
+                )
             cell = f"{name}-{index:03d}"
             first = runs.get(id(scenario))
             if first is None:

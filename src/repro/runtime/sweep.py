@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
 from repro.errors import ConfigurationError
-from repro.obs.events import Event
+from repro.obs.events import Event, event_parts
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, get_profiler, profiled, set_profiler
 # ``execute_batch`` is not called here: the ledger's tracer wraps this
@@ -416,7 +416,6 @@ class SweepResult:
         """
         tick = 0
         blocks: dict[tuple[Any, ...], str] = {}
-        suffixes: dict[tuple[type, Any], str] = {}
         for result in self.results:
             template, holes = result.template, result.holes
             count = len(template.events)
@@ -427,11 +426,9 @@ class SweepResult:
                 key = (template, holes, kinds)
                 block = blocks.get(key)
                 if block is None:
-                    block = blocks[key] = _merged_block(
-                        template, holes, suffixes
-                    )
+                    block = blocks[key] = _merged_block(template, holes)
             else:
-                block = _merged_block(template, holes, suffixes)
+                block = _merged_block(template, holes)
             end = tick + count
             if end >= _EXACT_TICKS:
                 raise OverflowError(
@@ -576,20 +573,16 @@ def _verdict_key(request: ExecutionRequest, result: ExecutionResult) -> Any:
 _EXACT_TICKS = 2**53
 
 
-def _merged_block(
-    template: TraceTemplate,
-    holes: tuple[Any, ...],
-    suffixes: dict[tuple[type, Any], str],
-) -> str:
+def _merged_block(template: TraceTemplate, holes: tuple[Any, ...]) -> str:
     """One cell's merged-trace lines as a ``%``-format string: each
     line's timestamp is ``%d.0``, every other ``%`` is escaped.
 
-    An event is serialized once around its timestamp
-    (:meth:`~repro.obs.events.Event.json_parts`), once per template.
-    What a cell adds is its decide values, and ``"value"`` is the one
-    :class:`Event` key sorting after ``"ts"``: a decide's line is the
-    template's prefix, the tick, and a suffix that depends on the value
-    alone.
+    The lines are the template's event parts
+    (:meth:`~repro.obs.template.TraceTemplate.parts`) around the tick,
+    formatted once per template.  What a cell adds is its decide
+    values, and ``"value"`` is the one :class:`Event` key sorting after
+    ``"ts"``: a decide's line is the template's head, the tick, and the
+    tail of a decide of that value alone.
     """
     lines, heads = template.remember(
         "merged_formats", lambda: _formats(template)
@@ -597,7 +590,7 @@ def _merged_block(
     if holes:
         lines = list(lines)
         for position, value in zip(template.positions, holes):
-            lines[position] = heads[position] + _decide_suffix(value, suffixes)
+            lines[position] = heads[position] + _decide_tail(value)
     return "\n".join(lines) + "\n"
 
 
@@ -605,8 +598,8 @@ def _formats(template: TraceTemplate) -> tuple[list[str], dict[int, str]]:
     """A template's merged-trace line formats, and the heads (prefix and
     tick) of its decide lines by position."""
     parts = [
-        (prefix.replace("%", "%%") + "%d.0", suffix.replace("%", "%%"))
-        for prefix, suffix in map(Event.json_parts, template.events)
+        (head.replace("%", "%%") + "%d.0", tail.replace("%", "%%"))
+        for head, tail, _, _ in template.parts()
     ]
     return (
         [head + tail for head, tail in parts],
@@ -614,23 +607,11 @@ def _formats(template: TraceTemplate) -> tuple[list[str], dict[int, str]]:
     )
 
 
-def _decide_suffix(value: Any, memo: dict[tuple[type, Any], str]) -> str:
+def _decide_tail(value: Any) -> str:
     """What follows the timestamp on the line of a decide of ``value``,
-    ``%``-escaped.
-
-    Remembered for the :data:`_EXACT_TYPES`; anything else is
-    serialized every time.
-    """
-    kind = type(value)
-    shared = kind in _EXACT_TYPES
-    suffix = memo.get((kind, value)) if shared else None
-    if suffix is None:
-        suffix = (
-            Event("decide", 0.0, value=value).json_parts()[1].replace("%", "%%")
-        )
-        if shared:
-            memo[kind, value] = suffix
-    return suffix
+    ``%``-escaped: the tail of its shape (:func:`event_parts`)."""
+    tail = event_parts(Event("decide", 0.0, value=value)).tail
+    return tail.replace("%", "%%")
 
 
 def open_merged_sink(path: str) -> TextIO:

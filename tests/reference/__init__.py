@@ -13,7 +13,10 @@
   :func:`repro.obs.diff.local_view`.
 * :mod:`tests.reference.clocks` — Lamport and vector clocks over a
   happens-before DAG, the second opinion on its causal pasts.
-* :mod:`tests.reference.records` — the result store's cell records and
-  the ``metrics.jsonl`` audit lines, one whole-record ``json.dumps``
-  per cell.
+* :mod:`tests.reference.records` — the result store's cell and
+  template records, template digests, merged sweep traces and the
+  ``metrics.jsonl`` audit lines, one whole-record ``json.dumps`` each.
+* :mod:`tests.reference.draws` — a seeded random-adversary stream drawn
+  the way it was before draws were split from scenario builds: one
+  ``Random`` and one validated scenario per cell.
 """

@@ -168,3 +168,44 @@ class TestClosedFormCount:
         assert enumerated == expected_scenario_count(
             3, 1, max_round=2, include_transition=False
         )
+
+
+class TestStreamDrawsEqualThePerCellRoute:
+    """``ScenarioSpace.random_rounds`` reseeds one ``Random`` and builds
+    one scenario per distinct draw; the per-cell route it replaced is
+    kept in ``tests/reference/draws.py``."""
+
+    @pytest.mark.parametrize("t", (1, 2))
+    @pytest.mark.parametrize("model", ("RS", "RWS"))
+    def test_cell_for_cell_and_name_for_name(self, model, t):
+        from repro.runtime.space import ScenarioSpace
+        from tests.reference.draws import stream_cells
+
+        for seed, count in ((7, 300), (23, 60), (42, 1), (0, 0)):
+            space = ScenarioSpace.random_rounds(
+                "stream", algorithm="floodset", model=model, n=4, t=t,
+                count=count, seed=seed,
+            )
+            cells = [
+                (request.name, request.scenario) for request in space.requests
+            ]
+            assert cells == stream_cells(
+                "stream", model=model, n=4, t=t, count=count, seed=seed
+            ), (seed, count)
+
+    @pytest.mark.parametrize("allow_pending", (False, True))
+    def test_random_scenario_is_its_draw_built(self, allow_pending):
+        from repro.rounds.enumeration import build_scenario, draw_scenario
+        from tests.reference.draws import random_scenario as reference
+
+        kwargs = dict(max_round=3, allow_pending=allow_pending)
+        for seed in range(200):
+            rngs = [random.Random(seed) for _ in range(3)]
+            expected = reference(4, 2, rng=rngs[0], **kwargs)
+            assert random_scenario(4, 2, rng=rngs[1], **kwargs) == expected
+            draw = draw_scenario(4, 2, rng=rngs[2], **kwargs)
+            assert build_scenario(
+                4, 2, draw, allow_pending=allow_pending
+            ) == expected
+            # The same rng calls: every stream ends in the same state.
+            assert len({repr(rng.getstate()) for rng in rngs}) == 1

@@ -213,3 +213,59 @@ class TestTemplatesAreInternedPerCallAndPerDigest:
         sweep = SweepRunner(check=True).run(space)
         assert sweep.checks_ok and sweep.judged == sweep.distinct == 178
         assert len(list(sweep.merged_jsonl_lines())) > 0
+
+
+#: Distinct event shapes (fields but ``ts``, types included) in the
+#: ledger space's 73 templates, which hold 4 726 events.
+LEDGER_SHAPES = 94
+
+
+class TestWorkOncePerDistinctValue:
+    """A cold leg builds one scenario per distinct adversary draw and
+    encodes one JSON text per distinct event shape, however many cells
+    and template events repeat them."""
+
+    def test_a_stream_builds_one_scenario_per_distinct_draw(
+        self, monkeypatch
+    ):
+        from repro.rounds import enumeration
+
+        built = []
+        original = enumeration.FailureScenario
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("crashes"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "FailureScenario", counting)
+        requests = _ledger_space().requests
+        assert len(requests) == LEDGER_CELLS
+        assert len(built) == LEDGER_ADVERSARIES
+        assert len({request.scenario for request in requests}) == len(built)
+
+    def test_a_cold_leg_encodes_each_event_shape_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import events
+        from repro.obs.events import Event
+
+        calls = []
+        original = Event.json_parts
+
+        def counting(event):
+            calls.append(event)
+            return original(event)
+
+        monkeypatch.setattr(events, "_SHAPES", {})
+        monkeypatch.setattr(Event, "json_parts", counting)
+        sweep = _stored_sweep(_ledger_space(), tmp_path / "store")
+        sweep.write_merged_jsonl(str(tmp_path / "merged.jsonl"))
+        templates = {id(r.template): r.template for r in sweep.results}
+        held = [e for t in templates.values() for e in t.events]
+        assert len(templates) == LEDGER_TEMPLATES and len(held) == 4726
+        shapes = {events._shape(event) for event in held}
+        assert None not in shapes and len(shapes) == LEDGER_SHAPES
+        # Plus one decide per distinct decided value, which the merged
+        # trace splices into the templates' decide lines.
+        decided = {(type(v), v) for r in sweep.results for v in r.holes}
+        assert len(calls) == LEDGER_SHAPES + len(decided)

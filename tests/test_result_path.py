@@ -49,7 +49,14 @@ from repro.runtime.request import ExecutionResult
 from repro.runtime.sweep import SweepResult, open_merged_sink
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads import failure_free
-from tests.reference.records import audit_line, store_cell_line
+from repro.obs.template import TraceTemplate
+from tests.reference.records import (
+    audit_line,
+    merged_lines,
+    store_cell_line,
+    store_template_line,
+    template_digest,
+)
 from tests.reference_keys import reference_cache_key
 
 #: Every registered space of round-executor cells.
@@ -378,6 +385,103 @@ if HAVE_HYPOTHESIS:
         @given(event=_events, ts=st.floats(allow_nan=False, allow_infinity=False))
         def test_splice_equals_replace_then_to_json(self, event, ts):
             _assert_splice(event, ts)
+
+
+# ---------------------------------------------------------------------------
+# One encoding per event shape: digest, store line and merged lines
+# ---------------------------------------------------------------------------
+
+
+#: Values that are equal in Python but print apart (``1``/``True``/``1.0``,
+#: ``0.0``/``-0.0``, ``[1]``/``[True]``/``(1,)``), are not even equal to
+#: themselves (NaN), or print through their ``repr`` — and the text an
+#: encoder is most likely to mangle: ``%``, non-ASCII and key order.
+LOOKALIKES = (
+    1, True, 1.0, 0, False, 0.0, -0.0, None, "1", "%d%%s", "é\u2028ü",
+    [1], [True], (1,), [1.0], [1, True], [[1]], [], (),
+    float("nan"), float("inf"), float("-inf"), 2**70,
+    {"b": 1, "a": [True]}, _Opaque("%s"),
+)
+
+
+def _lookalike_templates():
+    """Hand-built templates: every lookalike as a value in one template
+    and in one of its own, the field types varied the same way, and
+    decide events whose holes are the lookalikes."""
+    def event(value, ts=1.0, kind="msg_sent", **fields):
+        fields = {"round": 1, "pid": 0, "peer": 1, **fields}
+        return Event(kind, ts, value=value, **fields)
+
+    together = [
+        event(value, float(at)) for at, value in enumerate(LOOKALIKES, 1)
+    ]
+    fields = [
+        event(None, 1.0, round=round_, pid=pid)
+        for round_, pid in ((1, 1), (True, True), (1.0, 1), (1, "1"))
+    ]
+    stamps = [event(0, ts) for ts in (3, 1e16, 1e-7, 2.5, -0.0)]
+    decides = [event(None, 1.0, kind="round_start", pid=None, peer=None)] + [
+        event(None, float(at), kind="decide", pid=at, peer=None)
+        for at in range(2, 5)
+    ]
+    templates = [
+        (TraceTemplate(together, []), ()),
+        (TraceTemplate(fields, []), ()),
+        (TraceTemplate(stamps, []), ()),
+        (TraceTemplate([], []), ()),
+    ]
+    templates += [
+        (TraceTemplate([event(value)], []), ()) for value in LOOKALIKES
+    ]
+    holes = [LOOKALIKES[at: at + 3] for at in range(0, len(LOOKALIKES), 3)]
+    decided = TraceTemplate(decides, [1, 2, 3])
+    templates += [(decided, tuple(h) + (None,) * (3 - len(h))) for h in holes]
+    return templates
+
+
+class TestOneEncodingPerShape:
+    """The digest's text, the store's template record and the merged
+    trace are assembled from one set of parts per event shape; each is
+    checked against the plain ``json.dumps`` of
+    ``tests/reference/records.py``.  Types must reach the shape: a table
+    keyed by value alone hands ``True`` the text of ``1``."""
+
+    def test_digests_store_lines_and_merged_lines_equal_the_reference(
+        self, tmp_path
+    ):
+        cells = _lookalike_templates()
+        cache = ResultCache(tmp_path)
+        results = []
+        for at, (template, holes) in enumerate(cells):
+            assert template.digest == template_digest(template), at
+            result = ExecutionResult(
+                name=f"cell-{at}", request_key=f"{at:064x}",
+                events=template.fill(holes),
+            )
+            cache.put([result])
+            results.append(result)
+        cache.close()
+        (shard,) = _shards(tmp_path)
+        written = [
+            line for line in shard.read_bytes().splitlines(keepends=True)
+            if line.startswith(b'{"template": ')
+        ]
+        # One record per digest: equal templates share one.
+        expected = {}
+        for template, _ in cells:
+            expected.setdefault(template.digest, store_template_line(template))
+        assert written == list(expected.values())
+        sweep = SweepResult(
+            "lookalikes", [], results, executed=len(results), cached=0,
+            distinct=len(results), metrics=MetricsRegistry(),
+        )
+        path = tmp_path / "merged.jsonl"
+        assert sweep.write_merged_jsonl(str(path)) == sum(
+            len(template.events) for template, _ in cells
+        )
+        assert path.read_text(encoding="utf-8").splitlines() == merged_lines(
+            cells
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -811,13 +915,14 @@ def _recording_references(monkeypatch):
     """Spy on the two per-run writers: every call appends the lines the
     reference encoder builds from its arguments, taken before the
     writer runs, to ``store`` or ``audit``."""
-    references = {"store": [], "audit": []}
+    references = {"store": [], "audit": [], "templates": set()}
     put, record_cell = ResultCache.put, RunDir.record_cell
 
     def spied_put(self, results):
         references["store"].extend(
             store_cell_line(result.request_key, result) for result in results
         )
+        references["templates"].add(store_template_line(results[0].template))
         return put(self, results)
 
     def spied_record_cell(self, cells, **fields):
@@ -835,16 +940,18 @@ def _recording_references(monkeypatch):
 
 
 def _written(root):
-    """The run directory's shard cell lines, in write order, and its
-    audit log."""
+    """The run directory's shard cell lines, in write order, its
+    template lines and its audit log."""
     (run,) = root.iterdir()
-    cells = [
+    lines = [
         line
         for shard in _shards(run / "results")
         for line in shard.read_bytes().splitlines(keepends=True)
-        if line.startswith(b'{"key": ')
     ]
-    return cells, (run / "metrics.jsonl").read_text(encoding="utf-8")
+    cells = [line for line in lines if line.startswith(b'{"key": ')]
+    templates = [line for line in lines if line.startswith(b'{"template": ')]
+    audit = (run / "metrics.jsonl").read_text(encoding="utf-8")
+    return cells, templates, audit
 
 
 def _assert_legs_match_the_reference(space, root, monkeypatch):
@@ -860,8 +967,11 @@ def _assert_legs_match_the_reference(space, root, monkeypatch):
             ).run(space, keys=campaign.keys)
             campaign.finalize(lambda run_dir: {"coverage": {}})
         assert sweep.executed == (len(space.requests) if leg == "cold" else 0)
-        cells, audit = _written(root)
+        cells, templates, audit = _written(root)
         assert cells == references["store"], leg
+        # One record per digest and shard; a cold leg writes one shard.
+        assert len(set(templates)) == len(templates), leg
+        assert set(templates) == references["templates"], leg
         assert audit == "".join(references["audit"]), leg
     assert len(references["audit"]) == 2 * len(references["store"])
     # Every cell is stored under its own request's key.
