@@ -1,6 +1,6 @@
 """The failure-detector hierarchy, and P built from timeouts on SS.
 
-Three demonstrations:
+Two demonstrations:
 
 1. Every class of the Chandra–Toueg hierarchy generates histories that
    satisfy exactly its advertised axioms (checked mechanically).
@@ -8,9 +8,6 @@ Three demonstrations:
    perfect failure detector in the synchronous model — executed on the
    step kernel, with measured detection delays against the derived
    bound.
-3. The introduction's remark on reference [12]: when the synchrony
-   bounds hold only after an unknown stabilisation time (GST),
-   adaptive timeouts implement ◊P but not P.
 
 Run:  python examples/failure_detectors.py
 """
@@ -19,7 +16,6 @@ import random
 
 from repro.failures import (
     DETECTOR_CLASSES,
-    AdaptiveTimeoutDetector,
     FailurePattern,
     TimeoutPerfectDetector,
     classify_history,
@@ -27,11 +23,7 @@ from repro.failures import (
     detection_threshold,
     history_from_run,
 )
-from repro.models import (
-    PartiallySynchronousModel,
-    SynchronousModel,
-    validate_ss_run,
-)
+from repro.models import SynchronousModel, validate_ss_run
 
 
 def hierarchy_demo() -> None:
@@ -82,41 +74,9 @@ def timeout_p_demo() -> None:
         )
 
 
-def adaptive_ep_demo() -> None:
-    print("\n=== ◊P from adaptive timeouts ===")
-    model = PartiallySynchronousModel(
-        phi=1, delta=2, gst=120, pre_gst_delivery_prob=0.15
-    )
-    print(f"Φ={model.phi}, Δ={model.delta}, GST={model.gst}: no bounds "
-          f"before GST, the SS bounds after\n")
-    seeds = 6
-    eventually_perfect = mistakes = suffix_clean = 0
-    for seed in range(seeds):
-        pattern = FailurePattern.with_crashes(3, {1: 250} if seed % 2 else {})
-        executor = model.executor(
-            AdaptiveTimeoutDetector(3),
-            3,
-            pattern,
-            rng=random.Random(seed),
-            record_states=True,
-        )
-        run = executor.execute(900)
-        suffix_clean += not model.validate(run)
-        history = history_from_run(run)
-        report = classify_history(history, pattern, len(run.schedule) - 1)
-        eventually_perfect += report.matches_class("<>P")
-        mistakes += not report.strong_accuracy
-    print(f"{seeds} runs: {eventually_perfect} satisfy ◊P; {mistakes} "
-          f"falsely suspect before GST, so they are not P; "
-          f"{suffix_clean} have an SS-admissible post-GST suffix")
-    if not (eventually_perfect == suffix_clean == seeds and mistakes > 0):
-        raise SystemExit("◊P demo: a run broke the expected shape")
-
-
 def main() -> None:
     hierarchy_demo()
     timeout_p_demo()
-    adaptive_ep_demo()
 
 
 if __name__ == "__main__":

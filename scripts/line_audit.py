@@ -184,19 +184,11 @@ FAMILIES = {
 #: a base class declares abstract), or ``deferred`` (only its own tests
 #: call it; deleting it is left to a later audit).  None is deferred now.
 _STRATEGY = "test tool: a Hypothesis strategy of repro.fuzz.strategies"
-_REPLAYED_HISTORY = (
-    "test reference: time-free rescheduling of a detector run, run by "
-    "tests/test_timefree.py::test_replayed_detector_history_keeps_views"
-)
 KEEP: dict[str, str] = {
     "repro/_lazy.py:lazy_exports.__dir__":
         "test tool: dir() of every lazy package (tests/test_lazy_exports.py)",
     "repro/analysis/latency.py:VerificationReport.first_violations":
         "test tool: the assertion message of verify_algorithm checks",
-    "repro/analysis/timefree.py:_execute_script._ReplayHistory.__init__":
-        _REPLAYED_HISTORY,
-    "repro/analysis/timefree.py:_execute_script._ReplayHistory.suspects":
-        _REPLAYED_HISTORY,
     "repro/commit/spec.py:check_commit_obligation":
         "test reference: the commit obligation SynchronousCommit is held to",
     "repro/failures/pattern.py:FailurePattern.num_failures":

@@ -34,11 +34,6 @@ __getattr__, __dir__ = lazy_exports(
             "refute_round_one_decision",
         ),
         "summary": ("SummaryRow", "latency_summary_table", "format_table"),
-        "timefree": (
-            "check_time_free_execution",
-            "random_linear_extension",
-            "reexecute_with_projections",
-        ),
     },
 )
 
@@ -54,7 +49,4 @@ __all__ = [
     "SummaryRow",
     "latency_summary_table",
     "format_table",
-    "check_time_free_execution",
-    "random_linear_extension",
-    "reexecute_with_projections",
 ]

@@ -162,6 +162,16 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         name.strip() for name in args.ignore.split(",") if name.strip()
     )
     if args.pid is not None:
+        carried = {p for event in (*a, *b) for p in (event.pid, event.peer)}
+        if args.pid not in carried:
+            # No event names it, so both views are empty: a verdict on
+            # nothing, not an indistinguishability.
+            print(
+                f"error: no event in either trace carries p{args.pid} "
+                "(as pid or peer)",
+                file=sys.stderr,
+            )
+            return 2
         divergence = view_divergence(a, b, args.pid)
         if divergence is None:
             print(

@@ -1,4 +1,4 @@
-"""Shared CLI helpers: named-run lookup, trace loading and ``--jobs``
+"""Shared CLI helpers: named-run lookup, trace loading and count-flag
 validation, each with the standard one-line ``error:`` on failure.
 
 The vocabulary itself lives in the runtime — the named runs in
@@ -23,12 +23,12 @@ from repro.runtime.space import NAMED_CELLS as SCENARIOS  # noqa: F401
 from repro.runtime.space import NamedCell, named_cell
 
 
-def jobs_ok(jobs: int) -> bool:
-    """Whether ``--jobs`` names at least one worker process; prints the
-    error when it does not."""
-    if jobs >= 1:
+def at_least_one(flag: str, value: int) -> bool:
+    """Whether the count ``flag`` was given (``--jobs``, ``--top``) is
+    at least 1; prints the error when it is not."""
+    if value >= 1:
         return True
-    print(f"error: --jobs must be at least 1 (got {jobs})", file=sys.stderr)
+    print(f"error: {flag} must be at least 1 (got {value})", file=sys.stderr)
     return False
 
 

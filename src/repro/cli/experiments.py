@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from repro.analysis import latency_profile
-from repro.cli.common import jobs_ok
+from repro.cli.common import at_least_one
 from repro.core import EXPERIMENTS, run_all_experiments, write_report
 from repro.rounds import RoundModel
 from repro.runtime.registry import (
@@ -26,7 +26,7 @@ ALGORITHMS = {
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    if not jobs_ok(args.jobs):
+    if not at_least_one("--jobs", args.jobs):
         return 2
     if args.ids:
         unknown = [i for i in args.ids if i.upper() not in EXPERIMENTS]

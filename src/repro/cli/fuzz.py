@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli.common import jobs_ok
+from repro.cli.common import at_least_one
 from repro.errors import ConfigurationError
 from repro.fuzz import FUZZ_ENGINES, run_campaign
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if not jobs_ok(args.jobs):
+    if not at_least_one("--jobs", args.jobs):
         return 2
     try:
         report = run_campaign(

@@ -93,10 +93,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         )
         return 2
 
-    from repro.cli.common import jobs_ok
+    from repro.cli.common import at_least_one
     from repro.mc import McTask, check, save_frontier
 
-    if not jobs_ok(args.jobs):
+    if not at_least_one("--jobs", args.jobs):
         return 2
 
     algorithm = args.algorithm.lower()

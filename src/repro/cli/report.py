@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from repro.cli import experiments as _experiments
+from repro.cli.common import at_least_one
 from repro.obs.artifacts import SUMMARY_NAME, RunDir
 from repro.obs.progress import latest_progress
 from repro.obs.report import (
@@ -43,6 +45,8 @@ def _load_run(path: str) -> RunDir | None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if not at_least_one("--top", args.top):
+        return 2
     if args.rundir is None:
         # Legacy mode: regenerate EXPERIMENTS.md from fresh runs.
         return _experiments._cmd_report(args)
@@ -69,6 +73,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
+    if not 0 < args.interval < math.inf:
+        # Also nan and inf, which time.sleep refuses with a traceback.
+        print(
+            f"error: --interval must be a positive number of seconds "
+            f"(got {args.interval:g})",
+            file=sys.stderr,
+        )
+        return 2
     run = _load_run(args.rundir)
     if run is None:
         return 2

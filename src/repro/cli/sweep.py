@@ -17,7 +17,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Any
 
-from repro.cli.common import jobs_ok
+from repro.cli.common import at_least_one
 from repro.errors import ConfigurationError
 from repro.runtime import SPACE_FACTORIES, SweepRunner, space_by_name
 from repro.runtime.campaign import CampaignLeg
@@ -53,7 +53,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not jobs_ok(args.jobs):
+    if not at_least_one("--jobs", args.jobs):
         return 2
     sink = None
     try:

@@ -53,7 +53,6 @@ __getattr__, __dir__ = lazy_exports(
             "history_from_run",
             "detection_delays",
         ),
-        "timeout_ep": ("AdaptiveDetectorState", "AdaptiveTimeoutDetector"),
     },
 )
 
@@ -87,6 +86,4 @@ __all__ = [
     "detection_threshold",
     "history_from_run",
     "detection_delays",
-    "AdaptiveDetectorState",
-    "AdaptiveTimeoutDetector",
 ]

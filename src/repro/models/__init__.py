@@ -29,11 +29,6 @@ __getattr__, __dir__ = lazy_exports(
             "validate_ss_run",
         ),
         "sp": ("PerfectFDModel", "validate_sp_run"),
-        "partial_synchrony": (
-            "PartiallySynchronousModel",
-            "GSTScheduler",
-            "validate_post_gst",
-        ),
     },
 )
 
@@ -48,7 +43,4 @@ __all__ = [
     "validate_ss_run",
     "PerfectFDModel",
     "validate_sp_run",
-    "PartiallySynchronousModel",
-    "GSTScheduler",
-    "validate_post_gst",
 ]

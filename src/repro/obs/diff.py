@@ -15,9 +15,8 @@ Two granularities:
   event and its index in *both* traces.
 * :func:`local_view` — the one definition of what a single process
   sees, the object indistinguishability arguments quantify over
-  (``repro diff --pid``, the SDD quadruple fixtures, mc's
-  ``indistinguishability`` property and the time-free rescheduling
-  check all compare it).
+  (``repro diff --pid``, the SDD quadruple fixtures and mc's
+  ``indistinguishability`` property all compare it).
 """
 
 from __future__ import annotations

@@ -486,6 +486,37 @@ def test_jobs_below_one_is_refused_before_anything_runs(
     assert captured.err == f"error: --jobs must be at least 1 (got {jobs})\n"
 
 
+@pytest.mark.parametrize("top", ["0", "-2"])
+@pytest.mark.parametrize("rundir", [True, False], ids=["rundir", "legacy"])
+def test_top_below_one_is_refused_before_anything_loads(
+    top, rundir, tmp_path, capsys
+):
+    # Used to print the header over nothing (0) or every cell but the
+    # last two (-2).  The run directory does not exist: the refusal
+    # comes before it is looked for, and before a legacy report runs.
+    output = tmp_path / "EXPERIMENTS.md"
+    argv = [str(tmp_path / "runs")] if rundir else ["--output", str(output)]
+    assert main(["report", *argv, "--top", top]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not output.exists()
+    assert captured.err == f"error: --top must be at least 1 (got {top})\n"
+
+
+@pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
+def test_interval_not_positive_is_refused_before_anything_loads(
+    interval, tmp_path, capsys
+):
+    # `--follow --interval -1` used to reach time.sleep(-1): a traceback.
+    argv = ["top", str(tmp_path / "runs"), "--follow", "--interval", interval]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --interval must be a positive number of seconds "
+        f"(got {float(interval):g})\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sweep", "random-rs", "--count", "10"], ["fuzz", "--budget", "2"]],

@@ -295,6 +295,23 @@ class TestDiffCommand:
         assert main(["diff", str(a), str(a), "--pid", "1"]) == 0
         assert "indistinguishable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pid", ["7", "-1"])
+    def test_pid_in_neither_trace_is_refused(self, pid, capsys, tmp_path):
+        # Used to print "p7's local views are indistinguishable", exit 0.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self._export("floodset-rws", a)
+        self._export("a1-rws", b)
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b), "--pid", pid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no event in either trace carries p{pid} (as pid or peer)\n"
+        )
+        # The highest pid the n = 3 traces carry still gets a verdict.
+        assert main(["diff", str(a), str(b), "--pid", "2"]) in (0, 1)
+        assert capsys.readouterr().out.startswith("p2")
+
     def test_sdd_quadruple_demo(self, capsys):
         assert main(["diff", "--sdd", "suspicion"]) == 0
         out = capsys.readouterr().out
