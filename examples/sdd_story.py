@@ -17,7 +17,6 @@ from repro.sdd import (
     sdd_decision,
     solve_sdd_ss,
 )
-from repro.trace import step_diagram
 
 
 def main() -> None:
@@ -35,12 +34,6 @@ def main() -> None:
         run = solve_sdd_ss(1, pattern, phi=1, delta=2, rng=random.Random(3))
         verdict = check_sdd_run(run, 1)
         print(f"{label}: decision={sdd_decision(run)} -> {verdict.describe()}")
-    print()
-
-    pattern = FailurePattern.with_crashes(2, {0: 1})
-    run = solve_sdd_ss(1, pattern, phi=1, delta=2, rng=random.Random(3))
-    print("space-time diagram (sender crashes after sending):")
-    print(step_diagram(run, max_rows=10))
     print()
 
     print("=== SP cannot solve SDD (Theorem 3.1) ===")

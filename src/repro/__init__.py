@@ -8,7 +8,7 @@ A from-scratch reproduction of
 
 The library implements every system the paper builds on — a step-level
 message-passing kernel, the synchronous model SS (Φ/Δ bounds), the
-Chandra–Toueg failure-detector hierarchy and the SP model, the round
+perfect failure detector P and the SP model, the round
 models RS and RWS with reified adversaries, the emulations tying them
 together — plus every algorithm the paper presents (FloodSet,
 FloodSetWS, the C_Opt/F_Opt fast paths, A1, the SDD algorithms, atomic

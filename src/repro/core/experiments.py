@@ -464,7 +464,7 @@ def experiment_e13() -> ExperimentResult:
         runs += 1
         history = history_from_run(run)
         report = classify_history(history, pattern, len(run.schedule) - 1)
-        if not report.matches_class("P"):
+        if report.violations:
             bad_class += 1
         for delay in detection_delays(run).values():
             if delay is not None:

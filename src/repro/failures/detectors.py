@@ -1,86 +1,31 @@
-"""The Chandra–Toueg failure-detector hierarchy.
+"""The perfect failure detector ``P``.
 
 A failure detector class is defined axiomatically by a *completeness*
 property and an *accuracy* property (Chandra & Toueg, JACM 1996 — the
-paper's reference [6]):
+paper's reference [6]).  ``P`` is the strongest class of their
+hierarchy and the one that defines the SP model studied by the paper:
 
 ================  ==============================================
 strong completeness   eventually every crashed process is permanently
                       suspected by **every** correct process
-weak completeness     eventually every crashed process is permanently
-                      suspected by **some** correct process
 strong accuracy       no process is suspected before it crashes
-weak accuracy         some correct process is never suspected
-eventual variants     the accuracy property holds from some time on
 ================  ==============================================
 
-The eight combinations give the hierarchy; its strongest element,
-``P`` (strong completeness + strong accuracy), defines the SP model
-studied by the paper.
-
-Each detector class here is a *generator* of histories: given a failure
+The detector here is a *generator* of histories: given a failure
 pattern it produces a compatible history, optionally randomized.  The
-randomness models the adversary's freedom inside the axioms — for ``P``
-the detection delay of each crash is finite but arbitrary, which is
+randomness models the adversary's freedom inside the axioms — the
+detection delay of each crash is finite but arbitrary, which is
 exactly the slack Theorem 3.1 exploits.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.failures.history import FailureDetectorHistory, FunctionHistory
 from repro.failures.pattern import FailurePattern
 from repro.obs.profile import profiled
-
-
-@dataclass(frozen=True)
-class DetectorProperties:
-    """The axioms a detector class promises."""
-
-    strong_completeness: bool
-    weak_completeness: bool
-    strong_accuracy: bool
-    weak_accuracy: bool
-    eventual_accuracy: bool
-
-    def describe(self) -> str:
-        comp = "strong" if self.strong_completeness else "weak"
-        if self.strong_accuracy:
-            acc = "strong"
-        elif self.weak_accuracy:
-            acc = "weak"
-        else:
-            acc = "none"
-        when = "eventual " if self.eventual_accuracy else ""
-        return f"{comp} completeness + {when}{acc} accuracy"
-
-
-class FailureDetector(ABC):
-    """A failure-detector class: maps failure patterns to histories."""
-
-    name: str = "abstract"
-    properties: DetectorProperties
-
-    @abstractmethod
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        """Return one history of this detector for ``pattern``.
-
-        ``horizon`` bounds the time range over which the history must
-        honour "eventual" clauses: by ``horizon`` every eventual
-        property has kicked in.  ``rng`` drives the adversarial freedom
-        within the axioms; ``None`` yields the canonical deterministic
-        history (zero detection delay, no false suspicions).
-        """
 
 
 def _crash_detection_times(
@@ -92,8 +37,8 @@ def _crash_detection_times(
     """Pick, per (observer, crashed) pair, the suspicion onset time.
 
     Detection is never earlier than the crash itself (strong accuracy)
-    and never later than ``horizon`` (so completeness is visible within
-    the finite history).
+    and, for a crash at or before ``horizon``, never later than
+    ``horizon`` (so completeness is visible within the finite history).
     """
     onsets: dict[tuple[int, int], int] = {}
     with profiled("detectors.crash_detection_times"):
@@ -103,12 +48,12 @@ def _crash_detection_times(
                     delay = 0
                 else:
                     delay = rng.randint(0, max_delay)
-                onset = min(crash_time + delay, horizon)
+                onset = crash_time + min(delay, max(0, horizon - crash_time))
                 onsets[(observer, crashed)] = onset
     return onsets
 
 
-class PerfectDetector(FailureDetector):
+class PerfectDetector:
     """``P``: strong completeness + strong accuracy.
 
     Suspects a process iff it has crashed; each (observer, crashed)
@@ -116,15 +61,6 @@ class PerfectDetector(FailureDetector):
     is the essential difference from the synchronous model: SS detects
     crashes within ``Φ+1+Δ`` steps, ``P`` merely *eventually*.
     """
-
-    name = "P"
-    properties = DetectorProperties(
-        strong_completeness=True,
-        weak_completeness=True,
-        strong_accuracy=True,
-        weak_accuracy=True,
-        eventual_accuracy=False,
-    )
 
     def __init__(self, max_delay: int = 50) -> None:
         if max_delay < 0:
@@ -138,6 +74,12 @@ class PerfectDetector(FailureDetector):
         horizon: int = 1_000,
         rng: random.Random | None = None,
     ) -> FailureDetectorHistory:
+        """Return one history of ``P`` for ``pattern``.
+
+        ``horizon`` bounds the detection of every crash at or before
+        it.  ``rng`` draws the detection delays; ``None`` yields the
+        canonical history (zero delay).
+        """
         onsets = _crash_detection_times(pattern, horizon, rng, self.max_delay)
 
         def suspects(pid: int, t: int) -> frozenset[int]:
@@ -148,315 +90,3 @@ class PerfectDetector(FailureDetector):
             )
 
         return FunctionHistory(suspects)
-
-
-class EventuallyPerfectDetector(FailureDetector):
-    """``◊P``: strong completeness + eventual strong accuracy.
-
-    Before a stabilisation time the detector may suspect anyone; after
-    it, it behaves like ``P`` with zero delay.
-    """
-
-    name = "<>P"
-    properties = DetectorProperties(
-        strong_completeness=True,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=False,
-        eventual_accuracy=True,
-    )
-
-    def __init__(self, stabilization_time: int = 20,
-                 false_suspicion_prob: float = 0.3) -> None:
-        if stabilization_time < 0:
-            raise ConfigurationError("stabilization_time must be >= 0")
-        if not 0.0 <= false_suspicion_prob <= 1.0:
-            raise ConfigurationError("false_suspicion_prob must be in [0, 1]")
-        self.stabilization_time = stabilization_time
-        self.false_suspicion_prob = false_suspicion_prob
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        gst = min(self.stabilization_time, horizon)
-        # Pre-draw the chaotic pre-GST suspicions so the history is a
-        # stable function of (pid, t) rather than of query order.
-        chaos: dict[tuple[int, int], frozenset[int]] = {}
-        if rng is not None:
-            with profiled("detectors.eventual_chaos"):
-                for t in range(gst):
-                    for pid in range(pattern.n):
-                        wrong = frozenset(
-                            q for q in range(pattern.n)
-                            if q != pid
-                            and rng.random() < self.false_suspicion_prob
-                        )
-                        chaos[(pid, t)] = wrong
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            if t >= gst:
-                return pattern.crashed_by(t)
-            return chaos.get((pid, t), frozenset())
-
-        return FunctionHistory(suspects)
-
-
-class StrongDetector(FailureDetector):
-    """``S``: strong completeness + weak accuracy.
-
-    Some correct process is never suspected; every other process may be
-    falsely suspected, permanently.
-    """
-
-    name = "S"
-    properties = DetectorProperties(
-        strong_completeness=True,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=True,
-        eventual_accuracy=False,
-    )
-
-    def __init__(self, false_suspicion_prob: float = 0.2) -> None:
-        self.false_suspicion_prob = false_suspicion_prob
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        correct = sorted(pattern.correct)
-        if not correct:
-            raise ConfigurationError(
-                "weak accuracy needs at least one correct process"
-            )
-        if rng is None:
-            immune = correct[0]
-            falsely = frozenset()
-        else:
-            immune = rng.choice(correct)
-            falsely = frozenset(
-                q for q in range(pattern.n)
-                if q != immune and rng.random() < self.false_suspicion_prob
-            )
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            return (pattern.crashed_by(t) | falsely) - {immune}
-
-        return FunctionHistory(suspects)
-
-
-class EventuallyStrongDetector(FailureDetector):
-    """``◊S``: strong completeness + eventual weak accuracy."""
-
-    name = "<>S"
-    properties = DetectorProperties(
-        strong_completeness=True,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=False,
-        eventual_accuracy=True,
-    )
-
-    def __init__(self, stabilization_time: int = 20,
-                 false_suspicion_prob: float = 0.3) -> None:
-        self.stabilization_time = stabilization_time
-        self.false_suspicion_prob = false_suspicion_prob
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        correct = sorted(pattern.correct)
-        if not correct:
-            raise ConfigurationError(
-                "eventual weak accuracy needs a correct process"
-            )
-        gst = min(self.stabilization_time, horizon)
-        immune = correct[0] if rng is None else rng.choice(correct)
-        chaos: dict[tuple[int, int], frozenset[int]] = {}
-        if rng is not None:
-            for t in range(gst):
-                for pid in range(pattern.n):
-                    chaos[(pid, t)] = frozenset(
-                        q for q in range(pattern.n)
-                        if q != pid and rng.random() < self.false_suspicion_prob
-                    )
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            if t >= gst:
-                return pattern.crashed_by(t) - {immune}
-            return chaos.get((pid, t), frozenset())
-
-        return FunctionHistory(suspects)
-
-
-def _witnesses(
-    pattern: FailurePattern, rng: random.Random | None
-) -> dict[int, int]:
-    """Assign to each faulty process one correct witness that suspects it."""
-    correct = sorted(pattern.correct)
-    if not correct:
-        raise ConfigurationError("weak completeness needs a correct process")
-    witnesses: dict[int, int] = {}
-    for q in sorted(pattern.faulty):
-        witnesses[q] = correct[0] if rng is None else rng.choice(correct)
-    return witnesses
-
-
-class WeakDetector(FailureDetector):
-    """``W``: weak completeness + weak accuracy."""
-
-    name = "W"
-    properties = DetectorProperties(
-        strong_completeness=False,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=True,
-        eventual_accuracy=False,
-    )
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        witnesses = _witnesses(pattern, rng)
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            return frozenset(
-                q for q, w in witnesses.items()
-                if w == pid and not pattern.is_alive(q, t)
-            )
-
-        return FunctionHistory(suspects)
-
-
-class EventuallyWeakDetector(FailureDetector):
-    """``◊W``: weak completeness + eventual weak accuracy."""
-
-    name = "<>W"
-    properties = DetectorProperties(
-        strong_completeness=False,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=False,
-        eventual_accuracy=True,
-    )
-
-    def __init__(self, stabilization_time: int = 20) -> None:
-        self.stabilization_time = stabilization_time
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        witnesses = _witnesses(pattern, rng)
-        gst = min(self.stabilization_time, horizon)
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            base = frozenset(
-                q for q, w in witnesses.items()
-                if w == pid and not pattern.is_alive(q, t)
-            )
-            if t >= gst or rng is None:
-                return base
-            return base  # pre-GST chaos omitted: axioms permit, not require
-
-        return FunctionHistory(suspects)
-
-
-class QuasiDetector(FailureDetector):
-    """``Q``: weak completeness + strong accuracy."""
-
-    name = "Q"
-    properties = DetectorProperties(
-        strong_completeness=False,
-        weak_completeness=True,
-        strong_accuracy=True,
-        weak_accuracy=True,
-        eventual_accuracy=False,
-    )
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        witnesses = _witnesses(pattern, rng)
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            return frozenset(
-                q for q, w in witnesses.items()
-                if w == pid and not pattern.is_alive(q, t)
-            )
-
-        return FunctionHistory(suspects)
-
-
-class EventuallyQuasiDetector(FailureDetector):
-    """``◊Q``: weak completeness + eventual strong accuracy."""
-
-    name = "<>Q"
-    properties = DetectorProperties(
-        strong_completeness=False,
-        weak_completeness=True,
-        strong_accuracy=False,
-        weak_accuracy=False,
-        eventual_accuracy=True,
-    )
-
-    def __init__(self, stabilization_time: int = 20) -> None:
-        self.stabilization_time = stabilization_time
-
-    def history(
-        self,
-        pattern: FailurePattern,
-        *,
-        horizon: int = 1_000,
-        rng: random.Random | None = None,
-    ) -> FailureDetectorHistory:
-        witnesses = _witnesses(pattern, rng)
-        gst = min(self.stabilization_time, horizon)
-
-        def suspects(pid: int, t: int) -> frozenset[int]:
-            if t < gst and rng is not None:
-                # Pre-GST, accuracy may be violated; we keep it simple
-                # and suspect nothing (allowed: axioms are upper bounds
-                # on required suspicions before stabilisation).
-                return frozenset()
-            return frozenset(
-                q for q, w in witnesses.items()
-                if w == pid and not pattern.is_alive(q, t)
-            )
-
-        return FunctionHistory(suspects)
-
-
-#: The eight classes of the hierarchy, keyed by conventional name.
-DETECTOR_CLASSES: dict[str, type[FailureDetector]] = {
-    "P": PerfectDetector,
-    "<>P": EventuallyPerfectDetector,
-    "S": StrongDetector,
-    "<>S": EventuallyStrongDetector,
-    "W": WeakDetector,
-    "<>W": EventuallyWeakDetector,
-    "Q": QuasiDetector,
-    "<>Q": EventuallyQuasiDetector,
-}

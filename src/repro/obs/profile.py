@@ -15,8 +15,6 @@ Spans currently emitted by the library:
 * ``emulation.rs_on_ss`` / ``emulation.rws_on_sp`` — one emulated run.
 * ``detectors.crash_detection_times`` — drawing the per-pair suspicion
   onsets of a perfect-detector history.
-* ``detectors.eventual_chaos`` — pre-drawing the pre-GST false
-  suspicions of an eventually-perfect history.
 """
 
 from __future__ import annotations

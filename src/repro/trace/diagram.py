@@ -1,62 +1,10 @@
-"""ASCII renderers for step runs, round runs, and event traces."""
+"""ASCII renderers for round runs and event traces."""
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
 from repro.rounds.executor import RoundRun
-from repro.simulation.run import Run
-
-
-def step_diagram(run: Run, *, max_rows: int = 60) -> str:
-    """Render a step-level run as a space-time diagram.
-
-    One column per process, one row per executed step.  Cells show what
-    the stepping process did: ``s->k`` (sent to process k), ``r(j)``
-    (received from j), ``.`` (null step).  A ``X`` row marks crashes.
-    Long runs are truncated to ``max_rows`` rows with an ellipsis.
-    """
-    width = 10
-    header = "step  " + "".join(f"p{pid}".ljust(width) for pid in range(run.n))
-    lines = [header, "-" * len(header)]
-    crashed_marked: set[int] = set()
-    rows = 0
-    for step in run.schedule:
-        if rows >= max_rows:
-            lines.append(f"... ({len(run.schedule) - max_rows} more steps)")
-            break
-        # Mark crashes that happened at or before this time.
-        newly_crashed = [
-            pid
-            for pid in run.pattern.faulty
-            if pid not in crashed_marked
-            and not run.pattern.is_alive(pid, step.time)
-        ]
-        for pid in newly_crashed:
-            crashed_marked.add(pid)
-            cells = ["" for _ in range(run.n)]
-            cells[pid] = "X crash"
-            lines.append(
-                "      " + "".join(cell.ljust(width) for cell in cells)
-            )
-        actions = []
-        if step.received_uids:
-            senders = ",".join(
-                str(run.messages[uid].sender) for uid in step.received_uids
-            )
-            actions.append(f"r({senders})")
-        if step.sent_to is not None:
-            actions.append(f"s->{step.sent_to}")
-        if not actions:
-            actions.append(".")
-        cells = ["" for _ in range(run.n)]
-        cells[step.pid] = " ".join(actions)
-        lines.append(
-            f"{step.index:>4}  "
-            + "".join(cell.ljust(width) for cell in cells)
-        )
-        rows += 1
-    return "\n".join(lines)
 
 
 def round_tableau(run: RoundRun) -> str:
@@ -101,7 +49,7 @@ def event_diagram(
 
     Works on any :class:`~repro.obs.events.Event` sequence (exported
     JSONL, an :class:`~repro.obs.events.EventLog`, a cached result) —
-    unlike :func:`step_diagram`/:func:`round_tableau` it needs no
+    unlike :func:`round_tableau` it needs no
     engine-native run object.  One column per process, one row per
     event, ``round_start`` events become separators.  Cells show the
     acting process's move: ``s->k`` (sent to k), ``r(j)`` (received

@@ -53,7 +53,6 @@ SUBPACKAGES = [
     "repro.sdd",
     "repro.commit",
     "repro.broadcast",
-    "repro.fdconsensus",
     "repro.analysis",
     "repro.trace",
     "repro.workloads",

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.failures import FailurePattern, check_strong_accuracy
+from repro.failures import FailurePattern, PerfectDetector, check_strong_accuracy
 from repro.models import (
     AsynchronousModel,
     PerfectFDModel,
@@ -120,3 +120,16 @@ class TestPerfectFDModel:
         pattern = FailurePattern.with_crashes(2, {0: 5})
         history = model.make_history(pattern, horizon=100, rng=rng)
         assert 0 in history.suspects(1, 100)
+
+    def test_crash_after_the_horizon_is_not_suspected_early(self):
+        # A crash later than the history's horizon must still be
+        # detected no earlier than the crash itself.
+        pattern = FailurePattern.with_crashes(3, {1: 1500})
+        run = PerfectFDModel().executor(
+            IdleAutomaton(), 3, pattern, rng=random.Random(1)
+        ).execute(2000)
+        assert validate_sp_run(run) == []
+        late = FailurePattern.with_crashes(2, {1: 50})
+        history = PerfectDetector().history(late, horizon=10)
+        assert 1 not in history.suspects(0, 10)
+        assert 1 in history.suspects(0, 50)

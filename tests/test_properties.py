@@ -152,7 +152,7 @@ def test_perfect_detector_axioms_hold_for_any_delays(
         pattern, horizon=150, rng=random.Random(seed)
     )
     report = classify_history(history, pattern, 150)
-    assert report.matches_class("P"), report.violations
+    assert not report.violations
 
 
 # -- commit and broadcast invariants --------------------------------------------

@@ -2,47 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 from repro.consensus import FloodSet
-from repro.failures import FailurePattern
-from repro.models import SynchronousModel
 from repro.rounds import FailureScenario, run_rs, run_rws
-from repro.sdd import solve_sdd_ss
-from repro.trace import (
-    describe_round_run,
-    round_tableau,
-    step_diagram,
-)
+from repro.trace import describe_round_run, round_tableau
 from repro.workloads import a1_rws_disagreement, crash_mid_broadcast
-
-
-class TestStepDiagram:
-    def make_run(self, crashes=None):
-        pattern = FailurePattern.with_crashes(2, crashes or {})
-        return solve_sdd_ss(1, pattern, rng=random.Random(1))
-
-    def test_contains_header_and_steps(self):
-        text = step_diagram(self.make_run())
-        assert "p0" in text and "p1" in text
-        assert "s->1" in text  # the sender's send
-
-    def test_receive_annotation(self):
-        text = step_diagram(self.make_run())
-        assert "r(0)" in text
-
-    def test_crash_marker(self):
-        text = step_diagram(self.make_run(crashes={0: 1}))
-        assert "X crash" in text
-
-    def test_truncation(self):
-        pattern = FailurePattern.crash_free(3)
-        model = SynchronousModel()
-        from repro.simulation.automaton import IdleAutomaton
-
-        run = model.executor(IdleAutomaton(), 3, pattern).execute(100)
-        text = step_diagram(run, max_rows=10)
-        assert "more steps" in text
 
 
 class TestRoundTableau:
