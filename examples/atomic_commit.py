@@ -25,7 +25,7 @@ from repro.rounds import (
     FailureScenario,
     PendingMessage,
     RoundModel,
-    run_rws,
+    execute,
 )
 from repro.trace import round_tableau
 
@@ -45,7 +45,10 @@ def main() -> None:
         crashes=(CrashEvent(pid=0, round=1, sent_to=frozenset({1})),),
         pending=frozenset({PendingMessage(0, 1, 1)}),
     )
-    run = run_rws(OptimisticFDCommit(), votes, scenario, t=1)
+    run = execute(
+        OptimisticFDCommit(), votes, scenario, t=1,
+        model=RoundModel.RWS, max_rounds=3,
+    )
     print(round_tableau(run))
     for violation in check_nbac_run(run):
         print("  violation:", violation)

@@ -21,7 +21,7 @@ from repro import (
 from repro.analysis import explore_runs
 from repro.consensus.candidates import ROUND_ONE_CANDIDATES
 from repro.analysis import refute_round_one_decision
-from repro.trace import describe_round_run, round_tableau
+from repro.trace import round_tableau
 
 
 def first_counterexample(algorithm, model):
@@ -35,13 +35,13 @@ def first_counterexample(algorithm, model):
 def main() -> None:
     print("=== rediscovering the FloodSet counterexample in RWS ===")
     run = first_counterexample(FloodSet(), RoundModel.RWS)
-    print(describe_round_run(run))
+    print(f"scenario: {run.scenario.describe()}")
     print(round_tableau(run))
     print()
 
     print("=== rediscovering the A1 counterexample in RWS ===")
     run = first_counterexample(A1(), RoundModel.RWS)
-    print(describe_round_run(run))
+    print(f"scenario: {run.scenario.describe()}")
     print(round_tableau(run))
     print()
 

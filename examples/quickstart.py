@@ -12,22 +12,23 @@ from repro import (
     FloodSet,
     check_uniform_consensus_run,
     latency_profile,
-    run_rs,
     RoundModel,
 )
-from repro.rounds import CrashEvent
-from repro.trace import describe_round_run, round_tableau
+from repro.rounds import CrashEvent, execute
+from repro.trace import round_tableau
 
 
 def main() -> None:
     # Three processes propose 0, 1, 1 and tolerate one crash (t = 1).
     values = [0, 1, 1]
 
-    # 1. A failure-free run: FloodSet floods values for t+1 = 2 rounds
-    #    and decides the minimum.
-    clean = run_rs(FloodSet(), values, FailureScenario.failure_free(3), t=1)
+    # 1. A failure-free run in RS: FloodSet floods values for t+1 = 2
+    #    rounds and decides the minimum.
+    clean = execute(
+        FloodSet(), values, FailureScenario.failure_free(3), t=1,
+        model=RoundModel.RS, max_rounds=3,
+    )
     print("=== failure-free run ===")
-    print(describe_round_run(clean))
     print(round_tableau(clean))
     print()
 
@@ -38,9 +39,10 @@ def main() -> None:
     scenario = FailureScenario(
         n=3, crashes=(CrashEvent(pid=0, round=1, sent_to=frozenset({1})),)
     )
-    crashed = run_rs(FloodSet(), values, scenario, t=1)
-    print("=== crash mid-broadcast ===")
-    print(describe_round_run(crashed))
+    crashed = execute(
+        FloodSet(), values, scenario, t=1, model=RoundModel.RS, max_rounds=3
+    )
+    print(f"=== crash mid-broadcast: {scenario.describe()} ===")
     print(round_tableau(crashed))
     print()
 

@@ -38,10 +38,12 @@ span, decorators included, minus the functions nested in it; module and
 class bodies, and bodiless stubs (a docstring, ``...``, ``pass`` or
 ``raise NotImplementedError``), are not counted.  Then every function
 nothing executes, each with its reason from :data:`KEEP`; one without a
-reason makes the exit status 1.  Takes about 9 minutes on a 2-core
-host.  Each command runs in a session of its own: one still running
-after :data:`COMMAND_TIMEOUT_S` is killed with its whole process group,
-and the audit prints ``TIMEOUT <command>`` and exits 1 without a table.
+reason makes the exit status 1, and so does a :data:`KEEP` entry for a
+function something executes or that no longer exists.  Takes about 9
+minutes on a 2-core host.  Each command runs in a session of its own:
+one still running after :data:`COMMAND_TIMEOUT_S` is killed with its
+whole process group, and the audit prints ``TIMEOUT <command>`` and
+exits 1 without a table.
 """
 
 from __future__ import annotations
@@ -218,15 +220,12 @@ KEEP: dict[str, str] = {
         "error path: the unknown --fixture message lists the names",
     "repro/mc/space.py:save_frontier": "CLI path: `mc --save-frontier`",
     "repro/mc/space.py:load_frontier": "CLI path: `fuzz --frontier`",
-    "repro/models/asynchronous.py:check_admissible_prefix": "validator",
     "repro/models/asynchronous.py:AsynchronousModel.__init__":
         "validator: the asynchronous model check_admissible_prefix judges",
     "repro/models/asynchronous.py:AsynchronousModel.make_scheduler":
         "validator: the asynchronous model check_admissible_prefix judges",
     "repro/models/asynchronous.py:AsynchronousModel.validate": "validator",
-    "repro/models/sp.py:validate_sp_run": "validator",
     "repro/models/sp.py:PerfectFDModel.validate": "validator",
-    "repro/models/ss.py:SynchronousModel.validate": "validator",
     "repro/obs/artifacts.py:RunDir.completed_keys":
         "test tool: run-directory resume assertions",
     "repro/obs/artifacts.py:RunDir.metrics_records":
@@ -251,6 +250,10 @@ KEEP: dict[str, str] = {
         "test tool: round-run assertions",
     "repro/rounds/executor.py:RoundRun.all_correct_decided":
         "test tool: round-run assertions",
+    "repro/rounds/executor.py:run_rs":
+        "test tool: tests run RS round runs through it",
+    "repro/rounds/executor.py:run_rws":
+        "test tool: tests run RWS round runs through it",
     "repro/runtime/cache.py:ResultCache.__len__": "test tool: store assertions",
     "repro/runtime/harness.py:execute_batch": "ledger seam",
     "repro/runtime/registry.py:_Factories.__contains__":
@@ -487,7 +490,7 @@ def report(src: str, ran: dict[str, set]) -> int:
     stale = sorted(set(KEEP) - {name for name, _ in idle})
     for name in stale:
         print(f"  kept but executed or gone: {name}")
-    return 1 if unexplained else 0
+    return 1 if unexplained or stale else 0
 
 
 def main(argv: list[str]) -> int:

@@ -9,8 +9,7 @@ implies the paper's uniform validity.  The run checkers
 cell properties and the trace oracle's ``consensus`` checker all call
 these, and every engine's latency degree is :func:`latency`; the module
 imports nothing from ``repro``, so each of them can.  Values are
-compared with ``==`` only: a trace's atomic-broadcast decisions are
-lists.
+compared with ``==`` only, so a decision value need not be hashable.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from repro.failures import (
     history_from_run,
     random_pattern,
 )
-from repro.models import SynchronousModel
+from repro.models import SynchronousModel, validate_sp_run, validate_ss_run
 from repro.rounds import RoundModel
 from repro.runtime.harness import harness_for
 from repro.runtime.registry import UNIFORM_CONSENSUS_ALGORITHMS, make_algorithm
@@ -362,12 +362,21 @@ def experiment_e10() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+def _inadmissible(count: int) -> str:
+    """The measured text's note on step runs outside their model (SS or
+    SP): a scheduler that breaks its model's bounds makes every claim
+    measured on its runs void."""
+    return f"; {count} inadmissible runs" if count else ""
+
+
 def experiment_e11() -> ExperimentResult:
     """RS on SS: round synchrony holds on every emulated run."""
     seeds = 8
+    phi = delta = 1
     violations = 0
     runs = 0
     mismatches = 0
+    inadmissible = 0
     for seed in range(seeds):
         rng = random.Random(seed)
         pattern = random_pattern(3, 1, 30, rng)
@@ -376,13 +385,14 @@ def experiment_e11() -> ExperimentResult:
             adversarial_split(3),
             pattern,
             t=1,
-            phi=1,
-            delta=1,
+            phi=phi,
+            delta=delta,
             num_rounds=2,
             rng=rng,
         )
         runs += 1
         violations += len(check_emulated_round_synchrony(trace))
+        inadmissible += bool(validate_ss_run(trace.run, phi, delta))
         decided = {
             pid: entry
             for pid, entry in trace.decisions.items()
@@ -401,8 +411,8 @@ def experiment_e11() -> ExperimentResult:
         "r) and round synchrony holds",
         measured=f"{runs} emulated runs: {violations} round-synchrony "
         f"violations, {mismatches} agreement mismatches; per-round "
-        f"step deadlines {deadlines}",
-        ok=violations == 0 and mismatches == 0,
+        f"step deadlines {deadlines}" + _inadmissible(inadmissible),
+        ok=violations == 0 and mismatches == 0 and inadmissible == 0,
     )
 
 
@@ -412,6 +422,7 @@ def experiment_e12() -> ExperimentResult:
     violations = 0
     pending_total = 0
     runs = 0
+    inadmissible = 0
     for seed in range(seeds):
         rng = random.Random(seed)
         pattern = FailurePattern.with_crashes(3, {0: rng.randint(3, 15)})
@@ -429,6 +440,7 @@ def experiment_e12() -> ExperimentResult:
         runs += 1
         violations += len(check_emulated_weak_round_synchrony(trace))
         pending_total += count_pending_messages(trace)
+        inadmissible += bool(validate_sp_run(trace.run))
     return ExperimentResult(
         exp_id="E12",
         title="RWS emulated on SP (Lemma 4.1)",
@@ -436,8 +448,8 @@ def experiment_e12() -> ExperimentResult:
         "guarantees weak round synchrony",
         measured=f"{runs} emulated SP runs: {violations} weak-round-"
         f"synchrony violations; {pending_total} pending messages observed "
-        "(lemma checked non-vacuously)",
-        ok=violations == 0 and pending_total > 0,
+        "(lemma checked non-vacuously)" + _inadmissible(inadmissible),
+        ok=violations == 0 and pending_total > 0 and inadmissible == 0,
     )
 
 
@@ -449,6 +461,7 @@ def experiment_e13() -> ExperimentResult:
     bad_class = 0
     max_delay = 0
     runs = 0
+    inadmissible = 0
     for seed in range(seeds):
         rng = random.Random(seed)
         pattern = FailurePattern.with_crashes(n, {1: rng.randint(5, 60)})
@@ -462,6 +475,7 @@ def experiment_e13() -> ExperimentResult:
         )
         run = executor.execute(450)
         runs += 1
+        inadmissible += bool(model.validate(run))
         history = history_from_run(run)
         report = classify_history(history, pattern, len(run.schedule) - 1)
         if report.violations:
@@ -480,8 +494,8 @@ def experiment_e13() -> ExperimentResult:
         "failure detector in SS, with a bounded detection delay",
         measured=f"{runs} SS runs: {bad_class} axiom failures; max observed "
         f"detection delay {max_delay} observer steps "
-        f"(bound (n-1)(Φ+1)+2Δ+1 = {bound})",
-        ok=bad_class == 0 and max_delay <= bound,
+        f"(bound (n-1)(Φ+1)+2Δ+1 = {bound})" + _inadmissible(inadmissible),
+        ok=bad_class == 0 and max_delay <= bound and inadmissible == 0,
     )
 
 

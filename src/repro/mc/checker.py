@@ -47,7 +47,6 @@ from repro.mc.space import (
 from repro.mc.verdict import Verdict, witness_document
 from repro.runtime.campaign import CampaignLeg
 from repro.runtime.harness import execute_request
-from repro.runtime.registry import ALGORITHM_FACTORIES
 from repro.runtime.request import ROUND_ENGINES
 from repro.runtime.sweep import SweepRunner
 
@@ -63,11 +62,6 @@ MAX_WITNESSES = 3
 #: Algorithms defined only for specific ``t`` (the CLI clamps with a
 #: warning; the checker itself refuses, keeping verdicts honest).
 ALGORITHM_T_CONSTRAINTS: dict[str, int] = {"a1": 1}
-
-#: Registry entries the checker refuses: its properties are consensus
-#: properties over scalar proposals, and atomic broadcast decides
-#: delivery sequences over batches of messages.
-NON_CONSENSUS_ALGORITHMS = frozenset({"atomic-broadcast"})
 
 
 @dataclass(frozen=True)
@@ -108,13 +102,6 @@ class McTask:
             raise ConfigurationError(
                 f"unknown mc engine {self.engine!r}; choose from "
                 f"{ROUND_ENGINES + GRID_ENGINES}"
-            )
-        if self.algorithm in NON_CONSENSUS_ALGORITHMS:
-            accepted = sorted(set(ALGORITHM_FACTORIES) - NON_CONSENSUS_ALGORITHMS)
-            raise ConfigurationError(
-                f"{self.algorithm} is not a consensus algorithm (mc checks "
-                f"consensus properties over scalar proposals); choose from "
-                f"{accepted}"
             )
         required_t = ALGORITHM_T_CONSTRAINTS.get(self.algorithm)
         if required_t is not None and self.t != required_t:

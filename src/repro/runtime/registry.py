@@ -62,14 +62,14 @@ ALGORITHM_FACTORIES: Mapping[str, Callable[[], RoundAlgorithm]] = _Factories(
         "f-opt-ws": ("repro.consensus.fopt", "FOptFloodSetWS"),
         "a1": ("repro.consensus.a1", "A1"),
         "eager-floodset-ws": ("repro.consensus.early", "EagerFloodSetWS"),
-        "atomic-broadcast": ("repro.broadcast.algorithm", "AtomicBroadcast"),
     }
 )
 
 #: The paper's seven uniform-consensus algorithms (Figures 1-4 and their
 #: optimisations), in the headline table's row order: what ``repro
-#: latency`` and E15 profile.  The other registry entries
-#: are witnesses (non-uniform, not consensus) with no latency profile.
+#: latency`` and E15 profile.  The other registry entry,
+#: ``eager-floodset-ws``, is a witness (consensus, not uniform) with no
+#: latency profile.
 UNIFORM_CONSENSUS_ALGORITHMS = (
     "floodset",
     "floodset-ws",

@@ -84,8 +84,7 @@ class ExecutionRequest:
             against the inputs is meaningful for this cell.  Off, the
             oracle is not given the initial values and tolerates
             violations: randomized RWS adversaries on non-WS algorithms
-            may legitimately disagree, and atomic broadcast decides
-            delivery sequences, which no input equals.
+            may legitimately disagree.
     """
 
     name: str

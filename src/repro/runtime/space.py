@@ -278,20 +278,11 @@ def _named_cells() -> dict[str, NamedCell]:
         "set repairs it",
         check_consensus=False,
     )
-    # Decide values are delivery sequences, not inputs: validity against
-    # the inputs is not checkable, the documented disagreement is.
-    cell(
-        "broadcast-split", "atomic-broadcast", floodset_rws_violation(n), "RWS",
-        "plain atomic broadcast loses total order under a pending batch",
-        values=(("x",), ("y",), ("z",)),
-        expect_disagreement=True,
-        check_consensus=False,
-    )
     return cells
 
 
 #: The paper's named runs, each written once: the ``oracle-sweep``
-#: workload cells (in sweep order) plus ``broadcast-split``.
+#: workload cells, in sweep order.
 NAMED_CELLS: dict[str, NamedCell] = _named_cells()
 
 #: Other names a cell answers to: the CLI's historical ``fopt-fast`` and
@@ -351,13 +342,7 @@ def _emulation_cells() -> list[ExecutionRequest]:
 
 def oracle_sweep_space(count: int = 10, seed: int = 42) -> ScenarioSpace:
     """The chaos sweep: workloads + random adversaries + emulations."""
-    # The consensus cells only: atomic broadcast is not in this sweep
-    # (its run id is pinned on these eight cells).
-    requests = [
-        cell.request
-        for name, cell in NAMED_CELLS.items()
-        if name != "broadcast-split"
-    ]
+    requests = [cell.request for cell in NAMED_CELLS.values()]
     # One table across the named cells and both streams: the RS and RWS
     # draws overlap wherever the RWS adversary left nothing pending.
     interned = {request.scenario: request.scenario for request in requests}

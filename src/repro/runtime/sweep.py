@@ -260,10 +260,9 @@ def check_cell(
     consensus = [v.clause for v in report.errors if v.checker == "consensus"]
     if request.expect_disagreement:
         consensus = [clause for clause in consensus if clause in DISAGREEMENT]
-    # A documented disagreement must show up even where validity cannot
-    # be judged against the inputs (check_consensus=False: atomic
-    # broadcast decides delivery sequences); otherwise an unjudged cell
-    # tolerates consensus violations and a judged one forbids them.
+    # A documented disagreement must show up whether or not the cell's
+    # consensus verdict is judged; otherwise an unjudged cell tolerates
+    # consensus violations and a judged one forbids them.
     ok = not model_errors
     if request.expect_disagreement:
         ok = ok and bool(consensus)

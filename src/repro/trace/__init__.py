@@ -6,12 +6,6 @@ round-model runs (who heard whom, who decided what, round by round) and,
 in :mod:`repro.trace.diagram`, a space-time diagram of any event trace.
 """
 
-from repro.trace.diagram import (
-    round_tableau,
-    describe_round_run,
-)
+from repro.trace.diagram import round_tableau
 
-__all__ = [
-    "round_tableau",
-    "describe_round_run",
-]
+__all__ = ["round_tableau"]

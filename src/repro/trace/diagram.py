@@ -107,17 +107,3 @@ def event_diagram(
         )
         rows += 1
     return "\n".join(lines)
-
-
-def describe_round_run(run: RoundRun) -> str:
-    """One-paragraph summary of a round run."""
-    decisions = ", ".join(
-        f"p{pid}={value!r}@r{rnd}"
-        for pid, (rnd, value) in sorted(run.decisions.items())
-    )
-    return (
-        f"{run.algorithm_name} in {run.model.value} over n={run.n} "
-        f"(t={run.t}), values={run.values}, "
-        f"scenario=[{run.scenario.describe()}], "
-        f"{run.num_rounds} rounds, decisions: {decisions or 'none'}"
-    )

@@ -52,7 +52,6 @@ SUBPACKAGES = [
     "repro.consensus",
     "repro.sdd",
     "repro.commit",
-    "repro.broadcast",
     "repro.analysis",
     "repro.trace",
     "repro.workloads",
@@ -89,7 +88,6 @@ def test_every_public_algorithm_has_a_name():
         FOptFloodSet,
         FOptFloodSetWS,
     )
-    from repro.broadcast import AtomicBroadcast, AtomicBroadcastWS
     from repro.commit.algorithms import (
         OptimisticFDCommit,
         PerfectFDCommit,
@@ -101,7 +99,6 @@ def test_every_public_algorithm_has_a_name():
         A1, COptFloodSet, COptFloodSetWS, EagerFloodSetWS,
         EarlyDecidingConsensus, EarlyDecidingUniformFloodSet,
         FloodSet, FloodSetWS, FOptFloodSet, FOptFloodSetWS,
-        AtomicBroadcast, AtomicBroadcastWS,
         OptimisticFDCommit, PerfectFDCommit, SynchronousCommit,
         TwoPhaseCommit,
     ]

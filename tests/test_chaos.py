@@ -28,7 +28,6 @@ except ImportError:  # pragma: no cover - CI installs hypothesis
     HAVE_HYPOTHESIS = False
 
 from repro.analysis import verify_algorithm
-from repro.broadcast import AtomicBroadcastWS, check_atomic_broadcast_run
 from repro.commit import check_nbac_run
 from repro.commit.algorithms import PerfectFDCommit
 from repro.consensus import (
@@ -83,19 +82,6 @@ class TestRoundModelSoak:
             domain=(False, True),
             sample=400,
             rng=random.Random(7 + n),
-        )
-        assert report.ok, report.first_violations()
-
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_broadcast_sampled_safety(self, n):
-        domain = tuple((f"m{i}",) for i in range(2))
-        report = verify_algorithm(
-            AtomicBroadcastWS(), n, 1, RoundModel.RWS,
-            checker=check_atomic_broadcast_run,
-            domain=domain,
-            horizon=4,
-            sample=300,
-            rng=random.Random(13 + n),
         )
         assert report.ok, report.first_violations()
 

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.consensus import check_consensus_run, check_uniform_consensus_run
-from repro.mc.checker import NON_CONSENSUS_ALGORITHMS
 from repro.mc.properties import cell_property_problems
 from repro.obs.check import check_events
 from repro.obs.events import EventLog
@@ -38,7 +37,7 @@ from tests.test_spec_checkers import FixedDecision
 SHARED = ("agreement", "uniform agreement", "validity", "termination")
 #: mc's property name for each clause.
 MC_NAMES = {clause: clause.replace(" ", "-") for clause in SHARED}
-ALGORITHMS = sorted(set(ALGORITHM_FACTORIES) - NON_CONSENSUS_ALGORITHMS)
+ALGORITHMS = sorted(ALGORITHM_FACTORIES)
 INPUTS = list(itertools.product((0, 1), repeat=3))
 
 

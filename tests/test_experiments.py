@@ -74,3 +74,23 @@ class TestResultShapes:
         result = experiment_results["E15"]
         table = "\n".join(result.details)
         assert "A1" in table and "RWS" in table
+
+
+class TestPlantedModelBreaks:
+    """An experiment measured on step runs fails when its scheduler
+    leaves the model: its own round-level checks may not notice."""
+
+    def test_a_late_delivering_ss_scheduler_fails_e11(self, monkeypatch):
+        import repro.emulation.synchronizer as synchronizer
+        from repro.core.experiments import experiment_e11
+        from repro.models.ss import SSScheduler
+
+        def late(phi, delta, rng=None):
+            # Delivers up to 2Δ steps after the send, not Δ.
+            return SSScheduler(phi, 2 * delta, rng=rng)
+
+        monkeypatch.setattr(synchronizer, "SSScheduler", late)
+        result = experiment_e11()
+        assert result.ok is False
+        assert "0 round-synchrony violations" in result.measured
+        assert result.measured.endswith("; 8 inadmissible runs")

@@ -41,7 +41,7 @@ def test_the_converted_packages_are_the_ones_the_commands_cross():
             f"repro.{name}"
             for name in (
                 "obs runtime fuzz failures analysis core vector mc rounds "
-                "consensus emulation models simulation sdd commit broadcast"
+                "consensus emulation models simulation sdd commit"
             ).split()
         ),
     }

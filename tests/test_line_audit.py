@@ -1,6 +1,7 @@
 """``scripts/line_audit.py`` cannot hang: a command past its time is
 killed with every process it started, and the audit stops with
-``TIMEOUT <command>`` and a non-zero status."""
+``TIMEOUT <command>`` and a non-zero status.  And its ``KEEP`` table
+names only functions that exist, which needs no command run."""
 
 from __future__ import annotations
 
@@ -76,3 +77,13 @@ def test_a_command_in_time_reports_its_exit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("  exit 3 ")
     assert captured.err.rstrip().endswith("repro quick")
+
+
+def test_every_kept_function_exists():
+    # An entry for a deleted or renamed function keeps nothing; the full
+    # audit exits 1 on it, this finds it without running a command.
+    audit = _line_audit()
+    defined = {
+        f"{rel}:{name}" for rel, name, _, _ in audit.functions(str(ROOT / "src"))
+    }
+    assert sorted(set(audit.KEEP) - defined) == []

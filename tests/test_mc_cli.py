@@ -106,8 +106,9 @@ class TestMcCommand:
         assert "unknown property" in capsys.readouterr().err
 
     def test_a_non_consensus_registry_entry_is_refused(self, capsys):
-        # Atomic broadcast proposes batches, not scalars: the explorer
-        # used to die in its initial_state with a TypeError traceback.
+        # The registry holds consensus algorithms only: the atomic
+        # broadcast it once held is an unknown name, refused before any
+        # exploration, with the eight it does hold.
         rc = main(
             ["mc", "agreement", "--algorithm", "atomic-broadcast", "--n", "3"]
         )
@@ -115,8 +116,7 @@ class TestMcCommand:
         assert rc == 2 and captured.out == ""
         (line,) = captured.err.splitlines()
         assert line == (
-            "error: atomic-broadcast is not a consensus algorithm (mc checks "
-            "consensus properties over scalar proposals); choose from ['a1', "
+            "error: unknown algorithm 'atomic-broadcast'; choose from ['a1', "
             "'c-opt', 'c-opt-ws', 'eager-floodset-ws', 'f-opt', 'f-opt-ws', "
             "'floodset', 'floodset-ws']"
         )

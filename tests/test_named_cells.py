@@ -3,7 +3,7 @@
 ``repro show | trace | metrics | check | replay NAME`` resolve the name
 in :data:`repro.runtime.space.NAMED_CELLS` and execute the cell through
 :mod:`repro.runtime.harness`.  Everything those commands print for the
-four historical names and the two long aliases was captured at the
+three historical names and the two long aliases was captured at the
 commit *before* the CLI was rebuilt on the runtime (when it still drove
 ``run_rs``/``run_rws`` itself) and is pinned here by digest, together
 with the ``oracle-sweep`` cell keys and the rows of E15's headline
@@ -31,7 +31,6 @@ NAMES = (
     "a1-rws",
     "floodset-rws",
     "fopt-fast",
-    "broadcast-split",
     "floodset-rws-violation",
     "a1-rws-disagreement",
 )
@@ -107,15 +106,6 @@ PINS = {
         "metrics-json": "000c2794ec3e0204",
         "jsonl-file": "ef781cc5ad242b83",
     },
-    "broadcast-split": {
-        "trace": "9fc12d343116a08c",
-        "trace-jsonl": "1c1593849cd7f780",
-        "show": "dc858de9f592e43c",
-        "check": "4183b06f6c571b9a",
-        "replay": "d7726e8bc10c0af2",
-        "metrics-json": "cf7b77266bffff2b",
-        "jsonl-file": "9ed00b235da1d68a",
-    },
     "floodset-rws-violation": {
         "trace": "35319a66e0118583",
         "trace-jsonl": "570831ac3b3c342b",
@@ -174,8 +164,7 @@ class TestParentPins:
         keys = "\n".join(request.cache_key() for request in space.requests)
         assert hashlib.sha256(keys.encode()).hexdigest() == ORACLE_SWEEP_KEYS
         names = [request.name for request in space.requests]
-        assert "broadcast-split" not in names
-        assert names[:8] == [n for n in NAMED_CELLS if n != "broadcast-split"]
+        assert names[:8] == list(NAMED_CELLS)
 
     def test_summary_rows_match_the_two_pass_table(self):
         from repro.analysis import latency_summary_table

@@ -155,7 +155,7 @@ def test_perfect_detector_axioms_hold_for_any_delays(
     assert not report.violations
 
 
-# -- commit and broadcast invariants --------------------------------------------
+# -- commit invariants ---------------------------------------------------------
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,25 +196,6 @@ def test_p_commit_nbac_random_rws(seed, votes):
         model=RoundModel.RWS, max_rounds=4,
     )
     assert check_nbac_run(run) == []
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_atomic_broadcast_ws_total_order_random_rws(seed):
-    """AtomicBroadcastWS keeps integrity/total-order/validity under any
-    random admissible RWS adversary."""
-    from repro.broadcast import AtomicBroadcastWS, check_atomic_broadcast_run
-
-    rng = random.Random(seed)
-    scenario = random_scenario(3, 1, max_round=2, allow_pending=True, rng=rng)
-    values = (("a0",), ("a1",), ("a2",))
-    run = execute(
-        AtomicBroadcastWS(), values, scenario, t=1,
-        model=RoundModel.RWS, max_rounds=4,
-    )
-    assert check_atomic_broadcast_run(run) == []
 
 
 @settings(max_examples=30, deadline=None)

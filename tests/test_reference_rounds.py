@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.consensus import FloodSet
-from repro.mc.checker import NON_CONSENSUS_ALGORITHMS
 from repro.obs.diff import local_view
 from repro.rounds import CrashEvent, FailureScenario, PendingMessage, all_scenarios
 from repro.runtime.harness import execute_request
@@ -37,7 +36,7 @@ from tests.reference.validators import (
 
 N, T, HORIZON = 3, 1, 3
 SCENARIO_COUNTS = {"RS": 46, "RWS": 280}
-MC_ALGORITHMS = sorted(set(ALGORITHM_FACTORIES) - NON_CONSENSUS_ALGORITHMS)
+MC_ALGORITHMS = sorted(ALGORITHM_FACTORIES)
 
 
 def _decide_index(events, pid: int) -> int:

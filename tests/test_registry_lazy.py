@@ -1,6 +1,6 @@
 """The algorithm registry resolves a name when it is used, not at import.
 
-``ALGORITHM_FACTORIES`` lists nine keys without importing one algorithm
+``ALGORITHM_FACTORIES`` lists eight keys without importing one algorithm
 module; ``[name]`` imports that algorithm's home and nothing else.  The
 mapping's behaviour — order, ``in``, ``len``, ``.get``, the classes it
 hands out, the unknown-name error — is pinned to what the eager dict
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.broadcast
 import repro.consensus
 from repro.errors import ConfigurationError
 from repro.rounds.algorithm import RoundAlgorithm
@@ -34,28 +33,20 @@ EXPECTED = {
     "f-opt-ws": "FOptFloodSetWS",
     "a1": "A1",
     "eager-floodset-ws": "EagerFloodSetWS",
-    "atomic-broadcast": "AtomicBroadcast",
 }
-
-
-def _exported(class_name: str) -> type:
-    package = (
-        repro.broadcast if class_name == "AtomicBroadcast" else repro.consensus
-    )
-    return getattr(package, class_name)
 
 
 class TestMappingBehaviour:
     def test_keys_and_order(self):
         assert list(ALGORITHM_FACTORIES) == list(EXPECTED)
-        assert len(ALGORITHM_FACTORIES) == 9
+        assert len(ALGORITHM_FACTORIES) == 8
         assert tuple(ALGORITHM_FACTORIES)[:7] == UNIFORM_CONSENSUS_ALGORITHMS
         assert sorted(ALGORITHM_FACTORIES) == sorted(EXPECTED)
 
     @pytest.mark.parametrize("key", list(EXPECTED))
     def test_every_entry_resolves_to_the_exported_class(self, key):
         factory = ALGORITHM_FACTORIES[key]
-        assert factory is _exported(EXPECTED[key])
+        assert factory is getattr(repro.consensus, EXPECTED[key])
         assert ALGORITHM_FACTORIES[key] is factory  # remembered
         assert ALGORITHM_FACTORIES.get(key) is factory
         assert isinstance(make_algorithm(key), RoundAlgorithm)
@@ -83,9 +74,8 @@ class TestMappingBehaviour:
         with pytest.raises(ConfigurationError) as raised:
             make_algorithm("paxos")
         assert str(raised.value) == (
-            "unknown algorithm 'paxos'; choose from ['a1', 'atomic-broadcast', "
-            "'c-opt', 'c-opt-ws', 'eager-floodset-ws', 'f-opt', 'f-opt-ws', "
-            "'floodset', 'floodset-ws']"
+            "unknown algorithm 'paxos'; choose from ['a1', 'c-opt', 'c-opt-ws', "
+            "'eager-floodset-ws', 'f-opt', 'f-opt-ws', 'floodset', 'floodset-ws']"
         )
 
 
@@ -98,7 +88,7 @@ def _fresh(code: str) -> str:
 
 _ALGORITHM_MODULES = (
     "[m for m in sorted(sys.modules) if m.startswith(('repro.consensus.', "
-    "'repro.broadcast.', 'repro.vector.'))]"
+    "'repro.vector.'))]"
 )
 
 
@@ -107,7 +97,7 @@ class TestWhatGetsImported:
         out = _fresh(
             "import sys\n"
             "from repro.runtime.registry import ALGORITHM_FACTORIES as table\n"
-            "assert len(table) == 9 and 'a1' in table and sorted(table)\n"
+            "assert len(table) == 8 and 'a1' in table and sorted(table)\n"
             f"print({_ALGORITHM_MODULES})\n"
         )
         assert out.strip() == "[]"

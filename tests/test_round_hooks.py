@@ -72,8 +72,6 @@ def cases(algorithm_name, model):
     towards two recipients) plus 25 seeded random adversaries."""
     t = 1 if algorithm_name == "a1" else 2
     value_sets = ((0, 1, 1, 0), (3, 2, 1, 0))
-    if algorithm_name == "atomic-broadcast":
-        value_sets = (((1,), (2,), (3, 5), (4,)), ((7,), (), (6,), (5,)))
     everyone_but_1 = frozenset({0, 2, 3})
     scenarios = [
         FailureScenario.failure_free(N),
@@ -126,8 +124,6 @@ def run_case(algorithm_name, model, values, scenario, t, observer):
 PARENT_LOG_DIGESTS = {
     ("a1", "RS"): "eb5d4cdc3a70954fe248552bb0572ed9ba3fe9efb82c9913c37db1d6e915cc1d",
     ("a1", "RWS"): "4d7d19691d4cbe556b41e6cbff925c26555dea4d6e2a987f987e7bfe3142c276",
-    ("atomic-broadcast", "RS"): "d8248467a2cf75edfafd749e86fd257de3bb17cc831beeb00f604abe3d9b8791",
-    ("atomic-broadcast", "RWS"): "48cc602c8096375fa5afab6e832faf5e4cbe894d05f8b8c952df15e3f7e5630c",
     ("c-opt", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",
     ("c-opt", "RWS"): "301535db2b82e5b99b56de8b8dd6b47f218f25c3d461459dd51d83c184a27998",
     ("c-opt-ws", "RS"): "eb05c6d33c2d6a65c15e6d8eb881f4c2052c8c7005dcb559b650bed845a4c08e",

@@ -223,12 +223,9 @@ class TestRoundStep:
         @settings(max_examples=40, deadline=None, derandomize=True)
         @given(request=rounds_requests(model=model, n=4, t=t, algorithms=pool))
         def check(request):
-            values = request.values
-            if request.algorithm == "atomic-broadcast":  # proposes batches
-                values = tuple((value,) for value in values)
             run = execute(
                 make_algorithm(request.algorithm),
-                values,
+                request.values,
                 request.scenario,
                 t=request.t,
                 model=RoundModel(model),
@@ -236,7 +233,7 @@ class TestRoundStep:
             )
             steps, states, decisions = fold_round_step(
                 make_algorithm(request.algorithm),
-                values,
+                request.values,
                 request.scenario,
                 t=request.t,
                 max_rounds=request.max_rounds,

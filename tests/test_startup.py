@@ -49,7 +49,6 @@ OTHER_ALGORITHMS = (
     "repro.consensus.opt",
     "repro.consensus.fopt",
     "repro.consensus.early",
-    "repro.broadcast.algorithm",
 )
 #: What only a run directory switches on (``CampaignLeg`` with a root).
 RUN_DIR_LAYERS = (
@@ -90,7 +89,18 @@ def _ours(loaded: set[str]) -> list[str]:
 
 
 def _offenders(loaded: set[str], forbidden: tuple[str, ...]) -> list[str]:
-    """The loaded modules at or under any ``forbidden`` dotted name."""
+    """The loaded modules at or under any ``forbidden`` dotted name.
+
+    A forbidden ``repro.*`` name must be a module or package under
+    ``src/repro``: one that no longer exists would forbid nothing, and
+    the test asserting on it would pass whatever gets imported.
+    """
+    for name in forbidden:
+        path = Path(SRC, *name.split("."))
+        if name.startswith("repro.") and not (
+            path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+        ):
+            raise ValueError(f"{name} names no module under {SRC}")
     return sorted(
         module
         for module in loaded
@@ -214,15 +224,10 @@ class TestImportSets:
             ),
         )
 
-    @pytest.mark.parametrize(
-        "argv", [["latency", "a1"], ["experiments", "--ids", "E2"]]
-    )
-    def test_experiment_commands_load_no_broadcast_layer(self, argv):
-        # No E-row runs atomic broadcast: the experiments module has no
-        # reason to import it.
-        assert not _offenders(
-            _loaded_by(argv), ("repro.core.extensions", "repro.broadcast")
-        )
+    def test_a_forbidden_module_that_does_not_exist_is_refused(self):
+        assert _offenders({"repro.mc.explore"}, ("repro.mc",)) == ["repro.mc.explore"]
+        with pytest.raises(ValueError, match="repro.broadcast names no module"):
+            _offenders(set(), ("repro.broadcast",))
 
     def test_vector_sweep_adds_the_kernel_and_nothing_else(self):
         # "vector" names the round executor: there is no kernel to add.

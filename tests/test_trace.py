@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.consensus import FloodSet
 from repro.rounds import FailureScenario, run_rs, run_rws
-from repro.trace import describe_round_run, round_tableau
+from repro.trace import round_tableau
 from repro.workloads import a1_rws_disagreement, crash_mid_broadcast
 
 
@@ -29,11 +29,4 @@ class TestRoundTableau:
         text = round_tableau(run)
         assert "X" in text
         assert "!0" in text and "!1" in text  # the disagreement, visible
-
-    def test_describe_round_run_mentions_everything(self):
-        run = run_rs(FloodSet(), [0, 1, 1], FailureScenario.failure_free(3), t=1)
-        text = describe_round_run(run)
-        assert "FloodSet" in text
-        assert "RS" in text
-        assert "decisions" in text
 
