@@ -231,13 +231,18 @@ causal-smoke:
 		s['max_path_length'], 'hops, no anomaly')" $(CAUSAL_SMOKE_JSON)
 
 REPORT_SMOKE_RUNS ?= /tmp/repro_report_smoke_runs
+REPORT_SMOKE_COPIES ?= /tmp/repro_report_smoke_copies
 
 # The run-artifact pipeline end to end: a small checked sweep writes a
 # run directory, the resumed second leg must re-execute nothing (the
 # summary's own counters prove it), and the machine report must pass
 # the schema/SLO validator both from disk and over the --json stream.
+# Then two damaged copies: one without summary.json and marked
+# interrupted must report its progress count from metrics.jsonl (exit
+# 0); one whose summary.json is cut short is a finished run with an
+# unreadable verdict, refused with one error line (exit 1).
 report-smoke:
-	rm -rf $(REPORT_SMOKE_RUNS)
+	rm -rf $(REPORT_SMOKE_RUNS) $(REPORT_SMOKE_COPIES)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
 		--run-dir $(REPORT_SMOKE_RUNS)
 	PYTHONPATH=src python -m repro sweep oracle-sweep --check \
@@ -246,6 +251,27 @@ report-smoke:
 	PYTHONPATH=src python scripts/check_summary.py $(REPORT_SMOKE_RUNS)
 	PYTHONPATH=src python -m repro report $(REPORT_SMOKE_RUNS) --json | \
 		PYTHONPATH=src python scripts/check_summary.py -
+	mkdir -p $(REPORT_SMOKE_COPIES)
+	cp -r $(REPORT_SMOKE_RUNS) $(REPORT_SMOKE_COPIES)/unfinished
+	rm $(REPORT_SMOKE_COPIES)/unfinished/*/summary.json
+	python -c "import json, sys; path = sys.argv[1]; \
+		manifest = json.load(open(path)); manifest['status'] = 'interrupted'; \
+		json.dump(manifest, open(path, 'w'))" \
+		$(REPORT_SMOKE_COPIES)/unfinished/*/manifest.json
+	PYTHONPATH=src python -m repro report $(REPORT_SMOKE_COPIES)/unfinished \
+		> $(REPORT_SMOKE_COPIES)/unfinished.out
+	cat $(REPORT_SMOKE_COPIES)/unfinished.out
+	grep -qx "progress: 30/30 planned cells done" \
+		$(REPORT_SMOKE_COPIES)/unfinished.out
+	cp -r $(REPORT_SMOKE_RUNS) $(REPORT_SMOKE_COPIES)/damaged
+	python -c "import sys; path = sys.argv[1]; \
+		data = open(path, 'rb').read(); open(path, 'wb').write(data[:40])" \
+		$(REPORT_SMOKE_COPIES)/damaged/*/summary.json
+	PYTHONPATH=src python -m repro report $(REPORT_SMOKE_COPIES)/damaged \
+		2> $(REPORT_SMOKE_COPIES)/damaged.err; test $$? -eq 1
+	cat $(REPORT_SMOKE_COPIES)/damaged.err
+	test "$$(grep -c '^error: ' $(REPORT_SMOKE_COPIES)/damaged.err)" -eq 1
+	! grep -q Traceback $(REPORT_SMOKE_COPIES)/damaged.err
 
 MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 

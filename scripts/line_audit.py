@@ -161,12 +161,11 @@ FAMILIES = {
         "make check-smoke",
         "make causal-smoke",
     ],
-    "campaign: `sweep`, `report RUNDIR`, `top`, `causal RUNDIR`": [
+    "campaign: `sweep`, `report RUNDIR`, `causal RUNDIR`": [
         "sweep --list",
         "sweep e10-lambda",
         "sweep oracle-sweep --check --run-dir {work}/runs",
         "causal {work}/runs",
-        "top {work}/runs",
         "report {work}/runs",
         "report {work}/runs --json",
         "make sweep-smoke",
@@ -228,8 +227,6 @@ KEEP: dict[str, str] = {
     "repro/models/sp.py:PerfectFDModel.validate": "validator",
     "repro/obs/artifacts.py:RunDir.completed_keys":
         "test tool: run-directory resume assertions",
-    "repro/obs/artifacts.py:RunDir.metrics_records":
-        "test tool: metrics.jsonl assertions",
     "repro/obs/artifacts.py:RunDir.mark_interrupted":
         "error path: a leg that never finalizes",
     "repro/obs/artifacts.py:identity_for_requests":

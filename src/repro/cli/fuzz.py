@@ -30,7 +30,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             shrink_failures=not args.no_shrink,
             max_n=args.max_n,
             run_root=args.run_dir,
-            progress_stream=sys.stderr if args.run_dir else None,
             frontier=args.frontier,
         )
     except ConfigurationError as exc:

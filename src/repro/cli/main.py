@@ -15,9 +15,9 @@ module under :mod:`repro.cli` and registers itself via ``register``:
 * :mod:`repro.cli.mc` — ``mc`` (exhaustive bounded model checking:
   HOLDS/REFUTED verdicts over closed schedule frontiers, with
   replayable witnesses).
-* :mod:`repro.cli.report` — ``report`` (run-directory dashboard, or
-  the legacy EXPERIMENTS.md regeneration when no run is named) and
-  ``top`` (tail a running campaign's heartbeats).
+* :mod:`repro.cli.report` — ``report`` (run-directory dashboard, an
+  unfinished run's progress count, or the legacy EXPERIMENTS.md
+  regeneration when no run is named).
 * :mod:`repro.cli.causal` — ``causal`` (happens-before graphs,
   critical-path latency attribution, suspicion forensics).
 """
@@ -74,7 +74,6 @@ COMMANDS = {
         "dashboard over a campaign run directory "
         "(or regenerate EXPERIMENTS.md when no RUNDIR is given)",
     ),
-    "top": ("report", "tail a running campaign's progress heartbeats"),
     "causal": (
         "causal",
         "happens-before analysis: critical paths and suspicion forensics",

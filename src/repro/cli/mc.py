@@ -15,7 +15,7 @@ decisions, Theorem 3.1; ``--fixture NAME`` instead classifies one of
 Biely's SDD quadruple fixtures).
 
 ``--run-dir ROOT`` gives the checking run the full campaign treatment
-— resumable run directory, progress heartbeats, cached cells.
+— resumable run directory, per-cell audit log, cached cells.
 """
 
 from __future__ import annotations
@@ -116,10 +116,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         shrink_witness=not args.no_shrink,
     )
     try:
-        outcome = check(
-            task,
-            progress_stream=sys.stderr if args.run_dir is not None else None,
-        )
+        outcome = check(task)
     except (ConfigurationError, ExecutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,14 +1,13 @@
-"""``repro report`` and ``repro top``: inspect campaign run directories.
+"""``repro report``: inspect campaign run directories.
 
-``repro report RUNDIR`` renders the dashboard of a finished (or
-interrupted) run directory written by ``repro sweep/fuzz/mc
---run-dir``: coverage over the planned cells, resume and cache
-counters, the span tree, SLO verdicts and the slowest cells.  With
-``--json`` it emits the machine document (manifest + summary + last
-progress heartbeat) instead, which CI validates.
-
-``repro top RUNDIR`` tails a *running* campaign's ``progress.jsonl``
-— one frame per heartbeat with ``--follow``, a single frame without.
+``repro report RUNDIR`` renders the dashboard of a finished run
+directory written by ``repro sweep/fuzz/mc --run-dir``: coverage over
+the planned cells, resume and cache counters, the span tree, SLO
+verdicts and the slowest cells.  A run whose manifest status is not
+``complete`` (still running, or interrupted) gets one line instead:
+``progress: N/M planned cells done``, counted from its
+``metrics.jsonl``.  With ``--json`` it emits the machine document
+(manifest + summary + progress) instead, which CI validates.
 
 Invoked with no run directory, ``repro report`` keeps its historical
 meaning and regenerates ``EXPERIMENTS.md`` from fresh experiment runs
@@ -19,29 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import time
 
 from repro.cli import experiments as _experiments
 from repro.cli.common import at_least_one
 from repro.obs.artifacts import SUMMARY_NAME, RunDir
-from repro.obs.progress import latest_progress
 from repro.obs.report import (
     find_run_dir,
     render_report,
-    render_top,
     report_json,
     summary_problems,
 )
-
-
-def _load_run(path: str) -> RunDir | None:
-    try:
-        return RunDir.load(find_run_dir(path))
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -50,19 +37,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.rundir is None:
         # Legacy mode: regenerate EXPERIMENTS.md from fresh runs.
         return _experiments._cmd_report(args)
-    run = _load_run(args.rundir)
-    if run is None:
+    try:
+        run = RunDir.load(find_run_dir(args.rundir))
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = run.summary()
-    problems = [] if summary is None else summary_problems(summary)
-    if problems:
-        # No dashboard and no SLO verdict for a summary the schema
-        # rejects: the same refusal as scripts/check_summary.py.
-        for problem in problems:
-            print(
-                f"error: {run.path / SUMMARY_NAME}: {problem}", file=sys.stderr
-            )
-        return 1
+    summary = None
+    if run.manifest.get("status") == "complete":
+        try:
+            summary = run.read_summary()
+        except ValueError as exc:
+            problems = [str(exc)]
+        else:
+            problems = summary_problems(summary)
+        if problems:
+            # No dashboard and no SLO verdict for a finished run whose
+            # summary is unreadable or fails the schema: the same
+            # refusal as scripts/check_summary.py.
+            for problem in problems:
+                print(
+                    f"error: {run.path / SUMMARY_NAME}: {problem}",
+                    file=sys.stderr,
+                )
+            return 1
     if args.json:
         print(json.dumps(report_json(run), indent=2, sort_keys=True))
     else:
@@ -70,33 +67,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     verdicts = (summary or {}).get("slo_verdicts") or []
     failed = [v for v in verdicts if not v.get("ok")]
     return 1 if failed else 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    if not 0 < args.interval < math.inf:
-        # Also nan and inf, which time.sleep refuses with a traceback.
-        print(
-            f"error: --interval must be a positive number of seconds "
-            f"(got {args.interval:g})",
-            file=sys.stderr,
-        )
-        return 2
-    run = _load_run(args.rundir)
-    if run is None:
-        return 2
-    print(render_top(run))
-    while args.follow:
-        last = latest_progress(run.progress_records())
-        status = (last or {}).get("status")
-        if run.manifest.get("status") != "running" or status in (
-            "complete",
-            "interrupted",
-        ):
-            break
-        time.sleep(args.interval)
-        run = RunDir.load(run.path)
-        print(render_top(run))
-    return 0
 
 
 def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
@@ -125,19 +95,3 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     # The legacy EXPERIMENTS.md flag, honoured only when RUNDIR is absent.
     p_report.add_argument("--output", default="EXPERIMENTS.md")
     p_report.set_defaults(func=_cmd_report)
-
-    p_top = parsers["top"]
-    p_top.add_argument("rundir", help="the campaign's run directory")
-    p_top.add_argument(
-        "--follow",
-        action="store_true",
-        help="keep printing frames until the run completes",
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds between frames under --follow (default: 2)",
-    )
-    p_top.set_defaults(func=_cmd_top)

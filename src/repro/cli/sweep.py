@@ -4,11 +4,11 @@ Spaces come from the runtime catalogue (``repro sweep --list``); the
 runner executes them serially or across a process pool and can pipe
 every produced trace through the trace oracle.  With ``--run-dir
 ROOT`` the sweep writes a content-addressed run directory under ROOT
-(manifest, incremental ``metrics.jsonl``, ``progress.jsonl``
-heartbeats, final ``summary.json`` with SLO verdicts) and uses its
-``results/`` store as the cache — killing the sweep and re-invoking it
-resumes, skipping every completed cell; ``repro report`` renders the
-artifacts.
+(manifest, incremental ``metrics.jsonl``, final ``summary.json`` with
+SLO verdicts) and uses its ``results/`` store as the cache — killing
+the sweep and re-invoking it resumes, skipping every completed cell;
+``repro report`` renders the artifacts, and counts how far an
+unfinished run has got.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "check": bool(args.check),
                 "engine": args.engine,
             },
-            stream=sys.stderr,
         )
     except ConfigurationError as exc:
         if sink is not None:
@@ -88,7 +87,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache=leg.cache,
             check=args.check,
-            on_run=leg.on_run,
+            on_run=leg.audit,
         ).run(space, keys=leg.keys)
         leg.finalize(
             lambda run_dir: summarize_sweep(
@@ -149,7 +148,7 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         metavar="ROOT",
         help=(
             "write a content-addressed run directory under ROOT "
-            "(manifest, metrics.jsonl, progress, summary.json); its "
+            "(manifest, metrics.jsonl, summary.json); its "
             "results/ store doubles as the cache, so repeated and "
             "interrupted sweeps resume"
         ),

@@ -31,7 +31,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.fuzz.oracles import (
@@ -309,19 +309,16 @@ def run_campaign(
     shrink_failures: bool = True,
     max_n: int = 4,
     run_root: str | None = None,
-    progress_stream: Any = None,
     frontier: str | None = None,
 ) -> FuzzReport:
     """Run one differential fuzzing campaign; see the module docstring.
 
     With ``run_root`` the campaign writes a content-addressed run
-    directory under it (manifest, incremental ``metrics.jsonl``,
-    ``progress.jsonl`` heartbeats, final ``summary.json``), uses the
-    run's own ``results/`` store as the execution cache — so a killed
-    campaign re-invoked with the same parameters resumes, skipping
-    every already-completed case — and finalizes with SLO verdicts.
-    ``progress_stream`` additionally mirrors heartbeats to a stream
-    (the CLI passes stderr).
+    directory under it (manifest, incremental ``metrics.jsonl``, final
+    ``summary.json``), uses the run's own ``results/`` store as the
+    execution cache — so a killed campaign re-invoked with the same
+    parameters resumes, skipping every already-completed case — and
+    finalizes with SLO verdicts.
     """
     if budget < 1:
         raise ConfigurationError("budget must be >= 1")
@@ -347,16 +344,15 @@ def run_campaign(
             "max_n": max_n,
             "frontier": frontier,
         },
-        stream=progress_stream,
     )
     with leg:
         sweep = SweepRunner(
-            jobs=jobs, cache=leg.cache, check=False, on_run=leg.on_run
+            jobs=jobs, cache=leg.cache, check=False, on_run=leg.audit
         ).run(ScenarioSpace.explicit(f"fuzz-{seed}", requests), keys=leg.keys)
 
-        # Twins share the run's result store (so a resumed campaign skips
-        # them too) but not the progress counter — the planned total is
-        # the case budget, and twins are derived work.
+        # Twins share the run's result store and audit log (so a resumed
+        # campaign skips them too); they are derived work, not planned
+        # cells, so an unfinished run's progress count ignores them.
         twin_runner = SweepRunner(
             jobs=jobs, cache=leg.cache, check=False, on_run=leg.audit
         )

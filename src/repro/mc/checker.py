@@ -268,7 +268,7 @@ def _witnesses(
     return documents, requests
 
 
-def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
+def check(task: McTask) -> McOutcome:
     """Run one checking task end to end; see the module docstring."""
     task.validate()
     space, exploration, scope = _plan(task)
@@ -283,12 +283,10 @@ def check(task: McTask, *, progress_stream: Any = None) -> McOutcome:
             "mode": "mc",
             "property": task.property_name,
         },
-        label=f"mc:{task.property_name}",
-        stream=progress_stream,
     )
     with leg:
         sweep = SweepRunner(
-            jobs=task.jobs, cache=leg.cache, check=False, on_run=leg.on_run
+            jobs=task.jobs, cache=leg.cache, check=False, on_run=leg.audit
         ).run(space, keys=leg.keys)
         pairs = list(zip(space.requests, sweep.results))
         divergences = _prediction_divergences(exploration, space, sweep)

@@ -109,13 +109,11 @@ __getattr__, __dir__ = lazy_exports(
             "metrics_of",
         ),
         "profile": ("Profiler", "get_profiler", "profiled", "set_profiler"),
-        "progress": ("ProgressReporter", "latest_progress"),
         "report": (
             "causal_cells",
             "find_run_dir",
             "merge_span_snapshots",
             "render_report",
-            "render_top",
             "report_json",
             "summarize_fuzz",
             "summarize_sweep",
@@ -139,13 +137,10 @@ __all__ = [
     "evaluate_slos",
     "git_provenance",
     "identity_for_requests",
-    "ProgressReporter",
-    "latest_progress",
     "causal_cells",
     "find_run_dir",
     "merge_span_snapshots",
     "render_report",
-    "render_top",
     "report_json",
     "summarize_fuzz",
     "summarize_sweep",

@@ -19,8 +19,8 @@ Layout of one run directory::
                           format)
         metrics.jsonl     one line per completed cell, appended (and
                           flushed) a run at a time as the campaign
-                          progresses — the audit log across legs
-        progress.jsonl    ProgressReporter heartbeats
+                          progresses — the audit log across legs, and
+                          how far an unfinished run has got
         summary.json      coverage, cache stats, span aggregates, SLO
                           verdicts — written when a leg finishes
 
@@ -48,7 +48,6 @@ RUN_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
 SUMMARY_NAME = "summary.json"
 METRICS_NAME = "metrics.jsonl"
-PROGRESS_NAME = "progress.jsonl"
 RESULTS_DIR = "results"
 
 #: The run kinds this layer knows how to summarize.
@@ -90,19 +89,6 @@ def _audit_parts(fields: Mapping[str, Any]) -> tuple[str, str, str]:
         ", " + between + ', "key": ',
         ", " + after + "}\n",
     )
-
-
-def open_on_fresh_line(path: str | Path) -> BinaryIO:
-    """Open the JSONL file ``path`` for appending, so that the next
-    write starts on a fresh line: a record a killed leg left torn (no
-    final newline) is closed off first, never glued to the next one."""
-    handle = open(path, "a+b")
-    end = handle.seek(0, os.SEEK_END)
-    if end:
-        handle.seek(end - 1)
-        if handle.read(1) != b"\n":
-            handle.write(b"\n")
-    return handle
 
 
 def compute_run_id(kind: str, identity: Any) -> str:
@@ -386,21 +372,37 @@ class RunDir:
 
     def _append(self, lines: str) -> None:
         """Write ``lines`` to ``metrics.jsonl``, flushed: a leg killed at
-        any point leaves every run it reported on disk."""
+        any point leaves every run it reported on disk.  A leg's first
+        write starts on a fresh line: a record a killed leg left torn
+        (no final newline) is closed off, never glued to the next one."""
         if self._metrics is None:
-            self._metrics = open_on_fresh_line(self.path / METRICS_NAME)
+            self._metrics = handle = open(self.path / METRICS_NAME, "a+b")
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
         self._metrics.write(lines.encode("ascii"))
         self._metrics.flush()
 
     def metrics_records(self) -> list[dict[str, Any]]:
-        return self._read_jsonl(METRICS_NAME)
-
-    def progress_records(self) -> list[dict[str, Any]]:
-        return self._read_jsonl(PROGRESS_NAME)
-
-    @property
-    def progress_path(self) -> Path:
-        return self.path / PROGRESS_NAME
+        """The parsed lines of ``metrics.jsonl``; a line a killed leg
+        left torn is skipped."""
+        try:
+            with open(self.path / METRICS_NAME, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except OSError:
+            return []
+        records = []
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                continue  # a torn write from a killed leg is not news
+        return records
 
     # -- the verdicts side ---------------------------------------------------
 
@@ -423,12 +425,23 @@ class RunDir:
         self.manifest["status"] = "interrupted"
         self._end_leg()
 
-    def summary(self) -> dict[str, Any] | None:
+    def read_summary(self) -> Any:
+        """The parsed ``summary.json``; raises :class:`ValueError` saying
+        why it cannot be read (missing, or not JSON)."""
         try:
-            return json.loads(
-                (self.path / SUMMARY_NAME).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
+            data = (self.path / SUMMARY_NAME).read_bytes()
+        except OSError as exc:
+            raise ValueError(exc.strerror or str(exc)) from exc
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise ValueError(f"not JSON ({exc})") from exc
+
+    def summary(self) -> dict[str, Any] | None:
+        """:meth:`read_summary`, or ``None`` when it cannot be read."""
+        try:
+            return self.read_summary()
+        except ValueError:
             return None
 
     # -- plumbing ------------------------------------------------------------
@@ -443,23 +456,6 @@ class RunDir:
             self._metrics.close()
             self._metrics = None
         self._write_manifest()
-
-    def _read_jsonl(self, name: str) -> list[dict[str, Any]]:
-        try:
-            with open(self.path / name, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return []
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                continue  # a torn write from a killed leg is not news
-        return records
 
 
 def identity_for_requests(requests: Iterable[Any]) -> list[str]:

@@ -455,9 +455,13 @@ def render_report(
     *,
     top: int = 5,
 ) -> str:
-    """The ``repro report RUNDIR`` terminal dashboard, as one string."""
+    """The ``repro report RUNDIR`` terminal dashboard, as one string.
+
+    A run whose manifest status is not ``complete`` gets its
+    :func:`run_progress` line in place of the dashboard; a complete run
+    whose ``summary.json`` cannot be read raises :class:`ValueError`.
+    """
     manifest = run.manifest
-    summary = run.summary()
     lines = [
         f"run {run.run_id} ({manifest.get('kind')}, "
         f"status {manifest.get('status')}, leg {manifest.get('legs', 1)})"
@@ -471,16 +475,14 @@ def render_report(
     if manifest.get("name"):
         lines.append(f"  campaign: {manifest['name']}")
 
-    if summary is None:
-        lines.append("no summary.json yet (campaign still running or interrupted)")
-        progress = run.progress_records()
-        if progress:
-            last = progress[-1]
-            lines.append(
-                f"  latest progress: {last.get('done')}/{last.get('total')} "
-                f"({last.get('cells_per_s')} cells/s, eta {last.get('eta_s')}s)"
-            )
+    if manifest.get("status") != "complete":
+        progress = run_progress(run)
+        lines.append(
+            f"progress: {progress['done']}/{progress['planned']} "
+            "planned cells done"
+        )
         return "\n".join(lines)
+    summary = run.read_summary()
 
     coverage = summary.get("coverage", {})
     distinct = coverage.get("distinct")
@@ -575,57 +577,36 @@ def render_report(
     return "\n".join(lines)
 
 
-def report_json(run: RunDir) -> dict[str, Any]:
-    """The machine form of the dashboard: manifest + summary + progress.
-
-    A run whose campaign has not finalized yet (no ``summary.json``) is
-    reported as a *partial* document with ``in_progress: true`` — the
-    consumer decides whether partial is acceptable, instead of the
-    report crashing on a perfectly healthy mid-campaign run.
-    """
-    from repro.obs.progress import latest_progress
-
-    summary = run.summary()
+def run_progress(run: RunDir) -> dict[str, Any]:
+    """How far a run has got: ``{"done": N, "planned": M}``, where N
+    counts the manifest's planned cells with a line in ``metrics.jsonl``
+    and M is the manifest's ``planned``."""
+    seen = {record.get("key") for record in run.metrics_records()}
+    cells = run.manifest.get("cells") or []
     return {
-        "manifest": run.manifest,
-        "summary": summary,
-        "progress": latest_progress(run.progress_records()),
-        "in_progress": summary is None,
+        "done": sum(cell.get("key") in seen for cell in cells),
+        "planned": run.manifest.get("planned"),
     }
 
 
-def render_top(run: RunDir) -> str:
-    """One ``repro top`` frame for a (possibly still running) campaign."""
-    from repro.obs.progress import latest_progress
+def report_json(run: RunDir) -> dict[str, Any]:
+    """The machine form of the dashboard: manifest + summary + progress.
 
-    manifest = run.manifest
-    lines = [
-        f"run {run.run_id} ({manifest.get('kind')}, "
-        f"status {manifest.get('status')}, leg {manifest.get('legs', 1)}) — "
-        f"{manifest.get('name')}"
-    ]
-    last = latest_progress(run.progress_records())
-    if last is None:
-        lines.append("  no heartbeats yet")
-        return "\n".join(lines)
-    eta = last.get("eta_s")
-    # Heartbeats no longer carry a verdict tally; older progress files
-    # may, and still render with it.
-    verdicts = last.get("verdicts") or {}
-    verdict_text = (
-        " " + " ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
-        if verdicts
-        else ""
-    )
-    done, total = last.get("done", 0), last.get("total", 0)
-    width = 30
-    filled = round(width * done / total) if total else 0
-    lines.append(
-        f"  [{'#' * filled}{'.' * (width - filled)}] {done}/{total} "
-        f"({last.get('cached', 0)} cached) {last.get('cells_per_s')} cells/s "
-        f"eta {eta if eta is not None else '?'}s{verdict_text}"
-    )
-    return "\n".join(lines)
+    A run whose manifest status is not ``complete`` is reported as a
+    *partial* document — ``in_progress: true``, ``summary: null`` and
+    its :func:`run_progress` — the consumer decides whether partial is
+    acceptable, instead of the report crashing on a perfectly healthy
+    mid-campaign run.  A complete run carries its summary and
+    ``progress: null``; one whose ``summary.json`` cannot be read
+    raises :class:`ValueError`.
+    """
+    finished = run.manifest.get("status") == "complete"
+    return {
+        "manifest": run.manifest,
+        "summary": run.read_summary() if finished else None,
+        "progress": None if finished else run_progress(run),
+        "in_progress": not finished,
+    }
 
 
 def find_run_dir(path: str | Path) -> Path:

@@ -3,21 +3,21 @@
 ``sweep``, ``fuzz`` and ``mc`` all run a campaign into a run
 directory the same way: open (or re-attach to) the content-addressed
 directory, use its ``results/`` store as the cache, append one audit
-line per completed cell (a run's lines in one write), keep a heartbeat
-going, and end either with a
-``summary.json`` or marked ``interrupted`` so the next invocation — the
-next *leg* — resumes.  :class:`CampaignLeg` owns that policy.
+line per completed cell (a run's lines in one write), and end either
+with a ``summary.json`` or marked ``interrupted`` so the next
+invocation — the next *leg* — resumes.  :class:`CampaignLeg` owns that
+policy.  ``metrics.jsonl`` is also how far the run has got: ``repro
+report`` counts an unfinished run's planned cells there.
 
-The constructor opens the leg; ``with leg:`` runs the heartbeat thread
-and guarantees the ending: whatever leaves the block without
-:meth:`CampaignLeg.finalize` — an exception, ``KeyboardInterrupt``,
-``SystemExit``, a plain return — leaves the manifest ``interrupted``
-with a final ``interrupted`` heartbeat, never ``running``.  Without a
-run root the leg is inert (no directory, audit methods that do nothing,
-a ``finalize`` that never calls the summariser, and none of the
-run-directory layers — :mod:`repro.obs.artifacts`,
-:mod:`repro.obs.progress`, :mod:`repro.runtime.cache` — imported), so
-call sites carry no ``if run_dir is not None`` ladder.
+The constructor opens the leg; ``with leg:`` guarantees the ending:
+whatever leaves the block without :meth:`CampaignLeg.finalize` — an
+exception, ``KeyboardInterrupt``, ``SystemExit``, a plain return —
+leaves the manifest ``interrupted``, never ``running``.  Without a run
+root the leg is inert (no directory, an :meth:`~CampaignLeg.audit`
+that does nothing, a ``finalize`` that never calls the summariser, and
+none of the run-directory layers — :mod:`repro.obs.artifacts`,
+:mod:`repro.runtime.cache` — imported), so call sites carry no ``if
+run_dir is not None`` ladder.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.obs.artifacts import RunDir
-    from repro.obs.progress import ProgressReporter
     from repro.runtime.cache import ResultCache
     from repro.runtime.request import ExecutionRequest, ExecutionResult
 
@@ -42,8 +41,6 @@ class CampaignLeg:
         requests: The planned cells: the run id derives from their cache
             keys (each hashed once, then memoised on its request) and
             ``results/`` becomes the leg's cache.
-        label, stream: The heartbeat's tag (default ``name``) and the
-            stream its lines are mirrored to, if any.
     """
 
     def __init__(
@@ -54,8 +51,6 @@ class CampaignLeg:
         name: str,
         config: Mapping[str, Any],
         requests: Sequence[ExecutionRequest],
-        label: str | None = None,
-        stream: Any = None,
     ) -> None:
         self.run_dir: RunDir | None = None
         #: The run directory's path; ``None`` for an inert leg.
@@ -68,13 +63,11 @@ class CampaignLeg:
         self.keys: list[str] | None = None
         #: Planned keys whose results were on disk when this leg opened.
         self.completed_before: set[str] = set()
-        self.reporter: ProgressReporter | None = None
         self._closed = False
         if root is None:
             return
         # The run-directory layers load with the first leg that has one.
         from repro.obs.artifacts import RunDir
-        from repro.obs.progress import ProgressReporter
         from repro.runtime.cache import ResultCache
 
         self.keys = keys = [r.cache_key() for r in requests]
@@ -94,12 +87,6 @@ class CampaignLeg:
                 f"{exc.strerror or exc}"
             ) from exc
         self.path = self.run_dir.path
-        self.reporter = ProgressReporter(
-            total=len(cells),
-            path=self.run_dir.progress_path,
-            stream=stream,
-            label=label or name,
-        )
         try:
             self.cache = ResultCache(self.run_dir.results_dir)
             self.completed_before = self.cache.completed_keys() & set(keys)
@@ -115,7 +102,8 @@ class CampaignLeg:
         results: Sequence[ExecutionResult],
     ) -> None:
         """Append the run's lines to ``metrics.jsonl``: the cells one run
-        served, which agree in everything but name and key."""
+        served, which agree in everything but name and key — the
+        :class:`~repro.runtime.sweep.SweepRunner` ``on_run`` seam."""
         if self.run_dir is None:
             return
         request, result = requests[0], results[0]
@@ -134,17 +122,6 @@ class CampaignLeg:
             duration_s=profile.get("duration_s"),
         )
 
-    def on_run(
-        self,
-        requests: Sequence[ExecutionRequest],
-        results: Sequence[ExecutionResult],
-    ) -> None:
-        """:meth:`audit` the run and count its cells in the heartbeat —
-        the :class:`~repro.runtime.sweep.SweepRunner` ``on_run`` seam."""
-        self.audit(requests, results)
-        if self.reporter is not None:
-            self.reporter.advance(cached=results[0].cached, cells=len(results))
-
     # -- the two endings -----------------------------------------------------
 
     def finalize(
@@ -162,7 +139,6 @@ class CampaignLeg:
         self.run_dir.finalize(summary)
         self._closed = True
         self._close_store()
-        self.reporter.stop()
         return summary
 
     def interrupt(self) -> None:
@@ -173,7 +149,6 @@ class CampaignLeg:
         if self.run_dir is not None:
             self._close_store()
             self.run_dir.mark_interrupted()
-            self.reporter.stop(status="interrupted")
 
     def _close_store(self) -> None:
         """Close the handles of the ``results/`` store the leg opened."""
@@ -181,8 +156,6 @@ class CampaignLeg:
             self.cache.close()
 
     def __enter__(self) -> "CampaignLeg":
-        if self.reporter is not None:
-            self.reporter.start()
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:

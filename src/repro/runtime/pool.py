@@ -45,10 +45,11 @@ def parallel_map(
 
     ``on_result`` is invoked in the parent, in *input order*, as each
     result becomes available — the seam campaign telemetry hangs off
-    (incremental cache writes, progress heartbeats).  With a pool this
-    streams via ``imap``, so an interrupted run has already delivered
-    every completed prefix result to the callback; parallelism still
-    must never be observable in outputs, only in wall-clock time.
+    (incremental cache writes, the ``metrics.jsonl`` audit log).  With
+    a pool this streams via ``imap``, so an interrupted run has already
+    delivered every completed prefix result to the callback;
+    parallelism still must never be observable in outputs, only in
+    wall-clock time.
     """
     if jobs <= 1 or len(items) < 2:
         results: list[R] = []

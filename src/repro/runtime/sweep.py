@@ -517,9 +517,9 @@ class SweepResult:
         """How many runs stood behind the cells, for a user who asked
         for 2000 and saw 109; ``None`` when every cell was its own run.
 
-        Its own line, which the CLI prints on stderr beside the
-        heartbeat: :meth:`describe` is a sweep's stdout, and stdout is
-        the whole measured artifact of a sweep without a run directory.
+        Its own line, which the CLI prints on stderr: :meth:`describe`
+        is a sweep's stdout, and stdout is the whole measured artifact
+        of a sweep without a run directory.
         """
         if self.distinct >= self.total:
             return None
@@ -644,8 +644,8 @@ class SweepRunner:
             served, in space order, and ``results[0].cached`` telling
             hits from fresh executions.  Store hits come first, each a
             run of one, in space order.  The campaign-telemetry seam:
-            metrics.jsonl lines and progress heartbeats hang off it
-            without the runner knowing about run directories.
+            the ``metrics.jsonl`` audit log hangs off it without the
+            runner knowing about run directories.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Campaign telemetry: run directories, progress, SLOs, and resume.
+"""Campaign telemetry: run directories, SLOs, resume, and progress.
 
 The acceptance claim under test: a campaign killed mid-sweep and
 re-invoked with the same parameters resumes from its run directory,
@@ -9,7 +9,6 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
@@ -23,14 +22,13 @@ from repro.obs.artifacts import (
     evaluate_slos,
     identity_for_requests,
 )
-from repro.obs.progress import ProgressReporter, latest_progress
 from repro.obs.report import (
     coverage_over_cells,
     find_run_dir,
     merge_span_snapshots,
     render_report,
-    render_top,
     report_json,
+    run_progress,
     summarize_sweep,
     summary_problems,
 )
@@ -60,7 +58,7 @@ def _open_run(tmp_path, requests, **overrides):
     return RunDir.open(tmp_path / "runs", **options)
 
 
-def _on_run_for(run_dir, reporter=None):
+def _on_run_for(run_dir):
     def on_run(requests, results):
         request, result = requests[0], results[0]
         profile = result.extra.get("profile") or {}
@@ -74,8 +72,6 @@ def _on_run_for(run_dir, reporter=None):
             events=len(result.events),
             duration_s=profile.get("duration_s"),
         )
-        if reporter is not None:
-            reporter.advance(cached=result.cached, cells=len(results))
 
     return on_run
 
@@ -192,32 +188,6 @@ class TestSLOs:
         # dropped on load.
         older = {**config.to_dict(), "decision_latency_p99_ms": 5000.0}
         assert SLOConfig.from_dict(older) == config
-
-
-class TestProgressReporter:
-    def test_heartbeats_reach_stream_and_file(self, tmp_path):
-        stream = io.StringIO()
-        path = tmp_path / "progress.jsonl"
-        reporter = ProgressReporter(
-            total=3, path=path, stream=stream, interval_s=60.0, label="t"
-        )
-        reporter.start()
-        reporter.advance()
-        reporter.advance(cached=True)
-        reporter.advance()
-        reporter.stop()
-        lines = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if line
-        ]
-        last = latest_progress(lines)
-        assert last["done"] == 3
-        assert last["total"] == 3
-        assert last["cached"] == 1
-        assert last["status"] == "complete"
-        assert "verdicts" not in last
-        assert "[t] 3/3" in stream.getvalue()
 
 
 class TestReportHelpers:
@@ -405,14 +375,9 @@ class TestRendering:
         assert document["manifest"]["run_id"] == run.run_id
         assert summary_problems(document["summary"]) == []
 
-    def test_render_top_without_heartbeats(self, tmp_path):
-        space = _space(2)
-        run = _open_run(tmp_path, space.requests)
-        assert "no heartbeats yet" in render_top(run)
-
 
 class TestCLISurfaces:
-    def test_sweep_run_dir_then_report_and_top(self, tmp_path, capsys):
+    def test_sweep_run_dir_then_report(self, tmp_path, capsys):
         from repro.cli.main import main
 
         root = str(tmp_path / "runs")
@@ -428,10 +393,7 @@ class TestCLISurfaces:
         assert main(["report", root, "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert summary_problems(document["summary"]) == []
-
-        run_path = find_run_dir(root)
-        assert main(["top", str(run_path)]) == 0
-        assert "30/30" in capsys.readouterr().out
+        assert document["progress"] is None
 
     def test_sweep_resume_via_cli_reports_zero_reexecution(
         self, tmp_path, capsys
@@ -528,16 +490,82 @@ class TestInProgressReporting:
         assert document["in_progress"] is True
         assert document["summary"] is None
         assert document["manifest"]["run_id"] == run.run_id
+        assert document["progress"] == {"done": 2, "planned": 4}
         # render_report must not crash either — it is what `repro
         # report` prints for a running campaign.
-        assert "no summary.json" in render_report(run)
+        assert render_report(run).endswith(
+            "\nprogress: 2/4 planned cells done"
+        )
 
         run.finalize(summary={"schema": RUN_SCHEMA, "status": "complete"})
         assert report_json(run)["in_progress"] is False
+        assert report_json(run)["progress"] is None
 
     def test_report_json_before_first_cell(self, tmp_path):
         # metrics.jsonl is appended lazily; a freshly opened run dir has
         # none, and that is still a reportable (empty) partial.
         run = _open_run(tmp_path, _space(2).requests)
         assert report_json(run)["in_progress"] is True
-        assert "no summary.json" in render_report(run)
+        assert run_progress(run) == {"done": 0, "planned": 2}
+        assert "progress: 0/2 planned cells done" in render_report(run)
+
+    def test_progress_counts_planned_cells_not_lines(self, tmp_path):
+        # A cell a later leg served again, a twin the plan does not
+        # name and a line a killed leg left torn all count nothing.
+        run = self._half_finished_run(tmp_path)
+        planned = run.metrics_records()
+        with open(run.path / "metrics.jsonl", "a", encoding="utf-8") as out:
+            out.write(json.dumps({**planned[0], "leg": 2}) + "\n")
+            out.write(json.dumps({**planned[0], "key": "twin"}) + "\n")
+            out.write('{"t": "cell", "key": ')
+        assert run_progress(run) == {"done": 2, "planned": 4}
+
+    @pytest.mark.parametrize("status", ["running", "interrupted"])
+    def test_an_unfinished_run_reports_its_count(
+        self, tmp_path, capsys, status
+    ):
+        # The status, not the summary, says whether the run finished: a
+        # leg that dies after an earlier leg's summary.json is unfinished.
+        from repro.cli.main import main
+
+        root = tmp_path / "runs"
+        assert main(["sweep", "e10-lambda", "--run-dir", str(root)]) == 0
+        capsys.readouterr()
+        run = RunDir.load(find_run_dir(root))
+        planned = run.manifest["planned"]
+        run.manifest["status"] = status
+        run._write_manifest()
+        assert main(["report", str(root)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == (
+            f"progress: {planned}/{planned} planned cells done"
+        )
+        assert main(["report", str(root), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["in_progress"] is True
+        assert document["summary"] is None
+        assert document["progress"] == {"done": planned, "planned": planned}
+
+    @pytest.mark.parametrize("damage", ["cut", "missing"])
+    def test_a_finished_run_with_a_damaged_summary_is_refused(
+        self, tmp_path, capsys, damage
+    ):
+        # It used to be reported as still running, exit 0, while
+        # scripts/check_summary.py called the same directory INVALID.
+        from repro.cli.main import main
+
+        root = tmp_path / "runs"
+        assert main(["sweep", "e10-lambda", "--run-dir", str(root)]) == 0
+        capsys.readouterr()
+        path = find_run_dir(root) / "summary.json"
+        if damage == "cut":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            path.unlink()
+        for json_flag in ([], ["--json"]):
+            assert main(["report", str(root), *json_flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith(f"error: {path}: ")

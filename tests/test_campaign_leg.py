@@ -24,7 +24,12 @@ from repro.errors import ConfigurationError
 from repro.fuzz import run_campaign
 from repro.mc import McTask, check
 from repro.obs.artifacts import RunDir
-from repro.obs.report import summarize_sweep, summary_problems
+from repro.obs.report import (
+    report_json,
+    run_progress,
+    summarize_sweep,
+    summary_problems,
+)
 from repro.runtime import (
     ResultCache,
     ScenarioSpace,
@@ -55,13 +60,9 @@ def _leg(root, space, **overrides):
 
 
 def _run(leg, space):
-    return SweepRunner(cache=leg.cache, on_run=leg.on_run).run(
+    return SweepRunner(cache=leg.cache, on_run=leg.audit).run(
         space, keys=leg.keys
     )
-
-
-def _last_progress(run_dir):
-    return run_dir.progress_records()[-1]
 
 
 class TestInertLeg:
@@ -110,21 +111,25 @@ class TestOpenLeg:
             assert [r["cell"] for r in run_dir.metrics_records()] == [
                 r.name for r in space.requests
             ]
-            # The audit-only variant writes its line but leaves the
-            # heartbeat's counter alone (fuzz twins are derived work).
+            # A second line for a cell already done writes its line but
+            # counts nothing: progress is planned cells, not lines.
             leg.audit([space.requests[0]], [result.results[0]])
             assert len(run_dir.metrics_records()) == len(space.requests) + 1
-            assert leg.reporter.heartbeat()["done"] == len(space.requests)
+            assert run_progress(run_dir) == {
+                "done": len(space.requests),
+                "planned": len(space.requests),
+            }
             # A result served from the store: flagged cached, with the
-            # figures the store kept and counted as done.
+            # figures the store kept.
             stored = leg.cache.get(space.requests[1].cache_key())
-            leg.on_run([space.requests[1]], [stored])
+            leg.audit([space.requests[1]], [stored])
             line = run_dir.metrics_records()[-1]
             assert line["cached"] is True
             assert line["latency"] == result.results[1].latency
             assert line["key"] == space.requests[1].cache_key()
-            assert leg.reporter.heartbeat()["done"] == len(space.requests) + 1
-            assert leg.reporter.heartbeat()["cached"] == 1
+            assert len(run_dir.metrics_records()) == len(space.requests) + 2
+            assert run_progress(run_dir)["done"] == len(space.requests)
+            assert run_dir.manifest["status"] == "running"
             leg.finalize(lambda run: {})
 
     def test_completed_before_is_the_store_restricted_to_the_plan(
@@ -134,7 +139,7 @@ class TestOpenLeg:
         head = ScenarioSpace.explicit(space.name, space.requests[:2])
         with _leg(tmp_path, space) as first:
             # Two planned cells land in the store...
-            SweepRunner(cache=first.cache, on_run=first.on_run).run(head)
+            SweepRunner(cache=first.cache, on_run=first.audit).run(head)
             stray = oracle_sweep_space().requests[7]
             SweepRunner(cache=first.cache).run(
                 ScenarioSpace.explicit("stray", [stray])
@@ -165,8 +170,11 @@ class TestEndings:
                 raise exception()
         run_dir = RunDir.load(leg.path)
         assert run_dir.manifest["status"] == "interrupted"
-        assert _last_progress(run_dir)["status"] == "interrupted"
-        assert _last_progress(run_dir)["done"] == len(space.requests)
+        assert report_json(run_dir)["in_progress"] is True
+        assert report_json(run_dir)["progress"] == {
+            "done": len(space.requests),
+            "planned": len(space.requests),
+        }
         assert leg.run_dir._metrics is None  # the audit handle is closed
         assert run_dir.summary() is None
 
@@ -209,7 +217,8 @@ class TestEndings:
             )
         run_dir = RunDir.load(leg.path)
         assert run_dir.manifest["status"] == "complete"
-        assert _last_progress(run_dir)["status"] == "complete"
+        assert len(run_dir.metrics_records()) == len(space.requests)
+        assert report_json(run_dir)["in_progress"] is False
         assert leg.run_dir._metrics is None
         assert run_dir.summary() == json.loads(json.dumps(summary))
         assert summary_problems(run_dir.summary()) == []
@@ -267,7 +276,8 @@ class TestFailureAfterTheSweep:
                 check(McTask(**MC_TASK, run_root=root))
         run_dir = _only_run(root)
         assert run_dir.manifest["status"] == "interrupted"
-        assert _last_progress(run_dir)["status"] == "interrupted"
+        progress = run_progress(run_dir)
+        assert progress["done"] == progress["planned"] > 0
 
         resumed = check(McTask(**MC_TASK, run_root=root))
         run_dir = _only_run(root)
@@ -292,7 +302,8 @@ class TestFailureAfterTheSweep:
                 run_campaign(**options)
         run_dir = _only_run(root)
         assert run_dir.manifest["status"] == "interrupted"
-        assert _last_progress(run_dir)["status"] == "interrupted"
+        progress = run_progress(run_dir)
+        assert progress["done"] == progress["planned"] > 0
 
         report = run_campaign(**options)
         run_dir = _only_run(root)
@@ -502,21 +513,6 @@ def test_top_below_one_is_refused_before_anything_loads(
     assert captured.err == f"error: --top must be at least 1 (got {top})\n"
 
 
-@pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf"])
-def test_interval_not_positive_is_refused_before_anything_loads(
-    interval, tmp_path, capsys
-):
-    # `--follow --interval -1` used to reach time.sleep(-1): a traceback.
-    argv = ["top", str(tmp_path / "runs"), "--follow", "--interval", interval]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: --interval must be a positive number of seconds "
-        f"(got {float(interval):g})\n"
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [["sweep", "random-rs", "--count", "10"], ["fuzz", "--budget", "2"]],
@@ -585,6 +581,9 @@ _CELL_LINE_KEYS = [
 
 def _assert_layout(run_dir, run_id, summary_keys):
     assert run_dir.run_id == run_dir.path.name == run_id
+    assert sorted(entry.name for entry in run_dir.path.iterdir()) == [
+        "manifest.json", "metrics.jsonl", "results", "summary.json",
+    ]
     assert sorted(run_dir.summary()) == summary_keys
     assert sorted(run_dir.manifest) == _MANIFEST_KEYS
     assert run_dir.manifest["status"] == "complete"

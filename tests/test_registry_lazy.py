@@ -136,7 +136,7 @@ class TestWhatGetsImported:
             "with leg:\n"
             "    assert leg.finalize(lambda run_dir: 1 / 0) is None\n"
             "assert leg.path is None and leg.cache is None\n"
-            "print([m for m in ('repro.obs.artifacts', 'repro.obs.progress',\n"
-            "                   'repro.runtime.cache') if m in sys.modules])\n"
+            "print([m for m in ('repro.obs.artifacts', 'repro.runtime.cache')\n"
+            "       if m in sys.modules])\n"
         )
         assert out.strip() == "[]"

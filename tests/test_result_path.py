@@ -963,7 +963,7 @@ def _assert_legs_match_the_reference(space, root, monkeypatch):
         )
         with campaign:
             sweep = SweepRunner(
-                cache=campaign.cache, check=True, on_run=campaign.on_run
+                cache=campaign.cache, check=True, on_run=campaign.audit
             ).run(space, keys=campaign.keys)
             campaign.finalize(lambda run_dir: {"coverage": {}})
         assert sweep.executed == (len(space.requests) if leg == "cold" else 0)
@@ -1039,7 +1039,7 @@ class TestPerCellRecords:
             )
             with campaign:
                 sweep = SweepRunner(
-                    cache=campaign.cache, on_run=campaign.on_run
+                    cache=campaign.cache, on_run=campaign.audit
                 ).run(space, keys=campaign.keys)
                 campaign.finalize(lambda run_dir: {"coverage": {}})
             legs.append((sweep, dict(calls)))
@@ -1169,7 +1169,7 @@ class TestMetricsHandle:
             )
             with campaign:
                 SweepRunner(
-                    cache=campaign.cache, on_run=campaign.on_run
+                    cache=campaign.cache, on_run=campaign.audit
                 ).run(space, keys=campaign.keys)
                 campaign.finalize(lambda run_dir: {"coverage": {}})
             return campaign.path / "metrics.jsonl"

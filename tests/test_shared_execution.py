@@ -242,7 +242,7 @@ class TestRunCounts:
 
         first = leg()
         with first:  # left without finalize: interrupted
-            SweepRunner(cache=first.cache, on_run=first.on_run).run(half)
+            SweepRunner(cache=first.cache, on_run=first.audit).run(half)
         ran_first = counted["execute_request"]
         assert ran_first == _distinct(half.requests)
 
@@ -250,7 +250,7 @@ class TestRunCounts:
         assert len(second.completed_before) == 150
         with second:
             sweep = SweepRunner(
-                cache=second.cache, on_run=second.on_run, check=True
+                cache=second.cache, on_run=second.audit, check=True
             ).run(space, keys=second.keys)
             summary = second.finalize(
                 lambda run_dir: summarize_sweep(

@@ -53,7 +53,6 @@ OTHER_ALGORITHMS = (
 #: What only a run directory switches on (``CampaignLeg`` with a root).
 RUN_DIR_LAYERS = (
     "repro.obs.artifacts",
-    "repro.obs.progress",
     "repro.obs.report",
     "repro.runtime.cache",
 )
@@ -237,13 +236,13 @@ class TestImportSets:
 # Copied from the parser's output (Python 3.11, COLUMNS=80).
 _CHOICES = (
     "{experiments,latency,show,trace,metrics,check,"
-    "replay,diff,sweep,fuzz,mc,report,top,causal}"
+    "replay,diff,sweep,fuzz,mc,report,causal}"
 )
 _UNKNOWN_COMMAND_ERROR = (
     "repro: error: argument command: invalid choice: 'bogus' (choose from "
     "'experiments', 'latency', 'show', 'trace', "
     "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'report', "
-    "'top', 'causal')"
+    "'causal')"
 )
 _USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
 _HELP_ROWS = """\
