@@ -52,10 +52,13 @@ trace-smoke:
 	PYTHONPATH=src python -m repro trace floodset-rws-violation --jsonl $(TRACE_SMOKE_OUT)
 	PYTHONPATH=src python scripts/check_trace.py $(TRACE_SMOKE_OUT)
 
-# The trace oracle on one RS and one RWS scenario, then three files
-# that are not traces (an unknown kind, mistyped fields, an empty file):
-# `check --jsonl` must refuse each with exit 2, one `error:` line and
-# no traceback.
+# The trace oracle on one RS and one RWS scenario, then what must be
+# refused with exit 2, one `error:` line and no traceback: three files
+# that are not traces (an unknown kind, mistyped fields, an empty file)
+# under `check --jsonl`, and operands the chosen form would not read (a
+# scenario name beside `check --jsonl`, a scenario and a trace beside
+# `replay --repro`, the one-trace options of `causal` on a run
+# directory).
 CHECK_SMOKE_DIR ?= /tmp/repro_check_smoke
 
 check-smoke:
@@ -65,10 +68,21 @@ check-smoke:
 	echo '{"kind":"teleport","ts":1.0}' > $(CHECK_SMOKE_DIR)/teleport.jsonl
 	echo '{"kind":"msg_sent","ts":"x","pid":"a"}' > $(CHECK_SMOKE_DIR)/bad-types.jsonl
 	: > $(CHECK_SMOKE_DIR)/empty.jsonl
-	@for bad in teleport bad-types empty; do \
-		echo "repro check --jsonl $$bad.jsonl  # must be refused"; \
-		PYTHONPATH=src python -m repro check --jsonl $(CHECK_SMOKE_DIR)/$$bad.jsonl \
-			2> $(CHECK_SMOKE_DIR)/stderr; \
+	PYTHONPATH=src python -m repro trace floodset-rws \
+		--jsonl $(CHECK_SMOKE_DIR)/a.jsonl
+	PYTHONPATH=src python -m repro sweep oracle-sweep --count 2 \
+		--run-dir $(CHECK_SMOKE_DIR)/runs
+	status=0; PYTHONPATH=src python -m repro mc agreement \
+		--algorithm floodset --model RWS --out $(CHECK_SMOKE_DIR)/mc \
+		|| status=$$?; test "$$status" -eq 1
+	@for argv in "check --jsonl $(CHECK_SMOKE_DIR)/teleport.jsonl" \
+		"check --jsonl $(CHECK_SMOKE_DIR)/bad-types.jsonl" \
+		"check --jsonl $(CHECK_SMOKE_DIR)/empty.jsonl" \
+		"check nonexistent-name --jsonl $(CHECK_SMOKE_DIR)/a.jsonl" \
+		"replay bogus-name /nonexistent.jsonl --repro $(CHECK_SMOKE_DIR)/mc/mc-witness-00.json" \
+		"causal $(CHECK_SMOKE_DIR)/runs --decide 9 --suspect 7 --diagram"; do \
+		echo "repro $$argv  # must be refused"; \
+		PYTHONPATH=src python -m repro $$argv 2> $(CHECK_SMOKE_DIR)/stderr; \
 		code=$$?; cat $(CHECK_SMOKE_DIR)/stderr; \
 		test $$code -eq 2 || { echo "exit $$code, expected 2"; exit 1; }; \
 		test "$$(grep -c '^error: ' $(CHECK_SMOKE_DIR)/stderr)" = 1 || exit 1; \
@@ -280,7 +294,8 @@ MC_SMOKE_DIR ?= /tmp/repro_mc_smoke
 # unreduced frontiers agreeing, the machine-checked Λ(A1) = 1 verdict,
 # the n=4 t=2 and n=5 t=2 FloodSet frontiers, the Section 5.1 witness
 # (EagerFloodSetWS: consensus HOLDS, uniform consensus REFUTED in RWS),
-# a planted emulation bug the grid checker must refute with a witness
+# A1's indistinguishability verdict and each SDD candidate's Theorem
+# 3.1 quadruple classified as a genuine witness, a planted emulation bug the grid checker must refute with a witness
 # that replays (exit 0) under the same injection, and a run-directory
 # check run twice — the second leg must serve every cell from the
 # store — whose summary must pass the schema/SLO validator.
@@ -311,7 +326,9 @@ mc-smoke:
 	PYTHONPATH=src python -m repro mc indistinguishability --algorithm a1 \
 		--n 3 --t 1 | $(TEE_STDERR) | grep -q "HOLDS(exhaustive)"
 	for candidate in patient suspicion timeout; do \
-		PYTHONPATH=src python -m repro diff --sdd $$candidate || exit 1; \
+		PYTHONPATH=src python -m repro mc indistinguishability \
+			--fixture $$candidate | $(TEE_STDERR) | \
+			grep -q "genuine indistinguishability witness" || exit 1; \
 	done
 	status=0; REPRO_INJECT_BUG=ss-drop-received PYTHONPATH=src \
 		python -m repro mc agreement --algorithm floodset --engine rs_on_ss \

@@ -143,11 +143,8 @@ FAMILIES = {
         "latency a1",
         "latency floodset-ws",
     ],
-    "inspection: `show`, `trace`, `metrics`, `check`, `replay`, `diff`, "
-    "`causal`": [
-        "show floodset-rws",
-        "metrics",
-        "metrics --json",
+    "inspection: `trace`, `check`, `replay`, `diff`, `causal`": [
+        "trace floodset-rws",
         "trace floodset-rws --jsonl {work}/a.jsonl",
         "trace a1-rws --jsonl {work}/b.jsonl",
         "diff {work}/a.jsonl {work}/b.jsonl",
@@ -155,7 +152,6 @@ FAMILIES = {
         "replay floodset-rws {work}/a.jsonl",
         "check floodset-rws",
         "check --jsonl {work}/a.jsonl --model RWS",
-        "check --sdd-fixture timeout",
         "causal {work}/a.jsonl",
         "make trace-smoke",
         "make check-smoke",

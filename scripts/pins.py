@@ -63,7 +63,7 @@ FRONTIERS = [
 
 #: Pins kept beside the tests that check them.
 ELSEWHERE = [
-    "tests/test_named_cells.py: show / trace / metrics / check / replay "
+    "tests/test_named_cells.py: trace / check / replay "
     "output of the named cells, and the E15 headline rows",
     "EXPERIMENTS.md: `make report-check` (E1-E15)",
 ]

@@ -8,7 +8,8 @@ of every suspicion (whether a crash in the trace justifies it).
 
 Given a run directory (``repro sweep --run-dir``), the same analysis
 runs over every cached cell result and prints one summary line per
-cell, flagging Λ-bound anomalies.
+cell, flagging Λ-bound anomalies.  ``--decide``, ``--suspect`` and
+``--diagram`` select within one trace, so a run directory refuses them.
 """
 
 from __future__ import annotations
@@ -137,6 +138,22 @@ def _print_rundir_report(path: Path, args: argparse.Namespace) -> int:
 def _cmd_causal(args: argparse.Namespace) -> int:
     target = Path(args.target)
     if target.is_dir():
+        given = [
+            flag
+            for flag, set_ in (
+                ("--decide", args.decide is not None),
+                ("--suspect", args.suspect is not None),
+                ("--diagram", args.diagram),
+            )
+            if set_
+        ]
+        if given:
+            print(
+                f"error: {', '.join(given)} select within one trace file; "
+                f"{target} is a run directory",
+                file=sys.stderr,
+            )
+            return 2
         return _print_rundir_report(target, args)
     events = load_trace(args.target)
     if events is None:

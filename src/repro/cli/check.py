@@ -1,5 +1,15 @@
-"""``repro check``, ``repro replay`` and ``repro diff``: the trace
-oracle, deterministic replay, and divergence diffing."""
+"""``repro check``, ``repro replay`` and ``repro diff``: three
+questions about a run.
+
+* ``check`` — is it right: the trace oracle over a named run or a
+  ``--jsonl`` trace file.
+* ``replay`` — does re-executing reproduce it: a named run against its
+  exported trace, or a ``repro fuzz`` / ``repro mc`` counterexample.
+* ``diff`` — where do two runs differ: the first divergence of two
+  traces, or of one process's local views (the Theorem 3.1 lens).
+
+An operand a form does not read is refused, not ignored.
+"""
 
 from __future__ import annotations
 
@@ -16,30 +26,21 @@ from repro.obs import (
 from repro.runtime.harness import execute_request
 from repro.runtime.registry import make_algorithm
 from repro.runtime.sweep import check_cell
-from repro.sdd import SP_CANDIDATE_FACTORIES
 
 
-def _classify(candidate: str):
-    """The SDD quadruple fixture's classification, or ``None`` (the
-    error already reported) for an unknown candidate."""
-    from repro.errors import ConfigurationError
-    from repro.mc.fixtures import classify_sdd_quadruple
-
-    try:
-        return classify_sdd_quadruple(candidate)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _refuse(problem: str) -> int:
+    print(f"error: {problem}", file=sys.stderr)
+    return 2
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if args.sdd_fixture:
-        classification = _classify(args.sdd_fixture)
-        if classification is None:
-            return 2
-        print(classification.describe())
-        return 0 if classification.genuine else 1
-
+    if args.jsonl and args.scenario is not None:
+        return _refuse(
+            "give a scenario name or --jsonl PATH, not both "
+            f"(got {args.scenario!r} and --jsonl {args.jsonl})"
+        )
+    if args.model and not args.jsonl:
+        return _refuse("--model applies to a --jsonl trace only")
     if args.jsonl:
         events = load_trace(args.jsonl)
         if events is None:
@@ -49,11 +50,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     if args.scenario is None:
-        print(
-            "error: provide a scenario name or --jsonl PATH",
-            file=sys.stderr,
-        )
-        return 2
+        return _refuse("provide a scenario name or --jsonl PATH")
     cell = resolve_scenario(args.scenario)
     if cell is None:
         return 2
@@ -77,14 +74,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     if args.repro:
+        if args.scenario is not None:
+            # argparse fills ``scenario`` before ``trace``.
+            return _refuse(
+                "--repro FILE takes no scenario or trace operand "
+                f"(got {' '.join(filter(None, (args.scenario, args.trace)))})"
+            )
         return _replay_counterexample(args.repro)
     if args.scenario is None or args.trace is None:
-        print(
-            "error: provide a scenario name and a trace file "
-            "(or --repro FILE)",
-            file=sys.stderr,
+        return _refuse(
+            "provide a scenario name and a trace file (or --repro FILE)"
         )
-        return 2
     cell = resolve_scenario(args.scenario)
     if cell is None:
         return 2
@@ -146,32 +146,22 @@ def _replay_counterexample(path: str) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    if args.sdd:
-        return _diff_sdd(args.sdd)
     if not args.trace_a or not args.trace_b:
-        print(
-            "error: provide two trace files (or --sdd CANDIDATE)",
-            file=sys.stderr,
-        )
-        return 2
+        return _refuse("provide two trace files")
+    if args.pid is not None and args.ignore is not None:
+        return _refuse("--ignore applies to a whole-trace diff, not to --pid")
     a = load_trace(args.trace_a)
     b = load_trace(args.trace_b)
     if a is None or b is None:
         return 2
-    ignore = tuple(
-        name.strip() for name in args.ignore.split(",") if name.strip()
-    )
     if args.pid is not None:
         carried = {p for event in (*a, *b) for p in (event.pid, event.peer)}
         if args.pid not in carried:
             # No event names it, so both views are empty: a verdict on
             # nothing, not an indistinguishability.
-            print(
-                f"error: no event in either trace carries p{args.pid} "
-                "(as pid or peer)",
-                file=sys.stderr,
+            return _refuse(
+                f"no event in either trace carries p{args.pid} (as pid or peer)"
             )
-            return 2
         divergence = view_divergence(a, b, args.pid)
         if divergence is None:
             print(
@@ -181,33 +171,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             return 0
         print(f"p{args.pid}: " + divergence.describe())
         return 1
+    fields = "ts" if args.ignore is None else args.ignore
+    ignore = tuple(name.strip() for name in fields.split(",") if name.strip())
     diff = diff_traces(a, b, ignore=ignore)
     print(diff.describe())
     return 0 if diff.identical else 1
-
-
-def _diff_sdd(candidate: str) -> int:
-    """The Theorem 3.1 demo: r0 ~ r0' and r1 ~ r1' for the receiver."""
-    classification = _classify(candidate)
-    if classification is None:
-        return 2
-    print(
-        f"Theorem 3.1 quadruple for candidate {candidate!r} "
-        "(receiver's local views):"
-    )
-    for label, divergence in classification.divergences.items():
-        if divergence is None:
-            print(f"  {label}: indistinguishable to the receiver")
-        else:
-            pair = label.replace(" ~ ", " vs ")
-            print(f"  {pair}: " + divergence.describe())
-    all_indistinguishable = all(classification.indistinguishable.values())
-    if all_indistinguishable:
-        print(
-            "  => the receiver must decide identically within each pair; "
-            "validity forces 0 in r0' and 1 in r1' — contradiction"
-        )
-    return 0 if all_indistinguishable else 1
 
 
 def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
@@ -229,15 +197,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
         help=(
             "synchrony checker for --jsonl traces (default: weak round "
             "synchrony, sound for both models)"
-        ),
-    )
-    p_check.add_argument(
-        "--sdd-fixture",
-        metavar="NAME",
-        help=(
-            "classify a named SDD quadruple fixture (one of "
-            f"{sorted(SP_CANDIDATE_FACTORIES)}) as a Theorem 3.1 "
-            "indistinguishability witness"
         ),
     )
     p_check.set_defaults(func=_cmd_check)
@@ -276,15 +235,6 @@ def register(parsers: dict[str, argparse.ArgumentParser]) -> None:
     )
     p_diff.add_argument(
         "--ignore",
-        default="ts",
         help="comma-separated event fields to ignore (default: ts)",
-    )
-    p_diff.add_argument(
-        "--sdd",
-        metavar="CANDIDATE",
-        help=(
-            "run the Theorem 3.1 quadruple for an SP candidate and diff "
-            f"the receiver's views; one of {sorted(SP_CANDIDATE_FACTORIES)}"
-        ),
     )
     p_diff.set_defaults(func=_cmd_diff)

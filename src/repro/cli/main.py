@@ -4,10 +4,11 @@ This module is the thin dispatcher; each subcommand lives in its own
 module under :mod:`repro.cli` and registers itself via ``register``:
 
 * :mod:`repro.cli.experiments` — ``experiments``, ``latency``.
-* :mod:`repro.cli.show` — ``show SCENARIO`` (round tableau).
-* :mod:`repro.cli.trace` — ``trace`` (JSONL export) and ``metrics``.
-* :mod:`repro.cli.check` — ``check`` (trace oracle), ``replay``
-  (deterministic re-execution), ``diff`` (divergence / Theorem 3.1).
+* :mod:`repro.cli.trace` — ``trace NAME``: what happened in a named
+  run (its round tableau, or ``--jsonl`` its event trace).
+* :mod:`repro.cli.check` — ``check`` (is it right: the trace oracle),
+  ``replay`` (does re-executing reproduce it), ``diff`` (where do two
+  runs differ).
 * :mod:`repro.cli.sweep` — ``sweep SPACE`` (parallel, cached, checked
   scenario-space execution through the unified runtime).
 * :mod:`repro.cli.fuzz` — ``fuzz`` (differential fuzzing across the
@@ -18,8 +19,9 @@ module under :mod:`repro.cli` and registers itself via ``register``:
 * :mod:`repro.cli.report` — ``report`` (run-directory dashboard, an
   unfinished run's progress count, or the legacy EXPERIMENTS.md
   regeneration when no run is named).
-* :mod:`repro.cli.causal` — ``causal`` (happens-before graphs,
-  critical-path latency attribution, suspicion forensics).
+* :mod:`repro.cli.causal` — ``causal`` (why it took as long as it
+  did: happens-before graphs, critical-path latency attribution,
+  suspicion forensics).
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ __getattr__, __dir__ = lazy_exports(
 COMMANDS = {
     "experiments": ("experiments", "run the E1-E15 suite"),
     "latency": ("experiments", "latency profile of an algorithm"),
-    "show": ("show", "render a named scenario"),
-    "trace": ("trace", "export a scenario's structured event trace"),
-    "metrics": ("trace", "print a scenario's metrics snapshot"),
+    "trace": (
+        "trace",
+        "render a named run's rounds (--jsonl: its event trace)",
+    ),
     "check": ("check", "run the trace oracle over a scenario or JSONL file"),
     "replay": (
         "check",

@@ -13,11 +13,9 @@ of :func:`repro.obs.diff.local_view` equality), and (b) the
 candidate actually violates the SDD specification on at least one run
 (the conclusion, via :func:`repro.sdd.impossibility.refute_sdd_candidate`).
 
-``repro check --sdd-fixture NAME``,
-``repro mc indistinguishability --fixture NAME`` and
-``repro diff --sdd NAME`` surface the classification;
-``tests/test_mc_fixtures.py`` pins every registered candidate to
-``genuine=True``.
+``repro mc indistinguishability --fixture NAME`` renders the
+classification; ``tests/test_mc_fixtures.py`` pins every registered
+candidate to ``genuine=True``.
 """
 
 from __future__ import annotations

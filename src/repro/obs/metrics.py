@@ -1,15 +1,12 @@
 """Counters, gauges, histograms, and a run's metrics as a fold over its trace.
 
-The registry is deliberately tiny — names map to instruments, and a
-snapshot is plain JSON-ready data.  Histogram snapshots reuse
-:mod:`repro.stats` (:func:`~repro.stats.summarize` and
-:func:`~repro.stats.percentile`) so reports and metrics describe
-samples the same way.
+The registry is deliberately tiny — names map to instruments, and its
+:meth:`~MetricsRegistry.state` is plain JSON-ready data that merges
+losslessly into another registry.
 
-Metric naming convention: dot-separated lowercase paths, with the unit
-as the last path segment where it is not obvious from context
-(``profile.<span>.seconds``); per-round counters carry the round index
-as the final segment (``messages.sent.round.2``).
+Metric naming convention: dot-separated lowercase paths; per-round
+counters carry the round index as the final segment
+(``messages.sent.round.2``).
 
 A run's metrics are not observed beside its trace: :func:`metrics_of`
 computes them from the recorded events, so a trace read back from disk
@@ -24,7 +21,6 @@ from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.obs.events import Event
-from repro.stats import percentile, summarize
 
 
 @dataclass
@@ -49,33 +45,13 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A sample of observations with a Summary-compatible snapshot."""
+    """A sample of observations, in the order they were made."""
 
     values: list[float] = field(default_factory=list)
 
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    def snapshot(self) -> dict[str, Any]:
-        """min/mean/median/max/stdev plus p50/p90/p99 of the sample."""
-        if not self.values:
-            return {"count": 0}
-        summary = summarize(self.values)
-        return {
-            "count": summary.count,
-            "min": summary.minimum,
-            "mean": summary.mean,
-            "median": summary.median,
-            "max": summary.maximum,
-            "stdev": summary.stdev,
-            "p50": percentile(self.values, 50),
-            "p90": percentile(self.values, 90),
-            "p99": percentile(self.values, 99),
-        }
-
 
 class MetricsRegistry:
-    """Get-or-create instrument store with a JSON-ready snapshot."""
+    """Get-or-create instrument store with a JSON-ready state dump."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -103,28 +79,12 @@ class MetricsRegistry:
             instrument = self._histograms[name] = Histogram()
             return instrument
 
-    def snapshot(self) -> dict[str, Any]:
-        """All instruments as one JSON-ready mapping."""
-        return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: g.value for name, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: h.snapshot()
-                for name, h in sorted(self._histograms.items())
-            },
-        }
-
     def state(self) -> dict[str, Any]:
         """A lossless, JSON-ready dump: histograms keep raw samples.
 
-        Unlike :meth:`snapshot` (which summarises histograms), the
-        state form can be merged into another registry without losing
-        information — the transport format the sweep runtime uses to
-        aggregate per-worker registries into one.
+        The state form can be merged into another registry without
+        losing information — the transport format the sweep runtime
+        uses to aggregate per-worker registries into one.
         """
         return {
             "counters": {
@@ -139,20 +99,15 @@ class MetricsRegistry:
             },
         }
 
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a :meth:`state` dump into this registry.
+    def merge_states(self, states: Sequence[dict[str, Any]]) -> None:
+        """Fold :meth:`state` dumps into this registry, in order.
 
         Counters add, histogram samples extend (in dump order), gauges
         take the incoming value (last write wins) — so merging worker
         states in a fixed order yields the same aggregate regardless of
-        how execution was scheduled across workers.
-        """
-        self.merge_states((state,))
-
-    def merge_states(self, states: Sequence[dict[str, Any]]) -> None:
-        """:meth:`merge_state` each of ``states`` in order, with every
-        distinct state *object*'s counters added once, times the number
-        of places it holds in ``states``.
+        how execution was scheduled across workers.  Every distinct
+        state *object*'s counters are added once, times the number of
+        places it holds in ``states``.
 
         A sweep's twins share one state object, so a stream of 2000
         cells over 109 runs adds 109 counter sets (a counter counts, so
@@ -174,26 +129,6 @@ class MetricsRegistry:
         for state, times in multiplicity.values():
             for name, value in state.get("counters", {}).items():
                 self.counter(name).inc(value * times)
-
-    def render(self) -> str:
-        """A human-readable dump, one instrument per line."""
-        lines: list[str] = []
-        for name, counter in sorted(self._counters.items()):
-            lines.append(f"{name} = {counter.value}")
-        for name, gauge in sorted(self._gauges.items()):
-            lines.append(f"{name} = {gauge.value:g}")
-        for name, histogram in sorted(self._histograms.items()):
-            snap = histogram.snapshot()
-            if snap["count"] == 0:
-                lines.append(f"{name}: (empty)")
-            else:
-                lines.append(
-                    f"{name}: n={snap['count']} min={snap['min']:g} "
-                    f"mean={snap['mean']:.4g} p50={snap['p50']:g} "
-                    f"p90={snap['p90']:g} p99={snap['p99']:g} "
-                    f"max={snap['max']:g}"
-                )
-        return "\n".join(lines)
 
 
 #: Counter name per event kind; the _PER_ROUND kinds also count per round.

@@ -85,14 +85,6 @@ class Profiler:
             }
         return out
 
-    def merge_into(self, registry: Any) -> None:
-        """Mirror span samples into ``registry`` histograms
-        (``profile.<span>.seconds``)."""
-        for name, samples in self.spans.items():
-            histogram = registry.histogram(f"profile.{name}.seconds")
-            for sample in samples:
-                histogram.observe(sample)
-
 
 _active: Profiler | None = None
 

@@ -10,8 +10,8 @@ three ways:
 * **named cells** — :data:`NAMED_CELLS`, the one table where the
   paper's named runs (the scenarios of :mod:`repro.workloads.scenarios`
   bound to an algorithm, inputs and a model) are written; the
-  registered spaces and the CLI's ``show`` / ``trace`` / ``metrics`` /
-  ``check`` / ``replay`` both draw from it;
+  registered spaces and the CLI's ``trace`` / ``check`` / ``replay``
+  both draw from it;
 * **seeded random streams** — ``random_scenario`` draws where every
   cell gets a *derived* seed (a stable hash of the stream seed and the
   cell index), so a stream is reproducible cell-by-cell and

@@ -68,8 +68,8 @@ def _execute_cell(request: ExecutionRequest) -> ExecutionResult:
     and metrics, never extras: traces stay byte-identical across
     schedulers while the telemetry varies with the hardware.  Samples
     are also re-recorded into any profiler the caller had installed, so
-    ``jobs=1`` runs under ``repro metrics``-style profiling see exactly
-    the spans they always did.
+    a ``jobs=1`` sweep run under a caller's :class:`Profiler` sees the
+    spans of every cell.
     """
     outer = get_profiler()
     local = Profiler()

@@ -1,5 +1,5 @@
 """Small descriptive-statistics helpers for metrics and reports."""
 
-from repro.stats.summary import Summary, percentile, summarize
+from repro.stats.summary import percentile
 
-__all__ = ["Summary", "percentile", "summarize"]
+__all__ = ["percentile"]

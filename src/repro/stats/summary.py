@@ -3,48 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-
-@dataclass(frozen=True)
-class Summary:
-    """min/mean/median/max/stdev of a sample.
-
-    ``stdev`` is the *sample* standard deviation
-    (:func:`statistics.stdev`, n−1 denominator); ``pstdev`` is the
-    *population* standard deviation (:func:`statistics.pstdev`).
-    Earlier versions reported the population value under the ``stdev``
-    name — both are now explicit fields.
-    """
-
-    count: int
-    minimum: float
-    mean: float
-    median: float
-    maximum: float
-    stdev: float
-    pstdev: float
-
-
-def summarize(values: Sequence[float] | Iterable[float]) -> Summary:
-    """Compute the five-number-ish summary of a non-empty sample."""
-    # Here, not at the top: ``percentile`` is all a profiled cell needs,
-    # and ``statistics`` brings ``fractions`` and ``decimal`` with it.
-    import statistics
-
-    data = list(values)
-    if not data:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        count=len(data),
-        minimum=min(data),
-        mean=statistics.fmean(data),
-        median=statistics.median(data),
-        maximum=max(data),
-        stdev=statistics.stdev(data) if len(data) > 1 else 0.0,
-        pstdev=statistics.pstdev(data) if len(data) > 1 else 0.0,
-    )
 
 
 def percentile(values: Sequence[float] | Iterable[float], p: float) -> float:

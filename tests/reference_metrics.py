@@ -76,14 +76,15 @@ class ReferenceMetrics(EventLog):
         super().suspect(pid, suspected, delay=delay, **kwargs)
         self.registry.counter("suspicions").inc()
         if delay is not None:
-            self.registry.histogram("detector.suspicion_delay.steps").observe(delay)
+            delays = self.registry.histogram("detector.suspicion_delay.steps")
+            delays.values.append(delay)
 
     def decide(self, pid, value, round_index=None, **kwargs) -> None:
         super().decide(pid, value, round_index, **kwargs)
         self.registry.counter("decisions").inc()
         if round_index is not None:
             self.registry.counter(f"decisions.round.{round_index}").inc()
-            self.registry.histogram("decision.round").observe(round_index)
+            self.registry.histogram("decision.round").values.append(round_index)
 
     def halt(self, pid, round_index=None, **kwargs) -> None:
         super().halt(pid, round_index, **kwargs)

@@ -454,20 +454,6 @@ class TestCLISurfaces:
         assert main(["report", str(tmp_path / "nowhere")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_metrics_json_includes_percentiles(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["metrics", "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        histogram = snapshot["histograms"]["decision.round"]
-        assert {"p50", "p90", "p99"} <= set(histogram)
-
-    def test_metrics_render_shows_p99(self, capsys):
-        from repro.cli.main import main
-
-        assert main(["metrics"]) == 0
-        assert "p99=" in capsys.readouterr().out
-
 
 class TestInProgressReporting:
     """Reports on a run that has not finalized — an overnight campaign

@@ -60,8 +60,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "name", sorted(SCENARIOS) + sorted(SCENARIO_ALIASES)
     )
-    def test_show_renders_every_scenario(self, name, capsys):
-        assert main(["show", name]) == 0
+    def test_trace_renders_every_scenario(self, name, capsys):
+        assert main(["trace", name]) == 0
         out = capsys.readouterr().out
         assert "round" in out
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import main
+from repro.mc.fixtures import sdd_fixture_names
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,6 +131,16 @@ class TestMcCommand:
         assert main(["mc", "--fixture", "timeout"]) == 0
         assert "genuine" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize("name", sdd_fixture_names())
+    def test_indistinguishability_fixture_is_genuine(self, name, capsys):
+        argv = ["mc", "indistinguishability", "--fixture", name]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"sdd fixture {name!r}:" in out
+        assert "r0 ~ r0': receiver views indistinguishable" in out
+        assert "r1 ~ r1': receiver views indistinguishable" in out
+        assert "genuine" in out.lower()
+
     def test_unknown_fixture_is_a_config_error(self, capsys):
         assert main(["mc", "--fixture", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
@@ -195,12 +206,3 @@ class TestMcCommand:
         assert rc == 2
         assert err.startswith("error: ") and str(path) in err and missing in err
         assert len(err.splitlines()) == 1
-
-
-class TestCheckSddFixture:
-    def test_known_fixture_classifies_genuine(self, capsys):
-        assert main(["check", "--sdd-fixture", "suspicion"]) == 0
-        assert "genuine" in capsys.readouterr().out.lower()
-
-    def test_unknown_fixture_is_a_config_error(self, capsys):
-        assert main(["check", "--sdd-fixture", "bogus"]) == 2

@@ -5,8 +5,8 @@ counted the engines' hook calls beside the event log.  These tests hold
 the fold to that observer's rules, kept in
 ``tests/reference_metrics.py``: every cell of every registered space on
 both round engines (the sweep's result path — batching, sharing, the
-value-free template — included) and every named run ``repro metrics``
-prints.
+value-free template — included) and every named run of
+:data:`repro.runtime.space.NAMED_CELLS`.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _per_cell_fold(results):
     merged on its own, in space order."""
     registry = MetricsRegistry()
     for result in results:
-        registry.merge_state(result.metrics)
+        registry.merge_states([result.metrics])
     registry.counter("sweep.cells.total").inc(len(results))
     return registry.state()
 

@@ -1,13 +1,15 @@
 """The paper's named runs are written once and run through the runtime.
 
-``repro show | trace | metrics | check | replay NAME`` resolve the name
-in :data:`repro.runtime.space.NAMED_CELLS` and execute the cell through
+``repro trace | check | replay NAME`` resolve the name in
+:data:`repro.runtime.space.NAMED_CELLS` and execute the cell through
 :mod:`repro.runtime.harness`.  Everything those commands print for the
 three historical names and the two long aliases was captured at the
 commit *before* the CLI was rebuilt on the runtime (when it still drove
 ``run_rs``/``run_rws`` itself) and is pinned here by digest, together
 with the ``oracle-sweep`` cell keys and the rows of E15's headline
-table.
+table.  ``trace NAME`` renders the round tableau that the retired
+``show NAME`` printed, so its column holds ``show``'s old digest;
+``trace NAME --jsonl`` and the file it writes keep theirs.
 """
 
 from __future__ import annotations
@@ -43,15 +45,6 @@ def _run(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _without_profile(text: str) -> str:
-    """A metrics snapshot minus the wall-clock ``profile.*`` entries."""
-    snapshot = json.loads(text)
-    for section in snapshot.values():
-        for key in [k for k in section if k.startswith("profile.")]:
-            del section[key]
-    return json.dumps(snapshot, sort_keys=True)
-
-
 def capture(name: str, workdir: Path) -> dict[str, str]:
     """Every pinned surface of one named run, as short sha256 digests."""
     previous = os.getcwd()
@@ -60,12 +53,9 @@ def capture(name: str, workdir: Path) -> dict[str, str]:
         surfaces = {
             "trace": _run("trace", name),
             "trace-jsonl": _run("trace", name, "--jsonl", "t.jsonl"),
-            "show": _run("show", name),
             "check": _run("check", name),
             "replay": _run("replay", name, "t.jsonl"),
         }
-        code, out, err = _run("metrics", name, "--json")
-        surfaces["metrics-json"] = (code, _without_profile(out), err)
         surfaces["jsonl-file"] = (0, Path("t.jsonl").read_text(), "")
     finally:
         os.chdir(previous)
@@ -77,51 +67,42 @@ def capture(name: str, workdir: Path) -> dict[str, str]:
     }
 
 
-#: ``capture(name)`` at the parent commit (PR 18, 3bbf126).
+#: ``capture(name)`` at commit 3bbf126, before the CLI was rebuilt on
+#: the runtime; ``trace`` holds that commit's ``show`` digest.
 PINS = {
     "a1-rws": {
-        "trace": "69e632e8e3b1fafe",
+        "trace": "34d647a1d6a9ad40",
         "trace-jsonl": "5abee860b0c5f7c1",
-        "show": "34d647a1d6a9ad40",
         "check": "6d2083f34afe5b48",
         "replay": "2646666af5562b10",
-        "metrics-json": "c1a6c6fe2c8cb59b",
         "jsonl-file": "352abc9f07fefeea",
     },
     "floodset-rws": {
-        "trace": "fd8f24ad2eb84974",
+        "trace": "f0b9ab47fd1b258c",
         "trace-jsonl": "6c8852b18cf1ba61",
-        "show": "f0b9ab47fd1b258c",
         "check": "041883d524ec30eb",
         "replay": "2f7a9c3763cc674e",
-        "metrics-json": "826661b62da7a7ab",
         "jsonl-file": "e954b303f50388f4",
     },
     "fopt-fast": {
-        "trace": "a6f2b1222ac21b56",
+        "trace": "cb0a48d8d93ff66c",
         "trace-jsonl": "ff2e0dd4212653a6",
-        "show": "cb0a48d8d93ff66c",
         "check": "1d43725d0056ae73",
         "replay": "8c54b53d72007e9f",
-        "metrics-json": "000c2794ec3e0204",
         "jsonl-file": "ef781cc5ad242b83",
     },
     "floodset-rws-violation": {
-        "trace": "35319a66e0118583",
+        "trace": "6755cded5b01f4b4",
         "trace-jsonl": "570831ac3b3c342b",
-        "show": "6755cded5b01f4b4",
         "check": "1b6723afac3f0342",
         "replay": "b243f37bac728953",
-        "metrics-json": "826661b62da7a7ab",
         "jsonl-file": "e954b303f50388f4",
     },
     "a1-rws-disagreement": {
-        "trace": "2e037a4fd804e3ed",
+        "trace": "a829eb760d615624",
         "trace-jsonl": "e9565d4b5e4e48f3",
-        "show": "a829eb760d615624",
         "check": "3887ca56c32f0994",
         "replay": "6a109e0636a7207f",
-        "metrics-json": "c1a6c6fe2c8cb59b",
         "jsonl-file": "352abc9f07fefeea",
     },
 }
@@ -208,7 +189,7 @@ class TestNamedCellTable:
         assert tuple(ALGORITHM_FACTORIES)[:7] == UNIFORM_CONSENSUS_ALGORITHMS
 
     def test_unknown_name_lists_cells_and_aliases(self):
-        code, _, err = _run("show", "nope")
+        code, _, err = _run("trace", "nope")
         assert code == 2
         assert "initially-dead" in err and "fopt-fast" in err
         assert len(err.splitlines()) == 1

@@ -23,7 +23,7 @@ from repro.obs import (
 from repro.rounds import FailureScenario, run_rs, run_rws
 from repro.simulation import RoundRobinScheduler, StepExecutor
 from repro.simulation.automaton import IdleAutomaton
-from repro.stats import percentile, summarize
+from repro.stats import percentile
 from repro.workloads import adversarial_split, floodset_rws_violation
 
 
@@ -195,10 +195,8 @@ class TestRoundRecordImmutability:
 
 
 def _snapshot(log: EventLog) -> dict:
-    """The registry snapshot of a recorded run's folded metrics."""
-    registry = MetricsRegistry()
-    registry.merge_state(metrics_of(log.events))
-    return registry.snapshot()
+    """A recorded run's folded metrics."""
+    return metrics_of(log.events)
 
 
 class TestMetrics:
@@ -224,7 +222,7 @@ class TestMetrics:
         )
         assert counters["decisions.round.2"] == 2
         assert counters["crashes"] == 1
-        assert snap["histograms"]["decision.round"]["p50"] == 2
+        assert snap["histograms"]["decision.round"] == [2, 2]
 
     def test_suspicion_latency_histogram(self):
         from repro.emulation import emulate_rws_on_sp
@@ -245,8 +243,8 @@ class TestMetrics:
         )
         snap = _snapshot(log)
         delays = snap["histograms"]["detector.suspicion_delay.steps"]
-        assert delays["count"] >= 1
-        assert delays["min"] >= 0  # strong accuracy: never before the crash
+        assert len(delays) >= 1
+        assert min(delays) >= 0  # strong accuracy: never before the crash
         assert snap["counters"]["suspicions"] >= 1
 
     def test_registry_get_or_create(self):
@@ -256,17 +254,9 @@ class TestMetrics:
         assert registry.counter("x").value == 3
         registry.gauge("g").set(1.5)
         assert registry.gauge("g").value == 1.5
-        registry.histogram("h").observe(1.0)
-        assert registry.histogram("h").snapshot()["count"] == 1
-        assert registry.histogram("empty").snapshot() == {"count": 0}
-
-    def test_render_mentions_every_instrument(self):
-        registry = MetricsRegistry()
-        registry.counter("a.count").inc()
-        registry.histogram("b.hist").observe(2.0)
-        text = registry.render()
-        assert "a.count = 1" in text
-        assert "b.hist:" in text
+        registry.histogram("h").values.append(1.0)
+        assert registry.histogram("h").values == [1.0]
+        assert registry.histogram("empty").values == []
 
 
 class TestProfiler:
@@ -292,16 +282,6 @@ class TestProfiler:
         assert "rounds.execute" in snap
         assert snap["rounds.execute"]["count"] == 1
         assert snap["rounds.execute"]["total_s"] > 0
-
-    def test_merge_into_registry(self):
-        profiler = Profiler()
-        profiler.record("phase.x", 0.25)
-        profiler.record("phase.x", 0.75)
-        registry = MetricsRegistry()
-        profiler.merge_into(registry)
-        snap = registry.snapshot()["histograms"]["profile.phase.x.seconds"]
-        assert snap["count"] == 2
-        assert snap["mean"] == 0.5
 
 
 class TestSchema:
@@ -349,11 +329,6 @@ class TestSchema:
 
 
 class TestStatsHelpers:
-    def test_stdev_is_sample_stdev(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert summary.stdev == pytest.approx(1.0)  # n-1 denominator
-        assert summary.pstdev == pytest.approx((2 / 3) ** 0.5)
-
     def test_percentile_interpolates(self):
         data = [1, 2, 3, 4]
         assert percentile(data, 0) == 1

@@ -112,8 +112,8 @@ class TestImportSets:
         assert _ours(_loaded("import repro")) == ["repro", "repro._lazy"]
 
     def test_import_repro_stats_loads_no_statistics(self):
-        # Profiler.snapshot() needs ``percentile`` per cell; only
-        # ``summarize()`` needs the stdlib module (and its fractions,
+        # Profiler.snapshot() needs ``percentile`` per cell: plain
+        # arithmetic, not the stdlib module (and its fractions,
         # decimal, numbers).
         loaded = _loaded("import repro.stats")
         assert "repro.stats.summary" in loaded
@@ -210,6 +210,8 @@ class TestImportSets:
     def test_a_named_run_loads_the_runtime_and_no_campaign_layer(self, command):
         # The named cell goes through runtime.harness.execute_request
         # (and runtime.sweep.check_cell): one in-process rounds cell.
+        # Nothing of the SDD candidates or the step kernel: ``check``
+        # used to import repro.sdd for a help string alone.
         loaded = _loaded_by([command, "floodset-rws"])
         assert "repro.runtime.harness" in loaded
         assert not _offenders(
@@ -220,6 +222,8 @@ class TestImportSets:
                 "repro.emulation",
                 "repro.fuzz",
                 "repro.mc",
+                "repro.sdd",
+                *STEP_KERNEL,
             ),
         )
 
@@ -235,22 +239,18 @@ class TestImportSets:
 
 # Copied from the parser's output (Python 3.11, COLUMNS=80).
 _CHOICES = (
-    "{experiments,latency,show,trace,metrics,check,"
-    "replay,diff,sweep,fuzz,mc,report,causal}"
+    "{experiments,latency,trace,check,replay,diff,sweep,fuzz,mc,report,causal}"
 )
 _UNKNOWN_COMMAND_ERROR = (
     "repro: error: argument command: invalid choice: 'bogus' (choose from "
-    "'experiments', 'latency', 'show', 'trace', "
-    "'metrics', 'check', 'replay', 'diff', 'sweep', 'fuzz', 'mc', 'report', "
-    "'causal')"
+    "'experiments', 'latency', 'trace', 'check', 'replay', 'diff', 'sweep', "
+    "'fuzz', 'mc', 'report', 'causal')"
 )
 _USAGE = f"usage: repro [-h]\n             {_CHOICES}\n             ...\n"
 _HELP_ROWS = """\
     experiments         run the E1-E15 suite
     latency             latency profile of an algorithm
-    show                render a named scenario
-    trace               export a scenario's structured event trace
-    metrics             print a scenario's metrics snapshot
+    trace               render a named run's rounds (--jsonl: its event trace)
     check               run the trace oracle over a scenario or JSONL file
     replay              re-execute an exported trace and assert event equality
     diff                divergence diff of two traces (Theorem 3.1 lens)
@@ -288,7 +288,7 @@ class TestDispatcherText:
 
     def test_root_usage_is_whole_when_one_module_registered(self):
         # ``mc`` alone is imported, yet the root usage still spells out
-        # all seventeen commands.
+        # every command.
         proc = _repro(*MC, "--no-such-flag")
         assert proc.returncode == 2
         assert proc.stderr == (

@@ -1,5 +1,7 @@
-"""CLI-level tests for ``repro trace`` / ``repro metrics`` — including
-the shelled-out smoke path that ``make trace-smoke`` uses."""
+"""CLI-level tests for the inspection commands ``repro trace``,
+``check``, ``replay`` and ``diff`` — including the shelled-out smoke
+path that ``make trace-smoke`` uses — and for the operands each of
+them, and ``causal``, refuses rather than ignores."""
 
 from __future__ import annotations
 
@@ -91,17 +93,29 @@ class TestTraceSmoke:
 
 
 class TestTraceCommand:
-    def test_trace_to_stdout(self, capsys):
+    def test_trace_renders_the_rounds_on_stdout_alone(self, capsys):
         assert main(["trace", "floodset-rws"]) == 0
-        out = capsys.readouterr().out
-        kinds = [json.loads(line)["kind"] for line in out.splitlines()]
-        assert "msg_withheld" in kinds
-        assert kinds[0] == "round_start"
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("floodset-rws: ")
+        assert lines[1] == "algorithm=FloodSet, model=RWS, values=(0, 1, 1)"
+        assert lines[3].split() == ["round", "p0", "p1", "p2"]
+        assert captured.err == ""
 
     def test_trace_alias_resolves(self, capsys, tmp_path):
         out = tmp_path / "t.jsonl"
         assert main(["trace", "a1-rws-disagreement", "--jsonl", str(out)]) == 0
         assert out.exists()
+
+    def test_trace_tableau_accepts_alias(self, capsys):
+        assert main(["trace", "floodset-rws-violation"]) == 0
+        assert "round" in capsys.readouterr().out
+
+    def test_unknown_scenario_writes_no_trace(self, capsys, tmp_path):
+        out = tmp_path / "t.jsonl"
+        assert main(["trace", "nope", "--jsonl", str(out)]) == 2
+        assert "unknown scenario" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_jsonl_is_refused_before_the_cell_runs(
         self, capsys, tmp_path, monkeypatch
@@ -120,22 +134,12 @@ class TestTraceCommand:
         ]
 
     def test_trace_unknown_scenario_exits_2(self, capsys):
+        """No traceback, nonzero exit, helpful message."""
         assert main(["trace", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-
-class TestMetricsCommand:
-    def test_metrics_prints_per_round_counters(self, capsys):
-        assert main(["metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "messages.sent.round.1 = 9" in out
-        assert "messages.withheld.round.1 = 2" in out
-        assert "decisions.round.2 = 2" in out
-        assert "profile.rounds.execute.seconds" in out
-
-    def test_metrics_unknown_scenario_exits_2(self, capsys):
-        assert main(["metrics", "nope"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown scenario" in captured.err
+        assert "choose from" in captured.err
 
 
 class TestCheckCommand:
@@ -312,16 +316,19 @@ class TestDiffCommand:
         assert main(["diff", str(a), str(b), "--pid", "2"]) in (0, 1)
         assert capsys.readouterr().out.startswith("p2")
 
-    def test_sdd_quadruple_demo(self, capsys):
-        assert main(["diff", "--sdd", "suspicion"]) == 0
-        out = capsys.readouterr().out
-        assert "r0 ~ r0'" in out
-        assert "r1 ~ r1'" in out
-        assert "contradiction" in out
-
-    def test_sdd_unknown_candidate_exits_2(self, capsys):
-        assert main(["diff", "--sdd", "nope"]) == 2
-        assert "unknown SDD candidate" in capsys.readouterr().err
+    def test_ignore_defaults_to_ts(self, capsys, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self._export("floodset-rws", a)
+        lines = []
+        for line in a.read_text(encoding="utf-8").splitlines():
+            data = json.loads(line)
+            data["ts"] *= 10
+            lines.append(json.dumps(data))
+        b.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 0
+        assert main(["diff", str(a), str(b), "--ignore", ""]) == 1
+        capsys.readouterr()
 
     def test_missing_operands_exit_2(self, capsys):
         assert main(["diff"]) == 2
@@ -356,14 +363,97 @@ class TestCheckTraceScriptOrdering:
         assert "OK (schema)" in result.stdout
 
 
-class TestShowErrorPath:
-    def test_show_unknown_scenario_is_clean_error(self, capsys):
-        """No traceback, nonzero exit, helpful message."""
-        assert main(["show", "definitely-not-a-scenario"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown scenario" in err
-        assert "choose from" in err
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A trace, a run directory and a replayable ``mc`` witness."""
+    root = tmp_path_factory.mktemp("operands")
+    trace = root / "t.jsonl"
+    assert main(["trace", "floodset-rws", "--jsonl", str(trace)]) == 0
+    runs = root / "runs"
+    assert main(
+        ["sweep", "oracle-sweep", "--count", "2", "--run-dir", str(runs)]
+    ) == 0
+    verdicts = root / "verdicts"
+    argv = ["mc", "agreement", "--algorithm", "floodset", "--model", "RWS"]
+    assert main(argv + ["--out", str(verdicts)]) == 1
+    witness = verdicts / "mc-witness-00.json"
+    assert main(["replay", "--repro", str(witness)]) == 0
+    return {"trace": trace, "runs": runs, "witness": witness}
 
-    def test_show_accepts_alias(self, capsys):
-        assert main(["show", "floodset-rws-violation"]) == 0
-        assert "round" in capsys.readouterr().out
+
+#: Operands a command's chosen form does not read, each with the start
+#: of the one ``error:`` line that refuses them.  Every one used to be
+#: dropped: the run went ahead on the rest, and most exited 0.
+IGNORED_OPERANDS = {
+    "check-name-and-jsonl": (
+        ["check", "nonexistent-name", "--jsonl", "{trace}"],
+        "error: give a scenario name or --jsonl PATH, not both",
+    ),
+    "check-model-without-jsonl": (
+        ["check", "floodset-rws", "--model", "RS"],
+        "error: --model applies to a --jsonl trace only",
+    ),
+    "replay-operands-and-repro": (
+        ["replay", "bogus-name", "/nonexistent.jsonl", "--repro", "{witness}"],
+        "error: --repro FILE takes no scenario or trace operand",
+    ),
+    "diff-ignore-with-pid": (
+        ["diff", "{trace}", "{trace}", "--pid", "1", "--ignore", "round"],
+        "error: --ignore applies to a whole-trace diff, not to --pid",
+    ),
+    "replay-name-and-repro": (
+        ["replay", "floodset-rws", "--repro", "{witness}"],
+        "error: --repro FILE takes no scenario or trace operand",
+    ),
+    "diff-empty-ignore-with-pid": (
+        ["diff", "{trace}", "{trace}", "--pid", "1", "--ignore", ""],
+        "error: --ignore applies to a whole-trace diff, not to --pid",
+    ),
+    "causal-rundir-with-decide": (
+        ["causal", "{runs}", "--decide", "0"],
+        "error: --decide select within one trace file",
+    ),
+    "causal-rundir-with-diagram": (
+        ["causal", "{runs}", "--diagram"],
+        "error: --diagram select within one trace file",
+    ),
+    "causal-rundir-with-trace-options": (
+        ["causal", "{runs}", "--decide", "9", "--suspect", "7", "--diagram"],
+        "error: --decide, --suspect, --diagram select within one trace file",
+    ),
+}
+
+
+class TestIgnoredOperands:
+    @pytest.mark.parametrize("case", sorted(IGNORED_OPERANDS))
+    def test_refused_with_one_error_line(self, case, artifacts, capsys):
+        argv, error = IGNORED_OPERANDS[case]
+        capsys.readouterr()
+        assert main([arg.format(**artifacts) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(error)
+
+
+#: The second and third renderings this command family used to offer:
+#: the tableau is ``trace NAME``, the metrics fold is the trace's, and
+#: the SDD quadruple is ``mc indistinguishability --fixture NAME``.
+REMOVED_RENDERINGS = {
+    "show": ["show", "floodset-rws"],
+    "metrics": ["metrics", "floodset-rws"],
+    "check-sdd-fixture": ["check", "--sdd-fixture", "suspicion"],
+    "diff-sdd": ["diff", "--sdd", "suspicion"],
+}
+
+
+class TestRemovedRenderings:
+    @pytest.mark.parametrize("case", sorted(REMOVED_RENDERINGS))
+    def test_is_a_usage_error(self, case, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(REMOVED_RENDERINGS[case])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err

@@ -1,11 +1,8 @@
-"""Tests for workload builders and the stats helpers."""
+"""Tests for the workload builders."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.rounds import validate_scenario
-from repro.stats import summarize
 from repro.workloads import (
     a1_rws_disagreement,
     adversarial_split,
@@ -56,20 +53,3 @@ class TestScenarios:
         scenario = floodset_rws_violation(3)
         assert validate_scenario(scenario, t=1, allow_pending=True) == []
         assert scenario.crash_of(0).round == 2
-
-
-class TestStats:
-    def test_summarize_basics(self):
-        summary = summarize([1, 2, 3, 4])
-        assert summary.count == 4
-        assert summary.minimum == 1
-        assert summary.maximum == 4
-        assert summary.mean == 2.5
-        assert summary.median == 2.5
-
-    def test_single_value_has_zero_stdev(self):
-        assert summarize([7]).stdev == 0.0
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
